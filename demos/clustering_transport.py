@@ -10,11 +10,11 @@ Run:  python3 demos/clustering_transport.py
 
 import numpy as np
 
-from poolkit import FeatureMap
+from poolkit import FeatureMap, InitRule, run_pooling
 from poolkit.cluster_poolers import (
     SinkhornParams,
     kmeans_distortion,
-    lloyd_step,
+    kmeans_spec,
     otk_pool,
     sinkhorn,
 )
@@ -41,11 +41,13 @@ def kmeans_descent():
     rng = np.random.default_rng(3)
     centers = np.array([[0.0, 8.0, -6.0], [0.0, 5.0, 4.0]])
     x = np.repeat(centers, 12, axis=1) + 0.8 * rng.standard_normal((2, 36))
+    fm = FeatureMap.from_array(x)
     u = x[:, rng.choice(36, size=3, replace=False)].copy()
     print(f"{'step':>4} {'distortion':>12}")
     for step in range(8):
         print(f"{step:>4} {kmeans_distortion(x, u):>12.4f}")
-        u, _ = lloyd_step(x, u)
+        # one pass of the engine loop from the current centroids
+        u = run_pooling(kmeans_spec(3, 1, InitRule(kind="matrix", matrix=u)), fm).u
     print(f"final centroids (columns):\n{u.round(3)}")
 
 

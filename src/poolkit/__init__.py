@@ -21,7 +21,6 @@ from .cluster_poolers import (
     SlotWeights,
     kmeans_distortion,
     kmeans_pool,
-    nystrom_map,
     otk_pool,
     sinkhorn,
     slot_pool,
@@ -29,7 +28,6 @@ from .cluster_poolers import (
 from .reweight_poolers import CbamWeights, SeWeights, cbam_pool, se_pool
 from .transformer_poolers import (
     VitWeights,
-    cait_class_attention,
     merge_heads,
     split_heads,
     vit_cls_pool,

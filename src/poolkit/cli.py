@@ -15,7 +15,7 @@ import numpy as np
 from . import attnmap as attnmap_mod
 from .cluster_poolers import SlotWeights, kmeans_distortion, kmeans_pool, otk_pool, slot_pool
 from .errors import ConfigError, ContractError, FileFormatError, NumericError, PoolkitError, ShapeError
-from .framework import FeatureMap, PooledSet
+from .framework import AttentionMatrix, FeatureMap, PooledSet
 from .gradcheck import central_diff, compare
 from .reweight_poolers import CbamWeights, SeWeights, cbam_pool, se_pool
 from .simple_poolers import HowConfig, gap, gem, how, lse, max_pool
@@ -29,7 +29,7 @@ from .tensor_io import (
     read_npy,
     write_npy,
 )
-from .transformer_poolers import VitWeights, cait_class_attention, vit_cls_pool
+from .transformer_poolers import VitWeights, vit_cls_pool
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -39,8 +39,6 @@ EXIT_NUMERIC = 3
 
 def run_method(cfg: RunConfig, fm: FeatureMap) -> PooledSet:
     """Dispatch a configured method on a feature map."""
-    from .framework import AttentionMatrix
-
     method = cfg.method
     gamma = cfg.resolved_gamma
     d = fm.d
@@ -75,10 +73,9 @@ def run_method(cfg: RunConfig, fm: FeatureMap) -> PooledSet:
     if method == "cbam":
         w = CbamWeights.seeded(_reducible(d), seed=cfg.seed)
         return cbam_pool(fm, w)
-    if method in ("vit", "cait"):
+    if method in ("vit", "cait"):  # with the patch stream fixed, CaiT's class attention is ViT's
         weights = VitWeights.seeded(d, cfg.iters, seed=cfg.seed)
-        fn = vit_cls_pool if method == "vit" else cait_class_attention
-        return fn(fm, weights, cfg.heads, cfg.iters)
+        return vit_cls_pool(fm, weights, cfg.heads, cfg.iters)
     if method == "simpool":
         params = SimPoolParams.seeded(d, gamma=gamma, seed=cfg.seed)
         u, a, _ = simpool_forward(fm, params)
@@ -256,9 +253,9 @@ def cmd_tournament(args) -> int:
             fh.write(report)
     else:
         sys.stdout.write(report)
-    # wall times go to stdout only so the TSV stays byte-deterministic
+    # wall times go to stderr, so stdout (the TSV without --out) stays byte-deterministic
     for method in methods:
-        print(f"# {method}: {timings[method]:.1f} ms total", file=sys.stdout)
+        print(f"# {method}: {timings[method]:.1f} ms total", file=sys.stderr)
     return EXIT_OK
 
 

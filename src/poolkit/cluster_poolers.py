@@ -1,17 +1,19 @@
 """Poolers producing k > 1 vectors: entropic transport, Lloyd k-means in
-matrix form, and slot-style iterative cross-attention."""
+matrix form, and slot-style iterative cross-attention.  k-means and slot
+attention are engine specs, run by ``run_pooling``."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import ContractError, ConvergenceError, DegenerateMassError, NumericError
-from .framework import AttentionMatrix, FeatureMap, PooledSet
-from .matcore import Mat, col_softmax, jacobi_eigh, layernorm_cols
-from .nncells import GruWeights, MlpWeights, gru_cell, mlp2
+from .errors import ContractError, ConvergenceError, NumericError
+from .framework import (AttentionMatrix, AttnRule, FeatureMap, InitRule, MapRule, PooledSet,
+                        PoolingSpec, UpdateRule, run_pooling)
+from .matcore import Mat, jacobi_eigh, sq_distances
+from .nncells import GruWeights, MlpWeights
 
 
 # --- Sinkhorn / optimal transport -----------------------------------------
@@ -60,18 +62,6 @@ def sinkhorn(cost: Mat, params: SinkhornParams) -> Mat:
     )
 
 
-def _sq_distances(x: Mat, u: Mat) -> Mat:
-    """(p, k) squared Euclidean distances between columns of x and u."""
-    x2 = np.sum(x**2, axis=0)[:, None]
-    u2 = np.sum(u**2, axis=0)[None, :]
-    d = x2 + u2 - 2.0 * (x.T @ u)
-    return np.maximum(d, 0.0)
-
-
-def nystrom_map(anchors: Mat, sigma_rbf: float) -> "NystromMap":
-    return NystromMap(anchors=np.asarray(anchors, dtype=np.float64), sigma=sigma_rbf)
-
-
 @dataclass(frozen=True)
 class NystromMap:
     """Gaussian-kernel feature map anchored at k reference columns:
@@ -88,7 +78,7 @@ class NystromMap:
         return m_inv_sqrt @ self._kernel(x)
 
     def _kernel(self, x: Mat) -> Mat:
-        d = _sq_distances(x, self.anchors).T  # (k, n)
+        d = sq_distances(x, self.anchors).T  # (k, n)
         return np.exp(-d / (2.0 * self.sigma**2))
 
 
@@ -111,7 +101,7 @@ def otk_pool(
     k = anchors.shape[1]
     if params is None:
         params = SinkhornParams(epsilon=epsilon)
-    cost = _sq_distances(fm.x, anchors)
+    cost = sq_distances(fm.x, anchors)
     # Subtracting row/column minima rescales the kernel by diagonal factors,
     # which leaves the balanced plan unchanged while keeping exp(-cost/eps)
     # away from underflow when distances are large.
@@ -127,43 +117,21 @@ def otk_pool(
 
 def kmeans_distortion(x: Mat, centroids: Mat) -> float:
     """Sum over columns of x of the squared distance to the nearest centroid."""
-    return float(_sq_distances(x, centroids).min(axis=1).sum())
+    return float(sq_distances(x, centroids).min(axis=1).sum())
 
 
-def lloyd_step(x: Mat, centroids: Mat) -> tuple[Mat, Mat]:
-    """One Lloyd iteration in matrix form; returns (new centroids, assignment).
-
-    Ties go to the lowest centroid index; an empty cluster keeps its
-    previous centroid.
-    """
-    p = x.shape[1]
-    k = centroids.shape[1]
-    d = _sq_distances(x, centroids)
-    idx = np.argmin(d, axis=1)
-    m = np.zeros((p, k))
-    m[np.arange(p), idx] = 1.0
-    mass = m.sum(axis=0)
-    empty = mass == 0
-    a = m / np.where(empty, 1.0, mass)
-    u = x @ a
-    u[:, empty] = centroids[:, empty]
-    return u, a
+def kmeans_spec(k: int, iters: int, init: InitRule) -> PoolingSpec:
+    """Lloyd's algorithm in matrix form: hard assignment of each column to
+    its nearest centroid (ties to the lowest index), then the mean of each
+    cluster; an empty cluster keeps its previous centroid."""
+    return PoolingSpec(k=k, iters=iters, init=init, similarity="neg_sq_euclid",
+                       attention=AttnRule(kind="hard_argmax"))
 
 
 def kmeans_pool(fm: FeatureMap, k: int, iters: int, seed: int = 0) -> PooledSet:
     """Seeded k-means: init from k distinct data columns, run exactly
     ``iters`` Lloyd steps, return centroids plus the final assignment."""
-    if k > fm.p:
-        raise ContractError(f"kmeans_pool: k={k} > p={fm.p}")
-    if iters < 1:
-        raise ContractError(f"kmeans_pool: iters must be >= 1, got {iters}")
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(fm.p, size=k, replace=False)
-    u = fm.x[:, idx].copy()
-    a = None
-    for _ in range(iters):
-        u, a = lloyd_step(fm.x, u)
-    return PooledSet(u=u, attention=AttentionMatrix(a, stochastic_cols=False))
+    return run_pooling(kmeans_spec(k, iters, InitRule(kind="sample_columns", seed=seed)), fm)
 
 
 # --- slot attention --------------------------------------------------------
@@ -196,6 +164,33 @@ class SlotWeights:
         )
 
 
+def slot_spec(k: int, iters: int, weights: SlotWeights, seed: int = 0, simplified: bool = False,
+              use_layernorm: bool = True, ln_eps: float = 1e-5) -> PoolingSpec:
+    """Slot attention: slots drawn from N(mu, sigma^2), queries, keys and
+    values through (LayerNorm-then-)linear maps, dot-product similarity.
+
+    Full mode normalizes the column softmax over rows and updates slots
+    through a GRU + residual MLP; simplified mode uses the plain column
+    softmax and takes the weighted value average as the new slots.
+    """
+    def proj(w: Mat) -> MapRule:
+        return MapRule(kind="linear_ln" if use_layernorm else "linear", weight=w, eps=ln_eps)
+
+    if simplified:
+        attention = AttnRule(kind="col_softmax", scale=np.sqrt(weights.w_k.shape[1]))
+        update = UpdateRule()
+    else:
+        attention = AttnRule(kind="row_then_col_norm", scale=np.sqrt(weights.w_k.shape[0]))
+        update = UpdateRule(kind="gru_mlp", gru=weights.gru, mlp=weights.mlp,
+                            ln_eps=ln_eps if use_layernorm else None)
+    return PoolingSpec(
+        k=k, iters=iters,
+        init=InitRule(kind="normal", seed=seed, mu=weights.mu, sigma=weights.sigma),
+        query_map=proj(weights.w_q), key_map=proj(weights.w_k), value_map=proj(weights.w_v),
+        attention=attention, pool_update=update,
+    )
+
+
 def slot_pool(
     fm: FeatureMap,
     k: int,
@@ -206,41 +201,6 @@ def slot_pool(
     use_layernorm: bool = True,
     ln_eps: float = 1e-5,
 ) -> PooledSet:
-    """Iterative soft-clustering: k slot vectors compete for locations.
-
-    Full mode normalizes the column softmax over rows and updates slots
-    through a GRU + residual MLP; simplified mode uses the plain column
-    softmax and takes the weighted value average as the new slots.
-    """
-    d = fm.d
-    n = weights.w_k.shape[0]
-    rng = np.random.default_rng(seed)
-    u = weights.mu[:, None] + weights.sigma[:, None] * rng.standard_normal(
-        (weights.mu.size, k)
-    )
-    ln = (lambda m: layernorm_cols(m, ln_eps)) if use_layernorm else (lambda m: m)
-    x_n = ln(fm.x)
-    keys = weights.w_k @ x_n
-    values = weights.w_v @ x_n
-    a = None
-    for _ in range(iters):
-        q = weights.w_q @ ln(u)
-        s = keys.T @ q
-        if simplified:
-            a = col_softmax(s, np.sqrt(d))
-            stochastic = True
-        else:
-            soft = col_softmax(s, np.sqrt(n))
-            row_mass = soft.sum(axis=1)
-            dead = np.flatnonzero(row_mass == 0)
-            if dead.size:
-                raise DegenerateMassError(f"slot_pool: zero-mass row {dead[0]}")
-            a = soft / row_mass[:, None]
-            stochastic = False
-        z = values @ a
-        if simplified:
-            u = z
-        else:
-            g = gru_cell(z, u, weights.gru)
-            u = g + mlp2(ln(g), weights.mlp)
-    return PooledSet(u=u, attention=AttentionMatrix(a, stochastic_cols=stochastic))
+    """Iterative soft-clustering: k slot vectors compete for locations
+    (see ``slot_spec`` for the two modes)."""
+    return run_pooling(slot_spec(k, iters, weights, seed, simplified, use_layernorm, ln_eps), fm)

@@ -4,8 +4,9 @@ One configurable loop covers the whole landscape of pooling operators:
 each iteration forms a query from the current pooled vectors and a key
 from the features, turns their pairwise similarities into attention,
 and pools the value matrix through a generalized mean.  Concrete
-methods are just parameter choices (see the direct implementations in
-the *_poolers modules, which the engine must reproduce).
+methods are just parameter choices: the ``*_spec`` functions in the
+*_poolers modules, beside the direct implementations that some specs
+must reproduce.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .matcore import (
     eta_norm,
     layernorm_cols,
     l2_normalize,
-    sigmoid,
+    sq_distances,
 )
 from .meanfam import AlphaParam, lse_pool, weighted_generalized_mean
 
@@ -106,12 +107,12 @@ class MapRule:
     """Column-wise mapping: identity, linear, LayerNorm-then-linear, or the
     fixed local-average + projection used by norm-attention pooling."""
 
-    kind: str = "identity"  # identity | linear | linear_ln | ln | local_avg_fc
+    kind: str = "identity"  # identity | linear | linear_ln | local_avg_fc
     weight: Optional[Mat] = None
     eps: float = 1e-5
     centering: Optional[np.ndarray] = None
 
-    KINDS = ("identity", "linear", "linear_ln", "ln", "local_avg_fc")
+    KINDS = ("identity", "linear", "linear_ln", "local_avg_fc")
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
@@ -125,23 +126,10 @@ class AttnRule:
     """How similarities become attention."""
 
     kind: str = "col_softmax"
-    # col_softmax | sinkhorn | hard_argmax | row_then_col_norm |
-    # sigmoid_conv | constant | feature_sqnorm
     scale: float = 1.0
-    epsilon: float = 0.1
     vector: Optional[np.ndarray] = None
-    kernel: Optional[np.ndarray] = None
-    bias: float = 0.0
 
-    KINDS = (
-        "col_softmax",
-        "sinkhorn",
-        "hard_argmax",
-        "row_then_col_norm",
-        "sigmoid_conv",
-        "constant",
-        "feature_sqnorm",
-    )
+    KINDS = ("col_softmax", "hard_argmax", "row_then_col_norm", "constant", "feature_sqnorm")
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
@@ -154,12 +142,12 @@ class AttnRule:
 class PoolRule:
     """Pooling operation f: generalized mean, LSE, or an exact extreme."""
 
-    kind: str = "f_alpha"  # f_alpha | lse | max | min
+    kind: str = "f_alpha"  # f_alpha | lse | max
     alpha: Optional[AlphaParam] = None
     r: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("f_alpha", "lse", "max", "min"):
+        if self.kind not in ("f_alpha", "lse", "max"):
             raise ContractError(f"PoolRule: unknown kind {self.kind!r}")
         if self.kind == "f_alpha" and self.alpha is None:
             object.__setattr__(self, "alpha", AlphaParam(alpha=-1.0))
@@ -180,21 +168,22 @@ class InitRule:
             raise ContractError(f"InitRule: unknown kind {self.kind!r}")
         if self.kind == "matrix" and self.matrix is None:
             raise ContractError("InitRule[matrix]: matrix required")
+        if self.kind == "normal" and (self.mu is None or self.sigma is None):
+            raise ContractError("InitRule[normal]: mu and sigma required")
 
 
 @dataclass(frozen=True)
 class UpdateRule:
-    """Output mapping for U (or X) at the end of an iteration."""
+    """Output mapping for U at the end of an iteration; ``gru_mlp`` is a GRU step
+    plus a residual MLP on the LayerNorm of its output (``ln_eps=None`` skips it)."""
 
-    kind: str = "identity"  # identity | affine | l2norm | gru_mlp
-    weight: Optional[Mat] = None
-    bias: Optional[np.ndarray] = None
+    kind: str = "identity"  # identity | l2norm | gru_mlp
     gru: object = None
     mlp: object = None
-    ln_eps: float = 1e-5
+    ln_eps: Optional[float] = 1e-5
 
     def __post_init__(self):
-        if self.kind not in ("identity", "affine", "l2norm", "gru_mlp"):
+        if self.kind not in ("identity", "l2norm", "gru_mlp"):
             raise ContractError(f"UpdateRule: unknown kind {self.kind!r}")
 
 
@@ -208,10 +197,9 @@ class PoolingSpec:
     query_map: MapRule = field(default_factory=MapRule)
     key_map: MapRule = field(default_factory=MapRule)
     value_map: MapRule = field(default_factory=MapRule)
-    similarity: str = "dot"  # dot | neg_sq_euclid | cosine
+    similarity: str = "dot"  # dot | neg_sq_euclid
     attention: AttnRule = field(default_factory=AttnRule)
     pool: PoolRule = field(default_factory=PoolRule)
-    feat_update: UpdateRule = field(default_factory=UpdateRule)
     pool_update: UpdateRule = field(default_factory=UpdateRule)
 
     def __post_init__(self):
@@ -219,18 +207,16 @@ class PoolingSpec:
             raise ContractError(f"PoolingSpec: k must be >= 1, got {self.k}")
         if self.iters < 1:
             raise ContractError(f"PoolingSpec: iters must be >= 1, got {self.iters}")
-        if self.similarity not in ("dot", "neg_sq_euclid", "cosine"):
+        if self.similarity not in ("dot", "neg_sq_euclid"):
             raise ContractError(f"PoolingSpec: unknown similarity {self.similarity!r}")
 
 
 # --- similarity ------------------------------------------------------------
 
 def pairwise_similarity(k_mat: Mat, q_mat: Mat, kind: str) -> Mat:
-    """Similarity of every key column against every query column, (p, k)."""
+    """Similarity (p, k) of every key column (d, p) against every query column (d, k)."""
     k_mat = np.asarray(k_mat, dtype=np.float64)
     q_mat = np.asarray(q_mat, dtype=np.float64)
-    if q_mat.ndim == 1:
-        q_mat = q_mat[:, None]
     if k_mat.shape[0] != q_mat.shape[0]:
         raise ShapeError(
             f"pairwise_similarity: key {k_mat.shape} vs query {q_mat.shape}"
@@ -238,35 +224,29 @@ def pairwise_similarity(k_mat: Mat, q_mat: Mat, kind: str) -> Mat:
     if kind == "dot":
         return k_mat.T @ q_mat
     if kind == "neg_sq_euclid":
-        k2 = np.sum(k_mat**2, axis=0)[:, None]
-        q2 = np.sum(q_mat**2, axis=0)[None, :]
-        return -(k2 + q2 - 2.0 * (k_mat.T @ q_mat))
-    if kind == "cosine":
-        kn = np.linalg.norm(k_mat, axis=0)
-        qn = np.linalg.norm(q_mat, axis=0)
-        kn = np.where(kn == 0, 1.0, kn)
-        qn = np.where(qn == 0, 1.0, qn)
-        return (k_mat / kn).T @ (q_mat / qn)
+        return -sq_distances(k_mat, q_mat)
     raise ContractError(f"pairwise_similarity: unknown kind {kind!r}")
 
 
 # --- engine ----------------------------------------------------------------
 
-def _apply_map(rule: MapRule, x: Mat, fm: FeatureMap, stage: str, t: int) -> Mat:
+def _apply_map(rule: MapRule, x: Mat, fm: FeatureMap, stage: str, normed: dict) -> Mat:
+    """Map the columns of x; ``normed`` keeps LayerNorm(x) by eps so that
+    maps sharing the same input normalize it only once."""
     try:
         if rule.kind == "identity":
             return x
-        if rule.kind == "ln":
-            return layernorm_cols(x, rule.eps)
         if rule.kind == "linear":
             return rule.weight @ x
         if rule.kind == "linear_ln":
-            return rule.weight @ layernorm_cols(x, rule.eps)
+            if rule.eps not in normed:
+                normed[rule.eps] = layernorm_cols(x, rule.eps)
+            return rule.weight @ normed[rule.eps]
         if rule.kind == "local_avg_fc":
             centered = x - (rule.centering[:, None] if rule.centering is not None else 0.0)
             return rule.weight @ _avg3(centered, fm.width, fm.height)
     except ValueError as exc:
-        raise ShapeError(f"{stage} mapping at iteration {t}: {exc}") from exc
+        raise ShapeError(f"{stage} mapping: {exc}") from exc
     raise ContractError(f"unknown map kind {rule.kind!r}")
 
 
@@ -285,22 +265,17 @@ def _avg3(x: Mat, width: int, height: int) -> Mat:
     return out
 
 
-def _attention(rule: AttnRule, s: Optional[Mat], x_raw: Mat, fm: FeatureMap,
-               p: int, k: int, t: int):
+def _attention(rule: AttnRule, s: Optional[Mat], x: Mat, k: int, t: int):
     """Return (A, stochastic_cols, empty_col_mask)."""
+    p = x.shape[1]
     if rule.kind == "constant":
-        a = np.asarray(rule.vector, dtype=np.float64)
-        if a.ndim == 1:
-            a = np.tile(a[:, None], (1, k))
+        a = np.tile(np.asarray(rule.vector, dtype=np.float64)[:, None], (1, k))
         if a.shape[0] != p:
             raise ShapeError(f"attention at iteration {t}: constant vector length "
                              f"{a.shape[0]} != p={p}")
         return a, False, None
     if rule.kind == "feature_sqnorm":
-        a = np.sum(x_raw**2, axis=0)[:, None]
-        return np.tile(a, (1, k)), False, None
-    if s is None:
-        raise ContractError(f"attention rule {rule.kind!r} needs similarities")
+        return np.tile(np.sum(x**2, axis=0)[:, None], (1, k)), False, None
     if rule.kind == "col_softmax":
         return col_softmax(s, rule.scale), True, None
     if rule.kind == "row_then_col_norm":
@@ -313,68 +288,40 @@ def _attention(rule: AttnRule, s: Optional[Mat], x_raw: Mat, fm: FeatureMap,
         m[np.arange(p), idx] = 1.0
         mass = m.sum(axis=0)
         empty = mass == 0
-        a = m / np.where(empty, 1.0, mass)
-        return a, False, empty
-    if rule.kind == "sinkhorn":
-        from .cluster_poolers import SinkhornParams, sinkhorn
-
-        cost = -s  # similarity is a negated cost
-        return sinkhorn(cost, SinkhornParams(epsilon=rule.epsilon)), False, None
-    if rule.kind == "sigmoid_conv":
-        if rule.kernel is None:
-            raise ContractError("AttnRule[sigmoid_conv]: kernel required")
-        kernel = np.asarray(rule.kernel, dtype=np.float64)
-        if kernel.ndim == 2:
-            kernel = kernel[None]
-        if kernel.shape[0] != s.shape[1]:
-            raise ShapeError(f"sigmoid_conv: kernel channels {kernel.shape[0]} "
-                             f"!= similarity columns {s.shape[1]}")
-        acc = np.zeros((fm.height, fm.width))
-        for c in range(kernel.shape[0]):
-            acc += conv2d_same(s[:, c].reshape(fm.height, fm.width), kernel[c])
-        a = sigmoid(acc + rule.bias).reshape(-1, 1)
-        return a, False, None
+        return m / np.where(empty, 1.0, mass), False, empty
     raise ContractError(f"unknown attention kind {rule.kind!r}")
 
 
 def _pool(rule: PoolRule, v: Mat, a: Mat, t: int) -> Mat:
-    if v.shape[1] != a.shape[0]:
-        raise ShapeError(f"pooling at iteration {t}: value {v.shape} vs "
-                         f"attention {a.shape}")
     if rule.kind == "f_alpha":
         if rule.alpha.gamma == 1.0:
             return v @ a  # plain weighted average, valid for any sign
         return weighted_generalized_mean(v, a, rule.alpha)
     if rule.kind == "lse":
         return lse_pool(v, a, rule.r)
-    if rule.kind in ("max", "min"):
+    if rule.kind == "max":
         cols = []
-        fn = np.max if rule.kind == "max" else np.min
         for j in range(a.shape[1]):
             support = a[:, j] > 0
             if not np.any(support):
                 raise NumericError(f"pooling at iteration {t}: empty support "
                                    f"in attention column {j}")
-            cols.append(fn(v[:, support], axis=1))
+            cols.append(np.max(v[:, support], axis=1))
         return np.stack(cols, axis=1)
     raise ContractError(f"unknown pool kind {rule.kind!r}")
 
 
-def _update(rule: UpdateRule, z: Mat, prev: Mat, t: int) -> Mat:
+def _update(rule: UpdateRule, z: Mat, prev: Mat) -> Mat:
     if rule.kind == "identity":
         return z
-    if rule.kind == "affine":
-        out = rule.weight @ z
-        if rule.bias is not None:
-            out = out + np.asarray(rule.bias, dtype=np.float64)[:, None]
-        return out
     if rule.kind == "l2norm":
         return np.stack([l2_normalize(z[:, j]) for j in range(z.shape[1])], axis=1)
     if rule.kind == "gru_mlp":
         from .nncells import gru_cell, mlp2
 
         g = gru_cell(z, prev, rule.gru)
-        return g + mlp2(layernorm_cols(g, rule.ln_eps), rule.mlp)
+        h = g if rule.ln_eps is None else layernorm_cols(g, rule.ln_eps)
+        return g + mlp2(h, rule.mlp)
     raise ContractError(f"unknown update kind {rule.kind!r}")
 
 
@@ -395,42 +342,36 @@ def _init_u(rule: InitRule, fm: FeatureMap, k: int) -> Mat:
         return fm.x[:, idx].copy()
     if rule.kind == "normal":
         rng = np.random.default_rng(rule.seed)
-        mu = np.zeros(fm.d) if rule.mu is None else np.asarray(rule.mu, dtype=np.float64)
-        sigma = np.ones(fm.d) if rule.sigma is None else np.asarray(rule.sigma, dtype=np.float64)
+        mu = np.asarray(rule.mu, dtype=np.float64)
+        sigma = np.asarray(rule.sigma, dtype=np.float64)
         return mu[:, None] + sigma[:, None] * rng.standard_normal((mu.size, k))
     raise ContractError(f"unknown init kind {rule.kind!r}")
 
 
 def run_pooling(spec: PoolingSpec, fm: FeatureMap) -> PooledSet:
-    """Run the configured pooling loop for exactly ``spec.iters`` iterations."""
+    """Run the configured pooling loop for exactly ``spec.iters`` iterations.
+
+    The features stay fixed across iterations, so the key and value maps
+    are applied once, before the loop.
+    """
     x = fm.x
     u = _init_u(spec.init, fm, spec.k)
-    a = None
-    stochastic = False
     needs_sim = spec.attention.kind not in ("constant", "feature_sqnorm")
+    normed = {}
+    k_mat = _apply_map(spec.key_map, x, fm, "key", normed) if needs_sim else None
+    v = _apply_map(spec.value_map, x, fm, "value", normed)
 
     for t in range(spec.iters):
         s = None
         if needs_sim:
-            q = _apply_map(spec.query_map, u, fm, "query", t)
-            k_mat = _apply_map(spec.key_map, x, fm, "key", t)
+            q = _apply_map(spec.query_map, u, fm, f"query at iteration {t}", {})
             s = pairwise_similarity(k_mat, q, spec.similarity)
-        a, stochastic, empty = _attention(
-            spec.attention, s, x, fm, fm.p, spec.k, t
-        )
-        v = _apply_map(spec.value_map, x, fm, "value", t)
+        a, stochastic, empty = _attention(spec.attention, s, x, spec.k, t)
         z = _pool(spec.pool, v, a, t)
         if empty is not None and np.any(empty):
             z[:, empty] = u[:, empty]  # dead cluster keeps its previous vector
-        x = _apply_map_update(spec.feat_update, x, t)
-        u = _update(spec.pool_update, z, u, t)
+        u = _update(spec.pool_update, z, u)
 
     if not np.all(np.isfinite(u)):
         raise NumericError("run_pooling: non-finite pooled output")
     return PooledSet(u=u, attention=AttentionMatrix(a, stochastic_cols=stochastic))
-
-
-def _apply_map_update(rule: UpdateRule, x: Mat, t: int) -> Mat:
-    if rule.kind == "identity":
-        return x
-    return _update(rule, x, x, t)

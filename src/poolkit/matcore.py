@@ -35,15 +35,6 @@ def as_matrix(a, name: str = "matrix") -> Mat:
     return m
 
 
-def matmul(a: Mat, b: Mat) -> Mat:
-    """Matrix product with an explicit shape error naming both operands."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape[-1] != b.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    return a @ b
-
-
 def col_softmax(s: Mat, scale: float = 1.0) -> Mat:
     """Softmax over each column of ``s / scale`` with max subtraction."""
     if scale <= 0:
@@ -79,6 +70,14 @@ def eta_norm(a: Mat, axis: str) -> Mat:
             raise DegenerateMassError(f"eta_norm: zero-mass column {dead[0]}")
         return a / mass[None, :]
     raise ContractError(f"eta_norm: axis must be 'rows' or 'cols', got {axis!r}")
+
+
+def sq_distances(x: Mat, u: Mat) -> Mat:
+    """(p, k) squared Euclidean distances between the columns of x and u,
+    expanded as |x|^2 + |u|^2 - 2 x.u and clamped at 0 against rounding."""
+    x2 = np.sum(x**2, axis=0)[:, None]
+    u2 = np.sum(u**2, axis=0)[None, :]
+    return np.maximum(x2 + u2 - 2.0 * (x.T @ u), 0.0)
 
 
 def layernorm_cols(x: Mat, eps: float = 1e-5) -> Mat:

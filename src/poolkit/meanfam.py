@@ -54,22 +54,6 @@ def _clamped(v: np.ndarray) -> np.ndarray:
     return np.maximum(np.asarray(v, dtype=np.float64), CLAMP_FLOOR)
 
 
-def f_alpha(x, alpha: AlphaParam):
-    """The scalar pooling function, elementwise on clamped nonnegative input."""
-    xc = _clamped(x)
-    if alpha.log_branch:
-        return np.log(xc)
-    return xc**alpha.gamma
-
-
-def f_alpha_inv(y, alpha: AlphaParam):
-    """Inverse of ``f_alpha``."""
-    y = np.asarray(y, dtype=np.float64)
-    if alpha.log_branch:
-        return np.exp(y)
-    return y ** (1.0 / alpha.gamma)
-
-
 def weighted_generalized_mean(v, a, alpha: AlphaParam) -> np.ndarray:
     """Attention-weighted generalized mean ``f^-1(f(V) A)``.
 

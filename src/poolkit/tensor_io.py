@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import ast
 import json
+import math
+import numbers
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -133,6 +135,26 @@ _CONFIG_KEYS = {
     "seed", "mass", "weights", "input", "output", "attention_output",
     "width", "height",
 }
+_TYPED_FIELDS = (  # (fields, type, description); a field whose default is None may be None
+    (("k", "iters", "heads", "seed", "width", "height"), numbers.Integral, "an integer"),
+    (("gamma", "epsilon", "r", "mass"), numbers.Real, "a finite number"),
+    (("input", "output", "attention_output"), str, "a string"),
+)
+
+
+def _check_field_types(cfg) -> None:
+    for names, kind, what in _TYPED_FIELDS:
+        for name in names:
+            val = getattr(cfg, name)
+            if val is None and getattr(RunConfig, name) is None:
+                continue
+            if (not isinstance(val, kind) or isinstance(val, bool)
+                    or kind is numbers.Real and not math.isfinite(val)):
+                raise ConfigError(f"{name} must be {what}, got {val!r}")
+    if not isinstance(cfg.weights, dict) or not all(
+        isinstance(s, str) for item in cfg.weights.items() for s in item
+    ):
+        raise ConfigError(f"weights must map role names to NPY paths, got {cfg.weights!r}")
 
 
 @dataclass(frozen=True)
@@ -155,6 +177,7 @@ class RunConfig:
     height: Optional[int] = None
 
     def __post_init__(self):
+        _check_field_types(self)
         if self.method not in METHOD_NAMES:
             raise ConfigError(f"unknown method {self.method!r}; "
                               f"choose from {', '.join(METHOD_NAMES)}")

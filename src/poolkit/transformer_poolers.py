@@ -129,12 +129,6 @@ def vit_cls_pool(
     return PooledSet(u=u[:, None], attention=AttentionMatrix(attn[:, None], stochastic_cols=True))
 
 
-def cait_class_attention(fm: FeatureMap, weights: VitWeights, m: int, iters: int) -> PooledSet:
-    """Late class-attention stage: identical to ``vit_cls_pool`` since the
-    patch stream is fixed by construction; meant for few (1-3) iterations."""
-    return vit_cls_pool(fm, weights, m, iters, simplified=True)
-
-
 def block_diagonal_query(q: np.ndarray, m: int) -> Mat:
     """Arrange the m head sub-queries as a (d, m) block-diagonal matrix."""
     heads = split_heads(np.asarray(q, dtype=np.float64)[:, None], m)

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from poolkit.cli import _synthesize_features, run_method
-from poolkit.cluster_poolers import SinkhornParams, kmeans_distortion, lloyd_step, sinkhorn
-from poolkit.framework import FeatureMap, run_pooling
+from poolkit.cluster_poolers import SinkhornParams, kmeans_distortion, kmeans_spec, sinkhorn
+from poolkit.framework import FeatureMap, InitRule, run_pooling
 from poolkit.gradcheck import central_diff, rel_error
 from poolkit.matcore import col_softmax
 from poolkit.meanfam import AlphaParam, approx_extreme, weighted_generalized_mean
@@ -35,6 +35,13 @@ from poolkit.simpool import SimPoolParams, simpool_backward, simpool_forward
 from poolkit.tensor_io import config_from_dict, read_npy, write_npy
 from poolkit.transformer_poolers import VitWeights, block_diagonal_query, split_heads
 from poolkit.attnmap import AttnGrid, write_pgm
+
+
+def lloyd_step(x, u):
+    """One engine k-means iteration from centroids u: (new centroids, assignment)."""
+    out = run_pooling(kmeans_spec(u.shape[1], 1, InitRule("matrix", matrix=u)),
+                      FeatureMap.from_array(x))
+    return out.u, out.attention.a
 
 
 @contextlib.contextmanager

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -70,6 +73,20 @@ class TestCmdPool:
         np.testing.assert_allclose(u[:, 0], [3.0, 6.0])
 
 
+    @pytest.mark.parametrize("config", ['{"k": "3"}', '{"gamma": "2"}', '{"weights": ["a"]}'])
+    def test_mistyped_config_exit_1(self, tmp_path, config):
+        x = _write_features(tmp_path / "x.npy", [[1.0, 2.0], [3.0, 4.0]])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        proc = subprocess.run(
+            [sys.executable, "-m", "poolkit.cli", "pool", "--input", x, "--config", str(cfg)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
+
 class TestCmdAttnmap:
     def test_bbox_output(self, tmp_path, capsys):
         a = np.zeros(12)
@@ -137,6 +154,21 @@ class TestCmdTournament:
             assert code == 0
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
+
+    def test_stdout_is_only_the_deterministic_tsv(self, capsys):
+        argv = ["tournament", "--d", "8", "--p", "16", "--seed", "5",
+                "--methods", "gap,gem,simpool,kmeans"]
+        outs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            captured = capsys.readouterr()
+            assert "# gap:" in captured.err
+            outs.append(captured.out)
+        assert outs[0] == outs[1]
+        lines = outs[0].splitlines()
+        assert lines[0] == "method\ttrial\tnorm\tdistortion\tentropy"
+        assert len(lines) == 1 + 4
+        assert all(len(line.split("\t")) == 5 for line in lines)
 
     def test_unknown_method_exit_1(self, capsys):
         code = main(["tournament", "--methods", "gap,unknown"])

@@ -7,13 +7,13 @@ from poolkit.cluster_poolers import (
     SlotWeights,
     kmeans_distortion,
     kmeans_pool,
-    lloyd_step,
+    kmeans_spec,
     otk_pool,
     sinkhorn,
     slot_pool,
 )
 from poolkit.errors import ContractError, ConvergenceError, NumericError
-from poolkit.framework import FeatureMap
+from poolkit.framework import FeatureMap, InitRule, run_pooling
 from poolkit.nncells import GruWeights, MlpWeights
 from poolkit.simple_poolers import gap
 from poolkit.simpool import SimPoolParams, simpool_forward
@@ -21,6 +21,12 @@ from poolkit.simpool import SimPoolParams, simpool_forward
 
 def _fm(x, **kw):
     return FeatureMap.from_array(np.asarray(x, dtype=float), **kw)
+
+
+def lloyd_step(x, u):
+    """One engine k-means iteration from centroids u: (new centroids, assignment)."""
+    out = run_pooling(kmeans_spec(u.shape[1], 1, InitRule("matrix", matrix=u)), _fm(x))
+    return out.u, out.attention.a
 
 
 class TestSinkhorn:

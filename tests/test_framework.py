@@ -49,11 +49,6 @@ class TestPairwiseSimilarity:
         s = pairwise_similarity(k, k, "neg_sq_euclid")
         np.testing.assert_allclose(np.diag(s), 0.0, atol=1e-12)
 
-    def test_cosine_orthogonal(self):
-        e = np.eye(2)
-        s = pairwise_similarity(e[:, :1], e[:, 1:], "cosine")
-        np.testing.assert_allclose(s, 0.0, atol=1e-15)
-
 
 class TestRunPooling:
     def test_gap_instantiation(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from poolkit.errors import ContractError, DegenerateMassError, ShapeError
+from poolkit.errors import ContractError, DegenerateMassError
 from poolkit.matcore import (
     col_softmax,
     conv2d_same,
@@ -9,33 +9,9 @@ from poolkit.matcore import (
     jacobi_eigh,
     l2_normalize,
     layernorm_cols,
-    matmul,
     sigmoid,
+    sq_distances,
 )
-
-
-class TestMatmul:
-    def test_identity_left(self):
-        m = np.arange(12.0).reshape(3, 4)
-        np.testing.assert_array_equal(matmul(np.eye(3), m), m)
-
-    def test_hand_product(self):
-        out = matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[1.0], [1.0]]))
-        np.testing.assert_array_equal(out, [[3.0], [7.0]])
-
-    def test_identity_right_exact(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(5, 4))
-        np.testing.assert_array_equal(matmul(a, np.eye(4)), a)
-
-    def test_shape_error_names_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 2)))
-
-    def test_distributes_over_add(self):
-        rng = np.random.default_rng(1)
-        a, b, c = (rng.normal(size=(4, 4)) for _ in range(3))
-        np.testing.assert_allclose(a @ (b + c), a @ b + a @ c, atol=1e-12)
 
 
 class TestColSoftmax:
@@ -83,6 +59,19 @@ class TestEtaNorm:
         a = np.array([[1.0, 1.0], [0.0, 0.0]])
         with pytest.raises(DegenerateMassError, match="row 1"):
             eta_norm(a, "rows")
+
+
+class TestSqDistances:
+    def test_hand_values(self):
+        x = np.array([[0.0, 3.0], [0.0, 4.0]])
+        np.testing.assert_array_equal(sq_distances(x, x[:, :1]), [[0.0], [25.0]])
+
+    def test_never_negative(self):
+        # the expanded form loses the zero distance of a column to itself
+        x = np.random.default_rng(2).normal(scale=1e4, size=(16, 40))
+        d = sq_distances(x, x)
+        assert np.all(d >= 0)
+        np.testing.assert_allclose(np.diag(d), 0.0, atol=1e-4 * np.abs(d).max())
 
 
 class TestLayernormCols:

@@ -143,6 +143,19 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="unknown keys"):
             config_from_dict({"gamm": 2.0})
 
+    @pytest.mark.parametrize("raw", [
+        {"k": "3"}, {"k": 2.0}, {"iters": True}, {"seed": None}, {"width": 1.5},
+        {"gamma": "2"}, {"epsilon": False}, {"r": float("nan")}, {"mass": [0.5]},
+        {"weights": ["a"]}, {"weights": {"anchors": 1}}, {"input": 3},
+    ])
+    def test_field_types_checked(self, raw):
+        with pytest.raises(ConfigError, match=f"^{next(iter(raw))} must"):
+            config_from_dict(raw)
+
+    def test_numeric_fields_accept_numbers(self):
+        cfg = config_from_dict({"k": 3, "gamma": 2, "epsilon": 0.5, "width": None})
+        assert (cfg.k, cfg.gamma, cfg.epsilon) == (3, 2, 0.5)
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig(method="meanpool")

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from poolkit.cli import run_method
 from poolkit.errors import ContractError, ShapeError
 from poolkit.framework import FeatureMap
 from poolkit.matcore import col_softmax
+from poolkit.tensor_io import config_from_dict
 from poolkit.transformer_poolers import (
     VitWeights,
     block_diagonal_query,
-    cait_class_attention,
     merge_heads,
     split_heads,
     vit_cls_pool,
@@ -90,24 +91,28 @@ class TestVitClsPool:
 
 
 class TestCait:
+    """The CLI method ``cait``: class attention over a fixed patch stream,
+    which is exactly ``vit_cls_pool``."""
+
+    @staticmethod
+    def _run(method, fm, **raw):
+        return run_method(config_from_dict({"method": method, **raw}), fm)
+
     def test_matches_vit_single_iteration(self):
         rng = np.random.default_rng(33)
         fm = _fm(rng.normal(size=(6, 9)))
-        w = VitWeights.seeded(6, iters=1, seed=11)
-        a = cait_class_attention(fm, w, m=2, iters=1)
-        b = vit_cls_pool(fm, w, m=2, iters=1)
+        a = self._run("cait", fm, heads=2, iters=1, seed=11)
+        b = self._run("vit", fm, heads=2, iters=1, seed=11)
         np.testing.assert_array_equal(a.u, b.u)
         np.testing.assert_array_equal(a.attention.a, b.attention.a)
 
     def test_identical_columns(self):
-        c = np.array([0.5, 1.5])
-        fm = _fm(np.tile(c[:, None], (1, 4)))
-        w = VitWeights.identity(2, iters=1, u0=np.array([1.0, 0.0]))
-        out = cait_class_attention(fm, w, m=1, iters=1)
-        np.testing.assert_allclose(out.u[:, 0], c, atol=1e-12)
+        fm = _fm(np.tile(np.array([[0.5], [1.5]]), (1, 4)))
+        out = self._run("cait", fm, iters=1)
+        np.testing.assert_allclose(out.attention.a[:, 0], 0.25, atol=1e-12)
 
     def test_attention_stochastic(self):
         rng = np.random.default_rng(34)
         fm = _fm(rng.normal(size=(4, 11)))
-        out = cait_class_attention(fm, VitWeights.seeded(4, 2, seed=12), m=2, iters=2)
+        out = self._run("cait", fm, heads=2, iters=2, seed=12)
         np.testing.assert_allclose(out.attention.a.sum(axis=0), 1.0, atol=1e-9)
