@@ -11,8 +11,7 @@ Run:  python3 demos/gradient_verification.py
 import numpy as np
 
 from poolkit import FeatureMap
-from poolkit.gradcheck import central_diff, compare
-from poolkit.simpool import SimPoolParams, simpool_backward, simpool_forward
+from poolkit.simpool import SimPoolParams, simpool_gradcheck
 
 
 def check_trial(trial: int, gamma: float, d: int = 8, p: int = 12) -> float:
@@ -21,27 +20,10 @@ def check_trial(trial: int, gamma: float, d: int = 8, p: int = 12) -> float:
     du = rng.standard_normal(d)
     params = SimPoolParams.seeded(d, gamma=gamma, seed=1000 + trial)
 
-    _, _, cache = simpool_forward(FeatureMap.from_array(x), params)
-    d_wq, d_wk, d_x = simpool_backward(cache, du)
-
-    def loss(wq=None, wk=None, xs=None):
-        p_ = SimPoolParams(
-            w_q=params.w_q if wq is None else wq,
-            w_k=params.w_k if wk is None else wk,
-            gamma=gamma,
-        )
-        u, _, _ = simpool_forward(FeatureMap.from_array(x if xs is None else xs), p_)
-        return float(du @ u)
-
     worst = 0.0
-    for name, analytic, numeric in [
-        ("w_q", d_wq, central_diff(lambda t: loss(wq=t), params.w_q)),
-        ("w_k", d_wk, central_diff(lambda t: loss(wk=t), params.w_k)),
-        ("x", d_x, central_diff(lambda t: loss(xs=t), x)),
-    ]:
-        report = compare(name, analytic, numeric)
+    for report in simpool_gradcheck(FeatureMap.from_array(x), params, du):
         worst = max(worst, report.max_rel_error)
-        print(f"  trial {trial} gamma={gamma:<4g} {name:<4} "
+        print(f"  trial {trial} gamma={gamma:<4g} {report.name:<4} "
               f"max rel err {report.max_rel_error:.3e} "
               f"(mean {report.mean_rel_error:.3e})")
     return worst

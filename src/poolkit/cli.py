@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -16,10 +17,9 @@ from . import attnmap as attnmap_mod
 from .cluster_poolers import SlotWeights, kmeans_distortion, kmeans_pool, otk_pool, slot_pool
 from .errors import ConfigError, ContractError, FileFormatError, NumericError, PoolkitError, ShapeError
 from .framework import AttentionMatrix, FeatureMap, PooledSet
-from .gradcheck import central_diff, compare
 from .reweight_poolers import CbamWeights, SeWeights, cbam_pool, se_pool
 from .simple_poolers import HowConfig, gap, gem, how, lse, max_pool
-from .simpool import SimPoolParams, simpool_backward, simpool_forward
+from .simpool import SimPoolParams, simpool_forward, simpool_gradcheck
 from .tensor_io import (
     METHOD_NAMES,
     RunConfig,
@@ -159,27 +159,11 @@ def cmd_gradcheck(args) -> int:
     reports = []
     for trial in range(args.trials):
         rng = np.random.default_rng(args.seed + trial)
-        x = rng.normal(size=(d, p))
-        fm = FeatureMap.from_array(x)
+        fm = FeatureMap.from_array(rng.normal(size=(d, p)))
         params = SimPoolParams.seeded(d, gamma=args.gamma, seed=args.seed + 1000 + trial)
         du = rng.normal(size=d)
-        _, _, cache = simpool_forward(fm, params)
-        d_wq, d_wk, d_x = simpool_backward(cache, du)
-
-        def loss_wq(wq):
-            pp = SimPoolParams(w_q=wq, w_k=params.w_k, gamma=params.gamma)
-            return float(du @ simpool_forward(fm, pp)[0])
-
-        def loss_wk(wk):
-            pp = SimPoolParams(w_q=params.w_q, w_k=wk, gamma=params.gamma)
-            return float(du @ simpool_forward(fm, pp)[0])
-
-        def loss_x(xv):
-            return float(du @ simpool_forward(FeatureMap.from_array(xv), params)[0])
-
-        reports.append(compare(f"W_Q[{trial}]", d_wq, central_diff(loss_wq, params.w_q, args.h)))
-        reports.append(compare(f"W_K[{trial}]", d_wk, central_diff(loss_wk, params.w_k, args.h)))
-        reports.append(compare(f"X[{trial}]", d_x, central_diff(loss_x, x, args.h)))
+        reports += [replace(rep, name=f"{rep.name}[{trial}]")
+                    for rep in simpool_gradcheck(fm, params, du, args.h)]
 
     print(f"{'parameter':<12} {'max rel err':>12} {'mean rel err':>13} {'worst':>10}")
     ok = True

@@ -4,7 +4,7 @@ attention are engine specs, run by ``run_pooling``."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -12,7 +12,7 @@ import numpy as np
 from .errors import ContractError, ConvergenceError, NumericError
 from .framework import (AttentionMatrix, AttnRule, FeatureMap, InitRule, MapRule, PooledSet,
                         PoolingSpec, UpdateRule, run_pooling)
-from .matcore import Mat, jacobi_eigh, sq_distances
+from .matcore import Mat, as_matrix, sq_distances
 from .nncells import GruWeights, MlpWeights
 
 
@@ -69,13 +69,16 @@ class NystromMap:
 
     anchors: Mat
     sigma: float
+    m_inv_sqrt: Mat = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "anchors", as_matrix(self.anchors, "NystromMap anchors"))
+        lam, vecs = np.linalg.eigh(self._kernel(self.anchors))
+        lam = np.maximum(lam, 1e-10)
+        object.__setattr__(self, "m_inv_sqrt", (vecs / np.sqrt(lam)) @ vecs.T)
 
     def __call__(self, x: Mat) -> Mat:
-        m = self._kernel(self.anchors)
-        lam, vecs = jacobi_eigh(m)
-        lam = np.maximum(lam, 1e-10)
-        m_inv_sqrt = vecs @ np.diag(1.0 / np.sqrt(lam)) @ vecs.T
-        return m_inv_sqrt @ self._kernel(x)
+        return self.m_inv_sqrt @ self._kernel(x)
 
     def _kernel(self, x: Mat) -> Mat:
         d = sq_distances(x, self.anchors).T  # (k, n)

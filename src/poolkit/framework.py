@@ -258,11 +258,8 @@ def _avg3(x: Mat, width: int, height: int) -> Mat:
     """
     kernel = np.ones((3, 3))
     counts = conv2d_same(np.ones((height, width)), kernel)
-    out = np.empty_like(x)
-    for i in range(x.shape[0]):
-        grid = x[i].reshape(height, width)
-        out[i] = (conv2d_same(grid, kernel) / counts).reshape(-1)
-    return out
+    grids = x.reshape(x.shape[0], height, width)
+    return (conv2d_same(grids, kernel) / counts).reshape(x.shape)
 
 
 def _attention(rule: AttnRule, s: Optional[Mat], x: Mat, k: int, t: int):

@@ -12,7 +12,6 @@ import numpy as np
 
 from .errors import (
     ContractError,
-    ConvergenceError,
     DegenerateMassError,
     NumericError,
     ShapeError,
@@ -90,55 +89,6 @@ def layernorm_cols(x: Mat, eps: float = 1e-5) -> Mat:
     return (x - mu) / np.sqrt(var + eps)
 
 
-def jacobi_eigh(a: Mat, max_sweeps: int = 100) -> tuple[np.ndarray, Mat]:
-    """Eigendecomposition of a small symmetric matrix by cyclic Jacobi.
-
-    Returns (eigenvalues ascending, eigenvectors as columns).  The input
-    must be symmetric within 1e-10 and at most 64x64.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    k = a.shape[0]
-    if a.shape != (k, k):
-        raise ShapeError(f"jacobi_eigh: not square: {a.shape}")
-    if k > 64:
-        raise ContractError(f"jacobi_eigh: size {k} exceeds 64")
-    if np.max(np.abs(a - a.T)) > 1e-10:
-        raise ContractError("jacobi_eigh: input not symmetric within 1e-10")
-
-    m = 0.5 * (a + a.T)
-    v = np.eye(k)
-    norm = max(1.0, np.linalg.norm(m))
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum((m - np.diag(np.diag(m))) ** 2))
-        if off <= 1e-12 * norm:
-            break
-        for p in range(k - 1):
-            for q in range(p + 1, k):
-                apq = m[p, q]
-                if abs(apq) <= 1e-18 * norm:
-                    continue
-                theta = (m[q, q] - m[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.eye(k)
-                rot[p, p] = c
-                rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                m = rot.T @ m @ rot
-                v = v @ rot
-    else:
-        raise ConvergenceError(
-            f"jacobi_eigh: off-diagonal norm {off:.3e} after {max_sweeps} sweeps"
-        )
-    lam = np.diag(m).copy()
-    order = np.argsort(lam, kind="stable")
-    return lam[order], v[:, order]
-
-
 def sigmoid(x):
     x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x)
@@ -162,16 +112,18 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
-def conv2d_same(img: Mat, kernel: Mat) -> Mat:
-    """Zero-padded stride-1 cross-correlation, output same size as ``img``."""
+def conv2d_same(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Zero-padded stride-1 cross-correlation over the last two axes, output
+    the size of ``img``; leading axes of ``img`` and ``kernel`` broadcast."""
     img = np.asarray(img, dtype=np.float64)
     kernel = np.asarray(kernel, dtype=np.float64)
-    kh, kw = kernel.shape
+    kh, kw = kernel.shape[-2:]
     ph, pw = kh // 2, kw // 2
-    padded = np.pad(img, ((ph, kh - 1 - ph), (pw, kw - 1 - pw)))
-    h, w = img.shape
-    out = np.zeros_like(img)
+    lead = ((0, 0),) * (img.ndim - 2)
+    padded = np.pad(img, lead + ((ph, kh - 1 - ph), (pw, kw - 1 - pw)))
+    h, w = img.shape[-2:]
+    out = np.zeros(np.broadcast_shapes(img.shape, kernel.shape[:-2] + (1, 1)))
     for dy in range(kh):
         for dx in range(kw):
-            out += kernel[dy, dx] * padded[dy : dy + h, dx : dx + w]
+            out += kernel[..., dy, dx, None, None] * padded[..., dy : dy + h, dx : dx + w]
     return out

@@ -118,9 +118,8 @@ def cbam_pool(fm: FeatureMap, w: CbamWeights, simplified: bool = False) -> Poole
         s = np.stack([v.mean(axis=0), v.max(axis=0)], axis=1)  # (p, 2)
         kernels = w.conv7
 
-    acc = np.zeros((fm.height, fm.width))
-    for c in range(s.shape[1]):
-        acc += conv2d_same(s[:, c].reshape(fm.height, fm.width), kernels[c])
+    maps = s.T.reshape(-1, fm.height, fm.width)  # one (height, width) map per statistic
+    acc = conv2d_same(maps, kernels).sum(axis=0)
     a = sigmoid(acc + w.conv_bias).reshape(-1)
 
     z = (v @ a) / p

@@ -9,13 +9,14 @@ pass exactly (verified against central differences in gradcheck).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import ContractError, ShapeError
 from .framework import FeatureMap
+from .gradcheck import GradReport, central_diff, compare
 from .matcore import Mat, col_softmax
 from .meanfam import CLAMP_FLOOR, AlphaParam
 
@@ -172,6 +173,25 @@ def simpool_backward(cache: SimPoolCache, du: np.ndarray) -> tuple[Mat, Mat, Mat
     # GAP init path
     d_x = d_x + d_u0[:, None] / p
     return d_wq, d_wk, d_x
+
+
+def simpool_gradcheck(
+    fm: FeatureMap, params: SimPoolParams, du: np.ndarray, h: float = 1e-4
+) -> tuple[GradReport, GradReport, GradReport]:
+    """Compare the analytic gradients of <du, u> w.r.t. W_Q, W_K and X with
+    central differences of step h; perturbed parameters keep every other
+    setting of ``params``."""
+    _, _, cache = simpool_forward(fm, params)
+    d_wq, d_wk, d_x = simpool_backward(cache, du)
+
+    def loss(f: FeatureMap, pp: SimPoolParams) -> float:
+        return float(du @ simpool_forward(f, pp)[0])
+
+    num_wq = central_diff(lambda w: loss(fm, replace(params, w_q=w)), params.w_q, h)
+    num_wk = central_diff(lambda w: loss(fm, replace(params, w_k=w)), params.w_k, h)
+    num_x = central_diff(lambda x: loss(replace(fm, x=x), params), fm.x, h)
+    return (compare("W_Q", d_wq, num_wq), compare("W_K", d_wk, num_wk),
+            compare("X", d_x, num_x))
 
 
 def simpool(

@@ -7,7 +7,7 @@ import json
 import math
 import numbers
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -130,15 +130,9 @@ def load_feature_map(path, width: Optional[int] = None, height: Optional[int] = 
 
 # --- run configuration -----------------------------------------------------
 
-_CONFIG_KEYS = {
-    "method", "family", "gamma", "k", "iters", "heads", "epsilon", "r",
-    "seed", "mass", "weights", "input", "output", "attention_output",
-    "width", "height",
-}
 _TYPED_FIELDS = (  # (fields, type, description); a field whose default is None may be None
     (("k", "iters", "heads", "seed", "width", "height"), numbers.Integral, "an integer"),
-    (("gamma", "epsilon", "r", "mass"), numbers.Real, "a finite number"),
-    (("input", "output", "attention_output"), str, "a string"),
+    (("gamma", "epsilon", "r"), numbers.Real, "a finite number"),
 )
 
 
@@ -168,11 +162,7 @@ class RunConfig:
     epsilon: float = 0.1
     r: float = 1.0
     seed: int = 0
-    mass: float = 0.6
     weights: dict = field(default_factory=dict)  # role -> NPY path
-    input: Optional[str] = None
-    output: Optional[str] = None
-    attention_output: Optional[str] = None
     width: Optional[int] = None
     height: Optional[int] = None
 
@@ -191,8 +181,6 @@ class RunConfig:
             raise ConfigError(f"|r| must be >= 1e-9, got {self.r}")
         if self.k < 1 or self.iters < 1 or self.heads < 1:
             raise ConfigError("k, iters and heads must all be >= 1")
-        if not (0.0 < self.mass <= 1.0):
-            raise ConfigError(f"mass must be in (0, 1], got {self.mass}")
 
     @property
     def resolved_gamma(self) -> float:
@@ -217,7 +205,7 @@ def load_config(path) -> RunConfig:
 def config_from_dict(raw: dict, origin: str = "config") -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{origin}: top level must be an object")
-    unknown = set(raw) - _CONFIG_KEYS
+    unknown = set(raw) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ConfigError(f"{origin}: unknown keys {sorted(unknown)}")
     return RunConfig(**raw)

@@ -27,11 +27,6 @@ def split_heads(a: Mat, m: int) -> list[Mat]:
     return [a[i * step : (i + 1) * step] for i in range(m)]
 
 
-def merge_heads(heads: list[Mat]) -> Mat:
-    """Inverse of ``split_heads``: stack the row blocks back."""
-    return np.concatenate(list(heads), axis=0)
-
-
 @dataclass(frozen=True)
 class VitIterWeights:
     """Weights of one pooling iteration."""
@@ -82,35 +77,24 @@ class VitWeights:
 def _cross_attention_step(
     x: Mat, u: np.ndarray, w: VitIterWeights, m: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One per-head cross-attention of u against x; returns (u_next, mean attention)."""
+    """One m-head cross-attention of u against x, the heads being the m
+    columns of a block-diagonal query; returns (u_next, mean attention)."""
     d = x.shape[0]
-    d_head = d // m
-    scale = np.sqrt(d_head)
-    q_heads = split_heads((w.w_q @ u)[:, None], m)
-    k_heads = split_heads(w.w_k @ x, m)
-    v_heads = split_heads(w.w_v @ x, m)
-    attn_cols = []
-    z_heads = []
-    for qi, ki, vi in zip(q_heads, k_heads, v_heads):
-        ai = col_softmax(ki.T @ qi, scale)
-        attn_cols.append(ai[:, 0])
-        z_heads.append(vi @ ai)
-    z = merge_heads(z_heads)[:, 0]
+    step = d // m
+    a = col_softmax((w.w_k @ x).T @ block_diagonal_query(w.w_q @ u, m), np.sqrt(step))  # (p, m)
+    # head i's pooled rows are its own rows of column i of V A
+    z = ((w.w_v @ x) @ a).reshape(m, step, m)[np.arange(m), :, np.arange(m)].reshape(d)
     u_next = mlp2(w.w_u @ z, w.mlp)
-    return u_next, np.mean(attn_cols, axis=0)
+    return u_next, a.mean(axis=1)
 
 
-def vit_cls_pool(
-    fm: FeatureMap, weights: VitWeights, m: int, iters: int, simplified: bool = True
-) -> PooledSet:
+def vit_cls_pool(fm: FeatureMap, weights: VitWeights, m: int, iters: int) -> PooledSet:
     """Iterative class-token pooling: per-head scaled softmax attention of
     the pooled vector against the (fixed) patch features, merged and
     mapped through an output projection + MLP.
 
-    Only the simplified form (no LayerNorm, no residuals) is provided.
+    This is the simplified form: no LayerNorm, no residuals.
     """
-    if not simplified:
-        raise ContractError("vit_cls_pool: only the simplified form is implemented")
     if iters < 1:
         raise ContractError(f"vit_cls_pool: iters must be >= 1, got {iters}")
     if len(weights.iters) < iters:

@@ -15,7 +15,6 @@ import pytest
 from poolkit.cli import _synthesize_features, run_method
 from poolkit.cluster_poolers import SinkhornParams, kmeans_distortion, kmeans_spec, sinkhorn
 from poolkit.framework import FeatureMap, InitRule, run_pooling
-from poolkit.gradcheck import central_diff, rel_error
 from poolkit.matcore import col_softmax
 from poolkit.meanfam import AlphaParam, approx_extreme, weighted_generalized_mean
 from poolkit.simple_poolers import (
@@ -31,7 +30,7 @@ from poolkit.simple_poolers import (
     max_pool,
     max_spec,
 )
-from poolkit.simpool import SimPoolParams, simpool_backward, simpool_forward
+from poolkit.simpool import SimPoolParams, simpool_forward, simpool_gradcheck
 from poolkit.tensor_io import config_from_dict, read_npy, write_npy
 from poolkit.transformer_poolers import VitWeights, block_diagonal_query, split_heads
 from poolkit.attnmap import AttnGrid, write_pgm
@@ -186,28 +185,11 @@ def test_criterion_07_analytic_gradients():
         for gamma in (1.25, 2.0):
             for trial in range(10):
                 rng = np.random.default_rng(trial)
-                x = rng.normal(size=(d, p))
+                fm = FeatureMap.from_array(rng.normal(size=(d, p)))
                 du = rng.normal(size=d)
                 params = SimPoolParams.seeded(d, gamma=gamma, seed=1000 + trial)
-                fm = FeatureMap.from_array(x)
-                _, _, cache = simpool_forward(fm, params)
-                dwq, dwk, dx = simpool_backward(cache, du)
-
-                def loss_wq(w):
-                    pp = SimPoolParams(w_q=w, w_k=params.w_k, gamma=gamma)
-                    return float(du @ simpool_forward(fm, pp)[0])
-
-                def loss_wk(w):
-                    pp = SimPoolParams(w_q=params.w_q, w_k=w, gamma=gamma)
-                    return float(du @ simpool_forward(fm, pp)[0])
-
-                def loss_x(xv):
-                    return float(du @ simpool_forward(
-                        FeatureMap.from_array(xv), params)[0])
-
-                assert rel_error(dwq, central_diff(loss_wq, params.w_q, 1e-4)) <= 1e-5
-                assert rel_error(dwk, central_diff(loss_wk, params.w_k, 1e-4)) <= 1e-5
-                assert rel_error(dx, central_diff(loss_x, x, 1e-4)) <= 1e-5
+                for report in simpool_gradcheck(fm, params, du, 1e-4):
+                    assert report.max_rel_error <= 1e-5, report
 
 
 def test_criterion_08_hand_trace():

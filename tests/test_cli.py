@@ -73,8 +73,8 @@ class TestCmdPool:
         np.testing.assert_allclose(u[:, 0], [3.0, 6.0])
 
 
-    @pytest.mark.parametrize("config", ['{"k": "3"}', '{"gamma": "2"}', '{"weights": ["a"]}'])
-    def test_mistyped_config_exit_1(self, tmp_path, config):
+    @staticmethod
+    def _pool_with_config(tmp_path, config):
         x = _write_features(tmp_path / "x.npy", [[1.0, 2.0], [3.0, 4.0]])
         cfg = tmp_path / "cfg.json"
         cfg.write_text(config)
@@ -85,6 +85,16 @@ class TestCmdPool:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
+        return proc.stderr
+
+    @pytest.mark.parametrize("config", ['{"k": "3"}', '{"gamma": "2"}', '{"weights": ["a"]}'])
+    def test_mistyped_config_exit_1(self, tmp_path, config):
+        self._pool_with_config(tmp_path, config)
+
+    @pytest.mark.parametrize("config", ['{"input": "feats.npy"}', '{"output": "u.npy"}',
+                                        '{"attention_output": "a.npy"}', '{"mass": 0.5}'])
+    def test_unread_config_key_exit_1(self, tmp_path, config):
+        assert "unknown keys" in self._pool_with_config(tmp_path, config)
 
 
 class TestCmdAttnmap:

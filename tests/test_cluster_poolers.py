@@ -92,6 +92,32 @@ class TestOtkPool:
         np.testing.assert_allclose(psi(x), [[expected]], atol=1e-9)
 
 
+class TestNystromMap:
+    def test_feature_products_reproduce_kernel(self):
+        rng = np.random.default_rng(23)
+        anchors = 3.0 * np.eye(4)[:, :3] + np.array([[0.0], [0.0], [0.0], [1.0]])
+        psi = NystromMap(anchors, sigma=1.0)
+        x = rng.normal(size=(4, 9))
+        kappa = np.exp(-((anchors[:, :, None] - x[:, None, :]) ** 2).sum(axis=0) / 2.0)
+        np.testing.assert_allclose(psi(anchors).T @ psi(x), kappa, rtol=0, atol=1e-10)
+
+    def test_one_eigendecomposition_at_construction(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
+        rng = np.random.default_rng(24)
+        psi = NystromMap(rng.normal(size=(3, 4)), sigma=2.0)
+        for _ in range(3):
+            psi(rng.normal(size=(3, 5)))
+        assert len(calls) == 1
+
+    def test_nan_anchor_raises(self):
+        anchors = np.ones((2, 3))
+        anchors[1, 2] = np.nan
+        with pytest.raises(NumericError):
+            NystromMap(anchors, sigma=1.0)
+
+
 class TestKmeans:
     def test_hand_step(self):
         x = np.array([[0.0, 1.0, 10.0, 11.0]])

@@ -1,8 +1,8 @@
 """Frozen outputs: every method on fixed inputs must keep its results.
 
 ``golden_outputs.npz`` holds the pooled vectors and attention of all
-CLI methods plus the library-only slot and k-means modes, on two small
-feature maps.  Regenerate it (only when a change of output is intended)
+CLI methods, vit and cait at 2 and 4 heads, plus the library-only slot,
+k-means and simplified CBAM modes, on two small feature maps.  Regenerate it (only when a change of output is intended)
 with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
@@ -13,6 +13,7 @@ import numpy as np
 from poolkit.cli import run_method
 from poolkit.cluster_poolers import SlotWeights, kmeans_pool, slot_pool
 from poolkit.framework import FeatureMap
+from poolkit.reweight_poolers import CbamWeights, cbam_pool
 from poolkit.tensor_io import METHOD_NAMES, config_from_dict
 
 GOLDEN = Path(__file__).with_name("golden_outputs.npz")
@@ -36,6 +37,10 @@ def compute_outputs() -> dict:
                 # the epsilon rule of `poolkit tournament`
                 raw["epsilon"] = max(0.1, 0.05 * float(np.var(fm.x, axis=1).sum()))
             runs[method] = run_method(config_from_dict(raw), fm)
+        for method in ("vit", "cait"):
+            for heads in (2, 4):
+                raw = {"method": method, "seed": seed, "iters": ITERS, "heads": heads}
+                runs[f"{method}_heads{heads}"] = run_method(config_from_dict(raw), fm)
         weights = SlotWeights.seeded(d, seed=seed)
         runs["slot_full"] = slot_pool(fm, K, ITERS, weights, seed=seed)
         for simplified in (False, True):
@@ -43,6 +48,8 @@ def compute_outputs() -> dict:
                 fm, K, ITERS, weights, seed=seed, simplified=simplified,
                 use_layernorm=False)
         runs["kmeans_pool"] = kmeans_pool(fm, K, ITERS, seed=seed)
+        runs["cbam_simplified"] = cbam_pool(fm, CbamWeights.seeded(d, seed=seed),
+                                            simplified=True)
         for name, pooled in runs.items():
             tag = f"{d}x{width}x{height}/{name}"
             out[f"{tag}/u"] = pooled.u

@@ -6,7 +6,6 @@ from poolkit.matcore import (
     col_softmax,
     conv2d_same,
     eta_norm,
-    jacobi_eigh,
     l2_normalize,
     layernorm_cols,
     sigmoid,
@@ -90,32 +89,6 @@ class TestLayernormCols:
                                    layernorm_cols(x), atol=1e-6)
 
 
-class TestJacobiEigh:
-    def test_diagonal(self):
-        lam, vecs = jacobi_eigh(np.diag([3.0, 7.0]))
-        np.testing.assert_allclose(lam, [3.0, 7.0])
-        np.testing.assert_allclose(np.abs(vecs), np.eye(2), atol=1e-12)
-
-    def test_hand_eigenvalues(self):
-        lam, _ = jacobi_eigh(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        np.testing.assert_allclose(lam, [1.0, 3.0], atol=1e-12)
-
-    def test_reconstruction_and_orthonormality(self):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            k = rng.integers(2, 17)
-            a = rng.normal(size=(k, k))
-            a = 0.5 * (a + a.T)
-            lam, vecs = jacobi_eigh(a)
-            np.testing.assert_allclose(vecs @ np.diag(lam) @ vecs.T, a, atol=1e-10)
-            np.testing.assert_allclose(vecs.T @ vecs, np.eye(k), atol=1e-10)
-            assert np.all(np.diff(lam) >= -1e-12)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ContractError):
-            jacobi_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
 class TestSmallHelpers:
     def test_sigmoid_at_zero(self):
         assert sigmoid(np.zeros(3)).tolist() == [0.5, 0.5, 0.5]
@@ -131,3 +104,25 @@ class TestSmallHelpers:
         kernel = np.zeros((3, 3))
         kernel[1, 1] = 1.0
         np.testing.assert_allclose(conv2d_same(img, kernel), img)
+
+
+class TestConv2dSameBatched:
+    @pytest.mark.parametrize("c, h, w, kh, kw", [
+        (3, 5, 4, 3, 3), (3, 1, 1, 3, 3), (2, 1, 1, 7, 7), (4, 2, 2, 3, 3), (2, 6, 3, 2, 4),
+    ])
+    def test_stack_equals_separate_calls(self, c, h, w, kh, kw):
+        rng = np.random.default_rng(7)
+        imgs = rng.normal(size=(c, h, w))
+        kernels = rng.normal(size=(c, kh, kw))
+        out = conv2d_same(imgs, kernels)
+        assert out.shape == (c, h, w)
+        for i in range(c):
+            np.testing.assert_array_equal(out[i], conv2d_same(imgs[i], kernels[i]))
+
+    def test_shared_kernel_broadcasts(self):
+        rng = np.random.default_rng(8)
+        imgs = rng.normal(size=(3, 4, 4))
+        kernel = rng.normal(size=(3, 3))
+        out = conv2d_same(imgs, kernel)
+        for i in range(3):
+            np.testing.assert_array_equal(out[i], conv2d_same(imgs[i], kernel))

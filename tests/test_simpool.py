@@ -3,8 +3,8 @@ import pytest
 
 from poolkit.errors import ContractError
 from poolkit.framework import FeatureMap
-from poolkit.gradcheck import central_diff, rel_error
-from poolkit.simpool import SimPoolParams, simpool, simpool_backward, simpool_forward
+from poolkit.simpool import (SimPoolParams, simpool, simpool_backward, simpool_forward,
+                             simpool_gradcheck)
 
 
 def _fm(x, **kw):
@@ -94,33 +94,15 @@ class TestBackward:
 
     @pytest.mark.parametrize("gamma", [1.25, 2.0])
     def test_matches_central_differences(self, gamma):
+        # criterion 7 covers the default LayerNorm; the perturbed parameters
+        # must also keep a non-default epsilon, or no LayerNorm at all
         d, p = 8, 12
-        for trial in range(5):
-            rng = np.random.default_rng(trial)
-            x = rng.normal(size=(d, p))
-            du = rng.normal(size=d)
-            params = SimPoolParams.seeded(d, gamma=gamma, seed=1000 + trial)
-            fm = _fm(x)
-            _, _, cache = simpool_forward(fm, params)
-            dwq, dwk, dx = simpool_backward(cache, du)
-
-            def loss_wq(w):
-                u, _, _ = simpool_forward(fm, SimPoolParams(
-                    w_q=w, w_k=params.w_k, gamma=gamma))
-                return float(du @ u)
-
-            def loss_wk(w):
-                u, _, _ = simpool_forward(fm, SimPoolParams(
-                    w_q=params.w_q, w_k=w, gamma=gamma))
-                return float(du @ u)
-
-            def loss_x(xv):
-                u, _, _ = simpool_forward(_fm(xv), params)
-                return float(du @ u)
-
-            assert rel_error(dwq, central_diff(loss_wq, params.w_q, 1e-4)) <= 1e-5
-            assert rel_error(dwk, central_diff(loss_wk, params.w_k, 1e-4)) <= 1e-5
-            assert rel_error(dx, central_diff(loss_x, x, 1e-4)) <= 1e-5
+        for trial, settings in enumerate([{"ln_eps": 1e-2}, {"use_layernorm": False}]):
+            rng = np.random.default_rng(50 + trial)
+            fm = _fm(rng.normal(size=(d, p)))
+            params = SimPoolParams.seeded(d, gamma=gamma, seed=trial, **settings)
+            for report in simpool_gradcheck(fm, params, rng.normal(size=d), 1e-4):
+                assert report.max_rel_error <= 1e-5, (settings, report)
 
     def test_symmetric_instance_fd_directions(self):
         fm = _fm([[1.0, 0.0], [0.0, 1.0]])

@@ -129,7 +129,6 @@ class TestRunConfig:
         cfg = load_config(path)
         assert cfg.method == "simpool"
         assert cfg.resolved_gamma == 2.0
-        assert cfg.mass == 0.6
 
     def test_transformer_family_gamma(self):
         cfg = config_from_dict({"method": "simpool", "family": "transformer"})
@@ -145,12 +144,18 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("raw", [
         {"k": "3"}, {"k": 2.0}, {"iters": True}, {"seed": None}, {"width": 1.5},
-        {"gamma": "2"}, {"epsilon": False}, {"r": float("nan")}, {"mass": [0.5]},
-        {"weights": ["a"]}, {"weights": {"anchors": 1}}, {"input": 3},
+        {"gamma": "2"}, {"epsilon": False}, {"r": float("nan")}, {"heads": "2"},
+        {"weights": ["a"]}, {"weights": {"anchors": 1}}, {"height": 2.5},
     ])
     def test_field_types_checked(self, raw):
         with pytest.raises(ConfigError, match=f"^{next(iter(raw))} must"):
             config_from_dict(raw)
+
+    @pytest.mark.parametrize("key", ["input", "output", "attention_output", "mass"])
+    def test_unread_keys_rejected(self, key):
+        # paths come from the command line and the mass from attnmap's flag
+        with pytest.raises(ConfigError, match=f"unknown keys \\['{key}'\\]"):
+            config_from_dict({key: 0.5})
 
     def test_numeric_fields_accept_numbers(self):
         cfg = config_from_dict({"k": 3, "gamma": 2, "epsilon": 0.5, "width": None})

@@ -2,21 +2,30 @@ import numpy as np
 import pytest
 
 from poolkit.cli import run_method
-from poolkit.errors import ContractError, ShapeError
+from poolkit.errors import ShapeError
 from poolkit.framework import FeatureMap
 from poolkit.matcore import col_softmax
+from poolkit.nncells import mlp2
 from poolkit.tensor_io import config_from_dict
-from poolkit.transformer_poolers import (
-    VitWeights,
-    block_diagonal_query,
-    merge_heads,
-    split_heads,
-    vit_cls_pool,
-)
+from poolkit.transformer_poolers import VitWeights, block_diagonal_query, split_heads, vit_cls_pool
 
 
 def _fm(x, **kw):
     return FeatureMap.from_array(np.asarray(x, dtype=float), **kw)
+
+
+def _per_head_reference(x, w, m, iters):
+    """vit_cls_pool written as a loop over heads: (u, mean attention)."""
+    u = w.u0
+    for iw in w.iters[:iters]:
+        heads = zip(split_heads((iw.w_q @ u)[:, None], m), split_heads(iw.w_k @ x, m),
+                    split_heads(iw.w_v @ x, m))
+        attn, z = [], []
+        for qi, ki, vi in heads:
+            attn.append(col_softmax(ki.T @ qi, np.sqrt(x.shape[0] // m)))
+            z.append(vi @ attn[-1])
+        u = mlp2(iw.w_u @ np.concatenate(z)[:, 0], iw.mlp)
+    return u, np.mean(attn, axis=0)[:, 0]
 
 
 class TestHeadSplit:
@@ -30,11 +39,6 @@ class TestHeadSplit:
         heads = split_heads(a, 3)
         assert len(heads) == 3
         np.testing.assert_array_equal(heads[1], a[1:2])
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(30)
-        a = rng.normal(size=(8, 5))
-        np.testing.assert_array_equal(merge_heads(split_heads(a, 4)), a)
 
     def test_divisibility(self):
         with pytest.raises(ShapeError):
@@ -73,6 +77,13 @@ class TestVitClsPool:
             np.testing.assert_allclose(out.attention.a[:, 0], attn.mean(axis=1),
                                        atol=1e-12)
 
+            # the pooled vector too, over two iterations, against a loop over heads
+            w2 = VitWeights.seeded(d, iters=2, seed=m)
+            out2 = vit_cls_pool(fm, w2, m=m, iters=2)
+            u_ref, attn_ref = _per_head_reference(x, w2, m, iters=2)
+            np.testing.assert_allclose(out2.u[:, 0], u_ref, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(out2.attention.a[:, 0], attn_ref, rtol=0, atol=1e-12)
+
     def test_two_iterations_compose(self):
         rng = np.random.default_rng(32)
         fm = _fm(rng.normal(size=(4, 7)))
@@ -83,11 +94,6 @@ class TestVitClsPool:
         w2 = VitWeights(iters=w.iters[1:], u0=one.u[:, 0])
         two = vit_cls_pool(fm, w2, m=2, iters=1)
         np.testing.assert_allclose(out.u, two.u, atol=1e-12)
-
-    def test_non_simplified_rejected(self):
-        fm = _fm(np.ones((2, 3)))
-        with pytest.raises(ContractError):
-            vit_cls_pool(fm, VitWeights.identity(2, 1), m=1, iters=1, simplified=False)
 
 
 class TestCait:
