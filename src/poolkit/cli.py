@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -42,6 +42,8 @@ def run_method(cfg: RunConfig, fm: FeatureMap) -> PooledSet:
     method = cfg.method
     gamma = cfg.resolved_gamma
     d = fm.d
+    # RunConfig admits only the roles this method reads (tensor_io.WEIGHT_ROLES)
+    supplied = {role: read_npy(path)[0] for role, path in cfg.weights.items()}
     if method == "gap":
         return PooledSet(u=gap(fm)[:, None])
     if method == "max":
@@ -51,13 +53,9 @@ def run_method(cfg: RunConfig, fm: FeatureMap) -> PooledSet:
     if method == "lse":
         return PooledSet(u=lse(fm, cfg.r)[:, None])
     if method == "how":
-        cfg_how = HowConfig(
-            centering=_load_weight(cfg, "centering"),
-            projection=_load_weight(cfg, "projection"),
-        )
-        return PooledSet(u=how(fm, cfg_how)[:, None])
+        return PooledSet(u=how(fm, HowConfig(**supplied))[:, None])
     if method == "sinkhorn-otk":
-        anchors = _load_weight(cfg, "anchors")
+        anchors = supplied.get("anchors")
         if anchors is None:
             rng = np.random.default_rng(cfg.seed)
             anchors = fm.x[:, rng.choice(fm.p, size=cfg.k, replace=False)]
@@ -68,11 +66,9 @@ def run_method(cfg: RunConfig, fm: FeatureMap) -> PooledSet:
         return slot_pool(fm, cfg.k, cfg.iters, SlotWeights.seeded(d, seed=cfg.seed),
                          seed=cfg.seed, simplified=True)
     if method == "se":
-        w = SeWeights.seeded(_reducible(d), seed=cfg.seed)
-        return se_pool(fm, w)
+        return se_pool(fm, SeWeights.seeded(d, seed=cfg.seed))
     if method == "cbam":
-        w = CbamWeights.seeded(_reducible(d), seed=cfg.seed)
-        return cbam_pool(fm, w)
+        return cbam_pool(fm, CbamWeights.seeded(d, seed=cfg.seed))
     if method in ("vit", "cait"):  # with the patch stream fixed, CaiT's class attention is ViT's
         weights = VitWeights.seeded(d, cfg.iters, seed=cfg.seed)
         return vit_cls_pool(fm, weights, cfg.heads, cfg.iters)
@@ -83,39 +79,14 @@ def run_method(cfg: RunConfig, fm: FeatureMap) -> PooledSet:
     raise ConfigError(f"unknown method {method!r}")
 
 
-def _reducible(d: int) -> int:
-    if d % 4 != 0:
-        raise ConfigError(f"se/cbam need d divisible by 4, got d={d}")
-    return d
-
-
-def _load_weight(cfg: RunConfig, role: str):
-    path = cfg.weights.get(role)
-    if path is None:
-        return None
-    arr, _ = read_npy(path)
-    return arr
-
-
 def _config_from_args(args) -> RunConfig:
     base = {}
     if args.config:
         base = vars(load_config(args.config)).copy()
-    overrides = {
-        "method": args.method,
-        "gamma": args.gamma,
-        "k": args.k,
-        "iters": args.iters,
-        "heads": args.heads,
-        "epsilon": args.epsilon,
-        "r": args.r,
-        "seed": args.seed,
-        "width": args.width,
-        "height": args.height,
-    }
-    for key, val in overrides.items():
+    for f in fields(RunConfig):
+        val = getattr(args, f.name, None)
         if val is not None:
-            base[key] = val
+            base[f.name] = val
     return config_from_dict(base, origin="command line")
 
 
@@ -153,8 +124,6 @@ def cmd_attnmap(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    if args.method != "simpool":
-        raise ConfigError(f"gradcheck supports only 'simpool', got {args.method!r}")
     d, p = args.d, args.p
     reports = []
     for trial in range(args.trials):
@@ -282,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_attn.set_defaults(fn=cmd_attnmap)
 
     p_grad = sub.add_parser("gradcheck", help="verify analytic gradients")
-    p_grad.add_argument("--method", default="simpool")
     p_grad.add_argument("--d", type=int, default=8)
     p_grad.add_argument("--p", type=int, default=12)
     p_grad.add_argument("--gamma", type=float, default=2.0)

@@ -13,7 +13,7 @@ from .errors import ContractError, ConvergenceError, NumericError
 from .framework import (AttentionMatrix, AttnRule, FeatureMap, InitRule, MapRule, PooledSet,
                         PoolingSpec, UpdateRule, run_pooling)
 from .matcore import Mat, as_matrix, sq_distances
-from .nncells import GruWeights, MlpWeights
+from .nncells import GruWeights, MlpWeights, dense
 
 
 # --- Sinkhorn / optimal transport -----------------------------------------
@@ -152,16 +152,14 @@ class SlotWeights:
     sigma: np.ndarray
 
     @classmethod
-    def seeded(cls, d: int, seed: int = 0, hidden: Optional[int] = None) -> "SlotWeights":
+    def seeded(cls, d: int, seed: int = 0) -> "SlotWeights":
         rng = np.random.default_rng(seed)
-        scale = 1.0 / np.sqrt(d)
-        hidden = d if hidden is None else hidden
         return cls(
-            w_q=rng.normal(scale=scale, size=(d, d)),
-            w_k=rng.normal(scale=scale, size=(d, d)),
-            w_v=rng.normal(scale=scale, size=(d, d)),
+            w_q=dense(rng, d, d),
+            w_k=dense(rng, d, d),
+            w_v=dense(rng, d, d),
             gru=GruWeights.seeded(rng, d, d),
-            mlp=MlpWeights.seeded(rng, d, hidden, d),
+            mlp=MlpWeights.seeded(rng, d, d, d),
             mu=rng.normal(size=d),
             sigma=np.abs(rng.normal(size=d)) + 0.1,
         )

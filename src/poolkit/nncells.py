@@ -14,6 +14,11 @@ from .errors import ShapeError
 from .matcore import relu, sigmoid
 
 
+def dense(rng: np.random.Generator, n_out: int, n_in: int) -> np.ndarray:
+    """An (n_out, n_in) weight matrix drawn from N(0, 1/n_in)."""
+    return rng.normal(scale=1.0 / np.sqrt(n_in), size=(n_out, n_in))
+
+
 @dataclass(frozen=True)
 class MlpWeights:
     """Two affine layers with a ReLU in between."""
@@ -24,22 +29,11 @@ class MlpWeights:
     b2: np.ndarray
 
     @classmethod
-    def identity(cls, dim: int) -> "MlpWeights":
-        # exact identity despite the ReLU: x == relu(x) - relu(-x)
-        eye = np.eye(dim)
-        return cls(
-            w1=np.concatenate([eye, -eye], axis=0),
-            b1=np.zeros(2 * dim),
-            w2=np.concatenate([eye, -eye], axis=1),
-            b2=np.zeros(dim),
-        )
-
-    @classmethod
     def seeded(cls, rng: np.random.Generator, dim_in: int, hidden: int, dim_out: int) -> "MlpWeights":
         return cls(
-            w1=rng.normal(scale=1.0 / np.sqrt(dim_in), size=(hidden, dim_in)),
+            w1=dense(rng, hidden, dim_in),
             b1=np.zeros(hidden),
-            w2=rng.normal(scale=1.0 / np.sqrt(hidden), size=(dim_out, hidden)),
+            w2=dense(rng, dim_out, hidden),
             b2=np.zeros(dim_out),
         )
 
@@ -75,24 +69,11 @@ class GruWeights:
     b_h: np.ndarray
 
     @classmethod
-    def zeros(cls, state: int, inp: int) -> "GruWeights":
-        wn = np.zeros((state, inp))
-        un = np.zeros((state, state))
-        bn = np.zeros(state)
-        return cls(wn, un, bn, wn.copy(), un.copy(), bn.copy(), wn.copy(), un.copy(), bn.copy())
-
-    @classmethod
     def seeded(cls, rng: np.random.Generator, state: int, inp: int) -> "GruWeights":
-        def w():
-            return rng.normal(scale=1.0 / np.sqrt(inp), size=(state, inp))
-
-        def u():
-            return rng.normal(scale=1.0 / np.sqrt(state), size=(state, state))
-
         return cls(
-            w_r=w(), u_r=u(), b_r=np.zeros(state),
-            w_z=w(), u_z=u(), b_z=np.zeros(state),
-            w_h=w(), u_h=u(), b_h=np.zeros(state),
+            w_r=dense(rng, state, inp), u_r=dense(rng, state, state), b_r=np.zeros(state),
+            w_z=dense(rng, state, inp), u_z=dense(rng, state, state), b_z=np.zeros(state),
+            w_h=dense(rng, state, inp), u_h=dense(rng, state, state), b_h=np.zeros(state),
         )
 
 

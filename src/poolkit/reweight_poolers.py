@@ -8,13 +8,15 @@ pooling operators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import ContractError, ShapeError
 from .framework import AttentionMatrix, FeatureMap, PooledSet
 from .matcore import Mat, conv2d_same, relu, sigmoid
+from .nncells import dense
+
+REDUCTION = 4  # bottleneck ratio d / hidden of the seeded gating MLP
 
 
 @dataclass(frozen=True)
@@ -23,43 +25,28 @@ class SeWeights:
 
     w1: Mat
     w2: Mat
-    reduction: int = 4
 
     @classmethod
-    def seeded(cls, d: int, reduction: int = 4, seed: int = 0) -> "SeWeights":
-        if d % reduction != 0:
-            raise ContractError(f"SeWeights: d={d} not divisible by reduction={reduction}")
+    def seeded(cls, d: int, *, seed: int = 0) -> "SeWeights":
+        if d % REDUCTION != 0:
+            raise ContractError(f"SeWeights: d={d} not divisible by reduction={REDUCTION}")
         rng = np.random.default_rng(seed)
-        hidden = d // reduction
-        return cls(
-            w1=rng.normal(scale=1.0 / np.sqrt(d), size=(hidden, d)),
-            w2=rng.normal(scale=1.0 / np.sqrt(hidden), size=(d, hidden)),
-            reduction=reduction,
-        )
-
-    @classmethod
-    def zeros(cls, d: int, reduction: int = 4) -> "SeWeights":
-        return cls(w1=np.zeros((d // reduction, d)), w2=np.zeros((d, d // reduction)),
-                   reduction=reduction)
+        hidden = d // REDUCTION
+        return cls(w1=dense(rng, hidden, d), w2=dense(rng, d, hidden))
 
 
 def _gate(u: np.ndarray, w: SeWeights) -> np.ndarray:
-    """sigmoid(w2 relu(w1 u)), column-wise."""
-    u = np.asarray(u, dtype=np.float64)
-    squeeze = u.ndim == 1
-    if squeeze:
-        u = u[:, None]
+    """Gate logits w2 relu(w1 u) of the (d, n) columns u."""
     if w.w1.shape[1] != u.shape[0]:
         raise ShapeError(f"SeWeights: w1 {w.w1.shape} vs input {u.shape}")
-    out = w.w2 @ relu(w.w1 @ u)
-    return out[:, 0] if squeeze else out
+    return w.w2 @ relu(w.w1 @ u)
 
 
 def se_pool(fm: FeatureMap, w: SeWeights) -> PooledSet:
     """Channel gating from the global average, then average pooling:
     z = q * gap(X) with q = sigmoid(mlp(gap(X)))."""
     u0 = fm.x.mean(axis=1)
-    q = sigmoid(_gate(u0, w))
+    q = sigmoid(_gate(u0[:, None], w)[:, 0])
     z = q * u0
     p = fm.p
     uniform = np.full((p, 1), 1.0 / p)
@@ -81,17 +68,13 @@ class CbamWeights:
         object.__setattr__(self, "conv7", k)
 
     @classmethod
-    def seeded(cls, d: int, reduction: int = 4, seed: int = 0) -> "CbamWeights":
+    def seeded(cls, d: int, *, seed: int = 0) -> "CbamWeights":
         rng = np.random.default_rng(seed)
         return cls(
-            channel_mlp=SeWeights.seeded(d, reduction, seed),
+            channel_mlp=SeWeights.seeded(d, seed=seed),
             conv7=rng.normal(scale=1.0 / 7.0, size=(2, 7, 7)),
             conv_bias=0.0,
         )
-
-    @classmethod
-    def zeros(cls, d: int, reduction: int = 4) -> "CbamWeights":
-        return cls(channel_mlp=SeWeights.zeros(d, reduction), conv7=np.zeros((2, 7, 7)))
 
 
 def cbam_pool(fm: FeatureMap, w: CbamWeights, simplified: bool = False) -> PooledSet:
@@ -105,7 +88,7 @@ def cbam_pool(fm: FeatureMap, w: CbamWeights, simplified: bool = False) -> Poole
     x = fm.x
     d, p = x.shape
     if simplified:
-        q = sigmoid(_gate(x.mean(axis=1), w.channel_mlp))
+        q = sigmoid(_gate(x.mean(axis=1)[:, None], w.channel_mlp)[:, 0])
     else:
         u0 = np.stack([x.mean(axis=1), x.max(axis=1)], axis=1)  # (d, 2)
         q = sigmoid(_gate(u0, w.channel_mlp).mean(axis=1))

@@ -10,7 +10,6 @@ pass exactly (verified against central differences in gradcheck).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -18,7 +17,8 @@ from .errors import ContractError, ShapeError
 from .framework import FeatureMap
 from .gradcheck import GradReport, central_diff, compare
 from .matcore import Mat, col_softmax
-from .meanfam import CLAMP_FLOOR, AlphaParam
+from .meanfam import CLAMP_FLOOR
+from .nncells import dense
 
 DEFAULT_LN_EPS = 1e-5
 
@@ -48,10 +48,9 @@ class SimPoolParams:
     @classmethod
     def seeded(cls, d: int, gamma: float = 2.0, seed: int = 0, **kw) -> "SimPoolParams":
         rng = np.random.default_rng(seed)
-        scale = 1.0 / np.sqrt(d)
         return cls(
-            w_q=rng.normal(scale=scale, size=(d, d)),
-            w_k=rng.normal(scale=scale, size=(d, d)),
+            w_q=dense(rng, d, d),
+            w_k=dense(rng, d, d),
             gamma=gamma,
             **kw,
         )
@@ -192,16 +191,3 @@ def simpool_gradcheck(
     num_x = central_diff(lambda x: loss(replace(fm, x=x), params), fm.x, h)
     return (compare("W_Q", d_wq, num_wq), compare("W_K", d_wk, num_wk),
             compare("X", d_x, num_x))
-
-
-def simpool(
-    fm: FeatureMap,
-    params: Optional[SimPoolParams] = None,
-    gamma: float = 2.0,
-    seed: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Convenience wrapper: seeded parameters unless given; returns (u, a)."""
-    if params is None:
-        params = SimPoolParams.seeded(fm.d, gamma=gamma, seed=seed)
-    u, a, _ = simpool_forward(fm, params)
-    return u, a

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import ast
 import json
 import math
 import numbers
@@ -16,8 +15,7 @@ import numpy as np
 from .errors import ConfigError, FileFormatError
 from .framework import FeatureMap
 from .meanfam import GAMMA_CONV_DEFAULT, GAMMA_TRANSFORMER_DEFAULT
-
-MAGIC = b"\x93NUMPY"
+from .simple_poolers import HowConfig
 
 METHOD_NAMES = (
     "gap",
@@ -35,6 +33,11 @@ METHOD_NAMES = (
     "simpool",
 )
 
+WEIGHT_ROLES = {  # method -> the `weights` roles it reads; other methods read none
+    "how": tuple(f.name for f in fields(HowConfig)),
+    "sinkhorn-otk": ("anchors",),
+}
+
 
 @dataclass(frozen=True)
 class NpyHeader:
@@ -43,50 +46,47 @@ class NpyHeader:
     shape: tuple[int, ...]
 
 
-def _parse_header(path, fh) -> NpyHeader:
-    magic = fh.read(6)
-    if magic != MAGIC:
-        raise FileFormatError(f"{path}: bad magic bytes {magic!r}")
-    version = fh.read(2)
-    if version != b"\x01\x00":
-        raise FileFormatError(f"{path}: unsupported version {tuple(version)}")
-    (hlen,) = struct.unpack("<H", fh.read(2))
-    raw = fh.read(hlen)
-    if len(raw) != hlen:
-        raise FileFormatError(f"{path}: truncated header")
+def _read_header(path, fh) -> NpyHeader:
+    """Parse the header with ``numpy.lib.format``, then apply poolkit's policy."""
     try:
-        meta = ast.literal_eval(raw.decode("latin1").strip())
-        header = NpyHeader(
-            dtype=meta["descr"],
-            fortran_order=meta["fortran_order"],
-            shape=tuple(meta["shape"]),
-        )
-    except Exception as exc:
-        raise FileFormatError(f"{path}: unparseable header: {exc}") from exc
-    if header.fortran_order:
+        version = np.lib.format.read_magic(fh)
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+    except Exception as exc:  # ValueError by contract; hostile headers raise others
+        # the first line only (NumPy's header-size message runs on); MemoryError has none
+        reason = str(exc).partition("\n")[0] or type(exc).__name__
+        raise FileFormatError(f"{path}: {reason}") from exc
+    if version != (1, 0):
+        raise FileFormatError(f"{path}: unsupported version {version}")
+    if fortran_order:
         raise FileFormatError(f"{path}: fortran_order arrays are not supported")
-    if header.dtype not in ("<f8", "<f4"):
-        raise FileFormatError(f"{path}: unsupported dtype {header.dtype!r}")
-    if not (1 <= len(header.shape) <= 3):
-        raise FileFormatError(f"{path}: shape {header.shape} has unsupported rank")
-    return header
+    if dtype.str not in ("<f8", "<f4"):
+        raise FileFormatError(f"{path}: unsupported dtype {dtype.str!r}")
+    if not (1 <= len(shape) <= 3):
+        raise FileFormatError(f"{path}: shape {shape} has unsupported rank")
+    if min(shape) < 0:
+        raise FileFormatError(f"{path}: shape {shape} has a negative dimension")
+    return NpyHeader(dtype=dtype.str, fortran_order=fortran_order, shape=shape)
 
 
 def read_npy(path) -> tuple[np.ndarray, NpyHeader]:
     """Read a little-endian float NPY v1.0 array (rank 1-3, C order).
 
-    '<f4' payloads are widened to float64.
+    '<f4' payloads are widened to float64.  The payload is read 1 MiB at a
+    time and at most one byte past the size the header claims, so memory
+    follows the input, not the claim, and pipes work as well as files.
     """
     path = Path(path)
     with path.open("rb") as fh:
-        header = _parse_header(path, fh)
-        itemsize = 8 if header.dtype == "<f8" else 4
-        count = int(np.prod(header.shape)) if header.shape else 1
-        payload = fh.read(count * itemsize + 1)
-    if len(payload) < count * itemsize:
-        raise FileFormatError(f"{path}: truncated payload "
-                              f"({len(payload)} of {count * itemsize} bytes)")
-    if len(payload) > count * itemsize:
+        header = _read_header(path, fh)
+        nbytes = math.prod(header.shape) * np.dtype(header.dtype).itemsize
+        chunks, want = [], nbytes + 1
+        while want > 0 and (chunk := fh.read(min(want, 1 << 20))):
+            chunks.append(chunk)
+            want -= len(chunk)
+    payload = b"".join(chunks)
+    if len(payload) < nbytes:
+        raise FileFormatError(f"{path}: truncated payload ({len(payload)} of {nbytes} bytes)")
+    if len(payload) > nbytes:
         raise FileFormatError(f"{path}: trailing bytes after payload")
     arr = np.frombuffer(payload, dtype=header.dtype).reshape(header.shape)
     return arr.astype(np.float64), header
@@ -105,7 +105,7 @@ def write_npy(arr, path) -> None:
     header = (body + " " * pad + "\n").encode("latin1")
     try:
         with Path(path).open("wb") as fh:
-            fh.write(MAGIC)
+            fh.write(np.lib.format.MAGIC_PREFIX)
             fh.write(b"\x01\x00")
             fh.write(struct.pack("<H", len(header)))
             fh.write(header)
@@ -171,6 +171,11 @@ class RunConfig:
         if self.method not in METHOD_NAMES:
             raise ConfigError(f"unknown method {self.method!r}; "
                               f"choose from {', '.join(METHOD_NAMES)}")
+        roles = WEIGHT_ROLES.get(self.method, ())
+        unread = sorted(set(self.weights) - set(roles))
+        if unread:
+            raise ConfigError(f"method {self.method!r} does not read weights {unread} "
+                              f"(it reads {', '.join(roles) or 'none'})")
         if self.family not in ("conv", "transformer"):
             raise ConfigError(f"family must be 'conv' or 'transformer', got {self.family!r}")
         if self.gamma is not None and self.gamma <= 0:

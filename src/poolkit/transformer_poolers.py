@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ContractError, ShapeError
 from .framework import AttentionMatrix, FeatureMap, PooledSet
 from .matcore import Mat, col_softmax
-from .nncells import MlpWeights, mlp2
+from .nncells import MlpWeights, dense, mlp2
 
 
 def split_heads(a: Mat, m: int) -> list[Mat]:
@@ -38,19 +38,9 @@ class VitIterWeights:
     mlp: MlpWeights
 
     @classmethod
-    def identity(cls, d: int) -> "VitIterWeights":
-        eye = np.eye(d)
-        return cls(eye, eye.copy(), eye.copy(), eye.copy(), MlpWeights.identity(d))
-
-    @classmethod
     def seeded(cls, rng: np.random.Generator, d: int) -> "VitIterWeights":
-        scale = 1.0 / np.sqrt(d)
-
-        def w():
-            return rng.normal(scale=scale, size=(d, d))
-
-        return cls(w_q=w(), w_k=w(), w_v=w(), w_u=w(),
-                   mlp=MlpWeights.seeded(rng, d, d, d))
+        return cls(w_q=dense(rng, d, d), w_k=dense(rng, d, d), w_v=dense(rng, d, d),
+                   w_u=dense(rng, d, d), mlp=MlpWeights.seeded(rng, d, d, d))
 
 
 @dataclass(frozen=True)
@@ -67,11 +57,6 @@ class VitWeights:
             iters=tuple(VitIterWeights.seeded(rng, d) for _ in range(iters)),
             u0=rng.normal(scale=1.0 / np.sqrt(d), size=d),
         )
-
-    @classmethod
-    def identity(cls, d: int, iters: int, u0=None) -> "VitWeights":
-        u0 = np.zeros(d) if u0 is None else np.asarray(u0, dtype=np.float64)
-        return cls(iters=tuple(VitIterWeights.identity(d) for _ in range(iters)), u0=u0)
 
 
 def _cross_attention_step(

@@ -1,19 +1,33 @@
+import json
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from poolkit.cli import main
-from poolkit.cluster_poolers import kmeans_distortion
+from poolkit.cli import _config_from_args, build_parser, main
+from poolkit.cluster_poolers import kmeans_distortion, otk_pool
 from poolkit.framework import FeatureMap
-from poolkit.simple_poolers import gap
+from poolkit.simple_poolers import HowConfig, gap, how
 from poolkit.tensor_io import read_npy, write_npy
 
 
 def _write_features(path, arr):
     write_npy(np.asarray(arr, dtype=float), path)
     return str(path)
+
+
+def _cli_error(argv, code):
+    """Run ``poolkit`` in a fresh interpreter; it must exit with ``code`` and a
+    single ``error:`` line, never a traceback.  Returns that line."""
+    proc = subprocess.run([sys.executable, "-m", "poolkit.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == code
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    return proc.stderr
 
 
 class TestCmdPool:
@@ -73,19 +87,44 @@ class TestCmdPool:
         np.testing.assert_allclose(u[:, 0], [3.0, 6.0])
 
 
+    def test_every_config_flag_overrides(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"method": "gap", "gamma": 1.5, "k": 3, "iters": 2, "heads": 4,'
+                       ' "epsilon": 0.2, "r": 3.0, "seed": 1, "width": 4, "height": 4}')
+        flags = {"method": "gem", "gamma": 2.5, "k": 2, "iters": 5, "heads": 2,
+                 "epsilon": 0.5, "r": 2.0, "seed": 9, "width": 3, "height": 1}
+        argv = ["pool", "--input", "x.npy", "--config", str(cfg)]
+        for name, val in flags.items():
+            argv += [f"--{name}", str(val)]
+        cfg_run = _config_from_args(build_parser().parse_args(argv))
+        assert {name: getattr(cfg_run, name) for name in flags} == flags
+
+    def test_supplied_weights_are_used(self, tmp_path):
+        rng = np.random.default_rng(48)
+        x = rng.uniform(0.5, 2.0, size=(4, 6))
+        fm = FeatureMap.from_array(x)
+        arrays = {"centering": rng.normal(size=4), "projection": rng.normal(size=(4, 4)),
+                  "anchors": x[:, [0, 3]]}
+        paths = {role: _write_features(tmp_path / f"{role}.npy", arr) for role, arr in arrays.items()}
+        cases = [
+            ({"method": "how", "weights": {r: paths[r] for r in ("centering", "projection")}},
+             how(fm, HowConfig(arrays["centering"], arrays["projection"]))[:, None]),
+            ({"method": "sinkhorn-otk", "epsilon": 0.5, "weights": {"anchors": paths["anchors"]}},
+             otk_pool(fm, arrays["anchors"], 0.5).u),
+        ]
+        for config, expected in cases:
+            cfg, out = tmp_path / "cfg.json", tmp_path / "u.npy"
+            cfg.write_text(json.dumps(config))
+            assert main(["pool", "--input", _write_features(tmp_path / "x.npy", x),
+                         "--config", str(cfg), "--out", str(out)]) == 0
+            np.testing.assert_array_equal(read_npy(out)[0], expected)
+
     @staticmethod
     def _pool_with_config(tmp_path, config):
         x = _write_features(tmp_path / "x.npy", [[1.0, 2.0], [3.0, 4.0]])
         cfg = tmp_path / "cfg.json"
         cfg.write_text(config)
-        proc = subprocess.run(
-            [sys.executable, "-m", "poolkit.cli", "pool", "--input", x, "--config", str(cfg)],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("error:")
-        assert "Traceback" not in proc.stderr
-        return proc.stderr
+        return _cli_error(["pool", "--input", x, "--config", str(cfg)], 1)
 
     @pytest.mark.parametrize("config", ['{"k": "3"}', '{"gamma": "2"}', '{"weights": ["a"]}'])
     def test_mistyped_config_exit_1(self, tmp_path, config):
@@ -95,6 +134,16 @@ class TestCmdPool:
                                         '{"attention_output": "a.npy"}', '{"mass": 0.5}'])
     def test_unread_config_key_exit_1(self, tmp_path, config):
         assert "unknown keys" in self._pool_with_config(tmp_path, config)
+
+    @pytest.mark.parametrize("config", ['{"method": "how", "weights": {"projecton": "m.npy"}}',
+                                        '{"method": "simpool", "weights": {"w_q": "m.npy"}}'])
+    def test_unread_weight_role_exit_1(self, tmp_path, config):
+        assert "does not read weights" in self._pool_with_config(tmp_path, config)
+
+    @pytest.mark.parametrize("method", ["se", "cbam"])
+    def test_indivisible_d_exit_1(self, tmp_path, method):
+        x = _write_features(tmp_path / "x.npy", np.ones((6, 4)))
+        assert "not divisible" in _cli_error(["pool", "--input", x, "--method", method], 1)
 
 
 class TestCmdAttnmap:
@@ -192,3 +241,26 @@ class TestCmdInspect:
         assert code == 0
         out = capsys.readouterr().out
         assert "dtype=<f8" in out and "shape=(3, 4)" in out
+
+    def test_reads_stdin_pipe(self, tmp_path):
+        write_npy(np.zeros((3, 4)), tmp_path / "x.npy")
+        proc = subprocess.run([sys.executable, "-m", "poolkit.cli", "inspect", "--input",
+                               "/dev/stdin"], input=(tmp_path / "x.npy").read_bytes(),
+                              capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        assert b"shape=(3, 4)" in proc.stdout
+
+    @pytest.mark.parametrize("header", [
+        "{'descr': '<f8', 'fortran_order': False, 'shape': (2.5,), }\n",
+        "{'descr': '<f8', 'fortran_order': False, 'shape': ('a',), }\n",
+        "{'descr': '<f8', 'fortran_order': False, 'shape': (-1, 2), }\n",
+        "{'descr': '<f8', 'fortran_order': 'no', 'shape': (2,), }\n",
+        "{'descr': '<f8', 'fortran_order': False, 'shape': (2,), 'extra': 1, }\n",
+        "-" * 4000 + "1\n",  # RecursionError in ast.literal_eval
+    ], ids=["float-dim", "str-dim", "negative-dim", "fortran-str", "extra-key", "deep-unary"])
+    def test_malformed_header_exit_2(self, tmp_path, header):
+        header = header.encode("latin1")
+        path = tmp_path / "probe.npy"
+        path.write_bytes(b"\x93NUMPY\x01\x00" + struct.pack("<H", len(header)) + header
+                         + bytes(16))
+        _cli_error(["inspect", "--input", str(path)], 2)

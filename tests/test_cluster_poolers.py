@@ -23,6 +23,16 @@ def _fm(x, **kw):
     return FeatureMap.from_array(np.asarray(x, dtype=float), **kw)
 
 
+def _zero_gru(d):
+    """A GRU cell with zero weights: both gates read sigmoid(0) = 1/2, the candidate 0."""
+    w, b = np.zeros((d, d)), np.zeros(d)
+    return GruWeights(w, w, b, w, w, b, w, w, b)
+
+
+def _zero_mlp(d):
+    return MlpWeights(np.zeros((d, d)), np.zeros(d), np.zeros((d, d)), np.zeros(d))
+
+
 def lloyd_step(x, u):
     """One engine k-means iteration from centroids u: (new centroids, assignment)."""
     out = run_pooling(kmeans_spec(u.shape[1], 1, InitRule("matrix", matrix=u)), _fm(x))
@@ -185,13 +195,14 @@ class TestSlotPool:
     def test_simplified_matches_single_attention_pool(self):
         # one simplified iteration with identity weights, slots pinned to the
         # column mean, and LayerNorm off reproduces the gap-query attention
-        # pooler at gamma=1 when the global feature minimum is already 0
+        # pooler at gamma=1 when the global feature minimum is already 0;
+        # simplified mode reads neither the GRU nor the MLP
         x = np.array([[0.0, 1.0, 2.0], [3.0, 0.5, 1.0]])
         fm = _fm(x)
         u0 = gap(fm)
         w = SlotWeights(
             w_q=np.eye(2), w_k=np.eye(2), w_v=np.eye(2),
-            gru=GruWeights.zeros(2, 2), mlp=MlpWeights.identity(2),
+            gru=_zero_gru(2), mlp=_zero_mlp(2),
             mu=u0, sigma=np.zeros(2),
         )
         out = slot_pool(fm, k=1, iters=1, weights=w, seed=0,
@@ -206,8 +217,7 @@ class TestSlotPool:
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
         w = SlotWeights(
             w_q=np.eye(2), w_k=np.eye(2), w_v=np.eye(2),
-            gru=GruWeights.zeros(2, 2),
-            mlp=MlpWeights(np.zeros((2, 2)), np.zeros(2), np.zeros((2, 2)), np.zeros(2)),
+            gru=_zero_gru(2), mlp=_zero_mlp(2),
             mu=np.zeros(2), sigma=np.zeros(2),
         )
         out = slot_pool(_fm(x), k=1, iters=1, weights=w, seed=0, simplified=False)

@@ -3,8 +3,7 @@ import pytest
 
 from poolkit.errors import ContractError
 from poolkit.framework import FeatureMap
-from poolkit.simpool import (SimPoolParams, simpool, simpool_backward, simpool_forward,
-                             simpool_gradcheck)
+from poolkit.simpool import SimPoolParams, simpool_backward, simpool_forward, simpool_gradcheck
 
 
 def _fm(x, **kw):
@@ -74,14 +73,6 @@ class TestForward:
         v = cache.v
         assert np.all(u >= v.min(axis=1) - 1e-12)
         assert np.all(u <= v.max(axis=1) + 1e-12)
-
-    def test_convenience_wrapper_deterministic(self):
-        rng = np.random.default_rng(39)
-        fm = _fm(rng.normal(size=(4, 6)))
-        u1, a1 = simpool(fm, gamma=2.0, seed=7)
-        u2, a2 = simpool(fm, gamma=2.0, seed=7)
-        np.testing.assert_array_equal(u1, u2)
-        np.testing.assert_array_equal(a1, a2)
 
 
 class TestBackward:

@@ -1,7 +1,13 @@
 import json
+import math
+import os
+import struct
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from poolkit.errors import ConfigError, FileFormatError
 from poolkit.tensor_io import (
@@ -61,12 +67,21 @@ class TestNpyRoundTrip:
         assert arr.shape == (2, 3, 4)
 
 
+def _npy_error(path) -> str:
+    """read_npy's FileFormatError message without its "<path>: " prefix, which
+    would let a match succeed on the test's own directory name."""
+    with pytest.raises(FileFormatError) as info:
+        read_npy(path)
+    prefix = f"{path}: "
+    assert str(info.value).startswith(prefix)
+    return str(info.value)[len(prefix):]
+
+
 class TestNpyErrors:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.npy"
         path.write_bytes(b"NOTNPY??" + bytes(32))
-        with pytest.raises(FileFormatError, match="magic"):
-            read_npy(path)
+        assert "magic" in _npy_error(path)
 
     def test_bad_version(self, tmp_path):
         path = tmp_path / "v2.npy"
@@ -75,35 +90,137 @@ class TestNpyErrors:
         raw = bytearray(good.read_bytes())
         raw[6] = 2
         path.write_bytes(bytes(raw))
-        with pytest.raises(FileFormatError, match="version"):
-            read_npy(path)
+        assert "version" in _npy_error(path)
 
     def test_fortran_order_rejected(self, tmp_path):
         path = tmp_path / "f.npy"
         np.save(path, np.asfortranarray(np.arange(6.0).reshape(2, 3)))
-        with pytest.raises(FileFormatError, match="fortran"):
-            read_npy(path)
+        assert "fortran" in _npy_error(path)
 
     def test_int_dtype_rejected(self, tmp_path):
         path = tmp_path / "i.npy"
         np.save(path, np.arange(6).reshape(2, 3))
-        with pytest.raises(FileFormatError, match="dtype"):
-            read_npy(path)
+        assert "dtype" in _npy_error(path)
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "t.npy"
         write_npy(np.zeros((2, 3)), path)
         raw = path.read_bytes()
         path.write_bytes(raw[:-8])
-        with pytest.raises(FileFormatError, match="truncated"):
-            read_npy(path)
+        assert "truncated" in _npy_error(path)
 
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "x.npy"
         write_npy(np.zeros((2, 3)), path)
         path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(FileFormatError, match="trailing"):
-            read_npy(path)
+        assert "trailing" in _npy_error(path)
+
+
+def _npy_bytes(header: str, payload: bytes = b"") -> bytes:
+    """An NPY v1.0 file with the given header text, byte for byte."""
+    raw = header.encode("latin1")
+    return b"\x93NUMPY\x01\x00" + struct.pack("<H", len(raw)) + raw + payload
+
+
+def _raw_npy(path, header: str, payload: bytes = b"") -> None:
+    path.write_bytes(_npy_bytes(header, payload))
+
+
+def _fifo(tmp_path, data: bytes):
+    """A named pipe that a thread fills with ``data`` once a reader opens it."""
+    path = tmp_path / "pipe.npy"
+    os.mkfifo(path)
+
+    def feed():
+        try:
+            with path.open("wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:  # the reader stopped early
+            pass
+
+    threading.Thread(target=feed, daemon=True).start()
+    return path
+
+
+_F8_HEADER = "{'descr': '<f8', 'fortran_order': False, 'shape': %s, }\n"
+
+
+class TestNpyPipe:
+    """read_npy reads a pipe as it reads a file, up to one byte past the claim."""
+
+    def test_round_trip_over_one_chunk(self, tmp_path):
+        arr = np.random.default_rng(3).normal(size=(300, 500))  # 1.2 MB, over one 1 MiB read
+        write_npy(arr, tmp_path / "a.npy")
+        back, header = read_npy(_fifo(tmp_path, (tmp_path / "a.npy").read_bytes()))
+        assert back.tobytes() == arr.tobytes() and header.shape == (300, 500)
+
+    def test_truncated_payload(self, tmp_path):
+        write_npy(np.zeros((2, 3)), tmp_path / "t.npy")
+        fifo = _fifo(tmp_path, (tmp_path / "t.npy").read_bytes()[:-8])
+        assert _npy_error(fifo) == "truncated payload (40 of 48 bytes)"
+
+    def test_trailing_bytes(self, tmp_path):
+        write_npy(np.zeros((2, 3)), tmp_path / "x.npy")
+        fifo = _fifo(tmp_path, (tmp_path / "x.npy").read_bytes() + b"\x00")
+        assert _npy_error(fifo) == "trailing bytes after payload"
+
+
+class TestNpyBoundary:
+    @pytest.mark.parametrize("header", [
+        _F8_HEADER % "(2,",                                # unterminated: NumPy's Python 2 fallback
+        "{'descr': (), 'fortran_order': False, 'shape': (2,), }\n",  # IndexError inside NumPy
+        "x\n  y\n z\n",                                  # IndentationError from that fallback
+        "-" * 9000 + "1\n",                              # parser nesting depth
+        "-" * 4000 + "1\n",                              # RecursionError in ast.literal_eval
+        _F8_HEADER % "(2,)" + " " * 10000,                 # over NumPy's header size limit
+        "[1, 2]\n",
+    ], ids=["unterminated", "empty-descr", "indent", "deep-unary", "deep-unary-recursion",
+            "oversize", "not-a-dict"])
+    def test_hostile_header_one_line_error(self, tmp_path, header):
+        path = tmp_path / "h.npy"
+        _raw_npy(path, header, bytes(16))
+        assert "\n" not in _npy_error(path)
+
+    def test_huge_claim_rejected_without_allocating(self, tmp_path):
+        path = tmp_path / "huge.npy"
+        _raw_npy(path, _F8_HEADER % "(1099511627776, 1099511627776)", bytes(16))
+        assert _npy_error(path).startswith("truncated payload (16 of ")
+
+    def test_pipe_huge_claim_rejected(self, tmp_path):
+        fifo = _fifo(tmp_path, _npy_bytes(_F8_HEADER % "(1099511627776, 1099511627776)",
+                                          bytes(16)))
+        assert _npy_error(fifo).startswith("truncated payload (16 of ")
+
+    @settings(max_examples=200, deadline=None)
+    @example(descr="<f8", fortran_order=False, shape=[-1, -2], extra={}, slack=0)
+    @example(descr="<f8", fortran_order=False, shape=[0, -1], extra={}, slack=0)
+    @given(
+        descr=st.sampled_from(["<f8", "<f4", ">f8", "<i8", 3]),
+        fortran_order=st.sampled_from([False, True, "no", 0]),
+        shape=st.lists(st.one_of(st.integers(-2, 6), st.just(2.5), st.just("a")), max_size=4),
+        extra=st.dictionaries(st.sampled_from(["x", "version"]), st.integers(0, 3), max_size=2),
+        slack=st.integers(-16, 16),
+    )
+    def test_reads_claimed_array_or_rejects(self, tmp_path_factory, descr, fortran_order, shape,
+                                            extra, slack):
+        shape = tuple(shape)
+        itemsize = 4 if descr == "<f4" else 8
+        # the size the dims claim, negative ones included: (-1, -2) claims 16 bytes
+        claim = itemsize * math.prod(s for s in shape if isinstance(s, int))
+        payload = (bytes(range(256)) * 64)[:max(0, claim + slack)]
+        meta = {"descr": descr, "fortran_order": fortran_order, "shape": shape, **extra}
+        path = tmp_path_factory.getbasetemp() / "drawn.npy"
+        _raw_npy(path, repr(meta) + "\n", payload)
+
+        valid = (descr in ("<f8", "<f4") and fortran_order is False and not extra
+                 and 1 <= len(shape) <= 3 and all(isinstance(s, int) and s >= 0 for s in shape)
+                 and len(payload) == itemsize * math.prod(shape))
+        if not valid:
+            _npy_error(path)
+            return
+        arr, header = read_npy(path)
+        assert arr.dtype == np.float64 and arr.shape == shape == header.shape
+        np.testing.assert_array_equal(arr, np.frombuffer(payload, dtype=descr).reshape(shape))
 
 
 class TestLoadFeatureMap:
@@ -156,6 +273,21 @@ class TestRunConfig:
         # paths come from the command line and the mass from attnmap's flag
         with pytest.raises(ConfigError, match=f"unknown keys \\['{key}'\\]"):
             config_from_dict({key: 0.5})
+
+    @pytest.mark.parametrize("raw", [
+        {"method": "how", "weights": {"projecton": "p.npy"}},
+        {"method": "simpool", "weights": {"w_q": "q.npy"}},
+        {"method": "sinkhorn-otk", "weights": {"anchors": "a.npy", "centering": "c.npy"}},
+    ])
+    def test_unread_weight_role_rejected(self, raw):
+        with pytest.raises(ConfigError, match="does not read weights"):
+            config_from_dict(raw)
+
+    def test_read_weight_roles_accepted(self):
+        roles = {"centering": "c.npy", "projection": "p.npy"}
+        assert config_from_dict({"method": "how", "weights": roles}).weights == roles
+        anchors = {"anchors": "a.npy"}
+        assert config_from_dict({"method": "sinkhorn-otk", "weights": anchors}).weights == anchors
 
     def test_numeric_fields_accept_numbers(self):
         cfg = config_from_dict({"k": 3, "gamma": 2, "epsilon": 0.5, "width": None})

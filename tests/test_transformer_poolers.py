@@ -5,13 +5,20 @@ from poolkit.cli import run_method
 from poolkit.errors import ShapeError
 from poolkit.framework import FeatureMap
 from poolkit.matcore import col_softmax
-from poolkit.nncells import mlp2
+from poolkit.nncells import MlpWeights, mlp2
 from poolkit.tensor_io import config_from_dict
-from poolkit.transformer_poolers import VitWeights, block_diagonal_query, split_heads, vit_cls_pool
+from poolkit.transformer_poolers import (VitIterWeights, VitWeights, block_diagonal_query,
+                                         split_heads, vit_cls_pool)
 
 
 def _fm(x, **kw):
     return FeatureMap.from_array(np.asarray(x, dtype=float), **kw)
+
+
+def _identity_mlp(d):
+    """An MLP that is exactly the identity despite its ReLU: x == relu(x) - relu(-x)."""
+    eye = np.eye(d)
+    return MlpWeights(np.vstack([eye, -eye]), np.zeros(2 * d), np.hstack([eye, -eye]), np.zeros(d))
 
 
 def _per_head_reference(x, w, m, iters):
@@ -49,7 +56,8 @@ class TestVitClsPool:
     def test_identical_columns_returns_column(self):
         c = np.array([1.0, -2.0, 0.5, 3.0])
         fm = _fm(np.tile(c[:, None], (1, 6)))
-        w = VitWeights.identity(4, iters=1, u0=np.ones(4))
+        eye = np.eye(4)
+        w = VitWeights(iters=(VitIterWeights(eye, eye, eye, eye, _identity_mlp(4)),), u0=np.ones(4))
         out = vit_cls_pool(fm, w, m=1, iters=1)
         np.testing.assert_allclose(out.u[:, 0], c, atol=1e-12)
         np.testing.assert_allclose(out.attention.a, 1.0 / 6.0, atol=1e-12)
