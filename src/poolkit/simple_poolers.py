@@ -66,10 +66,11 @@ def how(fm: FeatureMap, cfg: HowConfig = HowConfig()) -> np.ndarray:
     the squared norm of each raw feature column, then l2-normalize."""
     from .framework import _avg3  # same kernel as the engine path
 
-    centering, projection = cfg.resolved(fm.d)
     a = np.sum(fm.x**2, axis=0)  # attention = squared column norms of raw X
-    v = projection @ _avg3(fm.x - centering[:, None], fm.width, fm.height)
-    z = v @ a
+    x = fm.x if cfg.centering is None else fm.x - np.asarray(cfg.centering, dtype=np.float64)[:, None]
+    z = _avg3(x, fm.width, fm.height) @ a
+    if cfg.projection is not None:  # P (avg3(X - c) a): the projection meets one vector
+        z = np.asarray(cfg.projection, dtype=np.float64) @ z
     return l2_normalize(z)
 
 

@@ -5,6 +5,9 @@ the LayerNorm'd features to keys; a scaled column softmax gives the
 attention, and the pooled vector is the attention-weighted generalized
 mean of the min-shifted values.  Backward differentiates the whole
 pass exactly (verified against central differences in gradcheck).
+
+The one query meets the p keys only through the scores
+xnᵀ (W_Kᵀ q), so neither pass forms the d x p key matrix W_K xn.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ class SimPoolCache:
     mu: np.ndarray       # per-column mean of x
     inv_std: np.ndarray  # per-column 1/sqrt(var + eps)
     q: np.ndarray
-    keys: Mat
+    wkt_q: np.ndarray    # W_Kᵀ q, the query pulled back to feature space
     logits: np.ndarray
     a: np.ndarray
     argmin: tuple[int, int]
@@ -100,8 +103,8 @@ def simpool_forward(
         xn = x
 
     q = params.w_q @ u0
-    keys = params.w_k @ xn
-    logits = keys.T @ q / np.sqrt(d)
+    wkt_q = params.w_k.T @ q
+    logits = xn.T @ wkt_q / np.sqrt(d)  # = (W_K xn)ᵀ q / sqrt(d)
     a = col_softmax(logits[:, None], 1.0)[:, 0]
 
     flat_argmin = int(np.argmin(xn))  # first occurrence, row-major
@@ -115,7 +118,7 @@ def simpool_forward(
     u = inner ** (1.0 / g)
 
     cache = SimPoolCache(
-        params=params, x=x, u0=u0, xn=xn, mu=mu, inv_std=inv_std, q=q, keys=keys,
+        params=params, x=x, u0=u0, xn=xn, mu=mu, inv_std=inv_std, q=q, wkt_q=wkt_q,
         logits=logits, a=a, argmin=argmin, v=v, vc=vc, clamp_mask=clamp_mask, u=u,
     )
     return u, a, cache
@@ -148,14 +151,14 @@ def simpool_backward(cache: SimPoolCache, du: np.ndarray) -> tuple[Mat, Mat, Mat
     # softmax over the single attention column
     d_logits = a * (d_a - float(a @ d_a))
 
-    # logits = keys^T q / sqrt(d)
+    # logits = xn^T W_K^T q * s: every factor's gradient is an outer product
     scale = 1.0 / np.sqrt(d)
-    d_keys = np.outer(cache.q, d_logits) * scale
-    d_q = cache.keys @ d_logits * scale
+    xd = cache.xn @ d_logits
+    d_wk = np.outer(cache.q * scale, xd)
+    d_xn += np.outer(cache.wkt_q * scale, d_logits)
+    d_q = params.w_k @ xd * scale
 
-    # keys = W_K xn ; q = W_Q u0
-    d_wk = d_keys @ cache.xn.T
-    d_xn += params.w_k.T @ d_keys
+    # q = W_Q u0
     d_wq = np.outer(d_q, cache.u0)
     d_u0 = params.w_q.T @ d_q
 

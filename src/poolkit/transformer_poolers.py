@@ -63,12 +63,15 @@ def _cross_attention_step(
     x: Mat, u: np.ndarray, w: VitIterWeights, m: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """One m-head cross-attention of u against x, the heads being the m
-    columns of a block-diagonal query; returns (u_next, mean attention)."""
+    columns of a block-diagonal query; returns (u_next, mean attention).
+
+    The weights act on the narrow side: scores are xᵀ (W_Kᵀ Q) and head i
+    pools W_V (x a_i), so no d x p key or value matrix is formed."""
     d = x.shape[0]
     step = d // m
-    a = col_softmax((w.w_k @ x).T @ block_diagonal_query(w.w_q @ u, m), np.sqrt(step))  # (p, m)
-    # head i's pooled rows are its own rows of column i of V A
-    z = ((w.w_v @ x) @ a).reshape(m, step, m)[np.arange(m), :, np.arange(m)].reshape(d)
+    a = col_softmax(x.T @ (w.w_k.T @ block_diagonal_query(w.w_q @ u, m)), np.sqrt(step))  # (p, m)
+    # head i's pooled rows are its own block of rows of W_V applied to x a_i
+    z = (w.w_v.reshape(m, step, d) @ (x @ a).T[:, :, None]).reshape(d)
     u_next = mlp2(w.w_u @ z, w.mlp)
     return u_next, a.mean(axis=1)
 

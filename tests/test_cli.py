@@ -140,6 +140,25 @@ class TestCmdPool:
     def test_unread_weight_role_exit_1(self, tmp_path, config):
         assert "does not read weights" in self._pool_with_config(tmp_path, config)
 
+    @pytest.mark.parametrize("method, role, shape", [
+        ("how", "projection", (3, 3)),
+        ("how", "projection", (4,)),
+        ("how", "centering", (3,)),
+        ("how", "centering", (4, 1)),
+        ("sinkhorn-otk", "anchors", (4,)),
+        ("sinkhorn-otk", "anchors", (3, 2)),
+        ("sinkhorn-otk", "anchors", (4, 0)),
+        ("how", "projection", (0, 4)),
+    ])
+    def test_misshapen_weights_exit_1(self, tmp_path, method, role, shape):
+        # the feature map has d = 4 channels
+        x = _write_features(tmp_path / "x.npy", np.ones((4, 6)))
+        w = _write_features(tmp_path / "w.npy", np.ones(shape))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"method": method, "epsilon": 0.5, "weights": {role: w}}))
+        line = _cli_error(["pool", "--input", x, "--config", str(cfg)], 1)
+        assert f"weights '{role}' has shape {shape}" in line
+
     @pytest.mark.parametrize("method", ["se", "cbam"])
     def test_indivisible_d_exit_1(self, tmp_path, method):
         x = _write_features(tmp_path / "x.npy", np.ones((6, 4)))

@@ -58,15 +58,19 @@ def compute_outputs() -> dict:
     return out
 
 
-def test_outputs_unchanged():
-    current = compute_outputs()
-    with np.load(GOLDEN) as golden:
+def assert_unchanged(current: dict, path: Path) -> None:
+    """Every frozen array in ``path`` is in ``current``, within 1e-12."""
+    with np.load(path) as golden:
         expected = {key: golden[key] for key in golden.files}
     assert sorted(current) == sorted(expected)
     moved = [key for key, want in expected.items()
              if current[key].shape != want.shape
              or np.max(np.abs(current[key] - want)) > 1e-12]
     assert not moved, f"outputs moved by more than 1e-12: {moved}"
+
+
+def test_outputs_unchanged():
+    assert_unchanged(compute_outputs(), GOLDEN)
 
 
 if __name__ == "__main__":

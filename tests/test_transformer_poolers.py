@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from poolkit.cli import run_method
 from poolkit.errors import ShapeError
@@ -9,6 +11,8 @@ from poolkit.nncells import MlpWeights, mlp2
 from poolkit.tensor_io import config_from_dict
 from poolkit.transformer_poolers import (VitIterWeights, VitWeights, block_diagonal_query,
                                          split_heads, vit_cls_pool)
+
+from numeric_edges import COLUMN_EDGES, SCALES, assert_within_rounding, feature_matrices, shape_columns
 
 
 def _fm(x, **kw):
@@ -22,17 +26,42 @@ def _identity_mlp(d):
 
 
 def _per_head_reference(x, w, m, iters):
-    """vit_cls_pool written as a loop over heads: (u, mean attention)."""
-    u = w.u0
+    """vit_cls_pool written as a loop over heads, each forming its rows of
+    W_K x and W_V x: (u, mean attention, majorant of u, kappa).
+
+    The majorant is the same computation on absolute values; kappa is the
+    product over the iterations of the logits' majorant, each at least 1
+    (see ``numeric_edges.assert_within_rounding``)."""
+    scale = np.sqrt(x.shape[0] // m)
+    u, u_abs, kappa = w.u0, np.abs(w.u0), 1.0
     for iw in w.iters[:iters]:
         heads = zip(split_heads((iw.w_q @ u)[:, None], m), split_heads(iw.w_k @ x, m),
                     split_heads(iw.w_v @ x, m))
         attn, z = [], []
         for qi, ki, vi in heads:
-            attn.append(col_softmax(ki.T @ qi, np.sqrt(x.shape[0] // m)))
+            attn.append(col_softmax(ki.T @ qi, scale))
             z.append(vi @ attn[-1])
         u = mlp2(iw.w_u @ np.concatenate(z)[:, 0], iw.mlp)
-    return u, np.mean(attn, axis=0)[:, 0]
+
+        abs_heads = zip(split_heads((np.abs(iw.w_q) @ u_abs)[:, None], m),
+                        split_heads(np.abs(iw.w_k) @ np.abs(x), m),
+                        split_heads(np.abs(iw.w_v) @ np.abs(x), m), attn)
+        z_abs = []
+        for qi, ki, vi, ai in abs_heads:
+            # past 1e12 the bound exceeds the outputs, and products of 1e6-scale
+            # logits over three iterations would overflow
+            kappa = min(1e12, kappa * max(1.0, np.max(ki.T @ qi) / scale))
+            z_abs.append(vi @ ai)
+        h_abs = np.abs(iw.mlp.w1) @ (np.abs(iw.w_u) @ np.concatenate(z_abs)[:, 0]) + np.abs(iw.mlp.b1)
+        u_abs = np.abs(iw.mlp.w2) @ h_abs + np.abs(iw.mlp.b2)
+    return u, np.mean(attn, axis=0)[:, 0], u_abs, kappa
+
+
+@st.composite
+def _features_and_heads(draw):
+    x = draw(feature_matrices(rows=st.integers(2, 12)))
+    d = x.shape[0]
+    return x, draw(st.sampled_from([m for m in range(1, d + 1) if d % m == 0]))
 
 
 class TestHeadSplit:
@@ -88,9 +117,23 @@ class TestVitClsPool:
             # the pooled vector too, over two iterations, against a loop over heads
             w2 = VitWeights.seeded(d, iters=2, seed=m)
             out2 = vit_cls_pool(fm, w2, m=m, iters=2)
-            u_ref, attn_ref = _per_head_reference(x, w2, m, iters=2)
+            u_ref, attn_ref, _, _ = _per_head_reference(x, w2, m, iters=2)
             np.testing.assert_allclose(out2.u[:, 0], u_ref, rtol=0, atol=1e-12)
             np.testing.assert_allclose(out2.attention.a[:, 0], attn_ref, rtol=0, atol=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_features_and_heads(), scale=SCALES, columns=COLUMN_EDGES,
+           iters=st.integers(1, 3), seed=st.integers(0, 2**16))
+    @example(case=(np.array([[1.0], [-3.0]]), 2), scale=1e6, columns="drawn", iters=1, seed=0)
+    def test_matches_materialized_keys_and_values(self, case, scale, columns, iters, seed):
+        # the step never forms W_K x or W_V x; the per-head loop forms both
+        x, m = case
+        x = scale * shape_columns(x, columns)
+        w = VitWeights.seeded(x.shape[0], iters, seed=seed)
+        out = vit_cls_pool(_fm(x), w, m, iters)
+        u_ref, attn_ref, u_abs, kappa = _per_head_reference(x, w, m, iters)
+        assert_within_rounding(out.u[:, 0], u_ref, u_abs, kappa)
+        assert_within_rounding(out.attention.a[:, 0], attn_ref, attn_ref, kappa)
 
     def test_two_iterations_compose(self):
         rng = np.random.default_rng(32)
