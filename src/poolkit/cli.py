@@ -38,11 +38,11 @@ EXIT_NUMERIC = 3
 
 
 def _check_weight_shape(role: str, w: np.ndarray, d: int) -> None:
-    """A supplied weight array must fit d feature channels."""
+    """A supplied how weight array must fit d feature channels (otk_pool
+    checks its anchors itself)."""
     fits, want = {
         "centering": (w.shape == (d,), f"({d},)"),
         "projection": (w.ndim == 2 and w.shape[0] >= 1 and w.shape[1] == d, f"(n >= 1, {d})"),
-        "anchors": (w.ndim == 2 and w.shape[0] == d and w.shape[1] >= 1, f"({d}, k >= 1)"),
     }[role]
     if not fits:
         raise ShapeError(f"weights {role!r} has shape {w.shape}; {d}-channel features need {want}")
@@ -55,8 +55,6 @@ def run_method(cfg: RunConfig, fm: FeatureMap) -> PooledSet:
     d = fm.d
     # RunConfig admits only the roles this method reads (tensor_io.WEIGHT_ROLES)
     supplied = {role: read_npy(path)[0] for role, path in cfg.weights.items()}
-    for role, w in supplied.items():
-        _check_weight_shape(role, w, d)
     if method == "gap":
         return PooledSet(u=gap(fm)[:, None])
     if method == "max":
@@ -66,6 +64,8 @@ def run_method(cfg: RunConfig, fm: FeatureMap) -> PooledSet:
     if method == "lse":
         return PooledSet(u=lse(fm, cfg.r)[:, None])
     if method == "how":
+        for role, w in supplied.items():
+            _check_weight_shape(role, w, d)
         return PooledSet(u=how(fm, HowConfig(**supplied))[:, None])
     if method == "sinkhorn-otk":
         anchors = supplied.get("anchors")

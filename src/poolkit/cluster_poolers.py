@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ContractError, ConvergenceError, NumericError
+from .errors import ContractError, ConvergenceError, ShapeError
 from .framework import (AttentionMatrix, AttnRule, FeatureMap, InitRule, MapRule, PooledSet,
                         PoolingSpec, UpdateRule, run_pooling)
 from .matcore import Mat, as_matrix, sq_distances
@@ -20,6 +20,13 @@ from .nncells import GruWeights, MlpWeights, dense
 
 @dataclass(frozen=True)
 class SinkhornParams:
+    """Settings of ``sinkhorn``: the entropic regularizer ``epsilon``, the
+    marginal tolerance ``tol`` (max abs error of the plan's row and column
+    sums) and the step budget ``max_iter``.  The solver works on log-domain
+    dual potentials and anneals epsilon down from the cost range in halving
+    levels, finishing each with Newton steps; every log-sum-exp sweep and
+    every Newton step, over all levels, counts against ``max_iter``."""
+
     epsilon: float
     tol: float = 1e-9
     max_iter: int = 1000
@@ -29,37 +36,114 @@ class SinkhornParams:
             raise ContractError(f"SinkhornParams: epsilon must be > 0, got {self.epsilon}")
 
 
-def sinkhorn(cost: Mat, params: SinkhornParams) -> Mat:
-    """Entropic-regularized transport plan between uniform marginals.
+LEVEL_TOL = 1e-3    # marginal residual at which a coarser epsilon level hands over
+STEP_CAP = 4.0      # largest change of any potential in one Newton step, in units of epsilon
+ARMIJO = 1e-4       # fraction of the predicted ascent a Newton step must achieve
+SCHUR_SHIFT = 1e-12  # relative shift of the Schur complement's diagonal
+BACKTRACKS = 10     # halvings of the capped step before a sweep takes its place
 
-    Alternating row/column scaling of exp(-cost/epsilon) until both
-    marginals (rows sum to 1/p, columns to 1/k) are within tolerance.
-    """
-    cost = np.asarray(cost, dtype=np.float64)
-    if not np.all(np.isfinite(cost)):
-        raise NumericError("sinkhorn: non-finite cost")
+
+def _logsumexp(m: Mat, axis: int) -> np.ndarray:
+    top = m.max(axis=axis, keepdims=True)
+    return (top + np.log(np.exp(m - top).sum(axis=axis, keepdims=True))).squeeze(axis)
+
+
+def _sweep(cost: Mat, g: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """One log-domain Sinkhorn sweep: f fits the rows to 1/p given g, then g
+    fits the columns to 1/k given f."""
     p, k = cost.shape
-    kernel = np.exp(-cost / params.epsilon)
-    if kernel.max() < 1e-300 or np.any(kernel.sum(axis=1) == 0) or np.any(
-        kernel.sum(axis=0) == 0
-    ):
-        raise NumericError(
-            f"sinkhorn: kernel underflow, epsilon={params.epsilon} too small"
-        )
-    row_marg = 1.0 / p
-    col_marg = 1.0 / k
-    plan = kernel / kernel.sum()
-    for _ in range(params.max_iter):
-        plan = plan * (row_marg / plan.sum(axis=1, keepdims=True))
-        plan = plan * (col_marg / plan.sum(axis=0, keepdims=True))
-        row_res = np.max(np.abs(plan.sum(axis=1) - row_marg))
-        col_res = np.max(np.abs(plan.sum(axis=0) - col_marg))
-        if max(row_res, col_res) <= params.tol:
+    f = -eps * (np.log(p) + _logsumexp((g[None, :] - cost) / eps, axis=1))
+    g = -eps * (np.log(k) + _logsumexp((f[:, None] - cost) / eps, axis=0))
+    return f, g
+
+
+def _newton_step(plan: Mat, grad_f: np.ndarray, grad_g: np.ndarray,
+                 eps: float) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """A damped Newton ascent step (df, dg) on the dual at ``plan``, or None
+    when the Schur system is singular, the direction does not ascend, or
+    backtracking finds no sufficient ascent.
+
+    The dual is <f, 1/p> + <g, 1/k> - eps * sum(plan); its Hessian is
+    -(1/eps) [[diag(P1), P], [P^T, diag(P^T 1)]].  Eliminating df leaves the
+    Schur complement S = diag(P^T 1) - P^T diag(1/P1) P, singular along the
+    gauge (f + c, g - c), which holding the last dg at 0 removes.  Where the
+    plan falls into nearly uncoupled blocks, S is also nearly singular along
+    their relative potential, and roundoff in the gradient would become a
+    step there so large that the cap shrinks every other component to
+    nothing; shifting S's diagonal by 1e-12 of itself bounds that step."""
+    rows, cols = plan.sum(axis=1), plan.sum(axis=0)
+    scaled = plan / rows[:, None]
+    schur = np.diag((1.0 + SCHUR_SHIFT) * cols) - plan.T @ scaled
+    rhs = eps * (grad_g - scaled.T @ grad_f)
+    dg = np.zeros_like(grad_g)
+    # A near-singular Schur system can give inf or NaN; the slope test rejects them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            dg[:-1] = np.linalg.solve(schur[:-1, :-1], rhs[:-1])
+        except np.linalg.LinAlgError:
+            return None
+        df = (eps * grad_f - plan @ dg) / rows
+        slope = grad_f @ df + grad_g @ dg
+    if not (np.isfinite(slope) and slope > 0):
+        return None
+    # Near-block-diagonal plans put a huge step on the blocks' relative
+    # potential; uncapped, every backtracked plan overflows.
+    t = min(1.0, STEP_CAP * eps / max(np.abs(df).max(), np.abs(dg).max()))
+    for _ in range(BACKTRACKS + 1):
+        # dual gain of the step t: t * slope - eps * sum(P (e^x - 1 - x)),
+        # x = t (df_i + dg_j) / eps; expm1 keeps the difference exact
+        x = t * (df[:, None] + dg[None, :]) / eps
+        if eps * np.sum(plan * (np.expm1(x) - x)) <= (1.0 - ARMIJO) * t * slope:
+            return t * df, t * dg
+        t /= 2
+    return None
+
+
+def sinkhorn(cost: Mat, params: SinkhornParams) -> Mat:
+    """Entropic-regularized transport plan between uniform marginals: rows
+    sum to 1/p and columns to 1/k, each within ``params.tol``.
+
+    The solver works in the log domain on the dual potentials f (p) and g
+    (k); the plan is P = exp((f_i + g_j - cost_ij) / epsilon), so no kernel
+    exp(-cost/epsilon) is formed and none can underflow.  It anneals
+    epsilon: levels start at max(epsilon, max cost - min cost) and halve down
+    to epsilon, each warm-started from the last.  A level runs one
+    log-sum-exp sweep, then damped Newton steps on the concave dual until
+    the marginal residual is below 1e-3, or below ``tol`` at the last level.
+    A Newton step is capped at a few epsilon per potential and backtracked
+    (Armijo); where it cannot ascend, a sweep takes its place.  Every sweep
+    and every Newton step counts against ``max_iter``; a solve that has not
+    reached ``tol`` by then raises ``ConvergenceError``.
+    """
+    cost = as_matrix(cost, "sinkhorn cost")
+    # a uniform shift leaves the plan as it is and keeps the potentials, and
+    # so their rounding, at the scale of the cost range
+    cost = cost - cost.min()
+    p, k = cost.shape
+    f, g = np.zeros(p), np.zeros(k)
+    eps = max(params.epsilon, float(cost.max()))
+    residual, steps = np.inf, 0
+    while True:
+        target = params.tol if eps == params.epsilon else LEVEL_TOL
+        first = True  # each level opens with a sweep
+        while first or not residual <= target:  # NaN runs into max_iter
+            if steps == params.max_iter:
+                raise ConvergenceError(
+                    f"sinkhorn: residual {residual:.3e} after {steps} iterations "
+                    f"(tol {params.tol:g})")
+            steps += 1
+            step = None if first else _newton_step(plan, grad_f, grad_g, eps)
+            if step is None:
+                f, g = _sweep(cost, g, eps)
+            else:
+                f, g = f + step[0], g + step[1]
+            first = False
+            plan = np.exp((f[:, None] + g[None, :] - cost) / eps)
+            grad_f, grad_g = 1.0 / p - plan.sum(axis=1), 1.0 / k - plan.sum(axis=0)
+            residual = max(np.abs(grad_f).max(), np.abs(grad_g).max())
+        if eps == params.epsilon:
             return plan
-    raise ConvergenceError(
-        f"sinkhorn: residual {max(row_res, col_res):.3e} after "
-        f"{params.max_iter} iterations (tol {params.tol:g})"
-    )
+        eps = max(params.epsilon, eps / 2)
 
 
 @dataclass(frozen=True)
@@ -92,24 +176,20 @@ def otk_pool(
     psi: Optional[NystromMap] = None,
     params: Optional[SinkhornParams] = None,
 ) -> PooledSet:
-    """Transport-plan pooling against anchor columns.
+    """Transport-plan pooling against anchor columns, a (d, k >= 1) array.
 
     Cost is squared distance of features to anchors; the plan carries
     mass 1/k per column, so the output is rescaled by k to give each
     column mean semantics (the k=1 case then coincides with plain GAP).
     """
     anchors = np.asarray(anchors, dtype=np.float64)
-    if anchors.ndim == 1:
-        anchors = anchors[None, :]
+    if anchors.ndim != 2 or anchors.shape[0] != fm.d or anchors.shape[1] < 1:
+        raise ShapeError(f"otk_pool: weights 'anchors' has shape {anchors.shape}; "
+                         f"{fm.d}-channel features need ({fm.d}, k >= 1)")
     k = anchors.shape[1]
     if params is None:
         params = SinkhornParams(epsilon=epsilon)
     cost = sq_distances(fm.x, anchors)
-    # Subtracting row/column minima rescales the kernel by diagonal factors,
-    # which leaves the balanced plan unchanged while keeping exp(-cost/eps)
-    # away from underflow when distances are large.
-    cost = cost - cost.min(axis=1, keepdims=True)
-    cost = cost - cost.min(axis=0, keepdims=True)
     plan = sinkhorn(cost, params)
     feats = fm.x if psi is None else psi(fm.x)
     u = (feats @ plan) * k

@@ -93,20 +93,16 @@ def test_criterion_02_average_is_distortion_optimal():
 
 def test_criterion_03_sinkhorn_marginals():
     with criterion(3, "transport-plan marginal residuals", 2.0):
-        # Alternating scaling slows down badly on instances where a point is
-        # near-equidistant between targets; at epsilon=0.05 roughly one random
-        # instance in six needs far more than 1000 iterations.  The seed pins
-        # a suite where the stated cap holds; the slow-instance failure mode
-        # is exercised in the module tests (ConvergenceError).
-        rng = np.random.default_rng(84)
-        for eps in (0.05, 0.1, 1.0):
-            for _ in range(10):
-                p = int(rng.integers(2, 33))
-                k = int(rng.integers(2, min(p, 32) + 1))
-                cost = rng.uniform(0.0, 10.0, size=(p, k))
-                plan = sinkhorn(cost, SinkhornParams(epsilon=eps, tol=1e-8))
-                assert np.max(np.abs(plan.sum(axis=1) - 1.0 / p)) <= 1e-8
-                assert np.max(np.abs(plan.sum(axis=0) - 1.0 / k)) <= 1e-8
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            for eps in (0.05, 0.1, 1.0):
+                for _ in range(10):
+                    p = int(rng.integers(2, 33))
+                    k = int(rng.integers(2, min(p, 32) + 1))
+                    cost = rng.uniform(0.0, 10.0, size=(p, k))
+                    plan = sinkhorn(cost, SinkhornParams(epsilon=eps, tol=1e-8))
+                    assert np.max(np.abs(plan.sum(axis=1) - 1.0 / p)) <= 1e-8
+                    assert np.max(np.abs(plan.sum(axis=0) - 1.0 / k)) <= 1e-8
 
 
 def test_criterion_04_kmeans_descent_and_matrix_form():

@@ -1,5 +1,10 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from poolkit.cluster_poolers import (
     NystromMap,
@@ -12,11 +17,13 @@ from poolkit.cluster_poolers import (
     sinkhorn,
     slot_pool,
 )
-from poolkit.errors import ContractError, ConvergenceError, NumericError
+from poolkit.errors import ContractError, ConvergenceError, NumericError, ShapeError
 from poolkit.framework import FeatureMap, InitRule, run_pooling
 from poolkit.nncells import GruWeights, MlpWeights
 from poolkit.simple_poolers import gap
 from poolkit.simpool import SimPoolParams, simpool_forward
+
+from numeric_edges import SCALES
 
 
 def _fm(x, **kw):
@@ -66,16 +73,57 @@ class TestSinkhorn:
             np.testing.assert_allclose(plan.sum(axis=0), 1.0 / 5.0, atol=1e-9)
             np.testing.assert_allclose(plan.sum(), 1.0, atol=1e-9)
 
-    def test_underflow_raises(self):
-        cost = np.array([[1000.0, 1000.0], [1000.0, 1000.0]])
-        with pytest.raises(NumericError, match="epsilon"):
-            sinkhorn(cost, SinkhornParams(epsilon=1e-3))
+    def test_huge_cost_small_epsilon_is_product_of_marginals(self):
+        # exp(-cost/epsilon) = exp(-1e6) underflows; the log-domain plan does not
+        plan = sinkhorn(np.full((3, 4), 1000.0), SinkhornParams(epsilon=1e-3))
+        np.testing.assert_allclose(plan, 1.0 / 12.0, rtol=0, atol=1e-15)
+
+    def test_clustered_duplicate_anchors_converge(self):
+        # k = p anchors, each a near-duplicate of a feature column, three in
+        # four from one of two equal clusters: the transport must carry mass
+        # between clusters at a cost of about 190 epsilon, where alternating
+        # scaling stalled past 1000 sweeps on 3 of these 10 seeds
+        d, p = 8, 8
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            x = rng.normal(scale=3.0, size=(d, 2))[:, np.arange(p) % 2]
+            x = x + 0.3 * rng.normal(size=(d, p))
+            cols = np.r_[rng.choice(np.arange(0, p, 2), 6), rng.choice(np.arange(1, p, 2), 2)]
+            anchors = x[:, cols] + 1e-6 * rng.normal(size=(d, p))
+            eps = 0.02 * float(np.var(x, axis=1).sum())
+            plan = otk_pool(_fm(x), anchors, eps).attention.a
+            assert np.max(np.abs(plan.sum(axis=1) - 1.0 / p)) <= 1e-9
+            assert np.max(np.abs(plan.sum(axis=0) - 1.0 / p)) <= 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(shape=st.integers(2, 32).flatmap(lambda p: st.tuples(st.just(p), st.integers(2, p))),
+           scale=SCALES, columns=st.sampled_from(["drawn", "near-duplicate", "constant"]),
+           log_ratio=st.floats(-3.0, 0.0), data=st.data())
+    def test_marginals_on_numeric_edges(self, shape, scale, columns, log_ratio, data):
+        p, k = shape
+        u = data.draw(arrays(np.float64, (p, k), elements=st.floats(0.0, 1.0)))
+        u = {"drawn": u, "near-duplicate": u[:, :1] + 1e-9 * u,
+             "constant": np.repeat(u[:1, :], p, axis=0)}[columns]
+        cost = scale * u
+        # epsilon from 1e-3 to 1 times the cost range, which is floored at
+        # 1e-6 of the scale so that epsilon stays a normal float
+        eps = 10.0**log_ratio * max(float(np.ptp(cost)), 1e-6 * scale)
+        params = SinkhornParams(epsilon=eps)
+        plan = sinkhorn(cost, params)
+        assert np.max(np.abs(plan.sum(axis=1) - 1.0 / p)) <= params.tol
+        assert np.max(np.abs(plan.sum(axis=0) - 1.0 / k)) <= params.tol
 
     def test_iteration_cap_raises(self):
         rng = np.random.default_rng(102)
         cost = rng.uniform(0.0, 10.0, size=(12, 6))
         with pytest.raises(ConvergenceError, match="residual"):
             sinkhorn(cost, SinkhornParams(epsilon=0.05, max_iter=3))
+
+    @pytest.mark.parametrize("cost, error", [(np.array([[0.0, np.nan]]), NumericError),
+                                             (np.zeros((0, 3)), ShapeError)])
+    def test_rejects_non_finite_or_empty_cost(self, cost, error):
+        with pytest.raises(error, match="sinkhorn cost"):
+            sinkhorn(cost, SinkhornParams(epsilon=1.0))
 
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ContractError):
@@ -93,6 +141,12 @@ class TestOtkPool:
         fm = _fm([[0.0, 0.0, 10.0, 10.0]])
         out = otk_pool(fm, anchors=np.array([[0.0, 10.0]]), epsilon=0.05)
         np.testing.assert_allclose(out.u, [[0.0, 10.0]], atol=1e-3)
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 0), (3, 2)])
+    def test_misshapen_anchors_raise_shape_error(self, shape):
+        # the feature map has d = 4 channels; anchors must be (4, k >= 1)
+        with pytest.raises(ShapeError, match=rf"anchors' has shape {re.escape(str(shape))}"):
+            otk_pool(_fm(np.ones((4, 6))), np.ones(shape), epsilon=0.5)
 
     def test_single_anchor_nystrom_scalar(self):
         anchors = np.array([[1.0], [2.0]])
