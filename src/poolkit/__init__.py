@@ -26,7 +26,7 @@ from .cluster_poolers import (
     slot_pool,
 )
 from .reweight_poolers import CbamWeights, SeWeights, cbam_pool, se_pool
-from .transformer_poolers import VitWeights, split_heads, vit_cls_pool
+from .transformer_poolers import VitWeights, vit_cls_pool
 from .simpool import SimPoolCache, SimPoolParams, simpool_backward, simpool_forward, simpool_gradcheck
 from .gradcheck import GradReport, central_diff, rel_error
 from .attnmap import AttnGrid, BBox, largest_component_bbox, mass_threshold, reshape_attention, write_pgm

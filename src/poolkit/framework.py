@@ -25,6 +25,7 @@ from .matcore import (
     eta_norm,
     layernorm_cols,
     l2_normalize,
+    narrow_matmul,
     sq_distances,
 )
 from .meanfam import AlphaParam, lse_pool, weighted_generalized_mean
@@ -237,14 +238,14 @@ def _apply_map(rule: MapRule, x: Mat, fm: FeatureMap, stage: str, normed: dict) 
         if rule.kind == "identity":
             return x
         if rule.kind == "linear":
-            return rule.weight @ x
+            return narrow_matmul(rule.weight, x)
         if rule.kind == "linear_ln":
             if rule.eps not in normed:
                 normed[rule.eps] = layernorm_cols(x, rule.eps)
-            return rule.weight @ normed[rule.eps]
+            return narrow_matmul(rule.weight, normed[rule.eps])
         if rule.kind == "local_avg_fc":
             centered = x - (rule.centering[:, None] if rule.centering is not None else 0.0)
-            return rule.weight @ _avg3(centered, fm.width, fm.height)
+            return narrow_matmul(rule.weight, _avg3(centered, fm.width, fm.height))
     except ValueError as exc:
         raise ShapeError(f"{stage} mapping: {exc}") from exc
     raise ContractError(f"unknown map kind {rule.kind!r}")

@@ -19,6 +19,12 @@ from .errors import (
 
 Mat = np.ndarray
 
+# OpenBLAS's dgemm skips packing its operands into buffers when m * n * k <=
+# 100**3 (its small-matrix kernel).  On one thread of an AVX-512 Xeon, a
+# 2048 x 2048 weight times 4 columns took 3.6 ms in row blocks of 999k
+# multiply-adds and 7.0 ms in blocks of 1.007M, as in one product.
+SMALL_GEMM = 1_000_000
+
 
 def as_matrix(a, name: str = "matrix") -> Mat:
     """Coerce to a 2-d float64 array, rejecting empty or non-finite input."""
@@ -32,6 +38,24 @@ def as_matrix(a, name: str = "matrix") -> Mat:
     if not np.all(np.isfinite(m)):
         raise NumericError(f"{name}: contains non-finite entries")
     return m
+
+
+def narrow_matmul(w: Mat, z) -> Mat:
+    """``w @ z``, computed in row blocks of w small enough for the unpacked
+    kernel when z is narrow.  Each block multiplies all of z, so blocking
+    waits until a block holds at least n rows: z is then re-read no more
+    than w is read once.  A 1-d or one-column z stays one product (a gemv)."""
+    w = np.asarray(w)
+    m, k = w.shape
+    n = 1 if np.ndim(z) == 1 else z.shape[1]
+    rows = SMALL_GEMM // max(1, n * k)
+    if n == 1 or rows >= m or rows < n:
+        return w @ z
+    z = np.ascontiguousarray(z)
+    out = np.empty((m, n))
+    for i in range(0, m, rows):
+        np.matmul(w[i : i + rows], z, out=out[i : i + rows])
+    return out
 
 
 def col_softmax(s: Mat, scale: float = 1.0) -> Mat:

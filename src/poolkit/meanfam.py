@@ -17,6 +17,9 @@ import numpy as np
 from .errors import ContractError
 
 CLAMP_FLOOR = 1e-12
+# A factored inner sum below this may hold terms under the smallest normal
+# float, each off by more than its share of a rounding error of the sum.
+LOG_DOMAIN_BELOW = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
 
 # Default exponents, by the family of network the features came from.
 GAMMA_CONV_DEFAULT = 2.0
@@ -76,7 +79,17 @@ def weighted_generalized_mean(v, a, alpha: AlphaParam) -> np.ndarray:
     # Factor out the row max (g > 0) or min (g < 0): every ratio**g <= 1.
     m = vc.max(axis=1, keepdims=True) if g > 0 else vc.min(axis=1, keepdims=True)
     inner = ((vc / m) ** g) @ a
-    return m * inner ** (1.0 / g)
+    u = m * inner ** (1.0 / g)
+    # Where attention sits on ratios whose powers fall below the normal range,
+    # those terms lost digits or vanished: sum them again in the log domain
+    # (a column of zero weights has no mean to recover).
+    i, k = np.nonzero((inner < LOG_DOMAIN_BELOW) & (a.max(axis=0) > 0))
+    if i.size:
+        with np.errstate(divide="ignore"):  # log 0 = -inf drops a zero weight
+            t = g * np.log(vc[i]) + np.log(a[:, k].T)
+        top = t.max(axis=1, keepdims=True)
+        u[i, k] = np.exp((top[:, 0] + np.log(np.exp(t - top).sum(axis=1))) / g)
+    return u
 
 
 def approx_extreme(v, gamma_large: float, sign: int = 1) -> np.ndarray:

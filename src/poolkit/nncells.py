@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .matcore import relu, sigmoid
+from .matcore import narrow_matmul, relu, sigmoid
 
 
 def dense(rng: np.random.Generator, n_out: int, n_in: int) -> np.ndarray:
@@ -46,8 +46,8 @@ def mlp2(x: np.ndarray, w: MlpWeights) -> np.ndarray:
         x = x[:, None]
     if w.w1.shape[1] != x.shape[0]:
         raise ShapeError(f"mlp2: weight {w.w1.shape} vs input {x.shape}")
-    h = relu(w.w1 @ x + w.b1[:, None])
-    out = w.w2 @ h + w.b2[:, None]
+    h = relu(narrow_matmul(w.w1, x) + w.b1[:, None])
+    out = narrow_matmul(w.w2, h) + w.b2[:, None]
     return out[:, 0] if squeeze else out
 
 
@@ -81,7 +81,7 @@ def gru_cell(z: np.ndarray, h: np.ndarray, w: GruWeights) -> np.ndarray:
     """One GRU step on column-stacked inputs ``z`` with states ``h``."""
     z = np.asarray(z, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
-    r = sigmoid(w.w_r @ z + w.u_r @ h + w.b_r[:, None])
-    u = sigmoid(w.w_z @ z + w.u_z @ h + w.b_z[:, None])
-    cand = np.tanh(w.w_h @ z + w.u_h @ (r * h) + w.b_h[:, None])
+    r = sigmoid(narrow_matmul(w.w_r, z) + narrow_matmul(w.u_r, h) + w.b_r[:, None])
+    u = sigmoid(narrow_matmul(w.w_z, z) + narrow_matmul(w.u_z, h) + w.b_z[:, None])
+    cand = np.tanh(narrow_matmul(w.w_h, z) + narrow_matmul(w.u_h, r * h) + w.b_h[:, None])
     return (1.0 - u) * h + u * cand

@@ -20,7 +20,7 @@ from .errors import ContractError, ShapeError
 from .framework import FeatureMap
 from .gradcheck import GradReport, central_diff, compare
 from .matcore import Mat, col_softmax
-from .meanfam import CLAMP_FLOOR
+from .meanfam import CLAMP_FLOOR, AlphaParam, weighted_generalized_mean
 from .nncells import dense
 
 DEFAULT_LN_EPS = 1e-5
@@ -41,6 +41,7 @@ class SimPoolParams:
         object.__setattr__(self, "w_k", wk)
         if not (0.0 < self.gamma <= 100.0):
             raise ContractError(f"SimPoolParams: gamma must be in (0, 100], got {self.gamma}")
+        AlphaParam.from_gamma(self.gamma)  # the mean's own rule: gamma not within 1e-9 of 0
         if wq.ndim != 2 or wq.shape[0] != wq.shape[1]:
             raise ShapeError(f"SimPoolParams: w_q must be square, got {wq.shape}")
         if wk.shape != wq.shape:
@@ -113,9 +114,7 @@ def simpool_forward(
     vc = np.maximum(v, CLAMP_FLOOR)
     clamp_mask = v > CLAMP_FLOOR
 
-    g = params.gamma
-    inner = (vc**g) @ a
-    u = inner ** (1.0 / g)
+    u = weighted_generalized_mean(vc, a[:, None], AlphaParam.from_gamma(params.gamma))[:, 0]
 
     cache = SimPoolCache(
         params=params, x=x, u0=u0, xn=xn, mu=mu, inv_std=inv_std, q=q, wkt_q=wkt_q,
@@ -135,13 +134,15 @@ def simpool_backward(cache: SimPoolCache, du: np.ndarray) -> tuple[Mat, Mat, Mat
     a = cache.a
     vc = cache.vc
 
-    # u = ((vc^g) a)^(1/g)
-    inner = cache.u**g
-    d_inner = du * (1.0 / g) * np.where(inner > 0, cache.u / np.maximum(inner, 1e-300), 0.0)
-    # d u_i / d inner_i = (1/g) inner^(1/g - 1) = (1/g) u / inner
-    vg = vc ** (g - 1.0)
-    d_vc = (d_inner[:, None] * a[None, :]) * g * vg
-    d_a = (vc**g).T @ d_inner
+    # u = ((vc^g) a)^(1/g).  With r = vc / u and c_ij = a_j r_ij^g (each row
+    # of c sums to 1): d u_i / d vc_ij = c_ij / r_ij and a_j d u_i / d a_j =
+    # (u_i / g) c_ij.  c is formed in the log domain, so no power overflows,
+    # even where a_j underflows; u >= CLAMP_FLOOR, so r is finite.
+    r = vc / cache.u[:, None]
+    with np.errstate(divide="ignore"):  # log 0 = -inf where a_j underflowed to 0
+        c = np.exp(g * np.log(r) + np.log(a))
+    d_vc = du[:, None] * c / r
+    a_da = c.T @ (du * cache.u / g)  # a * d_a, formed without d_a
 
     # clamp + global-min shift: all mass of the min goes to its argmin element
     d_v = np.where(cache.clamp_mask, d_vc, 0.0)
@@ -149,7 +150,7 @@ def simpool_backward(cache: SimPoolCache, du: np.ndarray) -> tuple[Mat, Mat, Mat
     d_xn[cache.argmin] -= d_v.sum()
 
     # softmax over the single attention column
-    d_logits = a * (d_a - float(a @ d_a))
+    d_logits = a_da - a * a_da.sum()
 
     # logits = xn^T W_K^T q * s: every factor's gradient is an outer product
     scale = 1.0 / np.sqrt(d)

@@ -17,16 +17,6 @@ from .matcore import Mat, col_softmax
 from .nncells import MlpWeights, dense, mlp2
 
 
-def split_heads(a: Mat, m: int) -> list[Mat]:
-    """Split rows into m contiguous blocks."""
-    a = np.asarray(a, dtype=np.float64)
-    d = a.shape[0]
-    if d % m != 0:
-        raise ShapeError(f"split_heads: {m} does not divide dimension {d}")
-    step = d // m
-    return [a[i * step : (i + 1) * step] for i in range(m)]
-
-
 @dataclass(frozen=True)
 class VitIterWeights:
     """Weights of one pooling iteration."""
@@ -62,15 +52,16 @@ class VitWeights:
 def _cross_attention_step(
     x: Mat, u: np.ndarray, w: VitIterWeights, m: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One m-head cross-attention of u against x, the heads being the m
-    columns of a block-diagonal query; returns (u_next, mean attention).
+    """One m-head cross-attention of u against x; returns (u_next, mean
+    attention).  Head i owns rows i*d/m to (i+1)*d/m of Q = W_Q u, W_K and W_V.
 
-    The weights act on the narrow side: scores are xᵀ (W_Kᵀ Q) and head i
-    pools W_V (x a_i), so no d x p key or value matrix is formed."""
+    The weights act on the narrow side: head i scores xᵀ (W_K,iᵀ q_i) and
+    pools W_V,i (x a_i), so no d x p key or value matrix is formed."""
     d = x.shape[0]
     step = d // m
-    a = col_softmax(x.T @ (w.w_k.T @ block_diagonal_query(w.w_q @ u, m)), np.sqrt(step))  # (p, m)
-    # head i's pooled rows are its own block of rows of W_V applied to x a_i
+    # row i of k_q is q_iᵀ W_K,i, head i's query pulled back to feature space
+    k_q = ((w.w_q @ u).reshape(m, 1, step) @ w.w_k.reshape(m, step, d)).reshape(m, d)
+    a = col_softmax((k_q @ x).T, np.sqrt(step))  # (p, m)
     z = (w.w_v.reshape(m, step, d) @ (x @ a).T[:, :, None]).reshape(d)
     u_next = mlp2(w.w_u @ z, w.mlp)
     return u_next, a.mean(axis=1)
@@ -99,14 +90,3 @@ def vit_cls_pool(fm: FeatureMap, weights: VitWeights, m: int, iters: int) -> Poo
     for t in range(iters):
         u, attn = _cross_attention_step(fm.x, u, weights.iters[t], m)
     return PooledSet(u=u[:, None], attention=AttentionMatrix(attn[:, None], stochastic_cols=True))
-
-
-def block_diagonal_query(q: np.ndarray, m: int) -> Mat:
-    """Arrange the m head sub-queries as a (d, m) block-diagonal matrix."""
-    heads = split_heads(np.asarray(q, dtype=np.float64)[:, None], m)
-    d = q.shape[0]
-    step = d // m
-    out = np.zeros((d, m))
-    for i, h in enumerate(heads):
-        out[i * step : (i + 1) * step, i] = h[:, 0]
-    return out

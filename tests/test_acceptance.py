@@ -32,8 +32,10 @@ from poolkit.simple_poolers import (
 )
 from poolkit.simpool import SimPoolParams, simpool_forward, simpool_gradcheck
 from poolkit.tensor_io import config_from_dict, read_npy, write_npy
-from poolkit.transformer_poolers import VitWeights, block_diagonal_query, split_heads
+from poolkit.transformer_poolers import VitWeights
 from poolkit.attnmap import AttnGrid, write_pgm
+
+from test_transformer_poolers import block_diagonal_query, split_heads
 
 
 def lloyd_step(x, u):

@@ -2,13 +2,19 @@
 
 ``golden_outputs.npz`` holds the pooled vectors and attention of all
 CLI methods, vit and cait at 2 and 4 heads, plus the library-only slot,
-k-means and simplified CBAM modes, on two small feature maps.  Regenerate it (only when a change of output is intended)
-with ``PYTHONPATH=src python tests/test_golden.py``.
+k-means and simplified CBAM modes, on two small feature maps.  Regenerate it
+(only when a change of output is intended) with
+``PYTHONPATH=src python tests/test_golden.py``, or rewrite just some arrays,
+adding new ones, with ``... tests/test_golden.py --only KEY [KEY ...]``,
+which refuses if any other array moved by more than 1e-12.
 """
 
+import argparse
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from poolkit.cli import run_method
 from poolkit.cluster_poolers import SlotWeights, kmeans_pool, slot_pool
@@ -58,21 +64,72 @@ def compute_outputs() -> dict:
     return out
 
 
+def _load(path: Path) -> dict:
+    with np.load(path) as golden:
+        return {key: golden[key] for key in golden.files}
+
+
+def _moved(current: dict, expected: dict) -> list:
+    """Keys of ``expected`` that ``current`` lacks or holds more than 1e-12 away."""
+    return [key for key, want in expected.items()
+            if key not in current or current[key].shape != want.shape
+            or np.max(np.abs(current[key] - want)) > 1e-12]
+
+
 def assert_unchanged(current: dict, path: Path) -> None:
     """Every frozen array in ``path`` is in ``current``, within 1e-12."""
-    with np.load(path) as golden:
-        expected = {key: golden[key] for key in golden.files}
+    expected = _load(path)
     assert sorted(current) == sorted(expected)
-    moved = [key for key, want in expected.items()
-             if current[key].shape != want.shape
-             or np.max(np.abs(current[key] - want)) > 1e-12]
+    moved = _moved(current, expected)
     assert not moved, f"outputs moved by more than 1e-12: {moved}"
+
+
+def regenerate(compute, path: Path, argv=None) -> None:
+    """Write ``compute()`` to ``path``.  With ``--only KEY ...`` write just
+    those keys, new or frozen, and copy every other frozen array unchanged;
+    exit 1, naming them, if any other key moved, is missing or is unfrozen."""
+    parser = argparse.ArgumentParser(description=f"regenerate {path.name}")
+    parser.add_argument("--only", nargs="+", metavar="KEY", help="write only these keys")
+    only = parser.parse_args(argv).only
+    current = compute()
+    if only is None:
+        np.savez(path, **current)
+        print(f"wrote {path}")
+        return
+    out = {key: want for key, want in _load(path).items() if key not in only}
+    bad = [f"moved: {key}" for key in _moved(current, out)]
+    bad += [f"not computed: {key}" for key in only if key not in current]
+    bad += [f"neither frozen nor named: {key}" for key in current
+            if key not in out and key not in only]
+    if bad:
+        sys.exit("refusing to write " + str(path) + "\n" + "\n".join(bad))
+    out.update((key, current[key]) for key in only)
+    np.savez(path, **out)
+    print(f"wrote {len(only)} of {len(out)} arrays to {path}")
 
 
 def test_outputs_unchanged():
     assert_unchanged(compute_outputs(), GOLDEN)
 
 
+def test_regenerate_only_writes_named_keys(tmp_path):
+    path = tmp_path / "golden.npz"
+    np.savez(path, kept=np.zeros(2), named=np.zeros(2))
+    current = {"kept": np.full(2, 1e-13), "named": np.ones(2), "new": np.ones(3)}
+    regenerate(lambda: current, path, ["--only", "named", "new"])
+    with np.load(path) as out:
+        assert sorted(out.files) == ["kept", "named", "new"]
+        assert not out["kept"].any() and out["named"].all() and out["new"].shape == (3,)
+    current["kept"] = np.full(2, 2e-12)
+    del current["new"]
+    current["unfrozen"] = np.ones(1)
+    with pytest.raises(SystemExit) as refused:
+        regenerate(lambda: current, path, ["--only", "named", "new"])
+    for line in ("moved: kept", "not computed: new", "neither frozen nor named: unfrozen"):
+        assert line in str(refused.value)
+    with np.load(path) as out:
+        assert not out["kept"].any()
+
+
 if __name__ == "__main__":
-    np.savez(GOLDEN, **compute_outputs())
-    print(f"wrote {GOLDEN}")
+    regenerate(compute_outputs, GOLDEN)

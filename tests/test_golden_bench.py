@@ -1,13 +1,14 @@
 """Frozen outputs at the two benchmark shapes, ViT-S 384x14x14 and R50 2048x7x7.
 
 ``golden_bench_shapes.npz`` holds the pooled vectors and attention of the
-single-pass poolers whose d x d products dominate at these shapes: vit and
-cait (6 heads at ViT-S, 8 at R50), simpool and how (default and with a
-supplied centering and projection), plus the three ``simpool_backward``
-gradients for one fixed cotangent.  A d x d gradient at d = 2048 is 32 MB,
-so each gradient is frozen as every (n // 8)-th row and column.  Regenerate
-the file (only when a change of output is intended) with
-``PYTHONPATH=src python tests/test_golden_bench.py``.
+poolers whose d x d products dominate at these shapes: vit and cait (6 heads
+at ViT-S, 8 at R50), simpool and how (default and with a supplied centering
+and projection), slot attention (full and simplified, k = 4, the stream
+workload's k), plus the three ``simpool_backward`` gradients for one fixed
+cotangent.  A d x d gradient at d = 2048 is 32 MB, so each gradient is frozen
+as every (n // 8)-th row and column.  Regenerate the file (only when a change
+of output is intended) with ``PYTHONPATH=src python tests/test_golden_bench.py``,
+or just some arrays with ``--only KEY [KEY ...]`` (see ``test_golden.regenerate``).
 """
 
 from pathlib import Path
@@ -15,16 +16,17 @@ from pathlib import Path
 import numpy as np
 
 from poolkit.cli import run_method
+from poolkit.cluster_poolers import SlotWeights, slot_pool
 from poolkit.framework import FeatureMap
 from poolkit.simple_poolers import HowConfig, how
 from poolkit.simpool import SimPoolParams, simpool_backward, simpool_forward
 from poolkit.tensor_io import config_from_dict
 
-from test_golden import assert_unchanged
+from test_golden import assert_unchanged, regenerate
 
 GOLDEN = Path(__file__).with_name("golden_bench_shapes.npz")
 SHAPES = ((384, 14, 14, 6), (2048, 7, 7, 8))  # (d, width, height, heads)
-SEED, ITERS = 0, 3
+SEED, ITERS, SLOTS = 0, 3, 4
 
 
 def _feature_map(d, width, height):
@@ -48,6 +50,12 @@ def compute_outputs() -> dict:
             out[f"{tag}/{method}/u"] = pooled.u
             if pooled.attention is not None:
                 out[f"{tag}/{method}/a"] = pooled.attention.a
+        slot_weights = SlotWeights.seeded(d, seed=SEED)
+        for mode in ("full", "simple"):
+            pooled = slot_pool(fm, SLOTS, ITERS, slot_weights, seed=SEED,
+                               simplified=mode == "simple")
+            out[f"{tag}/slot_{mode}/u"] = pooled.u
+            out[f"{tag}/slot_{mode}/a"] = pooled.attention.a
         rng = np.random.default_rng([2001, d])
         supplied = HowConfig(centering=rng.normal(size=d), projection=rng.normal(size=(d, d)))
         out[f"{tag}/how_projected/u"] = how(fm, supplied)
@@ -65,5 +73,4 @@ def test_bench_shape_outputs_unchanged():
 
 
 if __name__ == "__main__":
-    np.savez(GOLDEN, **compute_outputs())
-    print(f"wrote {GOLDEN}")
+    regenerate(compute_outputs, GOLDEN)

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from poolkit.errors import ContractError, DegenerateMassError
 from poolkit.matcore import (
+    SMALL_GEMM,
     col_softmax,
     conv2d_same,
     eta_norm,
     l2_normalize,
     layernorm_cols,
+    narrow_matmul,
     sigmoid,
     sq_distances,
 )
@@ -126,3 +130,32 @@ class TestConv2dSameBatched:
         out = conv2d_same(imgs, kernel)
         for i in range(3):
             np.testing.assert_array_equal(out[i], conv2d_same(imgs[i], kernel))
+
+
+@st.composite
+def _narrow_products(draw):
+    """(w, z): w is m x k, with k small or 2048; z is k x n, n from 1 to 64,
+    or a k-vector.  m is drawn against the rows of one block of w: below
+    one block, or some whole blocks plus a remainder, often not 0.  Either
+    operand may be a strided slice of a larger array."""
+    k = draw(st.one_of(st.integers(2, 8), st.just(2048)))
+    n = draw(st.integers(1, 64))
+    rows = SMALL_GEMM // (n * k)
+    m = draw(st.integers(0, 3)) * rows + draw(st.integers(1, rows))
+    assume(m * (k + n) <= 2**21)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    w = rng.normal(size=(m, 2 * k))[:, ::2] if draw(st.booleans()) else rng.normal(size=(m, k))
+    z = rng.normal(size=(k, 2 * n))[:, ::2] if draw(st.booleans()) else rng.normal(size=(k, n))
+    return w, z[:, 0] if n == 1 and draw(st.booleans()) else z
+
+
+class TestNarrowMatmul:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_narrow_products())
+    def test_matches_product_within_dot_rounding(self, case):
+        # each of two computed k-term dot products is within k * eps/2 * (|w| @ |z|)
+        w, z = case
+        got = narrow_matmul(w, z)
+        assert got.shape == (w @ z).shape
+        bound = w.shape[1] * np.finfo(np.float64).eps * (np.abs(w) @ np.abs(z))
+        assert np.all(np.abs(got - w @ z) <= bound)

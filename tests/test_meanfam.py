@@ -73,6 +73,22 @@ class TestWeightedGeneralizedMean:
         assert np.all(np.isfinite(out))
 
 
+    @pytest.mark.parametrize("gamma", [100.0, -100.0])
+    def test_attention_on_powers_below_normal_range(self, gamma):
+        # column 0 is one-hot on the entry farthest from the factored row
+        # extreme (ratio 6e-4 or 6e-8, or 1e4 / 6e-4 for gamma < 0), whose
+        # power is subnormal or 0 at |gamma| = 100; column 1 splits evenly
+        # between the two ends and takes the plain path
+        v = np.array([[1e4, 6.0, 1e4], [1e4, 6e-4, 1e4]])
+        far, near = (1, 0) if gamma > 0 else (0, 1)
+        a = np.zeros((3, 2))
+        a[far, 0] = 1.0
+        a[:2, 1] = 0.5
+        out = weighted_generalized_mean(v, a, AlphaParam.from_gamma(gamma))
+        np.testing.assert_allclose(out[:, 0], v[:, far], rtol=1e-14)
+        np.testing.assert_allclose(out[:, 1], v[:, near] * 0.5 ** (1 / gamma), rtol=1e-14)
+
+
 class TestFAlphaRoundTrip:
     def test_inverse(self):
         # one-hot attention makes f^-1(f(V) A) give back V itself

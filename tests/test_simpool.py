@@ -9,7 +9,8 @@ from poolkit.matcore import col_softmax
 from poolkit.meanfam import CLAMP_FLOOR
 from poolkit.simpool import SimPoolParams, simpool_backward, simpool_forward, simpool_gradcheck
 
-from numeric_edges import COLUMN_EDGES, SCALES, assert_within_rounding, feature_matrices, shape_columns
+from numeric_edges import (COLUMN_EDGES, SCALES, SIMPOOL_OVERFLOW, SIMPOOL_SETTINGS,
+                           assert_within_rounding, feature_matrices, shape_columns)
 
 
 def _fm(x, **kw):
@@ -120,8 +121,8 @@ class TestBackward:
 
 
 def _materialized_reference(x, params, du):
-    """SimPool with LayerNorm written with the d x p keys W_K xn formed, and
-    its key gradients taken through them by two d x p x d products.
+    """SimPool written with the d x p keys W_K xn formed, and its key
+    gradients taken through them by two d x p x d products.
 
     Returns the outputs (u, a, d_wq, d_wk, d_x), their majorants (the same
     expressions on absolute values) and kappa, the logits' majorant, at
@@ -129,38 +130,49 @@ def _materialized_reference(x, params, du):
     d, p = x.shape
     g, s = params.gamma, 1.0 / np.sqrt(d)
     u0 = x.mean(axis=1)
-    inv_std = 1.0 / np.sqrt(x.var(axis=0) + params.ln_eps)
-    xn = (x - x.mean(axis=0)) * inv_std
+    if params.use_layernorm:
+        inv_std = 1.0 / np.sqrt(x.var(axis=0) + params.ln_eps)
+        xn = (x - x.mean(axis=0)) * inv_std
+    else:
+        xn = x
     q = params.w_q @ u0
     keys = params.w_k @ xn
     a = col_softmax((keys.T @ q * s)[:, None])[:, 0]
     argmin = np.unravel_index(np.argmin(xn), xn.shape)
     v = xn - xn[argmin]
     vc = np.maximum(v, CLAMP_FLOOR)
-    u = ((vc**g) @ a) ** (1.0 / g)
-
-    inner = u**g
-    d_inner = du / g * np.where(inner > 0, u / np.maximum(inner, 1e-300), 0.0)
-    d_v = np.where(v > CLAMP_FLOOR, np.outer(d_inner, a) * g * vc ** (g - 1.0), 0.0)
+    # the mean and its gradients as written, in long double: its range (to
+    # about 1e4932 on x86-64 and aarch64 Linux) holds every power of vc here
+    vl, al = vc.astype(np.longdouble), a.astype(np.longdouble)
+    inner = (vl**g) @ al
+    u = (inner ** (1.0 / g)).astype(float)
+    d_inner = du / g * inner ** (1.0 / g - 1.0)
+    d_vc = (np.outer(d_inner, al) * g * vl ** (g - 1.0)).astype(float)
+    d_v = np.where(v > CLAMP_FLOOR, d_vc, 0.0)
     d_xn = d_v.copy()
     d_xn[argmin] -= d_v.sum()
-    d_a = (vc**g).T @ d_inner
-    d_logits = a * (d_a - a @ d_a)
+    d_a = (vl**g).T @ d_inner
+    d_logits = (al * (d_a - al @ d_a)).astype(float)
     d_keys = np.outer(q, d_logits) * s
     d_q = keys @ d_logits * s
     d_xn += params.w_k.T @ d_keys
-    d_x = inv_std * (d_xn - d_xn.mean(axis=0) - xn * (d_xn * xn).mean(axis=0))
+    d_x = d_xn
+    if params.use_layernorm:
+        d_x = inv_std * (d_xn - d_xn.mean(axis=0) - xn * (d_xn * xn).mean(axis=0))
     d_x += (params.w_q.T @ d_q)[:, None] / p
     outputs = (u, a, np.outer(d_q, u0), d_keys @ xn.T, d_x)
 
     abs_xn, abs_wk = np.abs(xn), np.abs(params.w_k)
     kappa = max(1.0, np.max(abs_xn.T @ (abs_wk.T @ np.abs(q))) * s)
-    abs_da = (vc**g).T @ np.abs(d_inner)
-    abs_dl = a * (abs_da + a @ abs_da)
+    abs_da = (vl**g).T @ np.abs(d_inner)
+    abs_dl = (al * (abs_da + al @ abs_da)).astype(float)
     abs_dq = abs_wk @ (abs_xn @ abs_dl) * s
     abs_dxn = np.abs(d_v) + np.outer(abs_wk.T @ np.abs(q), abs_dl) * s
     abs_dxn[argmin] += np.abs(d_v).sum()
-    abs_dx = inv_std * (abs_dxn + abs_dxn.mean(axis=0) + abs_xn * (abs_dxn * abs_xn).mean(axis=0))
+    abs_dx = abs_dxn
+    if params.use_layernorm:
+        abs_dx = inv_std * (abs_dxn + abs_dxn.mean(axis=0)
+                            + abs_xn * (abs_dxn * abs_xn).mean(axis=0))
     abs_dx += (np.abs(params.w_q).T @ abs_dq)[:, None] / p
     majorants = (u, a, np.outer(abs_dq, np.abs(u0)),
                  np.outer(np.abs(q) * s, abs_xn @ abs_dl), abs_dx)
@@ -172,13 +184,17 @@ class TestNarrowProducts:
     with the form that does, on every edge of the input domain."""
 
     @settings(max_examples=150, deadline=None)
-    @given(x=feature_matrices(), scale=SCALES, columns=COLUMN_EDGES, seed=st.integers(0, 2**16))
-    @example(x=np.array([[1.0], [-3.0]]), scale=1e6, columns="drawn", seed=0)  # d=2, p=1
-    def test_matches_materialized_keys(self, x, scale, columns, seed):
+    @given(x=feature_matrices(), scale=SCALES, columns=COLUMN_EDGES, setting=SIMPOOL_SETTINGS,
+           seed=st.integers(0, 2**16))
+    @example(x=np.array([[1.0], [-3.0]]), scale=1e6, columns="drawn", setting={"gamma": 2.0},
+             seed=0)  # d=2, p=1
+    @example(x=SIMPOOL_OVERFLOW, scale=1.0, columns="drawn",
+             setting={"gamma": 100.0, "use_layernorm": False}, seed=0)
+    def test_matches_materialized_keys(self, x, scale, columns, setting, seed):
         d, p = x.shape
         x = scale * shape_columns(x, columns)
         rng = np.random.default_rng(seed)
-        params = SimPoolParams.seeded(d, gamma=float(rng.choice([1.0, 2.0, 3.0])), seed=seed)
+        params = SimPoolParams.seeded(d, seed=seed, **setting)
         du = rng.normal(size=d)
         u, a, cache = simpool_forward(_fm(x), params)
         grads = simpool_backward(cache, du)

@@ -9,10 +9,27 @@ from poolkit.framework import FeatureMap
 from poolkit.matcore import col_softmax
 from poolkit.nncells import MlpWeights, mlp2
 from poolkit.tensor_io import config_from_dict
-from poolkit.transformer_poolers import (VitIterWeights, VitWeights, block_diagonal_query,
-                                         split_heads, vit_cls_pool)
+from poolkit.transformer_poolers import VitIterWeights, VitWeights, vit_cls_pool
 
 from numeric_edges import COLUMN_EDGES, SCALES, assert_within_rounding, feature_matrices, shape_columns
+
+
+def split_heads(a, m):
+    """Split rows into m contiguous blocks, one per head."""
+    a = np.asarray(a, dtype=np.float64)
+    d = a.shape[0]
+    if d % m != 0:
+        raise ShapeError(f"split_heads: {m} does not divide dimension {d}")
+    step = d // m
+    return [a[i * step : (i + 1) * step] for i in range(m)]
+
+
+def block_diagonal_query(q, m):
+    """Arrange the m head sub-queries as a (d, m) block-diagonal matrix."""
+    out = np.zeros((q.shape[0], m))
+    for i, h in enumerate(split_heads(q[:, None], m)):
+        out[i * h.shape[0] : (i + 1) * h.shape[0], i] = h[:, 0]
+    return out
 
 
 def _fm(x, **kw):
