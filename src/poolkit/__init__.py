@@ -13,7 +13,7 @@ from .framework import (
     pairwise_similarity,
     run_pooling,
 )
-from .meanfam import AlphaParam, approx_extreme, lse_pool, weighted_generalized_mean
+from .meanfam import AlphaParam, lse_pool, weighted_generalized_mean
 from .simple_poolers import HowConfig, gap, gem, how, lse, max_pool
 from .cluster_poolers import (
     NystromMap,
@@ -28,7 +28,7 @@ from .cluster_poolers import (
 from .reweight_poolers import CbamWeights, SeWeights, cbam_pool, se_pool
 from .transformer_poolers import VitWeights, vit_cls_pool
 from .simpool import SimPoolCache, SimPoolParams, simpool_backward, simpool_forward, simpool_gradcheck
-from .gradcheck import GradReport, central_diff, rel_error
+from .gradcheck import GradReport, central_diff
 from .attnmap import AttnGrid, BBox, largest_component_bbox, mass_threshold, reshape_attention, write_pgm
 from .tensor_io import RunConfig, load_config, load_feature_map, read_npy, write_npy
 

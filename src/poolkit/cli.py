@@ -37,17 +37,6 @@ EXIT_IO = 2
 EXIT_NUMERIC = 3
 
 
-def _check_weight_shape(role: str, w: np.ndarray, d: int) -> None:
-    """A supplied how weight array must fit d feature channels (otk_pool
-    checks its anchors itself)."""
-    fits, want = {
-        "centering": (w.shape == (d,), f"({d},)"),
-        "projection": (w.ndim == 2 and w.shape[0] >= 1 and w.shape[1] == d, f"(n >= 1, {d})"),
-    }[role]
-    if not fits:
-        raise ShapeError(f"weights {role!r} has shape {w.shape}; {d}-channel features need {want}")
-
-
 def run_method(cfg: RunConfig, fm: FeatureMap) -> PooledSet:
     """Dispatch a configured method on a feature map."""
     method = cfg.method
@@ -64,14 +53,11 @@ def run_method(cfg: RunConfig, fm: FeatureMap) -> PooledSet:
     if method == "lse":
         return PooledSet(u=lse(fm, cfg.r)[:, None])
     if method == "how":
-        for role, w in supplied.items():
-            _check_weight_shape(role, w, d)
         return PooledSet(u=how(fm, HowConfig(**supplied))[:, None])
     if method == "sinkhorn-otk":
         anchors = supplied.get("anchors")
         if anchors is None:
-            rng = np.random.default_rng(cfg.seed)
-            anchors = fm.x[:, rng.choice(fm.p, size=cfg.k, replace=False)]
+            anchors = fm.sample_columns(cfg.k, cfg.seed)
         return otk_pool(fm, anchors, cfg.epsilon)
     if method == "kmeans":
         return kmeans_pool(fm, cfg.k, cfg.iters, seed=cfg.seed)

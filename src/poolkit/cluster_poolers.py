@@ -12,7 +12,7 @@ import numpy as np
 from .errors import ContractError, ConvergenceError, ShapeError
 from .framework import (AttentionMatrix, AttnRule, FeatureMap, InitRule, MapRule, PooledSet,
                         PoolingSpec, UpdateRule, run_pooling)
-from .matcore import Mat, as_matrix, sq_distances
+from .matcore import Mat, as_matrix, logsumexp, sq_distances
 from .nncells import GruWeights, MlpWeights, dense
 
 
@@ -43,17 +43,12 @@ SCHUR_SHIFT = 1e-12  # relative shift of the Schur complement's diagonal
 BACKTRACKS = 10     # halvings of the capped step before a sweep takes its place
 
 
-def _logsumexp(m: Mat, axis: int) -> np.ndarray:
-    top = m.max(axis=axis, keepdims=True)
-    return (top + np.log(np.exp(m - top).sum(axis=axis, keepdims=True))).squeeze(axis)
-
-
 def _sweep(cost: Mat, g: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """One log-domain Sinkhorn sweep: f fits the rows to 1/p given g, then g
     fits the columns to 1/k given f."""
     p, k = cost.shape
-    f = -eps * (np.log(p) + _logsumexp((g[None, :] - cost) / eps, axis=1))
-    g = -eps * (np.log(k) + _logsumexp((f[:, None] - cost) / eps, axis=0))
+    f = -eps * (np.log(p) + logsumexp((g[None, :] - cost) / eps, axis=1))
+    g = -eps * (np.log(k) + logsumexp((f[:, None] - cost) / eps, axis=0))
     return f, g
 
 
@@ -246,7 +241,7 @@ class SlotWeights:
 
 
 def slot_spec(k: int, iters: int, weights: SlotWeights, seed: int = 0, simplified: bool = False,
-              use_layernorm: bool = True, ln_eps: float = 1e-5) -> PoolingSpec:
+              use_layernorm: bool = True) -> PoolingSpec:
     """Slot attention: slots drawn from N(mu, sigma^2), queries, keys and
     values through (LayerNorm-then-)linear maps, dot-product similarity.
 
@@ -255,7 +250,7 @@ def slot_spec(k: int, iters: int, weights: SlotWeights, seed: int = 0, simplifie
     softmax and takes the weighted value average as the new slots.
     """
     def proj(w: Mat) -> MapRule:
-        return MapRule(kind="linear_ln" if use_layernorm else "linear", weight=w, eps=ln_eps)
+        return MapRule(kind="linear_ln" if use_layernorm else "linear", weight=w)
 
     if simplified:
         attention = AttnRule(kind="col_softmax", scale=np.sqrt(weights.w_k.shape[1]))
@@ -263,7 +258,7 @@ def slot_spec(k: int, iters: int, weights: SlotWeights, seed: int = 0, simplifie
     else:
         attention = AttnRule(kind="row_then_col_norm", scale=np.sqrt(weights.w_k.shape[0]))
         update = UpdateRule(kind="gru_mlp", gru=weights.gru, mlp=weights.mlp,
-                            ln_eps=ln_eps if use_layernorm else None)
+                            layernorm=use_layernorm)
     return PoolingSpec(
         k=k, iters=iters,
         init=InitRule(kind="normal", seed=seed, mu=weights.mu, sigma=weights.sigma),
@@ -280,8 +275,7 @@ def slot_pool(
     seed: int = 0,
     simplified: bool = False,
     use_layernorm: bool = True,
-    ln_eps: float = 1e-5,
 ) -> PooledSet:
     """Iterative soft-clustering: k slot vectors compete for locations
     (see ``slot_spec`` for the two modes)."""
-    return run_pooling(slot_spec(k, iters, weights, seed, simplified, use_layernorm, ln_eps), fm)
+    return run_pooling(slot_spec(k, iters, weights, seed, simplified, use_layernorm), fm)

@@ -29,6 +29,7 @@ from .matcore import (
     sq_distances,
 )
 from .meanfam import AlphaParam, lse_pool, weighted_generalized_mean
+from .nncells import gru_cell, mlp2
 
 
 @dataclass(frozen=True)
@@ -61,6 +62,12 @@ class FeatureMap:
     def p(self) -> int:
         return self.x.shape[1]
 
+    def sample_columns(self, k: int, seed: int) -> Mat:
+        """k distinct columns of x, drawn by ``seed``."""
+        if k > self.p:
+            raise ContractError(f"cannot sample {k} distinct columns from p={self.p}")
+        return self.x[:, np.random.default_rng(seed).choice(self.p, size=k, replace=False)]
+
     @classmethod
     def from_array(cls, x, width: Optional[int] = None, height: Optional[int] = None):
         x = as_matrix(x, "features")
@@ -83,8 +90,6 @@ class AttentionMatrix:
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=np.float64)
-        if a.ndim == 1:
-            a = a[:, None]
         object.__setattr__(self, "a", a)
         if self.stochastic_cols:
             if np.any(a < -1e-12) or np.any(a > 1 + 1e-12):
@@ -100,6 +105,10 @@ class PooledSet:
     u: Mat
     attention: Optional[AttentionMatrix] = None
 
+    def __post_init__(self):
+        if not np.all(np.isfinite(self.u)):
+            raise NumericError("PooledSet: non-finite pooled output")
+
 
 # --- configuration enumerations -------------------------------------------
 
@@ -110,7 +119,6 @@ class MapRule:
 
     kind: str = "identity"  # identity | linear | linear_ln | local_avg_fc
     weight: Optional[Mat] = None
-    eps: float = 1e-5
     centering: Optional[np.ndarray] = None
 
     KINDS = ("identity", "linear", "linear_ln", "local_avg_fc")
@@ -176,12 +184,12 @@ class InitRule:
 @dataclass(frozen=True)
 class UpdateRule:
     """Output mapping for U at the end of an iteration; ``gru_mlp`` is a GRU step
-    plus a residual MLP on the LayerNorm of its output (``ln_eps=None`` skips it)."""
+    plus a residual MLP on the LayerNorm of its output (``layernorm=False`` skips it)."""
 
     kind: str = "identity"  # identity | l2norm | gru_mlp
     gru: object = None
     mlp: object = None
-    ln_eps: Optional[float] = 1e-5
+    layernorm: bool = True
 
     def __post_init__(self):
         if self.kind not in ("identity", "l2norm", "gru_mlp"):
@@ -232,23 +240,21 @@ def pairwise_similarity(k_mat: Mat, q_mat: Mat, kind: str) -> Mat:
 # --- engine ----------------------------------------------------------------
 
 def _apply_map(rule: MapRule, x: Mat, fm: FeatureMap, stage: str, normed: dict) -> Mat:
-    """Map the columns of x; ``normed`` keeps LayerNorm(x) by eps so that
-    maps sharing the same input normalize it only once."""
+    """Map the columns of x; ``normed`` keeps LayerNorm(x) so that maps
+    sharing the same input normalize it only once."""
     try:
         if rule.kind == "identity":
             return x
         if rule.kind == "linear":
             return narrow_matmul(rule.weight, x)
         if rule.kind == "linear_ln":
-            if rule.eps not in normed:
-                normed[rule.eps] = layernorm_cols(x, rule.eps)
-            return narrow_matmul(rule.weight, normed[rule.eps])
-        if rule.kind == "local_avg_fc":
-            centered = x - (rule.centering[:, None] if rule.centering is not None else 0.0)
-            return narrow_matmul(rule.weight, _avg3(centered, fm.width, fm.height))
+            if "x" not in normed:
+                normed["x"] = layernorm_cols(x)
+            return narrow_matmul(rule.weight, normed["x"])
+        centered = x - (rule.centering[:, None] if rule.centering is not None else 0.0)
+        return narrow_matmul(rule.weight, _avg3(centered, fm.width, fm.height))  # local_avg_fc
     except ValueError as exc:
         raise ShapeError(f"{stage} mapping: {exc}") from exc
-    raise ContractError(f"unknown map kind {rule.kind!r}")
 
 
 def _avg3(x: Mat, width: int, height: int) -> Mat:
@@ -277,17 +283,15 @@ def _attention(rule: AttnRule, s: Optional[Mat], x: Mat, k: int, t: int):
     if rule.kind == "col_softmax":
         return col_softmax(s, rule.scale), True, None
     if rule.kind == "row_then_col_norm":
-        return eta_norm(col_softmax(s, rule.scale), "rows"), False, None
-    if rule.kind == "hard_argmax":
-        # One-hot row-wise argmax (ties to the lowest index), then
-        # column normalization; empty columns are reported to the caller.
-        idx = np.argmax(s, axis=1)
-        m = np.zeros((p, k))
-        m[np.arange(p), idx] = 1.0
-        mass = m.sum(axis=0)
-        empty = mass == 0
-        return m / np.where(empty, 1.0, mass), False, empty
-    raise ContractError(f"unknown attention kind {rule.kind!r}")
+        return eta_norm(col_softmax(s, rule.scale)), False, None
+    # hard_argmax: one-hot row-wise argmax (ties to the lowest index), then
+    # column normalization; empty columns are reported to the caller.
+    idx = np.argmax(s, axis=1)
+    m = np.zeros((p, k))
+    m[np.arange(p), idx] = 1.0
+    mass = m.sum(axis=0)
+    empty = mass == 0
+    return m / np.where(empty, 1.0, mass), False, empty
 
 
 def _pool(rule: PoolRule, v: Mat, a: Mat, t: int) -> Mat:
@@ -297,16 +301,14 @@ def _pool(rule: PoolRule, v: Mat, a: Mat, t: int) -> Mat:
         return weighted_generalized_mean(v, a, rule.alpha)
     if rule.kind == "lse":
         return lse_pool(v, a, rule.r)
-    if rule.kind == "max":
-        cols = []
-        for j in range(a.shape[1]):
-            support = a[:, j] > 0
-            if not np.any(support):
-                raise NumericError(f"pooling at iteration {t}: empty support "
-                                   f"in attention column {j}")
-            cols.append(np.max(v[:, support], axis=1))
-        return np.stack(cols, axis=1)
-    raise ContractError(f"unknown pool kind {rule.kind!r}")
+    cols = []  # max
+    for j in range(a.shape[1]):
+        support = a[:, j] > 0
+        if not np.any(support):
+            raise NumericError(f"pooling at iteration {t}: empty support "
+                               f"in attention column {j}")
+        cols.append(np.max(v[:, support], axis=1))
+    return np.stack(cols, axis=1)
 
 
 def _update(rule: UpdateRule, z: Mat, prev: Mat) -> Mat:
@@ -314,13 +316,8 @@ def _update(rule: UpdateRule, z: Mat, prev: Mat) -> Mat:
         return z
     if rule.kind == "l2norm":
         return np.stack([l2_normalize(z[:, j]) for j in range(z.shape[1])], axis=1)
-    if rule.kind == "gru_mlp":
-        from .nncells import gru_cell, mlp2
-
-        g = gru_cell(z, prev, rule.gru)
-        h = g if rule.ln_eps is None else layernorm_cols(g, rule.ln_eps)
-        return g + mlp2(h, rule.mlp)
-    raise ContractError(f"unknown update kind {rule.kind!r}")
+    g = gru_cell(z, prev, rule.gru)  # gru_mlp
+    return g + mlp2(layernorm_cols(g) if rule.layernorm else g, rule.mlp)
 
 
 def _init_u(rule: InitRule, fm: FeatureMap, k: int) -> Mat:
@@ -333,17 +330,11 @@ def _init_u(rule: InitRule, fm: FeatureMap, k: int) -> Mat:
             raise ShapeError(f"InitRule: matrix has {m.shape[1]} columns, k={k}")
         return m
     if rule.kind == "sample_columns":
-        if k > fm.p:
-            raise ContractError(f"InitRule: cannot sample {k} distinct columns from p={fm.p}")
-        rng = np.random.default_rng(rule.seed)
-        idx = rng.choice(fm.p, size=k, replace=False)
-        return fm.x[:, idx].copy()
-    if rule.kind == "normal":
-        rng = np.random.default_rng(rule.seed)
-        mu = np.asarray(rule.mu, dtype=np.float64)
-        sigma = np.asarray(rule.sigma, dtype=np.float64)
-        return mu[:, None] + sigma[:, None] * rng.standard_normal((mu.size, k))
-    raise ContractError(f"unknown init kind {rule.kind!r}")
+        return fm.sample_columns(k, rule.seed)
+    rng = np.random.default_rng(rule.seed)  # normal
+    mu = np.asarray(rule.mu, dtype=np.float64)
+    sigma = np.asarray(rule.sigma, dtype=np.float64)
+    return mu[:, None] + sigma[:, None] * rng.standard_normal((mu.size, k))
 
 
 def run_pooling(spec: PoolingSpec, fm: FeatureMap) -> PooledSet:
@@ -370,6 +361,4 @@ def run_pooling(spec: PoolingSpec, fm: FeatureMap) -> PooledSet:
             z[:, empty] = u[:, empty]  # dead cluster keeps its previous vector
         u = _update(spec.pool_update, z, u)
 
-    if not np.all(np.isfinite(u)):
-        raise NumericError("run_pooling: non-finite pooled output")
     return PooledSet(u=u, attention=AttentionMatrix(a, stochastic_cols=stochastic))

@@ -49,11 +49,6 @@ def rel_error_matrix(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
     return np.abs(g1 - g2) / denom
 
 
-def rel_error(g1: np.ndarray, g2: np.ndarray) -> float:
-    """Max symmetric relative error between two gradients."""
-    return float(rel_error_matrix(g1, g2).max())
-
-
 def compare(name: str, analytic: np.ndarray, numeric: np.ndarray) -> GradReport:
     errs = rel_error_matrix(analytic, numeric)
     worst = np.unravel_index(int(np.argmax(errs)), errs.shape)

@@ -25,6 +25,8 @@ Mat = np.ndarray
 # multiply-adds and 7.0 ms in blocks of 1.007M, as in one product.
 SMALL_GEMM = 1_000_000
 
+LN_EPS = 1e-5  # added to the variance by every LayerNorm
+
 
 def as_matrix(a, name: str = "matrix") -> Mat:
     """Coerce to a 2-d float64 array, rejecting empty or non-finite input."""
@@ -71,28 +73,17 @@ def col_softmax(s: Mat, scale: float = 1.0) -> Mat:
     return e / e.sum(axis=0, keepdims=True)
 
 
-def eta_norm(a: Mat, axis: str) -> Mat:
-    """l1-normalize rows (``axis='rows'``) or columns (``axis='cols'``).
-
-    Entries must be nonnegative; a slice with zero mass raises
-    DegenerateMassError naming the offending index.
-    """
+def eta_norm(a: Mat) -> Mat:
+    """l1-normalize the rows of a nonnegative matrix; a row with zero mass
+    raises DegenerateMassError naming its index."""
     a = np.asarray(a, dtype=np.float64)
     if np.any(a < 0):
         raise ContractError("eta_norm: negative entries")
-    if axis == "rows":
-        mass = a.sum(axis=1)
-        dead = np.flatnonzero(mass == 0)
-        if dead.size:
-            raise DegenerateMassError(f"eta_norm: zero-mass row {dead[0]}")
-        return a / mass[:, None]
-    if axis == "cols":
-        mass = a.sum(axis=0)
-        dead = np.flatnonzero(mass == 0)
-        if dead.size:
-            raise DegenerateMassError(f"eta_norm: zero-mass column {dead[0]}")
-        return a / mass[None, :]
-    raise ContractError(f"eta_norm: axis must be 'rows' or 'cols', got {axis!r}")
+    mass = a.sum(axis=1)
+    dead = np.flatnonzero(mass == 0)
+    if dead.size:
+        raise DegenerateMassError(f"eta_norm: zero-mass row {dead[0]}")
+    return a / mass[:, None]
 
 
 def sq_distances(x: Mat, u: Mat) -> Mat:
@@ -103,14 +94,18 @@ def sq_distances(x: Mat, u: Mat) -> Mat:
     return np.maximum(x2 + u2 - 2.0 * (x.T @ u), 0.0)
 
 
-def layernorm_cols(x: Mat, eps: float = 1e-5) -> Mat:
+def layernorm_cols(x: Mat) -> Mat:
     """Normalize each column to zero mean / unit variance (no affine)."""
-    if eps <= 0:
-        raise ContractError(f"layernorm_cols: eps must be > 0, got {eps}")
     x = np.asarray(x, dtype=np.float64)
     mu = x.mean(axis=0, keepdims=True)
     var = x.var(axis=0, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps)
+    return (x - mu) / np.sqrt(var + LN_EPS)
+
+
+def logsumexp(m: Mat, axis: int) -> np.ndarray:
+    """log(sum(exp(m))) along ``axis``, with the maximum factored out."""
+    top = m.max(axis=axis, keepdims=True)
+    return (top + np.log(np.exp(m - top).sum(axis=axis, keepdims=True))).squeeze(axis)
 
 
 def sigmoid(x):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
+from .matcore import logsumexp
 
 CLAMP_FLOOR = 1e-12
 # A factored inner sum below this may hold terms under the smallest normal
@@ -87,27 +88,8 @@ def weighted_generalized_mean(v, a, alpha: AlphaParam) -> np.ndarray:
     if i.size:
         with np.errstate(divide="ignore"):  # log 0 = -inf drops a zero weight
             t = g * np.log(vc[i]) + np.log(a[:, k].T)
-        top = t.max(axis=1, keepdims=True)
-        u[i, k] = np.exp((top[:, 0] + np.log(np.exp(t - top).sum(axis=1))) / g)
+        u[i, k] = np.exp(logsumexp(t, axis=1) / g)
     return u
-
-
-def approx_extreme(v, gamma_large: float, sign: int = 1) -> np.ndarray:
-    """Uniform power mean with a large exponent, approaching max (or min).
-
-    ``sign=+1`` approaches the row max as gamma_large grows, ``sign=-1``
-    the row min.  Monotone in gamma_large by the power-mean inequality.
-    """
-    if gamma_large < 10:
-        raise ContractError(f"approx_extreme: gamma_large must be >= 10, got {gamma_large}")
-    if sign not in (1, -1):
-        raise ContractError(f"approx_extreme: sign must be +-1, got {sign}")
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim == 1:
-        v = v[None, :]
-    p = v.shape[1]
-    a = np.full((p, 1), 1.0 / p)
-    return weighted_generalized_mean(v, a, AlphaParam.from_gamma(sign * gamma_large))
 
 
 def lse_pool(v, a, r: float) -> np.ndarray:

@@ -13,7 +13,8 @@ from typing import Optional
 
 import numpy as np
 
-from .framework import AttnRule, FeatureMap, MapRule, PoolingSpec, PoolRule, UpdateRule
+from .errors import ShapeError
+from .framework import AttnRule, FeatureMap, MapRule, PoolingSpec, PoolRule, UpdateRule, _avg3
 from .matcore import Mat, l2_normalize
 from .meanfam import AlphaParam, lse_pool, weighted_generalized_mean
 
@@ -55,22 +56,33 @@ class HowConfig:
     centering: Optional[np.ndarray] = None
     projection: Optional[Mat] = None
 
+    def fitted(self, d: int) -> "HowConfig":
+        """The supplied arrays as float64; ShapeError unless they fit d
+        feature channels: centering (d,) and projection (n >= 1, d)."""
+        c, w = (None if v is None else np.asarray(v, dtype=np.float64)
+                for v in (self.centering, self.projection))
+        need = f"{d}-channel features need"
+        if c is not None and c.shape != (d,):
+            raise ShapeError(f"weights 'centering' has shape {c.shape}; {need} ({d},)")
+        if w is not None and (w.ndim != 2 or w.shape[0] < 1 or w.shape[1] != d):
+            raise ShapeError(f"weights 'projection' has shape {w.shape}; {need} (n >= 1, {d})")
+        return HowConfig(c, w)
+
     def resolved(self, d: int) -> tuple[np.ndarray, Mat]:
-        c = np.zeros(d) if self.centering is None else np.asarray(self.centering, dtype=np.float64)
-        w = np.eye(d) if self.projection is None else np.asarray(self.projection, dtype=np.float64)
-        return c, w
+        cfg = self.fitted(d)
+        return (np.zeros(d) if cfg.centering is None else cfg.centering,
+                np.eye(d) if cfg.projection is None else cfg.projection)
 
 
 def how(fm: FeatureMap, cfg: HowConfig = HowConfig()) -> np.ndarray:
     """Norm-attention pooling: weight 3x3-smoothed projected features by
     the squared norm of each raw feature column, then l2-normalize."""
-    from .framework import _avg3  # same kernel as the engine path
-
+    cfg = cfg.fitted(fm.d)
     a = np.sum(fm.x**2, axis=0)  # attention = squared column norms of raw X
-    x = fm.x if cfg.centering is None else fm.x - np.asarray(cfg.centering, dtype=np.float64)[:, None]
-    z = _avg3(x, fm.width, fm.height) @ a
+    x = fm.x if cfg.centering is None else fm.x - cfg.centering[:, None]
+    z = _avg3(x, fm.width, fm.height) @ a  # the engine's kernel
     if cfg.projection is not None:  # P (avg3(X - c) a): the projection meets one vector
-        z = np.asarray(cfg.projection, dtype=np.float64) @ z
+        z = cfg.projection @ z
     return l2_normalize(z)
 
 

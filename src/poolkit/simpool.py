@@ -13,17 +13,16 @@ xnᵀ (W_Kᵀ q), so neither pass forms the d x p key matrix W_K xn.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
 from .errors import ContractError, ShapeError
 from .framework import FeatureMap
 from .gradcheck import GradReport, central_diff, compare
-from .matcore import Mat, col_softmax
+from .matcore import LN_EPS, Mat, col_softmax
 from .meanfam import CLAMP_FLOOR, AlphaParam, weighted_generalized_mean
 from .nncells import dense
-
-DEFAULT_LN_EPS = 1e-5
 
 
 @dataclass(frozen=True)
@@ -31,7 +30,6 @@ class SimPoolParams:
     w_q: Mat
     w_k: Mat
     gamma: float = 2.0
-    ln_eps: float = DEFAULT_LN_EPS
     use_layernorm: bool = True
 
     def __post_init__(self):
@@ -68,14 +66,11 @@ class SimPoolCache:
     x: Mat               # raw input (d, p)
     u0: np.ndarray       # GAP of raw x
     xn: Mat              # LayerNorm'd features (or x when LN disabled)
-    mu: np.ndarray       # per-column mean of x
-    inv_std: np.ndarray  # per-column 1/sqrt(var + eps)
+    inv_std: Optional[np.ndarray]  # per-column 1/sqrt(var + LN_EPS), with LN
     q: np.ndarray
     wkt_q: np.ndarray    # W_Kᵀ q, the query pulled back to feature space
-    logits: np.ndarray
     a: np.ndarray
-    argmin: tuple[int, int]
-    v: Mat               # shifted values before clamping
+    argmin: tuple[int, int]  # of xn, whose entry the values are shifted by
     vc: Mat              # clamped values
     clamp_mask: np.ndarray
     u: np.ndarray
@@ -94,14 +89,10 @@ def simpool_forward(
 
     u0 = x.mean(axis=1)  # GAP of the raw features, before LayerNorm
 
+    xn, inv_std = x, None
     if params.use_layernorm:
-        mu = x.mean(axis=0)
-        inv_std = 1.0 / np.sqrt(x.var(axis=0) + params.ln_eps)
-        xn = (x - mu[None, :]) * inv_std[None, :]
-    else:
-        mu = np.zeros(p)
-        inv_std = np.ones(p)
-        xn = x
+        inv_std = 1.0 / np.sqrt(x.var(axis=0) + LN_EPS)
+        xn = (x - x.mean(axis=0)[None, :]) * inv_std[None, :]
 
     q = params.w_q @ u0
     wkt_q = params.w_k.T @ q
@@ -117,8 +108,8 @@ def simpool_forward(
     u = weighted_generalized_mean(vc, a[:, None], AlphaParam.from_gamma(params.gamma))[:, 0]
 
     cache = SimPoolCache(
-        params=params, x=x, u0=u0, xn=xn, mu=mu, inv_std=inv_std, q=q, wkt_q=wkt_q,
-        logits=logits, a=a, argmin=argmin, v=v, vc=vc, clamp_mask=clamp_mask, u=u,
+        params=params, x=x, u0=u0, xn=xn, inv_std=inv_std, q=q, wkt_q=wkt_q,
+        a=a, argmin=argmin, vc=vc, clamp_mask=clamp_mask, u=u,
     )
     return u, a, cache
 

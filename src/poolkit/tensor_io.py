@@ -186,6 +186,11 @@ class RunConfig:
             raise ConfigError(f"|r| must be >= 1e-9, got {self.r}")
         if self.k < 1 or self.iters < 1 or self.heads < 1:
             raise ConfigError("k, iters and heads must all be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for name, val in (("width", self.width), ("height", self.height)):
+            if val is not None and val < 1:
+                raise ConfigError(f"{name} must be >= 1, got {val}")
 
     @property
     def resolved_gamma(self) -> float:

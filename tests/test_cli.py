@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import struct
 import subprocess
@@ -5,12 +7,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from poolkit.cli import _config_from_args, build_parser, main
 from poolkit.cluster_poolers import kmeans_distortion, otk_pool
 from poolkit.framework import FeatureMap
 from poolkit.simple_poolers import HowConfig, gap, how
-from poolkit.tensor_io import read_npy, write_npy
+from poolkit.tensor_io import METHOD_NAMES, read_npy, write_npy
 
 
 def _write_features(path, arr):
@@ -163,6 +167,72 @@ class TestCmdPool:
     def test_indivisible_d_exit_1(self, tmp_path, method):
         x = _write_features(tmp_path / "x.npy", np.ones((6, 4)))
         assert "not divisible" in _cli_error(["pool", "--input", x, "--method", method], 1)
+
+    @pytest.mark.parametrize("flags, reason", [
+        (["--method", "sinkhorn-otk", "--k", "100"], "cannot sample 100 distinct columns"),
+        (["--method", "gap", "--width", "0"], "width must be >= 1"),
+        (["--method", "gap", "--height", "0"], "height must be >= 1"),
+        (["--method", "slot", "--seed", "-1"], "seed must be >= 0"),
+    ], ids=["otk-k-above-p", "width-0", "height-0", "negative-seed"])
+    def test_out_of_range_flag_exit_1(self, tmp_path, flags, reason):
+        x = _write_features(tmp_path / "x.npy", np.ones((16, 12)))
+        assert reason in _cli_error(["pool", "--input", x, *flags], 1)
+
+    def test_non_finite_output_exit_3(self, tmp_path, capsys):
+        # r * v overflows to inf, and the max-factored sum turns it into NaN
+        x = _write_features(tmp_path / "x.npy", np.full((4, 6), 2.0))
+        assert main(["pool", "--input", x, "--method", "lse", "--r", "1e308"]) == 3
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: PooledSet: non-finite")
+
+
+P = 12  # columns of the feature map the property test pools
+INT_FIELDS = {name: st.integers(-2, 2 * P) for name in ("k", "heads", "seed", "width", "height")}
+INT_FIELDS["iters"] = st.integers(-2, 5)  # keeps the valid runs fast
+FLOAT_FIELDS = dict.fromkeys(("gamma", "epsilon", "r"),
+                             st.sampled_from([0.0, -1.0, 1e-300, 1e308, np.nan, np.inf]))
+WRONG_TYPES = st.one_of(st.text(max_size=3), st.booleans(), st.none(), st.just([1]),
+                        st.just({"k": 1}), st.just(2.5))
+
+
+@pytest.fixture(scope="module")
+def pool_files(tmp_path_factory):
+    """A 16 x 12 feature file, and paths for a config and an output beside it."""
+    root = tmp_path_factory.mktemp("pool")
+    x = _write_features(root / "x.npy", np.random.default_rng(0).uniform(0.1, 3.0, (16, P)))
+    return x, root / "cfg.json", root / "u.npy"
+
+
+@settings(max_examples=150, deadline=None)
+@given(flags=st.fixed_dictionaries({}, optional={"method": st.sampled_from(METHOD_NAMES),
+                                                **INT_FIELDS, **FLOAT_FIELDS}),
+       config=st.none() | st.fixed_dictionaries({}, optional={
+           name: strategy | WRONG_TYPES for name, strategy in {
+               **INT_FIELDS, **FLOAT_FIELDS, "method": st.sampled_from(METHOD_NAMES),
+               "family": st.sampled_from(["conv", "transformer"]), "weights": st.just({}),
+           }.items()}))
+@example(flags={"method": "sinkhorn-otk", "k": 2 * P}, config=None)
+@example(flags={"method": "gap", "width": 0}, config=None)
+@example(flags={"method": "slot", "seed": -1}, config=None)
+@example(flags={"method": "lse", "r": 1e308}, config=None)
+def test_pool_exits_cleanly_on_any_flags_and_config(pool_files, flags, config):
+    """`poolkit pool` ends with exit 0-3: 0 with a finite output, otherwise
+    with its ``error:`` message as the last stderr line, never a traceback."""
+    x, cfg, out = pool_files
+    argv = ["pool", "--input", x, "--out", str(out)]
+    if config is not None:
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    for name, val in flags.items():
+        argv += [f"--{name}", str(val)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        assert np.all(np.isfinite(read_npy(out)[0]))
+    else:
+        assert err.getvalue().splitlines()[-1].startswith("error:")
+        assert "Traceback" not in err.getvalue()
 
 
 class TestCmdAttnmap:

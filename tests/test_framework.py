@@ -7,6 +7,7 @@ from poolkit.framework import (
     AttnRule,
     FeatureMap,
     InitRule,
+    PooledSet,
     PoolingSpec,
     PoolRule,
     pairwise_similarity,
@@ -28,6 +29,14 @@ class TestFeatureMap:
         fm = _fm([[1.0, 2.0, 3.0]])
         assert (fm.width, fm.height) == (3, 1)
         assert (fm.d, fm.p) == (1, 3)
+
+
+class TestPooledSet:
+    def test_non_finite_output_raises(self):
+        PooledSet(u=np.ones((2, 1)))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NumericError, match="non-finite"):
+                PooledSet(u=np.array([[1.0], [bad]]))
 
 
 class TestAttentionMatrix:

@@ -7,6 +7,13 @@ k-means and simplified CBAM modes, on two small feature maps.  Regenerate it
 ``PYTHONPATH=src python tests/test_golden.py``, or rewrite just some arrays,
 adding new ones, with ``... tests/test_golden.py --only KEY [KEY ...]``,
 which refuses if any other array moved by more than 1e-12.
+
+The frozen files only hold to 1e-12 on another BLAS build.  To check that
+a change keeps every output byte for byte on one host, dump the outputs of
+both golden scripts at each commit with ``... tests/test_golden.py --dump
+OUT.npz`` and compare the dumps with ``--compare BEFORE.npz AFTER.npz``,
+which prints how many arrays are byte-identical and the largest absolute
+difference of each array that is not, and exits 1 unless all are.
 """
 
 import argparse
@@ -84,13 +91,52 @@ def assert_unchanged(current: dict, path: Path) -> None:
     assert not moved, f"outputs moved by more than 1e-12: {moved}"
 
 
+def all_outputs() -> dict:
+    """The outputs of both golden scripts, keyed "<golden file>:<array key>"."""
+    import test_golden_bench  # it imports this module, so not at the top
+
+    sets = ((GOLDEN, compute_outputs), (test_golden_bench.GOLDEN, test_golden_bench.compute_outputs))
+    return {f"{path.name}:{key}": val for path, compute in sets for key, val in compute().items()}
+
+
+def compare_dumps(before: Path, after: Path) -> list:
+    """Print how many arrays the two dumps hold byte for byte, and how each
+    other array differs; return the keys that differ."""
+    a, b = _load(before), _load(after)
+    keys = sorted(a.keys() | b.keys())
+    differ = [key for key in keys if key not in a or key not in b
+              or a[key].shape != b[key].shape or a[key].tobytes() != b[key].tobytes()]
+    print(f"{len(keys) - len(differ)} of {len(keys)} arrays byte-identical")
+    for key in differ:
+        if key not in a or key not in b:
+            print(f"{key}: only in {before if key in a else after}")
+        elif a[key].shape != b[key].shape:
+            print(f"{key}: shape {a[key].shape} vs {b[key].shape}")
+        else:
+            print(f"{key}: max abs difference {np.max(np.abs(a[key] - b[key])):.3e}")
+    return differ
+
+
 def regenerate(compute, path: Path, argv=None) -> None:
     """Write ``compute()`` to ``path``.  With ``--only KEY ...`` write just
     those keys, new or frozen, and copy every other frozen array unchanged;
-    exit 1, naming them, if any other key moved, is missing or is unfrozen."""
+    exit 1, naming them, if any other key moved, is missing or is unfrozen.
+    ``--dump`` and ``--compare`` write and compare both scripts' outputs
+    instead (see the module docstring)."""
     parser = argparse.ArgumentParser(description=f"regenerate {path.name}")
-    parser.add_argument("--only", nargs="+", metavar="KEY", help="write only these keys")
-    only = parser.parse_args(argv).only
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--only", nargs="+", metavar="KEY", help="write only these keys")
+    mode.add_argument("--dump", metavar="NPZ", help="write both golden scripts' outputs to NPZ")
+    mode.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
+                      help="compare two dumps array by array")
+    args = parser.parse_args(argv)
+    if args.dump:
+        np.savez(args.dump, **all_outputs())
+        print(f"wrote {args.dump}")
+        return
+    if args.compare:
+        sys.exit(1 if compare_dumps(*map(Path, args.compare)) else 0)
+    only = args.only
     current = compute()
     if only is None:
         np.savez(path, **current)
@@ -129,6 +175,18 @@ def test_regenerate_only_writes_named_keys(tmp_path):
         assert line in str(refused.value)
     with np.load(path) as out:
         assert not out["kept"].any()
+
+
+def test_compare_dumps_reports_each_difference(tmp_path, capsys):
+    before, after = tmp_path / "before.npz", tmp_path / "after.npz"
+    np.savez(before, same=np.ones(2), moved=np.ones(2), gone=np.ones(1), signed=np.zeros(1))
+    np.savez(after, same=np.ones(2), moved=np.array([1.0, 1.5]), new=np.ones(1),
+             signed=-np.zeros(1))
+    assert compare_dumps(before, after) == ["gone", "moved", "new", "signed"]
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "1 of 5 arrays byte-identical"
+    assert out[1:] == [f"gone: only in {before}", "moved: max abs difference 5.000e-01",
+                       f"new: only in {after}", "signed: max abs difference 0.000e+00"]
 
 
 if __name__ == "__main__":

@@ -44,24 +44,20 @@ class TestColSoftmax:
 
 
 class TestEtaNorm:
-    def test_cols(self):
-        np.testing.assert_allclose(eta_norm(np.array([[1.0], [3.0]]), "cols"),
-                                   [[0.25], [0.75]])
-
     def test_rows(self):
-        np.testing.assert_allclose(eta_norm(np.array([[2.0, 2.0]]), "rows"),
+        np.testing.assert_allclose(eta_norm(np.array([[2.0, 2.0]])),
                                    [[0.5, 0.5]])
 
     def test_idempotent(self):
         rng = np.random.default_rng(3)
         a = rng.uniform(0.1, 2.0, size=(5, 6))
-        once = eta_norm(a, "rows")
-        np.testing.assert_allclose(eta_norm(once, "rows"), once, atol=1e-12)
+        once = eta_norm(a)
+        np.testing.assert_allclose(eta_norm(once), once, atol=1e-12)
 
     def test_zero_slice_names_index(self):
         a = np.array([[1.0, 1.0], [0.0, 0.0]])
         with pytest.raises(DegenerateMassError, match="row 1"):
-            eta_norm(a, "rows")
+            eta_norm(a)
 
 
 class TestSqDistances:
@@ -79,7 +75,7 @@ class TestSqDistances:
 
 class TestLayernormCols:
     def test_two_point_column(self):
-        out = layernorm_cols(np.array([[1.0], [-1.0]]), eps=1e-5)
+        out = layernorm_cols(np.array([[1.0], [-1.0]]))
         np.testing.assert_allclose(out[:, 0], [0.999995, -0.999995], atol=1e-6)
 
     def test_constant_column_is_zero(self):

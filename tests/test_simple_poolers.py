@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from poolkit.errors import DegenerateMassError
+from poolkit.errors import DegenerateMassError, ShapeError
 from poolkit.framework import FeatureMap, run_pooling
-from poolkit.meanfam import approx_extreme
+from poolkit.meanfam import AlphaParam, weighted_generalized_mean
 from poolkit.simple_poolers import (
     HowConfig,
     gap,
@@ -47,7 +47,8 @@ class TestMaxPool:
     def test_power_mean_limit(self):
         rng = np.random.default_rng(12)
         x = rng.uniform(0.1, 5.0, size=(4, 6))
-        approx = approx_extreme(x, gamma_large=200.0)[:, 0]
+        uniform = np.full((6, 1), 1.0 / 6)
+        approx = weighted_generalized_mean(x, uniform, AlphaParam.from_gamma(200.0))[:, 0]
         exact = max_pool(_fm(x))
         assert np.all(np.abs(approx - exact) / exact < 0.01)
 
@@ -103,6 +104,28 @@ class TestHow:
     def test_zero_features_degenerate(self):
         with pytest.raises(DegenerateMassError):
             how(FeatureMap(np.zeros((2, 4)), width=2, height=2))
+
+    @pytest.mark.parametrize("cfg", [
+        HowConfig(centering=np.ones(1)),
+        HowConfig(centering=np.ones((3, 1))),
+        HowConfig(projection=np.ones((3, 2))),
+        HowConfig(projection=np.ones(3)),
+        HowConfig(projection=np.ones((0, 3))),
+    ], ids=["centering-scalar", "centering-column", "projection-cols", "projection-1d",
+            "projection-no-rows"])
+    def test_misfit_weights_raise_shape_error(self, cfg):
+        # centering must be (d,) and projection (n >= 1, d): nothing broadcasts
+        fm = FeatureMap(np.ones((3, 4)), width=2, height=2)
+        for pooler in (how, how_spec):
+            with pytest.raises(ShapeError, match="3-channel features need"):
+                pooler(fm, cfg)
+
+    def test_projection_may_change_the_output_size(self):
+        fm = FeatureMap(np.arange(1.0, 13.0).reshape(3, 4), width=2, height=2)
+        cfg = HowConfig(projection=np.ones((2, 3)))  # n = 2 outputs from d = 3 channels
+        out = how(fm, cfg)
+        assert out.shape == (2,)
+        np.testing.assert_allclose(out, run_pooling(how_spec(fm, cfg), fm).u[:, 0], atol=1e-12)
 
 
 class TestFrameworkEquivalence:
