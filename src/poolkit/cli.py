@@ -122,7 +122,16 @@ def cmd_attnmap(args) -> int:
     return EXIT_OK
 
 
+def _check_at_least(args, **floors) -> None:
+    """ConfigError naming the first flag below its floor."""
+    for name, low in floors.items():
+        val = getattr(args, name)
+        if val < low:
+            raise ConfigError(f"--{name.replace('_', '-')} must be >= {low}, got {val}")
+
+
 def cmd_gradcheck(args) -> int:
+    _check_at_least(args, seed=0, d=1, p=1, trials=1)
     d, p = args.d, args.p
     reports = []
     for trial in range(args.trials):
@@ -167,6 +176,7 @@ def _attention_entropy(pooled: PooledSet) -> float:
 
 
 def cmd_tournament(args) -> int:
+    _check_at_least(args, seed=0, d=1, p=1, k_clusters=1, trials=1)
     methods = args.methods.split(",") if args.methods else list(METHOD_NAMES)
     for m in methods:
         if m not in METHOD_NAMES:

@@ -115,7 +115,8 @@ class PooledSet:
 @dataclass(frozen=True)
 class MapRule:
     """Column-wise mapping: identity, linear, LayerNorm-then-linear, or the
-    fixed local-average + projection used by norm-attention pooling."""
+    fixed local-average + projection used by norm-attention pooling (a
+    value map only)."""
 
     kind: str = "identity"  # identity | linear | linear_ln | local_avg_fc
     weight: Optional[Mat] = None
@@ -218,6 +219,17 @@ class PoolingSpec:
             raise ContractError(f"PoolingSpec: iters must be >= 1, got {self.iters}")
         if self.similarity not in ("dot", "neg_sq_euclid"):
             raise ContractError(f"PoolingSpec: unknown similarity {self.similarity!r}")
+        # run_pooling moves every weight onto the k-column side of its product,
+        # which needs the map to commute with the similarity or the pool.
+        if "local_avg_fc" in (self.query_map.kind, self.key_map.kind):
+            raise ContractError("PoolingSpec: local_avg_fc is a value map only")
+        if self.key_map.kind != "identity" and self.similarity != "dot":
+            raise ContractError(f"PoolingSpec: a {self.key_map.kind} key map needs "
+                                f"dot similarity, got {self.similarity!r}")
+        if self.value_map.kind != "identity" and not (
+                self.pool.kind == "f_alpha" and self.pool.alpha.gamma == 1.0):
+            raise ContractError(f"PoolingSpec: a {self.value_map.kind} value map needs "
+                                f"the arithmetic-mean pool")
 
 
 # --- similarity ------------------------------------------------------------
@@ -239,34 +251,44 @@ def pairwise_similarity(k_mat: Mat, q_mat: Mat, kind: str) -> Mat:
 
 # --- engine ----------------------------------------------------------------
 
-def _apply_map(rule: MapRule, x: Mat, fm: FeatureMap, stage: str, normed: dict) -> Mat:
-    """Map the columns of x; ``normed`` keeps LayerNorm(x) so that maps
-    sharing the same input normalize it only once."""
+def _map_input(rule: MapRule, x: Mat, normed: dict) -> Mat:
+    """The weight-free part of a map: X, LayerNorm(X) or X - c.  ``normed``
+    keeps LayerNorm(x) so that maps sharing the same input normalize it once."""
+    if rule.kind == "linear_ln":
+        if "x" not in normed:
+            normed["x"] = layernorm_cols(x)
+        return normed["x"]
+    if rule.kind == "local_avg_fc" and rule.centering is not None:
+        try:
+            return x - rule.centering[:, None]
+        except ValueError as exc:
+            raise ShapeError(f"value mapping: {exc}") from exc
+    return x
+
+
+def _weigh(rule: MapRule, z: Mat, stage: str, transpose: bool = False) -> Mat:
+    """The map's weight on the narrow operand z: W z, or W^T z formed as (z^T W)^T."""
+    if rule.kind == "identity":
+        return z
     try:
-        if rule.kind == "identity":
-            return x
-        if rule.kind == "linear":
-            return narrow_matmul(rule.weight, x)
-        if rule.kind == "linear_ln":
-            if "x" not in normed:
-                normed["x"] = layernorm_cols(x)
-            return narrow_matmul(rule.weight, normed["x"])
-        centered = x - (rule.centering[:, None] if rule.centering is not None else 0.0)
-        return narrow_matmul(rule.weight, _avg3(centered, fm.width, fm.height))  # local_avg_fc
+        return (z.T @ rule.weight).T if transpose else narrow_matmul(rule.weight, z)
     except ValueError as exc:
         raise ShapeError(f"{stage} mapping: {exc}") from exc
 
 
-def _avg3(x: Mat, width: int, height: int) -> Mat:
-    """3x3 spatial average of every channel.
+def _avg3(a: Mat, width: int, height: int) -> Mat:
+    """Adjoint of the 3x3 spatial average, on each column of a (p, k) or on a (p,).
 
-    Out-of-bounds neighbors contribute nothing; each cell divides by the
-    number of in-bounds cells in its window, so a 1x1 grid is unchanged.
+    The average replaces each cell of every channel by the mean of the
+    in-bounds cells of its 3x3 window (so a 1x1 grid is unchanged):
+    avg3(X) = X K D^-1, K the symmetric window matrix, D the window counts.
+    Its adjoint K D^-1 a sums each window of a / counts, so that
+    avg3(X) a = X avg3^T(a) smooths the k attention columns, not the d channels.
     """
     kernel = np.ones((3, 3))
     counts = conv2d_same(np.ones((height, width)), kernel)
-    grids = x.reshape(x.shape[0], height, width)
-    return (conv2d_same(grids, kernel) / counts).reshape(x.shape)
+    grids = (a.T / counts.reshape(-1)).reshape(-1, height, width)
+    return conv2d_same(grids, kernel).reshape(a.T.shape).T
 
 
 def _attention(rule: AttnRule, s: Optional[Mat], x: Mat, k: int, t: int):
@@ -340,23 +362,29 @@ def _init_u(rule: InitRule, fm: FeatureMap, k: int) -> Mat:
 def run_pooling(spec: PoolingSpec, fm: FeatureMap) -> PooledSet:
     """Run the configured pooling loop for exactly ``spec.iters`` iterations.
 
-    The features stay fixed across iterations, so the key and value maps
-    are applied once, before the loop.
+    Each weight meets the k query or pooled columns, never the p feature
+    columns.  Only the weight-free inputs X~ (X, LayerNorm(X) or X - c) are
+    formed once, before the loop.  The key weight is pulled back onto the
+    queries, s = X~^T (W_K^T q); the value weight acts after the arithmetic
+    pool, z = W_V (X~ a); and local_avg_fc's 3x3 average moves onto the
+    attention through its adjoint, z = W ((X - c) avg3^T(a)).
     """
     x = fm.x
     u = _init_u(spec.init, fm, spec.k)
     needs_sim = spec.attention.kind not in ("constant", "feature_sqnorm")
     normed = {}
-    k_mat = _apply_map(spec.key_map, x, fm, "key", normed) if needs_sim else None
-    v = _apply_map(spec.value_map, x, fm, "value", normed)
+    x_key = _map_input(spec.key_map, x, normed) if needs_sim else None
+    x_val = _map_input(spec.value_map, x, normed)
 
     for t in range(spec.iters):
         s = None
         if needs_sim:
-            q = _apply_map(spec.query_map, u, fm, f"query at iteration {t}", {})
-            s = pairwise_similarity(k_mat, q, spec.similarity)
+            q = _weigh(spec.query_map, _map_input(spec.query_map, u, {}), f"query at iteration {t}")
+            s = pairwise_similarity(x_key, _weigh(spec.key_map, q, "key", transpose=True),
+                                    spec.similarity)
         a, stochastic, empty = _attention(spec.attention, s, x, spec.k, t)
-        z = _pool(spec.pool, v, a, t)
+        smoothed = _avg3(a, fm.width, fm.height) if spec.value_map.kind == "local_avg_fc" else a
+        z = _weigh(spec.value_map, _pool(spec.pool, x_val, smoothed, t), "value")
         if empty is not None and np.any(empty):
             z[:, empty] = u[:, empty]  # dead cluster keeps its previous vector
         u = _update(spec.pool_update, z, u)

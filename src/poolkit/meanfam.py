@@ -54,10 +54,6 @@ class AlphaParam:
             )
 
 
-def _clamped(v: np.ndarray) -> np.ndarray:
-    return np.maximum(np.asarray(v, dtype=np.float64), CLAMP_FLOOR)
-
-
 def weighted_generalized_mean(v, a, alpha: AlphaParam) -> np.ndarray:
     """Attention-weighted generalized mean ``f^-1(f(V) A)``.
 
@@ -71,9 +67,9 @@ def weighted_generalized_mean(v, a, alpha: AlphaParam) -> np.ndarray:
         v = v[None, :]
     if a.ndim == 1:
         a = a[:, None]
-    if np.any(v < 0):
+    if v.min() < 0:  # one reduction, no d x p boolean mask
         raise ContractError("weighted_generalized_mean: negative values")
-    vc = _clamped(v)
+    vc = np.maximum(v, CLAMP_FLOOR)
     if alpha.log_branch:
         return np.exp(np.log(vc) @ a)
     g = alpha.gamma

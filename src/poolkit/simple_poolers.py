@@ -76,12 +76,16 @@ class HowConfig:
 
 def how(fm: FeatureMap, cfg: HowConfig = HowConfig()) -> np.ndarray:
     """Norm-attention pooling: weight 3x3-smoothed projected features by
-    the squared norm of each raw feature column, then l2-normalize."""
+    the squared norm of each raw feature column, then l2-normalize.
+
+    Both fixed layers act on the narrow side: P (avg3(X - c) a) is formed
+    as P ((X - c) avg3^T(a)), so the average smooths the one attention
+    column, not the d channels, and the projection meets one vector."""
     cfg = cfg.fitted(fm.d)
     a = np.sum(fm.x**2, axis=0)  # attention = squared column norms of raw X
     x = fm.x if cfg.centering is None else fm.x - cfg.centering[:, None]
-    z = _avg3(x, fm.width, fm.height) @ a  # the engine's kernel
-    if cfg.projection is not None:  # P (avg3(X - c) a): the projection meets one vector
+    z = x @ _avg3(a, fm.width, fm.height)  # the engine's kernel
+    if cfg.projection is not None:
         z = cfg.projection @ z
     return l2_normalize(z)
 

@@ -185,6 +185,25 @@ class TestCmdPool:
         assert capsys.readouterr().err.splitlines()[-1].startswith("error: PooledSet: non-finite")
 
 
+def _flag_args(flags):
+    return [tok for name, val in flags.items() for tok in (f"--{name}", str(val))]
+
+
+def _main_cleanly(argv):
+    """Run ``poolkit`` in-process; it must end with exit 0-3, and unless 0
+    with its ``error:`` message as the last stderr line, never a traceback.
+    Returns the exit code, stdout and the last stderr line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    last = (err.getvalue().splitlines() or [""])[-1]
+    if code != 0:
+        assert last.startswith("error:")
+        assert "Traceback" not in err.getvalue()
+    return code, out.getvalue(), last
+
+
 P = 12  # columns of the feature map the property test pools
 INT_FIELDS = {name: st.integers(-2, 2 * P) for name in ("k", "heads", "seed", "width", "height")}
 INT_FIELDS["iters"] = st.integers(-2, 5)  # keeps the valid runs fast
@@ -222,17 +241,50 @@ def test_pool_exits_cleanly_on_any_flags_and_config(pool_files, flags, config):
     if config is not None:
         cfg.write_text(json.dumps(config))
         argv += ["--config", str(cfg)]
-    for name, val in flags.items():
-        argv += [f"--{name}", str(val)]
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 1, 2, 3)
-    if code == 0:
+    if _main_cleanly(argv + _flag_args(flags))[0] == 0:
         assert np.all(np.isfinite(read_npy(out)[0]))
-    else:
-        assert err.getvalue().splitlines()[-1].startswith("error:")
-        assert "Traceback" not in err.getvalue()
+
+
+FLAG_FLOORS = {"seed": 0, "d": 1, "p": 1, "k-clusters": 1, "trials": 1}
+# Sizes are always drawn, small, so that no run falls back to the default sizes.
+SIZE_FLAGS = {"d": st.integers(-1, 6), "p": st.integers(-1, 8), "trials": st.integers(-1, 2)}
+EDGE_FLOATS = (0.0, -1.0, np.nan, np.inf)
+RUN_COMMANDS = st.one_of(
+    st.tuples(st.just("gradcheck"), st.fixed_dictionaries(SIZE_FLAGS, optional={
+        "seed": st.integers(-2, 3),
+        "gamma": st.sampled_from((0.5, 2.0, 100.0, 101.0) + EDGE_FLOATS),
+        "h": st.sampled_from((1e-4, 1e-2, 1e-9) + EDGE_FLOATS),
+        "tol": st.sampled_from((1e-5, 1e-12) + EDGE_FLOATS)})),
+    st.tuples(st.just("tournament"), st.fixed_dictionaries(SIZE_FLAGS, optional={
+        "seed": st.integers(-2, 3),
+        "k-clusters": st.integers(-1, 10),
+        "methods": st.lists(st.sampled_from(METHOD_NAMES), min_size=1, max_size=4,
+                            unique=True).map(",".join)})))
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=RUN_COMMANDS)
+@example(command=("tournament", {"d": 4, "p": 8, "trials": 1, "seed": -1}))
+@example(command=("tournament", {"d": 4, "p": 8, "trials": 1, "k-clusters": 0}))
+@example(command=("tournament", {"d": 4, "p": 0, "trials": 1}))
+@example(command=("tournament", {"d": 4, "p": 8, "trials": -1}))
+@example(command=("gradcheck", {"d": 4, "p": 8, "trials": 1, "seed": -1}))
+@example(command=("gradcheck", {"d": 4, "p": 8, "trials": 0}))
+def test_tournament_and_gradcheck_exit_cleanly_on_any_flags(command):
+    """`poolkit gradcheck` and `poolkit tournament` end with exit 0-3 and an
+    ``error:`` line, never a traceback; a seed below 0 or a size below 1
+    exits 1 naming its flag, and exit 0 means every trial was reported."""
+    name, flags = command
+    code, out, last = _main_cleanly([name] + _flag_args(flags))
+    low = [flag for flag, floor in FLAG_FLOORS.items() if flags.get(flag, floor) < floor]
+    if low:
+        assert code == 1 and any(last.startswith(f"error: --{flag} must be >= ") for flag in low)
+    elif code == 0:
+        rows = out.splitlines()[1:]
+        per_trial = (len(flags.get("methods", ",".join(METHOD_NAMES)).split(","))
+                     if name == "tournament" else 3)  # gradcheck: W_Q, W_K and X
+        assert len(rows) == flags["trials"] * per_trial
+
 
 
 class TestCmdAttnmap:

@@ -1,8 +1,9 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -16,14 +17,16 @@ from poolkit.cluster_poolers import (
     otk_pool,
     sinkhorn,
     slot_pool,
+    slot_spec,
 )
-from poolkit.errors import ContractError, ConvergenceError, NumericError, ShapeError
-from poolkit.framework import FeatureMap, InitRule, run_pooling
+from poolkit.errors import ContractError, ConvergenceError, DegenerateMassError, NumericError, ShapeError
+from poolkit.framework import FeatureMap, InitRule, UpdateRule, _update, run_pooling
+from poolkit.matcore import col_softmax, eta_norm, layernorm_cols
 from poolkit.nncells import GruWeights, MlpWeights
 from poolkit.simple_poolers import gap
 from poolkit.simpool import SimPoolParams, simpool_forward
 
-from numeric_edges import SCALES
+from numeric_edges import COLUMN_EDGES, SCALES, assert_within_rounding, feature_matrices, shape_columns
 
 
 def _fm(x, **kw):
@@ -284,3 +287,47 @@ class TestSlotPool:
         out = slot_pool(fm, k=3, iters=2, weights=w, seed=1, simplified=True)
         assert out.attention.stochastic_cols
         np.testing.assert_allclose(out.attention.a.sum(axis=0), 1.0, atol=1e-9)
+
+    @settings(max_examples=150, deadline=None)
+    @given(x=feature_matrices(), scale=SCALES, columns=COLUMN_EDGES, k_draw=st.integers(1, 9),
+           simplified=st.booleans(), use_layernorm=st.booleans(), iters=st.integers(1, 3),
+           seed=st.integers(0, 2**16))
+    @example(x=np.array([[1.0], [-3.0]]), scale=1e6, columns="drawn", k_draw=1,
+             simplified=False, use_layernorm=True, iters=2, seed=0)  # d=2, p=1
+    @example(x=np.arange(12.0).reshape(2, 6), scale=1.0, columns="drawn", k_draw=6,
+             simplified=True, use_layernorm=True, iters=3, seed=1)  # k = p
+    def test_matches_materialized_keys_and_values(self, x, scale, columns, k_draw, simplified,
+                                                  use_layernorm, iters, seed):
+        """The engine never forms W_K x~ or W_V x~ (x~ = x or LayerNorm(x));
+        each iteration of slot_pool's spec, run from the reference's slots
+        with the update left out, must give the attention and pooled
+        values of the form that does."""
+        d, p = x.shape
+        k = min(k_draw, p)
+        x = scale * shape_columns(x, columns)
+        fm, w = _fm(x), SlotWeights.seeded(d, seed=seed)
+        spec = slot_spec(k, 1, w, seed, simplified, use_layernorm)
+        ln = layernorm_cols if use_layernorm else (lambda m: m)
+        xt = ln(x)
+        keys, values = w.w_k @ xt, w.w_v @ xt  # the d x p forms
+        rng = np.random.default_rng(seed)
+        u = w.mu[:, None] + w.sigma[:, None] * rng.standard_normal((d, k))
+        scale_s = np.sqrt(d)
+        for _ in range(iters):
+            step = replace(spec, init=InitRule(kind="matrix", matrix=u), pool_update=UpdateRule())
+            a_ref = col_softmax(keys.T @ (w.w_q @ ln(u)), scale_s)
+            if not simplified:
+                try:
+                    a_ref = eta_norm(a_ref)
+                except DegenerateMassError:  # a location no slot attends to
+                    with pytest.raises(DegenerateMassError):
+                        run_pooling(step, fm)
+                    return
+            out = run_pooling(step, fm)
+            z_ref = values @ a_ref
+            # majorants: the logits and values on absolute weights and inputs
+            kappa = max(1.0, np.max(np.abs(xt).T @ (np.abs(w.w_k).T @ (np.abs(w.w_q) @ np.abs(ln(u)))))
+                        / scale_s)
+            assert_within_rounding(out.attention.a, a_ref, a_ref, kappa)
+            assert_within_rounding(out.u, z_ref, np.abs(w.w_v) @ (np.abs(xt) @ a_ref), kappa)
+            u = _update(spec.pool_update, z_ref, u)

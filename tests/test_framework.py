@@ -7,6 +7,7 @@ from poolkit.framework import (
     AttnRule,
     FeatureMap,
     InitRule,
+    MapRule,
     PooledSet,
     PoolingSpec,
     PoolRule,
@@ -121,3 +122,41 @@ class TestRunPooling:
             PoolingSpec(iters=0)
         with pytest.raises(ContractError):
             PoolingSpec(similarity="manhattan")
+
+
+class TestNarrowSideContract:
+    """run_pooling moves every weight onto the k columns, which needs each
+    weighted map to commute with the similarity or the pool it meets."""
+
+    W = np.eye(3)
+
+    @pytest.mark.parametrize("kind", ["linear", "linear_ln"])
+    def test_weighted_key_map_needs_dot_similarity(self, kind):
+        with pytest.raises(ContractError, match="key map needs dot"):
+            PoolingSpec(key_map=MapRule(kind=kind, weight=self.W), similarity="neg_sq_euclid")
+
+    @pytest.mark.parametrize("kind", ["linear", "linear_ln", "local_avg_fc"])
+    @pytest.mark.parametrize("pool", [PoolRule(kind="f_alpha", alpha=AlphaParam.from_gamma(2.0)),
+                                      PoolRule(kind="lse", r=1.0), PoolRule(kind="max")],
+                             ids=["gem", "lse", "max"])
+    def test_weighted_value_map_needs_the_arithmetic_mean(self, kind, pool):
+        with pytest.raises(ContractError, match="value map needs the arithmetic-mean pool"):
+            PoolingSpec(value_map=MapRule(kind=kind, weight=self.W), pool=pool)
+
+    @pytest.mark.parametrize("role", ["query_map", "key_map"])
+    def test_local_avg_fc_is_a_value_map_only(self, role):
+        with pytest.raises(ContractError, match="value map only"):
+            PoolingSpec(**{role: MapRule(kind="local_avg_fc", weight=self.W)})
+
+    def test_every_shipped_spec_constructs(self):
+        from poolkit.cluster_poolers import SlotWeights, kmeans_spec, slot_spec
+        from poolkit.simple_poolers import gap_spec, gem_spec, how_spec, lse_spec, max_spec
+
+        fm = _fm(np.arange(1.0, 13.0).reshape(3, 4), width=2, height=2)
+        weights = SlotWeights.seeded(3, seed=0)
+        specs = [gap_spec(4), max_spec(4), gem_spec(4, 3.0), lse_spec(4, 2.0), how_spec(fm),
+                 kmeans_spec(2, 2, InitRule(kind="sample_columns"))]
+        specs += [slot_spec(2, 2, weights, simplified=simplified, use_layernorm=ln)
+                  for simplified in (False, True) for ln in (False, True)]
+        for spec in specs:
+            assert run_pooling(spec, fm).u.shape[1] == spec.k

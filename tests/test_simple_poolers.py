@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from poolkit.errors import DegenerateMassError, ShapeError
 from poolkit.framework import FeatureMap, run_pooling
@@ -17,6 +19,8 @@ from poolkit.simple_poolers import (
     max_pool,
     max_spec,
 )
+
+from numeric_edges import COLUMN_EDGES, SCALES, assert_within_rounding, feature_matrices, shape_columns
 
 
 def _fm(x, **kw):
@@ -126,6 +130,55 @@ class TestHow:
         out = how(fm, cfg)
         assert out.shape == (2,)
         np.testing.assert_allclose(out, run_pooling(how_spec(fm, cfg), fm).u[:, 0], atol=1e-12)
+
+
+def _smoothed(x, width, height):
+    """The 3x3 average of every channel formed directly: each cell's mean
+    over the in-bounds cells of its window."""
+    grids = np.pad(x.reshape(-1, height, width), ((0, 0), (1, 1), (1, 1)))
+    inside = np.pad(np.ones((height, width)), 1)
+    windows = [(dy, dx) for dy in range(3) for dx in range(3)]
+    sums = sum(grids[:, dy : dy + height, dx : dx + width] for dy, dx in windows)
+    counts = sum(inside[dy : dy + height, dx : dx + width] for dy, dx in windows)
+    return (sums / counts).reshape(x.shape)
+
+
+@st.composite
+def _how_cases(draw):
+    """Features on the numeric edges, a grid for them (1 x p, p x 1 and every
+    other factorization), and a centering and projection, each optional."""
+    x = draw(SCALES) * shape_columns(draw(feature_matrices()), draw(COLUMN_EDGES))
+    d, p = x.shape
+    width = draw(st.sampled_from([w for w in range(1, p + 1) if p % w == 0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    centering = draw(st.sampled_from([None, "column", "drawn"]))
+    centering = {None: None, "column": x[:, 0], "drawn": rng.normal(size=d) * np.max(np.abs(x))}[centering]
+    projection = draw(st.none() | st.integers(1, d + 1).map(lambda n: rng.normal(size=(n, d))))
+    return FeatureMap(x, width, p // width), HowConfig(centering, projection)
+
+
+class TestHowNarrowForm:
+    @settings(max_examples=150, deadline=None)
+    @given(case=_how_cases())
+    @example(case=(FeatureMap(1e6 * np.array([[1.0], [-3.0]]), 1, 1), HowConfig()))
+    def test_matches_smoothed_features(self, case):
+        """how and how_spec smooth the attention by the adjoint of the 3x3
+        average; both must match P (avg3(X - c) a) with the d smoothed
+        channels formed, up to the rounding of its majorant."""
+        fm, cfg = case
+        c, w = cfg.resolved(fm.d)
+        a = np.sum(fm.x**2, axis=0)
+        xc = fm.x - c[:, None]
+        z = w @ (_smoothed(xc, fm.width, fm.height) @ a)
+        norm = np.linalg.norm(z)
+        for pooler in (how, lambda fm, cfg: run_pooling(how_spec(fm, cfg), fm).u[:, 0]):
+            if norm == 0:  # X = c, or no mass: the direction is undefined
+                with pytest.raises(DegenerateMassError):
+                    pooler(fm, cfg)
+                continue
+            # a relative error of the unnormalized z, against its size
+            majorant = (np.abs(w) @ (_smoothed(np.abs(xc), fm.width, fm.height) @ a)) / norm
+            assert_within_rounding(pooler(fm, cfg), z / norm, majorant, 1.0)
 
 
 class TestFrameworkEquivalence:
