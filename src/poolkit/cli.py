@@ -181,8 +181,7 @@ def cmd_tournament(args) -> int:
     for m in methods:
         if m not in METHOD_NAMES:
             raise ConfigError(f"unknown method {m!r} in --methods")
-    rows = []
-    timings = {}
+    rows, timings, failure = [], {}, None
     for trial in range(args.trials):
         fm = _synthesize_features(args.d, args.p, args.k_clusters, args.seed + trial)
         for method in methods:
@@ -193,9 +192,12 @@ def cmd_tournament(args) -> int:
                 # costs so the plan stays solvable on any feature magnitude
                 spread = float(np.var(fm.x, axis=1).sum())
                 overrides["epsilon"] = max(0.1, 0.05 * spread)
-            cfg = config_from_dict(overrides)
             start = time.perf_counter()
-            pooled = run_method(cfg, fm)
+            try:
+                pooled = run_method(config_from_dict(overrides), fm)
+            except PoolkitError as exc:  # raised once the rows that ran are out
+                failure = type(exc)(f"{method}: {exc}")
+                break
             elapsed = (time.perf_counter() - start) * 1e3
             timings[method] = timings.get(method, 0.0) + elapsed
             rows.append((
@@ -205,6 +207,8 @@ def cmd_tournament(args) -> int:
                 kmeans_distortion(fm.x, pooled.u),
                 _attention_entropy(pooled),
             ))
+        if failure is not None:
+            break
     header = "method\ttrial\tnorm\tdistortion\tentropy"
     lines = [header]
     for method, trial, norm, dist, ent in rows:
@@ -216,8 +220,10 @@ def cmd_tournament(args) -> int:
     else:
         sys.stdout.write(report)
     # wall times go to stderr, so stdout (the TSV without --out) stays byte-deterministic
-    for method in methods:
-        print(f"# {method}: {timings[method]:.1f} ms total", file=sys.stderr)
+    for method, ms in timings.items():
+        print(f"# {method}: {ms:.1f} ms total", file=sys.stderr)
+    if failure is not None:
+        raise failure
     return EXIT_OK
 
 

@@ -23,9 +23,10 @@ class SinkhornParams:
     """Settings of ``sinkhorn``: the entropic regularizer ``epsilon``, the
     marginal tolerance ``tol`` (max abs error of the plan's row and column
     sums) and the step budget ``max_iter``.  The solver works on log-domain
-    dual potentials and anneals epsilon down from the cost range in halving
-    levels, finishing each with Newton steps; every log-sum-exp sweep and
-    every Newton step, over all levels, counts against ``max_iter``."""
+    dual potentials and anneals epsilon down from the cost range, dividing
+    it by 4 per level and finishing each level with Newton steps; every
+    log-sum-exp sweep and every Newton step, over all levels, counts against
+    ``max_iter``."""
 
     epsilon: float
     tol: float = 1e-9
@@ -37,6 +38,7 @@ class SinkhornParams:
 
 
 LEVEL_TOL = 1e-3    # marginal residual at which a coarser epsilon level hands over
+LEVEL_RATIO = 4.0   # epsilon of one level over the next's
 STEP_CAP = 4.0      # largest change of any potential in one Newton step, in units of epsilon
 ARMIJO = 1e-4       # fraction of the predicted ascent a Newton step must achieve
 SCHUR_SHIFT = 1e-12  # relative shift of the Schur complement's diagonal
@@ -52,11 +54,12 @@ def _sweep(cost: Mat, g: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray
     return f, g
 
 
-def _newton_step(plan: Mat, grad_f: np.ndarray, grad_g: np.ndarray,
+def _newton_step(plan: Mat, rows: np.ndarray, cols: np.ndarray,
                  eps: float) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """A damped Newton ascent step (df, dg) on the dual at ``plan``, or None
-    when the Schur system is singular, the direction does not ascend, or
-    backtracking finds no sufficient ascent.
+    """A damped Newton ascent step (df, dg) on the dual at ``plan``, whose
+    row and column sums are ``rows`` and ``cols``, or None when the Schur
+    system is singular, the direction does not ascend, or backtracking
+    finds no sufficient ascent.
 
     The dual is <f, 1/p> + <g, 1/k> - eps * sum(plan); its Hessian is
     -(1/eps) [[diag(P1), P], [P^T, diag(P^T 1)]].  Eliminating df leaves the
@@ -66,19 +69,17 @@ def _newton_step(plan: Mat, grad_f: np.ndarray, grad_g: np.ndarray,
     their relative potential, and roundoff in the gradient would become a
     step there so large that the cap shrinks every other component to
     nothing; shifting S's diagonal by 1e-12 of itself bounds that step."""
-    rows, cols = plan.sum(axis=1), plan.sum(axis=0)
+    grad_f, grad_g = 1.0 / rows.size - rows, 1.0 / cols.size - cols
     scaled = plan / rows[:, None]
     schur = np.diag((1.0 + SCHUR_SHIFT) * cols) - plan.T @ scaled
     rhs = eps * (grad_g - scaled.T @ grad_f)
     dg = np.zeros_like(grad_g)
-    # A near-singular Schur system can give inf or NaN; the slope test rejects them.
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            dg[:-1] = np.linalg.solve(schur[:-1, :-1], rhs[:-1])
-        except np.linalg.LinAlgError:
-            return None
-        df = (eps * grad_f - plan @ dg) / rows
-        slope = grad_f @ df + grad_g @ dg
+    try:
+        dg[:-1] = np.linalg.solve(schur[:-1, :-1], rhs[:-1])
+    except np.linalg.LinAlgError:
+        return None
+    df = (eps * grad_f - plan @ dg) / rows
+    slope = grad_f @ df + grad_g @ dg
     if not (np.isfinite(slope) and slope > 0):
         return None
     # Near-block-diagonal plans put a huge step on the blocks' relative
@@ -101,14 +102,15 @@ def sinkhorn(cost: Mat, params: SinkhornParams) -> Mat:
     The solver works in the log domain on the dual potentials f (p) and g
     (k); the plan is P = exp((f_i + g_j - cost_ij) / epsilon), so no kernel
     exp(-cost/epsilon) is formed and none can underflow.  It anneals
-    epsilon: levels start at max(epsilon, max cost - min cost) and halve down
-    to epsilon, each warm-started from the last.  A level runs one
-    log-sum-exp sweep, then damped Newton steps on the concave dual until
-    the marginal residual is below 1e-3, or below ``tol`` at the last level.
-    A Newton step is capped at a few epsilon per potential and backtracked
-    (Armijo); where it cannot ascend, a sweep takes its place.  Every sweep
-    and every Newton step counts against ``max_iter``; a solve that has not
-    reached ``tol`` by then raises ``ConvergenceError``.
+    epsilon: levels start at max(epsilon, max cost - min cost) and divide it
+    by 4 down to epsilon.  g moves about linearly in epsilon, so each level
+    starts from the last two levels' g extrapolated to its epsilon.  A level
+    runs one log-sum-exp sweep, then damped Newton steps on the concave dual
+    until the marginal residual is below 1e-3, or below ``tol`` at the last
+    level.  A Newton step is capped at a few epsilon per potential and
+    backtracked (Armijo); where it cannot ascend, a sweep takes its place.
+    Every sweep and every Newton step counts against ``max_iter``; a solve
+    that has not reached ``tol`` by then raises ``ConvergenceError``.
     """
     cost = as_matrix(cost, "sinkhorn cost")
     # a uniform shift leaves the plan as it is and keeps the potentials, and
@@ -117,28 +119,32 @@ def sinkhorn(cost: Mat, params: SinkhornParams) -> Mat:
     p, k = cost.shape
     f, g = np.zeros(p), np.zeros(k)
     eps = max(params.epsilon, float(cost.max()))
-    residual, steps = np.inf, 0
-    while True:
-        target = params.tol if eps == params.epsilon else LEVEL_TOL
-        first = True  # each level opens with a sweep
-        while first or not residual <= target:  # NaN runs into max_iter
-            if steps == params.max_iter:
-                raise ConvergenceError(
-                    f"sinkhorn: residual {residual:.3e} after {steps} iterations "
-                    f"(tol {params.tol:g})")
-            steps += 1
-            step = None if first else _newton_step(plan, grad_f, grad_g, eps)
-            if step is None:
-                f, g = _sweep(cost, g, eps)
-            else:
-                f, g = f + step[0], g + step[1]
-            first = False
-            plan = np.exp((f[:, None] + g[None, :] - cost) / eps)
-            grad_f, grad_g = 1.0 / p - plan.sum(axis=1), 1.0 / k - plan.sum(axis=0)
-            residual = max(np.abs(grad_f).max(), np.abs(grad_g).max())
-        if eps == params.epsilon:
-            return plan
-        eps = max(params.epsilon, eps / 2)
+    residual, steps, last = np.inf, 0, (g, np.inf)
+    # a near-singular Schur system can give inf or NaN; the slope test rejects them
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            target = params.tol if eps == params.epsilon else LEVEL_TOL
+            first = True  # each level opens with a sweep
+            while first or not residual <= target:  # NaN runs into max_iter
+                if steps == params.max_iter:
+                    raise ConvergenceError(
+                        f"sinkhorn: residual {residual:.3e} after {steps} iterations "
+                        f"(tol {params.tol:g})")
+                steps += 1
+                step = None if first else _newton_step(plan, rows, cols, eps)
+                if step is None:
+                    f, g = _sweep(cost, g, eps)
+                else:
+                    f, g = f + step[0], g + step[1]
+                first = False
+                plan = np.exp((f[:, None] + g[None, :] - cost) / eps)
+                rows, cols = plan.sum(axis=1), plan.sum(axis=0)
+                residual = max(np.abs(rows - 1.0 / p).max(), np.abs(cols - 1.0 / k).max())
+            if eps == params.epsilon:
+                return plan
+            nxt = max(params.epsilon, eps / LEVEL_RATIO)
+            g, last = g + (nxt - eps) / (eps - last[1]) * (g - last[0]), (g, eps)
+            eps = nxt
 
 
 @dataclass(frozen=True)

@@ -116,7 +116,7 @@ class PooledSet:
 class MapRule:
     """Column-wise mapping: identity, linear, LayerNorm-then-linear, or the
     fixed local-average + projection used by norm-attention pooling (a
-    value map only)."""
+    value map only; its weight and centering may be None, for none)."""
 
     kind: str = "identity"  # identity | linear | linear_ln | local_avg_fc
     weight: Optional[Mat] = None
@@ -127,7 +127,7 @@ class MapRule:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ContractError(f"MapRule: unknown kind {self.kind!r}")
-        if self.kind in ("linear", "linear_ln", "local_avg_fc") and self.weight is None:
+        if self.kind in ("linear", "linear_ln") and self.weight is None:
             raise ContractError(f"MapRule[{self.kind}]: weight required")
 
 
@@ -268,7 +268,7 @@ def _map_input(rule: MapRule, x: Mat, normed: dict) -> Mat:
 
 def _weigh(rule: MapRule, z: Mat, stage: str, transpose: bool = False) -> Mat:
     """The map's weight on the narrow operand z: W z, or W^T z formed as (z^T W)^T."""
-    if rule.kind == "identity":
+    if rule.kind == "identity" or rule.weight is None:
         return z
     try:
         return (z.T @ rule.weight).T if transpose else narrow_matmul(rule.weight, z)

@@ -49,8 +49,8 @@ def lse(fm: FeatureMap, r: float) -> np.ndarray:
 class HowConfig:
     """Fixed value-mapping layers: centering vector and projection matrix.
 
-    Defaults (zeros / identity) stand in for statistics that would
-    normally be estimated from a training set.
+    Defaults (None: no centering, no projection) stand in for statistics
+    that would normally be estimated from a training set.
     """
 
     centering: Optional[np.ndarray] = None
@@ -67,11 +67,6 @@ class HowConfig:
         if w is not None and (w.ndim != 2 or w.shape[0] < 1 or w.shape[1] != d):
             raise ShapeError(f"weights 'projection' has shape {w.shape}; {need} (n >= 1, {d})")
         return HowConfig(c, w)
-
-    def resolved(self, d: int) -> tuple[np.ndarray, Mat]:
-        cfg = self.fitted(d)
-        return (np.zeros(d) if cfg.centering is None else cfg.centering,
-                np.eye(d) if cfg.projection is None else cfg.projection)
 
 
 def how(fm: FeatureMap, cfg: HowConfig = HowConfig()) -> np.ndarray:
@@ -121,10 +116,10 @@ def lse_spec(p: int, r: float) -> PoolingSpec:
 
 
 def how_spec(fm: FeatureMap, cfg: HowConfig = HowConfig()) -> PoolingSpec:
-    centering, projection = cfg.resolved(fm.d)
+    cfg = cfg.fitted(fm.d)
     return PoolingSpec(
         attention=AttnRule(kind="feature_sqnorm"),
-        value_map=MapRule(kind="local_avg_fc", weight=projection, centering=centering),
+        value_map=MapRule(kind="local_avg_fc", weight=cfg.projection, centering=cfg.centering),
         pool=PoolRule(kind="f_alpha", alpha=AlphaParam(alpha=-1.0)),
         pool_update=UpdateRule(kind="l2norm"),
     )

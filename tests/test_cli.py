@@ -374,6 +374,19 @@ class TestCmdTournament:
         code = main(["tournament", "--methods", "gap,unknown"])
         assert code == 1
 
+    @pytest.mark.parametrize("flags, failing, code", [
+        (["--d", "1"], "se", 1),  # SeWeights: d not divisible by the reduction 4
+        (["--d", "1", "--p", "1"], "how", 3),  # how: all-zero shifted features
+    ], ids=["se-d1", "how-p1"])
+    def test_method_error_keeps_the_rows_that_ran(self, capsys, flags, failing, code):
+        assert main(["tournament", *flags, "--methods", "gap"]) == 0
+        gap_only = capsys.readouterr().out
+        assert main(["tournament", *flags, "--methods", f"gap,{failing}"]) == code
+        captured = capsys.readouterr()
+        assert captured.out == gap_only
+        assert "# gap:" in captured.err
+        assert captured.err.splitlines()[-1].startswith(f"error: {failing}: ")
+
 
 class TestCmdInspect:
     def test_prints_header(self, tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from poolkit import cluster_poolers
 from poolkit.cluster_poolers import (
     NystromMap,
     SinkhornParams,
@@ -21,7 +22,7 @@ from poolkit.cluster_poolers import (
 )
 from poolkit.errors import ContractError, ConvergenceError, DegenerateMassError, NumericError, ShapeError
 from poolkit.framework import FeatureMap, InitRule, UpdateRule, _update, run_pooling
-from poolkit.matcore import col_softmax, eta_norm, layernorm_cols
+from poolkit.matcore import col_softmax, eta_norm, layernorm_cols, sq_distances
 from poolkit.nncells import GruWeights, MlpWeights
 from poolkit.simple_poolers import gap
 from poolkit.simpool import SimPoolParams, simpool_forward
@@ -116,6 +117,29 @@ class TestSinkhorn:
         assert np.max(np.abs(plan.sum(axis=1) - 1.0 / p)) <= params.tol
         assert np.max(np.abs(plan.sum(axis=0) - 1.0 / k)) <= params.tol
 
+    def test_step_budget_on_criterion_grid(self, monkeypatch):
+        # criterion 3's 300 solves took 5247 sweeps and Newton steps when each
+        # level halved epsilon; the quarter levels, warm-started by
+        # extrapolation, must stay within 80% of that
+        calls = []
+
+        def counted(step):
+            def call(*args):
+                calls.append(step)
+                return step(*args)
+            return call
+
+        for name in ("_sweep", "_newton_step"):
+            monkeypatch.setattr(cluster_poolers, name, counted(getattr(cluster_poolers, name)))
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            for eps in (0.05, 0.1, 1.0):
+                for _ in range(10):
+                    p = int(rng.integers(2, 33))
+                    k = int(rng.integers(2, min(p, 32) + 1))
+                    sinkhorn(rng.uniform(0.0, 10.0, size=(p, k)), SinkhornParams(epsilon=eps, tol=1e-8))
+        assert len(calls) <= 0.8 * 5247, len(calls)
+
     def test_iteration_cap_raises(self):
         rng = np.random.default_rng(102)
         cost = rng.uniform(0.0, 10.0, size=(12, 6))
@@ -150,6 +174,27 @@ class TestOtkPool:
         # the feature map has d = 4 channels; anchors must be (4, k >= 1)
         with pytest.raises(ShapeError, match=rf"anchors' has shape {re.escape(str(shape))}"):
             otk_pool(_fm(np.ones((4, 6))), np.ones(shape), epsilon=0.5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=feature_matrices(), scale=SCALES,
+           anchors=st.sampled_from(["drawn", "near-duplicate", "constant"]),
+           nystrom=st.booleans(), log_ratio=st.floats(-3.0, 0.0), data=st.data())
+    def test_k_equals_p_marginals(self, x, scale, anchors, nystrom, log_ratio, data):
+        """k = p anchors: drawn, each a near-duplicate of its feature column,
+        or all one column, whose cost columns are then identical."""
+        x = scale * x
+        drawn = scale * data.draw(arrays(np.float64, x.shape, elements=st.floats(-4.0, 4.0)))
+        anchors = {"drawn": drawn, "near-duplicate": x + 1e-9 * drawn,
+                   "constant": np.repeat(drawn[:, :1], x.shape[1], axis=1)}[anchors]
+        cost = sq_distances(x, anchors)
+        # epsilon from 1e-3 to 1 times the cost range, floored as in sinkhorn's edge test
+        eps = 10.0**log_ratio * max(float(np.ptp(cost)), 1e-6 * scale**2)
+        psi = NystromMap(anchors=anchors, sigma=scale) if nystrom else None
+        params = SinkhornParams(epsilon=eps)
+        plan = otk_pool(_fm(x), anchors, eps, psi=psi, params=params).attention.a
+        p = x.shape[1]
+        assert np.max(np.abs(plan.sum(axis=1) - 1.0 / p)) <= params.tol
+        assert np.max(np.abs(plan.sum(axis=0) - 1.0 / p)) <= params.tol
 
     def test_single_anchor_nystrom_scalar(self):
         anchors = np.array([[1.0], [2.0]])

@@ -1,6 +1,5 @@
 """Smoke test: every narrative demo runs to completion."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,14 +7,11 @@ from pathlib import Path
 import pytest
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
-SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
 

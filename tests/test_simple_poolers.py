@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -124,12 +126,30 @@ class TestHow:
             with pytest.raises(ShapeError, match="3-channel features need"):
                 pooler(fm, cfg)
 
+    def test_spec_without_projection_holds_no_square_weight(self):
+        # no projection means none applied, not a d x d identity multiplied in
+        fm = FeatureMap(np.arange(1.0, 13.0).reshape(3, 4), width=2, height=2)
+        spec = how_spec(fm, HowConfig(centering=np.ones(3)))
+        assert spec.value_map.weight is None
+        assert all(a.shape != (3, 3) for a in _arrays(spec))
+        np.testing.assert_allclose(run_pooling(spec, fm).u[:, 0],
+                                   how(fm, HowConfig(centering=np.ones(3))), atol=1e-12)
+
     def test_projection_may_change_the_output_size(self):
         fm = FeatureMap(np.arange(1.0, 13.0).reshape(3, 4), width=2, height=2)
         cfg = HowConfig(projection=np.ones((2, 3)))  # n = 2 outputs from d = 3 channels
         out = how(fm, cfg)
         assert out.shape == (2,)
         np.testing.assert_allclose(out, run_pooling(how_spec(fm, cfg), fm).u[:, 0], atol=1e-12)
+
+
+def _arrays(obj):
+    """Every array held by a spec, through its nested rules."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _arrays(getattr(obj, f.name))
 
 
 def _smoothed(x, width, height):
@@ -166,7 +186,8 @@ class TestHowNarrowForm:
         average; both must match P (avg3(X - c) a) with the d smoothed
         channels formed, up to the rounding of its majorant."""
         fm, cfg = case
-        c, w = cfg.resolved(fm.d)
+        c = np.zeros(fm.d) if cfg.centering is None else cfg.centering
+        w = np.eye(fm.d) if cfg.projection is None else cfg.projection
         a = np.sum(fm.x**2, axis=0)
         xc = fm.x - c[:, None]
         z = w @ (_smoothed(xc, fm.width, fm.height) @ a)
