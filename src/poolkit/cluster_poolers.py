@@ -39,60 +39,96 @@ class SinkhornParams:
 
 LEVEL_TOL = 1e-3    # marginal residual at which a coarser epsilon level hands over
 LEVEL_RATIO = 4.0   # epsilon of one level over the next's
-STEP_CAP = 4.0      # largest change of any potential in one Newton step, in units of epsilon
+STEP_CAP = 4.0      # largest potential change in a Newton step's first trial, in units of epsilon
 ARMIJO = 1e-4       # fraction of the predicted ascent a Newton step must achieve
 SCHUR_SHIFT = 1e-12  # relative shift of the Schur complement's diagonal
-BACKTRACKS = 10     # halvings of the capped step before a sweep takes its place
+BACKTRACKS = 10     # trials of a Newton step beyond its first, halving or doubling it
 
 
-def _sweep(cost: Mat, g: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """One log-domain Sinkhorn sweep: f fits the rows to 1/p given g, then g
-    fits the columns to 1/k given f."""
-    p, k = cost.shape
-    f = -eps * (np.log(p) + logsumexp((g[None, :] - cost) / eps, axis=1))
-    g = -eps * (np.log(k) + logsumexp((f[:, None] - cost) / eps, axis=0))
-    return f, g
+def _sweep(cost_t: Mat, g: np.ndarray, eps: float) -> tuple[np.ndarray, Mat]:
+    """One log-domain Sinkhorn sweep on the transposed (k x p) cost: f fits
+    the rows to 1/p given g, then g fits the columns to 1/k given f.
+    Returns g and the transposed plan, formed from the terms of g's own
+    log-sum-exp, so that its columns sum to 1/k."""
+    k, p = cost_t.shape
+    f = -eps * (np.log(p) + logsumexp((g[:, None] - cost_t) / eps, axis=0))
+    z = (f - cost_t) / eps
+    top = z.max(axis=1)
+    e = np.exp(z - top[:, None])
+    s = e.sum(axis=1)
+    return -eps * (np.log(k) + (top + np.log(s))), e / (k * s)[:, None]
 
 
-def _newton_step(plan: Mat, rows: np.ndarray, cols: np.ndarray,
-                 eps: float) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """A damped Newton ascent step (df, dg) on the dual at ``plan``, whose
-    row and column sums are ``rows`` and ``cols``, or None when the Schur
-    system is singular, the direction does not ascend, or backtracking
-    finds no sufficient ascent.
+def _newton_step(plan_t: Mat, rows: np.ndarray, cols: np.ndarray, grad_f: np.ndarray,
+                 grad_g: np.ndarray, eps: float) -> Optional[tuple[np.ndarray, Mat]]:
+    """A damped Newton ascent step on the dual at the plan P, held
+    transposed as ``plan_t`` (k x p).  ``rows`` and ``cols`` are P's row and
+    column sums, and (``grad_f``, ``grad_g``) = (1/p - rows, 1/k - cols) is
+    the dual gradient.  Returns the change of g and the transposed plan
+    after the step, or None when the Schur system is singular, the
+    direction does not ascend, or no trial step ascends enough.
 
-    The dual is <f, 1/p> + <g, 1/k> - eps * sum(plan); its Hessian is
+    The dual is <f, 1/p> + <g, 1/k> - eps * sum(P); its Hessian is
     -(1/eps) [[diag(P1), P], [P^T, diag(P^T 1)]].  Eliminating df leaves the
     Schur complement S = diag(P^T 1) - P^T diag(1/P1) P, singular along the
     gauge (f + c, g - c), which holding the last dg at 0 removes.  Where the
     plan falls into nearly uncoupled blocks, S is also nearly singular along
     their relative potential, and roundoff in the gradient would become a
     step there so large that the cap shrinks every other component to
-    nothing; shifting S's diagonal by 1e-12 of itself bounds that step."""
-    grad_f, grad_g = 1.0 / rows.size - rows, 1.0 / cols.size - cols
-    scaled = plan / rows[:, None]
-    schur = np.diag((1.0 + SCHUR_SHIFT) * cols) - plan.T @ scaled
-    rhs = eps * (grad_g - scaled.T @ grad_f)
-    dg = np.zeros_like(grad_g)
+    nothing; shifting S's diagonal by 1e-12 of itself bounds that step.
+
+    The plan is carried, not formed again from the potentials: the step t
+    multiplies it by exp(x), x_ij = t (df_i + dg_j) / eps, from the x its
+    trial has formed.  (Not as P + P expm1(x): where x << 0, 1 + expm1(x)
+    keeps few digits of exp(x), and log P would drift from f + g - cost.)
+    The first trial is capped at ``STEP_CAP`` epsilon per potential and
+    halved until it ascends enough (Armijo); when the cap shortened it and
+    it ascends at once, t doubles, up to the full step, while the dual gain
+    keeps rising.  A step makes at most ``BACKTRACKS`` + 1 trials."""
+    scaled = plan_t / rows
+    neg_schur = scaled @ plan_t.T  # P^T diag(1/P1) P; less the shifted diag(P^T 1), -S
+    neg_schur.flat[::cols.size + 1] -= (1.0 + SCHUR_SHIFT) * cols
+    rhs = eps * (scaled @ grad_f - grad_g)
     try:
-        dg[:-1] = np.linalg.solve(schur[:-1, :-1], rhs[:-1])
+        dg = np.concatenate((np.linalg.solve(neg_schur[:-1, :-1], rhs[:-1]), [0.0]))
     except np.linalg.LinAlgError:
         return None
-    df = (eps * grad_f - plan @ dg) / rows
+    df = (eps * grad_f - dg @ plan_t) / rows
     slope = grad_f @ df + grad_g @ dg
-    if not (np.isfinite(slope) and slope > 0):
+    if not 0.0 < slope < np.inf:
         return None
+    # The step t gains t * slope - eps * sum(P (e^x - 1 - x)) on the dual.
+    # eps * sum(P x) is the scalar t * (rows . df + cols . dg), so a trial
+    # evaluates only expm1(x), which keeps the small gain exact.
+    ascent = slope + rows @ df + cols @ dg
+    flat = plan_t.ravel()
+
+    def trial(t: float) -> tuple[float, Mat]:
+        x = np.add.outer((t / eps) * dg, (t / eps) * df)
+        return t * ascent - eps * (flat @ np.expm1(x).ravel()), x
+
     # Near-block-diagonal plans put a huge step on the blocks' relative
     # potential; uncapped, every backtracked plan overflows.
     t = min(1.0, STEP_CAP * eps / max(np.abs(df).max(), np.abs(dg).max()))
-    for _ in range(BACKTRACKS + 1):
-        # dual gain of the step t: t * slope - eps * sum(P (e^x - 1 - x)),
-        # x = t (df_i + dg_j) / eps; expm1 keeps the difference exact
-        x = t * (df[:, None] + dg[None, :]) / eps
-        if eps * np.sum(plan * (np.expm1(x) - x)) <= (1.0 - ARMIJO) * t * slope:
-            return t * df, t * dg
-        t /= 2
-    return None
+    extend = t < 1.0
+    for left in range(BACKTRACKS, -1, -1):
+        gain, x = trial(t)
+        if gain >= ARMIJO * t * slope:
+            break
+        t, extend = t / 2, False
+    else:
+        return None
+    # the capped first trial ascended: the cap, not the dual, stopped it short
+    while extend and left and t < 1.0:
+        left -= 1
+        longer = min(1.0, 2.0 * t)
+        more, x_more = trial(longer)
+        if not more > gain:
+            break
+        t, gain, x = longer, more, x_more
+    np.exp(x, out=x)
+    x *= plan_t
+    return t * dg, x
 
 
 def sinkhorn(cost: Mat, params: SinkhornParams) -> Mat:
@@ -107,18 +143,27 @@ def sinkhorn(cost: Mat, params: SinkhornParams) -> Mat:
     starts from the last two levels' g extrapolated to its epsilon.  A level
     runs one log-sum-exp sweep, then damped Newton steps on the concave dual
     until the marginal residual is below 1e-3, or below ``tol`` at the last
-    level.  A Newton step is capped at a few epsilon per potential and
-    backtracked (Armijo); where it cannot ascend, a sweep takes its place.
-    Every sweep and every Newton step counts against ``max_iter``; a solve
-    that has not reached ``tol`` by then raises ``ConvergenceError``.
+    level.  A Newton step's first trial is capped at a few epsilon per
+    potential and backtracked (Armijo); a capped trial that ascends is
+    extended while the dual keeps rising.  Where no trial ascends, a sweep
+    takes the step's place.
+
+    The plan is carried from step to step: a sweep returns the plan its
+    log-sum-exp has formed, and a Newton step the plan times exp of the
+    step its last trial has formed, so P is never formed again from f and
+    g.  Each level opens with a sweep, so each starts from a plan formed
+    from the potentials.  The plan is held transposed, k x p, so that its
+    reductions and broadcasts run along the long axis.  Every sweep and
+    every Newton step counts against ``max_iter``; a solve that has not
+    reached ``tol`` by then raises ``ConvergenceError``.
     """
     cost = as_matrix(cost, "sinkhorn cost")
     # a uniform shift leaves the plan as it is and keeps the potentials, and
     # so their rounding, at the scale of the cost range
-    cost = cost - cost.min()
-    p, k = cost.shape
-    f, g = np.zeros(p), np.zeros(k)
-    eps = max(params.epsilon, float(cost.max()))
+    cost_t = (cost - cost.min()).T.copy()
+    k, p = cost_t.shape
+    g = np.zeros(k)
+    eps = max(params.epsilon, float(cost_t.max()))
     residual, steps, last = np.inf, 0, (g, np.inf)
     # a near-singular Schur system can give inf or NaN; the slope test rejects them
     with np.errstate(over="ignore", invalid="ignore"):
@@ -131,17 +176,17 @@ def sinkhorn(cost: Mat, params: SinkhornParams) -> Mat:
                         f"sinkhorn: residual {residual:.3e} after {steps} iterations "
                         f"(tol {params.tol:g})")
                 steps += 1
-                step = None if first else _newton_step(plan, rows, cols, eps)
+                step = None if first else _newton_step(plan_t, rows, cols, grad_f, grad_g, eps)
                 if step is None:
-                    f, g = _sweep(cost, g, eps)
+                    g, plan_t = _sweep(cost_t, g, eps)
                 else:
-                    f, g = f + step[0], g + step[1]
+                    g, plan_t = g + step[0], step[1]
                 first = False
-                plan = np.exp((f[:, None] + g[None, :] - cost) / eps)
-                rows, cols = plan.sum(axis=1), plan.sum(axis=0)
-                residual = max(np.abs(rows - 1.0 / p).max(), np.abs(cols - 1.0 / k).max())
+                rows, cols = plan_t.sum(axis=0), plan_t.sum(axis=1)
+                grad_f, grad_g = 1.0 / p - rows, 1.0 / k - cols
+                residual = max(np.abs(grad_f).max(), np.abs(grad_g).max())
             if eps == params.epsilon:
-                return plan
+                return plan_t.T.copy()
             nxt = max(params.epsilon, eps / LEVEL_RATIO)
             g, last = g + (nxt - eps) / (eps - last[1]) * (g - last[0]), (g, eps)
             eps = nxt

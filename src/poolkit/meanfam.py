@@ -76,7 +76,8 @@ def weighted_generalized_mean(v, a, alpha: AlphaParam) -> np.ndarray:
     # Factor out the row max (g > 0) or min (g < 0): every ratio**g <= 1.
     m = vc.max(axis=1, keepdims=True) if g > 0 else vc.min(axis=1, keepdims=True)
     inner = ((vc / m) ** g) @ a
-    u = m * inner ** (1.0 / g)
+    with np.errstate(divide="ignore"):  # inner = 0 at g < 0: the re-sum below repairs it
+        u = m * inner ** (1.0 / g)
     # Where attention sits on ratios whose powers fall below the normal range,
     # those terms lost digits or vanished: sum them again in the log domain
     # (a column of zero weights has no mean to recover).
@@ -98,6 +99,9 @@ def lse_pool(v, a, r: float) -> np.ndarray:
         v = v[None, :]
     if a.ndim == 1:
         a = a[:, None]
-    rv = r * v
-    c = rv.max(axis=1, keepdims=True)
-    return (c + np.log(np.exp(rv - c) @ a)) / r
+    # r v beyond the float range gives inf, and inf - inf NaN: a non-finite
+    # output its callers report, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        rv = r * v
+        c = rv.max(axis=1, keepdims=True)
+        return (c + np.log(np.exp(rv - c) @ a)) / r

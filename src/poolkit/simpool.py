@@ -184,5 +184,5 @@ def simpool_gradcheck(
     num_wq = central_diff(lambda w: loss(fm, replace(params, w_q=w)), params.w_q, h)
     num_wk = central_diff(lambda w: loss(fm, replace(params, w_k=w)), params.w_k, h)
     num_x = central_diff(lambda x: loss(replace(fm, x=x), params), fm.x, h)
-    return (compare("W_Q", d_wq, num_wq), compare("W_K", d_wk, num_wk),
-            compare("X", d_x, num_x))
+    return (compare("W_Q", d_wq, *num_wq), compare("W_K", d_wk, *num_wk),
+            compare("X", d_x, *num_x))

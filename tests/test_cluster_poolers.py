@@ -50,6 +50,23 @@ def lloyd_step(x, u):
     return out.u, out.attention.a
 
 
+def _otk_costs(seed, cycles):
+    """(cost, epsilon) of OTK solves drawn as the transport benchmark draws
+    them: Gaussian-cluster features as ``poolkit tournament`` draws them,
+    anchors drawn from the feature columns, at the ViT-S (384 x 196) and
+    ResNet-50 (2048 x 49) shapes with k in {4, 16, 32}, epsilon 0.05 x the
+    total per-channel variance."""
+    shapes = [(d, p, k) for d, p in ((384, 196), (2048, 49)) for k in (4, 16, 32)]
+    for c in range(cycles):
+        for i, (d, p, k) in enumerate(shapes):
+            rng = np.random.default_rng([seed, c, i])
+            centers = rng.normal(scale=3.0, size=(d, 4))
+            x = centers[:, rng.integers(4, size=p)] + 0.3 * rng.standard_normal((d, p))
+            x = x - x.min()
+            anchors = x[:, rng.choice(p, size=k, replace=False)]
+            yield sq_distances(x, anchors), 0.05 * float(np.var(x, axis=1).sum())
+
+
 class TestSinkhorn:
     def test_constant_cost_product_of_marginals(self):
         plan = sinkhorn(np.full((2, 2), 3.0), SinkhornParams(epsilon=1.0))
@@ -139,6 +156,44 @@ class TestSinkhorn:
                     k = int(rng.integers(2, min(p, 32) + 1))
                     sinkhorn(rng.uniform(0.0, 10.0, size=(p, k)), SinkhornParams(epsilon=eps, tol=1e-8))
         assert len(calls) <= 0.8 * 5247, len(calls)
+
+    def test_step_budget_on_otk_shapes(self, monkeypatch):
+        # 120 OTK solves at the benchmark's two shapes took 1861 sweeps and
+        # Newton steps when each accepted step's plan was formed again from
+        # the potentials and capped steps were not extended
+        calls = []
+
+        def counted(step):
+            def call(*args):
+                calls.append(step)
+                return step(*args)
+            return call
+
+        for name in ("_sweep", "_newton_step"):
+            monkeypatch.setattr(cluster_poolers, name, counted(getattr(cluster_poolers, name)))
+        for cost, eps in _otk_costs(seed=7, cycles=20):
+            sinkhorn(cost, SinkhornParams(epsilon=eps, tol=1e-8))
+        assert len(calls) <= 1703, len(calls)
+
+    @pytest.mark.parametrize("costs", ["criterion", "otk"])
+    def test_plan_keeps_gibbs_form(self, costs):
+        # the plan is carried through multiplicative updates, yet it must stay
+        # exp((f_i + g_j - cost_ij) / eps): log P + cost / eps is separable
+        if costs == "criterion":  # criterion 3's first seed
+            rng, problems = np.random.default_rng(0), []
+            for eps in (0.05, 0.1, 1.0):
+                for _ in range(10):
+                    p = int(rng.integers(2, 33))
+                    k = int(rng.integers(2, min(p, 32) + 1))
+                    problems.append((rng.uniform(0.0, 10.0, size=(p, k)), eps))
+        else:
+            problems = list(_otk_costs(seed=7, cycles=2))
+        for cost, eps in problems:
+            plan = sinkhorn(cost, SinkhornParams(epsilon=eps, tol=1e-8))
+            assert np.all(plan > 0)
+            m = np.log(plan) + cost / eps
+            mixed = m - m[:, :1] - m[:1, :] + m[0, 0]
+            assert np.max(np.abs(mixed)) <= 1e-12 * np.max(cost) / eps, np.max(np.abs(mixed))
 
     def test_iteration_cap_raises(self):
         rng = np.random.default_rng(102)
