@@ -85,6 +85,8 @@ def _newton_step(plan_t: Mat, rows: np.ndarray, cols: np.ndarray, grad_f: np.nda
     halved until it ascends enough (Armijo); when the cap shortened it and
     it ascends at once, t doubles, up to the full step, while the dual gain
     keeps rising.  A step makes at most ``BACKTRACKS`` + 1 trials."""
+    if not rows.all():  # a row's mass underflowed to 0: the Hessian is singular there
+        return None
     scaled = plan_t / rows
     neg_schur = scaled @ plan_t.T  # P^T diag(1/P1) P; less the shifted diag(P^T 1), -S
     neg_schur.flat[::cols.size + 1] -= (1.0 + SCHUR_SHIFT) * cols

@@ -233,6 +233,7 @@ def pool_files(tmp_path_factory):
 @example(flags={"method": "gap", "width": 0}, config=None)
 @example(flags={"method": "slot", "seed": -1}, config=None)
 @example(flags={"method": "lse", "r": 1e308}, config=None)
+@example(flags={"method": "sinkhorn-otk", "k": 1, "epsilon": 1e-300}, config=None)
 def test_pool_exits_cleanly_on_any_flags_and_config(pool_files, flags, config):
     """`poolkit pool` ends with exit 0-3: 0 with a finite output, otherwise
     with its ``error:`` message as the last stderr line, never a traceback."""
