@@ -2,7 +2,8 @@
 
 ``golden_outputs.npz`` holds the pooled vectors and attention of all
 CLI methods, vit and cait at 2 and 4 heads, plus the library-only slot,
-k-means and simplified CBAM modes, on two small feature maps.  Regenerate it
+k-means, simplified CBAM and Nystrom-mapped transport modes, on two small
+feature maps.  Regenerate it
 (only when a change of output is intended) with
 ``PYTHONPATH=src python tests/test_golden.py``, or rewrite just some arrays,
 adding new ones, with ``... tests/test_golden.py --only KEY [KEY ...]``,
@@ -24,7 +25,7 @@ import numpy as np
 import pytest
 
 from poolkit.cli import run_method
-from poolkit.cluster_poolers import SlotWeights, kmeans_pool, slot_pool
+from poolkit.cluster_poolers import NystromMap, SlotWeights, kmeans_pool, otk_pool, slot_pool
 from poolkit.framework import FeatureMap
 from poolkit.reweight_poolers import CbamWeights, cbam_pool
 from poolkit.tensor_io import METHOD_NAMES, config_from_dict
@@ -43,12 +44,13 @@ def compute_outputs() -> dict:
     out = {}
     for d, width, height, seed in SHAPES:
         fm = _feature_map(d, width, height, seed)
+        scale = float(np.var(fm.x, axis=1).sum())
+        eps = max(0.1, 0.05 * scale)  # the epsilon rule of `poolkit tournament`
         runs = {}
         for method in METHOD_NAMES:
             raw = {"method": method, "seed": seed, "k": K, "iters": ITERS}
             if method == "sinkhorn-otk":
-                # the epsilon rule of `poolkit tournament`
-                raw["epsilon"] = max(0.1, 0.05 * float(np.var(fm.x, axis=1).sum()))
+                raw["epsilon"] = eps
             runs[method] = run_method(config_from_dict(raw), fm)
         for method in ("vit", "cait"):
             for heads in (2, 4):
@@ -63,6 +65,11 @@ def compute_outputs() -> dict:
         runs["kmeans_pool"] = kmeans_pool(fm, K, ITERS, seed=seed)
         runs["cbam_simplified"] = cbam_pool(fm, CbamWeights.seeded(d, seed=seed),
                                             simplified=True)
+        # the Nystrom map anchored at the transport anchors, as the transport
+        # benchmark builds it; sampled columns are not C-contiguous
+        anchors = fm.sample_columns(K, seed)
+        runs["otk_nystrom"] = otk_pool(fm, anchors, eps,
+                                       psi=NystromMap(anchors, sigma=float(np.sqrt(scale))))
         for name, pooled in runs.items():
             tag = f"{d}x{width}x{height}/{name}"
             out[f"{tag}/u"] = pooled.u
