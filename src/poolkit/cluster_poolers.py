@@ -197,24 +197,29 @@ def sinkhorn(cost: Mat, params: SinkhornParams) -> Mat:
 @dataclass(frozen=True)
 class NystromMap:
     """Gaussian-kernel feature map anchored at k reference columns:
-    psi(x) = M^{-1/2} kappa(anchors, x), M = kappa(anchors, anchors)."""
+    psi(x) = M^{-1/2} kappa(anchors, x), M = kappa(anchors, anchors).
+    ``embed`` takes psi from squared distances to ``anchors`` already
+    formed, so a caller that needs them anyway forms them once."""
 
     anchors: Mat
     sigma: float
     m_inv_sqrt: Mat = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not (np.isfinite(self.sigma) and self.sigma > 0):
+            raise ContractError(f"NystromMap: sigma must be finite and > 0, got {self.sigma}")
         object.__setattr__(self, "anchors", as_matrix(self.anchors, "NystromMap anchors"))
-        lam, vecs = np.linalg.eigh(self._kernel(self.anchors))
+        sq = sq_distances(self.anchors, self.anchors).T
+        lam, vecs = np.linalg.eigh(np.exp(-sq / (2.0 * self.sigma**2)))
         lam = np.maximum(lam, 1e-10)
         object.__setattr__(self, "m_inv_sqrt", (vecs / np.sqrt(lam)) @ vecs.T)
 
     def __call__(self, x: Mat) -> Mat:
-        return self.m_inv_sqrt @ self._kernel(x)
+        return self.embed(sq_distances(x, self.anchors))
 
-    def _kernel(self, x: Mat) -> Mat:
-        d = sq_distances(x, self.anchors).T  # (k, n)
-        return np.exp(-d / (2.0 * self.sigma**2))
+    def embed(self, sq: Mat) -> Mat:
+        """psi of the n columns whose (n, k) squared distances to ``anchors`` are ``sq``."""
+        return self.m_inv_sqrt @ np.exp(-sq.T / (2.0 * self.sigma**2))
 
 
 def otk_pool(
@@ -229,17 +234,29 @@ def otk_pool(
     Cost is squared distance of features to anchors; the plan carries
     mass 1/k per column, so the output is rescaled by k to give each
     column mean semantics (the k=1 case then coincides with plain GAP).
+    When ``psi`` is anchored at the same columns, as in the OTK embedding,
+    one distance matrix, formed from ``psi.anchors``, is both the cost and
+    the input of ``psi.embed``.
     """
     anchors = np.asarray(anchors, dtype=np.float64)
     if anchors.ndim != 2 or anchors.shape[0] != fm.d or anchors.shape[1] < 1:
         raise ShapeError(f"otk_pool: weights 'anchors' has shape {anchors.shape}; "
                          f"{fm.d}-channel features need ({fm.d}, k >= 1)")
+    if psi is not None and psi.anchors.shape[0] != fm.d:
+        raise ShapeError(f"otk_pool: psi.anchors has shape {psi.anchors.shape}; "
+                         f"{fm.d}-channel features need {fm.d} rows")
     k = anchors.shape[1]
     if params is None:
         params = SinkhornParams(epsilon=epsilon)
-    cost = sq_distances(fm.x, anchors)
-    plan = sinkhorn(cost, params)
-    feats = fm.x if psi is None else psi(fm.x)
+    if psi is not None and np.array_equal(psi.anchors, anchors):
+        # psi.anchors is a C-contiguous copy: forming the distances from it
+        # keeps psi bit-identical to psi(fm.x)
+        cost = sq_distances(fm.x, psi.anchors)
+        plan = sinkhorn(cost, params)
+        feats = psi.embed(cost)
+    else:
+        plan = sinkhorn(sq_distances(fm.x, anchors), params)
+        feats = fm.x if psi is None else psi(fm.x)
     u = (feats @ plan) * k
     return PooledSet(u=u, attention=AttentionMatrix(plan, stochastic_cols=False))
 

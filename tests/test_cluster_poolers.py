@@ -251,6 +251,45 @@ class TestOtkPool:
         assert np.max(np.abs(plan.sum(axis=1) - 1.0 / p)) <= params.tol
         assert np.max(np.abs(plan.sum(axis=0) - 1.0 / p)) <= params.tol
 
+    @pytest.mark.parametrize("contiguous", [True, False])
+    def test_shared_anchors_form_one_distance_matrix(self, monkeypatch, contiguous):
+        """psi anchored at the transport anchors: one sq_distances per call and
+        psi bit-identical to psi(x); anchored elsewhere: two.  Anchors already
+        C-contiguous leave u and the plan bit-identical to the two-matrix path."""
+        rng = np.random.default_rng(31)
+        fm = _fm(rng.normal(size=(6, 20)))
+        anchors = fm.x[:, [3, 7, 11, 15]]  # sampled columns are not C-contiguous
+        if contiguous:
+            anchors = np.ascontiguousarray(anchors)
+        psi, elsewhere = NystromMap(anchors, sigma=2.0), NystromMap(fm.x[:, :4], sigma=2.0)
+        params = SinkhornParams(epsilon=0.5)
+        calls, embedded = [], []
+        monkeypatch.setattr(cluster_poolers, "sq_distances",
+                            lambda x, u: calls.append(u) or sq_distances(x, u))
+        embed = NystromMap.embed
+        monkeypatch.setattr(NystromMap, "embed",
+                            lambda self, sq: embedded.append(embed(self, sq)) or embedded[-1])
+        out = otk_pool(fm, anchors, 0.5, psi=psi, params=params)
+        assert len(calls) == 1 and len(embedded) == 1
+        otk_pool(fm, anchors, 0.5, psi=elsewhere, params=params)
+        assert len(calls) == 3
+        monkeypatch.undo()
+        feats = psi(fm.x)
+        assert np.array_equal(embedded[0], feats)
+        plan = sinkhorn(sq_distances(fm.x, anchors), params)
+        if contiguous:
+            assert np.array_equal(out.attention.a, plan)
+            assert np.array_equal(out.u, (feats @ plan) * 4)
+        else:
+            np.testing.assert_allclose(out.attention.a, plan, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(out.u, (feats @ plan) * 4, rtol=1e-12, atol=0)
+
+    def test_psi_with_wrong_channel_count_raises_shape_error(self):
+        fm = _fm(np.ones((4, 6)))
+        psi = NystromMap(np.ones((3, 2)), sigma=1.0)
+        with pytest.raises(ShapeError, match=re.escape("psi.anchors has shape (3, 2)")):
+            otk_pool(fm, np.ones((4, 2)), epsilon=0.5, psi=psi)
+
     def test_single_anchor_nystrom_scalar(self):
         anchors = np.array([[1.0], [2.0]])
         psi = NystromMap(anchors=anchors, sigma=1.5)
@@ -277,6 +316,11 @@ class TestNystromMap:
         for _ in range(3):
             psi(rng.normal(size=(3, 5)))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_bad_sigma(self, sigma):
+        with pytest.raises(ContractError, match="sigma"):
+            NystromMap(np.ones((2, 3)), sigma=sigma)
 
     def test_nan_anchor_raises(self):
         anchors = np.ones((2, 3))
