@@ -3,8 +3,7 @@
 ``golden_outputs.npz`` holds the pooled vectors and attention of all
 CLI methods, vit and cait at 2 and 4 heads, plus the library-only slot,
 k-means, simplified CBAM and Nystrom-mapped transport modes, on two small
-feature maps.  Regenerate it
-(only when a change of output is intended) with
+feature maps.  Regenerate it (only when a change of output is intended) with
 ``PYTHONPATH=src python tests/test_golden.py``, or rewrite just some arrays,
 adding new ones, with ``... tests/test_golden.py --only KEY [KEY ...]``,
 which refuses if any other array moved by more than 1e-12.
