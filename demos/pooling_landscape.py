@@ -37,8 +37,9 @@ def main():
         print(f"{method:<14} {norm:>10.4f} {dist:>12.2f} {ent:>9.4f}")
 
     print("\nNotes: k>1 methods (sinkhorn-otk, kmeans) summarize the map with")
-    print("several vectors, hence the much lower distortion. Entropy is nan")
-    print("for methods that report no attention weights (gap/max/gem/lse/how).")
+    print("several vectors, hence the much lower distortion. gap, max, gem and")
+    print(f"lse weigh every location alike: their entropy is ln p = {np.log(p):.4f},")
+    print("the largest a single attention column can have.")
 
 
 if __name__ == "__main__":

@@ -16,9 +16,9 @@ import numpy as np
 from . import attnmap as attnmap_mod
 from .cluster_poolers import SlotWeights, kmeans_distortion, kmeans_pool, otk_pool, slot_pool
 from .errors import ConfigError, ContractError, FileFormatError, NumericError, PoolkitError, ShapeError
-from .framework import AttentionMatrix, FeatureMap, PooledSet
+from .framework import AttentionMatrix, FeatureMap, PooledSet, run_pooling
 from .reweight_poolers import CbamWeights, SeWeights, cbam_pool, se_pool
-from .simple_poolers import HowConfig, gap, gem, how, lse, max_pool
+from .simple_poolers import HowConfig, gem_spec, how_spec, lse_spec, max_spec
 from .simpool import SimPoolParams, simpool_forward, simpool_gradcheck
 from .tensor_io import (
     METHOD_NAMES,
@@ -45,15 +45,15 @@ def run_method(cfg: RunConfig, fm: FeatureMap) -> PooledSet:
     # RunConfig admits only the roles this method reads (tensor_io.WEIGHT_ROLES)
     supplied = {role: read_npy(path)[0] for role, path in cfg.weights.items()}
     if method == "gap":
-        return PooledSet(u=gap(fm)[:, None])
+        return run_pooling(gem_spec(fm.p, 1.0), fm)
     if method == "max":
-        return PooledSet(u=max_pool(fm)[:, None])
+        return run_pooling(max_spec(fm.p), fm)
     if method == "gem":
-        return PooledSet(u=gem(fm, gamma)[:, None])
+        return run_pooling(gem_spec(fm.p, gamma), fm)
     if method == "lse":
-        return PooledSet(u=lse(fm, cfg.r)[:, None])
+        return run_pooling(lse_spec(fm.p, cfg.r), fm)
     if method == "how":
-        return PooledSet(u=how(fm, HowConfig(**supplied))[:, None])
+        return run_pooling(how_spec(fm, HowConfig(**supplied)), fm)
     if method == "sinkhorn-otk":
         anchors = supplied.get("anchors")
         if anchors is None:
@@ -96,8 +96,6 @@ def cmd_pool(args) -> int:
     if args.out:
         write_npy(pooled.u, args.out)
     if args.attn_out:
-        if pooled.attention is None:
-            raise ConfigError(f"method {cfg.method!r} produces no attention")
         write_npy(pooled.attention.a, args.attn_out)
     d_out, k_out = pooled.u.shape
     print(f"method={cfg.method} input d={fm.d} p={fm.p} "
@@ -164,8 +162,6 @@ def _synthesize_features(d: int, p: int, k_clusters: int, seed: int) -> FeatureM
 
 
 def _attention_entropy(pooled: PooledSet) -> float:
-    if pooled.attention is None:
-        return float("nan")
     a = pooled.attention.a
     mass = a.sum()
     if mass <= 0:

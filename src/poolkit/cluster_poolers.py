@@ -234,6 +234,8 @@ def otk_pool(
     Cost is squared distance of features to anchors; the plan carries
     mass 1/k per column, so the output is rescaled by k to give each
     column mean semantics (the k=1 case then coincides with plain GAP).
+    ``params`` sets the solver's tolerance and budget; its epsilon must
+    equal ``epsilon`` (ContractError otherwise).
     When ``psi`` is anchored at the same columns, as in the OTK embedding,
     one distance matrix, formed from ``psi.anchors``, is both the cost and
     the input of ``psi.embed``.
@@ -248,6 +250,8 @@ def otk_pool(
     k = anchors.shape[1]
     if params is None:
         params = SinkhornParams(epsilon=epsilon)
+    elif params.epsilon != epsilon:
+        raise ContractError(f"otk_pool: epsilon={epsilon} but params.epsilon={params.epsilon}")
     if psi is not None and np.array_equal(psi.anchors, anchors):
         # psi.anchors is a C-contiguous copy: forming the distances from it
         # keeps psi bit-identical to psi(fm.x)

@@ -5,8 +5,9 @@ each iteration forms a query from the current pooled vectors and a key
 from the features, turns their pairwise similarities into attention,
 and pools the value matrix through a generalized mean.  Concrete
 methods are just parameter choices: the ``*_spec`` functions in the
-*_poolers modules, beside the direct implementations that some specs
-must reproduce.
+*_poolers modules.  gap, max, gem, lse, how, k-means and slot attention
+run only as specs; transport, SE, CBAM, ViT and SimPool are still
+direct functions.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ class PooledSet:
     """Pooled vectors (d', k) plus the attention that produced them."""
 
     u: Mat
-    attention: Optional[AttentionMatrix] = None
+    attention: AttentionMatrix
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.u)):

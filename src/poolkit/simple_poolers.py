@@ -1,9 +1,9 @@
-"""Direct implementations of the simple single-vector poolers.
+"""The simple single-vector poolers, each a spec run by the engine.
 
 These are the non-attention methods: plain average, max, generalized
 mean, log-sum-exp, and norm-weighted local-feature aggregation.  Each
-also has a framework instantiation (``*_spec``) that must agree with
-the direct path exactly.
+``*_spec`` is the method's one implementation; the public functions run
+it through ``run_pooling`` and return the single pooled column.
 """
 
 from __future__ import annotations
@@ -14,35 +14,29 @@ from typing import Optional
 import numpy as np
 
 from .errors import ShapeError
-from .framework import AttnRule, FeatureMap, MapRule, PoolingSpec, PoolRule, UpdateRule, _avg3
-from .matcore import Mat, l2_normalize
-from .meanfam import AlphaParam, lse_pool, weighted_generalized_mean
+from .framework import AttnRule, FeatureMap, MapRule, PoolingSpec, PoolRule, UpdateRule, run_pooling
+from .matcore import Mat
+from .meanfam import AlphaParam
 
 
 def gap(fm: FeatureMap) -> np.ndarray:
-    """Global average pooling: the mean feature vector."""
-    return fm.x.mean(axis=1)
+    """Global average pooling: the mean feature vector, ``gem`` at gamma = 1."""
+    return run_pooling(gem_spec(fm.p, 1.0), fm).u[:, 0]
 
 
 def max_pool(fm: FeatureMap) -> np.ndarray:
     """Row-wise maximum over spatial locations (assumes nonnegative features)."""
-    return fm.x.max(axis=1)
+    return run_pooling(max_spec(fm.p), fm).u[:, 0]
 
 
 def gem(fm: FeatureMap, gamma: float) -> np.ndarray:
     """Generalized-mean pooling: the gamma-power mean of each channel."""
-    p = fm.p
-    a = np.full((p, 1), 1.0 / p)
-    if gamma == 1.0:
-        return gap(fm)
-    return weighted_generalized_mean(fm.x, a, AlphaParam.from_gamma(gamma))[:, 0]
+    return run_pooling(gem_spec(fm.p, gamma), fm).u[:, 0]
 
 
 def lse(fm: FeatureMap, r: float) -> np.ndarray:
     """Log-sum-exp pooling with scale r."""
-    p = fm.p
-    a = np.full((p, 1), 1.0 / p)
-    return lse_pool(fm.x, a, r)[:, 0]
+    return run_pooling(lse_spec(fm.p, r), fm).u[:, 0]
 
 
 @dataclass(frozen=True)
@@ -71,28 +65,11 @@ class HowConfig:
 
 def how(fm: FeatureMap, cfg: HowConfig = HowConfig()) -> np.ndarray:
     """Norm-attention pooling: weight 3x3-smoothed projected features by
-    the squared norm of each raw feature column, then l2-normalize.
-
-    Both fixed layers act on the narrow side: P (avg3(X - c) a) is formed
-    as P ((X - c) avg3^T(a)), so the average smooths the one attention
-    column, not the d channels, and the projection meets one vector."""
-    cfg = cfg.fitted(fm.d)
-    a = np.sum(fm.x**2, axis=0)  # attention = squared column norms of raw X
-    x = fm.x if cfg.centering is None else fm.x - cfg.centering[:, None]
-    z = x @ _avg3(a, fm.width, fm.height)  # the engine's kernel
-    if cfg.projection is not None:
-        z = cfg.projection @ z
-    return l2_normalize(z)
+    the squared norm of each raw feature column, then l2-normalize."""
+    return run_pooling(how_spec(fm, cfg), fm).u[:, 0]
 
 
 # --- framework instantiations ---------------------------------------------
-
-def gap_spec(p: int) -> PoolingSpec:
-    return PoolingSpec(
-        attention=AttnRule(kind="constant", vector=np.full(p, 1.0 / p)),
-        pool=PoolRule(kind="f_alpha", alpha=AlphaParam(alpha=-1.0)),
-    )
-
 
 def max_spec(p: int) -> PoolingSpec:
     return PoolingSpec(
@@ -116,6 +93,10 @@ def lse_spec(p: int, r: float) -> PoolingSpec:
 
 
 def how_spec(fm: FeatureMap, cfg: HowConfig = HowConfig()) -> PoolingSpec:
+    """The attention is the squared column norms of the raw X.  Both fixed
+    layers act on the narrow side: P (avg3(X - c) a) is formed as
+    P ((X - c) avg3^T(a)), so the average smooths the one attention column,
+    not the d channels, and the projection meets one vector."""
     cfg = cfg.fitted(fm.d)
     return PoolingSpec(
         attention=AttnRule(kind="feature_sqnorm"),

@@ -79,6 +79,18 @@ class TestCmdPool:
         a, _ = read_npy(attn)
         np.testing.assert_allclose(a.sum(), 1.0, atol=1e-9)
 
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_every_method_writes_a_p_by_k_attention(self, tmp_path, method):
+        rng = np.random.default_rng(49)
+        x = _write_features(tmp_path / "x.npy", rng.uniform(0.1, 3.0, size=(8, 12)))
+        attn = tmp_path / "a.npy"
+        code = main(["pool", "--input", x, "--method", method, "--k", "3", "--heads", "2",
+                     "--epsilon", "1.0", "--width", "4", "--height", "3",
+                     "--attn-out", str(attn)])
+        assert code == 0
+        k = 3 if method in ("sinkhorn-otk", "kmeans", "slot") else 1
+        assert read_npy(attn)[0].shape == (12, k)
+
     def test_config_file_with_override(self, tmp_path, capsys):
         x = _write_features(tmp_path / "x.npy", [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         cfg = tmp_path / "cfg.json"

@@ -230,6 +230,15 @@ class TestOtkPool:
         with pytest.raises(ShapeError, match=rf"anchors' has shape {re.escape(str(shape))}"):
             otk_pool(_fm(np.ones((4, 6))), np.ones(shape), epsilon=0.5)
 
+    def test_params_epsilon_must_match_epsilon(self):
+        # a params epsilon that differs would be solved at silently
+        fm = _fm(np.arange(12.0).reshape(2, 6))
+        anchors = fm.x[:, :2]
+        with pytest.raises(ContractError, match="epsilon=0.5 but params.epsilon=0.1"):
+            otk_pool(fm, anchors, 0.5, params=SinkhornParams(epsilon=0.1))
+        out = otk_pool(fm, anchors, 0.5, params=SinkhornParams(epsilon=0.5))
+        assert np.array_equal(out.u, otk_pool(fm, anchors, 0.5).u)
+
     @settings(max_examples=200, deadline=None)
     @given(x=feature_matrices(), scale=SCALES,
            anchors=st.sampled_from(["drawn", "near-duplicate", "constant"]),

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from poolkit.errors import ContractError, NumericError, ShapeError
+from poolkit.errors import ContractError, DegenerateMassError, NumericError, ShapeError
 from poolkit.framework import (
     AttentionMatrix,
     AttnRule,
@@ -15,6 +17,9 @@ from poolkit.framework import (
     run_pooling,
 )
 from poolkit.meanfam import AlphaParam
+
+from numeric_edges import COLUMN_EDGES, SCALES, assert_within_rounding, feature_matrices, shape_columns
+from test_simple_poolers import reference_pools
 
 
 def _fm(x, **kw):
@@ -34,10 +39,11 @@ class TestFeatureMap:
 
 class TestPooledSet:
     def test_non_finite_output_raises(self):
-        PooledSet(u=np.ones((2, 1)))
+        attention = AttentionMatrix(np.ones((3, 1)))
+        PooledSet(u=np.ones((2, 1)), attention=attention)
         for bad in (np.nan, np.inf):
             with pytest.raises(NumericError, match="non-finite"):
-                PooledSet(u=np.array([[1.0], [bad]]))
+                PooledSet(u=np.array([[1.0], [bad]]), attention=attention)
 
 
 class TestAttentionMatrix:
@@ -150,13 +156,32 @@ class TestNarrowSideContract:
 
     def test_every_shipped_spec_constructs(self):
         from poolkit.cluster_poolers import SlotWeights, kmeans_spec, slot_spec
-        from poolkit.simple_poolers import gap_spec, gem_spec, how_spec, lse_spec, max_spec
+        from poolkit.simple_poolers import gem_spec, how_spec, lse_spec, max_spec
 
         fm = _fm(np.arange(1.0, 13.0).reshape(3, 4), width=2, height=2)
         weights = SlotWeights.seeded(3, seed=0)
-        specs = [gap_spec(4), max_spec(4), gem_spec(4, 3.0), lse_spec(4, 2.0), how_spec(fm),
+        specs = [gem_spec(4, 1.0), max_spec(4), gem_spec(4, 3.0), lse_spec(4, 2.0), how_spec(fm),
                  kmeans_spec(2, 2, InitRule(kind="sample_columns"))]
         specs += [slot_spec(2, 2, weights, simplified=simplified, use_layernorm=ln)
                   for simplified in (False, True) for ln in (False, True)]
         for spec in specs:
             assert run_pooling(spec, fm).u.shape[1] == spec.k
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=feature_matrices(), scale=SCALES, columns=COLUMN_EDGES, data=st.data())
+def test_simple_poolers_match_references_on_numeric_edges(x, scale, columns, data):
+    """gap, max, gem, lse and how, each a spec run by the engine, match their
+    NumPy reference formulas on any grid, on the features and on their
+    absolute values (gem's domain), up to the rounding of their majorants."""
+    x = scale * shape_columns(x, columns)
+    p = x.shape[1]
+    width = data.draw(st.sampled_from([w for w in range(1, p + 1) if p % w == 0]))
+    for feats in (x, np.abs(x)):
+        fm = FeatureMap(feats, width, p // width)
+        for pooler, reference, majorant in reference_pools(fm).values():
+            if reference is None:  # how of features that pool to the zero vector
+                with pytest.raises(DegenerateMassError):
+                    pooler(fm)
+            else:
+                assert_within_rounding(pooler(fm), reference, majorant, 1.0)

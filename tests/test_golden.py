@@ -72,8 +72,7 @@ def compute_outputs() -> dict:
         for name, pooled in runs.items():
             tag = f"{d}x{width}x{height}/{name}"
             out[f"{tag}/u"] = pooled.u
-            if pooled.attention is not None:
-                out[f"{tag}/a"] = pooled.attention.a
+            out[f"{tag}/a"] = pooled.attention.a
     return out
 
 

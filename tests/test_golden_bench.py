@@ -48,8 +48,7 @@ def compute_outputs() -> dict:
             raw = {"method": method, "seed": SEED, "iters": ITERS, "heads": heads}
             pooled = run_method(config_from_dict(raw), fm)
             out[f"{tag}/{method}/u"] = pooled.u
-            if pooled.attention is not None:
-                out[f"{tag}/{method}/a"] = pooled.attention.a
+            out[f"{tag}/{method}/a"] = pooled.attention.a
         slot_weights = SlotWeights.seeded(d, seed=SEED)
         for mode in ("full", "simple"):
             pooled = slot_pool(fm, SLOTS, ITERS, slot_weights, seed=SEED,

@@ -6,21 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poolkit.errors import DegenerateMassError, ShapeError
-from poolkit.framework import FeatureMap, run_pooling
-from poolkit.meanfam import AlphaParam, weighted_generalized_mean
-from poolkit.simple_poolers import (
-    HowConfig,
-    gap,
-    gap_spec,
-    gem,
-    gem_spec,
-    how,
-    how_spec,
-    lse,
-    lse_spec,
-    max_pool,
-    max_spec,
-)
+from poolkit.framework import FeatureMap
+from poolkit.meanfam import CLAMP_FLOOR, AlphaParam, weighted_generalized_mean
+from poolkit.simple_poolers import HowConfig, gap, gem, how, how_spec, lse, max_pool
 
 from numeric_edges import COLUMN_EDGES, SCALES, assert_within_rounding, feature_matrices, shape_columns
 
@@ -122,9 +110,8 @@ class TestHow:
     def test_misfit_weights_raise_shape_error(self, cfg):
         # centering must be (d,) and projection (n >= 1, d): nothing broadcasts
         fm = FeatureMap(np.ones((3, 4)), width=2, height=2)
-        for pooler in (how, how_spec):
-            with pytest.raises(ShapeError, match="3-channel features need"):
-                pooler(fm, cfg)
+        with pytest.raises(ShapeError, match="3-channel features need"):
+            how(fm, cfg)
 
     def test_spec_without_projection_holds_no_square_weight(self):
         # no projection means none applied, not a d x d identity multiplied in
@@ -132,15 +119,14 @@ class TestHow:
         spec = how_spec(fm, HowConfig(centering=np.ones(3)))
         assert spec.value_map.weight is None
         assert all(a.shape != (3, 3) for a in _arrays(spec))
-        np.testing.assert_allclose(run_pooling(spec, fm).u[:, 0],
-                                   how(fm, HowConfig(centering=np.ones(3))), atol=1e-12)
 
     def test_projection_may_change_the_output_size(self):
         fm = FeatureMap(np.arange(1.0, 13.0).reshape(3, 4), width=2, height=2)
         cfg = HowConfig(projection=np.ones((2, 3)))  # n = 2 outputs from d = 3 channels
         out = how(fm, cfg)
         assert out.shape == (2,)
-        np.testing.assert_allclose(out, run_pooling(how_spec(fm, cfg), fm).u[:, 0], atol=1e-12)
+        # both rows sum the same positive z, so the unit output is their diagonal
+        np.testing.assert_allclose(out, np.full(2, np.sqrt(0.5)), atol=1e-12)
 
 
 def _arrays(obj):
@@ -163,6 +149,37 @@ def _smoothed(x, width, height):
     return (sums / counts).reshape(x.shape)
 
 
+GEM_GAMMA, LSE_R = 3.0, 2.0
+
+
+def reference_pools(fm):
+    """The five simple poolers beside NumPy reference formulas for them:
+    name -> (pooler, reference, majorant), the majorant bounding the
+    rounding of both forms.  gem is listed only for nonnegative features,
+    and its reference floors them at CLAMP_FLOOR as gem does.  how's
+    reference forms the d x p smoothed features in full; it is None where
+    they pool to the zero vector, which has no direction."""
+    x, p = fm.x, fm.p
+    c = LSE_R * x.max(axis=1, keepdims=True)
+    a = np.sum(x**2, axis=0)
+    z = _smoothed(x, fm.width, fm.height) @ a
+    norm = np.linalg.norm(z)
+    top = np.abs(x).max(axis=1)
+    refs = {
+        "gap": (gap, x.mean(axis=1), np.abs(x).mean(axis=1)),
+        "max": (max_pool, x.max(axis=1), top),
+        "lse": (lambda fm: lse(fm, LSE_R),
+                (c[:, 0] + np.log(np.exp(LSE_R * x - c).mean(axis=1))) / LSE_R,
+                top + np.log(p) / LSE_R),
+        "how": (how, None, None) if norm == 0 else
+               (how, z / norm, _smoothed(np.abs(x), fm.width, fm.height) @ a / norm),
+    }
+    if x.min() >= 0:
+        mean = (np.maximum(x, CLAMP_FLOOR) ** GEM_GAMMA).mean(axis=1) ** (1.0 / GEM_GAMMA)
+        refs["gem"] = (lambda fm: gem(fm, GEM_GAMMA), mean, mean)
+    return refs
+
+
 @st.composite
 def _how_cases(draw):
     """Features on the numeric edges, a grid for them (1 x p, p x 1 and every
@@ -182,9 +199,9 @@ class TestHowNarrowForm:
     @given(case=_how_cases())
     @example(case=(FeatureMap(1e6 * np.array([[1.0], [-3.0]]), 1, 1), HowConfig()))
     def test_matches_smoothed_features(self, case):
-        """how and how_spec smooth the attention by the adjoint of the 3x3
-        average; both must match P (avg3(X - c) a) with the d smoothed
-        channels formed, up to the rounding of its majorant."""
+        """how smooths the attention by the adjoint of the 3x3 average; it
+        must match P (avg3(X - c) a) with the d smoothed channels formed,
+        up to the rounding of its majorant."""
         fm, cfg = case
         c = np.zeros(fm.d) if cfg.centering is None else cfg.centering
         w = np.eye(fm.d) if cfg.projection is None else cfg.projection
@@ -192,29 +209,11 @@ class TestHowNarrowForm:
         xc = fm.x - c[:, None]
         z = w @ (_smoothed(xc, fm.width, fm.height) @ a)
         norm = np.linalg.norm(z)
-        for pooler in (how, lambda fm, cfg: run_pooling(how_spec(fm, cfg), fm).u[:, 0]):
-            if norm == 0:  # X = c, or no mass: the direction is undefined
-                with pytest.raises(DegenerateMassError):
-                    pooler(fm, cfg)
-                continue
-            # a relative error of the unnormalized z, against its size
-            majorant = (np.abs(w) @ (_smoothed(np.abs(xc), fm.width, fm.height) @ a)) / norm
-            assert_within_rounding(pooler(fm, cfg), z / norm, majorant, 1.0)
+        if norm == 0:  # X = c, or no mass: the direction is undefined
+            with pytest.raises(DegenerateMassError):
+                how(fm, cfg)
+            return
+        # a relative error of the unnormalized z, against its size
+        majorant = (np.abs(w) @ (_smoothed(np.abs(xc), fm.width, fm.height) @ a)) / norm
+        assert_within_rounding(how(fm, cfg), z / norm, majorant, 1.0)
 
-
-class TestFrameworkEquivalence:
-    def test_all_group1_match_engine(self):
-        rng = np.random.default_rng(16)
-        for _ in range(25):
-            x = rng.uniform(0.1, 3.0, size=(4, 12))
-            fm = FeatureMap(x, width=4, height=3)
-            pairs = [
-                (gap(fm), gap_spec(fm.p)),
-                (max_pool(fm), max_spec(fm.p)),
-                (gem(fm, 3.0), gem_spec(fm.p, 3.0)),
-                (lse(fm, 2.0), lse_spec(fm.p, 2.0)),
-                (how(fm), how_spec(fm)),
-            ]
-            for direct, spec in pairs:
-                engine = run_pooling(spec, fm).u[:, 0]
-                np.testing.assert_allclose(engine, direct, atol=1e-12)
