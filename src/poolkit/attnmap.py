@@ -9,18 +9,19 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, NumericError, ShapeError
+from .matcore import as_matrix
 
 
 @dataclass(frozen=True)
 class AttnGrid:
-    """Nonnegative attention values on an H x W grid."""
+    """Finite, nonnegative attention values on an H x W grid."""
 
     values: np.ndarray  # (H, W)
     width: int
     height: int
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+        v = as_matrix(self.values, "AttnGrid values")
         if v.shape != (self.height, self.width):
             raise ShapeError(f"AttnGrid: values {v.shape} vs grid "
                              f"{self.height}x{self.width}")
@@ -49,7 +50,7 @@ class BBox:
 def reshape_attention(a: np.ndarray, width: int, height: int) -> AttnGrid:
     """Lay out a flat attention vector on the grid: cell (x, y) = a[y*W + x]."""
     a = np.asarray(a, dtype=np.float64).reshape(-1)
-    if a.size != width * height:
+    if width < 1 or height < 1 or a.size != width * height:
         raise ShapeError(f"reshape_attention: {a.size} values for "
                          f"{width}x{height} grid")
     return AttnGrid(values=a.reshape(height, width), width=width, height=height)
@@ -63,9 +64,10 @@ def mass_threshold(grid: AttnGrid, fraction: float) -> np.ndarray:
     if not (0.0 < fraction <= 1.0):
         raise ContractError(f"mass_threshold: fraction must be in (0, 1], got {fraction}")
     flat = grid.flatten()
-    total = flat.sum()
-    if total <= 0:
-        raise NumericError("mass_threshold: all-zero grid")
+    with np.errstate(over="ignore"):  # a total beyond the float range is rejected below
+        total = flat.sum()
+    if not 0 < total < np.inf:
+        raise NumericError(f"mass_threshold: total mass {total:g} is not in (0, inf)")
     order = np.argsort(-flat, kind="stable")  # descending, lower index first on ties
     target = fraction * total
     cum = np.cumsum(flat[order])

@@ -198,8 +198,8 @@ def sinkhorn(cost: Mat, params: SinkhornParams) -> Mat:
 class NystromMap:
     """Gaussian-kernel feature map anchored at k reference columns:
     psi(x) = M^{-1/2} kappa(anchors, x), M = kappa(anchors, anchors).
-    ``embed`` takes psi from squared distances to ``anchors`` already
-    formed, so a caller that needs them anyway forms them once."""
+    ``embed`` takes psi from the squared distances of x to ``anchors``, so
+    ``otk_pool`` forms them once, for its cost and for psi."""
 
     anchors: Mat
     sigma: float
@@ -213,9 +213,6 @@ class NystromMap:
         lam, vecs = np.linalg.eigh(np.exp(-sq / (2.0 * self.sigma**2)))
         lam = np.maximum(lam, 1e-10)
         object.__setattr__(self, "m_inv_sqrt", (vecs / np.sqrt(lam)) @ vecs.T)
-
-    def __call__(self, x: Mat) -> Mat:
-        return self.embed(sq_distances(x, self.anchors))
 
     def embed(self, sq: Mat) -> Mat:
         """psi of the n columns whose (n, k) squared distances to ``anchors`` are ``sq``."""
@@ -236,9 +233,10 @@ def otk_pool(
     column mean semantics (the k=1 case then coincides with plain GAP).
     ``params`` sets the solver's tolerance and budget; its epsilon must
     equal ``epsilon`` (ContractError otherwise).
-    When ``psi`` is anchored at the same columns, as in the OTK embedding,
-    one distance matrix, formed from ``psi.anchors``, is both the cost and
-    the input of ``psi.embed``.
+    ``psi``, a map of the features before they are pooled, must be anchored
+    at the transport anchors, as in the OTK embedding (ContractError
+    otherwise): one distance matrix, formed from ``psi.anchors``, is both the
+    cost and the input of ``psi.embed``.
     """
     anchors = np.asarray(anchors, dtype=np.float64)
     if anchors.ndim != 2 or anchors.shape[0] != fm.d or anchors.shape[1] < 1:
@@ -247,20 +245,18 @@ def otk_pool(
     if psi is not None and psi.anchors.shape[0] != fm.d:
         raise ShapeError(f"otk_pool: psi.anchors has shape {psi.anchors.shape}; "
                          f"{fm.d}-channel features need {fm.d} rows")
+    if psi is not None and not np.array_equal(psi.anchors, anchors):
+        raise ContractError("otk_pool: psi must be anchored at the transport anchors")
     k = anchors.shape[1]
     if params is None:
         params = SinkhornParams(epsilon=epsilon)
     elif params.epsilon != epsilon:
         raise ContractError(f"otk_pool: epsilon={epsilon} but params.epsilon={params.epsilon}")
-    if psi is not None and np.array_equal(psi.anchors, anchors):
-        # psi.anchors is a C-contiguous copy: forming the distances from it
-        # keeps psi bit-identical to psi(fm.x)
-        cost = sq_distances(fm.x, psi.anchors)
-        plan = sinkhorn(cost, params)
-        feats = psi.embed(cost)
-    else:
-        plan = sinkhorn(sq_distances(fm.x, anchors), params)
-        feats = fm.x if psi is None else psi(fm.x)
+    # with psi, the distances come from its C-contiguous copy of the anchors, so
+    # psi.embed(cost) is bit for bit psi.embed(sq_distances(fm.x, psi.anchors))
+    cost = sq_distances(fm.x, anchors if psi is None else psi.anchors)
+    plan = sinkhorn(cost, params)
+    feats = fm.x if psi is None else psi.embed(cost)
     u = (feats @ plan) * k
     return PooledSet(u=u, attention=AttentionMatrix(plan, stochastic_cols=False))
 
@@ -314,25 +310,24 @@ class SlotWeights:
         )
 
 
-def slot_spec(k: int, iters: int, weights: SlotWeights, seed: int = 0, simplified: bool = False,
-              use_layernorm: bool = True) -> PoolingSpec:
+def slot_spec(k: int, iters: int, weights: SlotWeights, seed: int = 0,
+              simplified: bool = False) -> PoolingSpec:
     """Slot attention: slots drawn from N(mu, sigma^2), queries, keys and
-    values through (LayerNorm-then-)linear maps, dot-product similarity.
+    values through LayerNorm-then-linear maps, dot-product similarity.
 
     Full mode normalizes the column softmax over rows and updates slots
     through a GRU + residual MLP; simplified mode uses the plain column
     softmax and takes the weighted value average as the new slots.
     """
     def proj(w: Mat) -> MapRule:
-        return MapRule(kind="linear_ln" if use_layernorm else "linear", weight=w)
+        return MapRule(kind="linear_ln", weight=w)
 
     if simplified:
         attention = AttnRule(kind="col_softmax", scale=np.sqrt(weights.w_k.shape[1]))
         update = UpdateRule()
     else:
         attention = AttnRule(kind="row_then_col_norm", scale=np.sqrt(weights.w_k.shape[0]))
-        update = UpdateRule(kind="gru_mlp", gru=weights.gru, mlp=weights.mlp,
-                            layernorm=use_layernorm)
+        update = UpdateRule(kind="gru_mlp", gru=weights.gru, mlp=weights.mlp)
     return PoolingSpec(
         k=k, iters=iters,
         init=InitRule(kind="normal", seed=seed, mu=weights.mu, sigma=weights.sigma),
@@ -348,8 +343,7 @@ def slot_pool(
     weights: SlotWeights,
     seed: int = 0,
     simplified: bool = False,
-    use_layernorm: bool = True,
 ) -> PooledSet:
     """Iterative soft-clustering: k slot vectors compete for locations
     (see ``slot_spec`` for the two modes)."""
-    return run_pooling(slot_spec(k, iters, weights, seed, simplified, use_layernorm), fm)
+    return run_pooling(slot_spec(k, iters, weights, seed, simplified), fm)

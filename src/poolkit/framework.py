@@ -115,20 +115,20 @@ class PooledSet:
 
 @dataclass(frozen=True)
 class MapRule:
-    """Column-wise mapping: identity, linear, LayerNorm-then-linear, or the
-    fixed local-average + projection used by norm-attention pooling (a
-    value map only; its weight and centering may be None, for none)."""
+    """Column-wise mapping: identity, LayerNorm-then-linear, or the fixed
+    local-average + projection used by norm-attention pooling (a value map
+    only; its weight and centering may be None, for none)."""
 
-    kind: str = "identity"  # identity | linear | linear_ln | local_avg_fc
+    kind: str = "identity"  # identity | linear_ln | local_avg_fc
     weight: Optional[Mat] = None
     centering: Optional[np.ndarray] = None
 
-    KINDS = ("identity", "linear", "linear_ln", "local_avg_fc")
+    KINDS = ("identity", "linear_ln", "local_avg_fc")
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ContractError(f"MapRule: unknown kind {self.kind!r}")
-        if self.kind in ("linear", "linear_ln") and self.weight is None:
+        if self.kind == "linear_ln" and self.weight is None:
             raise ContractError(f"MapRule[{self.kind}]: weight required")
 
 
@@ -157,8 +157,10 @@ class PoolRule:
     alpha: Optional[AlphaParam] = None
     r: float = 1.0
 
+    KINDS = ("f_alpha", "lse", "max")
+
     def __post_init__(self):
-        if self.kind not in ("f_alpha", "lse", "max"):
+        if self.kind not in self.KINDS:
             raise ContractError(f"PoolRule: unknown kind {self.kind!r}")
         if self.kind == "f_alpha" and self.alpha is None:
             object.__setattr__(self, "alpha", AlphaParam(alpha=-1.0))
@@ -174,8 +176,10 @@ class InitRule:
     mu: Optional[np.ndarray] = None
     sigma: Optional[np.ndarray] = None
 
+    KINDS = ("gap", "matrix", "sample_columns", "normal")
+
     def __post_init__(self):
-        if self.kind not in ("gap", "matrix", "sample_columns", "normal"):
+        if self.kind not in self.KINDS:
             raise ContractError(f"InitRule: unknown kind {self.kind!r}")
         if self.kind == "matrix" and self.matrix is None:
             raise ContractError("InitRule[matrix]: matrix required")
@@ -186,15 +190,16 @@ class InitRule:
 @dataclass(frozen=True)
 class UpdateRule:
     """Output mapping for U at the end of an iteration; ``gru_mlp`` is a GRU step
-    plus a residual MLP on the LayerNorm of its output (``layernorm=False`` skips it)."""
+    plus a residual MLP on the LayerNorm of its output."""
 
     kind: str = "identity"  # identity | l2norm | gru_mlp
     gru: object = None
     mlp: object = None
-    layernorm: bool = True
+
+    KINDS = ("identity", "l2norm", "gru_mlp")
 
     def __post_init__(self):
-        if self.kind not in ("identity", "l2norm", "gru_mlp"):
+        if self.kind not in self.KINDS:
             raise ContractError(f"UpdateRule: unknown kind {self.kind!r}")
 
 
@@ -340,7 +345,7 @@ def _update(rule: UpdateRule, z: Mat, prev: Mat) -> Mat:
     if rule.kind == "l2norm":
         return np.stack([l2_normalize(z[:, j]) for j in range(z.shape[1])], axis=1)
     g = gru_cell(z, prev, rule.gru)  # gru_mlp
-    return g + mlp2(layernorm_cols(g) if rule.layernorm else g, rule.mlp)
+    return g + mlp2(layernorm_cols(g), rule.mlp)
 
 
 def _init_u(rule: InitRule, fm: FeatureMap, k: int) -> Mat:

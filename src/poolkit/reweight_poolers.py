@@ -77,32 +77,19 @@ class CbamWeights:
         )
 
 
-def cbam_pool(fm: FeatureMap, w: CbamWeights, simplified: bool = False) -> PooledSet:
-    """Channel gating, then spatial gating by a 7x7 convolution, then
-    average pooling: z = V a / p.
-
-    Full mode stacks [avg, max] statistics for both gates; simplified
-    mode keeps average only, where the spatial statistic collapses to
-    the dot-product similarity X^T q / d.
-    """
+def cbam_pool(fm: FeatureMap, w: CbamWeights) -> PooledSet:
+    """Channel gating from each channel's [avg, max], then spatial gating by a
+    7x7 convolution of each location's [avg, max] over the gated channels V,
+    then average pooling: z = V a / p."""
     x = fm.x
-    d, p = x.shape
-    if simplified:
-        q = sigmoid(_gate(x.mean(axis=1)[:, None], w.channel_mlp)[:, 0])
-    else:
-        u0 = np.stack([x.mean(axis=1), x.max(axis=1)], axis=1)  # (d, 2)
-        q = sigmoid(_gate(u0, w.channel_mlp).mean(axis=1))
+    p = fm.p
+    u0 = np.stack([x.mean(axis=1), x.max(axis=1)], axis=1)  # (d, 2)
+    q = sigmoid(_gate(u0, w.channel_mlp).mean(axis=1))
     v = q[:, None] * x
 
-    if simplified:
-        s = (x.T @ q / d)[:, None]  # (p, 1)
-        kernels = w.conv7[:1]
-    else:
-        s = np.stack([v.mean(axis=0), v.max(axis=0)], axis=1)  # (p, 2)
-        kernels = w.conv7
-
+    s = np.stack([v.mean(axis=0), v.max(axis=0)], axis=1)  # (p, 2)
     maps = s.T.reshape(-1, fm.height, fm.width)  # one (height, width) map per statistic
-    acc = conv2d_same(maps, kernels).sum(axis=0)
+    acc = conv2d_same(maps, w.conv7).sum(axis=0)
     a = sigmoid(acc + w.conv_bias).reshape(-1)
 
     z = (v @ a) / p

@@ -13,7 +13,6 @@ xnᵀ (W_Kᵀ q), so neither pass forms the d x p key matrix W_K xn.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -30,7 +29,6 @@ class SimPoolParams:
     w_q: Mat
     w_k: Mat
     gamma: float = 2.0
-    use_layernorm: bool = True
 
     def __post_init__(self):
         wq = np.asarray(self.w_q, dtype=np.float64)
@@ -48,13 +46,12 @@ class SimPoolParams:
             raise ContractError("SimPoolParams: non-finite weights")
 
     @classmethod
-    def seeded(cls, d: int, gamma: float = 2.0, seed: int = 0, **kw) -> "SimPoolParams":
+    def seeded(cls, d: int, gamma: float = 2.0, seed: int = 0) -> "SimPoolParams":
         rng = np.random.default_rng(seed)
         return cls(
             w_q=dense(rng, d, d),
             w_k=dense(rng, d, d),
             gamma=gamma,
-            **kw,
         )
 
 
@@ -65,8 +62,8 @@ class SimPoolCache:
     params: SimPoolParams
     x: Mat               # raw input (d, p)
     u0: np.ndarray       # GAP of raw x
-    xn: Mat              # LayerNorm'd features (or x when LN disabled)
-    inv_std: Optional[np.ndarray]  # per-column 1/sqrt(var + LN_EPS), with LN
+    xn: Mat              # LayerNorm'd features
+    inv_std: np.ndarray  # per-column 1/sqrt(var + LN_EPS)
     q: np.ndarray
     wkt_q: np.ndarray    # W_Kᵀ q, the query pulled back to feature space
     a: np.ndarray
@@ -89,10 +86,8 @@ def simpool_forward(
 
     u0 = x.mean(axis=1)  # GAP of the raw features, before LayerNorm
 
-    xn, inv_std = x, None
-    if params.use_layernorm:
-        inv_std = 1.0 / np.sqrt(x.var(axis=0) + LN_EPS)
-        xn = (x - x.mean(axis=0)[None, :]) * inv_std[None, :]
+    inv_std = 1.0 / np.sqrt(x.var(axis=0) + LN_EPS)
+    xn = (x - x.mean(axis=0)[None, :]) * inv_std[None, :]
 
     q = params.w_q @ u0
     wkt_q = params.w_k.T @ q
@@ -155,14 +150,11 @@ def simpool_backward(cache: SimPoolCache, du: np.ndarray) -> tuple[Mat, Mat, Mat
     d_u0 = params.w_q.T @ d_q
 
     # LayerNorm backward, per column (population variance)
-    if params.use_layernorm:
-        inv = cache.inv_std[None, :]
-        xhat = cache.xn
-        mean_dy = d_xn.mean(axis=0, keepdims=True)
-        mean_dy_xhat = (d_xn * xhat).mean(axis=0, keepdims=True)
-        d_x = inv * (d_xn - mean_dy - xhat * mean_dy_xhat)
-    else:
-        d_x = d_xn
+    inv = cache.inv_std[None, :]
+    xhat = cache.xn
+    mean_dy = d_xn.mean(axis=0, keepdims=True)
+    mean_dy_xhat = (d_xn * xhat).mean(axis=0, keepdims=True)
+    d_x = inv * (d_xn - mean_dy - xhat * mean_dy_xhat)
 
     # GAP init path
     d_x = d_x + d_u0[:, None] / p

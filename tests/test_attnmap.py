@@ -30,6 +30,19 @@ class TestReshapeAttention:
         with pytest.raises(ShapeError):
             reshape_attention(np.zeros(5), width=2, height=2)
 
+    @pytest.mark.parametrize("width, height", [(-2, -3), (-6, -1), (0, 6), (6, 0)])
+    def test_size_below_one_rejected(self, width, height):
+        # two negative sizes can multiply to p, so the size check alone passes them
+        with pytest.raises(ShapeError, match=f"6 values for {width}x{height} grid"):
+            reshape_attention(np.ones(6), width=width, height=height)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        a = np.ones(6)
+        a[2] = bad
+        with pytest.raises(NumericError, match="non-finite"):
+            reshape_attention(a, width=3, height=2)
+
 
 class TestMassThreshold:
     def test_greedy_trace(self):
@@ -61,6 +74,12 @@ class TestMassThreshold:
     def test_zero_grid_raises(self):
         g = reshape_attention(np.zeros(4), width=2, height=2)
         with pytest.raises(NumericError):
+            mass_threshold(g, 0.6)
+
+    def test_mass_beyond_the_float_range_raises(self):
+        # the sum overflows to inf, against which no cut is defined
+        g = reshape_attention(np.array([1e308, 1e308, 0.0, 0.0]), width=2, height=2)
+        with pytest.raises(NumericError, match="total mass inf"):
             mass_threshold(g, 0.6)
 
 

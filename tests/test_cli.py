@@ -300,6 +300,54 @@ def test_tournament_and_gradcheck_exit_cleanly_on_any_flags(command):
 
 
 
+ATTN_VALUES = st.one_of(st.floats(0.0, 10.0),
+                        st.sampled_from([0.0, -1.0, 1e308, np.nan, np.inf, -np.inf]))
+
+
+@st.composite
+def attn_runs(draw):
+    """Grid sizes from -2 up, and an attention file that often fills the grid:
+    drawn entries with NaN, inf, negative and 1e308 ones among them, or all
+    zeros."""
+    width, height = draw(st.integers(-2, 4)), draw(st.integers(-2, 4))
+    n = width * height if width * height >= 1 and draw(st.booleans()) else draw(st.integers(1, 12))
+    values = draw(st.one_of(st.lists(ATTN_VALUES, min_size=n, max_size=n).map(np.array),
+                            st.just(np.zeros(n))))
+    return width, height, values
+
+
+@pytest.fixture(scope="module")
+def attn_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("attnmap")
+    return root / "a.npy", root / "grid.pgm", root / "mask.pgm"
+
+
+@settings(max_examples=150, deadline=None)
+@given(run=attn_runs(), mass=st.sampled_from((0.6, 1.0, 1e-300, 1.5) + EDGE_FLOATS),
+       bbox=st.booleans(), pgm=st.booleans())
+@example(run=(-2, -3, np.arange(6.0)), mass=0.6, bbox=False, pgm=False)
+@example(run=(3, 2, np.array([1.0, 1.0, np.nan, 1.0, 1.0, 1.0])), mass=0.6, bbox=True, pgm=True)
+def test_attnmap_exits_cleanly_on_any_flags_and_attention(attn_files, run, mass, bbox, pgm):
+    """`poolkit attnmap` ends with exit 0-3 and an ``error:`` line, never a
+    traceback or a NumPy warning: a size below 1 exits 1, and a non-finite
+    entry in a file that fits the grid exits 3."""
+    width, height, values = run
+    attn, grid, mask = attn_files
+    _write_features(attn, values.reshape(1, -1))
+    for out in (grid, mask):
+        out.unlink(missing_ok=True)
+    argv = ["attnmap", "--attn", str(attn), "--width", str(width), "--height", str(height),
+            "--mass", str(mass)]
+    argv += ["--bbox"] * bbox + ["--pgm", str(grid), "--mask-pgm", str(mask)] * pgm
+    code, out, last = _main_cleanly(argv)
+    if width < 1 or height < 1:
+        assert code == 1 and last.startswith("error: reshape_attention: ")
+    elif width * height == values.size and not np.all(np.isfinite(values)):
+        assert code == 3 and last.startswith("error: AttnGrid values: ")
+    if code == 0:
+        assert out.count("\n") == 1 and grid.exists() == mask.exists() == pgm
+
+
 class TestCmdAttnmap:
     def test_bbox_output(self, tmp_path, capsys):
         a = np.zeros(12)
@@ -320,6 +368,24 @@ class TestCmdAttnmap:
         assert code == 0
         assert pgm.read_bytes() == b"P5\n2 2\n255\n" + bytes([0, 85, 170, 255])
         assert mask_pgm.read_bytes().startswith(b"P5\n2 2\n255\n")
+
+    def test_negative_sizes_exit_1(self, tmp_path, capsys):
+        # -2 x -3 holds the file's 6 entries, so only the sign can reject it
+        path = _write_features(tmp_path / "a.npy", np.arange(6.0).reshape(1, -1))
+        assert main(["attnmap", "--attn", path, "--width", "-2", "--height", "-3"]) == 1
+        assert capsys.readouterr().err == "error: reshape_attention: 6 values for -2x-3 grid\n"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_attention_exit_3(self, tmp_path, capsys, bad):
+        a = np.ones((1, 6))
+        a[0, 2] = bad
+        path = _write_features(tmp_path / "a.npy", a)
+        pgm = tmp_path / "grid.pgm"
+        code = main(["attnmap", "--attn", path, "--width", "3", "--height", "2", "--bbox",
+                     "--pgm", str(pgm)])
+        assert code == 3 and not pgm.exists()
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: AttnGrid values: ")
 
 
 class TestCmdGradcheck:

@@ -44,6 +44,11 @@ def _zero_mlp(d):
     return MlpWeights(np.zeros((d, d)), np.zeros(d), np.zeros((d, d)), np.zeros(d))
 
 
+def _psi(psi, x):
+    """The Nystrom features of the columns of x."""
+    return psi.embed(sq_distances(x, psi.anchors))
+
+
 def lloyd_step(x, u):
     """One engine k-means iteration from centroids u: (new centroids, assignment)."""
     out = run_pooling(kmeans_spec(u.shape[1], 1, InitRule("matrix", matrix=u)), _fm(x))
@@ -262,9 +267,11 @@ class TestOtkPool:
 
     @pytest.mark.parametrize("contiguous", [True, False])
     def test_shared_anchors_form_one_distance_matrix(self, monkeypatch, contiguous):
-        """psi anchored at the transport anchors: one sq_distances per call and
-        psi bit-identical to psi(x); anchored elsewhere: two.  Anchors already
-        C-contiguous leave u and the plan bit-identical to the two-matrix path."""
+        """psi anchored at the transport anchors: one sq_distances per call, and
+        psi bit-identical to psi of x's distances to psi.anchors; anchored
+        elsewhere: ContractError, before any distance is formed.  Anchors
+        already C-contiguous leave u and the plan bit-identical to those
+        formed from the distances to the anchors passed."""
         rng = np.random.default_rng(31)
         fm = _fm(rng.normal(size=(6, 20)))
         anchors = fm.x[:, [3, 7, 11, 15]]  # sampled columns are not C-contiguous
@@ -280,10 +287,11 @@ class TestOtkPool:
                             lambda self, sq: embedded.append(embed(self, sq)) or embedded[-1])
         out = otk_pool(fm, anchors, 0.5, psi=psi, params=params)
         assert len(calls) == 1 and len(embedded) == 1
-        otk_pool(fm, anchors, 0.5, psi=elsewhere, params=params)
-        assert len(calls) == 3
+        with pytest.raises(ContractError, match="psi must be anchored at the transport anchors"):
+            otk_pool(fm, anchors, 0.5, psi=elsewhere, params=params)
+        assert len(calls) == 1
         monkeypatch.undo()
-        feats = psi(fm.x)
+        feats = _psi(psi, fm.x)
         assert np.array_equal(embedded[0], feats)
         plan = sinkhorn(sq_distances(fm.x, anchors), params)
         if contiguous:
@@ -304,7 +312,7 @@ class TestOtkPool:
         psi = NystromMap(anchors=anchors, sigma=1.5)
         x = np.array([[0.5], [0.0]])
         expected = np.exp(-((0.5) ** 2 + 4.0) / (2 * 1.5**2))  # kappa(z,x), kappa(z,z)=1
-        np.testing.assert_allclose(psi(x), [[expected]], atol=1e-9)
+        np.testing.assert_allclose(_psi(psi, x), [[expected]], atol=1e-9)
 
 
 class TestNystromMap:
@@ -314,7 +322,7 @@ class TestNystromMap:
         psi = NystromMap(anchors, sigma=1.0)
         x = rng.normal(size=(4, 9))
         kappa = np.exp(-((anchors[:, :, None] - x[:, None, :]) ** 2).sum(axis=0) / 2.0)
-        np.testing.assert_allclose(psi(anchors).T @ psi(x), kappa, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(_psi(psi, anchors).T @ _psi(psi, x), kappa, rtol=0, atol=1e-10)
 
     def test_one_eigendecomposition_at_construction(self, monkeypatch):
         calls = []
@@ -323,7 +331,7 @@ class TestNystromMap:
         rng = np.random.default_rng(24)
         psi = NystromMap(rng.normal(size=(3, 4)), sigma=2.0)
         for _ in range(3):
-            psi(rng.normal(size=(3, 5)))
+            _psi(psi, rng.normal(size=(3, 5)))
         assert len(calls) == 1
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
@@ -403,10 +411,12 @@ class TestSlotPool:
         np.testing.assert_allclose(out.attention.a, 0.2, atol=1e-12)
 
     def test_simplified_matches_single_attention_pool(self):
-        # one simplified iteration with identity weights, slots pinned to the
-        # column mean, and LayerNorm off reproduces the gap-query attention
-        # pooler at gamma=1 when the global feature minimum is already 0;
-        # simplified mode reads neither the GRU nor the MLP
+        # one simplified iteration with identity weights and slots pinned to
+        # the column mean u0 reproduces the gap-query attention pooler at
+        # gamma=1 whose W_Q maps u0 to the slot query LayerNorm(u0), up to
+        # its shift of the values by their minimum and the clamp of that
+        # minimum to CLAMP_FLOOR = 1e-12; simplified mode reads neither the
+        # GRU nor the MLP
         x = np.array([[0.0, 1.0, 2.0], [3.0, 0.5, 1.0]])
         fm = _fm(x)
         u0 = gap(fm)
@@ -415,13 +425,11 @@ class TestSlotPool:
             gru=_zero_gru(2), mlp=_zero_mlp(2),
             mu=u0, sigma=np.zeros(2),
         )
-        out = slot_pool(fm, k=1, iters=1, weights=w, seed=0,
-                        simplified=True, use_layernorm=False)
-        params = SimPoolParams(w_q=np.eye(2), w_k=np.eye(2), gamma=1.0,
-                               use_layernorm=False)
-        u_sp, a_sp, _ = simpool_forward(fm, params)
+        out = slot_pool(fm, k=1, iters=1, weights=w, seed=0, simplified=True)
+        w_q = np.diag(layernorm_cols(u0[:, None])[:, 0] / u0)
+        u_sp, a_sp, cache = simpool_forward(fm, SimPoolParams(w_q=w_q, w_k=np.eye(2), gamma=1.0))
         np.testing.assert_allclose(out.attention.a[:, 0], a_sp, atol=1e-12)
-        np.testing.assert_allclose(out.u[:, 0], u_sp, atol=1e-12)
+        np.testing.assert_allclose(out.u[:, 0] - cache.xn[cache.argmin], u_sp, atol=2e-12)
 
     def test_zero_weights_collapse(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -443,15 +451,14 @@ class TestSlotPool:
 
     @settings(max_examples=150, deadline=None)
     @given(x=feature_matrices(), scale=SCALES, columns=COLUMN_EDGES, k_draw=st.integers(1, 9),
-           simplified=st.booleans(), use_layernorm=st.booleans(), iters=st.integers(1, 3),
-           seed=st.integers(0, 2**16))
+           simplified=st.booleans(), iters=st.integers(1, 3), seed=st.integers(0, 2**16))
     @example(x=np.array([[1.0], [-3.0]]), scale=1e6, columns="drawn", k_draw=1,
-             simplified=False, use_layernorm=True, iters=2, seed=0)  # d=2, p=1
+             simplified=False, iters=2, seed=0)  # d=2, p=1
     @example(x=np.arange(12.0).reshape(2, 6), scale=1.0, columns="drawn", k_draw=6,
-             simplified=True, use_layernorm=True, iters=3, seed=1)  # k = p
+             simplified=True, iters=3, seed=1)  # k = p
     def test_matches_materialized_keys_and_values(self, x, scale, columns, k_draw, simplified,
-                                                  use_layernorm, iters, seed):
-        """The engine never forms W_K x~ or W_V x~ (x~ = x or LayerNorm(x));
+                                                  iters, seed):
+        """The engine never forms W_K x~ or W_V x~ (x~ = LayerNorm(x));
         each iteration of slot_pool's spec, run from the reference's slots
         with the update left out, must give the attention and pooled
         values of the form that does."""
@@ -459,16 +466,16 @@ class TestSlotPool:
         k = min(k_draw, p)
         x = scale * shape_columns(x, columns)
         fm, w = _fm(x), SlotWeights.seeded(d, seed=seed)
-        spec = slot_spec(k, 1, w, seed, simplified, use_layernorm)
-        ln = layernorm_cols if use_layernorm else (lambda m: m)
-        xt = ln(x)
+        spec = slot_spec(k, 1, w, seed, simplified)
+        xt = layernorm_cols(x)
         keys, values = w.w_k @ xt, w.w_v @ xt  # the d x p forms
         rng = np.random.default_rng(seed)
         u = w.mu[:, None] + w.sigma[:, None] * rng.standard_normal((d, k))
         scale_s = np.sqrt(d)
         for _ in range(iters):
             step = replace(spec, init=InitRule(kind="matrix", matrix=u), pool_update=UpdateRule())
-            a_ref = col_softmax(keys.T @ (w.w_q @ ln(u)), scale_s)
+            un = layernorm_cols(u)
+            a_ref = col_softmax(keys.T @ (w.w_q @ un), scale_s)
             if not simplified:
                 try:
                     a_ref = eta_norm(a_ref)
@@ -479,7 +486,7 @@ class TestSlotPool:
             out = run_pooling(step, fm)
             z_ref = values @ a_ref
             # majorants: the logits and values on absolute weights and inputs
-            kappa = max(1.0, np.max(np.abs(xt).T @ (np.abs(w.w_k).T @ (np.abs(w.w_q) @ np.abs(ln(u)))))
+            kappa = max(1.0, np.max(np.abs(xt).T @ (np.abs(w.w_k).T @ (np.abs(w.w_q) @ np.abs(un))))
                         / scale_s)
             assert_within_rounding(out.attention.a, a_ref, a_ref, kappa)
             assert_within_rounding(out.u, z_ref, np.abs(w.w_v) @ (np.abs(xt) @ a_ref), kappa)

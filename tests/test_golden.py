@@ -1,12 +1,13 @@
 """Frozen outputs: every method on fixed inputs must keep its results.
 
 ``golden_outputs.npz`` holds the pooled vectors and attention of all
-CLI methods, vit and cait at 2 and 4 heads, plus the library-only slot,
-k-means, simplified CBAM and Nystrom-mapped transport modes, on two small
-feature maps.  Regenerate it (only when a change of output is intended) with
+CLI methods, vit and cait at 2 and 4 heads, plus the library-only full slot,
+k-means and Nystrom-mapped transport modes, on two small feature maps.
+Regenerate it (only when a change of output is intended) with
 ``PYTHONPATH=src python tests/test_golden.py``, or rewrite just some arrays,
-adding new ones, with ``... tests/test_golden.py --only KEY [KEY ...]``,
-which refuses if any other array moved by more than 1e-12.
+adding new ones, with ``... tests/test_golden.py --only KEY [KEY ...]``, or
+delete the arrays of outputs no longer computed with ``--drop KEY [KEY ...]``;
+both refuse if any other array moved by more than 1e-12.
 
 The frozen files only hold to 1e-12 on another BLAS build.  To check that
 a change keeps every output byte for byte on one host, dump the outputs of
@@ -26,7 +27,6 @@ import pytest
 from poolkit.cli import run_method
 from poolkit.cluster_poolers import NystromMap, SlotWeights, kmeans_pool, otk_pool, slot_pool
 from poolkit.framework import FeatureMap
-from poolkit.reweight_poolers import CbamWeights, cbam_pool
 from poolkit.tensor_io import METHOD_NAMES, config_from_dict
 
 GOLDEN = Path(__file__).with_name("golden_outputs.npz")
@@ -55,15 +55,8 @@ def compute_outputs() -> dict:
             for heads in (2, 4):
                 raw = {"method": method, "seed": seed, "iters": ITERS, "heads": heads}
                 runs[f"{method}_heads{heads}"] = run_method(config_from_dict(raw), fm)
-        weights = SlotWeights.seeded(d, seed=seed)
-        runs["slot_full"] = slot_pool(fm, K, ITERS, weights, seed=seed)
-        for simplified in (False, True):
-            runs[f"slot_noln_{'simple' if simplified else 'full'}"] = slot_pool(
-                fm, K, ITERS, weights, seed=seed, simplified=simplified,
-                use_layernorm=False)
+        runs["slot_full"] = slot_pool(fm, K, ITERS, SlotWeights.seeded(d, seed=seed), seed=seed)
         runs["kmeans_pool"] = kmeans_pool(fm, K, ITERS, seed=seed)
-        runs["cbam_simplified"] = cbam_pool(fm, CbamWeights.seeded(d, seed=seed),
-                                            simplified=True)
         # the Nystrom map anchored at the transport anchors, as the transport
         # benchmark builds it; sampled columns are not C-contiguous
         anchors = fm.sample_columns(K, seed)
@@ -125,12 +118,15 @@ def compare_dumps(before: Path, after: Path) -> list:
 def regenerate(compute, path: Path, argv=None) -> None:
     """Write ``compute()`` to ``path``.  With ``--only KEY ...`` write just
     those keys, new or frozen, and copy every other frozen array unchanged;
-    exit 1, naming them, if any other key moved, is missing or is unfrozen.
+    with ``--drop KEY ...`` delete those frozen keys, which must no longer
+    be computed, and copy every other array unchanged.  Either exits 1,
+    naming them, if any other key moved, is missing or is unfrozen.
     ``--dump`` and ``--compare`` write and compare both scripts' outputs
     instead (see the module docstring)."""
     parser = argparse.ArgumentParser(description=f"regenerate {path.name}")
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--only", nargs="+", metavar="KEY", help="write only these keys")
+    mode.add_argument("--drop", nargs="+", metavar="KEY", help="delete these frozen keys")
     mode.add_argument("--dump", metavar="NPZ", help="write both golden scripts' outputs to NPZ")
     mode.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
                       help="compare two dumps array by array")
@@ -141,22 +137,29 @@ def regenerate(compute, path: Path, argv=None) -> None:
         return
     if args.compare:
         sys.exit(1 if compare_dumps(*map(Path, args.compare)) else 0)
-    only = args.only
+    named = args.only or args.drop
     current = compute()
-    if only is None:
+    if named is None:
         np.savez(path, **current)
         print(f"wrote {path}")
         return
-    out = {key: want for key, want in _load(path).items() if key not in only}
-    bad = [f"moved: {key}" for key in _moved(current, out)]
-    bad += [f"not computed: {key}" for key in only if key not in current]
+    frozen = _load(path)
+    out = {key: want for key, want in frozen.items() if key not in named}
+    bad = [f"{'moved' if key in current else 'missing'}: {key}" for key in _moved(current, out)]
+    if args.only:
+        bad += [f"not computed: {key}" for key in named if key not in current]
+    else:
+        bad += [f"still computed: {key}" for key in named if key in current]
+        bad += [f"not frozen: {key}" for key in named if key not in frozen]
     bad += [f"neither frozen nor named: {key}" for key in current
-            if key not in out and key not in only]
+            if key not in out and key not in named]
     if bad:
         sys.exit("refusing to write " + str(path) + "\n" + "\n".join(bad))
-    out.update((key, current[key]) for key in only)
+    if args.only:
+        out.update((key, current[key]) for key in named)
     np.savez(path, **out)
-    print(f"wrote {len(only)} of {len(out)} arrays to {path}")
+    print(f"wrote {len(out)} arrays to {path}: {len(named)} "
+          f"{'written' if args.only else 'dropped'}")
 
 
 def test_outputs_unchanged():
@@ -180,6 +183,23 @@ def test_regenerate_only_writes_named_keys(tmp_path):
         assert line in str(refused.value)
     with np.load(path) as out:
         assert not out["kept"].any()
+
+
+def test_regenerate_drop_deletes_named_keys(tmp_path):
+    path = tmp_path / "golden.npz"
+    np.savez(path, kept=np.zeros(2), gone=np.zeros(2))
+    regenerate(lambda: {"kept": np.full(2, 1e-13)}, path, ["--drop", "gone"])
+    with np.load(path) as out:
+        assert out.files == ["kept"] and not out["kept"].any()
+    np.savez(path, kept=np.zeros(2), gone=np.zeros(2), lost=np.zeros(1))
+    current = {"kept": np.full(2, 2e-12), "gone": np.zeros(2), "unfrozen": np.ones(1)}
+    with pytest.raises(SystemExit) as refused:
+        regenerate(lambda: current, path, ["--drop", "gone", "typo"])
+    for line in ("moved: kept", "missing: lost", "still computed: gone", "not frozen: typo",
+                 "neither frozen nor named: unfrozen"):
+        assert line in str(refused.value)
+    with np.load(path) as out:
+        assert sorted(out.files) == ["gone", "kept", "lost"]
 
 
 def test_compare_dumps_reports_each_difference(tmp_path, capsys):

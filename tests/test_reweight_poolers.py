@@ -63,15 +63,6 @@ class TestCbamPool:
         v = 0.5 * x  # zero channel MLP -> gate 0.5
         np.testing.assert_allclose(out.u[:, 0], v.mean(axis=1), atol=1e-6)
 
-    def test_simplified_decomposition_identity(self):
-        rng = np.random.default_rng(27)
-        for _ in range(100):
-            x = rng.normal(size=(5, 8))
-            q = rng.uniform(0.0, 1.0, size=5)
-            lhs = (q[:, None] * x).mean(axis=0)
-            rhs = x.T @ q / 5
-            np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
     def test_one_by_one_grid_hand_trace(self):
         x = np.array([[1.0], [2.0], [3.0], [4.0]])
         fm = FeatureMap(x, width=1, height=1)
@@ -84,11 +75,3 @@ class TestCbamPool:
         logit = w.conv7[0, 3, 3] * s_avg + w.conv7[1, 3, 3] * s_max + 0.3
         a = 1.0 / (1.0 + np.exp(-logit))
         np.testing.assert_allclose(out.u[:, 0], v[:, 0] * a, atol=1e-12)
-
-    def test_simplified_runs_and_shapes(self):
-        rng = np.random.default_rng(29)
-        fm = FeatureMap(rng.uniform(0.1, 1.0, size=(4, 12)), width=4, height=3)
-        out = cbam_pool(fm, CbamWeights.seeded(4, seed=7), simplified=True)
-        assert out.u.shape == (4, 1)
-        assert out.attention.a.shape == (12, 1)
-        assert np.all((out.attention.a >= 0) & (out.attention.a <= 1))
