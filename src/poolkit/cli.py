@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 configuration/contract errors, 2 I/O errors,
 from __future__ import annotations
 
 import argparse
+import numbers
 import sys
 import time
 from dataclasses import fields, replace
@@ -22,6 +23,7 @@ from .simple_poolers import HowConfig, gem_spec, how_spec, lse_spec, max_spec
 from .simpool import SimPoolParams, simpool_forward, simpool_gradcheck
 from .tensor_io import (
     METHOD_NAMES,
+    TYPED_FIELDS,
     RunConfig,
     config_from_dict,
     load_config,
@@ -237,15 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_pool = sub.add_parser("pool", help="pool a feature file")
     p_pool.add_argument("--input", required=True)
     p_pool.add_argument("--method", choices=METHOD_NAMES)
-    p_pool.add_argument("--gamma", type=float)
-    p_pool.add_argument("--k", type=int)
-    p_pool.add_argument("--iters", type=int)
-    p_pool.add_argument("--heads", type=int)
-    p_pool.add_argument("--epsilon", type=float)
-    p_pool.add_argument("--r", type=float)
-    p_pool.add_argument("--seed", type=int)
-    p_pool.add_argument("--width", type=int)
-    p_pool.add_argument("--height", type=int)
+    for names, kind, _ in TYPED_FIELDS:  # one override flag per typed RunConfig field
+        for name in names:
+            p_pool.add_argument(f"--{name}", type=int if kind is numbers.Integral else float)
     p_pool.add_argument("--config")
     p_pool.add_argument("--out")
     p_pool.add_argument("--attn-out")

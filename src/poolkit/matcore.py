@@ -94,12 +94,22 @@ def sq_distances(x: Mat, u: Mat) -> Mat:
     return np.maximum(x2 + u2 - 2.0 * (x.T @ u), 0.0)
 
 
+def col_var(x: Mat) -> np.ndarray:
+    """Each column's variance, for LayerNorm; NumericError names a column
+    whose variance overflows, which would otherwise normalize to zeros."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        var = x.var(axis=0)
+    bad = np.flatnonzero(~np.isfinite(var))
+    if bad.size:
+        raise NumericError(f"LayerNorm: the variance of column {bad[0]} overflows float64")
+    return var
+
+
 def layernorm_cols(x: Mat) -> Mat:
     """Normalize each column to zero mean / unit variance (no affine)."""
     x = np.asarray(x, dtype=np.float64)
     mu = x.mean(axis=0, keepdims=True)
-    var = x.var(axis=0, keepdims=True)
-    return (x - mu) / np.sqrt(var + LN_EPS)
+    return (x - mu) / np.sqrt(col_var(x)[None, :] + LN_EPS)
 
 
 def logsumexp(m: Mat, axis: int) -> np.ndarray:

@@ -1,7 +1,8 @@
-"""Tiny fixed-weight neural cells: 2-layer MLP and a GRU cell.
+"""Tiny fixed-weight, bias-free neural cells: a 2-layer MLP and a GRU cell.
 
 Weights are plain arrays, either user-supplied or drawn from a seeded
-normal generator (scale 1/sqrt(fan_in)); nothing here is trained.
+normal generator (scale 1/sqrt(fan_in)); nothing here is trained, so
+there are no biases: every caller would hold them at zero.
 """
 
 from __future__ import annotations
@@ -21,21 +22,14 @@ def dense(rng: np.random.Generator, n_out: int, n_in: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MlpWeights:
-    """Two affine layers with a ReLU in between."""
+    """Two linear layers with a ReLU in between: w2 relu(w1 x)."""
 
     w1: np.ndarray
-    b1: np.ndarray
     w2: np.ndarray
-    b2: np.ndarray
 
     @classmethod
     def seeded(cls, rng: np.random.Generator, dim_in: int, hidden: int, dim_out: int) -> "MlpWeights":
-        return cls(
-            w1=dense(rng, hidden, dim_in),
-            b1=np.zeros(hidden),
-            w2=dense(rng, dim_out, hidden),
-            b2=np.zeros(dim_out),
-        )
+        return cls(w1=dense(rng, hidden, dim_in), w2=dense(rng, dim_out, hidden))
 
 
 def mlp2(x: np.ndarray, w: MlpWeights) -> np.ndarray:
@@ -46,8 +40,7 @@ def mlp2(x: np.ndarray, w: MlpWeights) -> np.ndarray:
         x = x[:, None]
     if w.w1.shape[1] != x.shape[0]:
         raise ShapeError(f"mlp2: weight {w.w1.shape} vs input {x.shape}")
-    h = relu(narrow_matmul(w.w1, x) + w.b1[:, None])
-    out = narrow_matmul(w.w2, h) + w.b2[:, None]
+    out = narrow_matmul(w.w2, relu(narrow_matmul(w.w1, x)))
     return out[:, 0] if squeeze else out
 
 
@@ -60,20 +53,17 @@ class GruWeights:
 
     w_r: np.ndarray
     u_r: np.ndarray
-    b_r: np.ndarray
     w_z: np.ndarray
     u_z: np.ndarray
-    b_z: np.ndarray
     w_h: np.ndarray
     u_h: np.ndarray
-    b_h: np.ndarray
 
     @classmethod
     def seeded(cls, rng: np.random.Generator, state: int, inp: int) -> "GruWeights":
         return cls(
-            w_r=dense(rng, state, inp), u_r=dense(rng, state, state), b_r=np.zeros(state),
-            w_z=dense(rng, state, inp), u_z=dense(rng, state, state), b_z=np.zeros(state),
-            w_h=dense(rng, state, inp), u_h=dense(rng, state, state), b_h=np.zeros(state),
+            w_r=dense(rng, state, inp), u_r=dense(rng, state, state),
+            w_z=dense(rng, state, inp), u_z=dense(rng, state, state),
+            w_h=dense(rng, state, inp), u_h=dense(rng, state, state),
         )
 
 
@@ -81,7 +71,7 @@ def gru_cell(z: np.ndarray, h: np.ndarray, w: GruWeights) -> np.ndarray:
     """One GRU step on column-stacked inputs ``z`` with states ``h``."""
     z = np.asarray(z, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
-    r = sigmoid(narrow_matmul(w.w_r, z) + narrow_matmul(w.u_r, h) + w.b_r[:, None])
-    u = sigmoid(narrow_matmul(w.w_z, z) + narrow_matmul(w.u_z, h) + w.b_z[:, None])
-    cand = np.tanh(narrow_matmul(w.w_h, z) + narrow_matmul(w.u_h, r * h) + w.b_h[:, None])
+    r = sigmoid(narrow_matmul(w.w_r, z) + narrow_matmul(w.u_r, h))
+    u = sigmoid(narrow_matmul(w.w_z, z) + narrow_matmul(w.u_z, h))
+    cand = np.tanh(narrow_matmul(w.w_h, z) + narrow_matmul(w.u_h, r * h))
     return (1.0 - u) * h + u * cand

@@ -2,7 +2,8 @@
 
 Both methods gate the features with sigmoid outputs and are finished
 off by global average pooling, which turns them into single-vector
-pooling operators.
+pooling operators.  The channel gate is the bias-free bottleneck MLP
+``nncells.mlp2``: SE's excitation, which CBAM reuses on [avg, max].
 """
 
 from __future__ import annotations
@@ -13,18 +14,14 @@ import numpy as np
 
 from .errors import ContractError, ShapeError
 from .framework import AttentionMatrix, FeatureMap, PooledSet
-from .matcore import Mat, conv2d_same, relu, sigmoid
-from .nncells import dense
+from .matcore import Mat, conv2d_same, sigmoid
+from .nncells import MlpWeights, dense, mlp2
 
 REDUCTION = 4  # bottleneck ratio d / hidden of the seeded gating MLP
 
 
-@dataclass(frozen=True)
-class SeWeights:
+class SeWeights(MlpWeights):
     """Bottleneck gating MLP: d -> d/r -> d."""
-
-    w1: Mat
-    w2: Mat
 
     @classmethod
     def seeded(cls, d: int, *, seed: int = 0) -> "SeWeights":
@@ -35,18 +32,11 @@ class SeWeights:
         return cls(w1=dense(rng, hidden, d), w2=dense(rng, d, hidden))
 
 
-def _gate(u: np.ndarray, w: SeWeights) -> np.ndarray:
-    """Gate logits w2 relu(w1 u) of the (d, n) columns u."""
-    if w.w1.shape[1] != u.shape[0]:
-        raise ShapeError(f"SeWeights: w1 {w.w1.shape} vs input {u.shape}")
-    return w.w2 @ relu(w.w1 @ u)
-
-
 def se_pool(fm: FeatureMap, w: SeWeights) -> PooledSet:
     """Channel gating from the global average, then average pooling:
     z = q * gap(X) with q = sigmoid(mlp(gap(X)))."""
     u0 = fm.x.mean(axis=1)
-    q = sigmoid(_gate(u0[:, None], w)[:, 0])
+    q = sigmoid(mlp2(u0, w))
     z = q * u0
     p = fm.p
     uniform = np.full((p, 1), 1.0 / p)
@@ -59,7 +49,6 @@ class CbamWeights:
 
     channel_mlp: SeWeights
     conv7: Mat  # (2, 7, 7)
-    conv_bias: float = 0.0
 
     def __post_init__(self):
         k = np.asarray(self.conv7, dtype=np.float64)
@@ -73,7 +62,6 @@ class CbamWeights:
         return cls(
             channel_mlp=SeWeights.seeded(d, seed=seed),
             conv7=rng.normal(scale=1.0 / 7.0, size=(2, 7, 7)),
-            conv_bias=0.0,
         )
 
 
@@ -84,13 +72,13 @@ def cbam_pool(fm: FeatureMap, w: CbamWeights) -> PooledSet:
     x = fm.x
     p = fm.p
     u0 = np.stack([x.mean(axis=1), x.max(axis=1)], axis=1)  # (d, 2)
-    q = sigmoid(_gate(u0, w.channel_mlp).mean(axis=1))
+    q = sigmoid(mlp2(u0, w.channel_mlp).mean(axis=1))
     v = q[:, None] * x
 
     s = np.stack([v.mean(axis=0), v.max(axis=0)], axis=1)  # (p, 2)
     maps = s.T.reshape(-1, fm.height, fm.width)  # one (height, width) map per statistic
     acc = conv2d_same(maps, w.conv7).sum(axis=0)
-    a = sigmoid(acc + w.conv_bias).reshape(-1)
+    a = sigmoid(acc).reshape(-1)
 
     z = (v @ a) / p
     return PooledSet(u=z[:, None], attention=AttentionMatrix(a[:, None], stochastic_cols=False))

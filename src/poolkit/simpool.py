@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ContractError, ShapeError
 from .framework import FeatureMap
 from .gradcheck import GradReport, central_diff, compare
-from .matcore import LN_EPS, Mat, col_softmax
+from .matcore import LN_EPS, Mat, col_softmax, col_var
 from .meanfam import CLAMP_FLOOR, AlphaParam, weighted_generalized_mean
 from .nncells import dense
 
@@ -86,7 +86,7 @@ def simpool_forward(
 
     u0 = x.mean(axis=1)  # GAP of the raw features, before LayerNorm
 
-    inv_std = 1.0 / np.sqrt(x.var(axis=0) + LN_EPS)
+    inv_std = 1.0 / np.sqrt(col_var(x) + LN_EPS)
     xn = (x - x.mean(axis=0)[None, :]) * inv_std[None, :]
 
     q = params.w_q @ u0

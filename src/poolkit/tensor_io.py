@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import struct
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
@@ -95,21 +94,9 @@ def read_npy(path) -> tuple[np.ndarray, NpyHeader]:
 def write_npy(arr, path) -> None:
     """Write float64 C-order NPY v1.0 with a 64-byte-aligned header."""
     arr = np.ascontiguousarray(np.asarray(arr, dtype=np.float64))
-    shape = arr.shape
-    shape_str = "(" + ", ".join(str(s) for s in shape) + ("," if len(shape) == 1 else "") + ")"
-    body = f"{{'descr': '<f8', 'fortran_order': False, 'shape': {shape_str}, }}"
-    # pad with spaces so that 10-byte preamble + header is a multiple of 64,
-    # newline-terminated
-    total = 10 + len(body) + 1
-    pad = (64 - total % 64) % 64
-    header = (body + " " * pad + "\n").encode("latin1")
     try:
         with Path(path).open("wb") as fh:
-            fh.write(np.lib.format.MAGIC_PREFIX)
-            fh.write(b"\x01\x00")
-            fh.write(struct.pack("<H", len(header)))
-            fh.write(header)
-            fh.write(arr.tobytes())
+            np.lib.format.write_array(fh, arr, version=(1, 0), allow_pickle=False)
     except OSError as exc:
         raise OSError(f"write_npy: cannot write {path}: {exc}") from exc
 
@@ -130,14 +117,14 @@ def load_feature_map(path, width: Optional[int] = None, height: Optional[int] = 
 
 # --- run configuration -----------------------------------------------------
 
-_TYPED_FIELDS = (  # (fields, type, description); a field whose default is None may be None
+TYPED_FIELDS = (  # (fields, type, description); a field whose default is None may be None
     (("k", "iters", "heads", "seed", "width", "height"), numbers.Integral, "an integer"),
     (("gamma", "epsilon", "r"), numbers.Real, "a finite number"),
 )
 
 
 def _check_field_types(cfg) -> None:
-    for names, kind, what in _TYPED_FIELDS:
+    for names, kind, what in TYPED_FIELDS:
         for name in names:
             val = getattr(cfg, name)
             if val is None and getattr(RunConfig, name) is None:

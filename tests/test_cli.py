@@ -190,6 +190,12 @@ class TestCmdPool:
         x = _write_features(tmp_path / "x.npy", np.ones((16, 12)))
         assert reason in _cli_error(["pool", "--input", x, *flags], 1)
 
+    @pytest.mark.parametrize("method", ["slot", "simpool"])
+    def test_overflowing_layernorm_exit_3(self, tmp_path, method):
+        # LayerNorm's variance overflows: one error line, no RuntimeWarning
+        x = _write_features(tmp_path / "x.npy", 1e200 * np.random.default_rng(0).normal(size=(8, 12)))
+        assert "variance of column 0 overflows" in _cli_error(["pool", "--input", x, "--method", method], 3)
+
     def test_non_finite_output_exit_3(self, tmp_path, capsys):
         # r * v overflows to inf, and the max-factored sum turns it into NaN
         x = _write_features(tmp_path / "x.npy", np.full((4, 6), 2.0))

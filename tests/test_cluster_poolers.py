@@ -36,12 +36,12 @@ def _fm(x, **kw):
 
 def _zero_gru(d):
     """A GRU cell with zero weights: both gates read sigmoid(0) = 1/2, the candidate 0."""
-    w, b = np.zeros((d, d)), np.zeros(d)
-    return GruWeights(w, w, b, w, w, b, w, w, b)
+    w = np.zeros((d, d))
+    return GruWeights(w, w, w, w, w, w)
 
 
 def _zero_mlp(d):
-    return MlpWeights(np.zeros((d, d)), np.zeros(d), np.zeros((d, d)), np.zeros(d))
+    return MlpWeights(np.zeros((d, d)), np.zeros((d, d)))
 
 
 def _psi(psi, x):

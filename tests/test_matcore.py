@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from poolkit.errors import ContractError, DegenerateMassError
+from poolkit.errors import ContractError, DegenerateMassError, NumericError
 from poolkit.matcore import (
     SMALL_GEMM,
     col_softmax,
@@ -87,6 +87,13 @@ class TestLayernormCols:
         x = rng.normal(scale=5.0, size=(6, 5))
         np.testing.assert_allclose(layernorm_cols(2.5 * x + 3.0),
                                    layernorm_cols(x), atol=1e-6)
+
+    def test_overflowing_variance_raises(self):
+        # past |x| ~ 1e154 the squares overflow, and the column would normalize to 0
+        x = np.ones((4, 3))
+        x[:, 1] = [1e155, -1e155, 0.0, 1.0]
+        with pytest.raises(NumericError, match="column 1 overflows"):
+            layernorm_cols(x)
 
 
 class TestSmallHelpers:

@@ -1,17 +1,55 @@
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from poolkit.errors import ShapeError
 from poolkit.framework import FeatureMap
 from poolkit.reweight_poolers import CbamWeights, SeWeights, cbam_pool, se_pool
 from poolkit.simple_poolers import gap
+
+from numeric_edges import COLUMN_EDGES, SCALES, assert_within_rounding, feature_matrices, shape_columns
 
 
 def _fm(x, **kw):
     return FeatureMap.from_array(np.asarray(x, dtype=float), **kw)
 
 
+def _sigmoid(t):
+    return 0.5 * (1.0 + np.tanh(0.5 * t))  # = 1 / (1 + exp(-t)), without overflow
+
+
+def _gate_reference(w, u):
+    """sigmoid(w2 relu(w1 u)), averaged over the columns of u, and the
+    majorant of its logits (at least 1)."""
+    logits = w.w2 @ np.maximum(w.w1 @ u, 0.0)
+    kappa = max(1.0, np.max(np.abs(w.w2) @ (np.abs(w.w1) @ np.abs(u))))
+    return _sigmoid(logits.mean(axis=1)), kappa
+
+
+@st.composite
+def _gated_cases(draw):
+    """Features on the numeric edges with d in {4, 8} (the reduction divides
+    d), a grid for them (1 x p, p x 1 and every other factorization) and a
+    weight seed."""
+    x = draw(SCALES) * shape_columns(draw(feature_matrices(rows=st.sampled_from([4, 8]))),
+                                     draw(COLUMN_EDGES))
+    p = x.shape[1]
+    width = draw(st.sampled_from([w for w in range(1, p + 1) if p % w == 0]))
+    return FeatureMap(x, width, p // width), draw(st.integers(0, 2**16))
+
+
 def _zero_gate(d):
     """A d -> 1 -> d bottleneck with zero weights: every gate is sigmoid(0) = 1/2."""
     return SeWeights(np.zeros((1, d)), np.zeros((d, 1)))
+
+
+@pytest.mark.parametrize("pool, weights", [(se_pool, SeWeights.seeded),
+                                           (cbam_pool, CbamWeights.seeded)])
+def test_misfit_weights_raise_shape_error(pool, weights):
+    """The channel gate is mlp2, whose shape check names it."""
+    with pytest.raises(ShapeError, match="mlp2"):
+        pool(FeatureMap(np.ones((8, 4)), 2, 2), weights(4))
 
 
 class TestSePool:
@@ -42,6 +80,19 @@ class TestSePool:
         out = se_pool(fm, w)  # logits = 20 -> gate ~ 1
         np.testing.assert_allclose(out.u[:, 0], gap(fm), atol=1e-6)
 
+    @settings(max_examples=100, deadline=None)
+    @given(case=_gated_cases())
+    def test_matches_reference(self, case):
+        """z = sigmoid(w2 relu(w1 u0)) * u0 with u0 = gap(X), and uniform
+        attention; the gate's error is at most its logits' rounding."""
+        fm, seed = case
+        w = SeWeights.seeded(fm.d, seed=seed)
+        u0 = fm.x.mean(axis=1)
+        q, kappa = _gate_reference(w, u0[:, None])
+        out = se_pool(fm, w)
+        assert_within_rounding(out.u[:, 0], q * u0, np.abs(fm.x), kappa)
+        np.testing.assert_array_equal(out.attention.a, np.full((fm.p, 1), 1.0 / fm.p))
+
 
 class TestCbamPool:
     def test_zero_conv_half_gap_of_gated(self):
@@ -57,8 +108,9 @@ class TestCbamPool:
         rng = np.random.default_rng(26)
         x = rng.uniform(0.1, 2.0, size=(4, 6))
         fm = FeatureMap(x, width=3, height=2)
-        w = CbamWeights(channel_mlp=_zero_gate(4),
-                        conv7=np.zeros((2, 7, 7)), conv_bias=20.0)
+        # the [avg, max] maps are at least 0.05 everywhere, so a kernel of 100s
+        # drives every spatial logit past 60 on this 3x2 grid
+        w = CbamWeights(channel_mlp=_zero_gate(4), conv7=np.full((2, 7, 7), 100.0))
         out = cbam_pool(fm, w)
         v = 0.5 * x  # zero channel MLP -> gate 0.5
         np.testing.assert_allclose(out.u[:, 0], v.mean(axis=1), atol=1e-6)
@@ -67,11 +119,32 @@ class TestCbamPool:
         x = np.array([[1.0], [2.0], [3.0], [4.0]])
         fm = FeatureMap(x, width=1, height=1)
         rng = np.random.default_rng(28)
-        w = CbamWeights(channel_mlp=_zero_gate(4),
-                        conv7=rng.normal(size=(2, 7, 7)), conv_bias=0.3)
+        w = CbamWeights(channel_mlp=_zero_gate(4), conv7=rng.normal(size=(2, 7, 7)))
         out = cbam_pool(fm, w)
         v = 0.5 * x
         s_avg, s_max = v.mean(), v.max()
-        logit = w.conv7[0, 3, 3] * s_avg + w.conv7[1, 3, 3] * s_max + 0.3
+        logit = w.conv7[0, 3, 3] * s_avg + w.conv7[1, 3, 3] * s_max
         a = 1.0 / (1.0 + np.exp(-logit))
         np.testing.assert_allclose(out.u[:, 0], v[:, 0] * a, atol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_gated_cases())
+    def test_matches_reference(self, case):
+        """V = q * X with q the gate of X's per-channel [avg, max]; the spatial
+        attention a = sigmoid(K (*) [avg, max] of V's columns), K's 7x7
+        cross-correlation zero-padded to the grid; z = V a / p."""
+        fm, seed = case
+        w = CbamWeights.seeded(fm.d, seed=seed)
+        x = fm.x
+        q, kappa_q = _gate_reference(w.channel_mlp, np.stack([x.mean(axis=1), x.max(axis=1)], 1))
+        v = q[:, None] * x
+        maps = np.stack([v.mean(axis=0), v.max(axis=0)]).reshape(2, fm.height, fm.width)
+        padded = np.pad(maps, ((0, 0), (3, 3), (3, 3)))
+        logits = np.array([[np.sum(w.conv7 * padded[:, i:i + 7, j:j + 7])
+                            for j in range(fm.width)] for i in range(fm.height)])
+        a = _sigmoid(logits.reshape(-1))
+        out = cbam_pool(fm, w)
+        # the maps carry the gate's error, |maps| <= max|X|, into the logits
+        kappa = kappa_q * max(1.0, np.sum(np.abs(w.conv7)) * np.max(np.abs(x)))
+        assert_within_rounding(out.u[:, 0], v @ a / fm.p, np.abs(x), kappa)
+        assert_within_rounding(out.attention.a[:, 0], a, np.ones(1), kappa)

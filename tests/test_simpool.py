@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poolkit.errors import ContractError
+from poolkit.errors import ContractError, NumericError
 from poolkit.framework import FeatureMap
 from poolkit.matcore import LN_EPS, col_softmax
 from poolkit.meanfam import CLAMP_FLOOR
@@ -44,6 +44,12 @@ class TestForward:
     def test_d1_rejected(self):
         with pytest.raises(ContractError):
             simpool_forward(_fm([[1.0, 2.0]]), SimPoolParams(np.eye(1), np.eye(1)))
+
+    def test_overflowing_variance_raises(self):
+        x = np.ones((3, 4))
+        x[:, 2] = [1e200, 0.0, -1e200]
+        with pytest.raises(NumericError, match="variance of column 2 overflows"):
+            simpool_forward(_fm(x), SimPoolParams.seeded(3, seed=0))
 
     def test_attention_sums_to_one(self):
         rng = np.random.default_rng(35)

@@ -39,7 +39,7 @@ def _fm(x, **kw):
 def _identity_mlp(d):
     """An MLP that is exactly the identity despite its ReLU: x == relu(x) - relu(-x)."""
     eye = np.eye(d)
-    return MlpWeights(np.vstack([eye, -eye]), np.zeros(2 * d), np.hstack([eye, -eye]), np.zeros(d))
+    return MlpWeights(np.vstack([eye, -eye]), np.hstack([eye, -eye]))
 
 
 def _per_head_reference(x, w, m, iters):
@@ -69,8 +69,8 @@ def _per_head_reference(x, w, m, iters):
             # logits over three iterations would overflow
             kappa = min(1e12, kappa * max(1.0, np.max(ki.T @ qi) / scale))
             z_abs.append(vi @ ai)
-        h_abs = np.abs(iw.mlp.w1) @ (np.abs(iw.w_u) @ np.concatenate(z_abs)[:, 0]) + np.abs(iw.mlp.b1)
-        u_abs = np.abs(iw.mlp.w2) @ h_abs + np.abs(iw.mlp.b2)
+        h_abs = np.abs(iw.mlp.w1) @ (np.abs(iw.w_u) @ np.concatenate(z_abs)[:, 0])
+        u_abs = np.abs(iw.mlp.w2) @ h_abs
     return u, np.mean(attn, axis=0)[:, 0], u_abs, kappa
 
 
