@@ -27,6 +27,7 @@ from .matcore import (
     layernorm_cols,
     l2_normalize,
     narrow_matmul,
+    sigmoid,
     sq_distances,
 )
 from .meanfam import AlphaParam, lse_pool, weighted_generalized_mean
@@ -189,14 +190,14 @@ class InitRule:
 
 @dataclass(frozen=True)
 class UpdateRule:
-    """Output mapping for U at the end of an iteration; ``gru_mlp`` is a GRU step
-    plus a residual MLP on the LayerNorm of its output."""
+    """Output map of U after each iteration: ``gru_mlp``, a GRU step plus a
+    residual MLP on its LayerNorm; ``channel_gate``, z <- sigmoid(mlp(z)) * z."""
 
-    kind: str = "identity"  # identity | l2norm | gru_mlp
+    kind: str = "identity"  # identity | l2norm | gru_mlp | channel_gate
     gru: object = None
     mlp: object = None
 
-    KINDS = ("identity", "l2norm", "gru_mlp")
+    KINDS = ("identity", "l2norm", "gru_mlp", "channel_gate")
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
@@ -344,6 +345,8 @@ def _update(rule: UpdateRule, z: Mat, prev: Mat) -> Mat:
         return z
     if rule.kind == "l2norm":
         return np.stack([l2_normalize(z[:, j]) for j in range(z.shape[1])], axis=1)
+    if rule.kind == "channel_gate":
+        return sigmoid(mlp2(z, rule.mlp)) * z
     g = gru_cell(z, prev, rule.gru)  # gru_mlp
     return g + mlp2(layernorm_cols(g), rule.mlp)
 
@@ -366,7 +369,7 @@ def _init_u(rule: InitRule, fm: FeatureMap, k: int) -> Mat:
 
 
 def run_pooling(spec: PoolingSpec, fm: FeatureMap) -> PooledSet:
-    """Run the configured pooling loop for exactly ``spec.iters`` iterations.
+    """Run ``spec.iters`` iterations of the loop, forming U^0 only if a rule reads it.
 
     Each weight meets the k query or pooled columns, never the p feature
     columns.  Only the weight-free inputs X~ (X, LayerNorm(X) or X - c) are
@@ -376,8 +379,8 @@ def run_pooling(spec: PoolingSpec, fm: FeatureMap) -> PooledSet:
     attention through its adjoint, z = W ((X - c) avg3^T(a)).
     """
     x = fm.x
-    u = _init_u(spec.init, fm, spec.k)
     needs_sim = spec.attention.kind not in ("constant", "feature_sqnorm")
+    u = _init_u(spec.init, fm, spec.k) if needs_sim or spec.pool_update.kind == "gru_mlp" else None
     normed = {}
     x_key = _map_input(spec.key_map, x, normed) if needs_sim else None
     x_val = _map_input(spec.value_map, x, normed)

@@ -133,12 +133,14 @@ def relu(x):
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:
-    """Scale a vector to unit l2 norm; a zero vector is degenerate."""
+    """Scale a vector to unit l2 norm, after an exact power-of-two scaling to
+    max|v| in [1/2, 1) keeps its norm in range; a zero vector is degenerate."""
     v = np.asarray(v, dtype=np.float64)
-    n = np.linalg.norm(v)
-    if n == 0:
+    top = np.max(np.abs(v))
+    if top == 0:
         raise DegenerateMassError("l2_normalize: zero vector")
-    return v / n
+    v = np.ldexp(v, -np.frexp(top)[1])
+    return v / np.linalg.norm(v)
 
 
 def conv2d_same(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:

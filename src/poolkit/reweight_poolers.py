@@ -1,9 +1,9 @@
 """Channel / spatial re-weighting blocks recast as poolers.
 
-Both methods gate the features with sigmoid outputs and are finished
-off by global average pooling, which turns them into single-vector
-pooling operators.  The channel gate is the bias-free bottleneck MLP
-``nncells.mlp2``: SE's excitation, which CBAM reuses on [avg, max].
+Both methods gate the features with sigmoid outputs and end in global
+average pooling.  The channel gate is the bias-free bottleneck MLP
+``nncells.mlp2``: SE's excitation, run by the engine as the
+``channel_gate`` update; CBAM, still direct, reuses it on [avg, max].
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .framework import AttentionMatrix, FeatureMap, PooledSet
+from .framework import AttentionMatrix, AttnRule, FeatureMap, PooledSet, PoolingSpec, UpdateRule, run_pooling
 from .matcore import Mat, conv2d_same, sigmoid
 from .nncells import MlpWeights, dense, mlp2
 
@@ -32,15 +32,17 @@ class SeWeights(MlpWeights):
         return cls(w1=dense(rng, hidden, d), w2=dense(rng, d, hidden))
 
 
+def se_spec(p: int, w: SeWeights) -> PoolingSpec:
+    """gap(X) by uniform attention and the mean pool, then z = sigmoid(mlp(u0)) * u0."""
+    return PoolingSpec(
+        attention=AttnRule(kind="constant", vector=np.full(p, 1.0 / p)),
+        pool_update=UpdateRule(kind="channel_gate", mlp=w),
+    )
+
+
 def se_pool(fm: FeatureMap, w: SeWeights) -> PooledSet:
-    """Channel gating from the global average, then average pooling:
-    z = q * gap(X) with q = sigmoid(mlp(gap(X)))."""
-    u0 = fm.x.mean(axis=1)
-    q = sigmoid(mlp2(u0, w))
-    z = q * u0
-    p = fm.p
-    uniform = np.full((p, 1), 1.0 / p)
-    return PooledSet(u=z[:, None], attention=AttentionMatrix(uniform, stochastic_cols=True))
+    """Channel gating from the global average, then average pooling."""
+    return run_pooling(se_spec(fm.p, w), fm)
 
 
 @dataclass(frozen=True)

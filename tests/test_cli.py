@@ -4,6 +4,7 @@ import json
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -195,6 +196,23 @@ class TestCmdPool:
         # LayerNorm's variance overflows: one error line, no RuntimeWarning
         x = _write_features(tmp_path / "x.npy", 1e200 * np.random.default_rng(0).normal(size=(8, 12)))
         assert "variance of column 0 overflows" in _cli_error(["pool", "--input", x, "--method", method], 3)
+
+    @pytest.mark.parametrize("scale", [1e100, 1e-80])
+    def test_how_is_scale_invariant_at_large_and_small_magnitudes(self, tmp_path, capsys, scale):
+        # the norm of how's pooled vector overflows at 1e100 and underflows at
+        # 1e-80 unless l2_normalize rescales it first
+        x = np.abs(np.random.default_rng(0).normal(size=(8, 12))) + 0.1
+        outs = []
+        for s in (1.0, scale):
+            out = tmp_path / f"u{s}.npy"
+            argv = ["pool", "--input", _write_features(tmp_path / f"x{s}.npy", s * x),
+                    "--method", "how", "--width", "4", "--height", "3", "--out", str(out)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(argv) == 0
+            outs.append(read_npy(out)[0])
+        assert capsys.readouterr().err == ""
+        assert np.max(np.abs(outs[1] - outs[0])) <= 1e-15
 
     def test_non_finite_output_exit_3(self, tmp_path, capsys):
         # r * v overflows to inf, and the max-factored sum turns it into NaN

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poolkit import framework
+from poolkit.cluster_poolers import SlotWeights, kmeans_pool, slot_pool
 from poolkit.errors import ContractError, DegenerateMassError, NumericError, ShapeError
 from poolkit.framework import (
     AttentionMatrix,
@@ -18,6 +20,8 @@ from poolkit.framework import (
     run_pooling,
 )
 from poolkit.meanfam import AlphaParam
+from poolkit.reweight_poolers import SeWeights, se_pool
+from poolkit.simple_poolers import gap, gem, how, lse, max_pool
 
 from numeric_edges import COLUMN_EDGES, SCALES, assert_within_rounding, feature_matrices, shape_columns
 from test_simple_poolers import reference_pools
@@ -161,12 +165,14 @@ class TestNarrowSideContract:
         tests alone.  No shipped spec starts from InitRule("matrix"): k-means
         does in demos/clustering_transport.py."""
         from poolkit.cluster_poolers import SlotWeights, kmeans_spec, slot_spec
+        from poolkit.reweight_poolers import se_spec
         from poolkit.simple_poolers import gem_spec, how_spec, lse_spec, max_spec
 
         fm = _fm(np.arange(1.0, 13.0).reshape(3, 4), width=2, height=2)
         weights = SlotWeights.seeded(3, seed=0)
+        gate = SeWeights(w1=np.ones((1, 3)), w2=np.ones((3, 1)))
         specs = [gem_spec(4, 1.0), max_spec(4), gem_spec(4, 3.0), lse_spec(4, 2.0), how_spec(fm),
-                 kmeans_spec(2, 2, InitRule(kind="sample_columns"))]
+                 se_spec(4, gate), kmeans_spec(2, 2, InitRule(kind="sample_columns"))]
         specs += [slot_spec(2, 2, weights, simplified=simplified) for simplified in (False, True)]
         for spec in specs:
             assert run_pooling(spec, fm).u.shape[1] == spec.k
@@ -179,10 +185,39 @@ class TestNarrowSideContract:
         assert {spec.similarity for spec in specs} == {"dot", "neg_sq_euclid"}
 
 
+class TestInitOnlyWhenRead:
+    """U^0 is formed only where a rule reads it: the query of a similarity,
+    or the GRU state.  The constant and norm attentions never read it."""
+
+    FM = FeatureMap(np.arange(1.0, 25.0).reshape(4, 6), width=3, height=2)
+
+    @pytest.fixture(autouse=True)
+    def _init_raises(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("_init_u called")
+        monkeypatch.setattr(framework, "_init_u", forbidden)
+
+    @pytest.mark.parametrize("pooler", [gap, max_pool, lambda fm: gem(fm, 3.0),
+                                        lambda fm: lse(fm, 2.0), how,
+                                        lambda fm: se_pool(fm, SeWeights.seeded(fm.d)).u],
+                             ids=["gap", "max", "gem", "lse", "how", "se"])
+    def test_unread_init_is_skipped(self, pooler):
+        assert np.all(np.isfinite(pooler(self.FM)))
+
+    @pytest.mark.parametrize("pooler", [
+        lambda fm: kmeans_pool(fm, 2, 1),
+        lambda fm: slot_pool(fm, 2, 1, SlotWeights.seeded(fm.d), simplified=False),
+        lambda fm: slot_pool(fm, 2, 1, SlotWeights.seeded(fm.d), simplified=True)],
+        ids=["kmeans", "slot", "slot-simplified"])
+    def test_read_init_is_formed(self, pooler):
+        with pytest.raises(AssertionError, match="_init_u called"):
+            pooler(self.FM)
+
+
 @settings(max_examples=150, deadline=None)
 @given(x=feature_matrices(), scale=SCALES, columns=COLUMN_EDGES, data=st.data())
 def test_simple_poolers_match_references_on_numeric_edges(x, scale, columns, data):
-    """gap, max, gem, lse and how, each a spec run by the engine, match their
+    """gap, max, gem, lse, how and se, each a spec run by the engine, match their
     NumPy reference formulas on any grid, on the features and on their
     absolute values (gem's domain), up to the rounding of their majorants."""
     x = scale * shape_columns(x, columns)

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from poolkit.errors import DegenerateMassError, ShapeError
 from poolkit.framework import FeatureMap
 from poolkit.meanfam import CLAMP_FLOOR, AlphaParam, weighted_generalized_mean
+from poolkit.nncells import dense
+from poolkit.reweight_poolers import SeWeights, se_pool
 from poolkit.simple_poolers import HowConfig, gap, gem, how, how_spec, lse, max_pool
 
 from numeric_edges import COLUMN_EDGES, SCALES, assert_within_rounding, feature_matrices, shape_columns
@@ -149,30 +151,45 @@ def _smoothed(x, width, height):
     return (sums / counts).reshape(x.shape)
 
 
+def _norm(z):
+    """|z|, formed as max|z| |z / max|z|| so that its squares do not underflow."""
+    top = np.max(np.abs(z))
+    return 0.0 if top == 0 else top * np.linalg.norm(z / top)
+
+
 GEM_GAMMA, LSE_R = 3.0, 2.0
 
 
 def reference_pools(fm):
-    """The five simple poolers beside NumPy reference formulas for them:
-    name -> (pooler, reference, majorant), the majorant bounding the
+    """The five simple poolers and SE beside NumPy reference formulas for
+    them: name -> (pooler, reference, majorant), the majorant bounding the
     rounding of both forms.  gem is listed only for nonnegative features,
     and its reference floors them at CLAMP_FLOOR as gem does.  how's
     reference forms the d x p smoothed features in full; it is None where
-    they pool to the zero vector, which has no direction."""
+    they pool to the zero vector, which has no direction.  SE's gate is a
+    seeded d -> max(1, d/4) -> d MLP, and its majorant carries the gate
+    logits' majorant, since the gate's error is their rounding."""
     x, p = fm.x, fm.p
     c = LSE_R * x.max(axis=1, keepdims=True)
     a = np.sum(x**2, axis=0)
     z = _smoothed(x, fm.width, fm.height) @ a
-    norm = np.linalg.norm(z)
+    norm = _norm(z)
     top = np.abs(x).max(axis=1)
+    rng = np.random.default_rng(0)
+    hidden = max(1, fm.d // 4)
+    w = SeWeights(w1=dense(rng, hidden, fm.d), w2=dense(rng, fm.d, hidden))
+    u0, abs_u0 = x.mean(axis=1), np.abs(x).mean(axis=1)
+    gate = 0.5 * (1.0 + np.tanh(0.5 * (w.w2 @ np.maximum(w.w1 @ u0, 0.0))))
+    logits_majorant = max(1.0, np.max(np.abs(w.w2) @ (np.abs(w.w1) @ abs_u0)))
     refs = {
-        "gap": (gap, x.mean(axis=1), np.abs(x).mean(axis=1)),
+        "gap": (gap, u0, abs_u0),
         "max": (max_pool, x.max(axis=1), top),
         "lse": (lambda fm: lse(fm, LSE_R),
                 (c[:, 0] + np.log(np.exp(LSE_R * x - c).mean(axis=1))) / LSE_R,
                 top + np.log(p) / LSE_R),
         "how": (how, None, None) if norm == 0 else
                (how, z / norm, _smoothed(np.abs(x), fm.width, fm.height) @ a / norm),
+        "se": (lambda fm: se_pool(fm, w).u[:, 0], gate * u0, abs_u0 * logits_majorant),
     }
     if x.min() >= 0:
         mean = (np.maximum(x, CLAMP_FLOOR) ** GEM_GAMMA).mean(axis=1) ** (1.0 / GEM_GAMMA)
@@ -208,7 +225,7 @@ class TestHowNarrowForm:
         a = np.sum(fm.x**2, axis=0)
         xc = fm.x - c[:, None]
         z = w @ (_smoothed(xc, fm.width, fm.height) @ a)
-        norm = np.linalg.norm(z)
+        norm = _norm(z)
         if norm == 0:  # X = c, or no mass: the direction is undefined
             with pytest.raises(DegenerateMassError):
                 how(fm, cfg)
