@@ -13,7 +13,7 @@ from .framework import (
     pairwise_similarity,
     run_pooling,
 )
-from .meanfam import AlphaParam, lse_pool, weighted_generalized_mean
+from .meanfam import lse_pool, weighted_generalized_mean
 from .simple_poolers import HowConfig, gap, gem, how, lse, max_pool
 from .cluster_poolers import (
     NystromMap,

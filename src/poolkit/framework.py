@@ -3,11 +3,11 @@
 One configurable loop covers the whole landscape of pooling operators:
 each iteration forms a query from the current pooled vectors and a key
 from the features, turns their pairwise similarities into attention,
-and pools the value matrix through a generalized mean.  Concrete
-methods are just parameter choices: the ``*_spec`` functions in the
-*_poolers modules.  gap, max, gem, lse, how, k-means and slot attention
-run only as specs; transport, SE, CBAM, ViT and SimPool are still
-direct functions.
+and pools the value matrix through a generalized mean of exponent
+gamma.  Concrete methods are just parameter choices: the ``*_spec``
+functions in the *_poolers modules.  gap, max, gem, lse, how, SE,
+k-means and slot attention run only as specs; transport, CBAM, ViT and
+SimPool are still direct functions.
 """
 
 from __future__ import annotations
@@ -27,10 +27,11 @@ from .matcore import (
     layernorm_cols,
     l2_normalize,
     narrow_matmul,
+    pow2_scaled,
     sigmoid,
     sq_distances,
 )
-from .meanfam import AlphaParam, lse_pool, weighted_generalized_mean
+from .meanfam import lse_pool, weighted_generalized_mean
 from .nncells import gru_cell, mlp2
 
 
@@ -116,9 +117,8 @@ class PooledSet:
 
 @dataclass(frozen=True)
 class MapRule:
-    """Column-wise mapping: identity, LayerNorm-then-linear, or the fixed
-    local-average + projection used by norm-attention pooling (a value map
-    only; its weight and centering may be None, for none)."""
+    """Column-wise mapping: identity, LayerNorm-then-linear, or norm-attention
+    pooling's local average + projection of (X - c) 2^-e (a value map only)."""
 
     kind: str = "identity"  # identity | linear_ln | local_avg_fc
     weight: Optional[Mat] = None
@@ -152,10 +152,11 @@ class AttnRule:
 
 @dataclass(frozen=True)
 class PoolRule:
-    """Pooling operation f: generalized mean, LSE, or an exact extreme."""
+    """Pooling operation f: the power mean of exponent gamma (the paper's
+    f_alpha, gamma = (1 - alpha) / 2), LSE of scale r, or an exact extreme."""
 
     kind: str = "f_alpha"  # f_alpha | lse | max
-    alpha: Optional[AlphaParam] = None
+    gamma: float = 1.0  # the arithmetic mean
     r: float = 1.0
 
     KINDS = ("f_alpha", "lse", "max")
@@ -163,21 +164,19 @@ class PoolRule:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ContractError(f"PoolRule: unknown kind {self.kind!r}")
-        if self.kind == "f_alpha" and self.alpha is None:
-            object.__setattr__(self, "alpha", AlphaParam(alpha=-1.0))
 
 
 @dataclass(frozen=True)
 class InitRule:
     """How U^0 is produced."""
 
-    kind: str = "gap"  # gap | matrix | sample_columns | normal
+    kind: str  # matrix | sample_columns | normal
     matrix: Optional[Mat] = None
     seed: int = 0
     mu: Optional[np.ndarray] = None
     sigma: Optional[np.ndarray] = None
 
-    KINDS = ("gap", "matrix", "sample_columns", "normal")
+    KINDS = ("matrix", "sample_columns", "normal")
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
@@ -210,7 +209,7 @@ class PoolingSpec:
 
     k: int = 1
     iters: int = 1
-    init: InitRule = field(default_factory=InitRule)
+    init: Optional[InitRule] = None  # read only by a similarity or gru_mlp
     query_map: MapRule = field(default_factory=MapRule)
     key_map: MapRule = field(default_factory=MapRule)
     value_map: MapRule = field(default_factory=MapRule)
@@ -234,9 +233,11 @@ class PoolingSpec:
             raise ContractError(f"PoolingSpec: a {self.key_map.kind} key map needs "
                                 f"dot similarity, got {self.similarity!r}")
         if self.value_map.kind != "identity" and not (
-                self.pool.kind == "f_alpha" and self.pool.alpha.gamma == 1.0):
+                self.pool.kind == "f_alpha" and self.pool.gamma == 1.0):
             raise ContractError(f"PoolingSpec: a {self.value_map.kind} value map needs "
                                 f"the arithmetic-mean pool")
+        if self.value_map.kind == "local_avg_fc" and self.pool_update.kind != "l2norm":
+            raise ContractError("PoolingSpec: local_avg_fc needs the l2norm update")
 
 
 # --- similarity ------------------------------------------------------------
@@ -258,16 +259,21 @@ def pairwise_similarity(k_mat: Mat, q_mat: Mat, kind: str) -> Mat:
 
 # --- engine ----------------------------------------------------------------
 
-def _map_input(rule: MapRule, x: Mat, normed: dict) -> Mat:
-    """The weight-free part of a map: X, LayerNorm(X) or X - c.  ``normed``
-    keeps LayerNorm(x) so that maps sharing the same input normalize it once."""
+def _once(shared: dict, f, x: Mat) -> Mat:
+    """f(x), formed once per run for the maps and the attention that read it."""
+    return shared[f] if f in shared else shared.setdefault(f, f(x))
+
+
+def _map_input(rule: MapRule, x: Mat, shared: dict) -> Mat:
+    """The weight-free part of a map: X, LayerNorm(X) or (X - c) 2^-e, a scale
+    that local_avg_fc's l2norm update removes (``pow2_scaled``)."""
     if rule.kind == "linear_ln":
-        if "x" not in normed:
-            normed["x"] = layernorm_cols(x)
-        return normed["x"]
-    if rule.kind == "local_avg_fc" and rule.centering is not None:
+        return _once(shared, layernorm_cols, x)
+    if rule.kind == "local_avg_fc" and rule.centering is None:
+        return _once(shared, pow2_scaled, x)  # the feature_sqnorm attention's input too
+    if rule.kind == "local_avg_fc":
         try:
-            return x - rule.centering[:, None]
+            return pow2_scaled(x - rule.centering[:, None])
         except ValueError as exc:
             raise ShapeError(f"value mapping: {exc}") from exc
     return x
@@ -298,7 +304,7 @@ def _avg3(a: Mat, width: int, height: int) -> Mat:
     return conv2d_same(grids, kernel).reshape(a.T.shape).T
 
 
-def _attention(rule: AttnRule, s: Optional[Mat], x: Mat, k: int, t: int):
+def _attention(rule: AttnRule, s: Optional[Mat], x: Mat, k: int, t: int, shared: dict):
     """Return (A, stochastic_cols, empty_col_mask)."""
     p = x.shape[1]
     if rule.kind == "constant":
@@ -307,8 +313,9 @@ def _attention(rule: AttnRule, s: Optional[Mat], x: Mat, k: int, t: int):
             raise ShapeError(f"attention at iteration {t}: constant vector length "
                              f"{a.shape[0]} != p={p}")
         return a, False, None
-    if rule.kind == "feature_sqnorm":
-        return np.tile(np.sum(x**2, axis=0)[:, None], (1, k)), False, None
+    if rule.kind == "feature_sqnorm":  # of X 2^-e; einsum, as a 2nd d x p array costs page faults
+        xs = _once(shared, pow2_scaled, x)
+        return np.tile(np.einsum("ij,ij->j", xs, xs)[:, None], (1, k)), False, None
     if rule.kind == "col_softmax":
         return col_softmax(s, rule.scale), True, None
     if rule.kind == "row_then_col_norm":
@@ -325,9 +332,9 @@ def _attention(rule: AttnRule, s: Optional[Mat], x: Mat, k: int, t: int):
 
 def _pool(rule: PoolRule, v: Mat, a: Mat, t: int) -> Mat:
     if rule.kind == "f_alpha":
-        if rule.alpha.gamma == 1.0:
+        if rule.gamma == 1.0:
             return v @ a  # plain weighted average, valid for any sign
-        return weighted_generalized_mean(v, a, rule.alpha)
+        return weighted_generalized_mean(v, a, rule.gamma)
     if rule.kind == "lse":
         return lse_pool(v, a, rule.r)
     cols = []  # max
@@ -351,10 +358,9 @@ def _update(rule: UpdateRule, z: Mat, prev: Mat) -> Mat:
     return g + mlp2(layernorm_cols(g), rule.mlp)
 
 
-def _init_u(rule: InitRule, fm: FeatureMap, k: int) -> Mat:
-    if rule.kind == "gap":
-        u0 = fm.x.mean(axis=1, keepdims=True)
-        return np.tile(u0, (1, k)) if k > 1 else u0
+def _init_u(rule: Optional[InitRule], fm: FeatureMap, k: int) -> Mat:
+    if rule is None:
+        raise ContractError("run_pooling: a similarity or gru_mlp reads U^0; the spec has no init")
     if rule.kind == "matrix":
         m = as_matrix(rule.matrix, "InitRule.matrix")
         if m.shape[1] != k:
@@ -372,8 +378,8 @@ def run_pooling(spec: PoolingSpec, fm: FeatureMap) -> PooledSet:
     """Run ``spec.iters`` iterations of the loop, forming U^0 only if a rule reads it.
 
     Each weight meets the k query or pooled columns, never the p feature
-    columns.  Only the weight-free inputs X~ (X, LayerNorm(X) or X - c) are
-    formed once, before the loop.  The key weight is pulled back onto the
+    columns.  Only the weight-free inputs X~ (X, LayerNorm(X) or (X - c) 2^-e)
+    are formed once, before the loop.  The key weight is pulled back onto the
     queries, s = X~^T (W_K^T q); the value weight acts after the arithmetic
     pool, z = W_V (X~ a); and local_avg_fc's 3x3 average moves onto the
     attention through its adjoint, z = W ((X - c) avg3^T(a)).
@@ -381,9 +387,9 @@ def run_pooling(spec: PoolingSpec, fm: FeatureMap) -> PooledSet:
     x = fm.x
     needs_sim = spec.attention.kind not in ("constant", "feature_sqnorm")
     u = _init_u(spec.init, fm, spec.k) if needs_sim or spec.pool_update.kind == "gru_mlp" else None
-    normed = {}
-    x_key = _map_input(spec.key_map, x, normed) if needs_sim else None
-    x_val = _map_input(spec.value_map, x, normed)
+    shared = {}
+    x_key = _map_input(spec.key_map, x, shared) if needs_sim else None
+    x_val = _map_input(spec.value_map, x, shared)
 
     for t in range(spec.iters):
         s = None
@@ -391,7 +397,7 @@ def run_pooling(spec: PoolingSpec, fm: FeatureMap) -> PooledSet:
             q = _weigh(spec.query_map, _map_input(spec.query_map, u, {}), f"query at iteration {t}")
             s = pairwise_similarity(x_key, _weigh(spec.key_map, q, "key", transpose=True),
                                     spec.similarity)
-        a, stochastic, empty = _attention(spec.attention, s, x, spec.k, t)
+        a, stochastic, empty = _attention(spec.attention, s, x, spec.k, t, shared)
         smoothed = _avg3(a, fm.width, fm.height) if spec.value_map.kind == "local_avg_fc" else a
         z = _weigh(spec.value_map, _pool(spec.pool, x_val, smoothed, t), "value")
         if empty is not None and np.any(empty):

@@ -132,14 +132,17 @@ def relu(x):
     return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
 
 
+def pow2_scaled(v: np.ndarray) -> np.ndarray:
+    """v 2^-e, max|v| = m 2^e with m in [1/2, 1) (0 stays 0): an exact scaling
+    that keeps the squares, norms and products of v in range at any scale."""
+    return np.ldexp(v, -np.frexp(max(v.max(), -v.min()))[1])  # max|v|, with no |v| formed
+
+
 def l2_normalize(v: np.ndarray) -> np.ndarray:
-    """Scale a vector to unit l2 norm, after an exact power-of-two scaling to
-    max|v| in [1/2, 1) keeps its norm in range; a zero vector is degenerate."""
-    v = np.asarray(v, dtype=np.float64)
-    top = np.max(np.abs(v))
-    if top == 0:
+    """Scale a vector to unit l2 norm, in range through ``pow2_scaled``; 0 is degenerate."""
+    v = pow2_scaled(np.asarray(v, dtype=np.float64))
+    if not v.any():
         raise DegenerateMassError("l2_normalize: zero vector")
-    v = np.ldexp(v, -np.frexp(top)[1])
     return v / np.linalg.norm(v)
 
 

@@ -16,7 +16,6 @@ import numpy as np
 from .errors import ShapeError
 from .framework import AttnRule, FeatureMap, MapRule, PoolingSpec, PoolRule, UpdateRule, run_pooling
 from .matcore import Mat
-from .meanfam import AlphaParam
 
 
 def gap(fm: FeatureMap) -> np.ndarray:
@@ -81,7 +80,7 @@ def max_spec(p: int) -> PoolingSpec:
 def gem_spec(p: int, gamma: float) -> PoolingSpec:
     return PoolingSpec(
         attention=AttnRule(kind="constant", vector=np.full(p, 1.0 / p)),
-        pool=PoolRule(kind="f_alpha", alpha=AlphaParam.from_gamma(gamma)),
+        pool=PoolRule(kind="f_alpha", gamma=gamma),
     )
 
 
@@ -93,14 +92,13 @@ def lse_spec(p: int, r: float) -> PoolingSpec:
 
 
 def how_spec(fm: FeatureMap, cfg: HowConfig = HowConfig()) -> PoolingSpec:
-    """The attention is the squared column norms of the raw X.  Both fixed
-    layers act on the narrow side: P (avg3(X - c) a) is formed as
-    P ((X - c) avg3^T(a)), so the average smooths the one attention column,
-    not the d channels, and the projection meets one vector."""
+    """The attention is the squared column norms of X 2^-e, the values (X - c)
+    2^-e' (``pow2_scaled``; l2norm removes both).  Both fixed layers act on the
+    narrow side: P (avg3(X - c) a) is P ((X - c) avg3^T(a)), so the average
+    smooths the one attention column, not the d channels, and P meets one vector."""
     cfg = cfg.fitted(fm.d)
     return PoolingSpec(
         attention=AttnRule(kind="feature_sqnorm"),
         value_map=MapRule(kind="local_avg_fc", weight=cfg.projection, centering=cfg.centering),
-        pool=PoolRule(kind="f_alpha", alpha=AlphaParam(alpha=-1.0)),
         pool_update=UpdateRule(kind="l2norm"),
     )

@@ -20,7 +20,7 @@ from .errors import ContractError, ShapeError
 from .framework import FeatureMap
 from .gradcheck import GradReport, central_diff, compare
 from .matcore import LN_EPS, Mat, col_softmax, col_var
-from .meanfam import CLAMP_FLOOR, AlphaParam, weighted_generalized_mean
+from .meanfam import CLAMP_FLOOR, weighted_generalized_mean
 from .nncells import dense
 
 
@@ -35,9 +35,8 @@ class SimPoolParams:
         wk = np.asarray(self.w_k, dtype=np.float64)
         object.__setattr__(self, "w_q", wq)
         object.__setattr__(self, "w_k", wk)
-        if not (0.0 < self.gamma <= 100.0):
-            raise ContractError(f"SimPoolParams: gamma must be in (0, 100], got {self.gamma}")
-        AlphaParam.from_gamma(self.gamma)  # the mean's own rule: gamma not within 1e-9 of 0
+        if not (1e-9 <= self.gamma <= 100.0):
+            raise ContractError(f"SimPoolParams: gamma must be in [1e-9, 100], got {self.gamma}")
         if wq.ndim != 2 or wq.shape[0] != wq.shape[1]:
             raise ShapeError(f"SimPoolParams: w_q must be square, got {wq.shape}")
         if wk.shape != wq.shape:
@@ -100,7 +99,7 @@ def simpool_forward(
     vc = np.maximum(v, CLAMP_FLOOR)
     clamp_mask = v > CLAMP_FLOOR
 
-    u = weighted_generalized_mean(vc, a[:, None], AlphaParam.from_gamma(params.gamma))[:, 0]
+    u = weighted_generalized_mean(vc, a[:, None], params.gamma)[:, 0]
 
     cache = SimPoolCache(
         params=params, x=x, u0=u0, xn=xn, inv_std=inv_std, q=q, wkt_q=wkt_q,

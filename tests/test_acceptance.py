@@ -16,7 +16,7 @@ from poolkit.cli import _synthesize_features, run_method
 from poolkit.cluster_poolers import SinkhornParams, kmeans_distortion, kmeans_spec, sinkhorn
 from poolkit.framework import FeatureMap, InitRule, run_pooling
 from poolkit.matcore import col_softmax
-from poolkit.meanfam import AlphaParam, weighted_generalized_mean
+from poolkit.meanfam import weighted_generalized_mean
 from poolkit.simple_poolers import gap
 from poolkit.simpool import SimPoolParams, simpool_forward, simpool_gradcheck
 from poolkit.tensor_io import config_from_dict, read_npy, write_npy
@@ -57,15 +57,15 @@ def test_criterion_01_mean_family_correspondence():
             p = v.shape[1]
             a = np.full((p, 1), 1.0 / p)
             closed = {
-                -3.0: np.sqrt(np.mean(v**2)),
-                -1.0: np.mean(v),
-                1.0: np.exp(np.mean(np.log(v))),
-                3.0: 1.0 / np.mean(1.0 / v),
+                2.0: np.sqrt(np.mean(v**2)),
+                1.0: np.mean(v),
+                0.0: np.exp(np.mean(np.log(v))),
+                -1.0: 1.0 / np.mean(1.0 / v),
             }
-            for alpha, expected in closed.items():
-                got = weighted_generalized_mean(v, a, AlphaParam(alpha))[0, 0]
+            for gamma, expected in closed.items():
+                got = weighted_generalized_mean(v, a, gamma)[0, 0]
                 assert abs(got - expected) <= 1e-10
-            big = weighted_generalized_mean(v, a, AlphaParam.from_gamma(200.0))[0, 0]
+            big = weighted_generalized_mean(v, a, 200.0)[0, 0]
             vmax = v.max()
             assert abs(big - vmax) / vmax < 0.01
 

@@ -19,12 +19,11 @@ from poolkit.framework import (
     pairwise_similarity,
     run_pooling,
 )
-from poolkit.meanfam import AlphaParam
 from poolkit.reweight_poolers import SeWeights, se_pool
 from poolkit.simple_poolers import gap, gem, how, lse, max_pool
 
 from numeric_edges import COLUMN_EDGES, SCALES, assert_within_rounding, feature_matrices, shape_columns
-from test_simple_poolers import reference_pools
+from test_simple_poolers import HOW_SUBNORMAL, reference_pools
 
 
 def _fm(x, **kw):
@@ -75,7 +74,7 @@ class TestRunPooling:
     def test_gap_instantiation(self):
         spec = PoolingSpec(
             attention=AttnRule(kind="constant", vector=np.full(2, 0.5)),
-            pool=PoolRule(kind="f_alpha", alpha=AlphaParam(-1.0)),
+            pool=PoolRule(kind="f_alpha", gamma=1.0),
         )
         out = run_pooling(spec, _fm([[1.0, 3.0], [5.0, 7.0]]))
         np.testing.assert_allclose(out.u[:, 0], [2.0, 6.0])
@@ -83,7 +82,7 @@ class TestRunPooling:
     def test_gem_instantiation(self):
         spec = PoolingSpec(
             attention=AttnRule(kind="constant", vector=np.full(2, 0.5)),
-            pool=PoolRule(kind="f_alpha", alpha=AlphaParam.from_gamma(2.0)),
+            pool=PoolRule(kind="f_alpha", gamma=2.0),
         )
         out = run_pooling(spec, _fm([[1.0, 4.0]]))
         np.testing.assert_allclose(out.u[0, 0], np.sqrt(8.5), atol=1e-12)
@@ -96,7 +95,7 @@ class TestRunPooling:
             init=InitRule(kind="matrix", matrix=x),
             similarity="neg_sq_euclid",
             attention=AttnRule(kind="hard_argmax"),
-            pool=PoolRule(kind="f_alpha", alpha=AlphaParam(-1.0)),
+            pool=PoolRule(kind="f_alpha", gamma=1.0),
         )
         out = run_pooling(spec, _fm(x))
         np.testing.assert_allclose(out.u, x, atol=1e-12)
@@ -104,7 +103,8 @@ class TestRunPooling:
     def test_softmax_attention_flagged_stochastic(self):
         rng = np.random.default_rng(9)
         fm = _fm(rng.normal(size=(3, 6)))
-        spec = PoolingSpec(attention=AttnRule(kind="col_softmax", scale=np.sqrt(3.0)))
+        spec = PoolingSpec(init=InitRule(kind="matrix", matrix=fm.x.mean(axis=1, keepdims=True)),
+                           attention=AttnRule(kind="col_softmax", scale=np.sqrt(3.0)))
         out = run_pooling(spec, fm)
         assert out.attention.stochastic_cols
         np.testing.assert_allclose(out.attention.a.sum(axis=0), 1.0, atol=1e-9)
@@ -122,6 +122,28 @@ class TestRunPooling:
         u1 = run_pooling(spec, fm).u
         u2 = run_pooling(spec, fm).u
         np.testing.assert_array_equal(u1, u2)
+
+    @pytest.mark.parametrize("spec", [PoolingSpec(), PoolingSpec(
+        attention=AttnRule(kind="constant", vector=np.full(2, 0.5)),
+        pool_update=UpdateRule(kind="gru_mlp"))], ids=["similarity", "gru_mlp"])
+    def test_read_init_is_required(self, spec):
+        with pytest.raises(ContractError, match="spec has no init"):
+            run_pooling(spec, _fm([[1.0, 2.0]]))
+
+    def test_gamma_given_is_the_gamma_used(self, monkeypatch):
+        """gem's gamma reaches the mean unchanged, with no round trip through
+        another parameterization (0.1 would come back as 0.09999999999999998)."""
+        from poolkit.simple_poolers import gem_spec
+        seen = []
+        real = framework.weighted_generalized_mean
+
+        def spy(v, a, gamma):
+            seen.append(gamma)
+            return real(v, a, gamma)
+
+        monkeypatch.setattr(framework, "weighted_generalized_mean", spy)
+        run_pooling(gem_spec(2, 0.1), _fm([[1.0, 4.0]]))
+        assert seen == [0.1]
 
     def test_constant_vector_length_checked(self):
         spec = PoolingSpec(attention=AttnRule(kind="constant", vector=np.full(3, 1 / 3)))
@@ -147,7 +169,7 @@ class TestNarrowSideContract:
             PoolingSpec(key_map=MapRule(kind=kind, weight=self.W), similarity="neg_sq_euclid")
 
     @pytest.mark.parametrize("kind", ["linear_ln", "local_avg_fc"])
-    @pytest.mark.parametrize("pool", [PoolRule(kind="f_alpha", alpha=AlphaParam.from_gamma(2.0)),
+    @pytest.mark.parametrize("pool", [PoolRule(kind="f_alpha", gamma=2.0),
                                       PoolRule(kind="lse", r=1.0), PoolRule(kind="max")],
                              ids=["gem", "lse", "max"])
     def test_weighted_value_map_needs_the_arithmetic_mean(self, kind, pool):
@@ -159,11 +181,17 @@ class TestNarrowSideContract:
         with pytest.raises(ContractError, match="value map only"):
             PoolingSpec(**{role: MapRule(kind="local_avg_fc", weight=self.W)})
 
+    def test_local_avg_fc_needs_the_l2norm_update(self):
+        # its value input is scaled by a power of two that only l2norm removes
+        with pytest.raises(ContractError, match="local_avg_fc needs the l2norm update"):
+            PoolingSpec(value_map=MapRule(kind="local_avg_fc"))
+
     def test_every_shipped_spec_constructs(self):
         """Each shipped spec runs, and together they use every kind that each
         rule accepts and both similarities, so no engine branch is kept for
-        tests alone.  No shipped spec starts from InitRule("matrix"): k-means
-        does in demos/clustering_transport.py."""
+        tests alone.  An init counts only where run_pooling reads it: under a
+        similarity attention or the gru_mlp update.  No shipped spec starts
+        from InitRule("matrix"): k-means does in demos/clustering_transport.py."""
         from poolkit.cluster_poolers import SlotWeights, kmeans_spec, slot_spec
         from poolkit.reweight_poolers import se_spec
         from poolkit.simple_poolers import gem_spec, how_spec, lse_spec, max_spec
@@ -178,8 +206,14 @@ class TestNarrowSideContract:
             assert run_pooling(spec, fm).u.shape[1] == spec.k
         rules = (InitRule, MapRule, AttnRule, PoolRule, UpdateRule)
         accepted = {(rule.__name__, kind) for rule in rules for kind in rule.KINDS}
+
+        def read_init(spec):
+            reads = (spec.attention.kind not in ("constant", "feature_sqnorm")
+                     or spec.pool_update.kind == "gru_mlp")
+            return (spec.init,) if reads else ()
+
         used = {(type(rule).__name__, rule.kind) for spec in specs
-                for rule in (spec.init, spec.query_map, spec.key_map, spec.value_map,
+                for rule in (*read_init(spec), spec.query_map, spec.key_map, spec.value_map,
                              spec.attention, spec.pool, spec.pool_update)}
         assert accepted - used - {("InitRule", "matrix")} == set()
         assert {spec.similarity for spec in specs} == {"dot", "neg_sq_euclid"}
@@ -214,15 +248,8 @@ class TestInitOnlyWhenRead:
             pooler(self.FM)
 
 
-@settings(max_examples=150, deadline=None)
-@given(x=feature_matrices(), scale=SCALES, columns=COLUMN_EDGES, data=st.data())
-def test_simple_poolers_match_references_on_numeric_edges(x, scale, columns, data):
-    """gap, max, gem, lse, how and se, each a spec run by the engine, match their
-    NumPy reference formulas on any grid, on the features and on their
-    absolute values (gem's domain), up to the rounding of their majorants."""
-    x = scale * shape_columns(x, columns)
+def _assert_simple_poolers_match_references(x, width):
     p = x.shape[1]
-    width = data.draw(st.sampled_from([w for w in range(1, p + 1) if p % w == 0]))
     for feats in (x, np.abs(x)):
         fm = FeatureMap(feats, width, p // width)
         for pooler, reference, majorant in reference_pools(fm).values():
@@ -231,3 +258,22 @@ def test_simple_poolers_match_references_on_numeric_edges(x, scale, columns, dat
                     pooler(fm)
             else:
                 assert_within_rounding(pooler(fm), reference, majorant, 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=feature_matrices(), scale=SCALES, columns=COLUMN_EDGES, data=st.data())
+def test_simple_poolers_match_references_on_numeric_edges(x, scale, columns, data):
+    """gap, max, gem, lse, how and se, each a spec run by the engine, match their
+    NumPy reference formulas on any grid, on the features and on their
+    absolute values (gem's domain), up to the rounding of their majorants."""
+    x = scale * shape_columns(x, columns)
+    p = x.shape[1]
+    _assert_simple_poolers_match_references(
+        x, data.draw(st.sampled_from([w for w in range(1, p + 1) if p % w == 0])))
+
+
+@pytest.mark.parametrize("name", HOW_SUBNORMAL)
+def test_simple_poolers_match_references_on_subnormal_squared_norms(name):
+    """Inputs the property test above once drew, pinned so that they run
+    wherever the suite does: how's squared norms are subnormal there."""
+    _assert_simple_poolers_match_references(HOW_SUBNORMAL[name], 1)

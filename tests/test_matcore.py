@@ -12,6 +12,7 @@ from poolkit.matcore import (
     l2_normalize,
     layernorm_cols,
     narrow_matmul,
+    pow2_scaled,
     sigmoid,
     sq_distances,
 )
@@ -104,6 +105,15 @@ class TestSmallHelpers:
         np.testing.assert_allclose(np.linalg.norm(l2_normalize(np.array([3.0, 4.0]))), 1.0)
         with pytest.raises(DegenerateMassError):
             l2_normalize(np.zeros(2))
+
+    @pytest.mark.parametrize("top", [5e-324, 2.2e-311, 1e-300, 0.75, 3.0, 1e250, 1.7e308])
+    def test_pow2_scaled_is_exact_and_in_range(self, top):
+        v = top * np.array([1.0, -0.5, 0.25, 0.0])
+        scaled = pow2_scaled(v)
+        assert 0.5 <= np.max(np.abs(scaled)) < 1.0
+        # one power of two, undone exactly: no entry was rounded
+        assert np.array_equal(np.ldexp(scaled, np.frexp(np.max(np.abs(v)))[1]), v)
+        assert pow2_scaled(np.zeros(2)).tolist() == [0.0, 0.0]
 
     def test_conv2d_same_identity_kernel(self):
         rng = np.random.default_rng(6)

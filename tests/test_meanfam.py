@@ -2,11 +2,7 @@ import numpy as np
 import pytest
 
 from poolkit.errors import ContractError
-from poolkit.meanfam import (
-    AlphaParam,
-    lse_pool,
-    weighted_generalized_mean,
-)
+from poolkit.meanfam import lse_pool, weighted_generalized_mean
 
 
 def _uniform(p):
@@ -16,49 +12,50 @@ def _uniform(p):
 def _extreme(v, gamma):
     """The uniform power mean of each row of v, near its max (gamma >> 1) or
     its min (gamma << -1)."""
-    return weighted_generalized_mean(v, _uniform(v.shape[1]), AlphaParam.from_gamma(gamma))
+    return weighted_generalized_mean(v, _uniform(v.shape[1]), gamma)
 
 
-class TestAlphaParam:
-    def test_gamma_derivation(self):
-        assert AlphaParam(-3).gamma == 2.0
-        assert AlphaParam(-1).gamma == 1.0
-        assert AlphaParam(3).gamma == -1.0
-        assert AlphaParam(1).log_branch
+class TestGammaCheck:
+    @pytest.mark.parametrize("gamma", [1e-12, -1e-12, np.nan, np.inf, -np.inf])
+    def test_rejects_tiny_gamma_off_log_branch(self, gamma):
+        # gamma is 0 (the log branch), or finite and at least 1e-9 in size
+        with pytest.raises(ContractError, match="gamma must be finite"):
+            weighted_generalized_mean(np.ones((1, 2)), _uniform(2), gamma)
 
-    def test_from_gamma(self):
-        assert AlphaParam.from_gamma(2.0).alpha == -3.0
-
-    def test_rejects_tiny_gamma_off_log_branch(self):
-        with pytest.raises(ContractError):
-            AlphaParam(1.0 - 1e-12)
+    @pytest.mark.parametrize("gamma", [0.0, 1e-9, -1e-9])
+    def test_accepts_the_log_branch_and_the_edge_of_the_range(self, gamma):
+        # near 0 the power mean tends to the geometric mean, up to a rounding
+        # of the inner sum magnified 1/|gamma| times by the outer power
+        v = np.array([[1.0, 4.0]])
+        np.testing.assert_allclose(weighted_generalized_mean(v, _uniform(2), gamma), [[2.0]],
+                                   rtol=1e-6)
 
 
 class TestWeightedGeneralizedMean:
     def test_arithmetic(self):
         v = np.array([[1.0, 3.0]])
         np.testing.assert_allclose(
-            weighted_generalized_mean(v, _uniform(2), AlphaParam(-1)), [[2.0]])
+            weighted_generalized_mean(v, _uniform(2), 1.0), [[2.0]])
 
     def test_rms(self):
         v = np.array([[1.0, 4.0]])
-        out = weighted_generalized_mean(v, _uniform(2), AlphaParam(-3))
+        out = weighted_generalized_mean(v, _uniform(2), 2.0)
         np.testing.assert_allclose(out, [[np.sqrt(8.5)]], atol=1e-12)
 
     def test_geometric(self):
         v = np.array([[1.0, 4.0]])
-        out = weighted_generalized_mean(v, _uniform(2), AlphaParam(1))
+        out = weighted_generalized_mean(v, _uniform(2), 0.0)
         np.testing.assert_allclose(out, [[2.0]], atol=1e-12)
 
     def test_harmonic(self):
         v = np.array([[1.0, 4.0]])
-        out = weighted_generalized_mean(v, _uniform(2), AlphaParam(3))
+        out = weighted_generalized_mean(v, _uniform(2), -1.0)
         np.testing.assert_allclose(out, [[1.6]], atol=1e-12)
 
     def test_constant_input_fixed_point(self):
-        for alpha in (-3.0, -1.0, 1.0, 3.0, -9.0):
+        for gamma in (2.0, 1.0, 0.0, -1.0, 5.0):
             v = np.full((3, 5), 2.7)
-            out = weighted_generalized_mean(v, _uniform(5), AlphaParam(alpha))
+            out = weighted_generalized_mean(v, _uniform(5), gamma)
             np.testing.assert_allclose(out, 2.7, atol=1e-10)
 
     def test_monotone_in_gamma(self):
@@ -67,14 +64,14 @@ class TestWeightedGeneralizedMean:
         a = _uniform(9)
         prev = None
         for gamma in (0.5, 1.0, 2.0, 5.0, 20.0):
-            cur = weighted_generalized_mean(v, a, AlphaParam.from_gamma(gamma))
+            cur = weighted_generalized_mean(v, a, gamma)
             if prev is not None:
                 assert np.all(cur >= prev - 1e-12)
             prev = cur
 
     def test_zero_entries_clamped_on_negative_power(self):
         v = np.array([[0.0, 4.0]])
-        out = weighted_generalized_mean(v, _uniform(2), AlphaParam(3))
+        out = weighted_generalized_mean(v, _uniform(2), -1.0)
         assert np.all(np.isfinite(out))
 
 
@@ -89,7 +86,7 @@ class TestWeightedGeneralizedMean:
         a = np.zeros((3, 2))
         a[far, 0] = 1.0
         a[:2, 1] = 0.5
-        out = weighted_generalized_mean(v, a, AlphaParam.from_gamma(gamma))
+        out = weighted_generalized_mean(v, a, gamma)
         np.testing.assert_allclose(out[:, 0], v[:, far], rtol=1e-14)
         np.testing.assert_allclose(out[:, 1], v[:, near] * 0.5 ** (1 / gamma), rtol=1e-14)
 
@@ -98,8 +95,8 @@ class TestFAlphaRoundTrip:
     def test_inverse(self):
         # one-hot attention makes f^-1(f(V) A) give back V itself
         x = np.geomspace(1e-6, 1e6, 41)
-        for alpha in (-3.0, -1.0, 0.0, 3.0, 1.0):
-            got = weighted_generalized_mean(x[None, :], np.eye(x.size), AlphaParam(alpha))
+        for gamma in (2.0, 1.0, 0.5, -1.0, 0.0):
+            got = weighted_generalized_mean(x[None, :], np.eye(x.size), gamma)
             np.testing.assert_allclose(got[0], x, rtol=1e-12)
 
 

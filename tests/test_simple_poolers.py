@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from poolkit.errors import DegenerateMassError, ShapeError
 from poolkit.framework import FeatureMap
-from poolkit.meanfam import CLAMP_FLOOR, AlphaParam, weighted_generalized_mean
+from poolkit.meanfam import CLAMP_FLOOR, weighted_generalized_mean
 from poolkit.nncells import dense
 from poolkit.reweight_poolers import SeWeights, se_pool
 from poolkit.simple_poolers import HowConfig, gap, gem, how, how_spec, lse, max_pool
@@ -17,6 +17,15 @@ from numeric_edges import COLUMN_EDGES, SCALES, assert_within_rounding, feature_
 
 def _fm(x, **kw):
     return FeatureMap.from_array(np.asarray(x, dtype=float), **kw)
+
+
+# Features whose squared norms are subnormal, and in the last two whose
+# entries are too (there 2^-e is beyond the float range): unscaled, their
+# squares, products and norms lose most of their digits.
+HOW_SUBNORMAL = {"three-channels": 1e-108 * np.array([[3.1], [1.7], [2.2]]),
+                 "symmetric": np.full((2, 1), 7.59162261e-108),
+                 "subnormal-features": np.full((2, 1), 2.22507386e-311),
+                 "least-subnormal": np.full((3, 1), 5e-324)}
 
 
 class TestGap:
@@ -44,7 +53,7 @@ class TestMaxPool:
         rng = np.random.default_rng(12)
         x = rng.uniform(0.1, 5.0, size=(4, 6))
         uniform = np.full((6, 1), 1.0 / 6)
-        approx = weighted_generalized_mean(x, uniform, AlphaParam.from_gamma(200.0))[:, 0]
+        approx = weighted_generalized_mean(x, uniform, 200.0)[:, 0]
         exact = max_pool(_fm(x))
         assert np.all(np.abs(approx - exact) / exact < 0.01)
 
@@ -96,6 +105,16 @@ class TestHow:
         rng = np.random.default_rng(15)
         fm = FeatureMap(rng.normal(size=(5, 12)), width=4, height=3)
         np.testing.assert_allclose(np.linalg.norm(how(fm)), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-108, 1e-50, 1e50, 1e150, 1e250])
+    def test_scale_invariant_across_the_float_range(self, scale):
+        # the squared norms of the raw features would underflow or overflow
+        # here; those of the power-of-two scaled features do not
+        rng = np.random.default_rng(16)
+        x = rng.uniform(0.5, 4.0, size=(5, 12)) * rng.choice([-1.0, 1.0], size=(5, 12))
+        want = how(FeatureMap(x, width=4, height=3))
+        np.testing.assert_allclose(how(FeatureMap(scale * x, width=4, height=3)), want,
+                                   rtol=0, atol=1e-15)
 
     def test_zero_features_degenerate(self):
         with pytest.raises(DegenerateMassError):
@@ -151,6 +170,14 @@ def _smoothed(x, width, height):
     return (sums / counts).reshape(x.shape)
 
 
+def _exponent(x):
+    """e with max|x| = m 2^e, m in [1/2, 1) (0 for x = 0).  how's direction
+    does not depend on the scale of its features, nor on the scale of its
+    attention, so its references form both from x 2^-e: an exact scaling
+    that keeps every product and square in the normal range."""
+    return np.frexp(np.max(np.abs(x)))[1]
+
+
 def _norm(z):
     """|z|, formed as max|z| |z / max|z|| so that its squares do not underflow."""
     top = np.max(np.abs(z))
@@ -171,8 +198,9 @@ def reference_pools(fm):
     logits' majorant, since the gate's error is their rounding."""
     x, p = fm.x, fm.p
     c = LSE_R * x.max(axis=1, keepdims=True)
-    a = np.sum(x**2, axis=0)
-    z = _smoothed(x, fm.width, fm.height) @ a
+    xs = np.ldexp(x, -_exponent(x))
+    a = np.sum(xs**2, axis=0)
+    z = _smoothed(xs, fm.width, fm.height) @ a
     norm = _norm(z)
     top = np.abs(x).max(axis=1)
     rng = np.random.default_rng(0)
@@ -188,7 +216,7 @@ def reference_pools(fm):
                 (c[:, 0] + np.log(np.exp(LSE_R * x - c).mean(axis=1))) / LSE_R,
                 top + np.log(p) / LSE_R),
         "how": (how, None, None) if norm == 0 else
-               (how, z / norm, _smoothed(np.abs(x), fm.width, fm.height) @ a / norm),
+               (how, z / norm, _smoothed(np.abs(xs), fm.width, fm.height) @ a / norm),
         "se": (lambda fm: se_pool(fm, w).u[:, 0], gate * u0, abs_u0 * logits_majorant),
     }
     if x.min() >= 0:
@@ -215,6 +243,10 @@ class TestHowNarrowForm:
     @settings(max_examples=150, deadline=None)
     @given(case=_how_cases())
     @example(case=(FeatureMap(1e6 * np.array([[1.0], [-3.0]]), 1, 1), HowConfig()))
+    @example(case=(FeatureMap(HOW_SUBNORMAL["three-channels"], 1, 1), HowConfig()))
+    @example(case=(FeatureMap(HOW_SUBNORMAL["symmetric"], 1, 1), HowConfig()))
+    @example(case=(FeatureMap(HOW_SUBNORMAL["subnormal-features"], 1, 1), HowConfig()))
+    @example(case=(FeatureMap(HOW_SUBNORMAL["least-subnormal"], 1, 1), HowConfig()))
     def test_matches_smoothed_features(self, case):
         """how smooths the attention by the adjoint of the 3x3 average; it
         must match P (avg3(X - c) a) with the d smoothed channels formed,
@@ -222,8 +254,10 @@ class TestHowNarrowForm:
         fm, cfg = case
         c = np.zeros(fm.d) if cfg.centering is None else cfg.centering
         w = np.eye(fm.d) if cfg.projection is None else cfg.projection
-        a = np.sum(fm.x**2, axis=0)
-        xc = fm.x - c[:, None]
+        e = _exponent(fm.x)
+        xs = np.ldexp(fm.x, -e)
+        a = np.sum(xs**2, axis=0)
+        xc = xs - np.ldexp(c, -e)[:, None]
         z = w @ (_smoothed(xc, fm.width, fm.height) @ a)
         norm = _norm(z)
         if norm == 0:  # X = c, or no mass: the direction is undefined

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from poolkit import simpool
 from poolkit.errors import ContractError, NumericError
 from poolkit.framework import FeatureMap
 from poolkit.matcore import LN_EPS, col_softmax
@@ -40,6 +41,28 @@ class TestForward:
         u2, _, _ = simpool_forward(fm, _identity_params(2.0))
         assert np.max(np.abs(u1 - u2)) > 0.1
         np.testing.assert_allclose(u2, np.sqrt(2.0), atol=1e-4)
+
+    def test_gamma_given_is_the_gamma_used(self, monkeypatch):
+        # the forward pass hands the mean the gamma the backward pass reads
+        seen = []
+        real = simpool.weighted_generalized_mean
+
+        def spy(v, a, gamma):
+            seen.append(gamma)
+            return real(v, a, gamma)
+
+        monkeypatch.setattr(simpool, "weighted_generalized_mean", spy)
+        simpool_forward(_fm([[1.0, 0.0], [0.0, 1.0]]), _identity_params(0.1))
+        assert seen == [0.1]
+
+    @pytest.mark.parametrize("gamma", [1e-9, 1.0, 100.0])
+    def test_params_accept_gamma_in_range(self, gamma):
+        assert _identity_params(gamma).gamma == gamma
+
+    @pytest.mark.parametrize("gamma", [0.0, 9e-10, -1.0, 100.5, np.nan, np.inf])
+    def test_params_reject_gamma_out_of_range(self, gamma):
+        with pytest.raises(ContractError, match=r"gamma must be in \[1e-9, 100\]"):
+            _identity_params(gamma)
 
     def test_d1_rejected(self):
         with pytest.raises(ContractError):
