@@ -14,13 +14,11 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from . import attnmap as attnmap_mod
-from .cluster_poolers import SlotWeights, kmeans_distortion, kmeans_pool, otk_pool, slot_pool
+# Only what every `pool` request runs is imported here; each pooler module is
+# imported where its method runs, so a request executes no other pooler's code.
 from .errors import ConfigError, ContractError, FileFormatError, NumericError, PoolkitError, ShapeError
 from .framework import AttentionMatrix, FeatureMap, PooledSet, run_pooling
-from .reweight_poolers import CbamWeights, SeWeights, cbam_pool, se_pool
 from .simple_poolers import HowConfig, gem_spec, how_spec, lse_spec, max_spec
-from .simpool import SimPoolParams, simpool_forward, simpool_gradcheck
 from .tensor_io import (
     METHOD_NAMES,
     TYPED_FIELDS,
@@ -31,7 +29,6 @@ from .tensor_io import (
     read_npy,
     write_npy,
 )
-from .transformer_poolers import VitWeights, vit_cls_pool
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -57,23 +54,30 @@ def run_method(cfg: RunConfig, fm: FeatureMap) -> PooledSet:
     if method == "how":
         return run_pooling(how_spec(fm, HowConfig(**supplied)), fm)
     if method == "sinkhorn-otk":
+        from .cluster_poolers import otk_pool
         anchors = supplied.get("anchors")
         if anchors is None:
             anchors = fm.sample_columns(cfg.k, cfg.seed)
         return otk_pool(fm, anchors, cfg.epsilon)
     if method == "kmeans":
+        from .cluster_poolers import kmeans_pool
         return kmeans_pool(fm, cfg.k, cfg.iters, seed=cfg.seed)
     if method == "slot":
+        from .cluster_poolers import SlotWeights, slot_pool
         return slot_pool(fm, cfg.k, cfg.iters, SlotWeights.seeded(d, seed=cfg.seed),
                          seed=cfg.seed, simplified=True)
     if method == "se":
+        from .reweight_poolers import SeWeights, se_pool
         return se_pool(fm, SeWeights.seeded(d, seed=cfg.seed))
     if method == "cbam":
+        from .reweight_poolers import CbamWeights, cbam_pool
         return cbam_pool(fm, CbamWeights.seeded(d, seed=cfg.seed))
     if method in ("vit", "cait"):  # with the patch stream fixed, CaiT's class attention is ViT's
+        from .transformer_poolers import VitWeights, vit_cls_pool
         weights = VitWeights.seeded(d, cfg.iters, seed=cfg.seed)
         return vit_cls_pool(fm, weights, cfg.heads, cfg.iters)
     if method == "simpool":
+        from .simpool import SimPoolParams, simpool_forward
         params = SimPoolParams.seeded(d, gamma=gamma, seed=cfg.seed)
         u, a, _ = simpool_forward(fm, params)
         return PooledSet(u=u[:, None], attention=AttentionMatrix(a[:, None], stochastic_cols=True))
@@ -106,6 +110,7 @@ def cmd_pool(args) -> int:
 
 
 def cmd_attnmap(args) -> int:
+    from . import attnmap as attnmap_mod
     a, _ = read_npy(args.attn)
     grid = attnmap_mod.reshape_attention(a, args.width, args.height)
     mask = attnmap_mod.mass_threshold(grid, args.mass)
@@ -131,6 +136,7 @@ def _check_at_least(args, **floors) -> None:
 
 
 def cmd_gradcheck(args) -> int:
+    from .simpool import SimPoolParams, simpool_gradcheck
     _check_at_least(args, seed=0, d=1, p=1, trials=1)
     d, p = args.d, args.p
     reports = []
@@ -174,6 +180,7 @@ def _attention_entropy(pooled: PooledSet) -> float:
 
 
 def cmd_tournament(args) -> int:
+    from .cluster_poolers import kmeans_distortion
     _check_at_least(args, seed=0, d=1, p=1, k_clusters=1, trials=1)
     methods = args.methods.split(",") if args.methods else list(METHOD_NAMES)
     for m in methods:

@@ -273,9 +273,11 @@ def _map_input(rule: MapRule, x: Mat, shared: dict) -> Mat:
         return _once(shared, pow2_scaled, x)  # the feature_sqnorm attention's input too
     if rule.kind == "local_avg_fc":
         try:
-            return pow2_scaled(x - rule.centering[:, None])
+            xc = x - rule.centering[:, None]
         except ValueError as exc:
             raise ShapeError(f"value mapping: {exc}") from exc
+        # in place on the fresh X - c: a second d x p array per call costs page faults
+        return pow2_scaled(xc, out=xc)
     return x
 
 

@@ -88,10 +88,19 @@ def eta_norm(a: Mat) -> Mat:
 
 def sq_distances(x: Mat, u: Mat) -> Mat:
     """(p, k) squared Euclidean distances between the columns of x and u,
-    expanded as |x|^2 + |u|^2 - 2 x.u and clamped at 0 against rounding."""
-    x2 = np.sum(x**2, axis=0)[:, None]
-    u2 = np.sum(u**2, axis=0)[None, :]
-    return np.maximum(x2 + u2 - 2.0 * (x.T @ u), 0.0)
+    expanded as |x|^2 + |u|^2 - 2 x.u and clamped at 0 against rounding.
+    A distance that overflows float64 raises NumericError."""
+    same = u is x
+    # einsum's rounding depends on the operands' layout: C order keeps it fixed
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    u = x if same else np.ascontiguousarray(u, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x2 = np.einsum("ij,ij->j", x, x)
+        u2 = x2 if same else np.einsum("ij,ij->j", u, u)
+        d = np.maximum(x2[:, None] + u2[None, :] - 2.0 * (x.T @ u), 0.0)
+    if not np.isfinite(d).all():
+        raise NumericError("sq_distances: a squared distance overflows float64")
+    return d
 
 
 def col_var(x: Mat) -> np.ndarray:
@@ -132,10 +141,11 @@ def relu(x):
     return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
 
 
-def pow2_scaled(v: np.ndarray) -> np.ndarray:
+def pow2_scaled(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """v 2^-e, max|v| = m 2^e with m in [1/2, 1) (0 stays 0): an exact scaling
-    that keeps the squares, norms and products of v in range at any scale."""
-    return np.ldexp(v, -np.frexp(max(v.max(), -v.min()))[1])  # max|v|, with no |v| formed
+    that keeps the squares, norms and products of v in range at any scale.
+    ``out=v`` scales v in place."""
+    return np.ldexp(v, -np.frexp(max(v.max(), -v.min()))[1], out=out)  # max|v|, no |v| formed
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, field, fields
@@ -190,6 +189,8 @@ class RunConfig:
 
 def load_config(path) -> RunConfig:
     """Strict JSON parse: unknown keys are rejected, defaults applied."""
+    import json  # here, so a run without a config file loads no JSON parser
+
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:

@@ -87,6 +87,8 @@ def vit_cls_pool(fm: FeatureMap, weights: VitWeights, m: int, iters: int) -> Poo
     if u.shape != (d,):
         raise ShapeError(f"vit_cls_pool: u0 shape {u.shape} vs d={d}")
     attn = None
-    for t in range(iters):
-        u, attn = _cross_attention_step(fm.x, u, weights.iters[t], m)
+    # an overflow reaches col_softmax as inf or NaN, which it reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(iters):
+            u, attn = _cross_attention_step(fm.x, u, weights.iters[t], m)
     return PooledSet(u=u[:, None], attention=AttentionMatrix(attn[:, None], stochastic_cols=True))

@@ -197,6 +197,15 @@ class TestCmdPool:
         x = _write_features(tmp_path / "x.npy", 1e200 * np.random.default_rng(0).normal(size=(8, 12)))
         assert "variance of column 0 overflows" in _cli_error(["pool", "--input", x, "--method", method], 3)
 
+    @pytest.mark.parametrize("method, reason", [
+        ("vit", "col_softmax: non-finite input"), ("cait", "col_softmax: non-finite input"),
+        ("sinkhorn-otk", "squared distance overflows"), ("kmeans", "squared distance overflows"),
+    ])
+    def test_overflowing_features_exit_3(self, tmp_path, method, reason):
+        # attention scores or squared distances overflow: one error line, no RuntimeWarning
+        x = _write_features(tmp_path / "x.npy", 1e200 * np.random.default_rng(0).normal(size=(8, 12)))
+        assert reason in _cli_error(["pool", "--input", x, "--method", method, "--k", "2"], 3)
+
     @pytest.mark.parametrize("scale", [1e100, 1e-80])
     def test_how_is_scale_invariant_at_large_and_small_magnitudes(self, tmp_path, capsys, scale):
         # the norm of how's pooled vector overflows at 1e100 and underflows at

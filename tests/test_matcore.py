@@ -73,6 +73,23 @@ class TestSqDistances:
         assert np.all(d >= 0)
         np.testing.assert_allclose(np.diag(d), 0.0, atol=1e-4 * np.abs(d).max())
 
+    def test_layout_does_not_change_the_rounding(self):
+        # sampled columns come in either order; the norms must not round differently
+        x = np.random.default_rng(3).normal(scale=1e3, size=(64, 40))
+        u = x[:, [5, 17, 2, 33]]
+        want = sq_distances(x, np.ascontiguousarray(u))
+        for xl, ul in ((np.asfortranarray(x), np.asfortranarray(u)), (x, x[:, [5, 17, 2, 33]])):
+            assert sq_distances(xl, ul).tobytes() == want.tobytes()
+
+    def test_distances_to_itself_match_those_to_a_copy(self):
+        x = np.random.default_rng(4).normal(size=(16, 9))
+        assert sq_distances(x, x).tobytes() == sq_distances(x, x.copy()).tobytes()
+
+    def test_overflow_raises(self):
+        x = np.array([[1e200, -1e200], [0.0, 1.0]])
+        with pytest.raises(NumericError, match="overflows"):
+            sq_distances(x, x[:, :1])
+
 
 class TestLayernormCols:
     def test_two_point_column(self):

@@ -120,6 +120,14 @@ class TestHow:
         with pytest.raises(DegenerateMassError):
             how(FeatureMap(np.zeros((2, 4)), width=2, height=2))
 
+    @pytest.mark.parametrize("centered", [False, True])
+    def test_features_are_left_unchanged(self, centered):
+        # the value input is scaled in place only on its own array, X - c
+        x = np.random.default_rng(17).uniform(0.5, 4.0, size=(5, 12))
+        fm = FeatureMap(x.copy(), width=4, height=3)
+        how(fm, HowConfig(centering=np.full(5, 0.25) if centered else None))
+        np.testing.assert_array_equal(fm.x, x)
+
     @pytest.mark.parametrize("cfg", [
         HowConfig(centering=np.ones(1)),
         HowConfig(centering=np.ones((3, 1))),
