@@ -64,8 +64,8 @@ def run_method(cfg: RunConfig, fm: FeatureMap) -> PooledSet:
         return kmeans_pool(fm, cfg.k, cfg.iters, seed=cfg.seed)
     if method == "slot":
         from .cluster_poolers import SlotWeights, slot_pool
-        return slot_pool(fm, cfg.k, cfg.iters, SlotWeights.seeded(d, seed=cfg.seed),
-                         seed=cfg.seed, simplified=True)
+        weights = SlotWeights.seeded(d, seed=cfg.seed, simplified=True)  # no GRU or MLP
+        return slot_pool(fm, cfg.k, cfg.iters, weights, seed=cfg.seed, simplified=True)
     if method == "se":
         from .reweight_poolers import SeWeights, se_pool
         return se_pool(fm, SeWeights.seeded(d, seed=cfg.seed))
@@ -138,6 +138,8 @@ def _check_at_least(args, **floors) -> None:
 def cmd_gradcheck(args) -> int:
     from .simpool import SimPoolParams, simpool_gradcheck
     _check_at_least(args, seed=0, d=1, p=1, trials=1)
+    if not (np.isfinite(args.tol) and args.tol > 0):  # nan or <= 0 fails every check, inf none
+        raise ConfigError(f"--tol must be finite and > 0, got {args.tol}")
     d, p = args.d, args.p
     reports = []
     for trial in range(args.trials):

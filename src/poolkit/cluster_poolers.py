@@ -13,7 +13,7 @@ from .errors import ContractError, ConvergenceError, ShapeError
 from .framework import (AttentionMatrix, AttnRule, FeatureMap, InitRule, MapRule, PooledSet,
                         PoolingSpec, UpdateRule, run_pooling)
 from .matcore import Mat, as_matrix, logsumexp, sq_distances
-from .nncells import GruWeights, MlpWeights, dense
+from .nncells import GruWeights, MlpWeights, dense, skip_normals
 
 
 # --- Sinkhorn / optimal transport -----------------------------------------
@@ -286,28 +286,31 @@ def kmeans_pool(fm: FeatureMap, k: int, iters: int, seed: int = 0) -> PooledSet:
 
 @dataclass(frozen=True)
 class SlotWeights:
-    """Projection, recurrent and MLP weights plus the slot-init statistics."""
+    """Projection, recurrent and MLP weights plus the slot-init statistics;
+    ``gru`` and ``mlp`` are None in weights for simplified mode only."""
 
     w_q: Mat
     w_k: Mat
     w_v: Mat
-    gru: GruWeights
-    mlp: MlpWeights
+    gru: Optional[GruWeights]
+    mlp: Optional[MlpWeights]
     mu: np.ndarray
     sigma: np.ndarray
 
     @classmethod
-    def seeded(cls, d: int, seed: int = 0) -> "SlotWeights":
+    def seeded(cls, d: int, seed: int = 0, simplified: bool = False) -> "SlotWeights":
+        """Draws in the order w_q, w_k, w_v, gru, mlp, mu, sigma.  Simplified
+        mode reads no GRU or MLP: it steps the stream past their 8 d^2
+        normals and keeps None, so every other array is the full draw's."""
         rng = np.random.default_rng(seed)
-        return cls(
-            w_q=dense(rng, d, d),
-            w_k=dense(rng, d, d),
-            w_v=dense(rng, d, d),
-            gru=GruWeights.seeded(rng, d, d),
-            mlp=MlpWeights.seeded(rng, d, d, d),
-            mu=rng.normal(size=d),
-            sigma=np.abs(rng.normal(size=d)) + 0.1,
-        )
+        w_q, w_k, w_v = dense(rng, d, d), dense(rng, d, d), dense(rng, d, d)
+        if simplified:
+            skip_normals(rng, 8 * d * d)
+            gru = mlp = None
+        else:
+            gru, mlp = GruWeights.seeded(rng, d, d), MlpWeights.seeded(rng, d, d, d)
+        return cls(w_q=w_q, w_k=w_k, w_v=w_v, gru=gru, mlp=mlp,
+                   mu=rng.normal(size=d), sigma=np.abs(rng.normal(size=d)) + 0.1)
 
 
 def slot_spec(k: int, iters: int, weights: SlotWeights, seed: int = 0,
@@ -326,6 +329,9 @@ def slot_spec(k: int, iters: int, weights: SlotWeights, seed: int = 0,
         attention = AttnRule(kind="col_softmax", scale=np.sqrt(weights.w_k.shape[1]))
         update = UpdateRule()
     else:
+        if weights.gru is None or weights.mlp is None:
+            raise ContractError("slot_spec: full mode needs GRU and MLP weights; "
+                                "these were drawn for simplified mode")
         attention = AttnRule(kind="row_then_col_norm", scale=np.sqrt(weights.w_k.shape[0]))
         update = UpdateRule(kind="gru_mlp", gru=weights.gru, mlp=weights.mlp)
     return PoolingSpec(

@@ -345,7 +345,7 @@ def _pool(rule: PoolRule, v: Mat, a: Mat, t: int) -> Mat:
         if not np.any(support):
             raise NumericError(f"pooling at iteration {t}: empty support "
                                f"in attention column {j}")
-        cols.append(np.max(v[:, support], axis=1))
+        cols.append(np.max(v, axis=1, where=support, initial=-np.inf))  # no copy of v[:, support]
     return np.stack(cols, axis=1)
 
 

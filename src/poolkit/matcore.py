@@ -117,8 +117,10 @@ def col_var(x: Mat) -> np.ndarray:
 def layernorm_cols(x: Mat) -> Mat:
     """Normalize each column to zero mean / unit variance (no affine)."""
     x = np.asarray(x, dtype=np.float64)
-    mu = x.mean(axis=0, keepdims=True)
-    return (x - mu) / np.sqrt(col_var(x)[None, :] + LN_EPS)
+    std = np.sqrt(col_var(x)[None, :] + LN_EPS)  # before ``out``: np.var forms its own x - mean
+    out = x - x.mean(axis=0, keepdims=True)
+    out /= std
+    return out
 
 
 def logsumexp(m: Mat, axis: int) -> np.ndarray:

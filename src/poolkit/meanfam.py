@@ -38,12 +38,14 @@ def weighted_generalized_mean(v, a, gamma: float) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if v.min() < 0:  # one reduction, no d x p boolean mask
         raise ContractError("weighted_generalized_mean: negative values")
-    vc = np.maximum(v, CLAMP_FLOOR)
+    vc = np.maximum(v, CLAMP_FLOOR)  # the one d x p temporary, transformed in place
     if gamma == 0:
-        return np.exp(np.log(vc) @ a)
+        return np.exp(np.log(vc, out=vc) @ a)
     # Factor out the row max (gamma > 0) or min (gamma < 0): every ratio**gamma <= 1.
     m = vc.max(axis=1, keepdims=True) if gamma > 0 else vc.min(axis=1, keepdims=True)
-    inner = ((vc / m) ** gamma) @ a
+    vc /= m
+    vc **= gamma
+    inner = vc @ a
     with np.errstate(divide="ignore"):  # inner = 0 at gamma < 0: the re-sum below repairs it
         u = m * inner ** (1.0 / gamma)
     # Where attention sits on ratios whose powers fall below the normal range,
@@ -52,7 +54,7 @@ def weighted_generalized_mean(v, a, gamma: float) -> np.ndarray:
     i, k = np.nonzero((inner < LOG_DOMAIN_BELOW) & (a.max(axis=0) > 0))
     if i.size:
         with np.errstate(divide="ignore"):  # log 0 = -inf drops a zero weight
-            t = gamma * np.log(vc[i]) + np.log(a[:, k].T)
+            t = gamma * np.log(np.maximum(v[i], CLAMP_FLOOR)) + np.log(a[:, k].T)
         u[i, k] = np.exp(logsumexp(t, axis=1) / gamma)
     return u
 
@@ -68,4 +70,5 @@ def lse_pool(v, a, r: float) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         rv = r * v
         c = rv.max(axis=1, keepdims=True)
-        return (c + np.log(np.exp(rv - c) @ a)) / r
+        rv -= c
+        return (c + np.log(np.exp(rv, out=rv) @ a)) / r

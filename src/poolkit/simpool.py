@@ -86,7 +86,8 @@ def simpool_forward(
     u0 = x.mean(axis=1)  # GAP of the raw features, before LayerNorm
 
     inv_std = 1.0 / np.sqrt(col_var(x) + LN_EPS)
-    xn = (x - x.mean(axis=0)[None, :]) * inv_std[None, :]
+    xn = x - x.mean(axis=0)[None, :]
+    xn *= inv_std[None, :]
 
     q = params.w_q @ u0
     wkt_q = params.w_k.T @ q
@@ -96,8 +97,8 @@ def simpool_forward(
     flat_argmin = int(np.argmin(xn))  # first occurrence, row-major
     argmin = (flat_argmin // p, flat_argmin % p)
     v = xn - xn[argmin]
-    vc = np.maximum(v, CLAMP_FLOOR)
     clamp_mask = v > CLAMP_FLOOR
+    vc = np.maximum(v, CLAMP_FLOOR, out=v)
 
     u = weighted_generalized_mean(vc, a[:, None], params.gamma)[:, 0]
 
@@ -123,16 +124,22 @@ def simpool_backward(cache: SimPoolCache, du: np.ndarray) -> tuple[Mat, Mat, Mat
     # of c sums to 1): d u_i / d vc_ij = c_ij / r_ij and a_j d u_i / d a_j =
     # (u_i / g) c_ij.  c is formed in the log domain, so no power overflows,
     # even where a_j underflows; u >= CLAMP_FLOOR, so r is finite.
+    # Each d x p array is formed once and updated in place; ``c`` becomes d_vc
+    # and then serves as scratch.
     r = vc / cache.u[:, None]
     with np.errstate(divide="ignore"):  # log 0 = -inf where a_j underflowed to 0
-        c = np.exp(g * np.log(r) + np.log(a))
-    d_vc = du[:, None] * c / r
+        c = np.log(r)
+        c *= g
+        c += np.log(a)
+    np.exp(c, out=c)
     a_da = c.T @ (du * cache.u / g)  # a * d_a, formed without d_a
+    c *= du[:, None]
+    c /= r
+    del r
 
     # clamp + global-min shift: all mass of the min goes to its argmin element
-    d_v = np.where(cache.clamp_mask, d_vc, 0.0)
-    d_xn = d_v.copy()
-    d_xn[cache.argmin] -= d_v.sum()
+    d_xn = np.where(cache.clamp_mask, c, 0.0)
+    d_xn[cache.argmin] -= d_xn.sum()
 
     # softmax over the single attention column
     d_logits = a_da - a * a_da.sum()
@@ -141,7 +148,7 @@ def simpool_backward(cache: SimPoolCache, du: np.ndarray) -> tuple[Mat, Mat, Mat
     scale = 1.0 / np.sqrt(d)
     xd = cache.xn @ d_logits
     d_wk = np.outer(cache.q * scale, xd)
-    d_xn += np.outer(cache.wkt_q * scale, d_logits)
+    d_xn += np.multiply.outer(cache.wkt_q * scale, d_logits, out=c)
     d_q = params.w_k @ xd * scale
 
     # q = W_Q u0
@@ -149,14 +156,16 @@ def simpool_backward(cache: SimPoolCache, du: np.ndarray) -> tuple[Mat, Mat, Mat
     d_u0 = params.w_q.T @ d_q
 
     # LayerNorm backward, per column (population variance)
-    inv = cache.inv_std[None, :]
     xhat = cache.xn
     mean_dy = d_xn.mean(axis=0, keepdims=True)
-    mean_dy_xhat = (d_xn * xhat).mean(axis=0, keepdims=True)
-    d_x = inv * (d_xn - mean_dy - xhat * mean_dy_xhat)
+    mean_dy_xhat = np.multiply(d_xn, xhat, out=c).mean(axis=0, keepdims=True)
+    d_x = d_xn
+    d_x -= mean_dy
+    d_x -= np.multiply(xhat, mean_dy_xhat, out=c)
+    d_x *= cache.inv_std[None, :]
 
     # GAP init path
-    d_x = d_x + d_u0[:, None] / p
+    d_x += d_u0[:, None] / p
     return d_wq, d_wk, d_x
 
 

@@ -436,6 +436,14 @@ class TestCmdGradcheck:
         code = main(["gradcheck", "--d", "1", "--trials", "1"])
         assert code == 1
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    def test_tolerance_must_be_finite_and_positive(self, capsys, tol):
+        # nan, -1 and 0 fail every check and inf passes every one: a bad flag, not a result
+        code = main(["gradcheck", "--trials", "1", "--tol", tol])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: --tol must be finite and > 0")
+
 
 class TestCmdTournament:
     def test_all_methods_smoke(self, tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from poolkit import cluster_poolers
+from poolkit.cli import run_method
 from poolkit.cluster_poolers import (
     NystromMap,
     SinkhornParams,
@@ -23,10 +24,12 @@ from poolkit.cluster_poolers import (
 from poolkit.errors import ContractError, ConvergenceError, DegenerateMassError, NumericError, ShapeError
 from poolkit.framework import FeatureMap, InitRule, UpdateRule, _update, run_pooling
 from poolkit.matcore import col_softmax, eta_norm, layernorm_cols, sq_distances
-from poolkit.nncells import GruWeights, MlpWeights
+from poolkit.nncells import SKIP_CHUNK, GruWeights, MlpWeights, skip_normals
 from poolkit.simple_poolers import gap
 from poolkit.simpool import SimPoolParams, simpool_forward
+from poolkit.tensor_io import config_from_dict
 
+from memory_peaks import traced_peak
 from numeric_edges import COLUMN_EDGES, SCALES, assert_within_rounding, feature_matrices, shape_columns
 
 
@@ -491,3 +494,56 @@ class TestSlotPool:
             assert_within_rounding(out.attention.a, a_ref, a_ref, kappa)
             assert_within_rounding(out.u, z_ref, np.abs(w.w_v) @ (np.abs(xt) @ a_ref), kappa)
             u = _update(spec.pool_update, z_ref, u)
+
+
+class TestSimplifiedSlotWeights:
+    """Simplified slot attention reads W_Q, W_K, W_V, mu and sigma only, so
+    its weights skip the GRU's and MLP's 8 d^2 draws and hold None."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 48), seed=st.integers(0, 2**64 - 1))
+    def test_skipped_draw_keeps_the_other_arrays(self, d, seed):
+        full = SlotWeights.seeded(d, seed=seed)
+        simple = SlotWeights.seeded(d, seed=seed, simplified=True)
+        for name in ("w_q", "w_k", "w_v", "mu", "sigma"):
+            got, want = getattr(simple, name), getattr(full, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+        assert simple.gru is None and simple.mlp is None
+
+    def test_full_mode_rejects_simplified_weights(self):
+        w = SlotWeights.seeded(3, seed=2, simplified=True)
+        fm = _fm(np.arange(12.0).reshape(3, 4))
+        with pytest.raises(ContractError, match="full mode needs GRU and MLP weights"):
+            slot_pool(fm, k=2, iters=1, weights=w, seed=0, simplified=False)
+        slot_pool(fm, k=2, iters=1, weights=w, seed=0, simplified=True)
+
+    @settings(max_examples=40, deadline=None)
+    @given(x=feature_matrices(st.integers(1, 48)), k_draw=st.integers(1, 9),
+           iters=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_cli_slot_is_simplified_slot_pool(self, x, k_draw, iters, seed):
+        fm = _fm(x)
+        k = min(k_draw, fm.p)
+        cfg = config_from_dict({"method": "slot", "k": k, "iters": iters, "seed": seed})
+        got = run_method(cfg, fm)
+        want = slot_pool(fm, k, iters, SlotWeights.seeded(fm.d, seed=seed), seed=seed,
+                         simplified=True)
+        assert got.u.tobytes() == want.u.tobytes()
+        assert got.attention.a.tobytes() == want.attention.a.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.one_of(st.integers(0, 3 * SKIP_CHUNK),
+                       st.sampled_from([1, SKIP_CHUNK - 1, SKIP_CHUNK, SKIP_CHUNK + 1,
+                                        2 * SKIP_CHUNK + 7])),
+           seed=st.integers(0, 2**64 - 1), scale=st.sampled_from([1.0, 0.125, 1 / np.sqrt(48)]))
+    def test_skip_leaves_the_state_of_a_normal_draw(self, n, seed, scale):
+        drawn, skipped = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn.normal(scale=scale, size=n)
+        skip_normals(skipped, n)
+        assert skipped.bit_generator.state == drawn.bit_generator.state
+
+    def test_cli_slot_request_holds_under_five_square_matrices(self):
+        d = 256
+        fm = FeatureMap(np.random.default_rng(0).normal(size=(d, 49)), 7, 7)
+        cfg = config_from_dict({"method": "slot", "seed": 3})
+        # the full draw holds 11 d x d matrices; simplified keeps 3
+        assert traced_peak(run_method, cfg, fm) < 5 * d * d * 8

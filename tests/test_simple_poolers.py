@@ -12,6 +12,7 @@ from poolkit.nncells import dense
 from poolkit.reweight_poolers import SeWeights, se_pool
 from poolkit.simple_poolers import HowConfig, gap, gem, how, how_spec, lse, max_pool
 
+from memory_peaks import traced_peak
 from numeric_edges import COLUMN_EDGES, SCALES, assert_within_rounding, feature_matrices, shape_columns
 
 
@@ -87,6 +88,20 @@ class TestLse:
     def test_hand_value(self):
         out = lse(_fm([[0.0, np.log(3.0)]]), 1.0)
         np.testing.assert_allclose(out, [np.log(2.0)], atol=1e-12)
+
+
+# ViT-S features: d x p = 384 x (14 x 14), nonnegative for the power mean
+VITS = np.abs(np.random.default_rng(7).normal(size=(384, 196))) + 0.1
+
+
+@pytest.mark.parametrize("pool, arg, bound", [(max_pool, (), 0.1), (lse, (5.0,), 1.5),
+                                              (gem, (3.0,), 1.5)])
+def test_pool_forms_at_most_one_feature_sized_temporary(pool, arg, bound):
+    """max reduces over the support without copying it; LSE and the power
+    mean transform one d x p temporary in place (the parent formed 1.02,
+    3.01 and 3.01 of them)."""
+    fm = FeatureMap(VITS, 14, 14)
+    assert traced_peak(pool, fm, *arg) < bound * VITS.nbytes
 
 
 class TestHow:

@@ -10,6 +10,7 @@ from poolkit.matcore import LN_EPS, col_softmax
 from poolkit.meanfam import CLAMP_FLOOR
 from poolkit.simpool import SimPoolParams, simpool_backward, simpool_forward, simpool_gradcheck
 
+from memory_peaks import traced_peak
 from numeric_edges import (COLUMN_EDGES, SCALES, SIMPOOL_SATURATED, SIMPOOL_SETTINGS,
                            assert_within_rounding, feature_matrices, shape_columns)
 
@@ -147,6 +148,16 @@ class TestBackward:
 
             fd = (loss(params.w_q + h * direction) - loss(params.w_q - h * direction)) / (2 * h)
             np.testing.assert_allclose(np.sum(dwq * direction), fd, atol=1e-6)
+
+    def test_updates_its_feature_sized_arrays_in_place(self):
+        """At ViT-S (384 x 196) the pass holds its outputs, 4.92 d x p arrays
+        (two d x d and one d x p), and about one more for scratch; formed
+        anew, its intermediates reached 11.06."""
+        d, p = 384, 196
+        rng = np.random.default_rng(8)
+        fm = _fm(rng.normal(size=(d, p)), width=14, height=14)
+        _, _, cache = simpool_forward(fm, SimPoolParams.seeded(d, seed=2))
+        assert traced_peak(simpool_backward, cache, rng.normal(size=d)) < 6.5 * d * p * 8
 
 
 def _materialized_reference(x, params, du):
