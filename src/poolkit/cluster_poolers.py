@@ -13,7 +13,7 @@ from .errors import ContractError, ConvergenceError, ShapeError
 from .framework import (AttentionMatrix, AttnRule, FeatureMap, InitRule, MapRule, PooledSet,
                         PoolingSpec, UpdateRule, run_pooling)
 from .matcore import Mat, as_matrix, logsumexp, sq_distances
-from .nncells import GruWeights, MlpWeights, dense, skip_normals
+from .nncells import GruWeights, MlpWeights, dense
 
 
 # --- Sinkhorn / optimal transport -----------------------------------------
@@ -299,18 +299,16 @@ class SlotWeights:
 
     @classmethod
     def seeded(cls, d: int, seed: int = 0, simplified: bool = False) -> "SlotWeights":
-        """Draws in the order w_q, w_k, w_v, gru, mlp, mu, sigma.  Simplified
-        mode reads no GRU or MLP: it steps the stream past their 8 d^2
-        normals and keeps None, so every other array is the full draw's."""
+        """Draws in the order w_q, w_k, w_v, mu, sigma, gru, mlp.  Simplified
+        mode reads no GRU or MLP: it stops after sigma and keeps None, so its
+        arrays are the full draw's prefix."""
         rng = np.random.default_rng(seed)
         w_q, w_k, w_v = dense(rng, d, d), dense(rng, d, d), dense(rng, d, d)
-        if simplified:
-            skip_normals(rng, 8 * d * d)
-            gru = mlp = None
-        else:
+        mu, sigma = rng.normal(size=d), np.abs(rng.normal(size=d)) + 0.1
+        gru = mlp = None
+        if not simplified:
             gru, mlp = GruWeights.seeded(rng, d, d), MlpWeights.seeded(rng, d, d, d)
-        return cls(w_q=w_q, w_k=w_k, w_v=w_v, gru=gru, mlp=mlp,
-                   mu=rng.normal(size=d), sigma=np.abs(rng.normal(size=d)) + 0.1)
+        return cls(w_q=w_q, w_k=w_k, w_v=w_v, gru=gru, mlp=mlp, mu=mu, sigma=sigma)
 
 
 def slot_spec(k: int, iters: int, weights: SlotWeights, seed: int = 0,

@@ -20,18 +20,6 @@ def dense(rng: np.random.Generator, n_out: int, n_in: int) -> np.ndarray:
     return rng.normal(scale=1.0 / np.sqrt(n_in), size=(n_out, n_in))
 
 
-SKIP_CHUNK = 1 << 16  # floats in the buffer that ``skip_normals`` reuses (512 KiB)
-
-
-def skip_normals(rng: np.random.Generator, n: int) -> None:
-    """Advance ``rng`` past n normal draws, to where ``rng.normal(size=n)``
-    leaves it (both draw one standard normal per element), through one
-    reused buffer in place of an n-element array."""
-    buf = np.empty(min(n, SKIP_CHUNK))
-    for start in range(0, n, SKIP_CHUNK):
-        rng.standard_normal(out=buf[: n - start])
-
-
 @dataclass(frozen=True)
 class MlpWeights:
     """Two linear layers with a ReLU in between: w2 relu(w1 x)."""

@@ -1,5 +1,5 @@
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -24,7 +24,7 @@ from poolkit.cluster_poolers import (
 from poolkit.errors import ContractError, ConvergenceError, DegenerateMassError, NumericError, ShapeError
 from poolkit.framework import FeatureMap, InitRule, UpdateRule, _update, run_pooling
 from poolkit.matcore import col_softmax, eta_norm, layernorm_cols, sq_distances
-from poolkit.nncells import SKIP_CHUNK, GruWeights, MlpWeights, skip_normals
+from poolkit.nncells import GruWeights, MlpWeights, dense
 from poolkit.simple_poolers import gap
 from poolkit.simpool import SimPoolParams, simpool_forward
 from poolkit.tensor_io import config_from_dict
@@ -498,7 +498,36 @@ class TestSlotPool:
 
 class TestSimplifiedSlotWeights:
     """Simplified slot attention reads W_Q, W_K, W_V, mu and sigma only, so
-    its weights skip the GRU's and MLP's 8 d^2 draws and hold None."""
+    its weights stop the draw before the GRU's and MLP's 8 d^2 normals and
+    hold None."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 48), seed=st.integers(0, 2**64 - 1))
+    def test_full_draw_order(self, d, seed):
+        rng = np.random.default_rng(seed)
+        want = {"w_q": dense(rng, d, d), "w_k": dense(rng, d, d), "w_v": dense(rng, d, d),
+                "mu": rng.normal(size=d), "sigma": np.abs(rng.normal(size=d)) + 0.1}
+        gru, mlp = GruWeights.seeded(rng, d, d), MlpWeights.seeded(rng, d, d, d)
+        got = SlotWeights.seeded(d, seed=seed)
+        pairs = [(name, getattr(got, name), array) for name, array in want.items()]
+        pairs += [(f"gru.{f.name}", getattr(got.gru, f.name), getattr(gru, f.name))
+                  for f in fields(gru)]
+        pairs += [(f"mlp.{f.name}", getattr(got.mlp, f.name), getattr(mlp, f.name))
+                  for f in fields(mlp)]
+        for name, got_array, want_array in pairs:
+            assert got_array.shape == want_array.shape, name
+            assert got_array.tobytes() == want_array.tobytes(), name
+
+    @pytest.mark.parametrize("d, seed", [(1, 0), (5, 2**64 - 1), (48, 7), (2048, 3)])
+    def test_simplified_draw_stops_after_sigma(self, monkeypatch, d, seed):
+        default_rng, made = np.random.default_rng, []
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda s: made.append(default_rng(s)) or made[-1])
+        SlotWeights.seeded(d, seed=seed, simplified=True)
+        fresh = default_rng(seed)
+        for n in (d * d, d * d, d * d, 2 * d):  # 3 d^2 + 2 d normals
+            fresh.standard_normal(n)
+        assert [g.bit_generator.state for g in made] == [fresh.bit_generator.state]
 
     @settings(max_examples=60, deadline=None)
     @given(d=st.integers(1, 48), seed=st.integers(0, 2**64 - 1))
@@ -529,17 +558,6 @@ class TestSimplifiedSlotWeights:
                          simplified=True)
         assert got.u.tobytes() == want.u.tobytes()
         assert got.attention.a.tobytes() == want.attention.a.tobytes()
-
-    @settings(max_examples=40, deadline=None)
-    @given(n=st.one_of(st.integers(0, 3 * SKIP_CHUNK),
-                       st.sampled_from([1, SKIP_CHUNK - 1, SKIP_CHUNK, SKIP_CHUNK + 1,
-                                        2 * SKIP_CHUNK + 7])),
-           seed=st.integers(0, 2**64 - 1), scale=st.sampled_from([1.0, 0.125, 1 / np.sqrt(48)]))
-    def test_skip_leaves_the_state_of_a_normal_draw(self, n, seed, scale):
-        drawn, skipped = np.random.default_rng(seed), np.random.default_rng(seed)
-        drawn.normal(scale=scale, size=n)
-        skip_normals(skipped, n)
-        assert skipped.bit_generator.state == drawn.bit_generator.state
 
     def test_cli_slot_request_holds_under_five_square_matrices(self):
         d = 256
