@@ -24,7 +24,7 @@ class SinkhornParams:
     marginal tolerance ``tol`` (max abs error of the plan's row and column
     sums) and the step budget ``max_iter``.  The solver works on log-domain
     dual potentials and anneals epsilon down from the cost range, dividing
-    it by 4 per level and finishing each level with Newton steps; every
+    it by 8 per level and finishing each level with Newton steps; every
     log-sum-exp sweep and every Newton step, over all levels, counts against
     ``max_iter``."""
 
@@ -37,8 +37,8 @@ class SinkhornParams:
             raise ContractError(f"SinkhornParams: epsilon must be > 0, got {self.epsilon}")
 
 
-LEVEL_TOL = 1e-3    # marginal residual at which a coarser epsilon level hands over
-LEVEL_RATIO = 4.0   # epsilon of one level over the next's
+LEVEL_TOL = 1e-2    # marginal residual at which a coarser epsilon level hands over
+LEVEL_RATIO = 8.0   # epsilon of one level over the next's
 STEP_CAP = 4.0      # largest potential change in a Newton step's first trial, in units of epsilon
 ARMIJO = 1e-4       # fraction of the predicted ascent a Newton step must achieve
 SCHUR_SHIFT = 1e-12  # relative shift of the Schur complement's diagonal
@@ -59,12 +59,12 @@ def _sweep(cost_t: Mat, g: np.ndarray, eps: float) -> tuple[np.ndarray, Mat]:
     return -eps * (np.log(k) + (top + np.log(s))), e / (k * s)[:, None]
 
 
-def _newton_step(plan_t: Mat, rows: np.ndarray, cols: np.ndarray, grad_f: np.ndarray,
-                 grad_g: np.ndarray, eps: float) -> Optional[tuple[np.ndarray, Mat]]:
+def _newton_step(plan_t: Mat, marg: np.ndarray, grad: np.ndarray,
+                 eps: float) -> Optional[tuple[np.ndarray, Mat]]:
     """A damped Newton ascent step on the dual at the plan P, held
-    transposed as ``plan_t`` (k x p).  ``rows`` and ``cols`` are P's row and
-    column sums, and (``grad_f``, ``grad_g``) = (1/p - rows, 1/k - cols) is
-    the dual gradient.  Returns the change of g and the transposed plan
+    transposed as ``plan_t`` (k x p).  ``marg`` stacks P's p row sums and k
+    column sums, and ``grad`` = (1/p, 1/k) - ``marg`` is the dual gradient
+    in the same order.  Returns the change of g and the transposed plan
     after the step, or None when the Schur system is singular, the
     direction does not ascend, or no trial step ascends enough.
 
@@ -75,7 +75,9 @@ def _newton_step(plan_t: Mat, rows: np.ndarray, cols: np.ndarray, grad_f: np.nda
     plan falls into nearly uncoupled blocks, S is also nearly singular along
     their relative potential, and roundoff in the gradient would become a
     step there so large that the cap shrinks every other component to
-    nothing; shifting S's diagonal by 1e-12 of itself bounds that step.
+    nothing; shifting S's diagonal by 1e-12 of itself bounds that step.  The
+    step (df, dg) is one vector in ``marg``'s order, so its slope, ascent
+    and cap each take one product or reduction.
 
     The plan is carried, not formed again from the potentials: the step t
     multiplies it by exp(x), x_ij = t (df_i + dg_j) / eps, from the x its
@@ -85,33 +87,38 @@ def _newton_step(plan_t: Mat, rows: np.ndarray, cols: np.ndarray, grad_f: np.nda
     halved until it ascends enough (Armijo); when the cap shortened it and
     it ascends at once, t doubles, up to the full step, while the dual gain
     keeps rising.  A step makes at most ``BACKTRACKS`` + 1 trials."""
+    k, p = plan_t.shape
+    rows, cols = marg[:p], marg[p:]
     if not rows.all():  # a row's mass underflowed to 0: the Hessian is singular there
         return None
     scaled = plan_t / rows
     neg_schur = scaled @ plan_t.T  # P^T diag(1/P1) P; less the shifted diag(P^T 1), -S
-    neg_schur.flat[::cols.size + 1] -= (1.0 + SCHUR_SHIFT) * cols
-    rhs = eps * (scaled @ grad_f - grad_g)
+    neg_schur.flat[::k + 1] -= (1.0 + SCHUR_SHIFT) * cols
+    rhs = eps * (scaled @ grad[:p] - grad[p:])
+    step = np.zeros(p + k)  # (df, dg), the last dg held at 0
     try:
-        dg = np.concatenate((np.linalg.solve(neg_schur[:-1, :-1], rhs[:-1]), [0.0]))
+        step[p:-1] = np.linalg.solve(neg_schur[:-1, :-1], rhs[:-1])
     except np.linalg.LinAlgError:
         return None
-    df = (eps * grad_f - dg @ plan_t) / rows
-    slope = grad_f @ df + grad_g @ dg
+    dg = step[p:]
+    step[:p] = (eps * grad[:p] - dg @ plan_t) / rows
+    slope = grad @ step
     if not 0.0 < slope < np.inf:
         return None
     # The step t gains t * slope - eps * sum(P (e^x - 1 - x)) on the dual.
-    # eps * sum(P x) is the scalar t * (rows . df + cols . dg), so a trial
-    # evaluates only expm1(x), which keeps the small gain exact.
-    ascent = slope + rows @ df + cols @ dg
+    # eps * sum(P x) is the scalar t * (marg . step), so a trial evaluates
+    # only expm1(x), which keeps the small gain exact.
+    ascent = slope + marg @ step
     flat = plan_t.ravel()
 
     def trial(t: float) -> tuple[float, Mat]:
-        x = np.add.outer((t / eps) * dg, (t / eps) * df)
+        s = (t / eps) * step
+        x = np.add.outer(s[p:], s[:p])
         return t * ascent - eps * (flat @ np.expm1(x).ravel()), x
 
     # Near-block-diagonal plans put a huge step on the blocks' relative
     # potential; uncapped, every backtracked plan overflows.
-    t = min(1.0, STEP_CAP * eps / max(np.abs(df).max(), np.abs(dg).max()))
+    t = min(1.0, STEP_CAP * eps / np.abs(step).max())
     extend = t < 1.0
     for left in range(BACKTRACKS, -1, -1):
         gain, x = trial(t)
@@ -141,10 +148,10 @@ def sinkhorn(cost: Mat, params: SinkhornParams) -> Mat:
     (k); the plan is P = exp((f_i + g_j - cost_ij) / epsilon), so no kernel
     exp(-cost/epsilon) is formed and none can underflow.  It anneals
     epsilon: levels start at max(epsilon, max cost - min cost) and divide it
-    by 4 down to epsilon.  g moves about linearly in epsilon, so each level
+    by 8 down to epsilon.  g moves about linearly in epsilon, so each level
     starts from the last two levels' g extrapolated to its epsilon.  A level
     runs one log-sum-exp sweep, then damped Newton steps on the concave dual
-    until the marginal residual is below 1e-3, or below ``tol`` at the last
+    until the marginal residual is below 1e-2, or below ``tol`` at the last
     level.  A Newton step's first trial is capped at a few epsilon per
     potential and backtracked (Armijo); a capped trial that ascends is
     extended while the dual keeps rising.  Where no trial ascends, a sweep
@@ -155,9 +162,11 @@ def sinkhorn(cost: Mat, params: SinkhornParams) -> Mat:
     step its last trial has formed, so P is never formed again from f and
     g.  Each level opens with a sweep, so each starts from a plan formed
     from the potentials.  The plan is held transposed, k x p, so that its
-    reductions and broadcasts run along the long axis.  Every sweep and
-    every Newton step counts against ``max_iter``; a solve that has not
-    reached ``tol`` by then raises ``ConvergenceError``.
+    reductions and broadcasts run along the long axis, and its row and
+    column sums are held in one vector, so that the marginal residual is
+    one reduction.  Every sweep and every Newton step counts against
+    ``max_iter``; a solve that has not reached ``tol`` by then raises
+    ``ConvergenceError``.
     """
     cost = as_matrix(cost, "sinkhorn cost")
     # a uniform shift leaves the plan as it is and keeps the potentials, and
@@ -165,6 +174,8 @@ def sinkhorn(cost: Mat, params: SinkhornParams) -> Mat:
     cost_t = (cost - cost.min()).T.copy()
     k, p = cost_t.shape
     g = np.zeros(k)
+    margins = np.r_[np.full(p, 1.0 / p), np.full(k, 1.0 / k)]
+    marg = np.empty(p + k)  # the plan's row sums, then its column sums
     eps = max(params.epsilon, float(cost_t.max()))
     residual, steps, last = np.inf, 0, (g, np.inf)
     # a near-singular Schur system can give inf or NaN; the slope test rejects them
@@ -178,15 +189,16 @@ def sinkhorn(cost: Mat, params: SinkhornParams) -> Mat:
                         f"sinkhorn: residual {residual:.3e} after {steps} iterations "
                         f"(tol {params.tol:g})")
                 steps += 1
-                step = None if first else _newton_step(plan_t, rows, cols, grad_f, grad_g, eps)
+                step = None if first else _newton_step(plan_t, marg, grad, eps)
                 if step is None:
                     g, plan_t = _sweep(cost_t, g, eps)
                 else:
                     g, plan_t = g + step[0], step[1]
                 first = False
-                rows, cols = plan_t.sum(axis=0), plan_t.sum(axis=1)
-                grad_f, grad_g = 1.0 / p - rows, 1.0 / k - cols
-                residual = max(np.abs(grad_f).max(), np.abs(grad_g).max())
+                plan_t.sum(axis=0, out=marg[:p])
+                plan_t.sum(axis=1, out=marg[p:])
+                grad = margins - marg
+                residual = np.abs(grad).max()
             if eps == params.epsilon:
                 return plan_t.T.copy()
             nxt = max(params.epsilon, eps / LEVEL_RATIO)

@@ -9,6 +9,8 @@ the gamma -> +/-inf limits approach max and min.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ContractError
@@ -18,6 +20,9 @@ CLAMP_FLOOR = 1e-12
 # A factored inner sum below this may hold terms under the smallest normal
 # float, each off by more than its share of a rounding error of the sum.
 LOG_DOMAIN_BELOW = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
+# Below this |gamma|, inner ** (1/gamma) would magnify the rounding of the
+# inner sum past the error of the expm1/log1p form, which is taken instead.
+SMALL_GAMMA = 0.05
 
 # Default exponents, by the family of network the features came from.
 GAMMA_CONV_DEFAULT = 2.0
@@ -30,6 +35,10 @@ def weighted_generalized_mean(v, a, gamma: float) -> np.ndarray:
     ``v`` is d x p nonnegative, ``a`` p x k with stochastic columns for mean
     semantics, gamma finite and 0 (the log branch) or at least 1e-9 in size.
     The row extreme is factored out, so no power overflows at large |gamma|.
+    Below |gamma| = ``SMALL_GAMMA`` the inner sum is formed less 1, so that
+    the outer power 1/gamma does not magnify its rounding; the weights then
+    count exactly as given, so a column that sums to 1 only to within
+    rounding moves its mean by about that rounding over |gamma|.
     """
     if not np.isfinite(gamma) or (gamma != 0 and abs(gamma) < 1e-9):
         raise ContractError(f"weighted_generalized_mean: gamma must be finite, and 0 "
@@ -44,10 +53,21 @@ def weighted_generalized_mean(v, a, gamma: float) -> np.ndarray:
     # Factor out the row max (gamma > 0) or min (gamma < 0): every ratio**gamma <= 1.
     m = vc.max(axis=1, keepdims=True) if gamma > 0 else vc.min(axis=1, keepdims=True)
     vc /= m
-    vc **= gamma
-    inner = vc @ a
-    with np.errstate(divide="ignore"):  # inner = 0 at gamma < 0: the re-sum below repairs it
-        u = m * inner ** (1.0 / gamma)
+    if abs(gamma) < SMALL_GAMMA:
+        # inner - 1 = (sum(a) - 1) + expm1(gamma log r) @ a, each part with
+        # its own digits: fsum gives sum(a) - 1 exactly rounded, where a
+        # float sum would round it to an ulp of 1 and 1/gamma magnify that
+        np.log(vc, out=vc)
+        vc *= gamma
+        excess = np.array([math.fsum([*col, -1.0]) for col in a.T]) + np.expm1(vc, out=vc) @ a
+        inner = 1.0 + excess
+        with np.errstate(divide="ignore"):  # an all-zero column: log1p(-1) = -inf
+            u = m * np.exp(np.log1p(excess) / gamma)
+    else:
+        vc **= gamma
+        inner = vc @ a
+        with np.errstate(divide="ignore"):  # inner = 0 at gamma < 0: the re-sum below repairs it
+            u = m * inner ** (1.0 / gamma)
     # Where attention sits on ratios whose powers fall below the normal range,
     # those terms lost digits or vanished: sum them again in the log domain
     # (a column of zero weights has no mean to recover).

@@ -24,11 +24,11 @@ class TestGammaCheck:
 
     @pytest.mark.parametrize("gamma", [0.0, 1e-9, -1e-9])
     def test_accepts_the_log_branch_and_the_edge_of_the_range(self, gamma):
-        # near 0 the power mean tends to the geometric mean, up to a rounding
-        # of the inner sum magnified 1/|gamma| times by the outer power
+        # near 0 the power mean of [1, 4] is 2 exp(gamma ln(4)^2 / 8), to
+        # within a term of order gamma^3
         v = np.array([[1.0, 4.0]])
-        np.testing.assert_allclose(weighted_generalized_mean(v, _uniform(2), gamma), [[2.0]],
-                                   rtol=1e-6)
+        np.testing.assert_allclose(weighted_generalized_mean(v, _uniform(2), gamma),
+                                   [[2.0 * np.exp(gamma * np.log(4.0) ** 2 / 8)]], rtol=1e-14)
 
 
 class TestWeightedGeneralizedMean:
@@ -89,6 +89,20 @@ class TestWeightedGeneralizedMean:
         out = weighted_generalized_mean(v, a, gamma)
         np.testing.assert_allclose(out[:, 0], v[:, far], rtol=1e-14)
         np.testing.assert_allclose(out[:, 1], v[:, near] * 0.5 ** (1 / gamma), rtol=1e-14)
+
+    @pytest.mark.parametrize("gamma", [1e-9, -1e-9, 1e-6, -1e-6, 1e-4, -1e-4])
+    def test_small_gamma_matches_the_cumulant_expansion(self, gamma):
+        # ln M = k1 + gamma k2 / 2 + gamma^2 k3 / 6 + gamma^3 k4 / 24 + ...,
+        # with k the cumulants of ln v under the weights; 8 uniform weights
+        # sum to 1 exactly
+        v = np.random.default_rng(3).uniform(0.5, 5.0, size=(4, 8))
+        x = np.log(v)
+        c = x - x.mean(axis=1, keepdims=True)
+        k2, k3 = (c**2).mean(axis=1), (c**3).mean(axis=1)
+        k4 = (c**4).mean(axis=1) - 3 * k2**2
+        expected = np.exp(x.mean(axis=1) + gamma * k2 / 2 + gamma**2 * k3 / 6 + gamma**3 * k4 / 24)
+        np.testing.assert_allclose(weighted_generalized_mean(v, _uniform(8), gamma)[:, 0],
+                                   expected, rtol=1e-14)
 
 
 class TestFAlphaRoundTrip:
