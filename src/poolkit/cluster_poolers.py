@@ -37,7 +37,7 @@ class SinkhornParams:
             raise ContractError(f"SinkhornParams: epsilon must be > 0, got {self.epsilon}")
 
 
-LEVEL_TOL = 1e-2    # marginal residual at which a coarser epsilon level hands over
+LEVEL_TOL = 0.25    # error of every marginal, over its share, at which a coarser level hands over
 LEVEL_RATIO = 8.0   # epsilon of one level over the next's
 STEP_CAP = 4.0      # largest potential change in a Newton step's first trial, in units of epsilon
 ARMIJO = 1e-4       # fraction of the predicted ascent a Newton step must achieve
@@ -151,11 +151,13 @@ def sinkhorn(cost: Mat, params: SinkhornParams) -> Mat:
     by 8 down to epsilon.  g moves about linearly in epsilon, so each level
     starts from the last two levels' g extrapolated to its epsilon.  A level
     runs one log-sum-exp sweep, then damped Newton steps on the concave dual
-    until the marginal residual is below 1e-2, or below ``tol`` at the last
-    level.  A Newton step's first trial is capped at a few epsilon per
-    potential and backtracked (Armijo); a capped trial that ascends is
-    extended while the dual keeps rising.  Where no trial ascends, a sweep
-    takes the step's place.
+    until every row and column sum is within a quarter of its share (1/p or
+    1/k), or the marginal residual is below ``tol`` at the last level; an
+    absolute hand-over residual would pass a row holding no mass at all
+    once 1/p fell below it.  A Newton step's first trial is capped at a few
+    epsilon per potential and backtracked (Armijo); a capped trial that
+    ascends is extended while the dual keeps rising.  Where no trial
+    ascends, a sweep takes the step's place.
 
     The plan is carried from step to step: a sweep returns the plan its
     log-sum-exp has formed, and a Newton step the plan times exp of the
@@ -175,19 +177,21 @@ def sinkhorn(cost: Mat, params: SinkhornParams) -> Mat:
     k, p = cost_t.shape
     g = np.zeros(k)
     margins = np.r_[np.full(p, 1.0 / p), np.full(k, 1.0 / k)]
+    per_share = np.r_[np.full(p, float(p)), np.full(k, float(k))]  # 1 / margins
     marg = np.empty(p + k)  # the plan's row sums, then its column sums
     eps = max(params.epsilon, float(cost_t.max()))
     residual, steps, last = np.inf, 0, (g, np.inf)
     # a near-singular Schur system can give inf or NaN; the slope test rejects them
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            target = params.tol if eps == params.epsilon else LEVEL_TOL
+            final = eps == params.epsilon
+            scale, target = (1.0, params.tol) if final else (per_share, LEVEL_TOL)
             first = True  # each level opens with a sweep
             while first or not residual <= target:  # NaN runs into max_iter
                 if steps == params.max_iter:
                     raise ConvergenceError(
                         f"sinkhorn: residual {residual:.3e} after {steps} iterations "
-                        f"(tol {params.tol:g})")
+                        f"(tol {target:g}{'' if final else ' of the share, at a coarser level'})")
                 steps += 1
                 step = None if first else _newton_step(plan_t, marg, grad, eps)
                 if step is None:
@@ -198,8 +202,8 @@ def sinkhorn(cost: Mat, params: SinkhornParams) -> Mat:
                 plan_t.sum(axis=0, out=marg[:p])
                 plan_t.sum(axis=1, out=marg[p:])
                 grad = margins - marg
-                residual = np.abs(grad).max()
-            if eps == params.epsilon:
+                residual = np.abs(grad * scale).max()
+            if final:
                 return plan_t.T.copy()
             nxt = max(params.epsilon, eps / LEVEL_RATIO)
             g, last = g + (nxt - eps) / (eps - last[1]) * (g - last[0]), (g, eps)

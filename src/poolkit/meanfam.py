@@ -9,8 +9,6 @@ the gamma -> +/-inf limits approach max and min.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import ContractError
@@ -23,6 +21,7 @@ LOG_DOMAIN_BELOW = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
 # Below this |gamma|, inner ** (1/gamma) would magnify the rounding of the
 # inner sum past the error of the expm1/log1p form, which is taken instead.
 SMALL_GAMMA = 0.05
+EPS = np.finfo(np.float64).eps
 
 # Default exponents, by the family of network the features came from.
 GAMMA_CONV_DEFAULT = 2.0
@@ -35,10 +34,11 @@ def weighted_generalized_mean(v, a, gamma: float) -> np.ndarray:
     ``v`` is d x p nonnegative, ``a`` p x k with stochastic columns for mean
     semantics, gamma finite and 0 (the log branch) or at least 1e-9 in size.
     The row extreme is factored out, so no power overflows at large |gamma|.
-    Below |gamma| = ``SMALL_GAMMA`` the inner sum is formed less 1, so that
-    the outer power 1/gamma does not magnify its rounding; the weights then
-    count exactly as given, so a column that sums to 1 only to within
-    rounding moves its mean by about that rounding over |gamma|.
+    Below |gamma| = ``SMALL_GAMMA`` the log of the inner sum is formed as
+    ln(sum(a)) + log1p(...), so that the outer power 1/gamma does not
+    magnify its rounding, and a column whose sum is 1 to within the
+    rounding of its p weights counts as summing to 1 exactly: its rounding
+    would otherwise move the mean by that rounding over |gamma|.
     """
     if not np.isfinite(gamma) or (gamma != 0 and abs(gamma) < 1e-9):
         raise ContractError(f"weighted_generalized_mean: gamma must be finite, and 0 "
@@ -54,15 +54,17 @@ def weighted_generalized_mean(v, a, gamma: float) -> np.ndarray:
     m = vc.max(axis=1, keepdims=True) if gamma > 0 else vc.min(axis=1, keepdims=True)
     vc /= m
     if abs(gamma) < SMALL_GAMMA:
-        # inner - 1 = (sum(a) - 1) + expm1(gamma log r) @ a, each part with
-        # its own digits: fsum gives sum(a) - 1 exactly rounded, where a
-        # float sum would round it to an ulp of 1 and 1/gamma magnify that
+        # ln inner = ln s + log1p(e / s), s the column's weight sum and
+        # e = expm1(gamma ln r) @ a: each part keeps its own digits, where
+        # inner would round to an ulp of 1 and 1/gamma magnify that ulp
         np.log(vc, out=vc)
         vc *= gamma
-        excess = np.array([math.fsum([*col, -1.0]) for col in a.T]) + np.expm1(vc, out=vc) @ a
-        inner = 1.0 + excess
-        with np.errstate(divide="ignore"):  # an all-zero column: log1p(-1) = -inf
-            u = m * np.exp(np.log1p(excess) / gamma)
+        e = np.expm1(vc, out=vc) @ a
+        s = a.sum(axis=0)
+        inner = s + e
+        with np.errstate(divide="ignore"):  # a column of zero weights: ln 0 = -inf
+            ln_s = np.where(np.abs(s - 1.0) <= a.shape[0] * EPS, 0.0, np.log(s))
+        u = m * np.exp((ln_s + np.log1p(e / np.where(s > 0, s, 1.0))) / gamma)
     else:
         vc **= gamma
         inner = vc @ a

@@ -75,6 +75,19 @@ def _otk_costs(seed, cycles):
             yield sq_distances(x, anchors), 0.05 * float(np.var(x, axis=1).sum())
 
 
+def _clustered_duplicate_anchors(seed, factor):
+    """(x, anchors, epsilon) of an 8 x 8 OTK solve whose 8 anchors are
+    near-duplicates of feature columns, three in four from one of two equal
+    clusters, at epsilon ``factor`` x the total per-channel variance."""
+    d, p = 8, 8
+    rng = np.random.default_rng(seed)
+    x = rng.normal(scale=3.0, size=(d, 2))[:, np.arange(p) % 2]
+    x = x + 0.3 * rng.normal(size=(d, p))
+    cols = np.r_[rng.choice(np.arange(0, p, 2), 6), rng.choice(np.arange(1, p, 2), 2)]
+    anchors = x[:, cols] + 1e-6 * rng.normal(size=(d, p))
+    return x, anchors, factor * float(np.var(x, axis=1).sum())
+
+
 class TestSinkhorn:
     def test_constant_cost_product_of_marginals(self):
         plan = sinkhorn(np.full((2, 2), 3.0), SinkhornParams(epsilon=1.0))
@@ -128,16 +141,12 @@ class TestSinkhorn:
     def test_clustered_duplicate_anchors_converge_at_every_epsilon(self, factor):
         # the family above over 30 seeds, at its epsilon, a quarter of it and
         # 2.5 times it: each level of the coarse schedule must still hand over
-        # a plan that the next level's Newton steps can finish
-        d, p = 8, 8
-        for seed in range(30):
-            rng = np.random.default_rng(seed)
-            x = rng.normal(scale=3.0, size=(d, 2))[:, np.arange(p) % 2]
-            x = x + 0.3 * rng.normal(size=(d, p))
-            cols = np.r_[rng.choice(np.arange(0, p, 2), 6), rng.choice(np.arange(1, p, 2), 2)]
-            anchors = x[:, cols] + 1e-6 * rng.normal(size=(d, p))
-            eps = factor * float(np.var(x, axis=1).sum())
+        # a plan that the next level's Newton steps can finish (at its own
+        # epsilon, the test above has run seeds 0-9)
+        for seed in range(10 if factor == 0.02 else 0, 30):
+            x, anchors, eps = _clustered_duplicate_anchors(seed, factor)
             plan = otk_pool(_fm(x), anchors, eps).attention.a
+            p = x.shape[1]
             assert np.max(np.abs(plan.sum(axis=1) - 1.0 / p)) <= 1e-9
             assert np.max(np.abs(plan.sum(axis=0) - 1.0 / p)) <= 1e-9
 
@@ -162,8 +171,8 @@ class TestSinkhorn:
     def test_step_budget_on_criterion_grid(self, monkeypatch):
         # criterion 3's 300 solves took 5247 sweeps and Newton steps when each
         # level halved epsilon, and 3776 with levels a quarter apart that hand
-        # over at a residual of 1e-3; eighth levels handing over at 1e-2 take
-        # 2973
+        # over at a residual of 1e-3; eighth levels handing over once each
+        # marginal is within a quarter of its share take 2883
         calls = []
 
         def counted(step):
@@ -181,14 +190,15 @@ class TestSinkhorn:
                     p = int(rng.integers(2, 33))
                     k = int(rng.integers(2, min(p, 32) + 1))
                     sinkhorn(rng.uniform(0.0, 10.0, size=(p, k)), SinkhornParams(epsilon=eps, tol=1e-8))
-        assert len(calls) <= 2973, len(calls)
+        assert len(calls) <= 2883, len(calls)
 
     def test_step_budget_on_otk_shapes(self, monkeypatch):
         # 120 OTK solves at the benchmark's two shapes took 1861 sweeps and
         # Newton steps when each accepted step's plan was formed again from
         # the potentials and capped steps were not extended, and 1703 with
         # levels a quarter apart that hand over at a residual of 1e-3; eighth
-        # levels handing over at 1e-2 take 1395
+        # levels handing over once each marginal is within a quarter of its
+        # share take 1390
         calls = []
 
         def counted(step):
@@ -201,7 +211,7 @@ class TestSinkhorn:
             monkeypatch.setattr(cluster_poolers, name, counted(getattr(cluster_poolers, name)))
         for cost, eps in _otk_costs(seed=7, cycles=20):
             sinkhorn(cost, SinkhornParams(epsilon=eps, tol=1e-8))
-        assert len(calls) <= 1395, len(calls)
+        assert len(calls) <= 1390, len(calls)
 
     @pytest.mark.parametrize("costs", ["criterion", "otk"])
     def test_plan_keeps_gibbs_form(self, costs):

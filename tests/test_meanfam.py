@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from poolkit.errors import ContractError
-from poolkit.meanfam import lse_pool, weighted_generalized_mean
+from poolkit.matcore import col_softmax
+from poolkit.meanfam import SMALL_GAMMA, lse_pool, weighted_generalized_mean
 
 
 def _uniform(p):
@@ -53,10 +56,12 @@ class TestWeightedGeneralizedMean:
         np.testing.assert_allclose(out, [[1.6]], atol=1e-12)
 
     def test_constant_input_fixed_point(self):
-        for gamma in (2.0, 1.0, 0.0, -1.0, 5.0):
+        # at |gamma| = 1e-9 too, where 5 weights of 1/5 sum to 1 only to
+        # within rounding
+        for gamma in (2.0, 1.0, 0.0, -1.0, 5.0, 1e-9, -1e-9):
             v = np.full((3, 5), 2.7)
             out = weighted_generalized_mean(v, _uniform(5), gamma)
-            np.testing.assert_allclose(out, 2.7, atol=1e-10)
+            np.testing.assert_allclose(out, 2.7, rtol=0, atol=1e-10)
 
     def test_monotone_in_gamma(self):
         rng = np.random.default_rng(7)
@@ -90,19 +95,38 @@ class TestWeightedGeneralizedMean:
         np.testing.assert_allclose(out[:, 0], v[:, far], rtol=1e-14)
         np.testing.assert_allclose(out[:, 1], v[:, near] * 0.5 ** (1 / gamma), rtol=1e-14)
 
+    @pytest.mark.parametrize("weights", ["uniform-8", "uniform-5", "softmax-196"])
     @pytest.mark.parametrize("gamma", [1e-9, -1e-9, 1e-6, -1e-6, 1e-4, -1e-4])
-    def test_small_gamma_matches_the_cumulant_expansion(self, gamma):
+    def test_small_gamma_matches_the_cumulant_expansion(self, gamma, weights):
         # ln M = k1 + gamma k2 / 2 + gamma^2 k3 / 6 + gamma^3 k4 / 24 + ...,
-        # with k the cumulants of ln v under the weights; 8 uniform weights
-        # sum to 1 exactly
-        v = np.random.default_rng(3).uniform(0.5, 5.0, size=(4, 8))
+        # with k the cumulants of ln v under the weights normalized exactly;
+        # 8 uniform weights sum to 1 exactly, 5 and a softmax column only
+        # to within rounding
+        rng = np.random.default_rng(3)
+        if weights == "softmax-196":
+            a = col_softmax(rng.normal(size=(196, 1)), 1.0)
+        else:
+            a = _uniform(int(weights.split("-")[1]))
+        v = rng.uniform(0.5, 5.0, size=(4, a.shape[0]))
+        w = a[:, 0] / math.fsum(a[:, 0])
         x = np.log(v)
-        c = x - x.mean(axis=1, keepdims=True)
-        k2, k3 = (c**2).mean(axis=1), (c**3).mean(axis=1)
-        k4 = (c**4).mean(axis=1) - 3 * k2**2
-        expected = np.exp(x.mean(axis=1) + gamma * k2 / 2 + gamma**2 * k3 / 6 + gamma**3 * k4 / 24)
-        np.testing.assert_allclose(weighted_generalized_mean(v, _uniform(8), gamma)[:, 0],
-                                   expected, rtol=1e-14)
+        k1 = x @ w
+        c = x - k1[:, None]
+        k2, k3 = c**2 @ w, c**3 @ w
+        k4 = c**4 @ w - 3 * k2**2
+        expected = np.exp(k1 + gamma * k2 / 2 + gamma**2 * k3 / 6 + gamma**3 * k4 / 24)
+        np.testing.assert_allclose(weighted_generalized_mean(v, a, gamma)[:, 0], expected,
+                                   rtol=1e-14)
+
+    def test_small_gamma_keeps_the_sum_of_other_columns(self):
+        # a column that does not sum to 1 keeps its sum's power across
+        # SMALL_GAMMA, where the two forms of the inner sum meet
+        v = np.random.default_rng(4).uniform(0.5, 5.0, size=(4, 6))
+        a = np.full((6, 1), 2.0 / 6)
+        below = weighted_generalized_mean(v, a, np.nextafter(SMALL_GAMMA, 0.0))
+        at = weighted_generalized_mean(v, a, SMALL_GAMMA)
+        np.testing.assert_allclose(below, at, rtol=1e-12)
+        assert np.all(at > 2.0 ** 19 * v.min(axis=1, keepdims=True))
 
 
 class TestFAlphaRoundTrip:
