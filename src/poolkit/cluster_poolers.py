@@ -4,6 +4,8 @@ attention are engine specs, run by ``run_pooling``."""
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -26,15 +28,20 @@ class SinkhornParams:
     dual potentials and anneals epsilon down from the cost range, dividing
     it by 8 per level and finishing each level with Newton steps; every
     log-sum-exp sweep and every Newton step, over all levels, counts against
-    ``max_iter``."""
+    ``max_iter``.  epsilon must be finite and > 0, tol finite and >= 0, and
+    max_iter an integer >= 1 (ContractError otherwise)."""
 
     epsilon: float
     tol: float = 1e-9
     max_iter: int = 1000
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ContractError(f"SinkhornParams: epsilon must be > 0, got {self.epsilon}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ContractError(f"SinkhornParams: epsilon must be finite and > 0, got {self.epsilon}")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ContractError(f"SinkhornParams: tol must be finite and >= 0, got {self.tol}")
+        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
+            raise ContractError(f"SinkhornParams: max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
 LEVEL_TOL = 0.25    # error of every marginal, over its share, at which a coarser level hands over
@@ -57,6 +64,22 @@ def _sweep(cost_t: Mat, g: np.ndarray, eps: float) -> tuple[np.ndarray, Mat]:
     e = np.exp(z - top[:, None])
     s = e.sum(axis=1)
     return -eps * (np.log(k) + (top + np.log(s))), e / (k * s)[:, None]
+
+
+def _schur(plan_t: Mat, marg: np.ndarray) -> Optional[tuple[Mat, Mat]]:
+    """P^T diag(1/P1), held k x p, and minus the Schur complement
+    S = diag(P^T 1) - P^T diag(1/P1) P of the dual's Hessian at the plan P,
+    held transposed as ``plan_t``, with S's diagonal shifted by
+    ``SCHUR_SHIFT`` of itself; ``marg`` stacks P's row and column sums.
+    None when a row's mass has underflowed to 0, where S is undefined."""
+    k, p = plan_t.shape
+    rows = marg[:p]
+    if not rows.all():
+        return None
+    scaled = plan_t / rows
+    neg_schur = scaled @ plan_t.T
+    neg_schur.flat[::k + 1] -= (1.0 + SCHUR_SHIFT) * marg[p:]
+    return scaled, neg_schur
 
 
 def _newton_step(plan_t: Mat, marg: np.ndarray, grad: np.ndarray,
@@ -88,12 +111,10 @@ def _newton_step(plan_t: Mat, marg: np.ndarray, grad: np.ndarray,
     it ascends at once, t doubles, up to the full step, while the dual gain
     keeps rising.  A step makes at most ``BACKTRACKS`` + 1 trials."""
     k, p = plan_t.shape
-    rows, cols = marg[:p], marg[p:]
-    if not rows.all():  # a row's mass underflowed to 0: the Hessian is singular there
+    schur = _schur(plan_t, marg)
+    if schur is None:
         return None
-    scaled = plan_t / rows
-    neg_schur = scaled @ plan_t.T  # P^T diag(1/P1) P; less the shifted diag(P^T 1), -S
-    neg_schur.flat[::k + 1] -= (1.0 + SCHUR_SHIFT) * cols
+    scaled, neg_schur = schur
     rhs = eps * (scaled @ grad[:p] - grad[p:])
     step = np.zeros(p + k)  # (df, dg), the last dg held at 0
     try:
@@ -101,7 +122,7 @@ def _newton_step(plan_t: Mat, marg: np.ndarray, grad: np.ndarray,
     except np.linalg.LinAlgError:
         return None
     dg = step[p:]
-    step[:p] = (eps * grad[:p] - dg @ plan_t) / rows
+    step[:p] = (eps * grad[:p] - dg @ plan_t) / marg[:p]
     slope = grad @ step
     if not 0.0 < slope < np.inf:
         return None
@@ -140,6 +161,49 @@ def _newton_step(plan_t: Mat, marg: np.ndarray, grad: np.ndarray,
     return t * dg, x
 
 
+def _tangent(plan_t: Mat, marg: np.ndarray, cost_t: Mat, g: np.ndarray,
+             eps: float, nxt: float) -> np.ndarray:
+    """g moved from ``eps`` to the next level's ``nxt`` along the tangent of
+    the optimal potentials, taken at the plan P (held transposed as
+    ``plan_t``, with ``marg`` as in ``_newton_step``) on the cost C (held
+    transposed as ``cost_t``).
+
+    Differentiating P's row and column sums in eps, with
+    P = exp((f + g - C) / eps), cancels f's terms and leaves
+    eps dg/deps = g - y, where S y = w with the last y held at 0, S is the
+    Schur complement formed by ``_schur`` and
+    w = (P o C)^T 1 - P^T diag(1/P1) (P o C) 1,
+    which a uniform shift of C leaves as it is.  The next level starts from
+    g + (nxt - eps) / eps (g - g_k - y), the same step in the gauge that
+    keeps g's last entry, g_k, where it is: g + c and f - c give the same
+    plan, and so the move is 0 at k = 1.  Where S is undefined or singular,
+    g stays where it is.  Where the plan pins them, the potentials move by a
+    few (eps - nxt) ln(pk), the plan's entropy scale; a wider move comes
+    from a direction along which S is nearly singular, so a move that does
+    not fit within B = 2 (eps - nxt) ln(e p k) either side of its centre is
+    centred and clipped to +-B."""
+    schur = _schur(plan_t, marg)
+    if schur is None:
+        return g
+    scaled, neg_schur = schur
+    weighted = plan_t * cost_t
+    try:  # -S y = -w
+        y = np.linalg.solve(neg_schur[:-1, :-1],
+                            (scaled @ weighted.sum(axis=0) - weighted.sum(axis=1))[:-1])
+    except np.linalg.LinAlgError:
+        return g
+    move = g - g[-1]
+    move[:-1] -= y
+    move *= (nxt - eps) / eps
+    lo, hi = move.min(), move.max()
+    bound = 2.0 * (eps - nxt) * (1.0 + math.log(plan_t.size))
+    if not hi - lo <= 2.0 * bound:
+        if not math.isfinite(hi - lo):
+            return g
+        move = np.clip(move - 0.5 * (lo + hi), -bound, bound)
+    return g + move
+
+
 def sinkhorn(cost: Mat, params: SinkhornParams) -> Mat:
     """Entropic-regularized transport plan between uniform marginals: rows
     sum to 1/p and columns to 1/k, each within ``params.tol``.
@@ -148,9 +212,13 @@ def sinkhorn(cost: Mat, params: SinkhornParams) -> Mat:
     (k); the plan is P = exp((f_i + g_j - cost_ij) / epsilon), so no kernel
     exp(-cost/epsilon) is formed and none can underflow.  It anneals
     epsilon: levels start at max(epsilon, max cost - min cost) and divide it
-    by 8 down to epsilon.  g moves about linearly in epsilon, so each level
-    starts from the last two levels' g extrapolated to its epsilon.  A level
-    runs one log-sum-exp sweep, then damped Newton steps on the concave dual
+    by 8 down to epsilon.  Each level after the second starts from the last
+    level's g moved along the tangent of the optimal potentials in epsilon,
+    which ``_tangent`` takes from the handed-over plan.  The second starts
+    from the first level's g as it is: the first level's plan, at the cost
+    range, is close to the product of the marginals, and a tangent from it
+    saved about a fifth of a Newton step, less than it cost.  A level runs
+    one log-sum-exp sweep, then damped Newton steps on the concave dual
     until every row and column sum is within a quarter of its share (1/p or
     1/k), or the marginal residual is below ``tol`` at the last level; an
     absolute hand-over residual would pass a row holding no mass at all
@@ -179,8 +247,8 @@ def sinkhorn(cost: Mat, params: SinkhornParams) -> Mat:
     margins = np.r_[np.full(p, 1.0 / p), np.full(k, 1.0 / k)]
     per_share = np.r_[np.full(p, float(p)), np.full(k, float(k))]  # 1 / margins
     marg = np.empty(p + k)  # the plan's row sums, then its column sums
-    eps = max(params.epsilon, float(cost_t.max()))
-    residual, steps, last = np.inf, 0, (g, np.inf)
+    start = eps = max(params.epsilon, float(cost_t.max()))
+    residual, steps = np.inf, 0
     # a near-singular Schur system can give inf or NaN; the slope test rejects them
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
@@ -206,7 +274,8 @@ def sinkhorn(cost: Mat, params: SinkhornParams) -> Mat:
             if final:
                 return plan_t.T.copy()
             nxt = max(params.epsilon, eps / LEVEL_RATIO)
-            g, last = g + (nxt - eps) / (eps - last[1]) * (g - last[0]), (g, eps)
+            if eps < start:
+                g = _tangent(plan_t, marg, cost_t, g, eps, nxt)
             eps = nxt
 
 

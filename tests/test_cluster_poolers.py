@@ -172,7 +172,9 @@ class TestSinkhorn:
         # criterion 3's 300 solves took 5247 sweeps and Newton steps when each
         # level halved epsilon, and 3776 with levels a quarter apart that hand
         # over at a residual of 1e-3; eighth levels handing over once each
-        # marginal is within a quarter of its share take 2883
+        # marginal is within a quarter of its share took 2883 when each level
+        # started from the last two levels' g extrapolated linearly, and take
+        # 2661 starting along the tangent of the optimal potentials
         calls = []
 
         def counted(step):
@@ -190,7 +192,7 @@ class TestSinkhorn:
                     p = int(rng.integers(2, 33))
                     k = int(rng.integers(2, min(p, 32) + 1))
                     sinkhorn(rng.uniform(0.0, 10.0, size=(p, k)), SinkhornParams(epsilon=eps, tol=1e-8))
-        assert len(calls) <= 2883, len(calls)
+        assert len(calls) <= 2661, len(calls)
 
     def test_step_budget_on_otk_shapes(self, monkeypatch):
         # 120 OTK solves at the benchmark's two shapes took 1861 sweeps and
@@ -198,7 +200,8 @@ class TestSinkhorn:
         # the potentials and capped steps were not extended, and 1703 with
         # levels a quarter apart that hand over at a residual of 1e-3; eighth
         # levels handing over once each marginal is within a quarter of its
-        # share take 1390
+        # share took 1390 with the linear extrapolation of g, and take 1207
+        # starting along the tangent
         calls = []
 
         def counted(step):
@@ -211,7 +214,7 @@ class TestSinkhorn:
             monkeypatch.setattr(cluster_poolers, name, counted(getattr(cluster_poolers, name)))
         for cost, eps in _otk_costs(seed=7, cycles=20):
             sinkhorn(cost, SinkhornParams(epsilon=eps, tol=1e-8))
-        assert len(calls) <= 1390, len(calls)
+        assert len(calls) <= 1207, len(calls)
 
     @pytest.mark.parametrize("costs", ["criterion", "otk"])
     def test_plan_keeps_gibbs_form(self, costs):
@@ -248,6 +251,135 @@ class TestSinkhorn:
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ContractError):
             SinkhornParams(epsilon=0.0)
+
+    @pytest.mark.parametrize("kw", [{"epsilon": np.nan}, {"epsilon": np.inf},
+                                    {"tol": np.nan}, {"tol": np.inf}, {"tol": -1e-9},
+                                    {"max_iter": 0}, {"max_iter": -1}, {"max_iter": 2.5},
+                                    {"max_iter": 100.0}])
+    def test_rejects_bad_params(self, kw):
+        # a non-finite epsilon ran 1000 steps and raised ConvergenceError, and a
+        # negative or fractional max_iter ran with no cap
+        field = next(iter(kw))
+        with pytest.raises(ContractError, match=f"SinkhornParams: {field}"):
+            SinkhornParams(**{"epsilon": 1.0, **kw})
+
+    def test_accepts_zero_tol_and_numpy_integer_max_iter(self):
+        params = SinkhornParams(epsilon=1.0, tol=0.0, max_iter=np.int64(3))
+        assert params.max_iter == 3
+
+    def test_converges_on_wide_range_costs(self):
+        # uniform or exponential costs scaled by 1e-3 to 1e14, with range /
+        # epsilon from 1 to 1e3: every solve reaches its tolerance within the
+        # default cap (at wider ranges, some raise ConvergenceError)
+        rng = np.random.default_rng(5)
+        for i in range(100):
+            p, k = int(rng.integers(1, 40)), int(rng.integers(1, 33))
+            scale = 10.0 ** rng.uniform(-3.0, 14.0)
+            cost = (rng.exponential(scale, (p, k)) if i % 3 == 2
+                    else rng.uniform(0.0, scale, (p, k)))
+            eps = 10.0 ** -rng.uniform(0.0, 3.0) * max(float(np.ptp(cost)), 1e-6 * scale)
+            params = SinkhornParams(epsilon=eps)
+            plan = sinkhorn(cost, params)
+            assert np.max(np.abs(plan.sum(axis=1) - 1.0 / p)) <= params.tol
+            assert np.max(np.abs(plan.sum(axis=0) - 1.0 / k)) <= params.tol
+
+
+def _relative_g(plan, cost, eps):
+    """The column potentials less the last, g_j - g_k, recovered from a
+    plan's Gibbs form: eps (log P_ij - log P_ik) + C_ij - C_ik, averaged over
+    the rows."""
+    return (eps * (np.log(plan) - np.log(plan[:, -1:])) + cost - cost[:, -1:]).mean(axis=0)
+
+
+def _handed_over(plan, cost):
+    """``_tangent``'s plan, marginals and cost arguments at a plan of ``cost``."""
+    return plan.T.copy(), np.r_[plan.sum(axis=1), plan.sum(axis=0)], (cost - cost.min()).T.copy()
+
+
+class TestTangent:
+    H = 1e-4  # relative epsilon step of the central difference
+
+    def _error(self, cost, eps):
+        """(S-weighted, plain) max difference between the predicted dg/deps
+        and a central difference of converged g, in the last-column gauge,
+        and the plain difference's scale."""
+        def relative_g(e):
+            return _relative_g(sinkhorn(cost, SinkhornParams(epsilon=e, tol=1e-13)), cost, e)
+
+        fd = (relative_g(eps * (1 + self.H)) - relative_g(eps * (1 - self.H))) / (2 * self.H * eps)
+        plan = sinkhorn(cost, SinkhornParams(epsilon=eps, tol=1e-13))
+        plan_t, marg, cost_t = _handed_over(plan, cost)
+        g, nxt = _relative_g(plan, cost, eps), eps * (1 - self.H)
+        pred = (cluster_poolers._tangent(plan_t, marg, cost_t, g, eps, nxt) - g) / (nxt - eps)
+        _, neg_schur = cluster_poolers._schur(plan_t, marg)
+        return np.abs(neg_schur @ (pred - fd)).max(), np.abs(pred - fd).max(), np.abs(fd).max()
+
+    def test_matches_central_difference_on_criterion_grid(self):
+        # where a plan entry is far below tol, the marginals hardly pin g along
+        # the potentials it couples, so converged g may differ by many epsilon
+        # there; weighting the difference by S, the change of the column sums
+        # with g, compares the two where the plan pins them
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            for eps in (0.05, 0.1, 1.0):
+                for _ in range(10):
+                    p = int(rng.integers(2, 33))
+                    k = int(rng.integers(2, min(p, 32) + 1))
+                    weighted, _, _ = self._error(rng.uniform(0.0, 10.0, size=(p, k)), eps)
+                    assert weighted <= 1e-8, (seed, eps, p, k, weighted)
+
+    def test_matches_central_difference_on_an_otk_shape(self):
+        # the benchmark's ViT-S shape: 196 x 16, every entry far above tol
+        cost, eps = list(_otk_costs(seed=7, cycles=1))[1]
+        assert cost.shape == (196, 16)
+        weighted, plain, scale = self._error(cost, eps)
+        assert weighted <= 1e-9, weighted
+        assert plain <= 1e-6 * scale, (plain, scale)
+
+    def _move(self, cost, eps, nxt):
+        plan = sinkhorn(cost, SinkhornParams(epsilon=eps, tol=1e-12))
+        g = _relative_g(plan, cost, eps)
+        return cluster_poolers._tangent(*_handed_over(plan, cost), g, eps, nxt) - g
+
+    def test_no_move_at_one_column(self):
+        # k = 1: g holds only the gauge, which the move keeps
+        cost = np.random.default_rng(0).uniform(0.0, 10.0, size=(7, 1))
+        assert np.array_equal(self._move(cost, 1.0, 0.125), [0.0])
+
+    def test_no_move_at_one_row(self):
+        # p = 1: g_j - g_k = C_j - C_k at every epsilon, so the move is
+        # rounding of g, which is of the cost's size
+        cost = np.random.default_rng(1).uniform(0.0, 10.0, size=(1, 9))
+        assert np.max(np.abs(self._move(cost, 1.0, 0.125))) <= 1e-11 * 10.0
+
+    def test_no_move_between_duplicate_anchor_columns(self):
+        # duplicate anchors give equal cost columns, and so equal potentials at
+        # every epsilon; their relative potential must not move
+        x, anchors, eps = _clustered_duplicate_anchors(3, 0.02)
+        anchors = anchors[:, [0, 1, 2, 0, 3, 1]]
+        move = self._move(sq_distances(x, anchors), 8 * eps, eps)
+        assert abs(move[0] - move[3]) <= 1e-10 * eps and abs(move[1] - move[5]) <= 1e-10 * eps
+        assert np.ptp(move) > 1e-3 * eps  # the other potentials do move
+
+    def test_no_move_where_schur_complement_is_undefined_or_singular(self):
+        rng = np.random.default_rng(2)
+        cost = rng.uniform(0.0, 10.0, size=(6, 4))
+        plan = sinkhorn(cost, SinkhornParams(epsilon=1.0))
+        g = rng.normal(size=4)
+        for emptied in (np.s_[2, :], np.s_[:, 1]):  # a row's mass, a column's mass
+            empty = plan.copy()
+            empty[emptied] = 0.0
+            out = cluster_poolers._tangent(*_handed_over(empty, cost), g, 1.0, 0.125)
+            assert out is g
+
+    def test_clips_a_move_wider_than_the_entropy_scale(self):
+        cost = np.random.default_rng(3).uniform(0.0, 10.0, size=(6, 4))
+        plan = sinkhorn(cost, SinkhornParams(epsilon=1.0))
+        g = _relative_g(plan, cost, 1.0)
+        g[0] += 1e6  # far from the plan's potentials: the move along g_0 is huge
+        move = cluster_poolers._tangent(*_handed_over(plan, cost), g, 1.0, 0.125) - g
+        bound = 2.0 * (1.0 - 0.125) * np.log(np.e * 6 * 4)
+        assert np.isclose(move.max(), bound, rtol=1e-12) and np.isclose(move.min(), -bound, rtol=1e-12)
 
 
 class TestOtkPool:
