@@ -28,8 +28,7 @@ _EXPORTS = {
                         "kmeans_pool", "otk_pool", "sinkhorn", "slot_pool"),
     "reweight_poolers": ("CbamWeights", "SeWeights", "cbam_pool", "se_pool"),
     "transformer_poolers": ("VitWeights", "vit_cls_pool"),
-    "simpool": ("SimPoolCache", "SimPoolParams", "simpool_backward", "simpool_forward",
-                "simpool_gradcheck"),
+    "simpool": ("SimPoolParams", "simpool_backward", "simpool_forward", "simpool_gradcheck"),
     "gradcheck": ("GradReport", "central_diff"),
     "attnmap": ("AttnGrid", "BBox", "largest_component_bbox", "mass_threshold",
                 "reshape_attention", "write_pgm"),

@@ -17,7 +17,7 @@ import numpy as np
 # Only what every `pool` request runs is imported here; each pooler module is
 # imported where its method runs, so a request executes no other pooler's code.
 from .errors import ConfigError, ContractError, FileFormatError, NumericError, PoolkitError, ShapeError
-from .framework import AttentionMatrix, FeatureMap, PooledSet, run_pooling
+from .framework import FeatureMap, PooledSet, run_pooling
 from .simple_poolers import HowConfig, gem_spec, how_spec, lse_spec, max_spec
 from .tensor_io import (
     METHOD_NAMES,
@@ -77,10 +77,8 @@ def run_method(cfg: RunConfig, fm: FeatureMap) -> PooledSet:
         weights = VitWeights.seeded(d, cfg.iters, seed=cfg.seed)
         return vit_cls_pool(fm, weights, cfg.heads, cfg.iters)
     if method == "simpool":
-        from .simpool import SimPoolParams, simpool_forward
-        params = SimPoolParams.seeded(d, gamma=gamma, seed=cfg.seed)
-        u, a, _ = simpool_forward(fm, params)
-        return PooledSet(u=u[:, None], attention=AttentionMatrix(a[:, None], stochastic_cols=True))
+        from .simpool import SimPoolParams, simpool_spec
+        return run_pooling(simpool_spec(fm, SimPoolParams.seeded(d, gamma=gamma, seed=cfg.seed)), fm)
     raise ConfigError(f"unknown method {method!r}")
 
 

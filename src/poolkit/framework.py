@@ -5,9 +5,9 @@ each iteration forms a query from the current pooled vectors and a key
 from the features, turns their pairwise similarities into attention,
 and pools the value matrix through a generalized mean of exponent
 gamma.  Concrete methods are just parameter choices: the ``*_spec``
-functions in the *_poolers modules.  gap, max, gem, lse, how, SE,
-k-means and slot attention run only as specs; transport, CBAM, ViT and
-SimPool are still direct functions.
+functions in the *_poolers modules and ``simpool``.  gap, max, gem, lse,
+how, SE, k-means, slot attention and SimPool run only as specs;
+transport, CBAM and ViT are still direct functions.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .matcore import (
     sigmoid,
     sq_distances,
 )
-from .meanfam import lse_pool, weighted_generalized_mean
+from .meanfam import CLAMP_FLOOR, lse_pool, weighted_generalized_mean
 from .nncells import gru_cell, mlp2
 
 
@@ -117,20 +117,19 @@ class PooledSet:
 
 @dataclass(frozen=True)
 class MapRule:
-    """Column-wise mapping: identity, LayerNorm-then-linear, or norm-attention
-    pooling's local average + projection of (X - c) 2^-e (a value map only)."""
+    """Column-wise mapping: a weight-free input (``kind``, see ``_map_input``),
+    then an optional ``weight``; ln_shifted and local_avg_fc are value inputs."""
 
-    kind: str = "identity"  # identity | linear_ln | local_avg_fc
+    kind: str = "identity"  # identity | linear_ln | ln_shifted | local_avg_fc
     weight: Optional[Mat] = None
     centering: Optional[np.ndarray] = None
 
-    KINDS = ("identity", "linear_ln", "local_avg_fc")
+    KINDS = ("identity", "linear_ln", "ln_shifted", "local_avg_fc")
+    VALUE_ONLY = ("ln_shifted", "local_avg_fc")
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ContractError(f"MapRule: unknown kind {self.kind!r}")
-        if self.kind == "linear_ln" and self.weight is None:
-            raise ContractError(f"MapRule[{self.kind}]: weight required")
 
 
 @dataclass(frozen=True)
@@ -225,17 +224,18 @@ class PoolingSpec:
             raise ContractError(f"PoolingSpec: iters must be >= 1, got {self.iters}")
         if self.similarity not in ("dot", "neg_sq_euclid"):
             raise ContractError(f"PoolingSpec: unknown similarity {self.similarity!r}")
+        for rule in (self.query_map, self.key_map):
+            if rule.kind in MapRule.VALUE_ONLY:
+                raise ContractError(f"PoolingSpec: {rule.kind} is a value map only")
         # run_pooling moves every weight onto the k-column side of its product,
-        # which needs the map to commute with the similarity or the pool.
-        if "local_avg_fc" in (self.query_map.kind, self.key_map.kind):
-            raise ContractError("PoolingSpec: local_avg_fc is a value map only")
-        if self.key_map.kind != "identity" and self.similarity != "dot":
-            raise ContractError(f"PoolingSpec: a {self.key_map.kind} key map needs "
+        # which needs the weight to commute with the similarity or the pool.
+        if self.key_map.weight is not None and self.similarity != "dot":
+            raise ContractError(f"PoolingSpec: a weighted key map needs "
                                 f"dot similarity, got {self.similarity!r}")
-        if self.value_map.kind != "identity" and not (
+        value = "weighted" if self.value_map.weight is not None else self.value_map.kind
+        if value in ("weighted", "local_avg_fc") and not (
                 self.pool.kind == "f_alpha" and self.pool.gamma == 1.0):
-            raise ContractError(f"PoolingSpec: a {self.value_map.kind} value map needs "
-                                f"the arithmetic-mean pool")
+            raise ContractError(f"PoolingSpec: a {value} value map needs the arithmetic-mean pool")
         if self.value_map.kind == "local_avg_fc" and self.pool_update.kind != "l2norm":
             raise ContractError("PoolingSpec: local_avg_fc needs the l2norm update")
 
@@ -265,10 +265,15 @@ def _once(shared: dict, f, x: Mat) -> Mat:
 
 
 def _map_input(rule: MapRule, x: Mat, shared: dict) -> Mat:
-    """The weight-free part of a map: X, LayerNorm(X) or (X - c) 2^-e, a scale
-    that local_avg_fc's l2norm update removes (``pow2_scaled``)."""
+    """The weight-free input of a map: X, LayerNorm(X), LayerNorm(X) less its
+    minimum, clamped at CLAMP_FLOOR (SimPool's values), or (X - c) 2^-e, a
+    scale that local_avg_fc's l2norm update removes (``pow2_scaled``)."""
     if rule.kind == "linear_ln":
         return _once(shared, layernorm_cols, x)
+    if rule.kind == "ln_shifted":  # the keys' LayerNorm, shared
+        xn = _once(shared, layernorm_cols, x)
+        v = xn - xn.min()
+        return np.maximum(v, CLAMP_FLOOR, out=v)
     if rule.kind == "local_avg_fc" and rule.centering is None:
         return _once(shared, pow2_scaled, x)  # the feature_sqnorm attention's input too
     if rule.kind == "local_avg_fc":
@@ -283,7 +288,7 @@ def _map_input(rule: MapRule, x: Mat, shared: dict) -> Mat:
 
 def _weigh(rule: MapRule, z: Mat, stage: str, transpose: bool = False) -> Mat:
     """The map's weight on the narrow operand z: W z, or W^T z formed as (z^T W)^T."""
-    if rule.kind == "identity" or rule.weight is None:
+    if rule.weight is None:
         return z
     try:
         return (z.T @ rule.weight).T if transpose else narrow_matmul(rule.weight, z)
@@ -376,15 +381,18 @@ def _init_u(rule: Optional[InitRule], fm: FeatureMap, k: int) -> Mat:
     return mu[:, None] + sigma[:, None] * rng.standard_normal((mu.size, k))
 
 
-def run_pooling(spec: PoolingSpec, fm: FeatureMap) -> PooledSet:
+def run_pooling(spec: PoolingSpec, fm: FeatureMap, tape: Optional[dict] = None) -> PooledSet:
     """Run ``spec.iters`` iterations of the loop, forming U^0 only if a rule reads it.
 
     Each weight meets the k query or pooled columns, never the p feature
-    columns.  Only the weight-free inputs X~ (X, LayerNorm(X) or (X - c) 2^-e)
-    are formed once, before the loop.  The key weight is pulled back onto the
+    columns.  Only the weight-free inputs X~ (see ``_map_input``) are formed
+    once, before the loop.  The key weight is pulled back onto the
     queries, s = X~^T (W_K^T q); the value weight acts after the arithmetic
     pool, z = W_V (X~ a); and local_avg_fc's 3x3 average moves onto the
     attention through its adjoint, z = W ((X - c) avg3^T(a)).
+
+    A dict passed as ``tape`` receives, all formed anyway, ``key_input``, ``value_input``
+    and the last iteration's weight-free ``query_input``, ``q`` and ``wkt_q`` = W_K^T q.
     """
     x = fm.x
     needs_sim = spec.attention.kind not in ("constant", "feature_sqnorm")
@@ -396,9 +404,10 @@ def run_pooling(spec: PoolingSpec, fm: FeatureMap) -> PooledSet:
     for t in range(spec.iters):
         s = None
         if needs_sim:
-            q = _weigh(spec.query_map, _map_input(spec.query_map, u, {}), f"query at iteration {t}")
-            s = pairwise_similarity(x_key, _weigh(spec.key_map, q, "key", transpose=True),
-                                    spec.similarity)
+            u_in = _map_input(spec.query_map, u, {})
+            q = _weigh(spec.query_map, u_in, f"query at iteration {t}")
+            wkt_q = _weigh(spec.key_map, q, "key", transpose=True)
+            s = pairwise_similarity(x_key, wkt_q, spec.similarity)
         a, stochastic, empty = _attention(spec.attention, s, x, spec.k, t, shared)
         smoothed = _avg3(a, fm.width, fm.height) if spec.value_map.kind == "local_avg_fc" else a
         z = _weigh(spec.value_map, _pool(spec.pool, x_val, smoothed, t), "value")
@@ -406,4 +415,8 @@ def run_pooling(spec: PoolingSpec, fm: FeatureMap) -> PooledSet:
             z[:, empty] = u[:, empty]  # dead cluster keeps its previous vector
         u = _update(spec.pool_update, z, u)
 
+    if tape is not None:
+        tape["value_input"] = x_val
+        if needs_sim:
+            tape.update(key_input=x_key, query_input=u_in, q=q, wkt_q=wkt_q)
     return PooledSet(u=u, attention=AttentionMatrix(a, stochastic_cols=stochastic))

@@ -27,6 +27,8 @@ SMALL_GEMM = 1_000_000
 
 LN_EPS = 1e-5  # added to the variance by every LayerNorm
 
+CANCEL_LIMIT = 100.0  # (|x|^2 + |u|^2) / mean distance past which sq_distances centers
+
 
 def as_matrix(a, name: str = "matrix") -> Mat:
     """Coerce to a 2-d float64 array, rejecting empty or non-finite input."""
@@ -89,15 +91,24 @@ def eta_norm(a: Mat) -> Mat:
 def sq_distances(x: Mat, u: Mat) -> Mat:
     """(p, k) squared Euclidean distances between the columns of x and u,
     expanded as |x|^2 + |u|^2 - 2 x.u and clamped at 0 against rounding.
+    It cancels terms of size |x|^2 + |u|^2 (a common offset o costs each
+    distance about eps |o|^2), so past CANCEL_LIMIT times the mean distance
+    both operands are centered on u's first column and it is formed again;
+    below that, the d x p centered copy would cost more than the digits it saves.
     A distance that overflows float64 raises NumericError."""
     same = u is x
     # einsum's rounding depends on the operands' layout: C order keeps it fixed
     x = np.ascontiguousarray(x, dtype=np.float64)
     u = x if same else np.ascontiguousarray(u, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        x2 = np.einsum("ij,ij->j", x, x)
-        u2 = x2 if same else np.einsum("ij,ij->j", u, u)
-        d = np.maximum(x2[:, None] + u2[None, :] - 2.0 * (x.T @ u), 0.0)
+        for centered in (False, True):
+            x2 = np.einsum("ij,ij->j", x, x)
+            u2 = x2 if same else np.einsum("ij,ij->j", u, u)
+            d = np.maximum(x2[:, None] + u2[None, :] - 2.0 * (x.T @ u), 0.0)
+            if centered or x2.max() + u2.max() <= CANCEL_LIMIT * d.mean():  # False at inf or nan
+                break
+            x = x - u[:, :1]  # C order, as x is
+            u = x if same else u - u[:, :1]
     if not np.isfinite(d).all():
         raise NumericError("sq_distances: a squared distance overflows float64")
     return d

@@ -394,6 +394,15 @@ class TestOtkPool:
         out = otk_pool(fm, anchors=np.array([[0.0, 10.0]]), epsilon=0.05)
         np.testing.assert_allclose(out.u, [[0.0, 10.0]], atol=1e-3)
 
+    @pytest.mark.parametrize("offset", [1e4, 1e6, 1e8])
+    def test_plan_unchanged_under_a_shift(self, offset):
+        # multiples of 1/64 near 0, so that every shifted entry is exact
+        x = np.random.default_rng(26).integers(-128, 128, size=(4, 10)) / 64
+        params = SinkhornParams(epsilon=0.5)
+        plans = [otk_pool(_fm(f), f[:, [1, 4, 7]], 0.5, params=params).attention.a
+                 for f in (x, x + offset)]
+        assert np.max(np.abs(plans[1] - plans[0])) <= params.tol
+
     @pytest.mark.parametrize("shape", [(4,), (4, 0), (3, 2)])
     def test_misshapen_anchors_raise_shape_error(self, shape):
         # the feature map has d = 4 channels; anchors must be (4, k >= 1)
@@ -567,6 +576,15 @@ class TestKmeans:
         with pytest.raises(ContractError):
             kmeans_pool(_fm([[1.0, 2.0]]), k=3, iters=1)
 
+    @pytest.mark.parametrize("offset", [1e4, 1e6, 1e8])
+    def test_labels_unchanged_under_a_shift(self, offset):
+        rng = np.random.default_rng(25)
+        x = np.repeat(np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 2.0]]), 6, axis=1)
+        x += rng.normal(scale=0.4, size=x.shape)
+        labels = [np.argmax(kmeans_pool(_fm(f), k=3, iters=4, seed=2).attention.a, axis=1)
+                  for f in (x, x + offset)]
+        np.testing.assert_array_equal(labels[1], labels[0])
+
 
 class TestSlotPool:
     def test_identical_columns_uniform_attention(self):
@@ -592,9 +610,9 @@ class TestSlotPool:
         )
         out = slot_pool(fm, k=1, iters=1, weights=w, seed=0, simplified=True)
         w_q = np.diag(layernorm_cols(u0[:, None])[:, 0] / u0)
-        u_sp, a_sp, cache = simpool_forward(fm, SimPoolParams(w_q=w_q, w_k=np.eye(2), gamma=1.0))
+        u_sp, a_sp, tape = simpool_forward(fm, SimPoolParams(w_q=w_q, w_k=np.eye(2), gamma=1.0))
         np.testing.assert_allclose(out.attention.a[:, 0], a_sp, atol=1e-12)
-        np.testing.assert_allclose(out.u[:, 0] - cache.xn[cache.argmin], u_sp, atol=2e-12)
+        np.testing.assert_allclose(out.u[:, 0] - tape["key_input"].min(), u_sp, atol=2e-12)
 
     def test_zero_weights_collapse(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]])

@@ -19,6 +19,8 @@ from poolkit.framework import (
     pairwise_similarity,
     run_pooling,
 )
+from poolkit.matcore import layernorm_cols, pow2_scaled
+from poolkit.meanfam import CLAMP_FLOOR
 from poolkit.reweight_poolers import SeWeights, se_pool
 from poolkit.simple_poolers import gap, gem, how, lse, max_pool
 
@@ -163,12 +165,12 @@ class TestNarrowSideContract:
 
     W = np.eye(3)
 
-    @pytest.mark.parametrize("kind", ["linear_ln"])
+    @pytest.mark.parametrize("kind", ["identity", "linear_ln"])
     def test_weighted_key_map_needs_dot_similarity(self, kind):
         with pytest.raises(ContractError, match="key map needs dot"):
             PoolingSpec(key_map=MapRule(kind=kind, weight=self.W), similarity="neg_sq_euclid")
 
-    @pytest.mark.parametrize("kind", ["linear_ln", "local_avg_fc"])
+    @pytest.mark.parametrize("kind", ["identity", "linear_ln", "local_avg_fc"])
     @pytest.mark.parametrize("pool", [PoolRule(kind="f_alpha", gamma=2.0),
                                       PoolRule(kind="lse", r=1.0), PoolRule(kind="max")],
                              ids=["gem", "lse", "max"])
@@ -181,26 +183,80 @@ class TestNarrowSideContract:
         with pytest.raises(ContractError, match="value map only"):
             PoolingSpec(**{role: MapRule(kind="local_avg_fc", weight=self.W)})
 
+    @pytest.mark.parametrize("role", ["query_map", "key_map"])
+    def test_ln_shifted_is_a_value_map_only(self, role):
+        with pytest.raises(ContractError, match="ln_shifted is a value map only"):
+            PoolingSpec(**{role: MapRule(kind="ln_shifted")})
+
     def test_local_avg_fc_needs_the_l2norm_update(self):
         # its value input is scaled by a power of two that only l2norm removes
         with pytest.raises(ContractError, match="local_avg_fc needs the l2norm update"):
             PoolingSpec(value_map=MapRule(kind="local_avg_fc"))
 
+    # One example for each rule: the combination it rejects, written in the
+    # paper's (wide) order and in the engine's (narrow) order, differs by far
+    # more than rounding; the combination the engine runs agrees to rounding.
+    X = np.arange(1.0, 19.0).reshape(3, 6) % 5 + 0.5  # positive, on a 3 x 2 grid
+    A = np.linspace(1.0, 2.0, 6)[:, None] / np.linspace(1.0, 2.0, 6).sum()
+    WP = np.array([[2.0, 0.5, 0.0], [0.25, 1.0, 3.0], [1.0, 1.0, 0.5]])  # keeps values positive
+
+    @staticmethod
+    def _differ(wide, narrow):
+        assert np.max(np.abs(wide - narrow)) > 1e-3 * np.max(np.abs(wide))
+
+    def test_pin_weighted_key_map_with_neg_sq_euclid(self):
+        q = np.array([[1.0], [-2.0], [0.5]])
+        self._differ(pairwise_similarity(self.WP @ self.X, q, "neg_sq_euclid"),
+                     pairwise_similarity(self.X, self.WP.T @ q, "neg_sq_euclid"))
+        np.testing.assert_allclose(pairwise_similarity(self.WP @ self.X, q, "dot"),
+                                   pairwise_similarity(self.X, self.WP.T @ q, "dot"), rtol=1e-14)
+
+    def test_pin_weighted_value_map_at_gamma_2(self):
+        self._differ(framework.weighted_generalized_mean(self.WP @ self.X, self.A, 2.0),
+                     self.WP @ framework.weighted_generalized_mean(self.X, self.A, 2.0))
+        np.testing.assert_allclose((self.WP @ self.X) @ self.A, self.WP @ (self.X @ self.A),
+                                   rtol=1e-14)
+
+    def test_pin_local_avg_fc_at_gamma_2(self):
+        avg = framework._avg3(np.eye(6), 3, 2)  # avg3(X) = X avg: the 3x3 average of each channel
+        self._differ(framework.weighted_generalized_mean(self.X @ avg, self.A, 2.0),
+                     framework.weighted_generalized_mean(self.X, avg @ self.A, 2.0))
+        np.testing.assert_allclose((self.X @ avg) @ self.A, self.X @ (avg @ self.A), rtol=1e-14)
+
+    def test_pin_local_avg_fc_without_l2norm(self):
+        avg = framework._avg3(np.eye(6), 3, 2)
+        wide, narrow = (self.X @ avg) @ self.A, pow2_scaled(self.X) @ (avg @ self.A)
+        self._differ(wide, narrow)
+        np.testing.assert_allclose(wide / np.linalg.norm(wide), narrow / np.linalg.norm(narrow),
+                                   rtol=1e-14)
+
+    @pytest.mark.parametrize("kind, pool, wide_input", [
+        ("ln_shifted", PoolRule(gamma=2.0),
+         lambda x: np.maximum(layernorm_cols(x) - layernorm_cols(x).min(), CLAMP_FLOOR)),
+        ("linear_ln", PoolRule(kind="lse", r=1.0), layernorm_cols)], ids=["ln_shifted", "linear_ln"])
+    def test_unweighted_value_map_takes_any_pool(self, kind, pool, wide_input):
+        PoolingSpec(value_map=MapRule(kind=kind), pool=PoolRule(gamma=2.0))
+        spec = PoolingSpec(attention=AttnRule(kind="constant", vector=self.A[:, 0]),
+                           value_map=MapRule(kind=kind), pool=pool)
+        want = framework._pool(pool, wide_input(self.X), self.A, 0)
+        np.testing.assert_allclose(run_pooling(spec, _fm(self.X)).u, want, rtol=1e-14)
+
     def test_every_shipped_spec_constructs(self):
         """Each shipped spec runs, and together they use every kind that each
         rule accepts and both similarities, so no engine branch is kept for
         tests alone.  An init counts only where run_pooling reads it: under a
-        similarity attention or the gru_mlp update.  No shipped spec starts
-        from InitRule("matrix"): k-means does in demos/clustering_transport.py."""
+        similarity attention or the gru_mlp update."""
         from poolkit.cluster_poolers import SlotWeights, kmeans_spec, slot_spec
         from poolkit.reweight_poolers import se_spec
         from poolkit.simple_poolers import gem_spec, how_spec, lse_spec, max_spec
+        from poolkit.simpool import SimPoolParams, simpool_spec
 
         fm = _fm(np.arange(1.0, 13.0).reshape(3, 4), width=2, height=2)
         weights = SlotWeights.seeded(3, seed=0)
         gate = SeWeights(w1=np.ones((1, 3)), w2=np.ones((3, 1)))
         specs = [gem_spec(4, 1.0), max_spec(4), gem_spec(4, 3.0), lse_spec(4, 2.0), how_spec(fm),
-                 se_spec(4, gate), kmeans_spec(2, 2, InitRule(kind="sample_columns"))]
+                 se_spec(4, gate), kmeans_spec(2, 2, InitRule(kind="sample_columns")),
+                 simpool_spec(fm, SimPoolParams.seeded(3, seed=0))]
         specs += [slot_spec(2, 2, weights, simplified=simplified) for simplified in (False, True)]
         for spec in specs:
             assert run_pooling(spec, fm).u.shape[1] == spec.k
@@ -215,7 +271,7 @@ class TestNarrowSideContract:
         used = {(type(rule).__name__, rule.kind) for spec in specs
                 for rule in (*read_init(spec), spec.query_map, spec.key_map, spec.value_map,
                              spec.attention, spec.pool, spec.pool_update)}
-        assert accepted - used - {("InitRule", "matrix")} == set()
+        assert accepted - used == set()
         assert {spec.similarity for spec in specs} == {"dot", "neg_sq_euclid"}
 
 

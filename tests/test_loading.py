@@ -19,7 +19,7 @@ SUBMODULES = ["attnmap", "cluster_poolers", "errors", "framework", "gradcheck", 
 PUBLIC = [
     "AttentionMatrix", "AttnGrid", "AttnRule", "BBox", "CbamWeights", "FeatureMap", "GradReport",
     "HowConfig", "InitRule", "MapRule", "NystromMap", "PoolRule", "PooledSet", "PoolingSpec",
-    "RunConfig", "SeWeights", "SimPoolCache", "SimPoolParams", "SinkhornParams", "SlotWeights",
+    "RunConfig", "SeWeights", "SimPoolParams", "SinkhornParams", "SlotWeights",
     "UpdateRule", "VitWeights", "cbam_pool", "central_diff", "gap", "gem", "how",
     "kmeans_distortion", "kmeans_pool", "largest_component_bbox", "load_config",
     "load_feature_map", "lse", "lse_pool", "mass_threshold", "max_pool", "otk_pool",

@@ -90,6 +90,18 @@ class TestSqDistances:
         with pytest.raises(NumericError, match="overflows"):
             sq_distances(x, x[:, :1])
 
+    @pytest.mark.parametrize("offset", [1e4, 1e6, 1e8])
+    @pytest.mark.parametrize("two_operands", [False, True], ids=["u-is-x", "two-operands"])
+    def test_large_common_offset(self, offset, two_operands):
+        """A shift moves no distance: against direct differences of the same
+        shifted arrays, every distance is within 1e-12 of the mean distance."""
+        rng = np.random.default_rng(6)
+        shift = offset * rng.choice([-1.0, 1.0], size=(8, 1))
+        x = rng.normal(size=(8, 12)) + shift
+        u = rng.normal(size=(8, 3)) + shift if two_operands else x
+        want = ((x[:, :, None] - u[:, None, :]) ** 2).sum(axis=0)
+        assert np.max(np.abs(sq_distances(x, u) - want)) <= 1e-12 * want.mean()
+
 
 class TestLayernormCols:
     def test_two_point_column(self):

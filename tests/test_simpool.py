@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poolkit import simpool
+from poolkit import framework
 from poolkit.errors import ContractError, NumericError
 from poolkit.framework import FeatureMap
 from poolkit.matcore import LN_EPS, col_softmax
@@ -46,13 +46,13 @@ class TestForward:
     def test_gamma_given_is_the_gamma_used(self, monkeypatch):
         # the forward pass hands the mean the gamma the backward pass reads
         seen = []
-        real = simpool.weighted_generalized_mean
+        real = framework.weighted_generalized_mean
 
         def spy(v, a, gamma):
             seen.append(gamma)
             return real(v, a, gamma)
 
-        monkeypatch.setattr(simpool, "weighted_generalized_mean", spy)
+        monkeypatch.setattr(framework, "weighted_generalized_mean", spy)
         simpool_forward(_fm([[1.0, 0.0], [0.0, 1.0]]), _identity_params(0.1))
         assert seen == [0.1]
 
@@ -87,9 +87,9 @@ class TestForward:
         rng = np.random.default_rng(36)
         fm = _fm(rng.normal(size=(4, 7)))
         params = SimPoolParams.seeded(4, seed=3)
-        _, a, cache = simpool_forward(fm, params)
-        logits = cache.xn.T @ cache.wkt_q / np.sqrt(4)
-        shifted = col_softmax((logits + 1e3)[:, None], 1.0)[:, 0]
+        _, a, tape = simpool_forward(fm, params)
+        logits = tape["key_input"].T @ tape["wkt_q"] / np.sqrt(4)
+        shifted = col_softmax(logits + 1e3, 1.0)[:, 0]
         np.testing.assert_allclose(shifted, a, atol=1e-12)
 
     def test_permutation_equivariance(self):
@@ -106,8 +106,8 @@ class TestForward:
         rng = np.random.default_rng(38)
         x = rng.uniform(0.5, 2.0, size=(3, 6))
         params = SimPoolParams.seeded(3, gamma=1.0, seed=5)
-        u, _, cache = simpool_forward(_fm(x), params)
-        v = cache.xn - cache.xn[cache.argmin]
+        u, _, tape = simpool_forward(_fm(x), params)
+        v = tape["key_input"] - tape["key_input"].min()
         assert np.all(u >= v.min(axis=1) - 1e-12)
         assert np.all(u <= v.max(axis=1) + 1e-12)
 
