@@ -8,11 +8,10 @@ when one of its attributes is first read, or when an ``import`` statement
 names it.  The public names below are looked up on their module at every
 access, so a patched module attribute is what ``poolkit.<name>`` returns.
 
-A ``poolkit pool`` request executes ``cli``, ``errors``, ``tensor_io``,
-``framework``, ``simple_poolers``, ``matcore``, ``meanfam`` and ``nncells``;
-a method outside the simple five also executes its one pooler module
-(``cluster_poolers``, ``reweight_poolers``, ``transformer_poolers`` or
-``simpool``).
+A ``poolkit pool`` request executes ``cli``, ``errors``, ``tensor_io``, ``framework``,
+``matcore``, ``meanfam`` and ``simple_poolers``, or for a method outside the simple five
+its one pooler module and ``nncells`` in place of ``simple_poolers``; ``attnmap`` executes
+``cli``, ``errors``, ``tensor_io``, ``attnmap`` and ``matcore``, and ``inspect`` the first three.
 """
 
 import importlib.util

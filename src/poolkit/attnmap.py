@@ -12,7 +12,7 @@ from .errors import ContractError, NumericError, ShapeError
 from .matcore import as_matrix
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class AttnGrid:
     """Finite, nonnegative attention values on an H x W grid."""
 
@@ -21,19 +21,18 @@ class AttnGrid:
     height: int
 
     def __post_init__(self):
-        v = as_matrix(self.values, "AttnGrid values")
+        self.values = v = as_matrix(self.values, "AttnGrid values")
         if v.shape != (self.height, self.width):
             raise ShapeError(f"AttnGrid: values {v.shape} vs grid "
                              f"{self.height}x{self.width}")
         if np.any(v < 0):
             raise ContractError("AttnGrid: negative values")
-        object.__setattr__(self, "values", v)
 
     def flatten(self) -> np.ndarray:
         return self.values.reshape(-1)
 
 
-@dataclass(frozen=True)
+@dataclass
 class BBox:
     """Inclusive pixel bounding box."""
 

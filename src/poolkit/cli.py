@@ -11,14 +11,13 @@ import numbers
 import sys
 import time
 from dataclasses import fields, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-# Only what every `pool` request runs is imported here; each pooler module is
-# imported where its method runs, so a request executes no other pooler's code.
+# Only what every command runs is imported here; the engine and each pooler module
+# are imported where a command runs them (`attnmap` and `inspect` run neither).
 from .errors import ConfigError, ContractError, FileFormatError, NumericError, PoolkitError, ShapeError
-from .framework import FeatureMap, PooledSet, run_pooling
-from .simple_poolers import HowConfig, gem_spec, how_spec, lse_spec, max_spec
 from .tensor_io import (
     METHOD_NAMES,
     TYPED_FIELDS,
@@ -30,6 +29,9 @@ from .tensor_io import (
     write_npy,
 )
 
+if TYPE_CHECKING:
+    from .framework import FeatureMap, PooledSet
+
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_IO = 2
@@ -38,20 +40,22 @@ EXIT_NUMERIC = 3
 
 def run_method(cfg: RunConfig, fm: FeatureMap) -> PooledSet:
     """Dispatch a configured method on a feature map."""
+    from .framework import run_pooling
     method = cfg.method
     gamma = cfg.resolved_gamma
     d = fm.d
     # RunConfig admits only the roles this method reads (tensor_io.WEIGHT_ROLES)
     supplied = {role: read_npy(path)[0] for role, path in cfg.weights.items()}
-    if method == "gap":
-        return run_pooling(gem_spec(fm.p, 1.0), fm)
-    if method == "max":
-        return run_pooling(max_spec(fm.p), fm)
-    if method == "gem":
-        return run_pooling(gem_spec(fm.p, gamma), fm)
-    if method == "lse":
-        return run_pooling(lse_spec(fm.p, cfg.r), fm)
-    if method == "how":
+    if method in ("gap", "max", "gem", "lse", "how"):  # no other method runs simple_poolers
+        from .simple_poolers import HowConfig, gem_spec, how_spec, lse_spec, max_spec
+        if method == "gap":
+            return run_pooling(gem_spec(fm.p, 1.0), fm)
+        if method == "max":
+            return run_pooling(max_spec(fm.p), fm)
+        if method == "gem":
+            return run_pooling(gem_spec(fm.p, gamma), fm)
+        if method == "lse":
+            return run_pooling(lse_spec(fm.p, cfg.r), fm)
         return run_pooling(how_spec(fm, HowConfig(**supplied)), fm)
     if method == "sinkhorn-otk":
         from .cluster_poolers import otk_pool
@@ -134,6 +138,7 @@ def _check_at_least(args, **floors) -> None:
 
 
 def cmd_gradcheck(args) -> int:
+    from .framework import FeatureMap
     from .simpool import SimPoolParams, simpool_gradcheck
     _check_at_least(args, seed=0, d=1, p=1, trials=1)
     if not (np.isfinite(args.tol) and args.tol > 0):  # nan or <= 0 fails every check, inf none
@@ -162,6 +167,7 @@ def cmd_gradcheck(args) -> int:
 
 def _synthesize_features(d: int, p: int, k_clusters: int, seed: int) -> FeatureMap:
     """Gaussian cluster mixture, shifted to be nonnegative."""
+    from .framework import FeatureMap
     rng = np.random.default_rng(seed)
     centers = rng.normal(scale=3.0, size=(d, k_clusters))
     assign = rng.integers(k_clusters, size=p)

@@ -20,7 +20,7 @@ from .nncells import GruWeights, MlpWeights, dense
 
 # --- Sinkhorn / optimal transport -----------------------------------------
 
-@dataclass(frozen=True)
+@dataclass
 class SinkhornParams:
     """Settings of ``sinkhorn``: the entropic regularizer ``epsilon``, the
     marginal tolerance ``tol`` (max abs error of the plan's row and column
@@ -279,7 +279,7 @@ def sinkhorn(cost: Mat, params: SinkhornParams) -> Mat:
             eps = nxt
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class NystromMap:
     """Gaussian-kernel feature map anchored at k reference columns:
     psi(x) = M^{-1/2} kappa(anchors, x), M = kappa(anchors, anchors).
@@ -293,11 +293,11 @@ class NystromMap:
     def __post_init__(self):
         if not (np.isfinite(self.sigma) and self.sigma > 0):
             raise ContractError(f"NystromMap: sigma must be finite and > 0, got {self.sigma}")
-        object.__setattr__(self, "anchors", as_matrix(self.anchors, "NystromMap anchors"))
+        self.anchors = as_matrix(self.anchors, "NystromMap anchors")
         sq = sq_distances(self.anchors, self.anchors).T
         lam, vecs = np.linalg.eigh(np.exp(-sq / (2.0 * self.sigma**2)))
         lam = np.maximum(lam, 1e-10)
-        object.__setattr__(self, "m_inv_sqrt", (vecs / np.sqrt(lam)) @ vecs.T)
+        self.m_inv_sqrt = (vecs / np.sqrt(lam)) @ vecs.T
 
     def embed(self, sq: Mat) -> Mat:
         """psi of the n columns whose (n, k) squared distances to ``anchors`` are ``sq``."""
@@ -369,7 +369,7 @@ def kmeans_pool(fm: FeatureMap, k: int, iters: int, seed: int = 0) -> PooledSet:
 
 # --- slot attention --------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class SlotWeights:
     """Projection, recurrent and MLP weights plus the slot-init statistics;
     ``gru`` and ``mlp`` are None in weights for simplified mode only."""

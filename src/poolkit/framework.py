@@ -32,10 +32,9 @@ from .matcore import (
     sq_distances,
 )
 from .meanfam import CLAMP_FLOOR, lse_pool, weighted_generalized_mean
-from .nncells import gru_cell, mlp2
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class FeatureMap:
     """Feature matrix (d, p) with its spatial grid, p = width * height.
 
@@ -48,7 +47,7 @@ class FeatureMap:
     height: int
 
     def __post_init__(self):
-        object.__setattr__(self, "x", as_matrix(self.x, "FeatureMap.x"))
+        self.x = as_matrix(self.x, "FeatureMap.x")
         if self.width < 1 or self.height < 1:
             raise ContractError(f"FeatureMap: bad grid {self.width}x{self.height}")
         if self.x.shape[1] != self.width * self.height:
@@ -84,7 +83,7 @@ class FeatureMap:
         return cls(x, width, height)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class AttentionMatrix:
     """Attention (p, k); ``stochastic_cols`` asserts column-stochasticity."""
 
@@ -92,8 +91,7 @@ class AttentionMatrix:
     stochastic_cols: bool = False
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=np.float64)
-        object.__setattr__(self, "a", a)
+        self.a = a = np.asarray(self.a, dtype=np.float64)
         if self.stochastic_cols:
             if np.any(a < -1e-12) or np.any(a > 1 + 1e-12):
                 raise NumericError("AttentionMatrix: entries outside [0, 1]")
@@ -101,7 +99,7 @@ class AttentionMatrix:
                 raise NumericError("AttentionMatrix: columns do not sum to 1")
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class PooledSet:
     """Pooled vectors (d', k) plus the attention that produced them."""
 
@@ -115,7 +113,7 @@ class PooledSet:
 
 # --- configuration enumerations -------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class MapRule:
     """Column-wise mapping: a weight-free input (``kind``, see ``_map_input``),
     then an optional ``weight``; ln_shifted and local_avg_fc are value inputs."""
@@ -132,7 +130,7 @@ class MapRule:
             raise ContractError(f"MapRule: unknown kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class AttnRule:
     """How similarities become attention."""
 
@@ -149,7 +147,7 @@ class AttnRule:
             raise ContractError("AttnRule[constant]: vector required")
 
 
-@dataclass(frozen=True)
+@dataclass
 class PoolRule:
     """Pooling operation f: the power mean of exponent gamma (the paper's
     f_alpha, gamma = (1 - alpha) / 2), LSE of scale r, or an exact extreme."""
@@ -165,7 +163,7 @@ class PoolRule:
             raise ContractError(f"PoolRule: unknown kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class InitRule:
     """How U^0 is produced."""
 
@@ -186,7 +184,7 @@ class InitRule:
             raise ContractError("InitRule[normal]: mu and sigma required")
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class UpdateRule:
     """Output map of U after each iteration: ``gru_mlp``, a GRU step plus a
     residual MLP on its LayerNorm; ``channel_gate``, z <- sigmoid(mlp(z)) * z."""
@@ -202,7 +200,7 @@ class UpdateRule:
             raise ContractError(f"UpdateRule: unknown kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class PoolingSpec:
     """Complete parameterization of one run of the engine."""
 
@@ -259,19 +257,19 @@ def pairwise_similarity(k_mat: Mat, q_mat: Mat, kind: str) -> Mat:
 
 # --- engine ----------------------------------------------------------------
 
-def _once(shared: dict, f, x: Mat) -> Mat:
-    """f(x), formed once per run for the maps and the attention that read it."""
-    return shared[f] if f in shared else shared.setdefault(f, f(x))
+def _once(shared: dict, f, x: Mat, *args) -> Mat:
+    """f(x, *args), formed once per run for the maps and the attention that read it."""
+    return shared[f] if f in shared else shared.setdefault(f, f(x, *args))
 
 
 def _map_input(rule: MapRule, x: Mat, shared: dict) -> Mat:
     """The weight-free input of a map: X, LayerNorm(X), LayerNorm(X) less its
     minimum, clamped at CLAMP_FLOOR (SimPool's values), or (X - c) 2^-e, a
     scale that local_avg_fc's l2norm update removes (``pow2_scaled``)."""
-    if rule.kind == "linear_ln":
-        return _once(shared, layernorm_cols, x)
+    if rule.kind == "linear_ln":  # its divisor goes to shared["ln_std"]
+        return _once(shared, layernorm_cols, x, shared)
     if rule.kind == "ln_shifted":  # the keys' LayerNorm, shared
-        xn = _once(shared, layernorm_cols, x)
+        xn = _once(shared, layernorm_cols, x, shared)
         v = xn - xn.min()
         return np.maximum(v, CLAMP_FLOOR, out=v)
     if rule.kind == "local_avg_fc" and rule.centering is None:
@@ -359,6 +357,7 @@ def _update(rule: UpdateRule, z: Mat, prev: Mat) -> Mat:
         return z
     if rule.kind == "l2norm":
         return np.stack([l2_normalize(z[:, j]) for j in range(z.shape[1])], axis=1)
+    from .nncells import gru_cell, mlp2  # here, so a run of another update never executes nncells
     if rule.kind == "channel_gate":
         return sigmoid(mlp2(z, rule.mlp)) * z
     g = gru_cell(z, prev, rule.gru)  # gru_mlp
@@ -391,8 +390,8 @@ def run_pooling(spec: PoolingSpec, fm: FeatureMap, tape: Optional[dict] = None) 
     pool, z = W_V (X~ a); and local_avg_fc's 3x3 average moves onto the
     attention through its adjoint, z = W ((X - c) avg3^T(a)).
 
-    A dict passed as ``tape`` receives, all formed anyway, ``key_input``, ``value_input``
-    and the last iteration's weight-free ``query_input``, ``q`` and ``wkt_q`` = W_K^T q.
+    A dict passed as ``tape`` receives, all formed anyway, ``key_input``, ``value_input``, ``ln_std``
+    (LayerNorm's divisor, or None) and the last iteration's ``query_input``, ``q`` and ``wkt_q``.
     """
     x = fm.x
     needs_sim = spec.attention.kind not in ("constant", "feature_sqnorm")
@@ -416,7 +415,7 @@ def run_pooling(spec: PoolingSpec, fm: FeatureMap, tape: Optional[dict] = None) 
         u = _update(spec.pool_update, z, u)
 
     if tape is not None:
-        tape["value_input"] = x_val
+        tape.update(value_input=x_val, ln_std=shared.get("ln_std"))
         if needs_sim:
             tape.update(key_input=x_key, query_input=u_in, q=q, wkt_q=wkt_q)
     return PooledSet(u=u, attention=AttentionMatrix(a, stochastic_cols=stochastic))

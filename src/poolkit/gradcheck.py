@@ -10,7 +10,7 @@ import numpy as np
 from .errors import ContractError, NumericError
 
 
-@dataclass(frozen=True)
+@dataclass
 class GradReport:
     name: str
     max_rel_error: float

@@ -125,10 +125,13 @@ def col_var(x: Mat) -> np.ndarray:
     return var
 
 
-def layernorm_cols(x: Mat) -> Mat:
-    """Normalize each column to zero mean / unit variance (no affine)."""
+def layernorm_cols(x: Mat, stats: dict | None = None) -> Mat:
+    """Normalize each column to zero mean / unit variance (no affine); a dict
+    passed as ``stats`` receives the (p,) divisor sqrt(var + LN_EPS) as ``ln_std``."""
     x = np.asarray(x, dtype=np.float64)
-    std = np.sqrt(col_var(x)[None, :] + LN_EPS)  # before ``out``: np.var forms its own x - mean
+    std = np.sqrt(col_var(x) + LN_EPS)  # before ``out``: np.var forms its own x - mean
+    if stats is not None:
+        stats["ln_std"] = std
     out = x - x.mean(axis=0, keepdims=True)
     out /= std
     return out

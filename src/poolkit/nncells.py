@@ -20,7 +20,7 @@ def dense(rng: np.random.Generator, n_out: int, n_in: int) -> np.ndarray:
     return rng.normal(scale=1.0 / np.sqrt(n_in), size=(n_out, n_in))
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class MlpWeights:
     """Two linear layers with a ReLU in between: w2 relu(w1 x)."""
 
@@ -44,7 +44,7 @@ def mlp2(x: np.ndarray, w: MlpWeights) -> np.ndarray:
     return out[:, 0] if squeeze else out
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class GruWeights:
     """Gate (reset/update) and candidate weights for one GRU cell.
 

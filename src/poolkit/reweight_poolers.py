@@ -45,7 +45,7 @@ def se_pool(fm: FeatureMap, w: SeWeights) -> PooledSet:
     return run_pooling(se_spec(fm.p, w), fm)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class CbamWeights:
     """Channel bottleneck MLP plus a 7x7 two-channel spatial kernel."""
 
@@ -53,10 +53,9 @@ class CbamWeights:
     conv7: Mat  # (2, 7, 7)
 
     def __post_init__(self):
-        k = np.asarray(self.conv7, dtype=np.float64)
+        self.conv7 = k = np.asarray(self.conv7, dtype=np.float64)
         if k.shape != (2, 7, 7):
             raise ShapeError(f"CbamWeights: conv7 must be (2, 7, 7), got {k.shape}")
-        object.__setattr__(self, "conv7", k)
 
     @classmethod
     def seeded(cls, d: int, *, seed: int = 0) -> "CbamWeights":

@@ -38,7 +38,7 @@ def lse(fm: FeatureMap, r: float) -> np.ndarray:
     return run_pooling(lse_spec(fm.p, r), fm).u[:, 0]
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class HowConfig:
     """Fixed value-mapping layers: centering vector and projection matrix.
 
@@ -62,7 +62,7 @@ class HowConfig:
         return HowConfig(c, w)
 
 
-def how(fm: FeatureMap, cfg: HowConfig = HowConfig()) -> np.ndarray:
+def how(fm: FeatureMap, cfg: Optional[HowConfig] = None) -> np.ndarray:
     """Norm-attention pooling: weight 3x3-smoothed projected features by
     the squared norm of each raw feature column, then l2-normalize."""
     return run_pooling(how_spec(fm, cfg), fm).u[:, 0]
@@ -91,12 +91,12 @@ def lse_spec(p: int, r: float) -> PoolingSpec:
     )
 
 
-def how_spec(fm: FeatureMap, cfg: HowConfig = HowConfig()) -> PoolingSpec:
+def how_spec(fm: FeatureMap, cfg: Optional[HowConfig] = None) -> PoolingSpec:
     """The attention is the squared column norms of X 2^-e, the values (X - c)
     2^-e' (``pow2_scaled``; l2norm removes both).  Both fixed layers act on the
     narrow side: P (avg3(X - c) a) is P ((X - c) avg3^T(a)), so the average
     smooths the one attention column, not the d channels, and P meets one vector."""
-    cfg = cfg.fitted(fm.d)
+    cfg = (cfg or HowConfig()).fitted(fm.d)
     return PoolingSpec(
         attention=AttnRule(kind="feature_sqnorm"),
         value_map=MapRule(kind="local_avg_fc", weight=cfg.projection, centering=cfg.centering),

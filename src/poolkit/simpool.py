@@ -18,22 +18,20 @@ import numpy as np
 from .errors import ContractError, ShapeError
 from .framework import AttnRule, FeatureMap, InitRule, MapRule, PoolingSpec, PoolRule, run_pooling
 from .gradcheck import GradReport, central_diff, compare
-from .matcore import LN_EPS, Mat, col_var
+from .matcore import Mat
 from .meanfam import CLAMP_FLOOR
 from .nncells import dense
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class SimPoolParams:
     w_q: Mat
     w_k: Mat
     gamma: float = 2.0
 
     def __post_init__(self):
-        wq = np.asarray(self.w_q, dtype=np.float64)
-        wk = np.asarray(self.w_k, dtype=np.float64)
-        object.__setattr__(self, "w_q", wq)
-        object.__setattr__(self, "w_k", wk)
+        self.w_q = wq = np.asarray(self.w_q, dtype=np.float64)
+        self.w_k = wk = np.asarray(self.w_k, dtype=np.float64)
         if not (1e-9 <= self.gamma <= 100.0):
             raise ContractError(f"SimPoolParams: gamma must be in [1e-9, 100], got {self.gamma}")
         if wq.ndim != 2 or wq.shape[0] != wq.shape[1]:
@@ -68,11 +66,11 @@ def simpool_spec(fm: FeatureMap, params: SimPoolParams) -> PoolingSpec:
 
 def simpool_forward(fm: FeatureMap, params: SimPoolParams) -> tuple[np.ndarray, np.ndarray, dict]:
     """Returns (pooled vector u, attention a, tape for backward): the tape
-    of ``run_pooling``, plus the features, the parameters, u and a."""
+    of ``run_pooling``, plus the parameters, u and a."""
     tape = {}
     pooled = run_pooling(simpool_spec(fm, params), fm, tape)
     u, a = pooled.u[:, 0], pooled.attention.a[:, 0]
-    tape.update(x=fm.x, params=params, u=u, a=a)
+    tape.update(params=params, u=u, a=a)
     return u, a, tape
 
 
@@ -80,16 +78,14 @@ def simpool_backward(tape: dict, du: np.ndarray) -> tuple[Mat, Mat, Mat]:
     """Exact reverse-mode gradients of <du, u> w.r.t. (W_Q, W_K, X), from
     the tape of ``simpool_forward``."""
     du = np.asarray(du, dtype=np.float64)
-    x, xn, vc = tape["x"], tape["key_input"], tape["value_input"]
-    d, p = x.shape
+    xn, vc = tape["key_input"], tape["value_input"]
+    d, p = xn.shape
     if du.shape != (d,):
         raise ContractError(f"simpool_backward: du shape {du.shape} vs d={d}")
     params, a, u = tape["params"], tape["a"], tape["u"]
     g = params.gamma
     q, wkt_q, u0 = tape["q"][:, 0], tape["wkt_q"][:, 0], tape["query_input"][:, 0]
-    # Recomputed before any d x p buffer of this pass is live, as np.var forms
-    # its own X - mean: LayerNorm's 1/std, the values' shift and clamp mask.
-    inv_std = 1.0 / np.sqrt(col_var(x) + LN_EPS)
+    # the values' shift (at its argmin) and clamp mask, recomputed
     argmin = np.unravel_index(np.argmin(xn), xn.shape)  # first occurrence, row-major
     clamp_mask = vc > CLAMP_FLOOR
 
@@ -134,7 +130,7 @@ def simpool_backward(tape: dict, du: np.ndarray) -> tuple[Mat, Mat, Mat]:
     d_x = d_xn
     d_x -= mean_dy
     d_x -= np.multiply(xn, mean_dy_xn, out=c)
-    d_x *= inv_std[None, :]
+    d_x *= 1.0 / tape["ln_std"]  # LayerNorm's divisor, kept by the forward
 
     # GAP init path
     d_x += d_u0[:, None] / p

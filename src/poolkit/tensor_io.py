@@ -6,14 +6,14 @@ import math
 import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .errors import ConfigError, FileFormatError
-from .framework import FeatureMap
-from .meanfam import GAMMA_CONV_DEFAULT, GAMMA_TRANSFORMER_DEFAULT
-from .simple_poolers import HowConfig
+
+if TYPE_CHECKING:  # imported where it is read: `inspect` and `attnmap` execute no engine module
+    from .framework import FeatureMap
 
 METHOD_NAMES = (
     "gap",
@@ -32,12 +32,12 @@ METHOD_NAMES = (
 )
 
 WEIGHT_ROLES = {  # method -> the `weights` roles it reads; other methods read none
-    "how": tuple(f.name for f in fields(HowConfig)),
+    "how": ("centering", "projection"),  # HowConfig's fields
     "sinkhorn-otk": ("anchors",),
 }
 
 
-@dataclass(frozen=True)
+@dataclass
 class NpyHeader:
     dtype: str
     fortran_order: bool
@@ -102,6 +102,7 @@ def write_npy(arr, path) -> None:
 
 def load_feature_map(path, width: Optional[int] = None, height: Optional[int] = None) -> FeatureMap:
     """Load features: 2-d (d, p) arrays directly, 3-d (d, H, W) flattened."""
+    from .framework import FeatureMap
     arr, _ = read_npy(path)
     if arr.ndim == 1:
         arr = arr[None, :]
@@ -137,7 +138,7 @@ def _check_field_types(cfg) -> None:
         raise ConfigError(f"weights must map role names to NPY paths, got {cfg.weights!r}")
 
 
-@dataclass(frozen=True)
+@dataclass
 class RunConfig:
     method: str = "simpool"
     family: str = "conv"           # conv | transformer; selects the gamma default
@@ -180,11 +181,10 @@ class RunConfig:
 
     @property
     def resolved_gamma(self) -> float:
+        from .meanfam import GAMMA_CONV_DEFAULT, GAMMA_TRANSFORMER_DEFAULT
         if self.gamma is not None:
             return self.gamma
-        if self.family == "transformer":
-            return GAMMA_TRANSFORMER_DEFAULT
-        return GAMMA_CONV_DEFAULT
+        return GAMMA_TRANSFORMER_DEFAULT if self.family == "transformer" else GAMMA_CONV_DEFAULT
 
 
 def load_config(path) -> RunConfig:

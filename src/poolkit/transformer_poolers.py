@@ -17,7 +17,7 @@ from .matcore import Mat, col_softmax
 from .nncells import MlpWeights, dense, mlp2
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class VitIterWeights:
     """Weights of one pooling iteration."""
 
@@ -33,7 +33,7 @@ class VitIterWeights:
                    w_u=dense(rng, d, d), mlp=MlpWeights.seeded(rng, d, d, d))
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class VitWeights:
     """Per-iteration weight stacks plus the initial pooled vector."""
 

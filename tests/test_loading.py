@@ -1,17 +1,24 @@
-"""What ``import poolkit`` and one ``poolkit pool`` request execute.
+"""What ``import poolkit`` and one CLI command execute, and what records are.
 
 Submodules are registered as lazily executed modules and run on first use.
 The checks that count executed modules run in a fresh interpreter, since
 this test session has executed them all."""
 
+import dataclasses
 import json
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import poolkit
 from poolkit import simple_poolers
+from poolkit.errors import PoolkitError
+from poolkit.framework import FeatureMap, PoolingSpec
+from poolkit.simple_poolers import HowConfig
+from poolkit.simpool import SimPoolParams
+from poolkit.tensor_io import WEIGHT_ROLES
 
 SUBMODULES = ["attnmap", "cluster_poolers", "errors", "framework", "gradcheck", "matcore",
               "meanfam", "nncells", "reweight_poolers", "simple_poolers", "simpool",
@@ -51,13 +58,53 @@ def test_import_executes_no_submodule_and_no_numpy():
     assert _fresh("import poolkit") == {"numpy": False, "executed": [], "registered": SUBMODULES}
 
 
+def _command(argv: list) -> list:
+    """The poolkit submodules one CLI command executes, in a fresh interpreter."""
+    return _fresh(f"from poolkit import cli; assert cli.main({argv!r}) == 0")["executed"]
+
+
 def test_gap_request_executes_no_other_pooler(tmp_path):
     path = tmp_path / "x.npy"
     np.save(path, np.random.default_rng(0).random((8, 3, 4)))
-    out = _fresh(f"from poolkit import cli; cli.main(['pool', '--input', {str(path)!r}, "
-                 f"'--method', 'gap'])")
-    assert out["executed"] == ["cli", "errors", "framework", "matcore", "meanfam", "nncells",
-                               "simple_poolers", "tensor_io"]
+    assert _command(["pool", "--input", str(path), "--method", "gap"]) == [
+        "cli", "errors", "framework", "matcore", "meanfam", "simple_poolers", "tensor_io"]
+
+
+def test_kmeans_request_executes_its_pooler_and_no_simple_pooler(tmp_path):
+    path = tmp_path / "x.npy"
+    np.save(path, np.random.default_rng(0).random((8, 3, 4)))
+    assert _command(["pool", "--input", str(path), "--method", "kmeans", "--k", "2"]) == [
+        "cli", "cluster_poolers", "errors", "framework", "matcore", "meanfam", "nncells",
+        "tensor_io"]
+
+
+def test_attnmap_and_inspect_execute_no_engine_module(tmp_path):
+    path = tmp_path / "a.npy"
+    np.save(path, np.random.default_rng(0).random(12))
+    assert _command(["attnmap", "--attn", str(path), "--width", "4", "--height", "3", "--bbox",
+                     "--pgm", str(tmp_path / "a.pgm")]) == [
+        "attnmap", "cli", "errors", "matcore", "tensor_io"]
+    assert _command(["inspect", "--input", str(path)]) == ["cli", "errors", "tensor_io"]
+
+
+def test_records_are_plain_dataclasses_whose_replace_revalidates():
+    records = [obj for name in SUBMODULES for obj in vars(getattr(poolkit, name)).values()
+               if isinstance(obj, type) and obj.__module__ == f"poolkit.{name}"
+               and dataclasses.is_dataclass(obj)]
+    assert len(records) == 25  # SeWeights by inheritance from MlpWeights
+    assert not [cls for cls in records if cls.__dataclass_params__.frozen]
+    rng = np.random.default_rng(0)
+    fm = FeatureMap.from_array(rng.random((4, 6)))
+    params = SimPoolParams.seeded(4)
+    for record, bad in ((PoolingSpec(), {"k": 0}), (fm, {"width": 0}),
+                        (params, {"gamma": 0.0}), (params, {"w_k": np.eye(3)})):
+        with pytest.raises(PoolkitError):
+            dataclasses.replace(record, **bad)
+    assert dataclasses.replace(params, gamma=3.0).w_q is params.w_q
+
+
+def test_how_weight_roles_are_how_config_fields():
+    assert WEIGHT_ROLES["how"] == tuple(f.name for f in dataclasses.fields(HowConfig))
 
 
 def test_public_names_resolve_on_their_module():
