@@ -1,12 +1,12 @@
 """poolkit: feature-map pooling operators and the generic engine behind them.
 
-Submodules load on first use.  ``import poolkit`` registers every submodule
-but ``cli`` in ``sys.modules`` as a lazily executed module, so it runs no
-pooler code and does not import NumPy, while ``poolkit.framework`` and the
-rest exist from the start for code that patches them.  A module executes
-when one of its attributes is first read, or when an ``import`` statement
-names it.  The public names below are looked up on their module at every
-access, so a patched module attribute is what ``poolkit.<name>`` returns.
+Submodules load on first use.  ``import poolkit`` registers every submodule but ``cli``
+in ``sys.modules`` as a lazily executed module, so it runs no pooler code and does not
+import NumPy, while ``poolkit.framework`` and the rest exist from the start for code that
+patches them.  A module executes when one of its attributes is first read, or at
+``import poolkit.<name>`` once ``poolkit`` is loaded; ``from poolkit import <name>`` only
+binds it.  The public names below are looked up on their module at every access, so a
+patched module attribute is what ``poolkit.<name>`` returns.
 
 A ``poolkit pool`` request executes ``cli``, ``errors``, ``tensor_io``, ``framework``,
 ``matcore``, ``meanfam`` and ``simple_poolers``, or for a method outside the simple five

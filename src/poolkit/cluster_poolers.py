@@ -15,7 +15,7 @@ from .errors import ContractError, ConvergenceError, ShapeError
 from .framework import (AttentionMatrix, AttnRule, FeatureMap, InitRule, MapRule, PooledSet,
                         PoolingSpec, UpdateRule, run_pooling)
 from .matcore import Mat, as_matrix, logsumexp, sq_distances
-from .nncells import GruWeights, MlpWeights, dense
+from .nncells import GruWeights, MlpWeights, draw, gru_decl, mlp_decl
 
 
 # --- Sinkhorn / optimal transport -----------------------------------------
@@ -387,13 +387,11 @@ class SlotWeights:
         """Draws in the order w_q, w_k, w_v, mu, sigma, gru, mlp.  Simplified
         mode reads no GRU or MLP: it stops after sigma and keeps None, so its
         arrays are the full draw's prefix."""
-        rng = np.random.default_rng(seed)
-        w_q, w_k, w_v = dense(rng, d, d), dense(rng, d, d), dense(rng, d, d)
-        mu, sigma = rng.normal(size=d), np.abs(rng.normal(size=d)) + 0.1
-        gru = mlp = None
-        if not simplified:
-            gru, mlp = GruWeights.seeded(rng, d, d), MlpWeights.seeded(rng, d, d, d)
-        return cls(w_q=w_q, w_k=w_k, w_v=w_v, gru=gru, mlp=mlp, mu=mu, sigma=sigma)
+        sq, vec = ((d, d), d), ((d,), 1)
+        tail = () if simplified else gru_decl(d, d) + mlp_decl(d, d, d)
+        w_q, w_k, w_v, mu, sigma, *rest = draw(seed, sq, sq, sq, vec, vec, *tail)
+        gru, mlp = (GruWeights(*rest[:6]), MlpWeights(*rest[6:])) if rest else (None, None)
+        return cls(w_q=w_q, w_k=w_k, w_v=w_v, gru=gru, mlp=mlp, mu=mu, sigma=np.abs(sigma) + 0.1)
 
 
 def slot_spec(k: int, iters: int, weights: SlotWeights, seed: int = 0,

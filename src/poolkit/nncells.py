@@ -1,8 +1,8 @@
-"""Tiny fixed-weight, bias-free neural cells: a 2-layer MLP and a GRU cell.
-
-Weights are plain arrays, either user-supplied or drawn from a seeded
-normal generator (scale 1/sqrt(fan_in)); nothing here is trained, so
-there are no biases: every caller would hold them at zero.
+"""Tiny fixed-weight, bias-free neural cells (a 2-layer MLP, a GRU cell) and
+``draw``, which makes every seeded weight set: one ``default_rng(seed)`` per
+seed fills the declared (shape, fan_in) arrays in order, each entry from
+N(0, 1/fan_in); CBAM declares its 7x7 kernel after its MLP.  Nothing here
+is trained, so there are no biases: every caller would hold them at zero.
 """
 
 from __future__ import annotations
@@ -15,9 +15,10 @@ from .errors import ShapeError
 from .matcore import narrow_matmul, relu, sigmoid
 
 
-def dense(rng: np.random.Generator, n_out: int, n_in: int) -> np.ndarray:
-    """An (n_out, n_in) weight matrix drawn from N(0, 1/n_in)."""
-    return rng.normal(scale=1.0 / np.sqrt(n_in), size=(n_out, n_in))
+def draw(seed: int, *decl: tuple) -> list[np.ndarray]:
+    """One array per declared (shape, fan_in), in order, from one generator."""
+    rng = np.random.default_rng(seed)
+    return [rng.normal(scale=1.0 / np.sqrt(fan_in), size=shape) for shape, fan_in in decl]
 
 
 @dataclass(eq=False)
@@ -27,9 +28,10 @@ class MlpWeights:
     w1: np.ndarray
     w2: np.ndarray
 
-    @classmethod
-    def seeded(cls, rng: np.random.Generator, dim_in: int, hidden: int, dim_out: int) -> "MlpWeights":
-        return cls(w1=dense(rng, hidden, dim_in), w2=dense(rng, dim_out, hidden))
+
+def mlp_decl(dim_in: int, hidden: int, dim_out: int) -> tuple:
+    """``MlpWeights``' w1 and w2."""
+    return ((hidden, dim_in), dim_in), ((dim_out, hidden), hidden)
 
 
 def mlp2(x: np.ndarray, w: MlpWeights) -> np.ndarray:
@@ -58,13 +60,10 @@ class GruWeights:
     w_h: np.ndarray
     u_h: np.ndarray
 
-    @classmethod
-    def seeded(cls, rng: np.random.Generator, state: int, inp: int) -> "GruWeights":
-        return cls(
-            w_r=dense(rng, state, inp), u_r=dense(rng, state, state),
-            w_z=dense(rng, state, inp), u_z=dense(rng, state, state),
-            w_h=dense(rng, state, inp), u_h=dense(rng, state, state),
-        )
+
+def gru_decl(state: int, inp: int) -> tuple:
+    """``GruWeights``' six matrices in field order."""
+    return (((state, inp), inp), ((state, state), state)) * 3
 
 
 def gru_cell(z: np.ndarray, h: np.ndarray, w: GruWeights) -> np.ndarray:

@@ -15,9 +15,16 @@ import numpy as np
 from .errors import ContractError, ShapeError
 from .framework import AttentionMatrix, AttnRule, FeatureMap, PooledSet, PoolingSpec, UpdateRule, run_pooling
 from .matcore import Mat, conv2d_same, sigmoid
-from .nncells import MlpWeights, dense, mlp2
+from .nncells import MlpWeights, draw, mlp2, mlp_decl
 
 REDUCTION = 4  # bottleneck ratio d / hidden of the seeded gating MLP
+
+
+def se_decl(d: int) -> tuple:
+    """The gating MLP d -> d/r -> d of SE and CBAM."""
+    if d % REDUCTION != 0:
+        raise ContractError(f"SeWeights: d={d} not divisible by reduction={REDUCTION}")
+    return mlp_decl(d, d // REDUCTION, d)
 
 
 class SeWeights(MlpWeights):
@@ -25,11 +32,7 @@ class SeWeights(MlpWeights):
 
     @classmethod
     def seeded(cls, d: int, *, seed: int = 0) -> "SeWeights":
-        if d % REDUCTION != 0:
-            raise ContractError(f"SeWeights: d={d} not divisible by reduction={REDUCTION}")
-        rng = np.random.default_rng(seed)
-        hidden = d // REDUCTION
-        return cls(w1=dense(rng, hidden, d), w2=dense(rng, d, hidden))
+        return cls(*draw(seed, *se_decl(d)))
 
 
 def se_spec(p: int, w: SeWeights) -> PoolingSpec:
@@ -59,11 +62,8 @@ class CbamWeights:
 
     @classmethod
     def seeded(cls, d: int, *, seed: int = 0) -> "CbamWeights":
-        rng = np.random.default_rng(seed)
-        return cls(
-            channel_mlp=SeWeights.seeded(d, seed=seed),
-            conv7=rng.normal(scale=1.0 / 7.0, size=(2, 7, 7)),
-        )
+        w1, w2, conv7 = draw(seed, *se_decl(d), ((2, 7, 7), 49))
+        return cls(channel_mlp=SeWeights(w1, w2), conv7=conv7)
 
 
 def cbam_pool(fm: FeatureMap, w: CbamWeights) -> PooledSet:

@@ -17,10 +17,9 @@ import numpy as np
 
 from .errors import ContractError, ShapeError
 from .framework import AttnRule, FeatureMap, InitRule, MapRule, PoolingSpec, PoolRule, run_pooling
-from .gradcheck import GradReport, central_diff, compare
 from .matcore import Mat
 from .meanfam import CLAMP_FLOOR
-from .nncells import dense
+from .nncells import draw
 
 
 @dataclass(eq=False)
@@ -43,8 +42,7 @@ class SimPoolParams:
 
     @classmethod
     def seeded(cls, d: int, gamma: float = 2.0, seed: int = 0) -> "SimPoolParams":
-        rng = np.random.default_rng(seed)
-        return cls(w_q=dense(rng, d, d), w_k=dense(rng, d, d), gamma=gamma)
+        return cls(*draw(seed, ((d, d), d), ((d, d), d)), gamma=gamma)
 
 
 def simpool_spec(fm: FeatureMap, params: SimPoolParams) -> PoolingSpec:
@@ -143,6 +141,8 @@ def simpool_gradcheck(
     """Compare the analytic gradients of <du, u> w.r.t. W_Q, W_K and X with
     central differences of step h; perturbed parameters keep every other
     setting of ``params``."""
+    from .gradcheck import central_diff, compare  # only here, not in every pool request
+
     _, _, tape = simpool_forward(fm, params)
     d_wq, d_wk, d_x = simpool_backward(tape, du)
 

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ContractError, ShapeError
 from .framework import AttentionMatrix, FeatureMap, PooledSet
 from .matcore import Mat, col_softmax
-from .nncells import MlpWeights, dense, mlp2
+from .nncells import MlpWeights, draw, mlp2, mlp_decl
 
 
 @dataclass(eq=False)
@@ -27,11 +27,6 @@ class VitIterWeights:
     w_u: Mat
     mlp: MlpWeights
 
-    @classmethod
-    def seeded(cls, rng: np.random.Generator, d: int) -> "VitIterWeights":
-        return cls(w_q=dense(rng, d, d), w_k=dense(rng, d, d), w_v=dense(rng, d, d),
-                   w_u=dense(rng, d, d), mlp=MlpWeights.seeded(rng, d, d, d))
-
 
 @dataclass(eq=False)
 class VitWeights:
@@ -42,11 +37,10 @@ class VitWeights:
 
     @classmethod
     def seeded(cls, d: int, iters: int, seed: int = 0) -> "VitWeights":
-        rng = np.random.default_rng(seed)
-        return cls(
-            iters=tuple(VitIterWeights.seeded(rng, d) for _ in range(iters)),
-            u0=rng.normal(scale=1.0 / np.sqrt(d), size=d),
-        )
+        sq = ((d, d), d)
+        *w, u0 = draw(seed, *(sq, sq, sq, sq, *mlp_decl(d, d, d)) * iters, ((d,), d))
+        return cls(iters=tuple(VitIterWeights(*w[i:i + 4], MlpWeights(*w[i + 4:i + 6]))
+                               for i in range(0, len(w), 6)), u0=u0)
 
 
 def _cross_attention_step(

@@ -1,5 +1,6 @@
 import re
 from dataclasses import fields, replace
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from poolkit.cluster_poolers import (
 from poolkit.errors import ContractError, ConvergenceError, DegenerateMassError, NumericError, ShapeError
 from poolkit.framework import FeatureMap, InitRule, UpdateRule, _update, run_pooling
 from poolkit.matcore import col_softmax, eta_norm, layernorm_cols, sq_distances
-from poolkit.nncells import GruWeights, MlpWeights, dense
+from poolkit.nncells import GruWeights, MlpWeights
 from poolkit.simple_poolers import gap
 from poolkit.simpool import SimPoolParams, simpool_forward
 from poolkit.tensor_io import config_from_dict
@@ -685,16 +686,17 @@ class TestSimplifiedSlotWeights:
     @given(d=st.integers(1, 48), seed=st.integers(0, 2**64 - 1))
     def test_full_draw_order(self, d, seed):
         rng = np.random.default_rng(seed)
-        want = {"w_q": dense(rng, d, d), "w_k": dense(rng, d, d), "w_v": dense(rng, d, d),
+
+        def square():  # every GRU and MLP matrix is d x d too, at fan-in d
+            return rng.normal(scale=1.0 / np.sqrt(d), size=(d, d))
+
+        want = {"w_q": square(), "w_k": square(), "w_v": square(),
                 "mu": rng.normal(size=d), "sigma": np.abs(rng.normal(size=d)) + 0.1}
-        gru, mlp = GruWeights.seeded(rng, d, d), MlpWeights.seeded(rng, d, d, d)
+        want.update({f"gru.{f.name}": square() for f in fields(GruWeights)})
+        want.update({f"mlp.{f.name}": square() for f in fields(MlpWeights)})
         got = SlotWeights.seeded(d, seed=seed)
-        pairs = [(name, getattr(got, name), array) for name, array in want.items()]
-        pairs += [(f"gru.{f.name}", getattr(got.gru, f.name), getattr(gru, f.name))
-                  for f in fields(gru)]
-        pairs += [(f"mlp.{f.name}", getattr(got.mlp, f.name), getattr(mlp, f.name))
-                  for f in fields(mlp)]
-        for name, got_array, want_array in pairs:
+        for name, want_array in want.items():
+            got_array = attrgetter(name)(got)
             assert got_array.shape == want_array.shape, name
             assert got_array.tobytes() == want_array.tobytes(), name
 

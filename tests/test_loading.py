@@ -63,6 +63,11 @@ def _command(argv: list) -> list:
     return _fresh(f"from poolkit import cli; assert cli.main({argv!r}) == 0")["executed"]
 
 
+def test_import_statement_executes_and_from_import_binds():
+    assert _fresh("from poolkit import framework")["executed"] == []
+    assert "framework" in _fresh("import poolkit\nimport poolkit.framework")["executed"]
+
+
 def test_gap_request_executes_no_other_pooler(tmp_path):
     path = tmp_path / "x.npy"
     np.save(path, np.random.default_rng(0).random((8, 3, 4)))
@@ -76,6 +81,13 @@ def test_kmeans_request_executes_its_pooler_and_no_simple_pooler(tmp_path):
     assert _command(["pool", "--input", str(path), "--method", "kmeans", "--k", "2"]) == [
         "cli", "cluster_poolers", "errors", "framework", "matcore", "meanfam", "nncells",
         "tensor_io"]
+
+
+def test_simpool_request_executes_no_gradcheck(tmp_path):
+    path = tmp_path / "x.npy"
+    np.save(path, np.random.default_rng(0).random((8, 3, 4)))
+    assert _command(["pool", "--input", str(path), "--method", "simpool"]) == [
+        "cli", "errors", "framework", "matcore", "meanfam", "nncells", "simpool", "tensor_io"]
 
 
 def test_attnmap_and_inspect_execute_no_engine_module(tmp_path):

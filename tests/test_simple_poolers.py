@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from poolkit.errors import DegenerateMassError, ShapeError
 from poolkit.framework import FeatureMap
 from poolkit.meanfam import CLAMP_FLOOR, weighted_generalized_mean
-from poolkit.nncells import dense
+from poolkit.nncells import draw
 from poolkit.reweight_poolers import SeWeights, se_pool
 from poolkit.simple_poolers import HowConfig, gap, gem, how, how_spec, lse, max_pool
 
@@ -226,9 +226,8 @@ def reference_pools(fm):
     z = _smoothed(xs, fm.width, fm.height) @ a
     norm = _norm(z)
     top = np.abs(x).max(axis=1)
-    rng = np.random.default_rng(0)
     hidden = max(1, fm.d // 4)
-    w = SeWeights(w1=dense(rng, hidden, fm.d), w2=dense(rng, fm.d, hidden))
+    w = SeWeights(*draw(0, ((hidden, fm.d), fm.d), ((fm.d, hidden), hidden)))
     u0, abs_u0 = x.mean(axis=1), np.abs(x).mean(axis=1)
     gate = 0.5 * (1.0 + np.tanh(0.5 * (w.w2 @ np.maximum(w.w1 @ u0, 0.0))))
     logits_majorant = max(1.0, np.max(np.abs(w.w2) @ (np.abs(w.w1) @ abs_u0)))
