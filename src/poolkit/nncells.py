@@ -1,8 +1,9 @@
 """Tiny fixed-weight, bias-free neural cells (a 2-layer MLP, a GRU cell) and
-``draw``, which makes every seeded weight set: one ``default_rng(seed)`` per
-seed fills the declared (shape, fan_in) arrays in order, each entry from
-N(0, 1/fan_in); CBAM declares its 7x7 kernel after its MLP.  Nothing here
-is trained, so there are no biases: every caller would hold them at zero.
+``draw``, which makes every seeded weight set: one ``default_rng(seed)`` per seed
+fills the declared (shape, fan_in) arrays in order, n entries from ``bytes(ceil(n/8))``:
+entry i (C order) is +1/sqrt(fan_in) where bit i is set (most significant first),
+else -1/sqrt(fan_in), a random sign of variance 1/fan_in (Achlioptas 2003).  CBAM
+declares its 7x7 kernel after its MLP.  Nothing here is trained, so there are no biases.
 """
 
 from __future__ import annotations
@@ -14,11 +15,17 @@ import numpy as np
 from .errors import ShapeError
 from .matcore import narrow_matmul, relu, sigmoid
 
+BYTE_SIGNS = 2.0 * np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1) - 1.0
+
 
 def draw(seed: int, *decl: tuple) -> list[np.ndarray]:
     """One array per declared (shape, fan_in), in order, from one generator."""
-    rng = np.random.default_rng(seed)
-    return [rng.normal(scale=1.0 / np.sqrt(fan_in), size=shape) for shape, fan_in in decl]
+    rng, out = np.random.default_rng(seed), []
+    for shape, fan_in in decl:
+        n = int(np.prod(shape))
+        raw = np.frombuffer(rng.bytes(-(-n // 8)), dtype=np.uint8)
+        out.append(np.take(BYTE_SIGNS / np.sqrt(fan_in), raw, axis=0).ravel()[:n].reshape(shape))
+    return out
 
 
 @dataclass(eq=False)

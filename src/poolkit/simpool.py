@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import gradcheck  # binds the lazily registered module; a pool request never executes it
 from .errors import ContractError, ShapeError
 from .framework import AttnRule, FeatureMap, InitRule, MapRule, PoolingSpec, PoolRule, run_pooling
 from .matcore import Mat
@@ -137,20 +138,18 @@ def simpool_backward(tape: dict, du: np.ndarray) -> tuple[Mat, Mat, Mat]:
 
 def simpool_gradcheck(
     fm: FeatureMap, params: SimPoolParams, du: np.ndarray, h: float = 1e-4
-) -> tuple[GradReport, GradReport, GradReport]:
+) -> tuple[gradcheck.GradReport, gradcheck.GradReport, gradcheck.GradReport]:
     """Compare the analytic gradients of <du, u> w.r.t. W_Q, W_K and X with
     central differences of step h; perturbed parameters keep every other
     setting of ``params``."""
-    from .gradcheck import central_diff, compare  # only here, not in every pool request
-
     _, _, tape = simpool_forward(fm, params)
     d_wq, d_wk, d_x = simpool_backward(tape, du)
 
     def loss(f: FeatureMap, pp: SimPoolParams) -> float:
         return float(du @ simpool_forward(f, pp)[0])
 
-    num_wq = central_diff(lambda w: loss(fm, replace(params, w_q=w)), params.w_q, h)
-    num_wk = central_diff(lambda w: loss(fm, replace(params, w_k=w)), params.w_k, h)
-    num_x = central_diff(lambda x: loss(replace(fm, x=x), params), fm.x, h)
-    return (compare("W_Q", d_wq, *num_wq), compare("W_K", d_wk, *num_wk),
-            compare("X", d_x, *num_x))
+    num_wq = gradcheck.central_diff(lambda w: loss(fm, replace(params, w_q=w)), params.w_q, h)
+    num_wk = gradcheck.central_diff(lambda w: loss(fm, replace(params, w_k=w)), params.w_k, h)
+    num_x = gradcheck.central_diff(lambda x: loss(replace(fm, x=x), params), fm.x, h)
+    return (gradcheck.compare("W_Q", d_wq, *num_wq), gradcheck.compare("W_K", d_wk, *num_wk),
+            gradcheck.compare("X", d_x, *num_x))

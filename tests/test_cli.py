@@ -5,6 +5,7 @@ import struct
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,11 @@ from poolkit.cluster_poolers import kmeans_distortion, otk_pool
 from poolkit.framework import FeatureMap
 from poolkit.simple_poolers import HowConfig, gap, how
 from poolkit.tensor_io import METHOD_NAMES, read_npy, write_npy
+
+
+# exit code, stdout and stderr of help and usage errors at COLUMNS=80, frozen from the
+# parser that added every subcommand's arguments on every command (commit cf9fa30)
+PARSER_OUTPUTS = json.loads(Path(__file__).with_name("cli_parser_outputs.json").read_text())
 
 
 def _write_features(path, arr):
@@ -379,6 +385,27 @@ def test_attnmap_exits_cleanly_on_any_flags_and_attention(attn_files, run, mass,
         assert code == 3 and last.startswith("error: AttnGrid values: ")
     if code == 0:
         assert out.count("\n") == 1 and grid.exists() == mask.exists() == pgm
+
+
+@pytest.mark.parametrize("case", PARSER_OUTPUTS, ids=lambda case: " ".join(case["argv"]))
+def test_help_and_usage_errors_are_unchanged(monkeypatch, capsys, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        main(case["argv"])
+    assert exit_.value.code == case["exit"]
+    assert capsys.readouterr() == (case["stdout"], case["stderr"])
+
+
+COMMANDS = ["pool", "attnmap", "gradcheck", "tournament", "inspect"]
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["inspect", "--input", "x.npy"], ["inspect"]), (["pool", "--help"], ["pool"]),
+    ([], COMMANDS), (["--help"], COMMANDS), (["frob"], COMMANDS), (["-h", "pool"], COMMANDS)])
+def test_a_command_builds_only_its_own_arguments(argv, built):
+    sub = build_parser(argv)._subparsers._group_actions[0]
+    assert list(sub.choices) == COMMANDS
+    assert [name for name, p in sub.choices.items() if len(p._actions) > 1] == built  # beyond -h
 
 
 class TestCmdAttnmap:

@@ -679,7 +679,7 @@ class TestSlotPool:
 
 class TestSimplifiedSlotWeights:
     """Simplified slot attention reads W_Q, W_K, W_V, mu and sigma only, so
-    its weights stop the draw before the GRU's and MLP's 8 d^2 normals and
+    its weights stop the draw before the GRU's and MLP's 8 d^2 signs and
     hold None."""
 
     @settings(max_examples=60, deadline=None)
@@ -687,11 +687,15 @@ class TestSimplifiedSlotWeights:
     def test_full_draw_order(self, d, seed):
         rng = np.random.default_rng(seed)
 
+        def signs(n, fan_in):  # entry i: +-1/sqrt(fan_in) as bit i of ceil(n/8) bytes is 1 or 0
+            bits = np.unpackbits(np.frombuffer(rng.bytes(-(-n // 8)), dtype=np.uint8))[:n]
+            return np.where(bits == 1, 1.0 / np.sqrt(fan_in), -1.0 / np.sqrt(fan_in))
+
         def square():  # every GRU and MLP matrix is d x d too, at fan-in d
-            return rng.normal(scale=1.0 / np.sqrt(d), size=(d, d))
+            return signs(d * d, d).reshape(d, d)
 
         want = {"w_q": square(), "w_k": square(), "w_v": square(),
-                "mu": rng.normal(size=d), "sigma": np.abs(rng.normal(size=d)) + 0.1}
+                "mu": signs(d, 1), "sigma": np.abs(signs(d, 1)) + 0.1}
         want.update({f"gru.{f.name}": square() for f in fields(GruWeights)})
         want.update({f"mlp.{f.name}": square() for f in fields(MlpWeights)})
         got = SlotWeights.seeded(d, seed=seed)
@@ -707,8 +711,8 @@ class TestSimplifiedSlotWeights:
                             lambda s: made.append(default_rng(s)) or made[-1])
         SlotWeights.seeded(d, seed=seed, simplified=True)
         fresh = default_rng(seed)
-        for n in (d * d, d * d, d * d, 2 * d):  # 3 d^2 + 2 d normals
-            fresh.standard_normal(n)
+        for n in (d * d, d * d, d * d, d, d):  # W_Q, W_K, W_V, mu, sigma
+            fresh.bytes(-(-n // 8))
         assert [g.bit_generator.state for g in made] == [fresh.bit_generator.state]
 
     @settings(max_examples=60, deadline=None)

@@ -8,14 +8,16 @@ import dataclasses
 import json
 import subprocess
 import sys
+import typing
 
 import numpy as np
 import pytest
 
 import poolkit
-from poolkit import simple_poolers
+from poolkit import simple_poolers, simpool
 from poolkit.errors import PoolkitError
 from poolkit.framework import FeatureMap, PoolingSpec
+from poolkit.gradcheck import GradReport
 from poolkit.simple_poolers import HowConfig
 from poolkit.simpool import SimPoolParams
 from poolkit.tensor_io import WEIGHT_ROLES
@@ -88,6 +90,12 @@ def test_simpool_request_executes_no_gradcheck(tmp_path):
     np.save(path, np.random.default_rng(0).random((8, 3, 4)))
     assert _command(["pool", "--input", str(path), "--method", "simpool"]) == [
         "cli", "errors", "framework", "matcore", "meanfam", "nncells", "simpool", "tensor_io"]
+
+
+def test_simpool_gradcheck_hints_resolve():
+    hints = typing.get_type_hints(simpool.simpool_gradcheck)
+    assert hints["return"] == tuple[GradReport, GradReport, GradReport]
+    assert hints["fm"] is FeatureMap
 
 
 def test_attnmap_and_inspect_execute_no_engine_module(tmp_path):

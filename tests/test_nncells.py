@@ -1,10 +1,16 @@
-"""Seeded weights: each public ``seeded`` constructor makes one generator
-and draws from it exactly the normals its weight set declares."""
+"""Seeded weights: ``draw`` makes each declared array of n entries exactly
++-1/sqrt(fan_in), its signs the bits of ceil(n/8) bytes of one generator,
+and each public ``seeded`` constructor makes one generator and draws from
+it exactly the bytes its weight set declares.  So Slot's mu is +-1 and its
+sigma = |.| + 0.1 is 1.1 in every entry."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poolkit.cluster_poolers import SlotWeights
+from poolkit.nncells import draw
 from poolkit.reweight_poolers import CbamWeights, SeWeights
 from poolkit.simpool import SimPoolParams
 from poolkit.transformer_poolers import VitWeights
@@ -32,5 +38,28 @@ def test_seeded_weights_come_from_one_stream(monkeypatch, name, d, seed):
     construct(d, seed)
     fresh = default_rng(seed)
     for n in sizes(d):
-        fresh.standard_normal(n)
+        fresh.bytes(-(-n // 8))
     assert [g.bit_generator.state for g in made] == [fresh.bit_generator.state]
+
+
+DECLS = st.lists(st.tuples(st.lists(st.integers(1, 20), max_size=3).map(tuple),
+                           st.integers(1, 2**20)), max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), a=DECLS, b=DECLS)
+def test_draw_is_signs_and_a_longer_draw_extends_a_shorter(seed, a, b):
+    got = draw(seed, *a, *b)
+    assert len(got) == len(a) + len(b)
+    for w, (shape, fan_in) in zip(got, a + b):
+        assert w.shape == shape and w.dtype == np.float64
+        assert np.all(np.abs(w) == 1.0 / np.sqrt(fan_in))
+    assert [w.tobytes() for w in draw(seed, *a)] == [w.tobytes() for w in got[:len(a)]]
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**64 - 1])
+def test_draw_signs_are_fair(seed):
+    n = 2048 * 2048
+    (w,) = draw(seed, ((2048, 2048), 2048))
+    share = np.count_nonzero(w > 0) / n
+    assert abs(share - 0.5) <= 5 * 0.5 / np.sqrt(n)  # 5 standard errors of a fair coin

@@ -171,7 +171,8 @@ def _materialized_reference(x, params, du):
     g, s = params.gamma, 1.0 / np.sqrt(d)
     u0 = x.mean(axis=1)
     inv_std = 1.0 / np.sqrt(x.var(axis=0) + LN_EPS)
-    xn = (x - x.mean(axis=0)) * inv_std
+    # divided as the engine divides, so the two agree on which of tied minima is the argmin
+    xn = (x - x.mean(axis=0)) / np.sqrt(x.var(axis=0) + LN_EPS)
     q = params.w_q @ u0
     keys = params.w_k @ xn
     a = col_softmax((keys.T @ q * s)[:, None])[:, 0]
@@ -222,6 +223,9 @@ class TestNarrowProducts:
              seed=0)  # d=2, p=1
     @example(x=SIMPOOL_SATURATED, scale=1.0, columns="drawn",
              setting={"gamma": 100.0}, seed=0)
+    @example(x=np.array([[-2.44803060091354, 0.0], [0.0, 0.0], [0.0, -2.44803060091354],
+                         [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]), scale=1.0, columns="drawn",
+             setting={"gamma": 1.0}, seed=0)  # LayerNorm's minimum tied across two columns
     def test_matches_materialized_keys(self, x, scale, columns, setting, seed):
         d, p = x.shape
         x = scale * shape_columns(x, columns)
