@@ -18,7 +18,7 @@ import importlib.util
 import sys
 
 _EXPORTS = {
-    "framework": ("AttentionMatrix", "AttnRule", "FeatureMap", "InitRule", "MapRule",
+    "framework": ("AttentionMatrix", "FeatureMap", "InitRule", "MapRule",
                   "PooledSet", "PoolingSpec", "PoolRule", "UpdateRule",
                   "pairwise_similarity", "run_pooling"),
     "meanfam": ("lse_pool", "weighted_generalized_mean"),

@@ -49,13 +49,13 @@ def run_method(cfg: RunConfig, fm: FeatureMap) -> PooledSet:
     if method in ("gap", "max", "gem", "lse", "how"):  # no other method runs simple_poolers
         from .simple_poolers import HowConfig, gem_spec, how_spec, lse_spec, max_spec
         if method == "gap":
-            return run_pooling(gem_spec(fm.p, 1.0), fm)
+            return run_pooling(gem_spec(1.0), fm)
         if method == "max":
-            return run_pooling(max_spec(fm.p), fm)
+            return run_pooling(max_spec(), fm)
         if method == "gem":
-            return run_pooling(gem_spec(fm.p, gamma), fm)
+            return run_pooling(gem_spec(gamma), fm)
         if method == "lse":
-            return run_pooling(lse_spec(fm.p, cfg.r), fm)
+            return run_pooling(lse_spec(cfg.r), fm)
         return run_pooling(how_spec(fm, HowConfig(**supplied)), fm)
     if method == "sinkhorn-otk":
         from .cluster_poolers import otk_pool

@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractError, ConvergenceError, ShapeError
-from .framework import (AttentionMatrix, AttnRule, FeatureMap, InitRule, MapRule, PooledSet,
+from .framework import (AttentionMatrix, FeatureMap, InitRule, MapRule, PooledSet,
                         PoolingSpec, UpdateRule, run_pooling)
 from .matcore import Mat, as_matrix, logsumexp, sq_distances
 from .nncells import GruWeights, MlpWeights, draw, gru_decl, mlp_decl
@@ -47,6 +47,7 @@ class SinkhornParams:
 LEVEL_TOL = 0.25    # error of every marginal, over its share, at which a coarser level hands over
 LEVEL_RATIO = 8.0   # epsilon of one level over the next's
 STEP_CAP = 4.0      # largest potential change in a Newton step's first trial, in units of epsilon
+RESWEEP = 64.0      # potential change, in epsilon, past which a Newton step is followed by a sweep
 ARMIJO = 1e-4       # fraction of the predicted ascent a Newton step must achieve
 SCHUR_SHIFT = 1e-12  # relative shift of the Schur complement's diagonal
 BACKTRACKS = 10     # trials of a Newton step beyond its first, halving or doubling it
@@ -83,12 +84,13 @@ def _schur(plan_t: Mat, marg: np.ndarray) -> Optional[tuple[Mat, Mat]]:
 
 
 def _newton_step(plan_t: Mat, marg: np.ndarray, grad: np.ndarray,
-                 eps: float) -> Optional[tuple[np.ndarray, Mat]]:
+                 eps: float) -> Optional[tuple[np.ndarray, Mat, bool]]:
     """A damped Newton ascent step on the dual at the plan P, held
     transposed as ``plan_t`` (k x p).  ``marg`` stacks P's p row sums and k
     column sums, and ``grad`` = (1/p, 1/k) - ``marg`` is the dual gradient
-    in the same order.  Returns the change of g and the transposed plan
-    after the step, or None when the Schur system is singular, the
+    in the same order.  Returns the change of g, the transposed plan after
+    the step and whether the step changed a potential by more than
+    ``RESWEEP`` epsilon, or None when the Schur system is singular, the
     direction does not ascend, or no trial step ascends enough.
 
     The dual is <f, 1/p> + <g, 1/k> - eps * sum(P); its Hessian is
@@ -139,7 +141,8 @@ def _newton_step(plan_t: Mat, marg: np.ndarray, grad: np.ndarray,
 
     # Near-block-diagonal plans put a huge step on the blocks' relative
     # potential; uncapped, every backtracked plan overflows.
-    t = min(1.0, STEP_CAP * eps / np.abs(step).max())
+    top = np.abs(step).max()
+    t = min(1.0, STEP_CAP * eps / top)
     extend = t < 1.0
     for left in range(BACKTRACKS, -1, -1):
         gain, x = trial(t)
@@ -158,7 +161,7 @@ def _newton_step(plan_t: Mat, marg: np.ndarray, grad: np.ndarray,
         t, gain, x = longer, more, x_more
     np.exp(x, out=x)
     x *= plan_t
-    return t * dg, x
+    return t * dg, x, t * top > RESWEEP * eps
 
 
 def _tangent(plan_t: Mat, marg: np.ndarray, cost_t: Mat, g: np.ndarray,
@@ -229,14 +232,18 @@ def sinkhorn(cost: Mat, params: SinkhornParams) -> Mat:
 
     The plan is carried from step to step: a sweep returns the plan its
     log-sum-exp has formed, and a Newton step the plan times exp of the
-    step its last trial has formed, so P is never formed again from f and
-    g.  Each level opens with a sweep, so each starts from a plan formed
-    from the potentials.  The plan is held transposed, k x p, so that its
-    reductions and broadcasts run along the long axis, and its row and
-    column sums are held in one vector, so that the marginal residual is
-    one reduction.  Every sweep and every Newton step counts against
-    ``max_iter``; a solve that has not reached ``tol`` by then raises
-    ``ConvergenceError``.
+    step its last trial has formed, so only a sweep forms P from the
+    potentials.  Each level opens with a sweep.  A carried entry that has
+    underflowed to 0 stays 0; where only such entries join two blocks of
+    the plan, a step along the blocks' relative potential changes neither
+    the plan nor the residual.  So a Newton step that changes a potential
+    by more than ``RESWEEP`` = 64 epsilon is followed by a sweep, which
+    forms the plan from g and recovers those entries.  The plan is held
+    transposed, k x p, so that its reductions and broadcasts run along the
+    long axis, and its row and column sums are held in one vector, so that
+    the marginal residual is one reduction.  Every sweep and every Newton
+    step counts against ``max_iter``; a solve that has not reached ``tol``
+    by then raises ``ConvergenceError``.
     """
     cost = as_matrix(cost, "sinkhorn cost")
     # a uniform shift leaves the plan as it is and keeps the potentials, and
@@ -254,18 +261,19 @@ def sinkhorn(cost: Mat, params: SinkhornParams) -> Mat:
         while True:
             final = eps == params.epsilon
             scale, target = (1.0, params.tol) if final else (per_share, LEVEL_TOL)
-            first = True  # each level opens with a sweep
+            first = sweep = True  # each level opens with a sweep
             while first or not residual <= target:  # NaN runs into max_iter
                 if steps == params.max_iter:
                     raise ConvergenceError(
                         f"sinkhorn: residual {residual:.3e} after {steps} iterations "
                         f"(tol {target:g}{'' if final else ' of the share, at a coarser level'})")
                 steps += 1
-                step = None if first else _newton_step(plan_t, marg, grad, eps)
+                step = None if sweep else _newton_step(plan_t, marg, grad, eps)
                 if step is None:
                     g, plan_t = _sweep(cost_t, g, eps)
+                    sweep = False
                 else:
-                    g, plan_t = g + step[0], step[1]
+                    g, plan_t, sweep = g + step[0], step[1], step[2]
                 first = False
                 plan_t.sum(axis=0, out=marg[:p])
                 plan_t.sum(axis=1, out=marg[p:])
@@ -358,7 +366,7 @@ def kmeans_spec(k: int, iters: int, init: InitRule) -> PoolingSpec:
     its nearest centroid (ties to the lowest index), then the mean of each
     cluster; an empty cluster keeps its previous centroid."""
     return PoolingSpec(k=k, iters=iters, init=init, similarity="neg_sq_euclid",
-                       attention=AttnRule(kind="hard_argmax"))
+                       attention="hard_argmax")
 
 
 def kmeans_pool(fm: FeatureMap, k: int, iters: int, seed: int = 0) -> PooledSet:
@@ -407,13 +415,12 @@ def slot_spec(k: int, iters: int, weights: SlotWeights, seed: int = 0,
         return MapRule(kind="linear_ln", weight=w)
 
     if simplified:
-        attention = AttnRule(kind="col_softmax", scale=np.sqrt(weights.w_k.shape[1]))
-        update = UpdateRule()
+        attention, update = "col_softmax", UpdateRule()
     else:
         if weights.gru is None or weights.mlp is None:
             raise ContractError("slot_spec: full mode needs GRU and MLP weights; "
                                 "these were drawn for simplified mode")
-        attention = AttnRule(kind="row_then_col_norm", scale=np.sqrt(weights.w_k.shape[0]))
+        attention = "row_then_col_norm"
         update = UpdateRule(kind="gru_mlp", gru=weights.gru, mlp=weights.mlp)
     return PoolingSpec(
         k=k, iters=iters,

@@ -6,8 +6,12 @@ from the features, turns their pairwise similarities into attention,
 and pools the value matrix through a generalized mean of exponent
 gamma.  Concrete methods are just parameter choices: the ``*_spec``
 functions in the *_poolers modules and ``simpool``.  gap, max, gem, lse,
-how, SE, k-means, slot attention and SimPool run only as specs;
-transport, CBAM and ViT are still direct functions.
+how, SE, k-means, slot attention and SimPool run only as specs.  Three
+methods are still direct functions, each with its own check: transport
+(``sinkhorn`` under ``otk_pool``) by acceptance criterion 3's marginal
+residuals, CBAM by criterion 9's NumPy reference formula, beside the simple
+poolers and SE, and ViT/CaiT (``vit_cls_pool``) by criterion 5's per-head
+attention and by its materialized keys and values in the ViT tests.
 """
 
 from __future__ import annotations
@@ -113,6 +117,10 @@ class PooledSet:
 
 # --- configuration enumerations -------------------------------------------
 
+# how similarities become attention; the last two read none
+ATTENTIONS = ("col_softmax", "row_then_col_norm", "hard_argmax", "uniform", "feature_sqnorm")
+
+
 @dataclass(eq=False)
 class MapRule:
     """Column-wise mapping: a weight-free input (``kind``, see ``_map_input``),
@@ -128,23 +136,6 @@ class MapRule:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ContractError(f"MapRule: unknown kind {self.kind!r}")
-
-
-@dataclass(eq=False)
-class AttnRule:
-    """How similarities become attention."""
-
-    kind: str = "col_softmax"
-    scale: float = 1.0
-    vector: Optional[np.ndarray] = None
-
-    KINDS = ("col_softmax", "hard_argmax", "row_then_col_norm", "constant", "feature_sqnorm")
-
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ContractError(f"AttnRule: unknown kind {self.kind!r}")
-        if self.kind == "constant" and self.vector is None:
-            raise ContractError("AttnRule[constant]: vector required")
 
 
 @dataclass
@@ -211,7 +202,7 @@ class PoolingSpec:
     key_map: MapRule = field(default_factory=MapRule)
     value_map: MapRule = field(default_factory=MapRule)
     similarity: str = "dot"  # dot | neg_sq_euclid
-    attention: AttnRule = field(default_factory=AttnRule)
+    attention: str = "col_softmax"  # one of ATTENTIONS
     pool: PoolRule = field(default_factory=PoolRule)
     pool_update: UpdateRule = field(default_factory=UpdateRule)
 
@@ -222,6 +213,8 @@ class PoolingSpec:
             raise ContractError(f"PoolingSpec: iters must be >= 1, got {self.iters}")
         if self.similarity not in ("dot", "neg_sq_euclid"):
             raise ContractError(f"PoolingSpec: unknown similarity {self.similarity!r}")
+        if self.attention not in ATTENTIONS:
+            raise ContractError(f"PoolingSpec: unknown attention {self.attention!r}")
         for rule in (self.query_map, self.key_map):
             if rule.kind in MapRule.VALUE_ONLY:
                 raise ContractError(f"PoolingSpec: {rule.kind} is a value map only")
@@ -309,22 +302,19 @@ def _avg3(a: Mat, width: int, height: int) -> Mat:
     return conv2d_same(grids, kernel).reshape(a.T.shape).T
 
 
-def _attention(rule: AttnRule, s: Optional[Mat], x: Mat, k: int, t: int, shared: dict):
-    """Return (A, stochastic_cols, empty_col_mask)."""
+def _attention(kind: str, s: Optional[Mat], q: Optional[Mat], x: Mat, k: int, shared: dict):
+    """Return (A, stochastic_cols, empty_col_mask).  Both softmax kinds divide
+    the scores by sqrt of the dimension of the query q they are taken in."""
     p = x.shape[1]
-    if rule.kind == "constant":
-        a = np.tile(np.asarray(rule.vector, dtype=np.float64)[:, None], (1, k))
-        if a.shape[0] != p:
-            raise ShapeError(f"attention at iteration {t}: constant vector length "
-                             f"{a.shape[0]} != p={p}")
-        return a, False, None
-    if rule.kind == "feature_sqnorm":  # of X 2^-e; einsum, as a 2nd d x p array costs page faults
+    if kind == "uniform":
+        return np.full((p, k), 1.0 / p), False, None
+    if kind == "feature_sqnorm":  # of X 2^-e; einsum, as a 2nd d x p array costs page faults
         xs = _once(shared, pow2_scaled, x)
         return np.tile(np.einsum("ij,ij->j", xs, xs)[:, None], (1, k)), False, None
-    if rule.kind == "col_softmax":
-        return col_softmax(s, rule.scale), True, None
-    if rule.kind == "row_then_col_norm":
-        return eta_norm(col_softmax(s, rule.scale)), False, None
+    if kind == "col_softmax":
+        return col_softmax(s, np.sqrt(q.shape[0])), True, None
+    if kind == "row_then_col_norm":
+        return eta_norm(col_softmax(s, np.sqrt(q.shape[0]))), False, None
     # hard_argmax: one-hot row-wise argmax (ties to the lowest index), then
     # column normalization; empty columns are reported to the caller.
     idx = np.argmax(s, axis=1)
@@ -394,20 +384,20 @@ def run_pooling(spec: PoolingSpec, fm: FeatureMap, tape: Optional[dict] = None) 
     (LayerNorm's divisor, or None) and the last iteration's ``query_input``, ``q`` and ``wkt_q``.
     """
     x = fm.x
-    needs_sim = spec.attention.kind not in ("constant", "feature_sqnorm")
+    needs_sim = spec.attention not in ("uniform", "feature_sqnorm")
     u = _init_u(spec.init, fm, spec.k) if needs_sim or spec.pool_update.kind == "gru_mlp" else None
     shared = {}
     x_key = _map_input(spec.key_map, x, shared) if needs_sim else None
     x_val = _map_input(spec.value_map, x, shared)
 
     for t in range(spec.iters):
-        s = None
+        s = q = None
         if needs_sim:
             u_in = _map_input(spec.query_map, u, {})
             q = _weigh(spec.query_map, u_in, f"query at iteration {t}")
             wkt_q = _weigh(spec.key_map, q, "key", transpose=True)
             s = pairwise_similarity(x_key, wkt_q, spec.similarity)
-        a, stochastic, empty = _attention(spec.attention, s, x, spec.k, t, shared)
+        a, stochastic, empty = _attention(spec.attention, s, q, x, spec.k, shared)
         smoothed = _avg3(a, fm.width, fm.height) if spec.value_map.kind == "local_avg_fc" else a
         z = _weigh(spec.value_map, _pool(spec.pool, x_val, smoothed, t), "value")
         if empty is not None and np.any(empty):

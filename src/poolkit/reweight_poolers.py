@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .framework import AttentionMatrix, AttnRule, FeatureMap, PooledSet, PoolingSpec, UpdateRule, run_pooling
+from .framework import AttentionMatrix, FeatureMap, PooledSet, PoolingSpec, UpdateRule, run_pooling
 from .matcore import Mat, conv2d_same, sigmoid
 from .nncells import MlpWeights, draw, mlp2, mlp_decl
 
@@ -35,17 +35,14 @@ class SeWeights(MlpWeights):
         return cls(*draw(seed, *se_decl(d)))
 
 
-def se_spec(p: int, w: SeWeights) -> PoolingSpec:
+def se_spec(w: SeWeights) -> PoolingSpec:
     """gap(X) by uniform attention and the mean pool, then z = sigmoid(mlp(u0)) * u0."""
-    return PoolingSpec(
-        attention=AttnRule(kind="constant", vector=np.full(p, 1.0 / p)),
-        pool_update=UpdateRule(kind="channel_gate", mlp=w),
-    )
+    return PoolingSpec(attention="uniform", pool_update=UpdateRule(kind="channel_gate", mlp=w))
 
 
 def se_pool(fm: FeatureMap, w: SeWeights) -> PooledSet:
     """Channel gating from the global average, then average pooling."""
-    return run_pooling(se_spec(fm.p, w), fm)
+    return run_pooling(se_spec(w), fm)
 
 
 @dataclass(eq=False)

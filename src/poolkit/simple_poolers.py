@@ -14,28 +14,28 @@ from typing import Optional
 import numpy as np
 
 from .errors import ShapeError
-from .framework import AttnRule, FeatureMap, MapRule, PoolingSpec, PoolRule, UpdateRule, run_pooling
+from .framework import FeatureMap, MapRule, PoolingSpec, PoolRule, UpdateRule, run_pooling
 from .matcore import Mat
 
 
 def gap(fm: FeatureMap) -> np.ndarray:
     """Global average pooling: the mean feature vector, ``gem`` at gamma = 1."""
-    return run_pooling(gem_spec(fm.p, 1.0), fm).u[:, 0]
+    return run_pooling(gem_spec(1.0), fm).u[:, 0]
 
 
 def max_pool(fm: FeatureMap) -> np.ndarray:
     """Row-wise maximum over spatial locations (assumes nonnegative features)."""
-    return run_pooling(max_spec(fm.p), fm).u[:, 0]
+    return run_pooling(max_spec(), fm).u[:, 0]
 
 
 def gem(fm: FeatureMap, gamma: float) -> np.ndarray:
     """Generalized-mean pooling: the gamma-power mean of each channel."""
-    return run_pooling(gem_spec(fm.p, gamma), fm).u[:, 0]
+    return run_pooling(gem_spec(gamma), fm).u[:, 0]
 
 
 def lse(fm: FeatureMap, r: float) -> np.ndarray:
     """Log-sum-exp pooling with scale r."""
-    return run_pooling(lse_spec(fm.p, r), fm).u[:, 0]
+    return run_pooling(lse_spec(r), fm).u[:, 0]
 
 
 @dataclass(eq=False)
@@ -70,25 +70,17 @@ def how(fm: FeatureMap, cfg: Optional[HowConfig] = None) -> np.ndarray:
 
 # --- framework instantiations ---------------------------------------------
 
-def max_spec(p: int) -> PoolingSpec:
-    return PoolingSpec(
-        attention=AttnRule(kind="constant", vector=np.ones(p)),
-        pool=PoolRule(kind="max"),
-    )
+def max_spec() -> PoolingSpec:
+    """The max pool reads only the attention's support, all of X."""
+    return PoolingSpec(attention="uniform", pool=PoolRule(kind="max"))
 
 
-def gem_spec(p: int, gamma: float) -> PoolingSpec:
-    return PoolingSpec(
-        attention=AttnRule(kind="constant", vector=np.full(p, 1.0 / p)),
-        pool=PoolRule(kind="f_alpha", gamma=gamma),
-    )
+def gem_spec(gamma: float) -> PoolingSpec:
+    return PoolingSpec(attention="uniform", pool=PoolRule(kind="f_alpha", gamma=gamma))
 
 
-def lse_spec(p: int, r: float) -> PoolingSpec:
-    return PoolingSpec(
-        attention=AttnRule(kind="constant", vector=np.full(p, 1.0 / p)),
-        pool=PoolRule(kind="lse", r=r),
-    )
+def lse_spec(r: float) -> PoolingSpec:
+    return PoolingSpec(attention="uniform", pool=PoolRule(kind="lse", r=r))
 
 
 def how_spec(fm: FeatureMap, cfg: Optional[HowConfig] = None) -> PoolingSpec:
@@ -98,7 +90,7 @@ def how_spec(fm: FeatureMap, cfg: Optional[HowConfig] = None) -> PoolingSpec:
     smooths the one attention column, not the d channels, and P meets one vector."""
     cfg = (cfg or HowConfig()).fitted(fm.d)
     return PoolingSpec(
-        attention=AttnRule(kind="feature_sqnorm"),
+        attention="feature_sqnorm",
         value_map=MapRule(kind="local_avg_fc", weight=cfg.projection, centering=cfg.centering),
         pool_update=UpdateRule(kind="l2norm"),
     )

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import gradcheck  # binds the lazily registered module; a pool request never executes it
 from .errors import ContractError, ShapeError
-from .framework import AttnRule, FeatureMap, InitRule, MapRule, PoolingSpec, PoolRule, run_pooling
+from .framework import FeatureMap, InitRule, MapRule, PoolingSpec, PoolRule, run_pooling
 from .matcore import Mat
 from .meanfam import CLAMP_FLOOR
 from .nncells import draw
@@ -58,7 +58,7 @@ def simpool_spec(fm: FeatureMap, params: SimPoolParams) -> PoolingSpec:
         query_map=MapRule(weight=params.w_q),
         key_map=MapRule(kind="linear_ln", weight=params.w_k),
         value_map=MapRule(kind="ln_shifted"),
-        attention=AttnRule(kind="col_softmax", scale=np.sqrt(fm.d)),
+        attention="col_softmax",
         pool=PoolRule(gamma=params.gamma),
     )
 

@@ -194,7 +194,7 @@ def test_criterion_09_engine_equals_direct():
         for _ in range(100):
             fm = FeatureMap(rng.uniform(0.1, 3.0, size=(4, 12)), width=4, height=3)
             refs = reference_pools(fm)
-            assert sorted(refs) == ["gap", "gem", "how", "lse", "max", "se"]
+            assert sorted(refs) == ["cbam", "gap", "gem", "how", "lse", "max", "se"]
             for pooler, reference, _ in refs.values():
                 assert np.max(np.abs(pooler(fm) - reference)) <= 1e-12
 

@@ -284,6 +284,28 @@ class TestSinkhorn:
             assert np.max(np.abs(plan.sum(axis=1) - 1.0 / p)) <= params.tol
             assert np.max(np.abs(plan.sum(axis=0) - 1.0 / k)) <= params.tol
 
+    def test_recovers_entries_lost_to_underflow(self):
+        # draw 149 of the wide-range family drawn from default_rng(0), a 3 x 7
+        # exponential cost of scale 0.077, at range / epsilon 10^3.56 and
+        # 10^3.39: the plan splits into blocks joined only by entries that have
+        # underflowed to 0.  Newton steps moved the blocks' relative potential
+        # by hundreds of epsilon while the carried plan kept those zeros, and
+        # the solve stalled until the step budget ran out; the sweep that
+        # follows such a step forms the plan again from g
+        rng = np.random.default_rng(0)
+        for i in range(150):
+            p, k = rng.integers(1, 40), rng.integers(1, 33)
+            scale = 10.0 ** rng.uniform(-3.0, 14.0)
+            cost = (rng.exponential(scale, (p, k)) if i % 3 == 2
+                    else rng.uniform(0.0, scale, (p, k)))
+            epsilons = (10.0 ** rng.uniform(-3.0, 1.0) * scale / 10, 1e-3 * scale, 1.0)
+        assert cost.shape == (3, 7)
+        for eps in epsilons[:2]:
+            params = SinkhornParams(epsilon=eps)
+            plan = sinkhorn(cost, params)
+            assert np.max(np.abs(plan.sum(axis=1) - 1.0 / 3)) <= params.tol
+            assert np.max(np.abs(plan.sum(axis=0) - 1.0 / 7)) <= params.tol
+
 
 def _relative_g(plan, cost, eps):
     """The column potentials less the last, g_j - g_k, recovered from a
@@ -632,6 +654,24 @@ class TestSlotPool:
         out = slot_pool(fm, k=3, iters=2, weights=w, seed=1, simplified=True)
         assert out.attention.stochastic_cols
         np.testing.assert_allclose(out.attention.a.sum(axis=0), 1.0, atol=1e-9)
+
+    @pytest.mark.parametrize("simplified", [True, False], ids=["simplified", "full"])
+    def test_temperature_is_the_query_dimension(self, simplified):
+        # W_Q and W_K map d = 6 channels to d_q = 4: the scores are taken in
+        # d_q dimensions, so both modes divide them by sqrt(d_q), the D of
+        # Locatello et al. (2020); W_V, the GRU and the MLP stay d wide
+        d, d_q, p, k = 6, 4, 10, 3
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=(d, p))
+        w = replace(SlotWeights.seeded(d, seed=2), w_q=rng.normal(size=(d_q, d)) / 2,
+                    w_k=rng.normal(size=(d_q, d)) / 2)
+        u = w.mu[:, None] + w.sigma[:, None] * np.random.default_rng(0).standard_normal((d, k))
+        keys = w.w_k @ layernorm_cols(x)  # the d_q x p form
+        a_ref = col_softmax(keys.T @ (w.w_q @ layernorm_cols(u)), np.sqrt(d_q))
+        if not simplified:
+            a_ref = eta_norm(a_ref)
+        a = slot_pool(_fm(x), k, 1, w, seed=0, simplified=simplified).attention.a
+        np.testing.assert_allclose(a, a_ref, rtol=0, atol=1e-13)
 
     @settings(max_examples=150, deadline=None)
     @given(x=feature_matrices(), scale=SCALES, columns=COLUMN_EDGES, k_draw=st.integers(1, 9),

@@ -7,8 +7,8 @@ from poolkit import framework
 from poolkit.cluster_poolers import SlotWeights, kmeans_pool, slot_pool
 from poolkit.errors import ContractError, DegenerateMassError, NumericError, ShapeError
 from poolkit.framework import (
+    ATTENTIONS,
     AttentionMatrix,
-    AttnRule,
     FeatureMap,
     InitRule,
     MapRule,
@@ -75,7 +75,7 @@ class TestPairwiseSimilarity:
 class TestRunPooling:
     def test_gap_instantiation(self):
         spec = PoolingSpec(
-            attention=AttnRule(kind="constant", vector=np.full(2, 0.5)),
+            attention="uniform",
             pool=PoolRule(kind="f_alpha", gamma=1.0),
         )
         out = run_pooling(spec, _fm([[1.0, 3.0], [5.0, 7.0]]))
@@ -83,7 +83,7 @@ class TestRunPooling:
 
     def test_gem_instantiation(self):
         spec = PoolingSpec(
-            attention=AttnRule(kind="constant", vector=np.full(2, 0.5)),
+            attention="uniform",
             pool=PoolRule(kind="f_alpha", gamma=2.0),
         )
         out = run_pooling(spec, _fm([[1.0, 4.0]]))
@@ -96,7 +96,7 @@ class TestRunPooling:
             iters=1,
             init=InitRule(kind="matrix", matrix=x),
             similarity="neg_sq_euclid",
-            attention=AttnRule(kind="hard_argmax"),
+            attention="hard_argmax",
             pool=PoolRule(kind="f_alpha", gamma=1.0),
         )
         out = run_pooling(spec, _fm(x))
@@ -106,7 +106,7 @@ class TestRunPooling:
         rng = np.random.default_rng(9)
         fm = _fm(rng.normal(size=(3, 6)))
         spec = PoolingSpec(init=InitRule(kind="matrix", matrix=fm.x.mean(axis=1, keepdims=True)),
-                           attention=AttnRule(kind="col_softmax", scale=np.sqrt(3.0)))
+                           attention="col_softmax")
         out = run_pooling(spec, fm)
         assert out.attention.stochastic_cols
         np.testing.assert_allclose(out.attention.a.sum(axis=0), 1.0, atol=1e-9)
@@ -119,14 +119,14 @@ class TestRunPooling:
             iters=3,
             init=InitRule(kind="sample_columns", seed=5),
             similarity="neg_sq_euclid",
-            attention=AttnRule(kind="hard_argmax"),
+            attention="hard_argmax",
         )
         u1 = run_pooling(spec, fm).u
         u2 = run_pooling(spec, fm).u
         np.testing.assert_array_equal(u1, u2)
 
     @pytest.mark.parametrize("spec", [PoolingSpec(), PoolingSpec(
-        attention=AttnRule(kind="constant", vector=np.full(2, 0.5)),
+        attention="uniform",
         pool_update=UpdateRule(kind="gru_mlp"))], ids=["similarity", "gru_mlp"])
     def test_read_init_is_required(self, spec):
         with pytest.raises(ContractError, match="spec has no init"):
@@ -144,13 +144,8 @@ class TestRunPooling:
             return real(v, a, gamma)
 
         monkeypatch.setattr(framework, "weighted_generalized_mean", spy)
-        run_pooling(gem_spec(2, 0.1), _fm([[1.0, 4.0]]))
+        run_pooling(gem_spec(0.1), _fm([[1.0, 4.0]]))
         assert seen == [0.1]
-
-    def test_constant_vector_length_checked(self):
-        spec = PoolingSpec(attention=AttnRule(kind="constant", vector=np.full(3, 1 / 3)))
-        with pytest.raises(ShapeError, match="iteration 0"):
-            run_pooling(spec, _fm([[1.0, 2.0]]))
 
     def test_bad_spec_rejected(self):
         with pytest.raises(ContractError):
@@ -236,15 +231,14 @@ class TestNarrowSideContract:
         ("linear_ln", PoolRule(kind="lse", r=1.0), layernorm_cols)], ids=["ln_shifted", "linear_ln"])
     def test_unweighted_value_map_takes_any_pool(self, kind, pool, wide_input):
         PoolingSpec(value_map=MapRule(kind=kind), pool=PoolRule(gamma=2.0))
-        spec = PoolingSpec(attention=AttnRule(kind="constant", vector=self.A[:, 0]),
-                           value_map=MapRule(kind=kind), pool=pool)
-        want = framework._pool(pool, wide_input(self.X), self.A, 0)
+        spec = PoolingSpec(attention="uniform", value_map=MapRule(kind=kind), pool=pool)
+        want = framework._pool(pool, wide_input(self.X), np.full((6, 1), 1 / 6), 0)
         np.testing.assert_allclose(run_pooling(spec, _fm(self.X)).u, want, rtol=1e-14)
 
     def test_every_shipped_spec_constructs(self):
         """Each shipped spec runs, and together they use every kind that each
-        rule accepts and both similarities, so no engine branch is kept for
-        tests alone.  An init counts only where run_pooling reads it: under a
+        rule accepts, every attention kind and both similarities, so no engine
+        branch is kept for tests alone.  An init counts only where run_pooling reads it: under a
         similarity attention or the gru_mlp update."""
         from poolkit.cluster_poolers import SlotWeights, kmeans_spec, slot_spec
         from poolkit.reweight_poolers import se_spec
@@ -254,30 +248,31 @@ class TestNarrowSideContract:
         fm = _fm(np.arange(1.0, 13.0).reshape(3, 4), width=2, height=2)
         weights = SlotWeights.seeded(3, seed=0)
         gate = SeWeights(w1=np.ones((1, 3)), w2=np.ones((3, 1)))
-        specs = [gem_spec(4, 1.0), max_spec(4), gem_spec(4, 3.0), lse_spec(4, 2.0), how_spec(fm),
-                 se_spec(4, gate), kmeans_spec(2, 2, InitRule(kind="sample_columns")),
+        specs = [gem_spec(1.0), max_spec(), gem_spec(3.0), lse_spec(2.0), how_spec(fm),
+                 se_spec(gate), kmeans_spec(2, 2, InitRule(kind="sample_columns")),
                  simpool_spec(fm, SimPoolParams.seeded(3, seed=0))]
         specs += [slot_spec(2, 2, weights, simplified=simplified) for simplified in (False, True)]
         for spec in specs:
             assert run_pooling(spec, fm).u.shape[1] == spec.k
-        rules = (InitRule, MapRule, AttnRule, PoolRule, UpdateRule)
+        rules = (InitRule, MapRule, PoolRule, UpdateRule)
         accepted = {(rule.__name__, kind) for rule in rules for kind in rule.KINDS}
 
         def read_init(spec):
-            reads = (spec.attention.kind not in ("constant", "feature_sqnorm")
+            reads = (spec.attention not in ("uniform", "feature_sqnorm")
                      or spec.pool_update.kind == "gru_mlp")
             return (spec.init,) if reads else ()
 
         used = {(type(rule).__name__, rule.kind) for spec in specs
                 for rule in (*read_init(spec), spec.query_map, spec.key_map, spec.value_map,
-                             spec.attention, spec.pool, spec.pool_update)}
+                             spec.pool, spec.pool_update)}
         assert accepted - used == set()
+        assert {spec.attention for spec in specs} == set(ATTENTIONS)
         assert {spec.similarity for spec in specs} == {"dot", "neg_sq_euclid"}
 
 
 class TestInitOnlyWhenRead:
     """U^0 is formed only where a rule reads it: the query of a similarity,
-    or the GRU state.  The constant and norm attentions never read it."""
+    or the GRU state.  The uniform and norm attentions never read it."""
 
     FM = FeatureMap(np.arange(1.0, 25.0).reshape(4, 6), width=3, height=2)
 
@@ -319,9 +314,10 @@ def _assert_simple_poolers_match_references(x, width):
 @settings(max_examples=150, deadline=None)
 @given(x=feature_matrices(), scale=SCALES, columns=COLUMN_EDGES, data=st.data())
 def test_simple_poolers_match_references_on_numeric_edges(x, scale, columns, data):
-    """gap, max, gem, lse, how and se, each a spec run by the engine, match their
-    NumPy reference formulas on any grid, on the features and on their
-    absolute values (gem's domain), up to the rounding of their majorants."""
+    """gap, max, gem, lse, how and se, each a spec run by the engine, and the
+    direct cbam match their NumPy reference formulas on any grid, on the
+    features and on their absolute values (gem's domain), up to the rounding
+    of their majorants."""
     x = scale * shape_columns(x, columns)
     p = x.shape[1]
     _assert_simple_poolers_match_references(

@@ -26,7 +26,7 @@ SUBMODULES = ["attnmap", "cluster_poolers", "errors", "framework", "gradcheck", 
               "meanfam", "nncells", "reweight_poolers", "simple_poolers", "simpool",
               "tensor_io", "transformer_poolers"]
 PUBLIC = [
-    "AttentionMatrix", "AttnGrid", "AttnRule", "BBox", "CbamWeights", "FeatureMap", "GradReport",
+    "AttentionMatrix", "AttnGrid", "BBox", "CbamWeights", "FeatureMap", "GradReport",
     "HowConfig", "InitRule", "MapRule", "NystromMap", "PoolRule", "PooledSet", "PoolingSpec",
     "RunConfig", "SeWeights", "SimPoolParams", "SinkhornParams", "SlotWeights",
     "UpdateRule", "VitWeights", "cbam_pool", "central_diff", "gap", "gem", "how",
@@ -111,7 +111,7 @@ def test_records_are_plain_dataclasses_whose_replace_revalidates():
     records = [obj for name in SUBMODULES for obj in vars(getattr(poolkit, name)).values()
                if isinstance(obj, type) and obj.__module__ == f"poolkit.{name}"
                and dataclasses.is_dataclass(obj)]
-    assert len(records) == 25  # SeWeights by inheritance from MlpWeights
+    assert len(records) == 24  # SeWeights by inheritance from MlpWeights
     assert not [cls for cls in records if cls.__dataclass_params__.frozen]
     rng = np.random.default_rng(0)
     fm = FeatureMap.from_array(rng.random((4, 6)))

@@ -9,22 +9,11 @@ from poolkit.reweight_poolers import CbamWeights, SeWeights, cbam_pool, se_pool
 from poolkit.simple_poolers import gap
 
 from numeric_edges import COLUMN_EDGES, SCALES, assert_within_rounding, feature_matrices, shape_columns
+from test_simple_poolers import _gate_reference, cbam_reference
 
 
 def _fm(x, **kw):
     return FeatureMap.from_array(np.asarray(x, dtype=float), **kw)
-
-
-def _sigmoid(t):
-    return 0.5 * (1.0 + np.tanh(0.5 * t))  # = 1 / (1 + exp(-t)), without overflow
-
-
-def _gate_reference(w, u):
-    """sigmoid(w2 relu(w1 u)), averaged over the columns of u, and the
-    majorant of its logits (at least 1)."""
-    logits = w.w2 @ np.maximum(w.w1 @ u, 0.0)
-    kappa = max(1.0, np.max(np.abs(w.w2) @ (np.abs(w.w1) @ np.abs(u))))
-    return _sigmoid(logits.mean(axis=1)), kappa
 
 
 @st.composite
@@ -130,21 +119,10 @@ class TestCbamPool:
     @settings(max_examples=100, deadline=None)
     @given(case=_gated_cases())
     def test_matches_reference(self, case):
-        """V = q * X with q the gate of X's per-channel [avg, max]; the spatial
-        attention a = sigmoid(K (*) [avg, max] of V's columns), K's 7x7
-        cross-correlation zero-padded to the grid; z = V a / p."""
+        """cbam_pool and its attention match ``cbam_reference``."""
         fm, seed = case
         w = CbamWeights.seeded(fm.d, seed=seed)
-        x = fm.x
-        q, kappa_q = _gate_reference(w.channel_mlp, np.stack([x.mean(axis=1), x.max(axis=1)], 1))
-        v = q[:, None] * x
-        maps = np.stack([v.mean(axis=0), v.max(axis=0)]).reshape(2, fm.height, fm.width)
-        padded = np.pad(maps, ((0, 0), (3, 3), (3, 3)))
-        logits = np.array([[np.sum(w.conv7 * padded[:, i:i + 7, j:j + 7])
-                            for j in range(fm.width)] for i in range(fm.height)])
-        a = _sigmoid(logits.reshape(-1))
+        z, a, kappa = cbam_reference(fm, w)
         out = cbam_pool(fm, w)
-        # the maps carry the gate's error, |maps| <= max|X|, into the logits
-        kappa = kappa_q * max(1.0, np.sum(np.abs(w.conv7)) * np.max(np.abs(x)))
-        assert_within_rounding(out.u[:, 0], v @ a / fm.p, np.abs(x), kappa)
+        assert_within_rounding(out.u[:, 0], z, np.abs(fm.x), kappa)
         assert_within_rounding(out.attention.a[:, 0], a, np.ones(1), kappa)

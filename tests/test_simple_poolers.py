@@ -9,7 +9,7 @@ from poolkit.errors import DegenerateMassError, ShapeError
 from poolkit.framework import FeatureMap
 from poolkit.meanfam import CLAMP_FLOOR, weighted_generalized_mean
 from poolkit.nncells import draw
-from poolkit.reweight_poolers import SeWeights, se_pool
+from poolkit.reweight_poolers import CbamWeights, SeWeights, cbam_pool, se_pool
 from poolkit.simple_poolers import HowConfig, gap, gem, how, how_spec, lse, max_pool
 
 from memory_peaks import traced_peak
@@ -207,18 +207,48 @@ def _norm(z):
     return 0.0 if top == 0 else top * np.linalg.norm(z / top)
 
 
+def _sigmoid(t):
+    return 0.5 * (1.0 + np.tanh(0.5 * t))  # = 1 / (1 + exp(-t)), without overflow
+
+
+def _gate_reference(w, u):
+    """sigmoid(w2 relu(w1 u)), averaged over the columns of u, and the
+    majorant of its logits (at least 1)."""
+    logits = w.w2 @ np.maximum(w.w1 @ u, 0.0)
+    kappa = max(1.0, np.max(np.abs(w.w2) @ (np.abs(w.w1) @ np.abs(u))))
+    return _sigmoid(logits.mean(axis=1)), kappa
+
+
+def cbam_reference(fm, w):
+    """CBAM's pooled vector and spatial attention, and the majorant of the
+    rounding of its logits: V = q * X with q the gate of X's per-channel
+    [avg, max]; the spatial attention a = sigmoid(K (*) [avg, max] of V's
+    columns), K's 7x7 cross-correlation zero-padded to the grid; z = V a / p."""
+    x = fm.x
+    q, kappa_q = _gate_reference(w.channel_mlp, np.stack([x.mean(axis=1), x.max(axis=1)], 1))
+    v = q[:, None] * x
+    maps = np.stack([v.mean(axis=0), v.max(axis=0)]).reshape(2, fm.height, fm.width)
+    padded = np.pad(maps, ((0, 0), (3, 3), (3, 3)))
+    logits = np.array([[np.sum(w.conv7 * padded[:, i:i + 7, j:j + 7])
+                        for j in range(fm.width)] for i in range(fm.height)])
+    a = _sigmoid(logits.reshape(-1))
+    # the maps carry the gate's error, |maps| <= max|X|, into the logits
+    return v @ a / fm.p, a, kappa_q * max(1.0, np.sum(np.abs(w.conv7)) * np.max(np.abs(x)))
+
+
 GEM_GAMMA, LSE_R = 3.0, 2.0
 
 
 def reference_pools(fm):
-    """The five simple poolers and SE beside NumPy reference formulas for
-    them: name -> (pooler, reference, majorant), the majorant bounding the
-    rounding of both forms.  gem is listed only for nonnegative features,
-    and its reference floors them at CLAMP_FLOOR as gem does.  how's
-    reference forms the d x p smoothed features in full; it is None where
-    they pool to the zero vector, which has no direction.  SE's gate is a
-    seeded d -> max(1, d/4) -> d MLP, and its majorant carries the gate
-    logits' majorant, since the gate's error is their rounding."""
+    """The five simple poolers, SE and CBAM beside NumPy reference formulas
+    for them: name -> (pooler, reference, majorant), the majorant bounding
+    the rounding of both forms.  gem is listed only for nonnegative
+    features, and its reference floors them at CLAMP_FLOOR as gem does.
+    how's reference forms the d x p smoothed features in full; it is None
+    where they pool to the zero vector, which has no direction.  SE's and
+    CBAM's gate is one seeded d -> max(1, d/4) -> d MLP, and their
+    majorants carry their logits' majorants, since a gate's error is their
+    rounding."""
     x, p = fm.x, fm.p
     c = LSE_R * x.max(axis=1, keepdims=True)
     xs = np.ldexp(x, -_exponent(x))
@@ -227,7 +257,10 @@ def reference_pools(fm):
     norm = _norm(z)
     top = np.abs(x).max(axis=1)
     hidden = max(1, fm.d // 4)
-    w = SeWeights(*draw(0, ((hidden, fm.d), fm.d), ((fm.d, hidden), hidden)))
+    w1, w2, conv7 = draw(0, ((hidden, fm.d), fm.d), ((fm.d, hidden), hidden), ((2, 7, 7), 49))
+    w = SeWeights(w1, w2)
+    cbam_w = CbamWeights(channel_mlp=w, conv7=conv7)
+    cbam_z, _, cbam_kappa = cbam_reference(fm, cbam_w)
     u0, abs_u0 = x.mean(axis=1), np.abs(x).mean(axis=1)
     gate = 0.5 * (1.0 + np.tanh(0.5 * (w.w2 @ np.maximum(w.w1 @ u0, 0.0))))
     logits_majorant = max(1.0, np.max(np.abs(w.w2) @ (np.abs(w.w1) @ abs_u0)))
@@ -240,6 +273,7 @@ def reference_pools(fm):
         "how": (how, None, None) if norm == 0 else
                (how, z / norm, _smoothed(np.abs(xs), fm.width, fm.height) @ a / norm),
         "se": (lambda fm: se_pool(fm, w).u[:, 0], gate * u0, abs_u0 * logits_majorant),
+        "cbam": (lambda fm: cbam_pool(fm, cbam_w).u[:, 0], cbam_z, np.abs(x) * cbam_kappa),
     }
     if x.min() >= 0:
         mean = (np.maximum(x, CLAMP_FLOOR) ** GEM_GAMMA).mean(axis=1) ** (1.0 / GEM_GAMMA)
