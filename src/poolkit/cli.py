@@ -78,7 +78,7 @@ def run_method(cfg: RunConfig, fm: FeatureMap) -> PooledSet:
         return cbam_pool(fm, CbamWeights.seeded(d, seed=cfg.seed))
     if method in ("vit", "cait"):  # with the patch stream fixed, CaiT's class attention is ViT's
         from .transformer_poolers import VitWeights, vit_cls_pool
-        weights = VitWeights.seeded(d, cfg.iters, seed=cfg.seed)
+        weights = VitWeights.packed(d, cfg.iters, seed=cfg.seed)  # each matrix is read once
         return vit_cls_pool(fm, weights, cfg.heads, cfg.iters)
     if method == "simpool":
         from .simpool import SimPoolParams, simpool_spec

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ContractError, ConvergenceError, ShapeError
 from .framework import (AttentionMatrix, FeatureMap, InitRule, MapRule, PooledSet,
                         PoolingSpec, UpdateRule, run_pooling)
-from .matcore import Mat, as_matrix, logsumexp, sq_distances
+from .matcore import Mat, as_matrix, logsumexp, pow2_exponent, sq_distances
 from .nncells import GruWeights, MlpWeights, draw, gru_decl, mlp_decl
 
 
@@ -371,8 +371,13 @@ def kmeans_spec(k: int, iters: int, init: InitRule) -> PoolingSpec:
 
 def kmeans_pool(fm: FeatureMap, k: int, iters: int, seed: int = 0) -> PooledSet:
     """Seeded k-means: init from k distinct data columns, run exactly
-    ``iters`` Lloyd steps, return centroids plus the final assignment."""
-    return run_pooling(kmeans_spec(k, iters, InitRule(kind="sample_columns", seed=seed)), fm)
+    ``iters`` Lloyd steps, return centroids plus the final assignment.  Past max|x| = 2^±500
+    they run on x 2^-e (``pow2_exponent``), exactly, and the centroids are scaled back by 2^e."""
+    spec, e = kmeans_spec(k, iters, InitRule(kind="sample_columns", seed=seed)), pow2_exponent(fm.x)
+    if abs(e) <= 500:
+        return run_pooling(spec, fm)
+    out = run_pooling(spec, FeatureMap(np.ldexp(fm.x, -e), fm.width, fm.height))
+    return PooledSet(np.ldexp(out.u, e), out.attention)
 
 
 # --- slot attention --------------------------------------------------------

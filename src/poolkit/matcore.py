@@ -116,22 +116,27 @@ def sq_distances(x: Mat, u: Mat) -> Mat:
 
 def col_var(x: Mat) -> np.ndarray:
     """Each column's variance, for LayerNorm; NumericError names a column
-    whose variance overflows, which would otherwise normalize to zeros."""
+    whose variance is not finite (from a non-finite entry)."""
     with np.errstate(over="ignore", invalid="ignore"):
         var = x.var(axis=0)
     bad = np.flatnonzero(~np.isfinite(var))
     if bad.size:
-        raise NumericError(f"LayerNorm: the variance of column {bad[0]} overflows float64")
+        raise NumericError(f"LayerNorm: the variance of column {bad[0]} is not finite")
     return var
 
 
 def layernorm_cols(x: Mat, stats: dict | None = None) -> Mat:
     """Normalize each column to zero mean / unit variance (no affine); a dict
-    passed as ``stats`` receives the (p,) divisor sqrt(var + LN_EPS) as ``ln_std``."""
+    passed as ``stats`` receives the (p,) divisor sqrt(var + LN_EPS) as ``ln_std``.  Past
+    max|x| = 2^500 each column is scaled exactly below 2^500 by 2^-e, and LN_EPS by 2^-2e."""
     x = np.asarray(x, dtype=np.float64)
-    std = np.sqrt(col_var(x) + LN_EPS)  # before ``out``: np.var forms its own x - mean
+    e = 0
+    if pow2_exponent(x) > 500:  # (x - mean)^2 < 2^1002 for every scaled column
+        e = np.maximum(0, np.frexp(np.maximum(x.max(axis=0), -x.min(axis=0)))[1] - 500)
+        x = x * np.ldexp(1.0, -e)
+    std = np.sqrt(col_var(x) + np.ldexp(LN_EPS, -2 * e))  # before out: np.var forms its own x - mean
     if stats is not None:
-        stats["ln_std"] = std
+        stats["ln_std"] = np.ldexp(std, e)
     out = x - x.mean(axis=0, keepdims=True)
     out /= std
     return out
@@ -157,11 +162,15 @@ def relu(x):
     return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
 
 
+def pow2_exponent(v: np.ndarray) -> int:
+    """e with max|v| = m 2^e, m in [1/2, 1) (0 for v = 0): v 2^-e is an exact
+    scaling that keeps the squares, norms and products of v in range at any scale."""
+    return int(np.frexp(max(v.max(), -v.min()))[1])  # max|v|, no |v| formed
+
+
 def pow2_scaled(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """v 2^-e, max|v| = m 2^e with m in [1/2, 1) (0 stays 0): an exact scaling
-    that keeps the squares, norms and products of v in range at any scale.
-    ``out=v`` scales v in place."""
-    return np.ldexp(v, -np.frexp(max(v.max(), -v.min()))[1], out=out)  # max|v|, no |v| formed
+    """v 2^-pow2_exponent(v); ``out=v`` scales v in place."""
+    return np.ldexp(v, -pow2_exponent(v), out=out)
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:

@@ -3,7 +3,8 @@
 fills the declared (shape, fan_in) arrays in order, n entries from ``bytes(ceil(n/8))``:
 entry i (C order) is +1/sqrt(fan_in) where bit i is set (most significant first),
 else -1/sqrt(fan_in), a random sign of variance 1/fan_in (Achlioptas 2003).  CBAM
-declares its 7x7 kernel after its MLP.  Nothing here is trained, so there are no biases.
+declares its 7x7 kernel after its MLP.  ``draw`` is ``expand`` after ``draw_bytes``; one-shot
+ViT/CaiT requests expand each matrix where it is read.  Nothing here is trained: no biases.
 """
 
 from __future__ import annotations
@@ -18,14 +19,23 @@ from .matcore import narrow_matmul, relu, sigmoid
 BYTE_SIGNS = 2.0 * np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1) - 1.0
 
 
+def draw_bytes(seed: int, *decl: tuple) -> list[np.ndarray]:
+    """Each declared (shape, fan_in) array's ceil(n/8) sign bytes, in order, from one generator."""
+    rng = np.random.default_rng(seed)
+    return [np.frombuffer(rng.bytes(-(-int(np.prod(shape)) // 8)), dtype=np.uint8)
+            for shape, _ in decl]
+
+
+def expand(raw: np.ndarray, shape: tuple, fan_in: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The +-1/sqrt(fan_in) array of ``raw``'s bits, a view of ``out`` (8 len(raw) floats) if given."""
+    signs = np.take(BYTE_SIGNS / np.sqrt(fan_in), raw, axis=0, mode="clip",  # "raise" copies out
+                    out=None if out is None else out[:8 * raw.size].reshape(-1, 8))
+    return signs.ravel()[:int(np.prod(shape))].reshape(shape)
+
+
 def draw(seed: int, *decl: tuple) -> list[np.ndarray]:
     """One array per declared (shape, fan_in), in order, from one generator."""
-    rng, out = np.random.default_rng(seed), []
-    for shape, fan_in in decl:
-        n = int(np.prod(shape))
-        raw = np.frombuffer(rng.bytes(-(-n // 8)), dtype=np.uint8)
-        out.append(np.take(BYTE_SIGNS / np.sqrt(fan_in), raw, axis=0).ravel()[:n].reshape(shape))
-    return out
+    return [expand(raw, *d) for raw, d in zip(draw_bytes(seed, *decl), decl)]
 
 
 @dataclass(eq=False)
@@ -41,15 +51,18 @@ def mlp_decl(dim_in: int, hidden: int, dim_out: int) -> tuple:
     return ((hidden, dim_in), dim_in), ((dim_out, hidden), hidden)
 
 
-def mlp2(x: np.ndarray, w: MlpWeights) -> np.ndarray:
-    """Apply the MLP column-wise; ``x`` is (dim_in,) or (dim_in, n)."""
+def mlp2(x: np.ndarray, w: MlpWeights, read=np.asarray) -> np.ndarray:
+    """Apply the MLP column-wise; ``x`` is (dim_in,) or (dim_in, n).  ``read`` gives each
+    weight's array just before its product: w2 after the hidden layer, so both may share a buffer."""
     x = np.asarray(x, dtype=np.float64)
     squeeze = x.ndim == 1
     if squeeze:
         x = x[:, None]
-    if w.w1.shape[1] != x.shape[0]:
-        raise ShapeError(f"mlp2: weight {w.w1.shape} vs input {x.shape}")
-    out = narrow_matmul(w.w2, relu(narrow_matmul(w.w1, x)))
+    w1 = read(w.w1)
+    if w1.shape[1] != x.shape[0]:
+        raise ShapeError(f"mlp2: weight {w1.shape} vs input {x.shape}")
+    hidden = relu(narrow_matmul(w1, x))
+    out = narrow_matmul(read(w.w2), hidden)
     return out[:, 0] if squeeze else out
 
 

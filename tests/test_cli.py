@@ -197,15 +197,19 @@ class TestCmdPool:
         x = _write_features(tmp_path / "x.npy", np.ones((16, 12)))
         assert reason in _cli_error(["pool", "--input", x, *flags], 1)
 
-    @pytest.mark.parametrize("method", ["slot", "simpool"])
-    def test_overflowing_layernorm_exit_3(self, tmp_path, method):
-        # LayerNorm's variance overflows: one error line, no RuntimeWarning
+    @pytest.mark.parametrize("method", ["slot", "simpool", "kmeans"])
+    def test_large_features_exit_0(self, tmp_path, capsys, method):
+        # LayerNorm and k-means scale by a power of two before squaring: no
+        # variance or squared distance overflows, and no RuntimeWarning
         x = _write_features(tmp_path / "x.npy", 1e200 * np.random.default_rng(0).normal(size=(8, 12)))
-        assert "variance of column 0 overflows" in _cli_error(["pool", "--input", x, "--method", method], 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["pool", "--input", x, "--method", method, "--k", "2"]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("method, reason", [
         ("vit", "col_softmax: non-finite input"), ("cait", "col_softmax: non-finite input"),
-        ("sinkhorn-otk", "squared distance overflows"), ("kmeans", "squared distance overflows"),
+        ("sinkhorn-otk", "squared distance overflows"),
     ])
     def test_overflowing_features_exit_3(self, tmp_path, method, reason):
         # attention scores or squared distances overflow: one error line, no RuntimeWarning

@@ -599,6 +599,22 @@ class TestKmeans:
         with pytest.raises(ContractError):
             kmeans_pool(_fm([[1.0, 2.0]]), k=3, iters=1)
 
+    @settings(max_examples=60, deadline=None)
+    @given(x=st.tuples(st.integers(1, 6), st.integers(1, 12)).flatmap(lambda shape: arrays(
+               np.float64, shape, elements=st.integers(-32, 32).map(lambda v: v / 8))),
+           scale=st.sampled_from([2.0**-1000, 2.0**-500, 1.0, 2.0**500, 2.0**1000]),
+           k_draw=st.integers(1, 4), iters=st.integers(1, 4), seed=st.integers(0, 2**16))
+    @example(x=np.repeat([[0.0, 3.0], [0.0, 3.0]], 6, axis=1)
+             + np.random.default_rng(0).normal(scale=0.5, size=(2, 12)),
+             scale=1e-200, k_draw=2, iters=3, seed=0)  # every squared distance underflows unscaled
+    def test_scaling_the_features_scales_the_centroids(self, x, scale, k_draw, iters, seed):
+        # eighths, with their ties, stay exact at every power-of-two scale
+        k = min(k_draw, x.shape[1])
+        want = kmeans_pool(_fm(x), k, iters, seed)
+        got = kmeans_pool(_fm(scale * x), k, iters, seed)
+        assert got.attention.a.tobytes() == want.attention.a.tobytes()
+        np.testing.assert_allclose(got.u / scale, want.u, rtol=1e-14, atol=0)
+
     @pytest.mark.parametrize("offset", [1e4, 1e6, 1e8])
     def test_labels_unchanged_under_a_shift(self, offset):
         rng = np.random.default_rng(25)

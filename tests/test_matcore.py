@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from poolkit.errors import ContractError, DegenerateMassError, NumericError
 from poolkit.matcore import (
+    LN_EPS,
     SMALL_GEMM,
     col_softmax,
     conv2d_same,
@@ -118,11 +121,28 @@ class TestLayernormCols:
         np.testing.assert_allclose(layernorm_cols(2.5 * x + 3.0),
                                    layernorm_cols(x), atol=1e-6)
 
-    def test_overflowing_variance_raises(self):
-        # past |x| ~ 1e154 the squares overflow, and the column would normalize to 0
+    @pytest.mark.parametrize("scale", [1e160, 1e300, 1e307])
+    def test_large_magnitude_matches_the_eps_free_formula(self, scale):
+        # past |x| ~ 1e154 the squares overflow unless each column is first
+        # scaled by its own power of two; there LN_EPS is far below the
+        # variance, while the unit-scale column z beside them keeps it, and
+        # the constant column stays 0
+        rng = np.random.default_rng(8)
+        y, z = rng.normal(size=(6, 4)), rng.normal(size=(6, 1))
+        y[:, 3] = 1.0
+        stats = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = layernorm_cols(np.hstack([scale * y, z]), stats)
+        std = np.append(y.std(axis=0), np.sqrt(z.var() + LN_EPS))
+        want = (np.hstack([y, z]) - np.hstack([y, z]).mean(axis=0)) / np.where(std > 0, std, 1.0)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.max(np.abs(stats["ln_std"] / np.append(np.full(4, scale), 1.0) - std)) <= 1e-12
+
+    def test_non_finite_column_raises(self):
         x = np.ones((4, 3))
-        x[:, 1] = [1e155, -1e155, 0.0, 1.0]
-        with pytest.raises(NumericError, match="column 1 overflows"):
+        x[:, 1] = [np.inf, -1.0, 0.0, 1.0]
+        with pytest.raises(NumericError, match="column 1 is not finite"):
             layernorm_cols(x)
 
 

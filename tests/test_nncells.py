@@ -22,6 +22,7 @@ CONSTRUCTORS = {
     "se": (lambda d, s: SeWeights.seeded(d, seed=s), lambda d: [d * d // 4] * 2),
     "cbam": (lambda d, s: CbamWeights.seeded(d, seed=s), lambda d: [d * d // 4] * 2 + [2 * 7 * 7]),
     "vit": (lambda d, s: VitWeights.seeded(d, 2, seed=s), lambda d: [d * d] * 12 + [d]),
+    "vit_packed": (lambda d, s: VitWeights.packed(d, 2, seed=s), lambda d: [d * d] * 12 + [d]),
     "simpool": (lambda d, s: SimPoolParams.seeded(d, seed=s), lambda d: [d * d] * 2),
 }
 CASES = [(name, d, seed) for name in CONSTRUCTORS

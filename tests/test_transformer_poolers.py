@@ -3,14 +3,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poolkit.cli import run_method
+from poolkit.cli import main, run_method
 from poolkit.errors import ShapeError
 from poolkit.framework import FeatureMap
 from poolkit.matcore import col_softmax
 from poolkit.nncells import MlpWeights, mlp2
-from poolkit.tensor_io import config_from_dict
+from poolkit.tensor_io import config_from_dict, read_npy, write_npy
 from poolkit.transformer_poolers import VitIterWeights, VitWeights, vit_cls_pool
 
+from memory_peaks import traced_peak
 from numeric_edges import COLUMN_EDGES, SCALES, assert_within_rounding, feature_matrices, shape_columns
 
 
@@ -190,3 +191,41 @@ class TestCait:
         fm = _fm(rng.normal(size=(4, 11)))
         out = self._run("cait", fm, heads=2, iters=2, seed=12)
         np.testing.assert_allclose(out.attention.a.sum(axis=0), 1.0, atol=1e-9)
+
+
+class TestPackedWeights:
+    """One-shot requests keep each d x d matrix as its sign bytes and expand it
+    into one buffer just before its product; the outputs are the dense ones."""
+
+    @pytest.mark.parametrize("d", [3, 4, 8, 48, 384])  # d = 3: 9 signs in 2 bytes
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1))
+    @example(seed=2**64 - 1)
+    def test_packed_weights_give_the_dense_outputs(self, d, seed):
+        fm = _fm(np.random.default_rng(seed).normal(size=(d, 5)))
+        dense, packed = VitWeights.seeded(d, 3, seed=seed), VitWeights.packed(d, 3, seed=seed)
+        assert packed.u0.tobytes() == dense.u0.tobytes()
+        for m in [m for m in range(1, d + 1) if d % m == 0]:
+            for iters in (1, 2, 3):
+                want, got = vit_cls_pool(fm, dense, m, iters), vit_cls_pool(fm, packed, m, iters)
+                assert got.u.tobytes() == want.u.tobytes()
+                assert got.attention.a.tobytes() == want.attention.a.tobytes()
+
+    @pytest.mark.parametrize("method", ["vit", "cait"])
+    def test_cli_is_the_library_on_seeded_weights(self, tmp_path, capsys, method):
+        x = np.random.default_rng(5).normal(size=(12, 3, 4))
+        write_npy(x, tmp_path / "x.npy")
+        assert main(["pool", "--input", str(tmp_path / "x.npy"), "--method", method, "--heads", "3",
+                     "--iters", "2", "--seed", "9", "--out", str(tmp_path / "u.npy"),
+                     "--attn-out", str(tmp_path / "a.npy")]) == 0
+        fm = FeatureMap(x.reshape(12, 12), 4, 3)
+        want = vit_cls_pool(fm, VitWeights.seeded(12, 2, seed=9), 3, 2)
+        assert read_npy(tmp_path / "u.npy")[0].tobytes() == want.u.tobytes()
+        assert read_npy(tmp_path / "a.npy")[0].tobytes() == want.attention.a.tobytes()
+
+    def test_one_shot_request_holds_under_two_square_matrices(self):
+        d = 512
+        fm = FeatureMap(np.random.default_rng(0).normal(size=(d, 49)), 7, 7)
+        cfg = config_from_dict({"method": "vit", "iters": 3, "heads": 8, "seed": 3})
+        # dense weights hold 18 d x d matrices; packed ones 18 d^2 / 8 bytes and one buffer
+        assert traced_peak(run_method, cfg, fm) <= 2 * 8 * d * d
