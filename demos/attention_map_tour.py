@@ -44,7 +44,7 @@ def main():
     grid = reshape_attention(a, fm.width, fm.height)
     mask = mass_threshold(grid, fraction=0.6)
     box = largest_component_bbox(mask)
-    print(f"cells kept at 60% mass: {int(mask.sum())} of {fm.p}")
+    print(f"cells kept at 60% mass: {sum(map(sum, mask))} of {fm.p}")
     print(f"largest-region bounding box: x=[{box.x_min},{box.x_max}] "
           f"y=[{box.y_min},{box.y_max}] (blob was planted at x=[7,11] y=[4,8])")
     print(render(mask))

@@ -11,7 +11,8 @@ patched module attribute is what ``poolkit.<name>`` returns.
 A ``poolkit pool`` request executes ``cli``, ``errors``, ``tensor_io``, ``framework``,
 ``matcore``, ``meanfam`` and ``simple_poolers``, or for a method outside the simple five
 its one pooler module and ``nncells`` in place of ``simple_poolers``; ``attnmap`` executes
-``cli``, ``errors``, ``tensor_io``, ``attnmap`` and ``matcore``, and ``inspect`` the first three.
+``cli``, ``errors``, ``tensor_io`` and ``attnmap``, and ``inspect`` the first three.  Neither
+``attnmap`` nor ``inspect`` imports NumPy.
 """
 
 import importlib.util

@@ -13,10 +13,8 @@ import time
 from dataclasses import fields, replace
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-# Only what every command runs is imported here; the engine and each pooler module
-# are imported where a command runs them (`attnmap` and `inspect` run neither).
+# Only what every command runs is imported here; NumPy, the engine and each pooler module
+# are imported where a command runs them (`attnmap` and `inspect` import none of them).
 from .errors import ConfigError, ContractError, FileFormatError, NumericError, PoolkitError, ShapeError
 from .tensor_io import (
     METHOD_NAMES,
@@ -26,6 +24,7 @@ from .tensor_io import (
     load_config,
     load_feature_map,
     read_npy,
+    read_values,
     write_npy,
 )
 
@@ -113,7 +112,7 @@ def cmd_pool(args) -> int:
 
 def cmd_attnmap(args) -> int:
     from . import attnmap as attnmap_mod
-    a, _ = read_npy(args.attn)
+    a, _ = read_values(args.attn)
     grid = attnmap_mod.reshape_attention(a, args.width, args.height)
     mask = attnmap_mod.mass_threshold(grid, args.mass)
     if args.pgm:
@@ -124,7 +123,7 @@ def cmd_attnmap(args) -> int:
         box = attnmap_mod.largest_component_bbox(mask)
         print(f"{box.x_min} {box.y_min} {box.x_max} {box.y_max}")
     else:
-        kept = int(mask.sum())
+        kept = sum(map(sum, mask))
         print(f"grid {args.width}x{args.height}, mass {args.mass:g}: {kept} cells kept")
     return EXIT_OK
 
@@ -138,6 +137,8 @@ def _check_at_least(args, **floors) -> None:
 
 
 def cmd_gradcheck(args) -> int:
+    import numpy as np
+
     from .framework import FeatureMap
     from .simpool import SimPoolParams, simpool_gradcheck
     _check_at_least(args, seed=0, d=1, p=1, trials=1)
@@ -167,6 +168,8 @@ def cmd_gradcheck(args) -> int:
 
 def _synthesize_features(d: int, p: int, k_clusters: int, seed: int) -> FeatureMap:
     """Gaussian cluster mixture, shifted to be nonnegative."""
+    import numpy as np
+
     from .framework import FeatureMap
     rng = np.random.default_rng(seed)
     centers = rng.normal(scale=3.0, size=(d, k_clusters))
@@ -176,6 +179,8 @@ def _synthesize_features(d: int, p: int, k_clusters: int, seed: int) -> FeatureM
 
 
 def _attention_entropy(pooled: PooledSet) -> float:
+    import numpy as np
+
     a = pooled.attention.a
     mass = a.sum()
     if mass <= 0:
@@ -186,6 +191,8 @@ def _attention_entropy(pooled: PooledSet) -> float:
 
 
 def cmd_tournament(args) -> int:
+    import numpy as np
+
     from .cluster_poolers import kmeans_distortion
     _check_at_least(args, seed=0, d=1, p=1, k_clusters=1, trials=1)
     methods = args.methods.split(",") if args.methods else list(METHOD_NAMES)
@@ -239,7 +246,7 @@ def cmd_tournament(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    _, header = read_npy(args.input)
+    _, header = read_values(args.input)
     print(f"dtype={header.dtype} fortran_order={header.fortran_order} "
           f"shape={header.shape}")
     return EXIT_OK

@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import ast
 import math
 import numbers
+import sys
+from array import array
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
 from .errors import ConfigError, FileFormatError
 
-if TYPE_CHECKING:  # imported where it is read: `inspect` and `attnmap` execute no engine module
+if TYPE_CHECKING:  # imported where they are read: `inspect` and `attnmap` import neither
+    import numpy as np
+
     from .framework import FeatureMap
 
 METHOD_NAMES = (
@@ -44,54 +47,89 @@ class NpyHeader:
     shape: tuple[int, ...]
 
 
+def _read_exact(path, fh, n: int, what: str) -> bytes:
+    data = fh.read(n)
+    if len(data) != n:
+        raise FileFormatError(f"{path}: EOF reading {what} ({len(data)} of {n} bytes)")
+    return data
+
+
 def _read_header(path, fh) -> NpyHeader:
-    """Parse the header with ``numpy.lib.format``, then apply poolkit's policy."""
+    """Parse an NPY v1.0 header as ``numpy.lib.format`` does, then apply poolkit's policy."""
+    magic = _read_exact(path, fh, 8, "magic string")
+    if magic[:6] != b"\x93NUMPY":
+        raise FileFormatError(f"{path}: bad magic string {magic[:6]!r}")
+    if tuple(magic[6:]) != (1, 0):
+        raise FileFormatError(f"{path}: unsupported version {tuple(magic[6:])}")
+    size = int.from_bytes(_read_exact(path, fh, 2, "header length"), "little")
+    if size > 10000:  # numpy.lib.format's limit for untrusted headers
+        raise FileFormatError(f"{path}: header length {size} is over 10000 bytes")
+    text = _read_exact(path, fh, size, "header").decode("latin1")
     try:
-        version = np.lib.format.read_magic(fh)
-        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
-    except Exception as exc:  # ValueError by contract; hostile headers raise others
-        # the first line only (NumPy's header-size message runs on); MemoryError has none
+        meta = ast.literal_eval(text)
+    except Exception as exc:  # SyntaxError, ValueError; deep nesting raises others
+        # the first line only; MemoryError has none
         reason = str(exc).partition("\n")[0] or type(exc).__name__
-        raise FileFormatError(f"{path}: {reason}") from exc
-    if version != (1, 0):
-        raise FileFormatError(f"{path}: unsupported version {version}")
+        raise FileFormatError(f"{path}: cannot parse header: {reason}") from exc
+    if not isinstance(meta, dict) or meta.keys() != {"descr", "fortran_order", "shape"}:
+        raise FileFormatError(f"{path}: header is not a dict of descr, fortran_order and shape")
+    dtype, fortran_order, shape = meta["descr"], meta["fortran_order"], meta["shape"]
+    if type(shape) is not tuple or not all(type(s) is int for s in shape):  # bool is not a size
+        raise FileFormatError(f"{path}: shape {shape!r} is not a tuple of integers")
+    if type(fortran_order) is not bool:
+        raise FileFormatError(f"{path}: fortran_order {fortran_order!r} is not a bool")
     if fortran_order:
         raise FileFormatError(f"{path}: fortran_order arrays are not supported")
-    if dtype.str not in ("<f8", "<f4"):
-        raise FileFormatError(f"{path}: unsupported dtype {dtype.str!r}")
+    if dtype not in ("<f8", "<f4"):
+        raise FileFormatError(f"{path}: unsupported dtype {dtype!r}")
     if not (1 <= len(shape) <= 3):
         raise FileFormatError(f"{path}: shape {shape} has unsupported rank")
     if min(shape) < 0:
         raise FileFormatError(f"{path}: shape {shape} has a negative dimension")
-    return NpyHeader(dtype=dtype.str, fortran_order=fortran_order, shape=shape)
+    return NpyHeader(dtype=dtype, fortran_order=fortran_order, shape=shape)
 
 
-def read_npy(path) -> tuple[np.ndarray, NpyHeader]:
-    """Read a little-endian float NPY v1.0 array (rank 1-3, C order).
+def read_values(path) -> tuple[array, NpyHeader]:
+    """The payload of a file ``read_npy`` accepts, row-major in a native 'd' or
+    'f' array, read without NumPy.
 
-    '<f4' payloads are widened to float64.  The payload is read 1 MiB at a
-    time and at most one byte past the size the header claims, so memory
-    follows the input, not the claim, and pipes work as well as files.
+    The payload is read 1 MiB at a time and at most one byte past the size
+    the header claims, so memory follows the input, not the claim, and pipes
+    work as well as files.
     """
     path = Path(path)
     with path.open("rb") as fh:
         header = _read_header(path, fh)
-        nbytes = math.prod(header.shape) * np.dtype(header.dtype).itemsize
-        chunks, want = [], nbytes + 1
+        values = array("d" if header.dtype == "<f8" else "f")
+        nbytes = math.prod(header.shape) * values.itemsize
+        payload, want = bytearray(), nbytes + 1
         while want > 0 and (chunk := fh.read(min(want, 1 << 20))):
-            chunks.append(chunk)
+            payload += chunk
             want -= len(chunk)
-    payload = b"".join(chunks)
     if len(payload) < nbytes:
         raise FileFormatError(f"{path}: truncated payload ({len(payload)} of {nbytes} bytes)")
     if len(payload) > nbytes:
         raise FileFormatError(f"{path}: trailing bytes after payload")
-    arr = np.frombuffer(payload, dtype=header.dtype).reshape(header.shape)
-    return arr.astype(np.float64), header
+    if math.prod(filter(None, header.shape)) * values.itemsize > sys.maxsize:  # NumPy's limit
+        raise FileFormatError(f"{path}: shape {header.shape} is too big for an array")
+    values.frombytes(payload)
+    if sys.byteorder == "big":
+        values.byteswap()
+    return values, header
+
+
+def read_npy(path) -> tuple[np.ndarray, NpyHeader]:
+    """A file ``read_values`` accepts as a float64 array; '<f4' payloads are widened."""
+    import numpy as np
+
+    values, header = read_values(path)
+    return np.frombuffer(values, dtype=values.typecode).reshape(header.shape).astype(np.float64), header
 
 
 def write_npy(arr, path) -> None:
     """Write float64 C-order NPY v1.0 with a 64-byte-aligned header."""
+    import numpy as np
+
     arr = np.ascontiguousarray(np.asarray(arr, dtype=np.float64))
     try:
         with Path(path).open("wb") as fh:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from poolkit.attnmap import (
     AttnGrid,
@@ -67,7 +69,7 @@ class TestMassThreshold:
             a /= a.sum()
             g = reshape_attention(a, width=4, height=3)
             mask = mass_threshold(g, 0.6)
-            kept = a[mask.reshape(-1)]
+            kept = a[np.ravel(mask)]
             assert kept.sum() >= 0.6 * a.sum() - 1e-12
             assert kept.sum() - kept.min() < 0.6 * a.sum()
 
@@ -136,3 +138,104 @@ class TestWritePgm:
         path = tmp_path / "h.pgm"
         write_pgm(g, path)
         assert path.read_bytes().startswith(b"P5\n4 3\n255\n")
+
+
+# The NumPy forms attnmap had before it became pure Python, kept as its
+# reference.  One line differs: mass_threshold's total is the last
+# cumulative sum, as in the module, not NumPy's pairwise sum.
+
+def mass_threshold_reference(values: np.ndarray, fraction: float) -> np.ndarray:
+    flat = values.reshape(-1)
+    order = np.argsort(-flat, kind="stable")  # descending, lower index first on ties
+    cum = np.cumsum(flat[order])
+    total = cum[-1]
+    if not 0 < total < np.inf:
+        raise NumericError(f"mass_threshold: total mass {total:g} is not in (0, inf)")
+    target = fraction * total
+    n_keep = int(np.searchsorted(cum, target - 1e-12 * total) + 1)
+    n_keep = min(n_keep, flat.size)
+    mask = np.zeros(flat.size, dtype=bool)
+    mask[order[:n_keep]] = True
+    return mask.reshape(values.shape)
+
+
+def largest_component_bbox_reference(mask: np.ndarray) -> BBox:
+    h, w = mask.shape
+    seen = np.zeros_like(mask)
+    best_cells, best_key = [], None
+    for y0 in range(h):
+        for x0 in range(w):
+            if not mask[y0, x0] or seen[y0, x0]:
+                continue
+            stack = [(y0, x0)]
+            seen[y0, x0] = True
+            cells = []
+            while stack:
+                y, x = stack.pop()
+                cells.append((y, x))
+                for ny, nx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
+                    if 0 <= ny < h and 0 <= nx < w and mask[ny, nx] and not seen[ny, nx]:
+                        seen[ny, nx] = True
+                        stack.append((ny, nx))
+            key = (-len(cells), y0 * w + x0)
+            if best_key is None or key < best_key:
+                best_key, best_cells = key, cells
+    ys = [c[0] for c in best_cells]
+    xs = [c[1] for c in best_cells]
+    return BBox(x_min=min(xs), y_min=min(ys), x_max=max(xs), y_max=max(ys))
+
+
+def pgm_reference(arr: np.ndarray) -> bytes:
+    if arr.dtype == bool:
+        pixels = np.where(arr, 255, 0).astype(np.uint8)
+    else:
+        lo, hi = arr.min(), arr.max()
+        if hi == lo:
+            pixels = np.zeros(arr.shape, dtype=np.uint8)
+        else:
+            scaled = (arr - lo) / (hi - lo) * 255.0
+            pixels = np.floor(scaled + 0.5).astype(np.uint8)
+    h, w = pixels.shape
+    return f"P5\n{w} {h}\n255\n".encode("ascii") + pixels.tobytes()
+
+
+def _attention(rng, kind: str, n: int) -> np.ndarray:
+    if kind == "uniform":
+        return rng.uniform(size=n)
+    if kind == "dirichlet":  # most of the mass on a few cells
+        return rng.dirichlet(np.full(n, 0.05))
+    if kind == "lognormal":  # magnitudes across 1e-300 .. 1e300
+        return 10.0 ** np.clip(rng.normal(scale=120.0, size=n), -300, 300)
+    return rng.integers(0, 4, size=n).astype(np.float64)  # small-integer ties
+
+
+@settings(max_examples=250, deadline=None)
+@example(height=1, width=1, kind="ties", zeros=0.0, column=False, fraction=1.0, seed=0)
+@example(height=16, width=16, kind="lognormal", zeros=0.3, column=True, fraction=0.6, seed=1)
+@given(height=st.integers(1, 16), width=st.integers(1, 16),
+       kind=st.sampled_from(["uniform", "dirichlet", "lognormal", "ties"]),
+       zeros=st.sampled_from([0.0, 0.3, 0.9]), column=st.booleans(),
+       fraction=st.one_of(st.sampled_from([1.0, 0.6, 0.5, 1e-300]),
+                          st.floats(0.0, 1.0, exclude_min=True)),
+       seed=st.integers(0, 2**32 - 1))
+def test_matches_numpy_reference(tmp_path_factory, height, width, kind, zeros, column,
+                                 fraction, seed):
+    """Mask, box and both PGM byte strings equal the NumPy reference's."""
+    rng = np.random.default_rng(seed)
+    a = _attention(rng, kind, height * width)
+    a[rng.uniform(size=a.size) < zeros] = 0.0
+    grid = reshape_attention(a.reshape(-1, 1) if column else a, width=width, height=height)
+    values = a.reshape(height, width)
+    path = tmp_path_factory.getbasetemp() / "ref.pgm"
+    write_pgm(grid, path)
+    assert path.read_bytes() == pgm_reference(values)
+    if not a.any():
+        for threshold in (mass_threshold, mass_threshold_reference):
+            with pytest.raises(NumericError):
+                threshold(grid if threshold is mass_threshold else values, fraction)
+        return
+    mask, want = mass_threshold(grid, fraction), mass_threshold_reference(values, fraction)
+    np.testing.assert_array_equal(np.array(mask), want)
+    assert largest_component_bbox(mask) == largest_component_bbox_reference(want)
+    write_pgm(mask, path)
+    assert path.read_bytes() == pgm_reference(want)

@@ -559,10 +559,12 @@ class TestCmdInspect:
         "{'descr': '<f8', 'fortran_order': False, 'shape': (2.5,), }\n",
         "{'descr': '<f8', 'fortran_order': False, 'shape': ('a',), }\n",
         "{'descr': '<f8', 'fortran_order': False, 'shape': (-1, 2), }\n",
+        "{'descr': '<f8', 'fortran_order': False, 'shape': (True, 2), }\n",
         "{'descr': '<f8', 'fortran_order': 'no', 'shape': (2,), }\n",
         "{'descr': '<f8', 'fortran_order': False, 'shape': (2,), 'extra': 1, }\n",
         "-" * 4000 + "1\n",  # RecursionError in ast.literal_eval
-    ], ids=["float-dim", "str-dim", "negative-dim", "fortran-str", "extra-key", "deep-unary"])
+    ], ids=["float-dim", "str-dim", "negative-dim", "bool-dim", "fortran-str", "extra-key",
+         "deep-unary"])
     def test_malformed_header_exit_2(self, tmp_path, header):
         header = header.encode("latin1")
         path = tmp_path / "probe.npy"

@@ -60,9 +60,11 @@ def test_import_executes_no_submodule_and_no_numpy():
     assert _fresh("import poolkit") == {"numpy": False, "executed": [], "registered": SUBMODULES}
 
 
-def _command(argv: list) -> list:
-    """The poolkit submodules one CLI command executes, in a fresh interpreter."""
-    return _fresh(f"from poolkit import cli; assert cli.main({argv!r}) == 0")["executed"]
+def _command(argv: list) -> tuple[list, bool]:
+    """The poolkit submodules one CLI command executes, and whether it imports
+    NumPy, in a fresh interpreter."""
+    report = _fresh(f"from poolkit import cli; assert cli.main({argv!r}) == 0")
+    return report["executed"], report["numpy"]
 
 
 def test_import_statement_executes_and_from_import_binds():
@@ -73,23 +75,23 @@ def test_import_statement_executes_and_from_import_binds():
 def test_gap_request_executes_no_other_pooler(tmp_path):
     path = tmp_path / "x.npy"
     np.save(path, np.random.default_rng(0).random((8, 3, 4)))
-    assert _command(["pool", "--input", str(path), "--method", "gap"]) == [
-        "cli", "errors", "framework", "matcore", "meanfam", "simple_poolers", "tensor_io"]
+    assert _command(["pool", "--input", str(path), "--method", "gap"]) == ([
+        "cli", "errors", "framework", "matcore", "meanfam", "simple_poolers", "tensor_io"], True)
 
 
 def test_kmeans_request_executes_its_pooler_and_no_simple_pooler(tmp_path):
     path = tmp_path / "x.npy"
     np.save(path, np.random.default_rng(0).random((8, 3, 4)))
-    assert _command(["pool", "--input", str(path), "--method", "kmeans", "--k", "2"]) == [
+    assert _command(["pool", "--input", str(path), "--method", "kmeans", "--k", "2"]) == ([
         "cli", "cluster_poolers", "errors", "framework", "matcore", "meanfam", "nncells",
-        "tensor_io"]
+        "tensor_io"], True)
 
 
 def test_simpool_request_executes_no_gradcheck(tmp_path):
     path = tmp_path / "x.npy"
     np.save(path, np.random.default_rng(0).random((8, 3, 4)))
-    assert _command(["pool", "--input", str(path), "--method", "simpool"]) == [
-        "cli", "errors", "framework", "matcore", "meanfam", "nncells", "simpool", "tensor_io"]
+    assert _command(["pool", "--input", str(path), "--method", "simpool"]) == ([
+        "cli", "errors", "framework", "matcore", "meanfam", "nncells", "simpool", "tensor_io"], True)
 
 
 def test_simpool_gradcheck_hints_resolve():
@@ -99,12 +101,13 @@ def test_simpool_gradcheck_hints_resolve():
 
 
 def test_attnmap_and_inspect_execute_no_engine_module(tmp_path):
+    # and neither imports NumPy
     path = tmp_path / "a.npy"
     np.save(path, np.random.default_rng(0).random(12))
     assert _command(["attnmap", "--attn", str(path), "--width", "4", "--height", "3", "--bbox",
-                     "--pgm", str(tmp_path / "a.pgm")]) == [
-        "attnmap", "cli", "errors", "matcore", "tensor_io"]
-    assert _command(["inspect", "--input", str(path)]) == ["cli", "errors", "tensor_io"]
+                     "--pgm", str(tmp_path / "a.pgm")]) == (
+        ["attnmap", "cli", "errors", "tensor_io"], False)
+    assert _command(["inspect", "--input", str(path)]) == (["cli", "errors", "tensor_io"], False)
 
 
 def test_records_are_plain_dataclasses_whose_replace_revalidates():

@@ -194,10 +194,12 @@ class TestNpyBoundary:
     @settings(max_examples=200, deadline=None)
     @example(descr="<f8", fortran_order=False, shape=[-1, -2], extra={}, slack=0)
     @example(descr="<f8", fortran_order=False, shape=[0, -1], extra={}, slack=0)
+    @example(descr="<f8", fortran_order=False, shape=[True, 2], extra={}, slack=0)
     @given(
         descr=st.sampled_from(["<f8", "<f4", ">f8", "<i8", 3]),
         fortran_order=st.sampled_from([False, True, "no", 0]),
-        shape=st.lists(st.one_of(st.integers(-2, 6), st.just(2.5), st.just("a")), max_size=4),
+        shape=st.lists(st.one_of(st.integers(-2, 6), st.just(2.5), st.just("a"), st.just(True)),
+                       max_size=4),
         extra=st.dictionaries(st.sampled_from(["x", "version"]), st.integers(0, 3), max_size=2),
         slack=st.integers(-16, 16),
     )
@@ -213,7 +215,7 @@ class TestNpyBoundary:
         _raw_npy(path, repr(meta) + "\n", payload)
 
         valid = (descr in ("<f8", "<f4") and fortran_order is False and not extra
-                 and 1 <= len(shape) <= 3 and all(isinstance(s, int) and s >= 0 for s in shape)
+                 and 1 <= len(shape) <= 3 and all(type(s) is int and s >= 0 for s in shape)
                  and len(payload) == itemsize * math.prod(shape))
         if not valid:
             _npy_error(path)
@@ -221,6 +223,34 @@ class TestNpyBoundary:
         arr, header = read_npy(path)
         assert arr.dtype == np.float64 and arr.shape == shape == header.shape
         np.testing.assert_array_equal(arr, np.frombuffer(payload, dtype=descr).reshape(shape))
+
+
+class TestNpyHeader:
+    @settings(max_examples=100, deadline=None)
+    @example(dtype=np.float32, shape=[0, 1099511627776, 3])
+    @given(dtype=st.sampled_from([np.float64, np.float32]),
+           shape=st.lists(st.one_of(st.integers(0, 4), st.integers(0, 2**20)),
+                          min_size=1, max_size=3))
+    def test_parses_every_header_np_save_writes_as_numpy_does(self, tmp_path_factory, dtype,
+                                                              shape):
+        if math.prod(shape) > 64:
+            shape[0] = 0  # zero-size: long dimensions in the header, no payload
+        path = tmp_path_factory.getbasetemp() / "saved.npy"
+        np.save(path, np.zeros(shape, dtype=dtype))
+        with path.open("rb") as fh:
+            assert np.lib.format.read_magic(fh) == (1, 0)
+            want, fortran_order, descr = np.lib.format.read_array_header_1_0(fh)
+        arr, header = read_npy(path)
+        assert (header.dtype, header.fortran_order, header.shape) == (descr.str, fortran_order,
+                                                                      want)
+        assert arr.shape == want and arr.dtype == np.float64
+
+    @pytest.mark.parametrize("descr", ["<f8", "<f4"])
+    def test_zero_size_beyond_the_array_limit_rejected(self, tmp_path, descr):
+        # no payload is claimed, but NumPy cannot form the shape
+        path = tmp_path / "z.npy"
+        _raw_npy(path, _F8_HEADER.replace("<f8", descr) % "(0, 1099511627776, 1099511627776)")
+        assert _npy_error(path) == "shape (0, 1099511627776, 1099511627776) is too big for an array"
 
 
 class TestLoadFeatureMap:
