@@ -130,15 +130,15 @@ def largest_component_bbox(mask) -> BBox:
 def write_pgm(data, path) -> None:
     """Write a grid or mask as binary 8-bit PGM (P5).
 
-    Grids are min-max scaled to 0..255 with round-half-up; a constant
-    grid writes all zeros.  Boolean masks write 0/255.
+    Grids, and other values that pass ``AttnGrid``'s checks, are min-max scaled to
+    0..255 with round-half-up; a constant grid writes all zeros.  Boolean masks write 0/255.
     """
     rows = _rows(data.values if isinstance(data, AttnGrid) else data, "write_pgm")
     flat = [c for r in rows for c in r]
     if all(type(c) is bool for c in flat):
         pixels = [255 if c else 0 for c in flat]
     else:
-        flat = [float(c) for c in flat]
+        flat = AttnGrid(rows, width=len(rows[0]), height=len(rows)).flatten()  # finite, nonnegative
         lo, hi = min(flat), max(flat)
         # floor(s + 0.5) of the scaled value s in [0, 255], as int() of a nonnegative float
         pixels = [0] * len(flat) if hi == lo else [int((c - lo) / (hi - lo) * 255.0 + 0.5) for c in flat]

@@ -6,12 +6,12 @@ from the features, turns their pairwise similarities into attention,
 and pools the value matrix through a generalized mean of exponent
 gamma.  Concrete methods are just parameter choices: the ``*_spec``
 functions in the *_poolers modules and ``simpool``.  gap, max, gem, lse,
-how, SE, k-means, slot attention and SimPool run only as specs.  Three
+how, SE, k-means, slot attention, SimPool and ViT/CaiT run only as specs;
+ViT/CaiT is one head-blocked spec per iteration (``vit_cls_pool``).  Two
 methods are still direct functions, each with its own check: transport
 (``sinkhorn`` under ``otk_pool``) by acceptance criterion 3's marginal
-residuals, CBAM by criterion 9's NumPy reference formula, beside the simple
-poolers and SE, and ViT/CaiT (``vit_cls_pool``) by criterion 5's per-head
-attention and by its materialized keys and values in the ViT tests.
+residuals, and CBAM by criterion 9's NumPy reference formula, beside the
+simple poolers and SE.
 """
 
 from __future__ import annotations
@@ -178,13 +178,15 @@ class InitRule:
 @dataclass(eq=False)
 class UpdateRule:
     """Output map of U after each iteration: ``gru_mlp``, a GRU step plus a
-    residual MLP on its LayerNorm; ``channel_gate``, z <- sigmoid(mlp(z)) * z."""
+    residual MLP on its LayerNorm; ``channel_gate``, z <- sigmoid(mlp(z)) * z;
+    ``mlp``, z <- mlp(W z), W the ``weight``."""
 
-    kind: str = "identity"  # identity | l2norm | gru_mlp | channel_gate
+    kind: str = "identity"  # identity | l2norm | gru_mlp | channel_gate | mlp
     gru: object = None
     mlp: object = None
+    weight: Optional[Mat] = None
 
-    KINDS = ("identity", "l2norm", "gru_mlp", "channel_gate")
+    KINDS = ("identity", "l2norm", "gru_mlp", "channel_gate", "mlp")
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
@@ -193,10 +195,12 @@ class UpdateRule:
 
 @dataclass(eq=False)
 class PoolingSpec:
-    """Complete parameterization of one run of the engine."""
+    """Complete parameterization of one run of the engine.  With m ``heads``, head i owns
+    rows i d/m to (i+1) d/m of the query after its weight, of W_K and of W_V."""
 
     k: int = 1
     iters: int = 1
+    heads: int = 1
     init: Optional[InitRule] = None  # read only by a similarity or gru_mlp
     query_map: MapRule = field(default_factory=MapRule)
     key_map: MapRule = field(default_factory=MapRule)
@@ -207,10 +211,9 @@ class PoolingSpec:
     pool_update: UpdateRule = field(default_factory=UpdateRule)
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ContractError(f"PoolingSpec: k must be >= 1, got {self.k}")
-        if self.iters < 1:
-            raise ContractError(f"PoolingSpec: iters must be >= 1, got {self.iters}")
+        for name in ("k", "iters", "heads"):
+            if getattr(self, name) < 1:
+                raise ContractError(f"PoolingSpec: {name} must be >= 1, got {getattr(self, name)}")
         if self.similarity not in ("dot", "neg_sq_euclid"):
             raise ContractError(f"PoolingSpec: unknown similarity {self.similarity!r}")
         if self.attention not in ATTENTIONS:
@@ -223,6 +226,9 @@ class PoolingSpec:
         if self.key_map.weight is not None and self.similarity != "dot":
             raise ContractError(f"PoolingSpec: a weighted key map needs "
                                 f"dot similarity, got {self.similarity!r}")
+        if self.heads > 1 and (self.attention != "col_softmax" or self.key_map.weight is None
+                               or self.value_map.weight is None):
+            raise ContractError("PoolingSpec: heads > 1 need col_softmax and weighted key and value maps")
         value = "weighted" if self.value_map.weight is not None else self.value_map.kind
         if value in ("weighted", "local_avg_fc") and not (
                 self.pool.kind == "f_alpha" and self.pool.gamma == 1.0):
@@ -277,12 +283,20 @@ def _map_input(rule: MapRule, x: Mat, shared: dict) -> Mat:
     return x
 
 
-def _weigh(rule: MapRule, z: Mat, stage: str, transpose: bool = False) -> Mat:
-    """The map's weight on the narrow operand z: W z, or W^T z formed as (z^T W)^T."""
+def _weigh(rule: MapRule, z: Mat, stage: str, read, heads: int = 1, transpose: bool = False) -> Mat:
+    """The map's weight W, ``read`` just before its one product, on the narrow operand z:
+    W z, or W^T z formed as (z^T W)^T.  With m heads, head i's row block W_i meets its
+    row block z_i (W_i^T z_i, column block i) or its column block z_i (W_i z_i, row block i)."""
     if rule.weight is None:
         return z
     try:
-        return (z.T @ rule.weight).T if transpose else narrow_matmul(rule.weight, z)
+        w = read(rule.weight)
+        if heads == 1:
+            return (z.T @ w).T if transpose else narrow_matmul(w, z)
+        blocks = w.reshape(heads, -1, w.shape[1])
+        if transpose:
+            return (z.reshape(heads, -1, z.shape[1]).transpose(0, 2, 1) @ blocks).reshape(-1, w.shape[1]).T
+        return (blocks @ z.reshape(len(z), heads, -1).transpose(1, 0, 2)).reshape(len(w), -1)
     except ValueError as exc:
         raise ShapeError(f"{stage} mapping: {exc}") from exc
 
@@ -302,9 +316,9 @@ def _avg3(a: Mat, width: int, height: int) -> Mat:
     return conv2d_same(grids, kernel).reshape(a.T.shape).T
 
 
-def _attention(kind: str, s: Optional[Mat], q: Optional[Mat], x: Mat, k: int, shared: dict):
+def _attention(kind: str, s: Optional[Mat], dim: Optional[int], x: Mat, k: int, shared: dict):
     """Return (A, stochastic_cols, empty_col_mask).  Both softmax kinds divide
-    the scores by sqrt of the dimension of the query q they are taken in."""
+    the scores by sqrt of ``dim``, the dimension of the query head they are taken in."""
     p = x.shape[1]
     if kind == "uniform":
         return np.full((p, k), 1.0 / p), False, None
@@ -312,9 +326,9 @@ def _attention(kind: str, s: Optional[Mat], q: Optional[Mat], x: Mat, k: int, sh
         xs = _once(shared, pow2_scaled, x)
         return np.tile(np.einsum("ij,ij->j", xs, xs)[:, None], (1, k)), False, None
     if kind == "col_softmax":
-        return col_softmax(s, np.sqrt(q.shape[0])), True, None
+        return col_softmax(s, np.sqrt(dim)), True, None
     if kind == "row_then_col_norm":
-        return eta_norm(col_softmax(s, np.sqrt(q.shape[0]))), False, None
+        return eta_norm(col_softmax(s, np.sqrt(dim))), False, None
     # hard_argmax: one-hot row-wise argmax (ties to the lowest index), then
     # column normalization; empty columns are reported to the caller.
     idx = np.argmax(s, axis=1)
@@ -342,12 +356,14 @@ def _pool(rule: PoolRule, v: Mat, a: Mat, t: int) -> Mat:
     return np.stack(cols, axis=1)
 
 
-def _update(rule: UpdateRule, z: Mat, prev: Mat) -> Mat:
+def _update(rule: UpdateRule, z: Mat, prev: Mat, read=np.asarray) -> Mat:
     if rule.kind == "identity":
         return z
     if rule.kind == "l2norm":
         return np.stack([l2_normalize(z[:, j]) for j in range(z.shape[1])], axis=1)
     from .nncells import gru_cell, mlp2  # here, so a run of another update never executes nncells
+    if rule.kind == "mlp":
+        return mlp2(narrow_matmul(read(rule.weight), z), rule.mlp, read)
     if rule.kind == "channel_gate":
         return sigmoid(mlp2(z, rule.mlp)) * z
     g = gru_cell(z, prev, rule.gru)  # gru_mlp
@@ -370,7 +386,8 @@ def _init_u(rule: Optional[InitRule], fm: FeatureMap, k: int) -> Mat:
     return mu[:, None] + sigma[:, None] * rng.standard_normal((mu.size, k))
 
 
-def run_pooling(spec: PoolingSpec, fm: FeatureMap, tape: Optional[dict] = None) -> PooledSet:
+def run_pooling(spec: PoolingSpec, fm: FeatureMap, tape: Optional[dict] = None,
+                read=np.asarray) -> PooledSet:
     """Run ``spec.iters`` iterations of the loop, forming U^0 only if a rule reads it.
 
     Each weight meets the k query or pooled columns, never the p feature
@@ -378,7 +395,8 @@ def run_pooling(spec: PoolingSpec, fm: FeatureMap, tape: Optional[dict] = None) 
     once, before the loop.  The key weight is pulled back onto the
     queries, s = X~^T (W_K^T q); the value weight acts after the arithmetic
     pool, z = W_V (X~ a); and local_avg_fc's 3x3 average moves onto the
-    attention through its adjoint, z = W ((X - c) avg3^T(a)).
+    attention through its adjoint, z = W ((X - c) avg3^T(a)).  Each weight is ``read``
+    just before its product; the attention of m heads is the mean of their column blocks.
 
     A dict passed as ``tape`` receives, all formed anyway, ``key_input``, ``value_input``, ``ln_std``
     (LayerNorm's divisor, or None) and the last iteration's ``query_input``, ``q`` and ``wkt_q``.
@@ -391,21 +409,23 @@ def run_pooling(spec: PoolingSpec, fm: FeatureMap, tape: Optional[dict] = None) 
     x_val = _map_input(spec.value_map, x, shared)
 
     for t in range(spec.iters):
-        s = q = None
+        s = dim = None
         if needs_sim:
             u_in = _map_input(spec.query_map, u, {})
-            q = _weigh(spec.query_map, u_in, f"query at iteration {t}")
-            wkt_q = _weigh(spec.key_map, q, "key", transpose=True)
+            q = _weigh(spec.query_map, u_in, f"query at iteration {t}", read)
+            wkt_q = _weigh(spec.key_map, q, "key", read, spec.heads, transpose=True)
             s = pairwise_similarity(x_key, wkt_q, spec.similarity)
-        a, stochastic, empty = _attention(spec.attention, s, q, x, spec.k, shared)
+            dim = q.shape[0] // spec.heads
+        a, stochastic, empty = _attention(spec.attention, s, dim, x, spec.k, shared)
         smoothed = _avg3(a, fm.width, fm.height) if spec.value_map.kind == "local_avg_fc" else a
-        z = _weigh(spec.value_map, _pool(spec.pool, x_val, smoothed, t), "value")
+        z = _weigh(spec.value_map, _pool(spec.pool, x_val, smoothed, t), "value", read, spec.heads)
         if empty is not None and np.any(empty):
             z[:, empty] = u[:, empty]  # dead cluster keeps its previous vector
-        u = _update(spec.pool_update, z, u)
+        u = _update(spec.pool_update, z, u, read)
 
     if tape is not None:
         tape.update(value_input=x_val, ln_std=shared.get("ln_std"))
         if needs_sim:
             tape.update(key_input=x_key, query_input=u_in, q=q, wkt_q=wkt_q)
+    a = a.reshape(len(a), spec.heads, -1).mean(axis=1)  # exactly a itself at one head
     return PooledSet(u=u, attention=AttentionMatrix(a, stochastic_cols=stochastic))

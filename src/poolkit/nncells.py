@@ -52,18 +52,14 @@ def mlp_decl(dim_in: int, hidden: int, dim_out: int) -> tuple:
 
 
 def mlp2(x: np.ndarray, w: MlpWeights, read=np.asarray) -> np.ndarray:
-    """Apply the MLP column-wise; ``x`` is (dim_in,) or (dim_in, n).  ``read`` gives each
-    weight's array just before its product: w2 after the hidden layer, so both may share a buffer."""
+    """Apply the MLP to each column of ``x`` (dim_in, n).  ``read`` gives each weight's
+    array just before its product: w2 after the hidden layer, so both may share a buffer."""
     x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[:, None]
     w1 = read(w.w1)
     if w1.shape[1] != x.shape[0]:
         raise ShapeError(f"mlp2: weight {w1.shape} vs input {x.shape}")
     hidden = relu(narrow_matmul(w1, x))
-    out = narrow_matmul(read(w.w2), hidden)
-    return out[:, 0] if squeeze else out
+    return narrow_matmul(read(w.w2), hidden)
 
 
 @dataclass(eq=False)

@@ -133,6 +133,15 @@ class TestWritePgm:
         write_pgm(mask, path)
         assert path.read_bytes() == b"P5\n2 1\n255\n" + bytes([255, 0])
 
+    @pytest.mark.parametrize("values, error", [([[0.0, np.nan]], NumericError),
+                                               ([[-1e308, 1e308]], ContractError)],
+                             ids=["nan", "negative-span-overflows"])
+    def test_raw_values_get_the_grid_checks(self, tmp_path, values, error):
+        # raw values are not an AttnGrid, yet are checked as one
+        with pytest.raises(error):
+            write_pgm(np.array(values), tmp_path / "bad.pgm")
+        assert not (tmp_path / "bad.pgm").exists()
+
     def test_header_exact(self, tmp_path):
         g = AttnGrid(np.arange(12.0).reshape(3, 4), width=4, height=3)
         path = tmp_path / "h.pgm"

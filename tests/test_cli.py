@@ -197,6 +197,11 @@ class TestCmdPool:
         x = _write_features(tmp_path / "x.npy", np.ones((16, 12)))
         assert reason in _cli_error(["pool", "--input", x, *flags], 1)
 
+    def test_heads_not_dividing_d_exit_1(self, tmp_path):
+        x = _write_features(tmp_path / "x.npy", np.ones((12, 4)))
+        assert "heads m=5 do not divide d=12" in _cli_error(
+            ["pool", "--input", x, "--method", "vit", "--heads", "5"], 1)
+
     @pytest.mark.parametrize("method", ["slot", "simpool", "kmeans"])
     def test_large_features_exit_0(self, tmp_path, capsys, method):
         # LayerNorm and k-means scale by a power of two before squaring: no

@@ -244,6 +244,7 @@ class TestNarrowSideContract:
         from poolkit.reweight_poolers import se_spec
         from poolkit.simple_poolers import gem_spec, how_spec, lse_spec, max_spec
         from poolkit.simpool import SimPoolParams, simpool_spec
+        from poolkit.transformer_poolers import VitWeights, vit_spec
 
         fm = _fm(np.arange(1.0, 13.0).reshape(3, 4), width=2, height=2)
         weights = SlotWeights.seeded(3, seed=0)
@@ -252,6 +253,8 @@ class TestNarrowSideContract:
                  se_spec(gate), kmeans_spec(2, 2, InitRule(kind="sample_columns")),
                  simpool_spec(fm, SimPoolParams.seeded(3, seed=0))]
         specs += [slot_spec(2, 2, weights, simplified=simplified) for simplified in (False, True)]
+        vit = VitWeights.seeded(3, 1, seed=0)
+        specs.append(vit_spec(vit.iters[0], vit.u0, heads=3))
         for spec in specs:
             assert run_pooling(spec, fm).u.shape[1] == spec.k
         rules = (InitRule, MapRule, PoolRule, UpdateRule)
@@ -268,6 +271,48 @@ class TestNarrowSideContract:
         assert accepted - used == set()
         assert {spec.attention for spec in specs} == set(ATTENTIONS)
         assert {spec.similarity for spec in specs} == {"dot", "neg_sq_euclid"}
+        assert any(spec.heads > 1 for spec in specs)  # the head-blocked weights
+
+
+class TestHeads:
+    """Head i owns rows i d/m to (i+1) d/m of the query, W_K and W_V."""
+
+    D, M = 6, 3
+    W = [np.random.default_rng(7 + i).normal(size=(6, 6)) for i in range(3)]  # W_Q, W_K, W_V
+
+    def _spec(self, u, w_q, w_k, w_v, heads=1):
+        return PoolingSpec(k=u.shape[1], heads=heads, init=InitRule(kind="matrix", matrix=u),
+                           query_map=MapRule(weight=w_q), key_map=MapRule(weight=w_k),
+                           value_map=MapRule(weight=w_v))
+
+    def test_heads_below_one_rejected(self):
+        with pytest.raises(ContractError, match="heads must be >= 1"):
+            PoolingSpec(heads=0)
+
+    @pytest.mark.parametrize("unweighted", ["key_map", "value_map"])
+    def test_heads_need_weighted_key_and_value_maps(self, unweighted):
+        maps = {"key_map": MapRule(weight=self.W[1]), "value_map": MapRule(weight=self.W[2])}
+        maps[unweighted] = MapRule()
+        with pytest.raises(ContractError, match="heads > 1 need col_softmax"):
+            PoolingSpec(heads=2, **maps)
+
+    @pytest.mark.parametrize("attention", [a for a in ATTENTIONS if a != "col_softmax"])
+    def test_heads_need_col_softmax(self, attention):
+        with pytest.raises(ContractError, match="heads > 1 need col_softmax"):
+            PoolingSpec(heads=2, attention=attention, key_map=MapRule(weight=self.W[1]),
+                        value_map=MapRule(weight=self.W[2]))
+
+    def test_m_heads_are_m_single_head_runs_on_the_row_blocks(self):
+        # k = 2 queries: the attention holds head i's k columns as its column block i
+        rng = np.random.default_rng(8)
+        fm, u = _fm(rng.normal(size=(self.D, 10))), rng.normal(size=(self.D, 2))
+        out = run_pooling(self._spec(u, *self.W, heads=self.M), fm)
+        step = self.D // self.M
+        runs = [run_pooling(self._spec(u, *(w[i * step:(i + 1) * step] for w in self.W)), fm)
+                for i in range(self.M)]
+        np.testing.assert_allclose(out.u, np.concatenate([r.u for r in runs]), rtol=1e-13, atol=0)
+        np.testing.assert_allclose(out.attention.a, np.mean([r.attention.a for r in runs], axis=0),
+                                   rtol=1e-13, atol=0)
 
 
 class TestInitOnlyWhenRead:

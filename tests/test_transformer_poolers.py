@@ -59,7 +59,7 @@ def _per_head_reference(x, w, m, iters):
         for qi, ki, vi in heads:
             attn.append(col_softmax(ki.T @ qi, scale))
             z.append(vi @ attn[-1])
-        u = mlp2(iw.w_u @ np.concatenate(z)[:, 0], iw.mlp)
+        u = mlp2(iw.w_u @ np.concatenate(z), iw.mlp)[:, 0]
 
         abs_heads = zip(split_heads((np.abs(iw.w_q) @ u_abs)[:, None], m),
                         split_heads(np.abs(iw.w_k) @ np.abs(x), m),
