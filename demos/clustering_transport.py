@@ -10,7 +10,7 @@ Run:  python3 demos/clustering_transport.py
 
 import numpy as np
 
-from poolkit import FeatureMap, InitRule, run_pooling
+from poolkit import FeatureMap, run_pooling
 from poolkit.cluster_poolers import (
     SinkhornParams,
     kmeans_distortion,
@@ -46,8 +46,8 @@ def kmeans_descent():
     print(f"{'step':>4} {'distortion':>12}")
     for step in range(8):
         print(f"{step:>4} {kmeans_distortion(x, u):>12.4f}")
-        # one pass of the engine loop from the current centroids
-        u = run_pooling(kmeans_spec(3, 1, InitRule(kind="matrix", matrix=u)), fm).u
+        # one pass of the engine loop from the current centroids, U^0 = u
+        u = run_pooling(kmeans_spec(1, u), fm).u
     print(f"final centroids (columns):\n{u.round(3)}")
 
 

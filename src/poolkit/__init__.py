@@ -19,9 +19,8 @@ import importlib.util
 import sys
 
 _EXPORTS = {
-    "framework": ("AttentionMatrix", "FeatureMap", "InitRule", "MapRule",
-                  "PooledSet", "PoolingSpec", "PoolRule", "UpdateRule",
-                  "pairwise_similarity", "run_pooling"),
+    "framework": ("AttentionMatrix", "FeatureMap", "MapRule", "PooledSet", "PoolingSpec",
+                  "PoolRule", "UpdateRule", "pairwise_similarity", "run_pooling"),
     "meanfam": ("lse_pool", "weighted_generalized_mean"),
     "simple_poolers": ("HowConfig", "gap", "gem", "how", "lse", "max_pool"),
     "cluster_poolers": ("NystromMap", "SinkhornParams", "SlotWeights", "kmeans_distortion",

@@ -12,8 +12,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractError, ConvergenceError, ShapeError
-from .framework import (AttentionMatrix, FeatureMap, InitRule, MapRule, PooledSet,
-                        PoolingSpec, UpdateRule, run_pooling)
+from .framework import (AttentionMatrix, FeatureMap, MapRule, PooledSet, PoolingSpec,
+                        UpdateRule, run_pooling)
 from .matcore import Mat, as_matrix, logsumexp, pow2_exponent, sq_distances
 from .nncells import GruWeights, MlpWeights, draw, gru_decl, mlp_decl
 
@@ -361,23 +361,22 @@ def kmeans_distortion(x: Mat, centroids: Mat) -> float:
     return float(sq_distances(x, centroids).min(axis=1).sum())
 
 
-def kmeans_spec(k: int, iters: int, init: InitRule) -> PoolingSpec:
-    """Lloyd's algorithm in matrix form: hard assignment of each column to
-    its nearest centroid (ties to the lowest index), then the mean of each
-    cluster; an empty cluster keeps its previous centroid."""
-    return PoolingSpec(k=k, iters=iters, init=init, similarity="neg_sq_euclid",
-                       attention="hard_argmax")
+def kmeans_spec(iters: int, init: Mat) -> PoolingSpec:
+    """Lloyd's algorithm in matrix form from the k centroid columns of ``init``: hard
+    assignment of each column to its nearest centroid (ties to the lowest index), then
+    the mean of each cluster; an empty cluster keeps its previous centroid."""
+    return PoolingSpec(iters=iters, init=init, similarity="neg_sq_euclid", attention="hard_argmax")
 
 
 def kmeans_pool(fm: FeatureMap, k: int, iters: int, seed: int = 0) -> PooledSet:
     """Seeded k-means: init from k distinct data columns, run exactly
     ``iters`` Lloyd steps, return centroids plus the final assignment.  Past max|x| = 2^±500
     they run on x 2^-e (``pow2_exponent``), exactly, and the centroids are scaled back by 2^e."""
-    spec, e = kmeans_spec(k, iters, InitRule(kind="sample_columns", seed=seed)), pow2_exponent(fm.x)
-    if abs(e) <= 500:
-        return run_pooling(spec, fm)
-    out = run_pooling(spec, FeatureMap(np.ldexp(fm.x, -e), fm.width, fm.height))
-    return PooledSet(np.ldexp(out.u, e), out.attention)
+    e = pow2_exponent(fm.x)
+    if abs(e) > 500:
+        fm = FeatureMap(np.ldexp(fm.x, -e), fm.width, fm.height)
+    out = run_pooling(kmeans_spec(iters, fm.sample_columns(k, seed)), fm)
+    return out if abs(e) <= 500 else PooledSet(np.ldexp(out.u, e), out.attention)
 
 
 # --- slot attention --------------------------------------------------------
@@ -409,8 +408,8 @@ class SlotWeights:
 
 def slot_spec(k: int, iters: int, weights: SlotWeights, seed: int = 0,
               simplified: bool = False) -> PoolingSpec:
-    """Slot attention: slots drawn from N(mu, sigma^2), queries, keys and
-    values through LayerNorm-then-linear maps, dot-product similarity.
+    """Slot attention: k slots drawn by ``seed`` from N(mu, sigma^2), queries,
+    keys and values through LayerNorm-then-linear maps, dot-product similarity.
 
     Full mode normalizes the column softmax over rows and updates slots
     through a GRU + residual MLP; simplified mode uses the plain column
@@ -427,9 +426,11 @@ def slot_spec(k: int, iters: int, weights: SlotWeights, seed: int = 0,
                                 "these were drawn for simplified mode")
         attention = "row_then_col_norm"
         update = UpdateRule(kind="gru_mlp", gru=weights.gru, mlp=weights.mlp)
+    if k < 1:
+        raise ContractError(f"slot_spec: k must be >= 1, got {k}")
+    draws = np.random.default_rng(seed).standard_normal((weights.mu.size, k))
     return PoolingSpec(
-        k=k, iters=iters,
-        init=InitRule(kind="normal", seed=seed, mu=weights.mu, sigma=weights.sigma),
+        iters=iters, init=weights.mu[:, None] + weights.sigma[:, None] * draws,
         query_map=proj(weights.w_q), key_map=proj(weights.w_k), value_map=proj(weights.w_v),
         attention=attention, pool_update=update,
     )

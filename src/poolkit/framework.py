@@ -4,14 +4,16 @@ One configurable loop covers the whole landscape of pooling operators:
 each iteration forms a query from the current pooled vectors and a key
 from the features, turns their pairwise similarities into attention,
 and pools the value matrix through a generalized mean of exponent
-gamma.  Concrete methods are just parameter choices: the ``*_spec``
-functions in the *_poolers modules and ``simpool``.  gap, max, gem, lse,
-how, SE, k-means, slot attention, SimPool and ViT/CaiT run only as specs;
-ViT/CaiT is one head-blocked spec per iteration (``vit_cls_pool``).  Two
-methods are still direct functions, each with its own check: transport
-(``sinkhorn`` under ``otk_pool``) by acceptance criterion 3's marginal
-residuals, and CBAM by criterion 9's NumPy reference formula, beside the
-simple poolers and SE.
+gamma.  The loop starts from U^0, a matrix of k columns, which the spec
+holds as its ``init``.  Concrete methods are just parameter choices, each
+builder forming its own U^0: the ``*_spec`` functions in the *_poolers
+modules and ``simpool``.  gap, max, gem, lse, how, SE, k-means, slot
+attention, SimPool and ViT/CaiT run only as specs; ViT/CaiT is one
+head-blocked spec per iteration (``vit_cls_pool``).  Two methods are
+still direct functions, each with its own check: transport (``sinkhorn``
+under ``otk_pool``) by acceptance criterion 3's marginal residuals, and
+CBAM by criterion 9's NumPy reference formula, beside the simple poolers
+and SE.
 """
 
 from __future__ import annotations
@@ -69,8 +71,8 @@ class FeatureMap:
         return self.x.shape[1]
 
     def sample_columns(self, k: int, seed: int) -> Mat:
-        """k distinct columns of x, drawn by ``seed``."""
-        if k > self.p:
+        """k distinct columns of x, drawn by ``seed``; 1 <= k <= p."""
+        if not 1 <= k <= self.p:
             raise ContractError(f"cannot sample {k} distinct columns from p={self.p}")
         return self.x[:, np.random.default_rng(seed).choice(self.p, size=k, replace=False)]
 
@@ -155,27 +157,6 @@ class PoolRule:
 
 
 @dataclass(eq=False)
-class InitRule:
-    """How U^0 is produced."""
-
-    kind: str  # matrix | sample_columns | normal
-    matrix: Optional[Mat] = None
-    seed: int = 0
-    mu: Optional[np.ndarray] = None
-    sigma: Optional[np.ndarray] = None
-
-    KINDS = ("matrix", "sample_columns", "normal")
-
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ContractError(f"InitRule: unknown kind {self.kind!r}")
-        if self.kind == "matrix" and self.matrix is None:
-            raise ContractError("InitRule[matrix]: matrix required")
-        if self.kind == "normal" and (self.mu is None or self.sigma is None):
-            raise ContractError("InitRule[normal]: mu and sigma required")
-
-
-@dataclass(eq=False)
 class UpdateRule:
     """Output map of U after each iteration: ``gru_mlp``, a GRU step plus a
     residual MLP on its LayerNorm; ``channel_gate``, z <- sigmoid(mlp(z)) * z;
@@ -195,13 +176,14 @@ class UpdateRule:
 
 @dataclass(eq=False)
 class PoolingSpec:
-    """Complete parameterization of one run of the engine.  With m ``heads``, head i owns
-    rows i d/m to (i+1) d/m of the query after its weight, of W_K and of W_V."""
+    """Complete parameterization of one run of the engine.  ``init`` is U^0, a d' x k
+    matrix or a d'-vector read as one column; k is its column count, or 1 where no rule
+    reads U^0.  With m ``heads``, head i owns rows i d/m to (i+1) d/m of the query after
+    its weight, of W_K and of W_V."""
 
-    k: int = 1
     iters: int = 1
     heads: int = 1
-    init: Optional[InitRule] = None  # read only by a similarity or gru_mlp
+    init: Optional[Mat] = None  # read only by a similarity or gru_mlp
     query_map: MapRule = field(default_factory=MapRule)
     key_map: MapRule = field(default_factory=MapRule)
     value_map: MapRule = field(default_factory=MapRule)
@@ -211,7 +193,7 @@ class PoolingSpec:
     pool_update: UpdateRule = field(default_factory=UpdateRule)
 
     def __post_init__(self):
-        for name in ("k", "iters", "heads"):
+        for name in ("iters", "heads"):
             if getattr(self, name) < 1:
                 raise ContractError(f"PoolingSpec: {name} must be >= 1, got {getattr(self, name)}")
         if self.similarity not in ("dot", "neg_sq_euclid"):
@@ -293,6 +275,8 @@ def _weigh(rule: MapRule, z: Mat, stage: str, read, heads: int = 1, transpose: b
         w = read(rule.weight)
         if heads == 1:
             return (z.T @ w).T if transpose else narrow_matmul(w, z)
+        if len(w) % heads:
+            raise ShapeError(f"{stage} mapping: heads m={heads} do not divide d={len(w)}")
         blocks = w.reshape(heads, -1, w.shape[1])
         if transpose:
             return (z.reshape(heads, -1, z.shape[1]).transpose(0, 2, 1) @ blocks).reshape(-1, w.shape[1]).T
@@ -316,15 +300,16 @@ def _avg3(a: Mat, width: int, height: int) -> Mat:
     return conv2d_same(grids, kernel).reshape(a.T.shape).T
 
 
-def _attention(kind: str, s: Optional[Mat], dim: Optional[int], x: Mat, k: int, shared: dict):
+def _attention(kind: str, s: Optional[Mat], dim: Optional[int], x: Mat, shared: dict):
     """Return (A, stochastic_cols, empty_col_mask).  Both softmax kinds divide
-    the scores by sqrt of ``dim``, the dimension of the query head they are taken in."""
+    the scores by sqrt of ``dim``, the dimension of the query head they are taken in;
+    the two kinds that read no scores give one column."""
     p = x.shape[1]
     if kind == "uniform":
-        return np.full((p, k), 1.0 / p), False, None
+        return np.full((p, 1), 1.0 / p), False, None
     if kind == "feature_sqnorm":  # of X 2^-e; einsum, as a 2nd d x p array costs page faults
         xs = _once(shared, pow2_scaled, x)
-        return np.tile(np.einsum("ij,ij->j", xs, xs)[:, None], (1, k)), False, None
+        return np.einsum("ij,ij->j", xs, xs)[:, None], False, None
     if kind == "col_softmax":
         return col_softmax(s, np.sqrt(dim)), True, None
     if kind == "row_then_col_norm":
@@ -332,7 +317,7 @@ def _attention(kind: str, s: Optional[Mat], dim: Optional[int], x: Mat, k: int, 
     # hard_argmax: one-hot row-wise argmax (ties to the lowest index), then
     # column normalization; empty columns are reported to the caller.
     idx = np.argmax(s, axis=1)
-    m = np.zeros((p, k))
+    m = np.zeros(s.shape)
     m[np.arange(p), idx] = 1.0
     mass = m.sum(axis=0)
     empty = mass == 0
@@ -370,25 +355,9 @@ def _update(rule: UpdateRule, z: Mat, prev: Mat, read=np.asarray) -> Mat:
     return g + mlp2(layernorm_cols(g), rule.mlp)
 
 
-def _init_u(rule: Optional[InitRule], fm: FeatureMap, k: int) -> Mat:
-    if rule is None:
-        raise ContractError("run_pooling: a similarity or gru_mlp reads U^0; the spec has no init")
-    if rule.kind == "matrix":
-        m = as_matrix(rule.matrix, "InitRule.matrix")
-        if m.shape[1] != k:
-            raise ShapeError(f"InitRule: matrix has {m.shape[1]} columns, k={k}")
-        return m
-    if rule.kind == "sample_columns":
-        return fm.sample_columns(k, rule.seed)
-    rng = np.random.default_rng(rule.seed)  # normal
-    mu = np.asarray(rule.mu, dtype=np.float64)
-    sigma = np.asarray(rule.sigma, dtype=np.float64)
-    return mu[:, None] + sigma[:, None] * rng.standard_normal((mu.size, k))
-
-
 def run_pooling(spec: PoolingSpec, fm: FeatureMap, tape: Optional[dict] = None,
                 read=np.asarray) -> PooledSet:
-    """Run ``spec.iters`` iterations of the loop, forming U^0 only if a rule reads it.
+    """Run ``spec.iters`` loop iterations from U^0 = ``spec.init``, read only if a rule needs it.
 
     Each weight meets the k query or pooled columns, never the p feature
     columns.  Only the weight-free inputs X~ (see ``_map_input``) are formed
@@ -403,7 +372,10 @@ def run_pooling(spec: PoolingSpec, fm: FeatureMap, tape: Optional[dict] = None,
     """
     x = fm.x
     needs_sim = spec.attention not in ("uniform", "feature_sqnorm")
-    u = _init_u(spec.init, fm, spec.k) if needs_sim or spec.pool_update.kind == "gru_mlp" else None
+    reads_u = needs_sim or spec.pool_update.kind == "gru_mlp"
+    if reads_u and spec.init is None:
+        raise ContractError("run_pooling: a similarity or gru_mlp reads U^0; the spec has no init")
+    u = as_matrix(spec.init, "PoolingSpec.init") if reads_u else None
     shared = {}
     x_key = _map_input(spec.key_map, x, shared) if needs_sim else None
     x_val = _map_input(spec.value_map, x, shared)
@@ -416,7 +388,7 @@ def run_pooling(spec: PoolingSpec, fm: FeatureMap, tape: Optional[dict] = None,
             wkt_q = _weigh(spec.key_map, q, "key", read, spec.heads, transpose=True)
             s = pairwise_similarity(x_key, wkt_q, spec.similarity)
             dim = q.shape[0] // spec.heads
-        a, stochastic, empty = _attention(spec.attention, s, dim, x, spec.k, shared)
+        a, stochastic, empty = _attention(spec.attention, s, dim, x, shared)
         smoothed = _avg3(a, fm.width, fm.height) if spec.value_map.kind == "local_avg_fc" else a
         z = _weigh(spec.value_map, _pool(spec.pool, x_val, smoothed, t), "value", read, spec.heads)
         if empty is not None and np.any(empty):

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import gradcheck  # binds the lazily registered module; a pool request never executes it
 from .errors import ContractError, ShapeError
-from .framework import FeatureMap, InitRule, MapRule, PoolingSpec, PoolRule, run_pooling
+from .framework import FeatureMap, MapRule, PoolingSpec, PoolRule, run_pooling
 from .matcore import Mat
 from .meanfam import CLAMP_FLOOR
 from .nncells import draw
@@ -54,7 +54,7 @@ def simpool_spec(fm: FeatureMap, params: SimPoolParams) -> PoolingSpec:
     if fm.d < 2:
         raise ContractError("simpool: d must be >= 2 (LayerNorm degenerates)")
     return PoolingSpec(
-        init=InitRule(kind="matrix", matrix=fm.x.mean(axis=1, keepdims=True)),
+        init=fm.x.mean(axis=1, keepdims=True),
         query_map=MapRule(weight=params.w_q),
         key_map=MapRule(kind="linear_ln", weight=params.w_k),
         value_map=MapRule(kind="ln_shifted"),

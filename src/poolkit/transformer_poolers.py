@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, ShapeError
-from .framework import FeatureMap, InitRule, MapRule, PooledSet, PoolingSpec, UpdateRule, run_pooling
+from .errors import ContractError
+from .framework import FeatureMap, MapRule, PooledSet, PoolingSpec, UpdateRule, run_pooling
 from .matcore import Mat
 from .nncells import MlpWeights, draw, draw_bytes, expand, mlp_decl
 
@@ -59,7 +59,7 @@ class VitWeights:
 def vit_spec(w: VitIterWeights, u: Mat, heads: int) -> PoolingSpec:
     """One iteration from the pooled vector u: head i's scaled softmax attention a_i of
     W_Q,i u against the features x pools W_V,i (x a_i); then u <- mlp(W_U z) on the merged heads."""
-    return PoolingSpec(heads=heads, init=InitRule("matrix", matrix=u),
+    return PoolingSpec(heads=heads, init=u,
                        query_map=MapRule(weight=w.w_q), key_map=MapRule(weight=w.w_k),
                        value_map=MapRule(weight=w.w_v),
                        pool_update=UpdateRule("mlp", weight=w.w_u, mlp=w.mlp))
@@ -71,8 +71,6 @@ def vit_cls_pool(fm: FeatureMap, weights: VitWeights, m: int, iters: int) -> Poo
     if not 1 <= iters <= len(weights.iters):
         raise ContractError(f"vit_cls_pool: {len(weights.iters)} weight sets for {iters} iterations")
     d = fm.d
-    if d % m != 0:
-        raise ShapeError(f"vit_cls_pool: heads m={m} do not divide d={d}")
     buf = np.empty(-(-d * d // 8) * 8) if weights.iters[0].w_q.dtype == np.uint8 else None
 
     def read(w: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ import pytest
 
 from poolkit.cli import _synthesize_features, run_method
 from poolkit.cluster_poolers import SinkhornParams, kmeans_distortion, kmeans_spec, sinkhorn
-from poolkit.framework import FeatureMap, InitRule, run_pooling
+from poolkit.framework import FeatureMap, run_pooling
 from poolkit.matcore import col_softmax
 from poolkit.meanfam import weighted_generalized_mean
 from poolkit.simple_poolers import gap
@@ -29,8 +29,7 @@ from test_transformer_poolers import block_diagonal_query, split_heads
 
 def lloyd_step(x, u):
     """One engine k-means iteration from centroids u: (new centroids, assignment)."""
-    out = run_pooling(kmeans_spec(u.shape[1], 1, InitRule("matrix", matrix=u)),
-                      FeatureMap.from_array(x))
+    out = run_pooling(kmeans_spec(1, u), FeatureMap.from_array(x))
     return out.u, out.attention.a
 
 

@@ -23,7 +23,7 @@ from poolkit.cluster_poolers import (
     slot_spec,
 )
 from poolkit.errors import ContractError, ConvergenceError, DegenerateMassError, NumericError, ShapeError
-from poolkit.framework import FeatureMap, InitRule, UpdateRule, _update, run_pooling
+from poolkit.framework import FeatureMap, UpdateRule, _update, run_pooling
 from poolkit.matcore import col_softmax, eta_norm, layernorm_cols, sq_distances
 from poolkit.nncells import GruWeights, MlpWeights
 from poolkit.simple_poolers import gap
@@ -55,7 +55,7 @@ def _psi(psi, x):
 
 def lloyd_step(x, u):
     """One engine k-means iteration from centroids u: (new centroids, assignment)."""
-    out = run_pooling(kmeans_spec(u.shape[1], 1, InitRule("matrix", matrix=u)), _fm(x))
+    out = run_pooling(kmeans_spec(1, u), _fm(x))
     return out.u, out.attention.a
 
 
@@ -319,6 +319,33 @@ def _handed_over(plan, cost):
     return plan.T.copy(), np.r_[plan.sum(axis=1), plan.sum(axis=0)], (cost - cost.min()).T.copy()
 
 
+class TestNewtonStepFallback:
+    """The inputs on which ``_newton_step`` gives no step, so that ``sinkhorn``
+    sweeps instead; solves at the benchmark's shapes never reach them."""
+
+    @staticmethod
+    def _marginals(plan):
+        """``_newton_step``'s plan, marginals and gradient arguments at ``plan``."""
+        p, k = plan.shape
+        marg = np.r_[plan.sum(axis=1), plan.sum(axis=0)]
+        return plan.T.copy(), marg, np.r_[np.full(p, 1 / p), np.full(k, 1 / k)] - marg
+
+    def test_none_where_a_column_other_than_the_last_is_empty(self):
+        # every row holds mass, so the Schur complement is formed, but its
+        # held block has a zero row: the solve is singular
+        plan_t, marg, grad = self._marginals(np.array([[0.25, 0.0, 0.25], [0.25, 0.0, 0.25]]))
+        _, neg_schur = cluster_poolers._schur(plan_t, marg)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(neg_schur[:-1, :-1], np.ones(2))
+        assert cluster_poolers._newton_step(plan_t, marg, grad, 1.0) is None
+
+    def test_none_at_a_zero_gradient(self):
+        # the plan meets both marginals exactly: the step is 0, and so is its slope
+        plan_t, marg, grad = self._marginals(np.full((2, 2), 0.25))
+        assert not grad.any()
+        assert cluster_poolers._newton_step(plan_t, marg, grad, 1.0) is None
+
+
 class TestTangent:
     H = 1e-4  # relative epsilon step of the central difference
 
@@ -394,6 +421,12 @@ class TestTangent:
             empty[emptied] = 0.0
             out = cluster_poolers._tangent(*_handed_over(empty, cost), g, 1.0, 0.125)
             assert out is g
+
+    def test_no_move_where_the_move_is_not_finite(self):
+        cost = np.random.default_rng(4).uniform(0.0, 10.0, size=(5, 2))
+        plan = sinkhorn(cost, SinkhornParams(epsilon=1.0))
+        g = np.array([np.inf, 0.0])
+        assert cluster_poolers._tangent(*_handed_over(plan, cost), g, 1.0, 0.125) is g
 
     def test_clips_a_move_wider_than_the_entropy_scale(self):
         cost = np.random.default_rng(3).uniform(0.0, 10.0, size=(6, 4))
@@ -599,6 +632,11 @@ class TestKmeans:
         with pytest.raises(ContractError):
             kmeans_pool(_fm([[1.0, 2.0]]), k=3, iters=1)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(ContractError, match=f"cannot sample {k} distinct columns"):
+            kmeans_pool(_fm([[1.0, 2.0]]), k=k, iters=1)
+
     @settings(max_examples=60, deadline=None)
     @given(x=st.tuples(st.integers(1, 6), st.integers(1, 12)).flatmap(lambda shape: arrays(
                np.float64, shape, elements=st.integers(-32, 32).map(lambda v: v / 8))),
@@ -626,6 +664,11 @@ class TestKmeans:
 
 
 class TestSlotPool:
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(ContractError, match="k must be >= 1"):
+            slot_pool(_fm([[1.0, 2.0], [3.0, 5.0]]), k=k, iters=1, weights=SlotWeights.seeded(2))
+
     def test_identical_columns_uniform_attention(self):
         x = np.tile(np.array([[1.0], [2.0]]), (1, 5))
         w = SlotWeights.seeded(2, seed=4)
@@ -713,7 +756,7 @@ class TestSlotPool:
         u = w.mu[:, None] + w.sigma[:, None] * rng.standard_normal((d, k))
         scale_s = np.sqrt(d)
         for _ in range(iters):
-            step = replace(spec, init=InitRule(kind="matrix", matrix=u), pool_update=UpdateRule())
+            step = replace(spec, init=u, pool_update=UpdateRule())
             un = layernorm_cols(u)
             a_ref = col_softmax(keys.T @ (w.w_q @ un), scale_s)
             if not simplified:

@@ -1,16 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poolkit import framework
-from poolkit.cluster_poolers import SlotWeights, kmeans_pool, slot_pool
+from poolkit.cluster_poolers import SlotWeights, kmeans_spec, slot_spec
 from poolkit.errors import ContractError, DegenerateMassError, NumericError, ShapeError
 from poolkit.framework import (
     ATTENTIONS,
     AttentionMatrix,
     FeatureMap,
-    InitRule,
     MapRule,
     PooledSet,
     PoolingSpec,
@@ -19,10 +20,10 @@ from poolkit.framework import (
     pairwise_similarity,
     run_pooling,
 )
-from poolkit.matcore import layernorm_cols, pow2_scaled
+from poolkit.matcore import as_matrix, layernorm_cols, pow2_scaled
 from poolkit.meanfam import CLAMP_FLOOR
-from poolkit.reweight_poolers import SeWeights, se_pool
-from poolkit.simple_poolers import gap, gem, how, lse, max_pool
+from poolkit.reweight_poolers import SeWeights, se_spec
+from poolkit.simple_poolers import gem_spec, how_spec, lse_spec, max_spec
 
 from numeric_edges import COLUMN_EDGES, SCALES, assert_within_rounding, feature_matrices, shape_columns
 from test_simple_poolers import HOW_SUBNORMAL, reference_pools
@@ -92,9 +93,8 @@ class TestRunPooling:
     def test_kmeans_k_equals_p_identity(self):
         x = np.array([[0.0, 1.0, 10.0], [0.0, 2.0, -1.0]])
         spec = PoolingSpec(
-            k=3,
             iters=1,
-            init=InitRule(kind="matrix", matrix=x),
+            init=x,
             similarity="neg_sq_euclid",
             attention="hard_argmax",
             pool=PoolRule(kind="f_alpha", gamma=1.0),
@@ -105,7 +105,7 @@ class TestRunPooling:
     def test_softmax_attention_flagged_stochastic(self):
         rng = np.random.default_rng(9)
         fm = _fm(rng.normal(size=(3, 6)))
-        spec = PoolingSpec(init=InitRule(kind="matrix", matrix=fm.x.mean(axis=1, keepdims=True)),
+        spec = PoolingSpec(init=fm.x.mean(axis=1, keepdims=True),
                            attention="col_softmax")
         out = run_pooling(spec, fm)
         assert out.attention.stochastic_cols
@@ -115,9 +115,8 @@ class TestRunPooling:
         rng = np.random.default_rng(10)
         fm = _fm(rng.normal(size=(4, 8)))
         spec = PoolingSpec(
-            k=2,
             iters=3,
-            init=InitRule(kind="sample_columns", seed=5),
+            init=fm.sample_columns(2, 5),
             similarity="neg_sq_euclid",
             attention="hard_argmax",
         )
@@ -236,13 +235,9 @@ class TestNarrowSideContract:
         np.testing.assert_allclose(run_pooling(spec, _fm(self.X)).u, want, rtol=1e-14)
 
     def test_every_shipped_spec_constructs(self):
-        """Each shipped spec runs, and together they use every kind that each
-        rule accepts, every attention kind and both similarities, so no engine
-        branch is kept for tests alone.  An init counts only where run_pooling reads it: under a
-        similarity attention or the gru_mlp update."""
-        from poolkit.cluster_poolers import SlotWeights, kmeans_spec, slot_spec
-        from poolkit.reweight_poolers import se_spec
-        from poolkit.simple_poolers import gem_spec, how_spec, lse_spec, max_spec
+        """Each shipped spec runs, with k the column count of its init (1 with none), and
+        together they use every kind that each rule accepts, every attention kind and both
+        similarities, so no engine branch is kept for tests alone."""
         from poolkit.simpool import SimPoolParams, simpool_spec
         from poolkit.transformer_poolers import VitWeights, vit_spec
 
@@ -250,24 +245,18 @@ class TestNarrowSideContract:
         weights = SlotWeights.seeded(3, seed=0)
         gate = SeWeights(w1=np.ones((1, 3)), w2=np.ones((3, 1)))
         specs = [gem_spec(1.0), max_spec(), gem_spec(3.0), lse_spec(2.0), how_spec(fm),
-                 se_spec(gate), kmeans_spec(2, 2, InitRule(kind="sample_columns")),
+                 se_spec(gate), kmeans_spec(2, fm.sample_columns(2, 0)),
                  simpool_spec(fm, SimPoolParams.seeded(3, seed=0))]
         specs += [slot_spec(2, 2, weights, simplified=simplified) for simplified in (False, True)]
         vit = VitWeights.seeded(3, 1, seed=0)
         specs.append(vit_spec(vit.iters[0], vit.u0, heads=3))
         for spec in specs:
-            assert run_pooling(spec, fm).u.shape[1] == spec.k
-        rules = (InitRule, MapRule, PoolRule, UpdateRule)
+            k = 1 if spec.init is None else as_matrix(spec.init).shape[1]
+            assert run_pooling(spec, fm).u.shape[1] == k
+        rules = (MapRule, PoolRule, UpdateRule)
         accepted = {(rule.__name__, kind) for rule in rules for kind in rule.KINDS}
-
-        def read_init(spec):
-            reads = (spec.attention not in ("uniform", "feature_sqnorm")
-                     or spec.pool_update.kind == "gru_mlp")
-            return (spec.init,) if reads else ()
-
         used = {(type(rule).__name__, rule.kind) for spec in specs
-                for rule in (*read_init(spec), spec.query_map, spec.key_map, spec.value_map,
-                             spec.pool, spec.pool_update)}
+                for rule in (spec.query_map, spec.key_map, spec.value_map, spec.pool, spec.pool_update)}
         assert accepted - used == set()
         assert {spec.attention for spec in specs} == set(ATTENTIONS)
         assert {spec.similarity for spec in specs} == {"dot", "neg_sq_euclid"}
@@ -281,7 +270,7 @@ class TestHeads:
     W = [np.random.default_rng(7 + i).normal(size=(6, 6)) for i in range(3)]  # W_Q, W_K, W_V
 
     def _spec(self, u, w_q, w_k, w_v, heads=1):
-        return PoolingSpec(k=u.shape[1], heads=heads, init=InitRule(kind="matrix", matrix=u),
+        return PoolingSpec(heads=heads, init=u,
                            query_map=MapRule(weight=w_q), key_map=MapRule(weight=w_k),
                            value_map=MapRule(weight=w_v))
 
@@ -316,32 +305,27 @@ class TestHeads:
 
 
 class TestInitOnlyWhenRead:
-    """U^0 is formed only where a rule reads it: the query of a similarity,
-    or the GRU state.  The uniform and norm attentions never read it."""
+    """U^0 is checked and used only where a rule needs it: the query of a
+    similarity, or the GRU state.  The uniform and norm attentions never need
+    it, so a NaN init passes there, with k = 1, and is rejected everywhere else."""
 
     FM = FeatureMap(np.arange(1.0, 25.0).reshape(4, 6), width=3, height=2)
+    NAN = np.full((4, 2), np.nan)
 
-    @pytest.fixture(autouse=True)
-    def _init_raises(self, monkeypatch):
-        def forbidden(*args):
-            raise AssertionError("_init_u called")
-        monkeypatch.setattr(framework, "_init_u", forbidden)
-
-    @pytest.mark.parametrize("pooler", [gap, max_pool, lambda fm: gem(fm, 3.0),
-                                        lambda fm: lse(fm, 2.0), how,
-                                        lambda fm: se_pool(fm, SeWeights.seeded(fm.d)).u],
+    @pytest.mark.parametrize("spec", [gem_spec(1.0), max_spec(), gem_spec(3.0), lse_spec(2.0),
+                                      how_spec(FM), se_spec(SeWeights.seeded(4))],
                              ids=["gap", "max", "gem", "lse", "how", "se"])
-    def test_unread_init_is_skipped(self, pooler):
-        assert np.all(np.isfinite(pooler(self.FM)))
+    def test_unread_init_is_skipped(self, spec):
+        u = run_pooling(replace(spec, init=self.NAN), self.FM).u
+        assert u.shape == (4, 1) and np.all(np.isfinite(u))
 
-    @pytest.mark.parametrize("pooler", [
-        lambda fm: kmeans_pool(fm, 2, 1),
-        lambda fm: slot_pool(fm, 2, 1, SlotWeights.seeded(fm.d), simplified=False),
-        lambda fm: slot_pool(fm, 2, 1, SlotWeights.seeded(fm.d), simplified=True)],
-        ids=["kmeans", "slot", "slot-simplified"])
-    def test_read_init_is_formed(self, pooler):
-        with pytest.raises(AssertionError, match="_init_u called"):
-            pooler(self.FM)
+    @pytest.mark.parametrize("spec", [kmeans_spec(1, FM.x[:, :2]),
+                                      slot_spec(2, 1, SlotWeights.seeded(4), simplified=False),
+                                      slot_spec(2, 1, SlotWeights.seeded(4), simplified=True)],
+                             ids=["kmeans", "slot", "slot-simplified"])
+    def test_read_init_is_formed(self, spec):
+        with pytest.raises(NumericError, match="PoolingSpec.init: contains non-finite"):
+            run_pooling(replace(spec, init=self.NAN), self.FM)
 
 
 def _assert_simple_poolers_match_references(x, width):

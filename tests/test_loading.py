@@ -27,7 +27,7 @@ SUBMODULES = ["attnmap", "cluster_poolers", "errors", "framework", "gradcheck", 
               "tensor_io", "transformer_poolers"]
 PUBLIC = [
     "AttentionMatrix", "AttnGrid", "BBox", "CbamWeights", "FeatureMap", "GradReport",
-    "HowConfig", "InitRule", "MapRule", "NystromMap", "PoolRule", "PooledSet", "PoolingSpec",
+    "HowConfig", "MapRule", "NystromMap", "PoolRule", "PooledSet", "PoolingSpec",
     "RunConfig", "SeWeights", "SimPoolParams", "SinkhornParams", "SlotWeights",
     "UpdateRule", "VitWeights", "cbam_pool", "central_diff", "gap", "gem", "how",
     "kmeans_distortion", "kmeans_pool", "largest_component_bbox", "load_config",
@@ -114,12 +114,12 @@ def test_records_are_plain_dataclasses_whose_replace_revalidates():
     records = [obj for name in SUBMODULES for obj in vars(getattr(poolkit, name)).values()
                if isinstance(obj, type) and obj.__module__ == f"poolkit.{name}"
                and dataclasses.is_dataclass(obj)]
-    assert len(records) == 24  # SeWeights by inheritance from MlpWeights
+    assert len(records) == 23  # SeWeights by inheritance from MlpWeights
     assert not [cls for cls in records if cls.__dataclass_params__.frozen]
     rng = np.random.default_rng(0)
     fm = FeatureMap.from_array(rng.random((4, 6)))
     params = SimPoolParams.seeded(4)
-    for record, bad in ((PoolingSpec(), {"k": 0}), (fm, {"width": 0}),
+    for record, bad in ((PoolingSpec(), {"iters": 0}), (fm, {"width": 0}),
                         (params, {"gamma": 0.0}), (params, {"w_k": np.eye(3)})):
         with pytest.raises(PoolkitError):
             dataclasses.replace(record, **bad)

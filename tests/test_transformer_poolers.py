@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poolkit.cli import main, run_method
-from poolkit.errors import ShapeError
+from poolkit.errors import ContractError, ShapeError
 from poolkit.framework import FeatureMap
 from poolkit.matcore import col_softmax
 from poolkit.nncells import MlpWeights, mlp2
@@ -108,6 +108,12 @@ class TestVitClsPool:
         out = vit_cls_pool(fm, w, m=1, iters=1)
         np.testing.assert_allclose(out.u[:, 0], c, atol=1e-12)
         np.testing.assert_allclose(out.attention.a, 1.0 / 6.0, atol=1e-12)
+
+    @pytest.mark.parametrize("m, error, reason", [(0, ContractError, "heads must be >= 1"),
+                                                   (3, ShapeError, "heads m=3 do not divide d=4")])
+    def test_heads_that_cannot_split_d_are_rejected(self, m, error, reason):
+        with pytest.raises(error, match=reason):
+            vit_cls_pool(_fm(np.ones((4, 6)), width=3, height=2), VitWeights.seeded(4, 1), m, 1)
 
     def test_block_diagonal_equivalence(self):
         rng = np.random.default_rng(31)
