@@ -80,12 +80,10 @@ class FeatureMap:
     def from_array(cls, x, width: Optional[int] = None, height: Optional[int] = None):
         x = as_matrix(x, "features")
         p = x.shape[1]
-        if width is None and height is None:
-            width, height = p, 1
-        elif width is None:
-            width = p // height
-        elif height is None:
-            height = p // width
+        if width is None:  # p wide by default; a side of 0 meets the grid check, not a division
+            width = p // (height or 1)
+        if height is None:
+            height = p // (width or 1)
         return cls(x, width, height)
 
 
@@ -265,22 +263,20 @@ def _map_input(rule: MapRule, x: Mat, shared: dict) -> Mat:
     return x
 
 
-def _weigh(rule: MapRule, z: Mat, stage: str, read, heads: int = 1, transpose: bool = False) -> Mat:
-    """The map's weight W, ``read`` just before its one product, on the narrow operand z:
-    W z, or W^T z formed as (z^T W)^T.  With m heads, head i's row block W_i meets its
-    row block z_i (W_i^T z_i, column block i) or its column block z_i (W_i z_i, row block i)."""
+def _weigh(rule: MapRule | UpdateRule, z: Mat, stage: str, read, heads: int = 1, transpose: bool = False) -> Mat:
+    """A map's or mlp update's weight W, ``read`` just before its product with the narrow z: W z, or
+    W^T z as (z^T W)^T.  Head i of m (m = 1 too) owns W's row block W_i, which meets z's row block i
+    in one batched W_i^T z_i, or z's column block i in one stacked ``narrow_matmul`` W_i z_i."""
     if rule.weight is None:
         return z
     try:
-        w = read(rule.weight)
-        if heads == 1:
-            return (z.T @ w).T if transpose else narrow_matmul(w, z)
-        if len(w) % heads:
-            raise ShapeError(f"{stage} mapping: heads m={heads} do not divide d={len(w)}")
-        blocks = w.reshape(heads, -1, w.shape[1])
+        r, k = (w := read(rule.weight)).shape  # a weight that is not 2-d fails here, as a ShapeError
+        if r % heads:
+            raise ShapeError(f"{stage} mapping: heads m={heads} do not divide d={r}")
+        blocks = w.reshape(heads, -1, k)
         if transpose:
-            return (z.reshape(heads, -1, z.shape[1]).transpose(0, 2, 1) @ blocks).reshape(-1, w.shape[1]).T
-        return (blocks @ z.reshape(len(z), heads, -1).transpose(1, 0, 2)).reshape(len(w), -1)
+            return (z.reshape(heads, -1, z.shape[1]).transpose(0, 2, 1) @ blocks).reshape(-1, k).T
+        return narrow_matmul(blocks, z.reshape(len(z), heads, -1).transpose(1, 0, 2)).reshape(r, -1)
     except ValueError as exc:
         raise ShapeError(f"{stage} mapping: {exc}") from exc
 
@@ -348,7 +344,7 @@ def _update(rule: UpdateRule, z: Mat, prev: Mat, read=np.asarray) -> Mat:
         return np.stack([l2_normalize(z[:, j]) for j in range(z.shape[1])], axis=1)
     from .nncells import gru_cell, mlp2  # here, so a run of another update never executes nncells
     if rule.kind == "mlp":
-        return mlp2(narrow_matmul(read(rule.weight), z), rule.mlp, read)
+        return mlp2(_weigh(rule, z, "update", read), rule.mlp, read)
     if rule.kind == "channel_gate":
         return sigmoid(mlp2(z, rule.mlp)) * z
     g = gru_cell(z, prev, rule.gru)  # gru_mlp
@@ -359,13 +355,12 @@ def run_pooling(spec: PoolingSpec, fm: FeatureMap, tape: Optional[dict] = None,
                 read=np.asarray) -> PooledSet:
     """Run ``spec.iters`` loop iterations from U^0 = ``spec.init``, read only if a rule needs it.
 
-    Each weight meets the k query or pooled columns, never the p feature
-    columns.  Only the weight-free inputs X~ (see ``_map_input``) are formed
-    once, before the loop.  The key weight is pulled back onto the
-    queries, s = X~^T (W_K^T q); the value weight acts after the arithmetic
-    pool, z = W_V (X~ a); and local_avg_fc's 3x3 average moves onto the
-    attention through its adjoint, z = W ((X - c) avg3^T(a)).  Each weight is ``read``
-    just before its product; the attention of m heads is the mean of their column blocks.
+    Each weight meets the k query or pooled columns, never the p feature columns.  Only the
+    weight-free inputs X~ (see ``_map_input``) are formed once, before the loop.  The key weight
+    is pulled back onto the queries, s = X~^T (W_K^T q); the value weight acts after the arithmetic
+    pool, z = W_V (X~ a); and local_avg_fc's 3x3 average moves onto the attention through its
+    adjoint, z = W ((X - c) avg3^T(a)).  Each weight, W_U too, is ``read`` just before its product,
+    on one path for every head count (``_weigh``); m heads' attention is their column blocks' mean.
 
     A dict passed as ``tape`` receives, all formed anyway, ``key_input``, ``value_input``, ``ln_std``
     (LayerNorm's divisor, or None) and the last iteration's ``query_input``, ``q`` and ``wkt_q``.

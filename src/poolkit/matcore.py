@@ -45,20 +45,20 @@ def as_matrix(a, name: str = "matrix") -> Mat:
 
 
 def narrow_matmul(w: Mat, z) -> Mat:
-    """``w @ z``, computed in row blocks of w small enough for the unpacked
-    kernel when z is narrow.  Each block multiplies all of z, so blocking
-    waits until a block holds at least n rows: z is then re-read no more
-    than w is read once.  A 1-d or one-column z stays one product (a gemv)."""
+    """``w @ z``, computed in row blocks of w small enough for the unpacked kernel when z is
+    narrow, each w of a stack (m, r, k) @ (m, k, n) alike.  Each block multiplies all of z, so
+    blocking waits until a block holds at least n rows: z is then re-read no more than w is
+    read once.  A 1-d or one-column z stays one product (a gemv)."""
     w = np.asarray(w)
-    m, k = w.shape
-    n = 1 if np.ndim(z) == 1 else z.shape[1]
+    r, k = w.shape[-2:]
+    n = 1 if np.ndim(z) == 1 else z.shape[-1]
     rows = SMALL_GEMM // max(1, n * k)
-    if n == 1 or rows >= m or rows < n:
+    if n == 1 or rows >= r or rows < n:
         return w @ z
     z = np.ascontiguousarray(z)
-    out = np.empty((m, n))
-    for i in range(0, m, rows):
-        np.matmul(w[i : i + rows], z, out=out[i : i + rows])
+    out = np.empty(w.shape[:-1] + (n,))
+    for i in range(0, r, rows):
+        np.matmul(w[..., i : i + rows, :], z, out=out[..., i : i + rows, :])
     return out
 
 

@@ -55,11 +55,11 @@ def mlp2(x: np.ndarray, w: MlpWeights, read=np.asarray) -> np.ndarray:
     """Apply the MLP to each column of ``x`` (dim_in, n).  ``read`` gives each weight's
     array just before its product: w2 after the hidden layer, so both may share a buffer."""
     x = np.asarray(x, dtype=np.float64)
-    w1 = read(w.w1)
-    if w1.shape[1] != x.shape[0]:
-        raise ShapeError(f"mlp2: weight {w1.shape} vs input {x.shape}")
-    hidden = relu(narrow_matmul(w1, x))
-    return narrow_matmul(read(w.w2), hidden)
+    try:
+        hidden = relu(narrow_matmul(read(w.w1), x))
+        return narrow_matmul(read(w.w2), hidden)
+    except ValueError as exc:
+        raise ShapeError(f"mlp2: {exc}") from exc
 
 
 @dataclass(eq=False)
@@ -86,7 +86,10 @@ def gru_cell(z: np.ndarray, h: np.ndarray, w: GruWeights) -> np.ndarray:
     """One GRU step on column-stacked inputs ``z`` with states ``h``."""
     z = np.asarray(z, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
-    r = sigmoid(narrow_matmul(w.w_r, z) + narrow_matmul(w.u_r, h))
-    u = sigmoid(narrow_matmul(w.w_z, z) + narrow_matmul(w.u_z, h))
-    cand = np.tanh(narrow_matmul(w.w_h, z) + narrow_matmul(w.u_h, r * h))
+    try:
+        r = sigmoid(narrow_matmul(w.w_r, z) + narrow_matmul(w.u_r, h))
+        u = sigmoid(narrow_matmul(w.w_z, z) + narrow_matmul(w.u_z, h))
+        cand = np.tanh(narrow_matmul(w.w_h, z) + narrow_matmul(w.u_h, r * h))
+    except ValueError as exc:
+        raise ShapeError(f"gru_cell: {exc}") from exc
     return (1.0 - u) * h + u * cand

@@ -24,6 +24,7 @@ from poolkit.matcore import as_matrix, layernorm_cols, pow2_scaled
 from poolkit.meanfam import CLAMP_FLOOR
 from poolkit.reweight_poolers import SeWeights, se_spec
 from poolkit.simple_poolers import gem_spec, how_spec, lse_spec, max_spec
+from poolkit.tensor_io import load_feature_map, write_npy
 
 from numeric_edges import COLUMN_EDGES, SCALES, assert_within_rounding, feature_matrices, shape_columns
 from test_simple_poolers import HOW_SUBNORMAL, reference_pools
@@ -42,6 +43,18 @@ class TestFeatureMap:
         fm = _fm([[1.0, 2.0, 3.0]])
         assert (fm.width, fm.height) == (3, 1)
         assert (fm.d, fm.p) == (1, 3)
+
+    @pytest.mark.parametrize("source", ["array", "2-d file"])
+    @pytest.mark.parametrize("side", ["width", "height"])
+    def test_a_zero_side_is_a_bad_grid(self, tmp_path, source, side):
+        # the other side is p // 0 unless guarded: ZeroDivisionError, not the grid check
+        x = np.ones((2, 6))
+        write_npy(x, tmp_path / "x.npy")
+        with pytest.raises(ContractError, match="bad grid"):
+            if source == "array":
+                FeatureMap.from_array(x, **{side: 0})
+            else:
+                load_feature_map(tmp_path / "x.npy", **{side: 0})
 
 
 class TestPooledSet:
@@ -290,6 +303,14 @@ class TestHeads:
         with pytest.raises(ContractError, match="heads > 1 need col_softmax"):
             PoolingSpec(heads=2, attention=attention, key_map=MapRule(weight=self.W[1]),
                         value_map=MapRule(weight=self.W[2]))
+
+    @pytest.mark.parametrize("heads", [1, 3])
+    @pytest.mark.parametrize("shape", [(6,), (6, 6, 6)])
+    def test_a_weight_that_is_not_2d_raises_shape_error(self, heads, shape):
+        # not an IndexError from its missing column axis, nor a reshape of its extra axes
+        fm = _fm(np.random.default_rng(8).normal(size=(self.D, 10)))
+        with pytest.raises(ShapeError, match="value mapping"):
+            run_pooling(self._spec(np.ones(self.D), *self.W[:2], np.ones(shape), heads), fm)
 
     def test_m_heads_are_m_single_head_runs_on_the_row_blocks(self):
         # k = 2 queries: the attention holds head i's k columns as its column block i

@@ -197,18 +197,20 @@ class TestConv2dSameBatched:
 @st.composite
 def _narrow_products(draw):
     """(w, z): w is m x k, with k small or 2048; z is k x n, n from 1 to 64,
-    or a k-vector.  m is drawn against the rows of one block of w: below
-    one block, or some whole blocks plus a remainder, often not 0.  Either
-    operand may be a strided slice of a larger array."""
+    or a k-vector; or stacks of 1 to 3 such matrices, s x m x k and s x k x n.
+    m is drawn against the rows of one block of w: below one block, or some
+    whole blocks plus a remainder, often not 0.  Either operand may be a
+    strided slice of a larger array."""
     k = draw(st.one_of(st.integers(2, 8), st.just(2048)))
     n = draw(st.integers(1, 64))
     rows = SMALL_GEMM // (n * k)
     m = draw(st.integers(0, 3)) * rows + draw(st.integers(1, rows))
-    assume(m * (k + n) <= 2**21)
+    stack = draw(st.one_of(st.just(()), st.tuples(st.integers(1, 3))))
+    assume(int(np.prod(stack)) * m * (k + n) <= 2**21)
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    w = rng.normal(size=(m, 2 * k))[:, ::2] if draw(st.booleans()) else rng.normal(size=(m, k))
-    z = rng.normal(size=(k, 2 * n))[:, ::2] if draw(st.booleans()) else rng.normal(size=(k, n))
-    return w, z[:, 0] if n == 1 and draw(st.booleans()) else z
+    w, z = (rng.normal(size=(*stack, r, 2 * c))[..., ::2] if draw(st.booleans())
+            else rng.normal(size=(*stack, r, c)) for r, c in ((m, k), (k, n)))
+    return w, z[:, 0] if n == 1 and not stack and draw(st.booleans()) else z
 
 
 class TestNarrowMatmul:
@@ -219,5 +221,6 @@ class TestNarrowMatmul:
         w, z = case
         got = narrow_matmul(w, z)
         assert got.shape == (w @ z).shape
-        bound = w.shape[1] * np.finfo(np.float64).eps * (np.abs(w) @ np.abs(z))
-        assert np.all(np.abs(got - w @ z) <= bound)
+        for wi, zi, gi in zip(w, z, got) if w.ndim == 3 else [(w, z, got)]:
+            bound = wi.shape[1] * np.finfo(np.float64).eps * (np.abs(wi) @ np.abs(zi))
+            assert np.all(np.abs(gi - wi @ zi) <= bound)

@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poolkit.cluster_poolers import SlotWeights
+from poolkit.cluster_poolers import SlotWeights, slot_pool
+from poolkit.errors import ShapeError
+from poolkit.framework import FeatureMap
 from poolkit.nncells import draw
-from poolkit.reweight_poolers import CbamWeights, SeWeights
+from poolkit.reweight_poolers import CbamWeights, SeWeights, cbam_pool, se_pool
 from poolkit.simpool import SimPoolParams
-from poolkit.transformer_poolers import VitWeights
+from poolkit.transformer_poolers import VitWeights, vit_cls_pool
 
 # name -> (constructor of (d, seed), sizes of the arrays it declares, in order)
 CONSTRUCTORS = {
@@ -64,3 +66,30 @@ def test_draw_signs_are_fair(seed):
     (w,) = draw(seed, ((2048, 2048), 2048))
     share = np.count_nonzero(w > 0) / n
     assert abs(share - 0.5) <= 5 * 0.5 / np.sqrt(n)  # 5 standard errors of a fair coin
+
+
+# name -> (seeded weights for d = 4, the pooler that reads them)
+POOLERS = {
+    "vit": (lambda: VitWeights.seeded(4, 1), lambda fm, w: vit_cls_pool(fm, w, 1, 1)),
+    "se": (lambda: SeWeights.seeded(4), se_pool),
+    "cbam": (lambda: CbamWeights.seeded(4), cbam_pool),
+    "slot": (lambda: SlotWeights.seeded(4), lambda fm, w: slot_pool(fm, 2, 1, w)),
+}
+
+
+@pytest.mark.parametrize("name, path, stage", [
+    ("vit", "iters.0.w_u", "update mapping"), ("vit", "iters.0.mlp.w2", "mlp2"),
+    ("se", "w2", "mlp2"), ("cbam", "channel_mlp.w2", "mlp2"), ("slot", "mlp.w2", "mlp2"),
+    ("slot", "gru.w_r", "gru_cell"), ("slot", "gru.u_h", "gru_cell")])
+def test_an_update_weight_with_an_extra_column_raises_shape_error(name, path, stage):
+    """As W_Q, W_K and W_V do; the error names the stage or cell that met the weight."""
+    weights, pool = POOLERS[name]
+    w = weights()
+    *parents, leaf = path.split(".")
+    owner = w
+    for part in parents:
+        owner = owner[int(part)] if part.isdigit() else getattr(owner, part)
+    matrix = getattr(owner, leaf)
+    setattr(owner, leaf, np.hstack([matrix, np.ones((len(matrix), 1))]))
+    with pytest.raises(ShapeError, match=stage):
+        pool(FeatureMap(np.arange(24.0).reshape(4, 6) / 24, 3, 2), w)
