@@ -252,8 +252,8 @@ def cmd_inspect(args) -> int:
     return EXIT_OK
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """All subcommands; only the one ``argv[0]`` names gets its arguments, or all if none is."""
+def build_parser() -> argparse.ArgumentParser:
+    """The ``poolkit`` parser: every subcommand, each with all of its arguments."""
     parser = argparse.ArgumentParser(prog="poolkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     p_pool = sub.add_parser("pool", help="pool a feature file")
@@ -261,63 +261,57 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     p_grad = sub.add_parser("gradcheck", help="verify analytic gradients")
     p_tour = sub.add_parser("tournament", help="run every method on synthetic features")
     p_ins = sub.add_parser("inspect", help="print an NPY header")
-    argv = sys.argv[1:] if argv is None else argv
-    named = sub.choices.get(argv[0]) if argv else None  # None: every subcommand gets its arguments
 
-    if named in (None, p_pool):
-        p_pool.add_argument("--input", required=True)
-        p_pool.add_argument("--method", choices=METHOD_NAMES)
-        for names, kind, _ in TYPED_FIELDS:  # one override flag per typed RunConfig field
-            for name in names:
-                p_pool.add_argument(f"--{name}", type=int if kind is numbers.Integral else float)
-        p_pool.add_argument("--config")
-        p_pool.add_argument("--out")
-        p_pool.add_argument("--attn-out")
-        p_pool.set_defaults(fn=cmd_pool)
+    p_pool.add_argument("--input", required=True)
+    p_pool.add_argument("--method", choices=METHOD_NAMES)
+    for names, kind, _ in TYPED_FIELDS:  # one override flag per typed RunConfig field
+        for name in names:
+            p_pool.add_argument(f"--{name}", type=int if kind is numbers.Integral else float)
+    p_pool.add_argument("--config")
+    p_pool.add_argument("--out")
+    p_pool.add_argument("--attn-out")
+    p_pool.set_defaults(fn=cmd_pool)
 
-    if named in (None, p_attn):
-        p_attn.add_argument("--attn", required=True)
-        p_attn.add_argument("--width", type=int, required=True)
-        p_attn.add_argument("--height", type=int, required=True)
-        p_attn.add_argument("--mass", type=float, default=0.6)
-        p_attn.add_argument("--pgm")
-        p_attn.add_argument("--mask-pgm")
-        p_attn.add_argument("--bbox", action="store_true")
-        p_attn.set_defaults(fn=cmd_attnmap)
+    p_attn.add_argument("--attn", required=True)
+    p_attn.add_argument("--width", type=int, required=True)
+    p_attn.add_argument("--height", type=int, required=True)
+    p_attn.add_argument("--mass", type=float, default=0.6)
+    p_attn.add_argument("--pgm")
+    p_attn.add_argument("--mask-pgm")
+    p_attn.add_argument("--bbox", action="store_true")
+    p_attn.set_defaults(fn=cmd_attnmap)
 
-    if named in (None, p_grad):
-        p_grad.add_argument("--d", type=int, default=8)
-        p_grad.add_argument("--p", type=int, default=12)
-        p_grad.add_argument("--gamma", type=float, default=2.0)
-        p_grad.add_argument("--h", type=float, default=1e-4)
-        p_grad.add_argument("--tol", type=float, default=1e-5)
-        p_grad.add_argument("--trials", type=int, default=3)
-        p_grad.add_argument("--seed", type=int, default=0)
-        p_grad.set_defaults(fn=cmd_gradcheck)
+    p_grad.add_argument("--d", type=int, default=8)
+    p_grad.add_argument("--p", type=int, default=12)
+    p_grad.add_argument("--gamma", type=float, default=2.0)
+    p_grad.add_argument("--h", type=float, default=1e-4)
+    p_grad.add_argument("--tol", type=float, default=1e-5)
+    p_grad.add_argument("--trials", type=int, default=3)
+    p_grad.add_argument("--seed", type=int, default=0)
+    p_grad.set_defaults(fn=cmd_gradcheck)
 
-    if named in (None, p_tour):
-        p_tour.add_argument("--d", type=int, default=16)
-        p_tour.add_argument("--p", type=int, default=64)
-        p_tour.add_argument("--k-clusters", type=int, default=4)
-        p_tour.add_argument("--trials", type=int, default=1)
-        p_tour.add_argument("--seed", type=int, default=0)
-        p_tour.add_argument("--methods")
-        p_tour.add_argument("--out")
-        p_tour.set_defaults(fn=cmd_tournament)
+    p_tour.add_argument("--d", type=int, default=16)
+    p_tour.add_argument("--p", type=int, default=64)
+    p_tour.add_argument("--k-clusters", type=int, default=4)
+    p_tour.add_argument("--trials", type=int, default=1)
+    p_tour.add_argument("--seed", type=int, default=0)
+    p_tour.add_argument("--methods")
+    p_tour.add_argument("--out")
+    p_tour.set_defaults(fn=cmd_tournament)
 
-    if named in (None, p_ins):
-        p_ins.add_argument("--input", required=True)
-        p_ins.set_defaults(fn=cmd_inspect)
+    p_ins.add_argument("--input", required=True)
+    p_ins.set_defaults(fn=cmd_inspect)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser(argv).parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (PoolkitError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return (EXIT_CONFIG if isinstance(exc, (ContractError, ShapeError))  # ConfigError too
+    except (PoolkitError, OSError, MemoryError) as exc:  # a MemoryError: a size too large to allocate
+        bare = isinstance(exc, MemoryError) and not str(exc)  # NumPy's names its array; Python's is blank
+        print(f"error: {'out of memory' if bare else exc}", file=sys.stderr)
+        return (EXIT_CONFIG if isinstance(exc, (ContractError, ShapeError, MemoryError))  # ConfigError too
                 else EXIT_IO if isinstance(exc, (FileFormatError, OSError)) else EXIT_NUMERIC)
 
 

@@ -121,8 +121,16 @@ class PooledSet:
 ATTENTIONS = ("col_softmax", "row_then_col_norm", "hard_argmax", "uniform", "feature_sqnorm")
 
 
+class _Rule:
+    """A rule record: its ``kind`` is one of the class's ``KINDS``."""
+
+    def __post_init__(self):
+        if self.kind not in self.KINDS:
+            raise ContractError(f"{type(self).__name__}: unknown kind {self.kind!r}")
+
+
 @dataclass(eq=False)
-class MapRule:
+class MapRule(_Rule):
     """Column-wise mapping: a weight-free input (``kind``, see ``_map_input``),
     then an optional ``weight``; ln_shifted and local_avg_fc are value inputs."""
 
@@ -133,13 +141,9 @@ class MapRule:
     KINDS = ("identity", "linear_ln", "ln_shifted", "local_avg_fc")
     VALUE_ONLY = ("ln_shifted", "local_avg_fc")
 
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ContractError(f"MapRule: unknown kind {self.kind!r}")
-
 
 @dataclass
-class PoolRule:
+class PoolRule(_Rule):
     """Pooling operation f: the power mean of exponent gamma (the paper's
     f_alpha, gamma = (1 - alpha) / 2), LSE of scale r, or an exact extreme."""
 
@@ -149,13 +153,9 @@ class PoolRule:
 
     KINDS = ("f_alpha", "lse", "max")
 
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ContractError(f"PoolRule: unknown kind {self.kind!r}")
-
 
 @dataclass(eq=False)
-class UpdateRule:
+class UpdateRule(_Rule):
     """Output map of U after each iteration: ``gru_mlp``, a GRU step plus a
     residual MLP on its LayerNorm; ``channel_gate``, z <- sigmoid(mlp(z)) * z;
     ``mlp``, z <- mlp(W z), W the ``weight``."""
@@ -166,10 +166,6 @@ class UpdateRule:
     weight: Optional[Mat] = None
 
     KINDS = ("identity", "l2norm", "gru_mlp", "channel_gate", "mlp")
-
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ContractError(f"UpdateRule: unknown kind {self.kind!r}")
 
 
 @dataclass(eq=False)
@@ -296,28 +292,24 @@ def _avg3(a: Mat, width: int, height: int) -> Mat:
     return conv2d_same(grids, kernel).reshape(a.T.shape).T
 
 
-def _attention(kind: str, s: Optional[Mat], dim: Optional[int], x: Mat, shared: dict):
-    """Return (A, stochastic_cols, empty_col_mask).  Both softmax kinds divide
-    the scores by sqrt of ``dim``, the dimension of the query head they are taken in;
-    the two kinds that read no scores give one column."""
+def _attention(kind: str, s: Optional[Mat], dim: Optional[int], x: Mat, shared: dict) -> Mat:
+    """Attention A (p, k) of the scores s.  Both softmax kinds divide the scores by sqrt
+    of ``dim``, the dimension of the query head they are taken in; hard_argmax leaves a
+    column no row chose at zero; the two kinds that read no scores give one column."""
     p = x.shape[1]
     if kind == "uniform":
-        return np.full((p, 1), 1.0 / p), False, None
+        return np.full((p, 1), 1.0 / p)
     if kind == "feature_sqnorm":  # of X 2^-e; einsum, as a 2nd d x p array costs page faults
         xs = _once(shared, pow2_scaled, x)
-        return np.einsum("ij,ij->j", xs, xs)[:, None], False, None
+        return np.einsum("ij,ij->j", xs, xs)[:, None]
     if kind == "col_softmax":
-        return col_softmax(s, np.sqrt(dim)), True, None
+        return col_softmax(s, np.sqrt(dim))
     if kind == "row_then_col_norm":
-        return eta_norm(col_softmax(s, np.sqrt(dim))), False, None
-    # hard_argmax: one-hot row-wise argmax (ties to the lowest index), then
-    # column normalization; empty columns are reported to the caller.
-    idx = np.argmax(s, axis=1)
+        return eta_norm(col_softmax(s, np.sqrt(dim)))
+    # hard_argmax: one-hot row-wise argmax (ties to the lowest index), then column normalization
     m = np.zeros(s.shape)
-    m[np.arange(p), idx] = 1.0
-    mass = m.sum(axis=0)
-    empty = mass == 0
-    return m / np.where(empty, 1.0, mass), False, empty
+    m[np.arange(p), np.argmax(s, axis=1)] = 1.0
+    return m / np.maximum(m.sum(axis=0), 1.0)
 
 
 def _pool(rule: PoolRule, v: Mat, a: Mat, t: int) -> Mat:
@@ -383,11 +375,12 @@ def run_pooling(spec: PoolingSpec, fm: FeatureMap, tape: Optional[dict] = None,
             wkt_q = _weigh(spec.key_map, q, "key", read, spec.heads, transpose=True)
             s = pairwise_similarity(x_key, wkt_q, spec.similarity)
             dim = q.shape[0] // spec.heads
-        a, stochastic, empty = _attention(spec.attention, s, dim, x, shared)
+        a = _attention(spec.attention, s, dim, x, shared)
         smoothed = _avg3(a, fm.width, fm.height) if spec.value_map.kind == "local_avg_fc" else a
         z = _weigh(spec.value_map, _pool(spec.pool, x_val, smoothed, t), "value", read, spec.heads)
-        if empty is not None and np.any(empty):
-            z[:, empty] = u[:, empty]  # dead cluster keeps its previous vector
+        if spec.attention == "hard_argmax":
+            dead = ~a.any(axis=0)
+            z[:, dead] = u[:, dead]  # a dead cluster keeps its previous vector
         u = _update(spec.pool_update, z, u, read)
 
     if tape is not None:
@@ -395,4 +388,4 @@ def run_pooling(spec: PoolingSpec, fm: FeatureMap, tape: Optional[dict] = None,
         if needs_sim:
             tape.update(key_input=x_key, query_input=u_in, q=q, wkt_q=wkt_q)
     a = a.reshape(len(a), spec.heads, -1).mean(axis=1)  # exactly a itself at one head
-    return PooledSet(u=u, attention=AttentionMatrix(a, stochastic_cols=stochastic))
+    return PooledSet(u=u, attention=AttentionMatrix(a, stochastic_cols=spec.attention == "col_softmax"))

@@ -248,3 +248,23 @@ def test_matches_numpy_reference(tmp_path_factory, height, width, kind, zeros, c
     assert largest_component_bbox(mask) == largest_component_bbox_reference(want)
     write_pgm(mask, path)
     assert path.read_bytes() == pgm_reference(want)
+
+
+# name: (a call, the error class it raises, the start of its message), one row per
+# contract raise of this module that no other test reaches
+CONTRACT_RAISES = {
+    "ragged_rows": (lambda: reshape_attention([[1.0], [1.0, 2.0]], 1, 2), ShapeError,
+                    "reshape_attention: expected a nonempty 1-d or 2-d array"),
+    "grid_shape": (lambda: AttnGrid([[1.0, 2.0]], width=1, height=1), ShapeError,
+                   "AttnGrid: values (1, 2) vs grid 1x1"),
+    "inverted_bbox": (lambda: BBox(2, 0, 1, 0), ContractError,
+                      "BBox: inverted or negative box BBox(x_min=2, y_min=0, x_max=1, y_max=0)"),
+}
+
+
+@pytest.mark.parametrize("name", CONTRACT_RAISES)
+def test_contract_raises(name):
+    call, error, message = CONTRACT_RAISES[name]
+    with pytest.raises(error) as raised:
+        call()
+    assert str(raised.value).startswith(message)

@@ -265,7 +265,9 @@ class TestNarrowSideContract:
         specs.append(vit_spec(vit.iters[0], vit.u0, heads=3))
         for spec in specs:
             k = 1 if spec.init is None else as_matrix(spec.init).shape[1]
-            assert run_pooling(spec, fm).u.shape[1] == k
+            pooled = run_pooling(spec, fm)
+            assert pooled.u.shape[1] == k
+            assert pooled.attention.stochastic_cols == (spec.attention == "col_softmax")
         rules = (MapRule, PoolRule, UpdateRule)
         accepted = {(rule.__name__, kind) for rule in rules for kind in rule.KINDS}
         used = {(type(rule).__name__, rule.kind) for spec in specs
@@ -379,3 +381,37 @@ def test_simple_poolers_match_references_on_subnormal_squared_norms(name):
     """Inputs the property test above once drew, pinned so that they run
     wherever the suite does: how's squared norms are subnormal there."""
     _assert_simple_poolers_match_references(HOW_SUBNORMAL[name], 1)
+
+
+# name: (a call, the error class it raises, the start of its message), one row per
+# contract raise of this module that no other test reaches
+CONTRACT_RAISES = {
+    "attention_entry_outside_0_1": (
+        lambda: AttentionMatrix(np.array([[1.5], [-0.5]]), stochastic_cols=True),
+        NumericError, "AttentionMatrix: entries outside [0, 1]"),
+    "map_rule_kind": (lambda: MapRule("x"), ContractError, "MapRule: unknown kind 'x'"),
+    "pool_rule_kind": (lambda: PoolRule("x"), ContractError, "PoolRule: unknown kind 'x'"),
+    "update_rule_kind": (lambda: UpdateRule("x"), ContractError, "UpdateRule: unknown kind 'x'"),
+    "spec_attention": (lambda: PoolingSpec(attention="x"), ContractError,
+                       "PoolingSpec: unknown attention 'x'"),
+    "similarity_rows": (lambda: pairwise_similarity(np.ones((2, 3)), np.ones((3, 1)), "dot"),
+                        ShapeError, "pairwise_similarity: key (2, 3) vs query (3, 1)"),
+    "similarity_kind": (lambda: pairwise_similarity(np.ones((2, 3)), np.ones((2, 1)), "cos"),
+                        ContractError, "pairwise_similarity: unknown kind 'cos'"),
+    "centering_of_d_plus_1": (lambda: run_pooling(PoolingSpec(
+        attention="uniform", value_map=MapRule("local_avg_fc", centering=np.zeros(3)),
+        pool_update=UpdateRule("l2norm")), _fm(np.ones((2, 4)), width=2)),
+        ShapeError, "value mapping: operands could not be broadcast"),
+    "max_pool_of_a_dead_cluster": (lambda: run_pooling(PoolingSpec(
+        init=[[0.0, 10.0]], similarity="neg_sq_euclid", attention="hard_argmax",
+        pool=PoolRule("max")), _fm([[0.0, 1.0]])),
+        NumericError, "pooling at iteration 0: empty support in attention column 1"),
+}
+
+
+@pytest.mark.parametrize("name", CONTRACT_RAISES)
+def test_contract_raises(name):
+    call, error, message = CONTRACT_RAISES[name]
+    with pytest.raises(error) as raised:
+        call()
+    assert str(raised.value).startswith(message)

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from poolkit.errors import ContractError, DegenerateMassError, NumericError
+from poolkit.errors import ContractError, DegenerateMassError, NumericError, ShapeError
 from poolkit.matcore import (
     LN_EPS,
     SMALL_GEMM,
+    as_matrix,
     col_softmax,
     conv2d_same,
     eta_norm,
@@ -224,3 +225,23 @@ class TestNarrowMatmul:
         for wi, zi, gi in zip(w, z, got) if w.ndim == 3 else [(w, z, got)]:
             bound = wi.shape[1] * np.finfo(np.float64).eps * (np.abs(wi) @ np.abs(zi))
             assert np.all(np.abs(gi - wi @ zi) <= bound)
+
+
+# name: (a call, the error class it raises, the start of its message), one row per
+# contract raise of this module that no other test reaches
+CONTRACT_RAISES = {
+    "as_matrix_of_3d": (lambda: as_matrix(np.ones((2, 2, 2)), "x"), ShapeError,
+                        "x: expected 2-d array, got ndim=3"),
+    "col_softmax_of_nan": (lambda: col_softmax(np.array([[np.nan]])), NumericError,
+                           "col_softmax: non-finite input"),
+    "eta_norm_of_negative": (lambda: eta_norm(np.array([[-1.0, 1.0]])), ContractError,
+                             "eta_norm: negative entries"),
+}
+
+
+@pytest.mark.parametrize("name", CONTRACT_RAISES)
+def test_contract_raises(name):
+    call, error, message = CONTRACT_RAISES[name]
+    with pytest.raises(error) as raised:
+        call()
+    assert str(raised.value).startswith(message)

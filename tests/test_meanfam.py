@@ -184,3 +184,19 @@ class TestLsePool:
     def test_rejects_tiny_r(self):
         with pytest.raises(ContractError):
             lse_pool(np.ones((1, 2)), _uniform(2), 1e-10)
+
+
+# name: (a call, the error class it raises, the start of its message), one row per
+# contract raise of this module that no other test reaches
+CONTRACT_RAISES = {
+    "negative_value": (lambda: weighted_generalized_mean(np.array([[-1.0]]), _uniform(1), 2.0),
+                       ContractError, "weighted_generalized_mean: negative values"),
+}
+
+
+@pytest.mark.parametrize("name", CONTRACT_RAISES)
+def test_contract_raises(name):
+    call, error, message = CONTRACT_RAISES[name]
+    with pytest.raises(error) as raised:
+        call()
+    assert str(raised.value).startswith(message)

@@ -126,3 +126,19 @@ class TestCbamPool:
         out = cbam_pool(fm, w)
         assert_within_rounding(out.u[:, 0], z, np.abs(fm.x), kappa)
         assert_within_rounding(out.attention.a[:, 0], a, np.ones(1), kappa)
+
+
+# name: (a call, the error class it raises, the start of its message), one row per
+# contract raise of this module that no other test reaches
+CONTRACT_RAISES = {
+    "cbam_conv7_of_one_channel": (lambda: CbamWeights(SeWeights.seeded(4), np.ones((7, 7))),
+                                  ShapeError, "CbamWeights: conv7 must be (2, 7, 7), got (7, 7)"),
+}
+
+
+@pytest.mark.parametrize("name", CONTRACT_RAISES)
+def test_contract_raises(name):
+    call, error, message = CONTRACT_RAISES[name]
+    with pytest.raises(error) as raised:
+        call()
+    assert str(raised.value).startswith(message)

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poolkit import framework
-from poolkit.errors import ContractError
+from poolkit.errors import ContractError, ShapeError
 from poolkit.framework import FeatureMap
 from poolkit.matcore import LN_EPS, col_softmax
 from poolkit.meanfam import CLAMP_FLOOR
@@ -244,3 +244,24 @@ class TestNarrowProducts:
         expected, majorants, kappa = _materialized_reference(x, params, du)
         for got, want, majorant in zip((u, a, *grads), expected, majorants):
             assert_within_rounding(got, want, majorant, kappa)
+
+
+# name: (a call, the error class it raises, the start of its message), one row per
+# contract raise of this module that no other test reaches
+CONTRACT_RAISES = {
+    "non_square_weight": (lambda: SimPoolParams(np.ones((2, 3)), np.ones((2, 3))), ShapeError,
+                          "SimPoolParams: w_q must be square, got (2, 3)"),
+    "non_finite_weight": (lambda: SimPoolParams(np.full((2, 2), np.nan), np.ones((2, 2))),
+                          ContractError, "SimPoolParams: non-finite weights"),
+    "du_of_d_plus_1": (lambda: simpool_backward(simpool_forward(
+        _fm(np.arange(1.0, 7.0).reshape(3, 2)), SimPoolParams.seeded(3))[2], np.ones(4)),
+        ContractError, "simpool_backward: du shape (4,) vs d=3"),
+}
+
+
+@pytest.mark.parametrize("name", CONTRACT_RAISES)
+def test_contract_raises(name):
+    call, error, message = CONTRACT_RAISES[name]
+    with pytest.raises(error) as raised:
+        call()
+    assert str(raised.value).startswith(message)

@@ -235,3 +235,20 @@ class TestPackedWeights:
         cfg = config_from_dict({"method": "vit", "iters": 3, "heads": 8, "seed": 3})
         # dense weights hold 18 d x d matrices; packed ones 18 d^2 / 8 bytes and one buffer
         assert traced_peak(run_method, cfg, fm) <= 2 * 8 * d * d
+
+
+# name: (a call, the error class it raises, the start of its message), one row per
+# contract raise of this module that no other test reaches
+CONTRACT_RAISES = {
+    "more_iterations_than_weight_sets": (
+        lambda: vit_cls_pool(FeatureMap(np.ones((4, 2)), 2, 1), VitWeights.seeded(4, 1), 1, 2),
+        ContractError, "vit_cls_pool: 1 weight sets for 2 iterations"),
+}
+
+
+@pytest.mark.parametrize("name", CONTRACT_RAISES)
+def test_contract_raises(name):
+    call, error, message = CONTRACT_RAISES[name]
+    with pytest.raises(error) as raised:
+        call()
+    assert str(raised.value).startswith(message)
