@@ -34,6 +34,7 @@ from .matcore import (
     l2_normalize,
     narrow_matmul,
     pow2_scaled,
+    relu,
     sigmoid,
     sq_distances,
 )
@@ -131,8 +132,8 @@ class _Rule:
 
 @dataclass(eq=False)
 class MapRule(_Rule):
-    """Column-wise mapping: a weight-free input (``kind``, see ``_map_input``),
-    then an optional ``weight``; ln_shifted and local_avg_fc are value inputs."""
+    """Column-wise mapping: a weight-free input (``kind``, see ``_map_input``), then an optional
+    ``weight``, dense or an ``nncells.SignMatrix``; ln_shifted and local_avg_fc are value inputs."""
 
     kind: str = "identity"  # identity | linear_ln | ln_shifted | local_avg_fc
     weight: Optional[Mat] = None
@@ -259,17 +260,20 @@ def _map_input(rule: MapRule, x: Mat, shared: dict) -> Mat:
     return x
 
 
-def _weigh(rule: MapRule | UpdateRule, z: Mat, stage: str, read, heads: int = 1, transpose: bool = False) -> Mat:
-    """A map's or mlp update's weight W, ``read`` just before its product with the narrow z: W z, or
-    W^T z as (z^T W)^T.  Head i of m (m = 1 too) owns W's row block W_i, which meets z's row block i
-    in one batched W_i^T z_i, or z's column block i in one stacked ``narrow_matmul`` W_i z_i."""
-    if rule.weight is None:
+def _weigh(w: Optional[Mat], z: Mat, stage: str, heads: int = 1, transpose: bool = False) -> Mat:
+    """A map's or mlp update's weight W (none: the identity) times the narrow z: W z, or W^T z as
+    (z^T W)^T.  Head i of m (m = 1 too) owns W's row block W_i, which meets z's row block i in one
+    batched W_i^T z_i, or z's column block i in one stacked ``narrow_matmul`` W_i z_i."""
+    if w is None:
         return z
     try:
-        r, k = (w := read(rule.weight)).shape  # a weight that is not 2-d fails here, as a ShapeError
+        r, k = np.shape(w)  # a weight that is not 2-d fails here, as a ShapeError
         if r % heads:
             raise ShapeError(f"{stage} mapping: heads m={heads} do not divide d={r}")
-        blocks = w.reshape(heads, -1, k)
+        # a SignMatrix, unless its 256-entry tables (per z column, per 8 W columns) outnumber W's entries
+        if hasattr(w, "weigh") and 32 * z.shape[1] * (heads if transpose else 1) <= r:
+            return w.weigh(z, heads, transpose)
+        blocks = np.asarray(w).reshape(heads, -1, k)
         if transpose:
             return (z.reshape(heads, -1, z.shape[1]).transpose(0, 2, 1) @ blocks).reshape(-1, k).T
         return narrow_matmul(blocks, z.reshape(len(z), heads, -1).transpose(1, 0, 2)).reshape(r, -1)
@@ -329,30 +333,29 @@ def _pool(rule: PoolRule, v: Mat, a: Mat, t: int) -> Mat:
     return np.stack(cols, axis=1)
 
 
-def _update(rule: UpdateRule, z: Mat, prev: Mat, read=np.asarray) -> Mat:
+def _update(rule: UpdateRule, z: Mat, prev: Mat) -> Mat:
     if rule.kind == "identity":
         return z
     if rule.kind == "l2norm":
         return np.stack([l2_normalize(z[:, j]) for j in range(z.shape[1])], axis=1)
+    if rule.kind == "mlp":  # ViT's: each weight, packed or dense, on the narrow side
+        return _weigh(rule.mlp.w2, relu(_weigh(rule.mlp.w1, _weigh(rule.weight, z, "update"), "mlp2")), "mlp2")
     from .nncells import gru_cell, mlp2  # here, so a run of another update never executes nncells
-    if rule.kind == "mlp":
-        return mlp2(_weigh(rule, z, "update", read), rule.mlp, read)
     if rule.kind == "channel_gate":
         return sigmoid(mlp2(z, rule.mlp)) * z
     g = gru_cell(z, prev, rule.gru)  # gru_mlp
     return g + mlp2(layernorm_cols(g), rule.mlp)
 
 
-def run_pooling(spec: PoolingSpec, fm: FeatureMap, tape: Optional[dict] = None,
-                read=np.asarray) -> PooledSet:
+def run_pooling(spec: PoolingSpec, fm: FeatureMap, tape: Optional[dict] = None) -> PooledSet:
     """Run ``spec.iters`` loop iterations from U^0 = ``spec.init``, read only if a rule needs it.
 
     Each weight meets the k query or pooled columns, never the p feature columns.  Only the
     weight-free inputs X~ (see ``_map_input``) are formed once, before the loop.  The key weight
     is pulled back onto the queries, s = X~^T (W_K^T q); the value weight acts after the arithmetic
     pool, z = W_V (X~ a); and local_avg_fc's 3x3 average moves onto the attention through its
-    adjoint, z = W ((X - c) avg3^T(a)).  Each weight, W_U too, is ``read`` just before its product,
-    on one path for every head count (``_weigh``); m heads' attention is their column blocks' mean.
+    adjoint, z = W ((X - c) avg3^T(a)).  Each weight, W_U too, meets its narrow side on one path
+    for every head count (``_weigh``); m heads' attention is their column blocks' mean.
 
     A dict passed as ``tape`` receives, all formed anyway, ``key_input``, ``value_input``, ``ln_std``
     (LayerNorm's divisor, or None) and the last iteration's ``query_input``, ``q`` and ``wkt_q``.
@@ -371,17 +374,17 @@ def run_pooling(spec: PoolingSpec, fm: FeatureMap, tape: Optional[dict] = None,
         s = dim = None
         if needs_sim:
             u_in = _map_input(spec.query_map, u, {})
-            q = _weigh(spec.query_map, u_in, f"query at iteration {t}", read)
-            wkt_q = _weigh(spec.key_map, q, "key", read, spec.heads, transpose=True)
+            q = _weigh(spec.query_map.weight, u_in, f"query at iteration {t}")
+            wkt_q = _weigh(spec.key_map.weight, q, "key", spec.heads, transpose=True)
             s = pairwise_similarity(x_key, wkt_q, spec.similarity)
             dim = q.shape[0] // spec.heads
         a = _attention(spec.attention, s, dim, x, shared)
         smoothed = _avg3(a, fm.width, fm.height) if spec.value_map.kind == "local_avg_fc" else a
-        z = _weigh(spec.value_map, _pool(spec.pool, x_val, smoothed, t), "value", read, spec.heads)
+        z = _weigh(spec.value_map.weight, _pool(spec.pool, x_val, smoothed, t), "value", spec.heads)
         if spec.attention == "hard_argmax":
             dead = ~a.any(axis=0)
             z[:, dead] = u[:, dead]  # a dead cluster keeps its previous vector
-        u = _update(spec.pool_update, z, u, read)
+        u = _update(spec.pool_update, z, u)
 
     if tape is not None:
         tape.update(value_input=x_val, ln_std=shared.get("ln_std"))

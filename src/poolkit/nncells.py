@@ -1,14 +1,14 @@
-"""Tiny fixed-weight, bias-free neural cells (a 2-layer MLP, a GRU cell) and
-``draw``, which makes every seeded weight set: one ``default_rng(seed)`` per seed
-fills the declared (shape, fan_in) arrays in order, n entries from ``bytes(ceil(n/8))``:
-entry i (C order) is +1/sqrt(fan_in) where bit i is set (most significant first),
-else -1/sqrt(fan_in), a random sign of variance 1/fan_in (Achlioptas 2003).  CBAM
-declares its 7x7 kernel after its MLP.  ``draw`` is ``expand`` after ``draw_bytes``; one-shot
-ViT/CaiT requests expand each matrix where it is read.  Nothing here is trained: no biases.
-"""
+"""Tiny fixed-weight, bias-free neural cells (a 2-layer MLP, a GRU cell) and ``draw``, which
+makes every seeded weight set: one ``default_rng(seed)`` per seed fills the declared (shape,
+fan_in) arrays in order, n entries from ``bytes(ceil(n/8))``: entry i (C order) is +1/sqrt(fan_in)
+where bit i is set (most significant first), else -1/sqrt(fan_in), a random sign of variance
+1/fan_in (Achlioptas 2003).  CBAM declares its 7x7 kernel after its MLP.  ``draw`` is ``expand``
+after ``draw_bytes``; one-shot ViT/CaiT and SimPool requests call ``draw_packed``, whose
+``SignMatrix`` multiplies from the bytes, never forming the matrix.  Nothing here is trained: no biases."""
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,16 +26,59 @@ def draw_bytes(seed: int, *decl: tuple) -> list[np.ndarray]:
             for shape, _ in decl]
 
 
-def expand(raw: np.ndarray, shape: tuple, fan_in: int, out: np.ndarray | None = None) -> np.ndarray:
-    """The +-1/sqrt(fan_in) array of ``raw``'s bits, a view of ``out`` (8 len(raw) floats) if given."""
-    signs = np.take(BYTE_SIGNS / np.sqrt(fan_in), raw, axis=0, mode="clip",  # "raise" copies out
-                    out=None if out is None else out[:8 * raw.size].reshape(-1, 8))
-    return signs.ravel()[:int(np.prod(shape))].reshape(shape)
+def expand(raw: np.ndarray, shape: tuple, fan_in: int) -> np.ndarray:
+    """The +-1/sqrt(fan_in) array of ``raw``'s bits."""
+    return np.take(BYTE_SIGNS / np.sqrt(fan_in), raw, axis=0).ravel()[:int(np.prod(shape))].reshape(shape)
 
 
 def draw(seed: int, *decl: tuple) -> list[np.ndarray]:
     """One array per declared (shape, fan_in), in order, from one generator."""
     return [expand(raw, *d) for raw, d in zip(draw_bytes(seed, *decl), decl)]
+
+
+def draw_packed(seed: int, *decl: tuple) -> list:
+    """``draw``'s arrays, each matrix kept as a ``SignMatrix``."""
+    return [SignMatrix(raw, *d) if len(d[0]) == 2 else expand(raw, *d)
+            for raw, d in zip(draw_bytes(seed, *decl), decl)]
+
+
+class SignMatrix:
+    """``expand(raw, shape, fan_in)`` as one byte row per row (``rows``; rows of the drawn flat matrix
+    start on a byte only where 8 | c).  A thread's products reuse its ``scratch``: fresh ones fault."""
+
+    scratch = threading.local()
+
+    def __init__(self, raw: np.ndarray, shape: tuple, fan_in: int):
+        r, c = self.shape = tuple(shape)
+        self.fan_in = fan_in
+        self.rows = raw.reshape(r, -1) if c % 8 == 0 else np.packbits(
+            np.unpackbits(raw)[:r * c].reshape(r, c), axis=1)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return expand(self.rows, (len(self.rows), 8 * self.rows.shape[1]), self.fan_in)[:, :self.shape[1]]
+
+    def weigh(self, z: np.ndarray, heads: int = 1, transpose: bool = False) -> np.ndarray:
+        """``framework._weigh``'s W z or W^T z.  Row i of W z sums T[g, rows[i, g]] over groups g, T[g, b]
+        byte b's signed sum of z[8g:8g+8]; W^T z bins z by (column, group, byte), times the byte signs."""
+        (r, g), c = self.rows.shape, self.shape[1]
+        n, rest = divmod(z.shape[1], 1 if transpose else heads)  # columns per head
+        if rest or len(z) != (r if transpose else c):
+            raise ValueError(f"{self.shape} sign matrix meets {z.shape} in {heads} heads")
+        buf = getattr(self.scratch, "buf", np.empty((2, 0)))
+        if buf.shape[1] < n * r * g:
+            buf = self.scratch.buf = np.empty((2, n * r * g))
+        idx = buf[0, :n * r * g].view(np.intp).reshape(heads, n, -1, g)
+        vals = buf[1, :n * r * g].reshape(idx.shape)
+        offsets = 256 * np.arange(heads * n * g).reshape(heads, n, 1, g)  # of each (column, group)
+        np.add(self.rows.reshape(heads, 1, -1, g), offsets, out=idx)
+        table = BYTE_SIGNS / np.sqrt(self.fan_in)
+        if transpose:
+            np.copyto(vals, z.reshape(heads, -1, n).transpose(0, 2, 1)[..., None])
+            bins = np.bincount(idx.ravel(), vals.ravel(), heads * n * g * 256).reshape(-1, g, 256)
+            return (bins @ table).reshape(heads * n, -1)[:, :c].T
+        padded = np.concatenate((z.T, np.zeros((z.shape[1], 8 * g - c))), axis=1)  # np.pad: 0.2 ms a call
+        np.take(padded.reshape(-1, g, 8) @ table.T, idx, out=vals, mode="clip")  # "raise" copies out
+        return vals.sum(axis=-1).transpose(0, 2, 1).reshape(r, n)
 
 
 @dataclass(eq=False)
@@ -51,13 +94,11 @@ def mlp_decl(dim_in: int, hidden: int, dim_out: int) -> tuple:
     return ((hidden, dim_in), dim_in), ((dim_out, hidden), hidden)
 
 
-def mlp2(x: np.ndarray, w: MlpWeights, read=np.asarray) -> np.ndarray:
-    """Apply the MLP to each column of ``x`` (dim_in, n).  ``read`` gives each weight's
-    array just before its product: w2 after the hidden layer, so both may share a buffer."""
+def mlp2(x: np.ndarray, w: MlpWeights) -> np.ndarray:
+    """Apply the MLP to each column of ``x`` (dim_in, n)."""
     x = np.asarray(x, dtype=np.float64)
     try:
-        hidden = relu(narrow_matmul(read(w.w1), x))
-        return narrow_matmul(read(w.w2), hidden)
+        return narrow_matmul(w.w2, relu(narrow_matmul(w.w1, x)))
     except ValueError as exc:
         raise ShapeError(f"mlp2: {exc}") from exc
 

@@ -20,7 +20,7 @@ from .errors import ContractError, ShapeError
 from .framework import FeatureMap, MapRule, PoolingSpec, PoolRule, run_pooling
 from .matcore import Mat
 from .meanfam import CLAMP_FLOOR
-from .nncells import draw
+from .nncells import SignMatrix, draw, draw_packed
 
 
 @dataclass(eq=False)
@@ -30,20 +30,24 @@ class SimPoolParams:
     gamma: float = 2.0
 
     def __post_init__(self):
-        self.w_q = wq = np.asarray(self.w_q, dtype=np.float64)
-        self.w_k = wk = np.asarray(self.w_k, dtype=np.float64)
+        if not isinstance(self.w_q, SignMatrix):  # a packed pair is finite by its draw
+            self.w_q, self.w_k = (np.asarray(w, dtype=np.float64) for w in (self.w_q, self.w_k))
+            if not (np.all(np.isfinite(self.w_q)) and np.all(np.isfinite(self.w_k))):
+                raise ContractError("SimPoolParams: non-finite weights")
         if not (1e-9 <= self.gamma <= 100.0):
             raise ContractError(f"SimPoolParams: gamma must be in [1e-9, 100], got {self.gamma}")
-        if wq.ndim != 2 or wq.shape[0] != wq.shape[1]:
-            raise ShapeError(f"SimPoolParams: w_q must be square, got {wq.shape}")
-        if wk.shape != wq.shape:
-            raise ShapeError(f"SimPoolParams: w_k {wk.shape} != w_q {wq.shape}")
-        if not (np.all(np.isfinite(wq)) and np.all(np.isfinite(wk))):
-            raise ContractError("SimPoolParams: non-finite weights")
+        if len(self.w_q.shape) != 2 or self.w_q.shape[0] != self.w_q.shape[1]:
+            raise ShapeError(f"SimPoolParams: w_q must be square, got {self.w_q.shape}")
+        if self.w_k.shape != self.w_q.shape:
+            raise ShapeError(f"SimPoolParams: w_k {self.w_k.shape} != w_q {self.w_q.shape}")
 
     @classmethod
     def seeded(cls, d: int, gamma: float = 2.0, seed: int = 0) -> "SimPoolParams":
         return cls(*draw(seed, ((d, d), d), ((d, d), d)), gamma=gamma)
+
+    @classmethod
+    def packed(cls, d: int, gamma: float = 2.0, seed: int = 0) -> "SimPoolParams":
+        return cls(*draw_packed(seed, ((d, d), d), ((d, d), d)), gamma=gamma)
 
 
 def simpool_spec(fm: FeatureMap, params: SimPoolParams) -> PoolingSpec:
@@ -74,8 +78,8 @@ def simpool_forward(fm: FeatureMap, params: SimPoolParams) -> tuple[np.ndarray, 
 
 
 def simpool_backward(tape: dict, du: np.ndarray) -> tuple[Mat, Mat, Mat]:
-    """Exact reverse-mode gradients of <du, u> w.r.t. (W_Q, W_K, X), from
-    the tape of ``simpool_forward``."""
+    """Exact reverse-mode gradients of <du, u> w.r.t. (W_Q, W_K, X), from the
+    tape of ``simpool_forward`` on dense (``seeded``, not ``packed``) weights."""
     du = np.asarray(du, dtype=np.float64)
     xn, vc = tape["key_input"], tape["value_input"]
     d, p = xn.shape

@@ -1,18 +1,19 @@
 """Seeded weights: ``draw`` makes each declared array of n entries exactly
 +-1/sqrt(fan_in), its signs the bits of ceil(n/8) bytes of one generator,
-and each public ``seeded`` constructor makes one generator and draws from
-it exactly the bytes its weight set declares.  So Slot's mu is +-1 and its
-sigma = |.| + 0.1 is 1.1 in every entry."""
+and each public ``seeded`` or ``packed`` constructor makes one generator and
+draws from it exactly the bytes its weight set declares.  So Slot's mu is +-1
+and its sigma = |.| + 0.1 is 1.1 in every entry.  A ``SignMatrix`` multiplies
+from those bytes within dot-product rounding of the expanded matrix."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poolkit.cluster_poolers import SlotWeights, slot_pool
 from poolkit.errors import ShapeError
-from poolkit.framework import FeatureMap
-from poolkit.nncells import draw
+from poolkit.framework import FeatureMap, _weigh
+from poolkit.nncells import SignMatrix, draw, draw_bytes, expand
 from poolkit.reweight_poolers import CbamWeights, SeWeights, cbam_pool, se_pool
 from poolkit.simpool import SimPoolParams
 from poolkit.transformer_poolers import VitWeights, vit_cls_pool
@@ -26,6 +27,7 @@ CONSTRUCTORS = {
     "vit": (lambda d, s: VitWeights.seeded(d, 2, seed=s), lambda d: [d * d] * 12 + [d]),
     "vit_packed": (lambda d, s: VitWeights.packed(d, 2, seed=s), lambda d: [d * d] * 12 + [d]),
     "simpool": (lambda d, s: SimPoolParams.seeded(d, seed=s), lambda d: [d * d] * 2),
+    "simpool_packed": (lambda d, s: SimPoolParams.packed(d, seed=s), lambda d: [d * d] * 2),
 }
 CASES = [(name, d, seed) for name in CONSTRUCTORS
          for d, seed in ((1, 2**64 - 1), (8, 0), (2048, 3))
@@ -66,6 +68,35 @@ def test_draw_signs_are_fair(seed):
     (w,) = draw(seed, ((2048, 2048), 2048))
     share = np.count_nonzero(w > 0) / n
     assert abs(share - 0.5) <= 5 * 0.5 / np.sqrt(n)  # 5 standard errors of a fair coin
+
+
+@pytest.mark.parametrize("d", [3, 4, 8, 12, 48, 384])  # 3 and 12: rows repacked onto bytes
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), per_head=st.integers(1, 3))
+@example(seed=2**64 - 1, per_head=3)
+def test_sign_products_match_the_expanded_matrix_within_dot_rounding(d, seed, per_head):
+    # each of two computed k-term dot products is within k * eps/2 * (|w| @ |z|), as
+    # TestNarrowMatmul bounds them; k is d, or a head's d/m rows for W^T z
+    (raw,) = draw_bytes(seed, ((d, d), d))
+    packed, dense = SignMatrix(raw, (d, d), d), expand(raw, (d, d), d)
+    rng = np.random.default_rng(seed)
+    for m in [m for m in range(1, d + 1) if d % m == 0]:
+        for transpose in (False, True):
+            z = rng.normal(size=(d, per_head * (1 if transpose else m)))
+            want = _weigh(dense, z, "test", m, transpose)
+            bound = (d // m if transpose else d) * np.finfo(np.float64).eps * _weigh(
+                np.abs(dense), np.abs(z), "test", m, transpose)
+            got = packed.weigh(z, m, transpose)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= bound)
+
+
+def test_a_sign_matrix_rejects_a_narrow_side_of_another_shape():
+    packed = SignMatrix(draw_bytes(0, ((4, 12), 12))[0], (4, 12), 12)
+    for z, heads, transpose in ((np.ones((4, 2)), 1, False), (np.ones((12, 3)), 2, False),
+                                (np.ones((12, 1)), 1, True)):
+        with pytest.raises(ValueError, match="sign matrix meets"):
+            packed.weigh(z, heads, transpose)
 
 
 # name -> (seeded weights for d = 4, the pooler that reads them)

@@ -200,8 +200,9 @@ class TestCait:
 
 
 class TestPackedWeights:
-    """One-shot requests keep each d x d matrix as its sign bytes and expand it
-    into one buffer just before its product; the outputs are the dense ones."""
+    """One-shot requests keep each d x d matrix as a ``SignMatrix`` and multiply from its
+    sign bytes.  Those products sum in another order than the dense ones, so the outputs
+    are the dense ones within rounding, and the CLI's are the library's byte for byte."""
 
     @pytest.mark.parametrize("d", [3, 4, 8, 48, 384])  # d = 3: 9 signs in 2 bytes
     @settings(max_examples=4, deadline=None)
@@ -214,20 +215,28 @@ class TestPackedWeights:
         for m in [m for m in range(1, d + 1) if d % m == 0]:
             for iters in (1, 2, 3):
                 want, got = vit_cls_pool(fm, dense, m, iters), vit_cls_pool(fm, packed, m, iters)
-                assert got.u.tobytes() == want.u.tobytes()
-                assert got.attention.a.tobytes() == want.attention.a.tobytes()
+                _, _, u_abs, kappa = _per_head_reference(fm.x, dense, m, iters)
+                assert_within_rounding(got.u[:, 0], want.u[:, 0], u_abs, kappa)
+                assert_within_rounding(got.attention.a, want.attention.a, want.attention.a, kappa)
 
     @pytest.mark.parametrize("method", ["vit", "cait"])
     def test_cli_is_the_library_on_seeded_weights(self, tmp_path, capsys, method):
-        x = np.random.default_rng(5).normal(size=(12, 3, 4))
+        # d = 96 with 3 heads keeps every product on the sign bytes (32 rows per table)
+        x = np.random.default_rng(5).normal(size=(96, 3, 4))
         write_npy(x, tmp_path / "x.npy")
         assert main(["pool", "--input", str(tmp_path / "x.npy"), "--method", method, "--heads", "3",
                      "--iters", "2", "--seed", "9", "--out", str(tmp_path / "u.npy"),
                      "--attn-out", str(tmp_path / "a.npy")]) == 0
-        fm = FeatureMap(x.reshape(12, 12), 4, 3)
-        want = vit_cls_pool(fm, VitWeights.seeded(12, 2, seed=9), 3, 2)
-        assert read_npy(tmp_path / "u.npy")[0].tobytes() == want.u.tobytes()
-        assert read_npy(tmp_path / "a.npy")[0].tobytes() == want.attention.a.tobytes()
+        fm = FeatureMap(x.reshape(96, 12), 4, 3)
+        u, a = read_npy(tmp_path / "u.npy")[0], read_npy(tmp_path / "a.npy")[0]
+        want = vit_cls_pool(fm, VitWeights.packed(96, 2, seed=9), 3, 2)
+        assert u.tobytes() == want.u.tobytes()
+        assert a.tobytes() == want.attention.a.tobytes()
+        dense = VitWeights.seeded(96, 2, seed=9)
+        _, _, u_abs, kappa = _per_head_reference(fm.x, dense, 3, 2)
+        want = vit_cls_pool(fm, dense, 3, 2)
+        assert_within_rounding(u[:, 0], want.u[:, 0], u_abs, kappa)
+        assert_within_rounding(a, want.attention.a, want.attention.a, kappa)
 
     def test_one_shot_request_holds_under_two_square_matrices(self):
         d = 512
@@ -235,6 +244,13 @@ class TestPackedWeights:
         cfg = config_from_dict({"method": "vit", "iters": 3, "heads": 8, "seed": 3})
         # dense weights hold 18 d x d matrices; packed ones 18 d^2 / 8 bytes and one buffer
         assert traced_peak(run_method, cfg, fm) <= 2 * 8 * d * d
+        # dense SimPool weights are two d x d matrices; packed ones 2 d^2 / 8 bytes
+        cfg = config_from_dict({"method": "simpool", "seed": 3})
+        assert traced_peak(run_method, cfg, fm) <= 0.5 * 8 * d * d
+        # at d heads the sign tables, one per head and group, would hold 32 d^2 floats, so
+        # each matrix is expanded for its product (about 3.6 * 8 d^2 traced)
+        cfg = config_from_dict({"method": "vit", "iters": 3, "heads": d, "seed": 3})
+        assert traced_peak(run_method, cfg, fm) <= 4 * 8 * d * d
 
 
 # name: (a call, the error class it raises, the start of its message), one row per
