@@ -77,10 +77,10 @@ def run_method(cfg: RunConfig, fm: FeatureMap) -> PooledSet:
         return cbam_pool(fm, CbamWeights.seeded(d, seed=cfg.seed))
     if method in ("vit", "cait"):  # with the patch stream fixed, CaiT's class attention is ViT's
         from .transformer_poolers import VitWeights, vit_cls_pool
-        return vit_cls_pool(fm, VitWeights.packed(d, cfg.iters, seed=cfg.seed), cfg.heads, cfg.iters)
+        return vit_cls_pool(fm, VitWeights.seeded(d, cfg.iters, seed=cfg.seed), cfg.heads, cfg.iters)
     if method == "simpool":
         from .simpool import SimPoolParams, simpool_spec
-        return run_pooling(simpool_spec(fm, SimPoolParams.packed(d, gamma=gamma, seed=cfg.seed)), fm)
+        return run_pooling(simpool_spec(fm, SimPoolParams.seeded(d, gamma=gamma, seed=cfg.seed)), fm)
     raise ConfigError(f"unknown method {method!r}")
 
 

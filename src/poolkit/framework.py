@@ -32,11 +32,10 @@ from .matcore import (
     eta_norm,
     layernorm_cols,
     l2_normalize,
-    narrow_matmul,
     pow2_scaled,
-    relu,
     sigmoid,
     sq_distances,
+    weigh,
 )
 from .meanfam import CLAMP_FLOOR, lse_pool, weighted_generalized_mean
 
@@ -260,27 +259,6 @@ def _map_input(rule: MapRule, x: Mat, shared: dict) -> Mat:
     return x
 
 
-def _weigh(w: Optional[Mat], z: Mat, stage: str, heads: int = 1, transpose: bool = False) -> Mat:
-    """A map's or mlp update's weight W (none: the identity) times the narrow z: W z, or W^T z as
-    (z^T W)^T.  Head i of m (m = 1 too) owns W's row block W_i, which meets z's row block i in one
-    batched W_i^T z_i, or z's column block i in one stacked ``narrow_matmul`` W_i z_i."""
-    if w is None:
-        return z
-    try:
-        r, k = np.shape(w)  # a weight that is not 2-d fails here, as a ShapeError
-        if r % heads:
-            raise ShapeError(f"{stage} mapping: heads m={heads} do not divide d={r}")
-        # a SignMatrix, unless its 256-entry tables (per z column, per 8 W columns) outnumber W's entries
-        if hasattr(w, "weigh") and 32 * z.shape[1] * (heads if transpose else 1) <= r:
-            return w.weigh(z, heads, transpose)
-        blocks = np.asarray(w).reshape(heads, -1, k)
-        if transpose:
-            return (z.reshape(heads, -1, z.shape[1]).transpose(0, 2, 1) @ blocks).reshape(-1, k).T
-        return narrow_matmul(blocks, z.reshape(len(z), heads, -1).transpose(1, 0, 2)).reshape(r, -1)
-    except ValueError as exc:
-        raise ShapeError(f"{stage} mapping: {exc}") from exc
-
-
 def _avg3(a: Mat, width: int, height: int) -> Mat:
     """Adjoint of the 3x3 spatial average, on each column of a (p, k) or on a (p,).
 
@@ -338,9 +316,9 @@ def _update(rule: UpdateRule, z: Mat, prev: Mat) -> Mat:
         return z
     if rule.kind == "l2norm":
         return np.stack([l2_normalize(z[:, j]) for j in range(z.shape[1])], axis=1)
-    if rule.kind == "mlp":  # ViT's: each weight, packed or dense, on the narrow side
-        return _weigh(rule.mlp.w2, relu(_weigh(rule.mlp.w1, _weigh(rule.weight, z, "update"), "mlp2")), "mlp2")
     from .nncells import gru_cell, mlp2  # here, so a run of another update never executes nncells
+    if rule.kind == "mlp":  # ViT's
+        return mlp2(weigh(rule.weight, z, "update"), rule.mlp)
     if rule.kind == "channel_gate":
         return sigmoid(mlp2(z, rule.mlp)) * z
     g = gru_cell(z, prev, rule.gru)  # gru_mlp
@@ -355,7 +333,7 @@ def run_pooling(spec: PoolingSpec, fm: FeatureMap, tape: Optional[dict] = None) 
     is pulled back onto the queries, s = X~^T (W_K^T q); the value weight acts after the arithmetic
     pool, z = W_V (X~ a); and local_avg_fc's 3x3 average moves onto the attention through its
     adjoint, z = W ((X - c) avg3^T(a)).  Each weight, W_U too, meets its narrow side on one path
-    for every head count (``_weigh``); m heads' attention is their column blocks' mean.
+    for every head count (``matcore.weigh``); m heads' attention is their column blocks' mean.
 
     A dict passed as ``tape`` receives, all formed anyway, ``key_input``, ``value_input``, ``ln_std``
     (LayerNorm's divisor, or None) and the last iteration's ``query_input``, ``q`` and ``wkt_q``.
@@ -374,13 +352,13 @@ def run_pooling(spec: PoolingSpec, fm: FeatureMap, tape: Optional[dict] = None) 
         s = dim = None
         if needs_sim:
             u_in = _map_input(spec.query_map, u, {})
-            q = _weigh(spec.query_map.weight, u_in, f"query at iteration {t}")
-            wkt_q = _weigh(spec.key_map.weight, q, "key", spec.heads, transpose=True)
+            q = weigh(spec.query_map.weight, u_in, f"query at iteration {t}")
+            wkt_q = weigh(spec.key_map.weight, q, "key", spec.heads, transpose=True)
             s = pairwise_similarity(x_key, wkt_q, spec.similarity)
             dim = q.shape[0] // spec.heads
         a = _attention(spec.attention, s, dim, x, shared)
         smoothed = _avg3(a, fm.width, fm.height) if spec.value_map.kind == "local_avg_fc" else a
-        z = _weigh(spec.value_map.weight, _pool(spec.pool, x_val, smoothed, t), "value", spec.heads)
+        z = weigh(spec.value_map.weight, _pool(spec.pool, x_val, smoothed, t), "value", spec.heads)
         if spec.attention == "hard_argmax":
             dead = ~a.any(axis=0)
             z[:, dead] = u[:, dead]  # a dead cluster keeps its previous vector

@@ -25,6 +25,13 @@ Mat = np.ndarray
 # multiply-adds and 7.0 ms in blocks of 1.007M, as in one product.
 SMALL_GEMM = 1_000_000
 
+# Where ``weigh`` multiplies an nncells.SignMatrix from its bytes.  At one column per head (one pinned
+# Xeon CPU, one BLAS thread, median of 15) they took 0.23-0.26x the time of expanding W and multiplying
+# at d = 2048 (8 heads), 0.62-0.83x at 1024, 0.71-0.81x at 512 and 0.90-0.96x at 384 (6 heads), where a
+# held expansion is 6x faster than the bytes; at two columns, 8 heads lost at d = 512 and 1024.
+SIGN_COLUMNS = 1  # n*: the most columns per head
+SIGN_ENTRIES = 512 * 512  # the fewest entries of W
+
 LN_EPS = 1e-5  # added to the variance by every LayerNorm
 
 CANCEL_LIMIT = 100.0  # (|x|^2 + |u|^2) / mean distance past which sq_distances centers
@@ -60,6 +67,32 @@ def narrow_matmul(w: Mat, z) -> Mat:
     for i in range(0, r, rows):
         np.matmul(w[..., i : i + rows, :], z, out=out[..., i : i + rows, :])
     return out
+
+
+def weigh(w, z: Mat, stage: str, heads: int = 1, transpose: bool = False) -> Mat:
+    """Every weight product: W (none: the identity) times the narrow z, W z, or W^T z as (z^T W)^T.
+    Head i of m (m = 1 too) owns W's row block W_i, which meets z's row block i in one batched
+    W_i^T z_i, or z's column block i in one stacked ``narrow_matmul`` W_i z_i.  A SignMatrix that
+    holds no expansion multiplies from its bytes where it meets at most SIGN_COLUMNS columns per
+    head and has at least SIGN_ENTRIES entries; any other product of it expands W and keeps that."""
+    if w is None:
+        return z
+    try:
+        r, k = np.shape(w)  # a weight that is not 2-d fails here, as a ShapeError
+        if r % heads:
+            raise ShapeError(f"{stage} mapping: heads m={heads} do not divide d={r}")
+        n = z.shape[1] // (1 if transpose else heads)  # columns per head
+        if getattr(w, "dense", False) is None:  # a SignMatrix that holds no expansion
+            if 32 * heads * n > r:  # under 32 n rows a head, the 256-entry tables outgrow W:
+                w = w.expanded()  # kept by none, so a request at d heads holds one at a time
+            elif n <= SIGN_COLUMNS and r * k >= SIGN_ENTRIES:
+                return w._weigh_bytes(z, heads, transpose)
+        blocks = np.asarray(w).reshape(heads, -1, k)
+        if transpose:
+            return (z.reshape(heads, -1, z.shape[1]).transpose(0, 2, 1) @ blocks).reshape(-1, k).T
+        return narrow_matmul(blocks, z.reshape(len(z), heads, -1).transpose(1, 0, 2)).reshape(r, -1)
+    except (ValueError, IndexError) as exc:  # IndexError: a z that is not 2-d
+        raise ShapeError(f"{stage} mapping: {exc}") from exc
 
 
 def col_softmax(s: Mat, scale: float = 1.0) -> Mat:

@@ -2,9 +2,9 @@
 makes every seeded weight set: one ``default_rng(seed)`` per seed fills the declared (shape,
 fan_in) arrays in order, n entries from ``bytes(ceil(n/8))``: entry i (C order) is +1/sqrt(fan_in)
 where bit i is set (most significant first), else -1/sqrt(fan_in), a random sign of variance
-1/fan_in (Achlioptas 2003).  CBAM declares its 7x7 kernel after its MLP.  ``draw`` is ``expand``
-after ``draw_bytes``; one-shot ViT/CaiT and SimPool requests call ``draw_packed``, whose
-``SignMatrix`` multiplies from the bytes, never forming the matrix.  Nothing here is trained: no biases."""
+1/fan_in (Achlioptas 2003).  CBAM declares its 7x7 kernel after its MLP.  ``draw`` keeps each
+matrix as a ``SignMatrix`` over its bytes, which ``matcore.weigh`` multiplies from where that
+pays, and ``expand``s the rest.  Nothing here is trained: no biases."""
 
 from __future__ import annotations
 
@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
-from .matcore import narrow_matmul, relu, sigmoid
+from .matcore import relu, sigmoid, weigh
 
 BYTE_SIGNS = 2.0 * np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1) - 1.0
 
@@ -31,34 +30,37 @@ def expand(raw: np.ndarray, shape: tuple, fan_in: int) -> np.ndarray:
     return np.take(BYTE_SIGNS / np.sqrt(fan_in), raw, axis=0).ravel()[:int(np.prod(shape))].reshape(shape)
 
 
-def draw(seed: int, *decl: tuple) -> list[np.ndarray]:
-    """One array per declared (shape, fan_in), in order, from one generator."""
-    return [expand(raw, *d) for raw, d in zip(draw_bytes(seed, *decl), decl)]
-
-
-def draw_packed(seed: int, *decl: tuple) -> list:
-    """``draw``'s arrays, each matrix kept as a ``SignMatrix``."""
+def draw(seed: int, *decl: tuple) -> list:
+    """One array per declared (shape, fan_in), in order, from one generator: each matrix a
+    ``SignMatrix``, each vector or kernel expanded."""
     return [SignMatrix(raw, *d) if len(d[0]) == 2 else expand(raw, *d)
             for raw, d in zip(draw_bytes(seed, *decl), decl)]
 
 
 class SignMatrix:
-    """``expand(raw, shape, fan_in)`` as one byte row per row (``rows``; rows of the drawn flat matrix
-    start on a byte only where 8 | c).  A thread's products reuse its ``scratch``: fresh ones fault."""
+    """``expand(raw, shape, fan_in)`` held as its bytes, also one byte row per row (``rows``: rows of
+    the flat draw start on a byte only where 8 | c).  ``np.asarray`` expands it once, keeping it as
+    ``dense``, read-only.  A thread's byte products reuse its ``scratch``: fresh ones fault."""
 
     scratch = threading.local()
 
     def __init__(self, raw: np.ndarray, shape: tuple, fan_in: int):
         r, c = self.shape = tuple(shape)
-        self.fan_in = fan_in
+        self.raw, self.fan_in, self.dense = raw, fan_in, None
         self.rows = raw.reshape(r, -1) if c % 8 == 0 else np.packbits(
             np.unpackbits(raw)[:r * c].reshape(r, c), axis=1)
 
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return expand(self.rows, (len(self.rows), 8 * self.rows.shape[1]), self.fan_in)[:, :self.shape[1]]
+    def expanded(self) -> np.ndarray:
+        return expand(self.raw, self.shape, self.fan_in)
 
-    def weigh(self, z: np.ndarray, heads: int = 1, transpose: bool = False) -> np.ndarray:
-        """``framework._weigh``'s W z or W^T z.  Row i of W z sums T[g, rows[i, g]] over groups g, T[g, b]
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if self.dense is None:
+            self.dense = self.expanded()
+            self.dense.flags.writeable = False
+        return np.array(self.dense, dtype=dtype, copy=copy)
+
+    def _weigh_bytes(self, z: np.ndarray, heads: int, transpose: bool) -> np.ndarray:
+        """``matcore.weigh``'s W z or W^T z.  Row i of W z sums T[g, rows[i, g]] over groups g, T[g, b]
         byte b's signed sum of z[8g:8g+8]; W^T z bins z by (column, group, byte), times the byte signs."""
         (r, g), c = self.rows.shape, self.shape[1]
         n, rest = divmod(z.shape[1], 1 if transpose else heads)  # columns per head
@@ -96,11 +98,7 @@ def mlp_decl(dim_in: int, hidden: int, dim_out: int) -> tuple:
 
 def mlp2(x: np.ndarray, w: MlpWeights) -> np.ndarray:
     """Apply the MLP to each column of ``x`` (dim_in, n)."""
-    x = np.asarray(x, dtype=np.float64)
-    try:
-        return narrow_matmul(w.w2, relu(narrow_matmul(w.w1, x)))
-    except ValueError as exc:
-        raise ShapeError(f"mlp2: {exc}") from exc
+    return weigh(w.w2, relu(weigh(w.w1, np.asarray(x, dtype=np.float64), "mlp2")), "mlp2")
 
 
 @dataclass(eq=False)
@@ -127,10 +125,7 @@ def gru_cell(z: np.ndarray, h: np.ndarray, w: GruWeights) -> np.ndarray:
     """One GRU step on column-stacked inputs ``z`` with states ``h``."""
     z = np.asarray(z, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
-    try:
-        r = sigmoid(narrow_matmul(w.w_r, z) + narrow_matmul(w.u_r, h))
-        u = sigmoid(narrow_matmul(w.w_z, z) + narrow_matmul(w.u_z, h))
-        cand = np.tanh(narrow_matmul(w.w_h, z) + narrow_matmul(w.u_h, r * h))
-    except ValueError as exc:
-        raise ShapeError(f"gru_cell: {exc}") from exc
+    r = sigmoid(weigh(w.w_r, z, "gru_cell") + weigh(w.u_r, h, "gru_cell"))
+    u = sigmoid(weigh(w.w_z, z, "gru_cell") + weigh(w.u_z, h, "gru_cell"))
+    cand = np.tanh(weigh(w.w_h, z, "gru_cell") + weigh(w.u_h, r * h, "gru_cell"))
     return (1.0 - u) * h + u * cand

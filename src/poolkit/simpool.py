@@ -18,9 +18,9 @@ import numpy as np
 from . import gradcheck  # binds the lazily registered module; a pool request never executes it
 from .errors import ContractError, ShapeError
 from .framework import FeatureMap, MapRule, PoolingSpec, PoolRule, run_pooling
-from .matcore import Mat
+from .matcore import Mat, weigh
 from .meanfam import CLAMP_FLOOR
-from .nncells import SignMatrix, draw, draw_packed
+from .nncells import draw
 
 
 @dataclass(eq=False)
@@ -30,24 +30,21 @@ class SimPoolParams:
     gamma: float = 2.0
 
     def __post_init__(self):
-        if not isinstance(self.w_q, SignMatrix):  # a packed pair is finite by its draw
-            self.w_q, self.w_k = (np.asarray(w, dtype=np.float64) for w in (self.w_q, self.w_k))
-            if not (np.all(np.isfinite(self.w_q)) and np.all(np.isfinite(self.w_k))):
-                raise ContractError("SimPoolParams: non-finite weights")
+        # a SignMatrix that holds no expansion is finite by its draw: np.isfinite would expand it
+        if not all(getattr(w, "dense", False) is None or np.all(np.isfinite(w))
+                   for w in (self.w_q, self.w_k)):
+            raise ContractError("SimPoolParams: non-finite weights")
         if not (1e-9 <= self.gamma <= 100.0):
             raise ContractError(f"SimPoolParams: gamma must be in [1e-9, 100], got {self.gamma}")
-        if len(self.w_q.shape) != 2 or self.w_q.shape[0] != self.w_q.shape[1]:
-            raise ShapeError(f"SimPoolParams: w_q must be square, got {self.w_q.shape}")
-        if self.w_k.shape != self.w_q.shape:
-            raise ShapeError(f"SimPoolParams: w_k {self.w_k.shape} != w_q {self.w_q.shape}")
+        shape = np.shape(self.w_q)
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ShapeError(f"SimPoolParams: w_q must be square, got {shape}")
+        if np.shape(self.w_k) != shape:
+            raise ShapeError(f"SimPoolParams: w_k {np.shape(self.w_k)} != w_q {shape}")
 
     @classmethod
     def seeded(cls, d: int, gamma: float = 2.0, seed: int = 0) -> "SimPoolParams":
         return cls(*draw(seed, ((d, d), d), ((d, d), d)), gamma=gamma)
-
-    @classmethod
-    def packed(cls, d: int, gamma: float = 2.0, seed: int = 0) -> "SimPoolParams":
-        return cls(*draw_packed(seed, ((d, d), d), ((d, d), d)), gamma=gamma)
 
 
 def simpool_spec(fm: FeatureMap, params: SimPoolParams) -> PoolingSpec:
@@ -79,7 +76,7 @@ def simpool_forward(fm: FeatureMap, params: SimPoolParams) -> tuple[np.ndarray, 
 
 def simpool_backward(tape: dict, du: np.ndarray) -> tuple[Mat, Mat, Mat]:
     """Exact reverse-mode gradients of <du, u> w.r.t. (W_Q, W_K, X), from the
-    tape of ``simpool_forward`` on dense (``seeded``, not ``packed``) weights."""
+    tape of ``simpool_forward``; W_K xd and W_Q^T d_q are ``matcore.weigh``'s, as the forward's."""
     du = np.asarray(du, dtype=np.float64)
     xn, vc = tape["key_input"], tape["value_input"]
     d, p = xn.shape
@@ -121,11 +118,11 @@ def simpool_backward(tape: dict, du: np.ndarray) -> tuple[Mat, Mat, Mat]:
     xd = xn @ d_logits
     d_wk = np.outer(q * scale, xd)
     d_xn += np.multiply.outer(wkt_q * scale, d_logits, out=c)
-    d_q = params.w_k @ xd * scale
+    d_q = weigh(params.w_k, xd[:, None], "key")[:, 0] * scale
 
     # q = W_Q u0
     d_wq = np.outer(d_q, u0)
-    d_u0 = params.w_q.T @ d_q
+    d_u0 = weigh(params.w_q, d_q[:, None], "query", transpose=True)[:, 0]
 
     # LayerNorm backward, per column (population variance)
     mean_dy = d_xn.mean(axis=0, keepdims=True)

@@ -3,8 +3,8 @@
 A single pooled vector attends to the patch features, per head, over a
 number of iterations, each a head-blocked ``vit_spec`` with its own weights;
 the patch stream itself is held fixed, so this is a pooler, not an encoder.
-One-shot requests multiply from each d x d weight's sign bytes (``VitWeights.packed``),
-within rounding of the dense weights' outputs: the sums run in another order.
+Each seeded d x d weight is an ``nncells.SignMatrix``, multiplied from its sign bytes where
+``matcore.weigh`` finds that pays, within rounding of the expanded weight's products.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ContractError
 from .framework import FeatureMap, MapRule, PooledSet, PoolingSpec, UpdateRule, run_pooling
 from .matcore import Mat
-from .nncells import MlpWeights, draw, draw_packed
+from .nncells import MlpWeights, draw
 
 
 @dataclass(eq=False)
@@ -39,16 +39,7 @@ class VitWeights:
 
     @classmethod
     def seeded(cls, d: int, iters: int, seed: int = 0) -> "VitWeights":
-        return cls._drawn(draw, d, iters, seed)
-
-    @classmethod
-    def packed(cls, d: int, iters: int, seed: int = 0) -> "VitWeights":
-        """``seeded``, each d x d matrix a ``SignMatrix`` that multiplies from its d^2 / 8 bytes."""
-        return cls._drawn(draw_packed, d, iters, seed)
-
-    @classmethod
-    def _drawn(cls, fill, d: int, iters: int, seed: int) -> "VitWeights":
-        *w, u0 = fill(seed, *[((d, d), d)] * (6 * iters), ((d,), d))  # W_Q, W_K, W_V, W_U, MLP's two
+        *w, u0 = draw(seed, *[((d, d), d)] * (6 * iters), ((d,), d))  # W_Q, W_K, W_V, W_U, MLP's two
         return cls(iters=tuple(VitIterWeights(*w[i:i + 4], MlpWeights(*w[i + 4:i + 6]))
                                for i in range(0, len(w), 6)), u0=u0)
 

@@ -1,7 +1,6 @@
 import contextlib
 import io
 import json
-import os
 import struct
 import subprocess
 import sys
@@ -40,29 +39,6 @@ def _cli_error(argv, code):
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
     return proc.stderr
-
-
-# in a fresh interpreter: a vit and a simpool request on packed weights (d = 256 with 4 heads
-# keeps every product on the sign bytes), each writing u and attention into argv[2]
-PACKED_REQUESTS = """
-import sys
-from poolkit.cli import main
-x, out = sys.argv[1:]
-for method in ("vit", "simpool"):
-    assert main(["pool", "--input", x, "--method", method, "--heads", "4", "--seed", "7",
-                 "--out", f"{out}/{method}_u.npy", "--attn-out", f"{out}/{method}_a.npy"]) == 0
-"""
-
-
-def test_packed_requests_are_byte_identical_at_one_and_two_blas_threads(tmp_path):
-    x = _write_features(tmp_path / "x.npy", np.random.default_rng(4).normal(size=(256, 7, 7)))
-    files = []
-    for threads in ("1", "2"):
-        (out := tmp_path / threads).mkdir()
-        subprocess.run([sys.executable, "-c", PACKED_REQUESTS, x, str(out)], check=True,
-                       capture_output=True, env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
-        files.append({path.name: path.read_bytes() for path in out.iterdir()})
-    assert len(files[0]) == 4 and files[0] == files[1]
 
 
 class TestCmdPool:

@@ -799,7 +799,7 @@ class TestSimplifiedSlotWeights:
         want.update({f"mlp.{f.name}": square() for f in fields(MlpWeights)})
         got = SlotWeights.seeded(d, seed=seed)
         for name, want_array in want.items():
-            got_array = attrgetter(name)(got)
+            got_array = np.asarray(attrgetter(name)(got))
             assert got_array.shape == want_array.shape, name
             assert got_array.tobytes() == want_array.tobytes(), name
 
@@ -820,7 +820,7 @@ class TestSimplifiedSlotWeights:
         full = SlotWeights.seeded(d, seed=seed)
         simple = SlotWeights.seeded(d, seed=seed, simplified=True)
         for name in ("w_q", "w_k", "w_v", "mu", "sigma"):
-            got, want = getattr(simple, name), getattr(full, name)
+            got, want = np.asarray(getattr(simple, name)), np.asarray(getattr(full, name))
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
         assert simple.gru is None and simple.mlp is None
 

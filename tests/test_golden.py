@@ -18,6 +18,8 @@ difference of each array that is not, and exits 1 unless all are.
 """
 
 import argparse
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -164,6 +166,19 @@ def regenerate(compute, path: Path, argv=None) -> None:
 
 def test_outputs_unchanged():
     assert_unchanged(compute_outputs(), GOLDEN)
+
+
+def test_outputs_are_byte_identical_at_one_and_two_blas_threads(tmp_path):
+    """Both golden scripts' outputs, every method's, dumped in fresh interpreters."""
+    dumps = [str(tmp_path / f"threads_{n}.npz") for n in ("1", "2")]
+    for n, dump in zip(("1", "2"), dumps):
+        subprocess.run([sys.executable, __file__, "--dump", dump], check=True, capture_output=True,
+                       env={**os.environ, "OPENBLAS_NUM_THREADS": n})
+    proc = subprocess.run([sys.executable, __file__, "--compare", *dumps], capture_output=True,
+                          text=True)
+    with np.load(dumps[0]) as dumped:
+        count = len(dumped.files)
+    assert (proc.returncode, proc.stdout) == (0, f"{count} of {count} arrays byte-identical\n")
 
 
 def test_regenerate_only_writes_named_keys(tmp_path):

@@ -1,6 +1,6 @@
 """Seeded weights: ``draw`` makes each declared array of n entries exactly
 +-1/sqrt(fan_in), its signs the bits of ceil(n/8) bytes of one generator,
-and each public ``seeded`` or ``packed`` constructor makes one generator and
+and each public ``seeded`` constructor makes one generator and
 draws from it exactly the bytes its weight set declares.  So Slot's mu is +-1
 and its sigma = |.| + 0.1 is 1.1 in every entry.  A ``SignMatrix`` multiplies
 from those bytes within dot-product rounding of the expanded matrix."""
@@ -12,11 +12,14 @@ from hypothesis import strategies as st
 
 from poolkit.cluster_poolers import SlotWeights, slot_pool
 from poolkit.errors import ShapeError
-from poolkit.framework import FeatureMap, _weigh
+from poolkit.framework import FeatureMap
+from poolkit.matcore import weigh
 from poolkit.nncells import SignMatrix, draw, draw_bytes, expand
 from poolkit.reweight_poolers import CbamWeights, SeWeights, cbam_pool, se_pool
 from poolkit.simpool import SimPoolParams
 from poolkit.transformer_poolers import VitWeights, vit_cls_pool
+
+from memory_peaks import traced_peak
 
 # name -> (constructor of (d, seed), sizes of the arrays it declares, in order)
 CONSTRUCTORS = {
@@ -25,9 +28,7 @@ CONSTRUCTORS = {
     "se": (lambda d, s: SeWeights.seeded(d, seed=s), lambda d: [d * d // 4] * 2),
     "cbam": (lambda d, s: CbamWeights.seeded(d, seed=s), lambda d: [d * d // 4] * 2 + [2 * 7 * 7]),
     "vit": (lambda d, s: VitWeights.seeded(d, 2, seed=s), lambda d: [d * d] * 12 + [d]),
-    "vit_packed": (lambda d, s: VitWeights.packed(d, 2, seed=s), lambda d: [d * d] * 12 + [d]),
     "simpool": (lambda d, s: SimPoolParams.seeded(d, seed=s), lambda d: [d * d] * 2),
-    "simpool_packed": (lambda d, s: SimPoolParams.packed(d, seed=s), lambda d: [d * d] * 2),
 }
 CASES = [(name, d, seed) for name in CONSTRUCTORS
          for d, seed in ((1, 2**64 - 1), (8, 0), (2048, 3))
@@ -54,18 +55,18 @@ DECLS = st.lists(st.tuples(st.lists(st.integers(1, 20), max_size=3).map(tuple),
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1), a=DECLS, b=DECLS)
 def test_draw_is_signs_and_a_longer_draw_extends_a_shorter(seed, a, b):
-    got = draw(seed, *a, *b)
+    got = [np.asarray(w) for w in draw(seed, *a, *b)]
     assert len(got) == len(a) + len(b)
     for w, (shape, fan_in) in zip(got, a + b):
         assert w.shape == shape and w.dtype == np.float64
         assert np.all(np.abs(w) == 1.0 / np.sqrt(fan_in))
-    assert [w.tobytes() for w in draw(seed, *a)] == [w.tobytes() for w in got[:len(a)]]
+    assert [np.asarray(w).tobytes() for w in draw(seed, *a)] == [w.tobytes() for w in got[:len(a)]]
 
 
 @pytest.mark.parametrize("seed", [0, 3, 2**64 - 1])
 def test_draw_signs_are_fair(seed):
     n = 2048 * 2048
-    (w,) = draw(seed, ((2048, 2048), 2048))
+    w = np.asarray(draw(seed, ((2048, 2048), 2048))[0])
     share = np.count_nonzero(w > 0) / n
     assert abs(share - 0.5) <= 5 * 0.5 / np.sqrt(n)  # 5 standard errors of a fair coin
 
@@ -83,10 +84,10 @@ def test_sign_products_match_the_expanded_matrix_within_dot_rounding(d, seed, pe
     for m in [m for m in range(1, d + 1) if d % m == 0]:
         for transpose in (False, True):
             z = rng.normal(size=(d, per_head * (1 if transpose else m)))
-            want = _weigh(dense, z, "test", m, transpose)
-            bound = (d // m if transpose else d) * np.finfo(np.float64).eps * _weigh(
+            want = weigh(dense, z, "test", m, transpose)
+            bound = (d // m if transpose else d) * np.finfo(np.float64).eps * weigh(
                 np.abs(dense), np.abs(z), "test", m, transpose)
-            got = packed.weigh(z, m, transpose)
+            got = packed._weigh_bytes(z, m, transpose)
             assert got.shape == want.shape
             assert np.all(np.abs(got - want) <= bound)
 
@@ -96,7 +97,33 @@ def test_a_sign_matrix_rejects_a_narrow_side_of_another_shape():
     for z, heads, transpose in ((np.ones((4, 2)), 1, False), (np.ones((12, 3)), 2, False),
                                 (np.ones((12, 1)), 1, True)):
         with pytest.raises(ValueError, match="sign matrix meets"):
-            packed.weigh(z, heads, transpose)
+            packed._weigh_bytes(z, heads, transpose)
+
+
+@pytest.mark.parametrize("d, heads, per_head, transpose, from_bytes", [
+    (2048, 8, 1, False, True), (2048, 8, 1, True, True), (512, 8, 1, True, True),
+    (2048, 1, 16, False, False), (2048, 1, 2, True, False),  # past SIGN_COLUMNS per head
+    (384, 6, 1, False, False), (384, 6, 1, True, False)])  # under SIGN_ENTRIES
+def test_weigh_takes_the_bytes_only_where_they_pay(d, heads, per_head, transpose, from_bytes):
+    """Every other product of a SignMatrix expands it and keeps the expansion, read-only."""
+    (w,) = draw(d, ((d, d), d))
+    z = np.random.default_rng(d).normal(size=(d, per_head * (1 if transpose else heads)))
+    weigh(w, z, "test", heads, transpose)
+    held = w.dense
+    assert (held is None) == from_bytes
+    if held is not None:
+        assert np.asarray(w) is held and not held.flags.writeable
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_a_head_per_row_expands_for_the_product_alone(transpose):
+    # the bytes' tables, 256 entries per head, column and 8 columns of W, would hold
+    # 32 d^2 floats (37 MB); the product holds W's expansion and its d x d output
+    d = 384
+    (w,) = draw(0, ((d, d), d))
+    z = np.random.default_rng(0).normal(size=(d, 1 if transpose else d))
+    assert traced_peak(weigh, w, z, "key", d, transpose) <= 3 * 8 * d * d
+    assert w.dense is None
 
 
 # name -> (seeded weights for d = 4, the pooler that reads them)
@@ -120,7 +147,7 @@ def test_an_update_weight_with_an_extra_column_raises_shape_error(name, path, st
     owner = w
     for part in parents:
         owner = owner[int(part)] if part.isdigit() else getattr(owner, part)
-    matrix = getattr(owner, leaf)
+    matrix = np.asarray(getattr(owner, leaf))
     setattr(owner, leaf, np.hstack([matrix, np.ones((len(matrix), 1))]))
     with pytest.raises(ShapeError, match=stage):
         pool(FeatureMap(np.arange(24.0).reshape(4, 6) / 24, 3, 2), w)

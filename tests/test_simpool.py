@@ -174,6 +174,7 @@ def _materialized_reference(x, params, du):
     Returns the outputs (u, a, d_wq, d_wk, d_x), their majorants (the same
     expressions on absolute values) and kappa, the logits' majorant, at
     least 1 (see ``numeric_edges.assert_within_rounding``)."""
+    params = SimPoolParams(np.asarray(params.w_q), np.asarray(params.w_k), params.gamma)  # as arrays
     d, p = x.shape
     g, s = params.gamma, 1.0 / np.sqrt(d)
     u0 = x.mean(axis=1)
@@ -244,6 +245,23 @@ class TestNarrowProducts:
         expected, majorants, kappa = _materialized_reference(x, params, du)
         for got, want, majorant in zip((u, a, *grads), expected, majorants):
             assert_within_rounding(got, want, majorant, kappa)
+
+
+@pytest.mark.parametrize("d", [64, 2048])
+def test_backward_on_seeded_weights_is_backward_on_their_expansion(d):
+    """At d = 2048 both passes multiply W_Q and W_K from their sign bytes and never expand
+    them; at d = 64 they expand them.  Either way the gradients are the expanded weights'."""
+    rng = np.random.default_rng(d)
+    x, du = rng.normal(size=(d, 49)), rng.normal(size=d)
+    seeded, expanded = SimPoolParams.seeded(d, seed=3), SimPoolParams.seeded(d, seed=3)
+    for w in (expanded.w_q, expanded.w_k):
+        np.asarray(w)  # expanded and kept
+    got = simpool_backward(simpool_forward(_fm(x, width=7), seeded)[2], du)
+    want = simpool_backward(simpool_forward(_fm(x, width=7), expanded)[2], du)
+    assert (seeded.w_q.dense is None, seeded.w_k.dense is None) == (d > 64, d > 64)
+    _, majorants, _ = _materialized_reference(x, expanded, du)
+    for g, w, majorant in zip(got, want, majorants[2:]):
+        assert_within_rounding(g, w, majorant, 1.0)
 
 
 # name: (a call, the error class it raises, the start of its message), one row per

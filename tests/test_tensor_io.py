@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from poolkit.cli import main
 from poolkit.errors import ConfigError, FileFormatError
 from poolkit.tensor_io import (
     RunConfig,
@@ -267,6 +268,20 @@ class TestLoadFeatureMap:
         fm = load_feature_map(path)
         assert (fm.d, fm.width, fm.height) == (2, 4, 3)
         np.testing.assert_array_equal(fm.x[0].reshape(3, 4), arr[0])
+
+    def test_1d_is_one_channel(self, tmp_path, capsys):
+        path = tmp_path / "fm1.npy"
+        write_npy(np.arange(1.0, 7.0), path)
+        fm = load_feature_map(path)
+        assert (fm.d, fm.p, fm.width, fm.height) == (1, 6, 6, 1)
+        assert fm.x.tobytes() == np.arange(1.0, 7.0).tobytes()
+        fm = load_feature_map(path, width=3)
+        assert (fm.d, fm.width, fm.height) == (1, 3, 2)
+        out = tmp_path / "u.npy"
+        assert main(["pool", "--input", str(path), "--method", "gap", "--width", "3",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "method=gap input d=1 p=6 grid=3x2 -> pooled 1x1\n"
+        assert read_npy(out)[0].tolist() == [[3.5]]
 
 
 class TestRunConfig:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from poolkit import matcore
 from poolkit.cli import main, run_method
 from poolkit.errors import ContractError, ShapeError
 from poolkit.framework import FeatureMap
@@ -199,10 +200,19 @@ class TestCait:
         np.testing.assert_allclose(out.attention.a.sum(axis=0), 1.0, atol=1e-9)
 
 
+def _expanded(w: VitWeights) -> VitWeights:
+    """``w`` with each matrix expanded and kept: every product of it is the dense one."""
+    for iw in w.iters:
+        for matrix in (iw.w_q, iw.w_k, iw.w_v, iw.w_u, iw.mlp.w1, iw.mlp.w2):
+            np.asarray(matrix)
+    return w
+
+
 class TestPackedWeights:
-    """One-shot requests keep each d x d matrix as a ``SignMatrix`` and multiply from its
-    sign bytes.  Those products sum in another order than the dense ones, so the outputs
-    are the dense ones within rounding, and the CLI's are the library's byte for byte."""
+    """Seeded d x d matrices are ``SignMatrix``es, which ``matcore.weigh`` multiplies from their
+    sign bytes; these tests take the bytes at every size (SIGN_ENTRIES = 0).  Those products sum
+    in another order than the dense ones, so the outputs are the dense ones within rounding,
+    and the CLI's are the library's byte for byte."""
 
     @pytest.mark.parametrize("d", [3, 4, 8, 48, 384])  # d = 3: 9 signs in 2 bytes
     @settings(max_examples=4, deadline=None)
@@ -210,18 +220,21 @@ class TestPackedWeights:
     @example(seed=2**64 - 1)
     def test_packed_weights_give_the_dense_outputs(self, d, seed):
         fm = _fm(np.random.default_rng(seed).normal(size=(d, 5)))
-        dense, packed = VitWeights.seeded(d, 3, seed=seed), VitWeights.packed(d, 3, seed=seed)
+        dense, packed = _expanded(VitWeights.seeded(d, 3, seed=seed)), VitWeights.seeded(d, 3, seed=seed)
         assert packed.u0.tobytes() == dense.u0.tobytes()
         for m in [m for m in range(1, d + 1) if d % m == 0]:
             for iters in (1, 2, 3):
-                want, got = vit_cls_pool(fm, dense, m, iters), vit_cls_pool(fm, packed, m, iters)
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(matcore, "SIGN_ENTRIES", 0)
+                    want, got = vit_cls_pool(fm, dense, m, iters), vit_cls_pool(fm, packed, m, iters)
                 _, _, u_abs, kappa = _per_head_reference(fm.x, dense, m, iters)
                 assert_within_rounding(got.u[:, 0], want.u[:, 0], u_abs, kappa)
                 assert_within_rounding(got.attention.a, want.attention.a, want.attention.a, kappa)
 
     @pytest.mark.parametrize("method", ["vit", "cait"])
-    def test_cli_is_the_library_on_seeded_weights(self, tmp_path, capsys, method):
+    def test_cli_is_the_library_on_seeded_weights(self, tmp_path, capsys, monkeypatch, method):
         # d = 96 with 3 heads keeps every product on the sign bytes (32 rows per table)
+        monkeypatch.setattr(matcore, "SIGN_ENTRIES", 0)
         x = np.random.default_rng(5).normal(size=(96, 3, 4))
         write_npy(x, tmp_path / "x.npy")
         assert main(["pool", "--input", str(tmp_path / "x.npy"), "--method", method, "--heads", "3",
@@ -229,10 +242,10 @@ class TestPackedWeights:
                      "--attn-out", str(tmp_path / "a.npy")]) == 0
         fm = FeatureMap(x.reshape(96, 12), 4, 3)
         u, a = read_npy(tmp_path / "u.npy")[0], read_npy(tmp_path / "a.npy")[0]
-        want = vit_cls_pool(fm, VitWeights.packed(96, 2, seed=9), 3, 2)
+        want = vit_cls_pool(fm, VitWeights.seeded(96, 2, seed=9), 3, 2)
         assert u.tobytes() == want.u.tobytes()
         assert a.tobytes() == want.attention.a.tobytes()
-        dense = VitWeights.seeded(96, 2, seed=9)
+        dense = _expanded(VitWeights.seeded(96, 2, seed=9))
         _, _, u_abs, kappa = _per_head_reference(fm.x, dense, 3, 2)
         want = vit_cls_pool(fm, dense, 3, 2)
         assert_within_rounding(u[:, 0], want.u[:, 0], u_abs, kappa)
