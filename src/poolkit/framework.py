@@ -173,7 +173,7 @@ class PoolingSpec:
     """Complete parameterization of one run of the engine.  ``init`` is U^0, a d' x k
     matrix or a d'-vector read as one column; k is its column count, or 1 where no rule
     reads U^0.  With m ``heads``, head i owns rows i d/m to (i+1) d/m of the query after
-    its weight, of W_K and of W_V."""
+    its weight, of W_K and of W_V, or of the pooled values where there is no W_V."""
 
     iters: int = 1
     heads: int = 1
@@ -202,9 +202,8 @@ class PoolingSpec:
         if self.key_map.weight is not None and self.similarity != "dot":
             raise ContractError(f"PoolingSpec: a weighted key map needs "
                                 f"dot similarity, got {self.similarity!r}")
-        if self.heads > 1 and (self.attention != "col_softmax" or self.key_map.weight is None
-                               or self.value_map.weight is None):
-            raise ContractError("PoolingSpec: heads > 1 need col_softmax and weighted key and value maps")
+        if self.heads > 1 and (self.attention != "col_softmax" or self.key_map.weight is None):
+            raise ContractError("PoolingSpec: heads > 1 need col_softmax and a weighted key map")
         value = "weighted" if self.value_map.weight is not None else self.value_map.kind
         if value in ("weighted", "local_avg_fc") and not (
                 self.pool.kind == "f_alpha" and self.pool.gamma == 1.0):

@@ -25,6 +25,11 @@ Mat = np.ndarray
 # multiply-adds and 7.0 ms in blocks of 1.007M, as in one product.
 SMALL_GEMM = 1_000_000
 
+# dgemm packs W for (z^T W)^T too.  Summed over unpacked row blocks of W of PULL_BLOCK entries (512 KiB)
+# it took 0.54-0.79x one product's time at d = 2048 and 2-8 columns, 0.52-0.68x at 1024, 0.80x at 384 x 8
+# (pinned Xeon CPU, one BLAS thread); under 3n rows a block, as at 2048 x 16, every block size lost.
+PULL_BLOCK = 64 * 1024
+
 # Where ``weigh`` multiplies an nncells.SignMatrix from its bytes.  At one column per head (one pinned
 # Xeon CPU, one BLAS thread, median of 15) they took 0.23-0.26x the time of expanding W and multiplying
 # at d = 2048 (8 heads), 0.62-0.83x at 1024, 0.71-0.81x at 512 and 0.90-0.96x at 384 (6 heads), where a
@@ -52,13 +57,23 @@ def as_matrix(a, name: str = "matrix") -> Mat:
 
 
 def narrow_matmul(w: Mat, z) -> Mat:
-    """``w @ z``, computed in row blocks of w small enough for the unpacked kernel when z is
-    narrow, each w of a stack (m, r, k) @ (m, k, n) alike.  Each block multiplies all of z, so
-    blocking waits until a block holds at least n rows: z is then re-read no more than w is
-    read once.  A 1-d or one-column z stays one product (a gemv)."""
+    """``w @ z`` for a narrow z, each w of a stack (m, r, k) @ (m, k, n) alike, in blocks that
+    the unpacked kernel takes.  A w stored by rows goes in row blocks that each multiply all of z,
+    once they hold n rows or more.  W^T, a view of W stored by rows, goes as (z^T W)^T summed over
+    row blocks of W of at most PULL_BLOCK entries, once they hold 3n rows or more (each adds a
+    partial product) and all of W^T z is past SMALL_GEMM.  A 1-d or one-column z is one product."""
     w = np.asarray(w)
     r, k = w.shape[-2:]
     n = 1 if np.ndim(z) == 1 else z.shape[-1]
+    if np.ndim(z) > 1 and w.strides[-2] < w.strides[-1]:  # w = W^T: block the rows of W
+        wt, zt = w.swapaxes(-1, -2), z.swapaxes(-1, -2)
+        rows = min(PULL_BLOCK // r, SMALL_GEMM // (n * r))
+        if n == 1 or n * r * k <= SMALL_GEMM or rows < 3 * n:
+            return (zt @ wt).swapaxes(-1, -2)
+        out = 0.0
+        for i in range(0, k, rows):
+            out += zt[..., i : i + rows] @ wt[..., i : i + rows, :]  # 0.0 + the first block, exactly
+        return out.swapaxes(-1, -2)
     rows = SMALL_GEMM // max(1, n * k)
     if n == 1 or rows >= r or rows < n:
         return w @ z
@@ -70,18 +85,19 @@ def narrow_matmul(w: Mat, z) -> Mat:
 
 
 def weigh(w, z: Mat, stage: str, heads: int = 1, transpose: bool = False) -> Mat:
-    """Every weight product: W (none: the identity) times the narrow z, W z, or W^T z as (z^T W)^T.
-    Head i of m (m = 1 too) owns W's row block W_i, which meets z's row block i in one batched
-    W_i^T z_i, or z's column block i in one stacked ``narrow_matmul`` W_i z_i.  A SignMatrix that
-    holds no expansion multiplies from its bytes where it meets at most SIGN_COLUMNS columns per
-    head and has at least SIGN_ENTRIES entries; any other product of it expands W and keeps that."""
-    if w is None:
-        return z
+    """Every weight product: W (none: the identity) times the narrow z, W z or W^T z (W^T a view of
+    W), one ``narrow_matmul`` of a stack.  Head i of m (m = 1 too) owns W's row block W_i, which
+    meets z's row block i in W_i^T z_i, or z's column block i in W_i z_i: the identity keeps row
+    block i of column block i.  A SignMatrix that holds no expansion multiplies from its bytes where
+    it meets at most SIGN_COLUMNS columns per head and has at least SIGN_ENTRIES entries; any
+    other product of it expands W and keeps that."""
     try:
+        n = z.shape[1] // (1 if transpose else heads)  # columns per head
+        if w is None and (heads == 1 or not transpose):  # W^T z of none at m heads fails below
+            return np.einsum("ijik->ijk", z.reshape(heads, len(z) // heads, heads, n)).reshape(len(z), n)
         r, k = np.shape(w)  # a weight that is not 2-d fails here, as a ShapeError
         if r % heads:
             raise ShapeError(f"{stage} mapping: heads m={heads} do not divide d={r}")
-        n = z.shape[1] // (1 if transpose else heads)  # columns per head
         if getattr(w, "dense", False) is None:  # a SignMatrix that holds no expansion
             if 32 * heads * n > r:  # under 32 n rows a head, the 256-entry tables outgrow W:
                 w = w.expanded()  # kept by none, so a request at d heads holds one at a time
@@ -89,7 +105,8 @@ def weigh(w, z: Mat, stage: str, heads: int = 1, transpose: bool = False) -> Mat
                 return w._weigh_bytes(z, heads, transpose)
         blocks = np.asarray(w).reshape(heads, -1, k)
         if transpose:
-            return (z.reshape(heads, -1, z.shape[1]).transpose(0, 2, 1) @ blocks).reshape(-1, k).T
+            wt_z = narrow_matmul(blocks.swapaxes(1, 2), z.reshape(heads, -1, n))  # (m, k, n)
+            return wt_z.transpose(1, 0, 2).reshape(k, -1)
         return narrow_matmul(blocks, z.reshape(len(z), heads, -1).transpose(1, 0, 2)).reshape(r, -1)
     except (ValueError, IndexError) as exc:  # IndexError: a z that is not 2-d
         raise ShapeError(f"{stage} mapping: {exc}") from exc

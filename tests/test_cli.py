@@ -12,9 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poolkit.cli import _config_from_args, build_parser, main
+from poolkit.cli import _attention_entropy, _config_from_args, build_parser, main
 from poolkit.cluster_poolers import kmeans_distortion, otk_pool
-from poolkit.framework import FeatureMap
+from poolkit.framework import AttentionMatrix, FeatureMap, PooledSet
 from poolkit.simple_poolers import HowConfig, gap, how
 from poolkit.tensor_io import METHOD_NAMES, read_npy, write_npy
 
@@ -528,6 +528,11 @@ class TestCmdTournament:
         assert lines[0] == "method\ttrial\tnorm\tdistortion\tentropy"
         assert len(lines) == 1 + 4
         assert all(len(line.split("\t")) == 5 for line in lines)
+
+    def test_entropy_of_a_zero_mass_attention_is_nan(self):
+        # no distribution to normalize: the entropy column reads nan, not a division by zero
+        pooled = PooledSet(np.ones((2, 1)), AttentionMatrix(np.zeros((3, 1))))
+        assert np.isnan(_attention_entropy(pooled))
 
     def test_unknown_method_exit_1(self, capsys):
         code = main(["tournament", "--methods", "gap,unknown"])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from poolkit.errors import ContractError, DegenerateMassError, NumericError, ShapeError
 from poolkit.matcore import (
     LN_EPS,
+    PULL_BLOCK,
     SMALL_GEMM,
     as_matrix,
     col_softmax,
@@ -19,6 +20,7 @@ from poolkit.matcore import (
     pow2_scaled,
     sigmoid,
     sq_distances,
+    weigh,
 )
 
 
@@ -197,20 +199,21 @@ class TestConv2dSameBatched:
 
 @st.composite
 def _narrow_products(draw):
-    """(w, z): w is m x k, with k small or 2048; z is k x n, n from 1 to 64,
-    or a k-vector; or stacks of 1 to 3 such matrices, s x m x k and s x k x n.
-    m is drawn against the rows of one block of w: below one block, or some
-    whole blocks plus a remainder, often not 0.  Either operand may be a
-    strided slice of a larger array."""
+    """(w, z): w is m x k, with k small or 2048, or W^T for such a W stored by rows; z is k x n
+    (m x n against W^T), n from 1 to 64, or a vector; or stacks of 1 to 3 such matrices.  m is
+    drawn against the rows of one block of the orientation's rule: below one block, or some whole
+    blocks plus a remainder, often not 0.  Either operand may be a strided slice of a larger array."""
     k = draw(st.one_of(st.integers(2, 8), st.just(2048)))
     n = draw(st.integers(1, 64))
-    rows = SMALL_GEMM // (n * k)
-    m = draw(st.integers(0, 3)) * rows + draw(st.integers(1, rows))
+    transposed = draw(st.booleans())
+    rows = min(PULL_BLOCK // k, SMALL_GEMM // (n * k)) if transposed else SMALL_GEMM // (n * k)
+    m = draw(st.integers(0, 8 if transposed else 3)) * rows + draw(st.integers(1, rows))
     stack = draw(st.one_of(st.just(()), st.tuples(st.integers(1, 3))))
     assume(int(np.prod(stack)) * m * (k + n) <= 2**21)
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     w, z = (rng.normal(size=(*stack, r, 2 * c))[..., ::2] if draw(st.booleans())
-            else rng.normal(size=(*stack, r, c)) for r, c in ((m, k), (k, n)))
+            else rng.normal(size=(*stack, r, c)) for r, c in ((m, k), (m if transposed else k, n)))
+    w = w.swapaxes(-1, -2) if transposed else w
     return w, z[:, 0] if n == 1 and not stack and draw(st.booleans()) else z
 
 
@@ -218,7 +221,7 @@ class TestNarrowMatmul:
     @settings(max_examples=60, deadline=None)
     @given(case=_narrow_products())
     def test_matches_product_within_dot_rounding(self, case):
-        # each of two computed k-term dot products is within k * eps/2 * (|w| @ |z|)
+        # each of two computed k-term dot products is within k * eps/2 * (|w| @ |z|), W^T z's too
         w, z = case
         got = narrow_matmul(w, z)
         assert got.shape == (w @ z).shape
@@ -236,6 +239,9 @@ CONTRACT_RAISES = {
                            "col_softmax: non-finite input"),
     "eta_norm_of_negative": (lambda: eta_norm(np.array([[-1.0, 1.0]])), ContractError,
                              "eta_norm: negative entries"),
+    # the identity's W^T z at m heads would be block-diagonal; no spec asks for it
+    "identity_pull_back_at_two_heads": (lambda: weigh(None, np.ones((4, 1)), "key", 2, transpose=True),
+                                        ShapeError, "key mapping: "),
 }
 
 

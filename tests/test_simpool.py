@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from poolkit.errors import ContractError, ShapeError
 from poolkit.framework import FeatureMap
 from poolkit.matcore import LN_EPS, col_softmax
 from poolkit.meanfam import CLAMP_FLOOR
-from poolkit.simpool import SimPoolParams, simpool_backward, simpool_forward, simpool_gradcheck
+from poolkit.simpool import (SimPoolParams, simpool_backward, simpool_forward, simpool_gradcheck,
+                             simpool_spec)
 
 from memory_peaks import traced_peak
 from numeric_edges import (COLUMN_EDGES, SCALES, SIMPOOL_SATURATED, SIMPOOL_SETTINGS,
@@ -262,6 +264,35 @@ def test_backward_on_seeded_weights_is_backward_on_their_expansion(d):
     _, majorants, _ = _materialized_reference(x, expanded, du)
     for g, w, majorant in zip(got, want, majorants[2:]):
         assert_within_rounding(g, w, majorant, 1.0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 8])
+def test_m_heads_without_a_value_weight_pool_each_row_block_by_its_head(m):
+    """The paper's multi-head SimPool as ``replace(simpool_spec(...), heads=m)``: head i scores
+    its d/m query entries against W_K,i LN(X) at temperature sqrt(d/m) and pools row block i of
+    the values by its own attention; the reported attention is the heads' mean.  One head is
+    ``simpool_forward`` byte for byte."""
+    d, rng = 16, np.random.default_rng(m)
+    fm, params = _fm(rng.normal(size=(d, 12)), width=4), SimPoolParams.seeded(d, seed=m)
+    pooled = framework.run_pooling(replace(simpool_spec(fm, params), heads=m), fm)
+    if m == 1:
+        u, a, _ = simpool_forward(fm, params)
+        np.testing.assert_array_equal(pooled.u[:, 0], u)
+        np.testing.assert_array_equal(pooled.attention.a[:, 0], a)
+        return
+    x, h, g = fm.x, d // m, params.gamma
+    xn = (x - x.mean(axis=0)) / np.sqrt(x.var(axis=0) + LN_EPS)
+    vc = np.maximum(xn - xn.min(), CLAMP_FLOOR)
+    q, w_k = np.asarray(params.w_q) @ x.mean(axis=1), np.asarray(params.w_k)
+    heads_a, kappa = [], 1.0  # kappa: the largest logits' majorant, as in _materialized_reference
+    for rows in (slice(i * h, (i + 1) * h) for i in range(m)):
+        a = col_softmax((xn.T @ (w_k[rows].T @ q[rows]))[:, None], np.sqrt(h))[:, 0]
+        kappa_i = max(1.0, np.max(np.abs(xn).T @ (np.abs(w_k[rows]).T @ np.abs(q[rows]))) / np.sqrt(h))
+        u = ((vc[rows] ** g) @ a) ** (1.0 / g)
+        assert_within_rounding(pooled.u[rows, 0], u, u, kappa_i)
+        heads_a.append(a)
+        kappa = max(kappa, kappa_i)
+    assert_within_rounding(pooled.attention.a[:, 0], np.mean(heads_a, axis=0), 1.0, kappa)
 
 
 # name: (a call, the error class it raises, the start of its message), one row per
