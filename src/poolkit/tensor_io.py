@@ -147,8 +147,8 @@ def load_feature_map(path, width: Optional[int] = None, height: Optional[int] = 
     if arr.ndim == 3:
         d, h, w = arr.shape
         if width is not None and width != w or height is not None and height != h:
-            raise ConfigError(f"{path}: 3-d shape {arr.shape} conflicts with "
-                              f"requested grid {width}x{height}")
+            asked = [f"{side} {n}" for side, n in (("width", width), ("height", height)) if n is not None]
+            raise ConfigError(f"{path}: 3-d shape {arr.shape} conflicts with requested {', '.join(asked)}")
         return FeatureMap(arr.reshape(d, h * w), width=w, height=h)
     return FeatureMap.from_array(arr, width=width, height=height)
 

@@ -197,6 +197,16 @@ class TestCmdPool:
         x = _write_features(tmp_path / "x.npy", np.ones((16, 12)))
         assert reason in _cli_error(["pool", "--input", x, *flags], 1)
 
+    @pytest.mark.parametrize("flags, asked", [
+        (["--width", "5"], "requested width 5"),
+        (["--width", "4", "--height", "2"], "requested width 4, height 2"),
+    ], ids=["width-only", "both-sides"])
+    def test_grid_conflicting_with_3d_shape_exit_1(self, tmp_path, flags, asked):
+        # only the requested sides are named: an unset side is not printed as None
+        x = _write_features(tmp_path / "x.npy", np.ones((6, 3, 4)))
+        line = _cli_error(["pool", "--input", x, "--method", "how", *flags], 1)
+        assert f"3-d shape (6, 3, 4) conflicts with {asked}" in line and "None" not in line
+
     def test_heads_not_dividing_d_exit_1(self, tmp_path):
         x = _write_features(tmp_path / "x.npy", np.ones((12, 4)))
         assert "heads m=5 do not divide d=12" in _cli_error(

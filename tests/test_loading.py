@@ -138,6 +138,12 @@ def test_public_names_resolve_on_their_module():
         assert getattr(poolkit, name) is sys.modules[f"poolkit.{name}"]
 
 
+def test_dir_is_sorted_and_lists_every_public_name():
+    names = dir(poolkit)
+    assert names == sorted(names)
+    assert set(poolkit.__all__) <= set(names)
+
+
 def test_public_names_are_read_at_each_access(monkeypatch):
     # a patched module attribute is what the package serves, as tracers need
     monkeypatch.setattr(simple_poolers, "gap", len)

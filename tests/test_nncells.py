@@ -45,11 +45,28 @@ def test_seeded_weights_come_from_one_stream(monkeypatch, name, d, seed):
     fresh = default_rng(seed)
     for n in sizes(d):
         fresh.bytes(-(-n // 8))
-    assert [g.bit_generator.state for g in made] == [fresh.bit_generator.state]
+    # the 128-bit PCG state counts the 64-bit outputs taken; draw_bytes reads them raw,
+    # so bytes' half-word buffer (has_uint32, uinteger) is never filled
+    assert len(made) == 1
+    assert made[0].bit_generator.state["state"] == fresh.bit_generator.state["state"]
 
 
 DECLS = st.lists(st.tuples(st.lists(st.integers(1, 20), max_size=3).map(tuple),
                            st.integers(1, 2**20)), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), decl=DECLS)
+@example(seed=3, decl=[((2048, 2048), 2048)] * 5 + [((2048,), 2048)])  # five R50 matrices
+@example(seed=2**64 - 1, decl=[((2, 0), 1), ((), 1), ((0,), 1), ((3,), 1)])  # bytes(0) takes a word
+def test_draw_bytes_are_generator_bytes(seed, decl):
+    # odd word counts leave a 32-bit half that the next array's bytes start from
+    got, rng = draw_bytes(seed, *decl), np.random.default_rng(seed)
+    assert len(got) == len(decl)
+    for raw, (shape, _) in zip(got, decl):
+        want = np.frombuffer(rng.bytes(-(-int(np.prod(shape)) // 8)), dtype=np.uint8)
+        assert raw.dtype == np.uint8 and not raw.flags.writeable
+        assert np.array_equal(raw, want)
 
 
 @settings(max_examples=80, deadline=None)
