@@ -12,9 +12,9 @@ Run:  python3 demos/pooling_landscape.py
 import numpy as np
 
 from poolkit import FeatureMap
-from poolkit.cli import METHOD_NAMES, _attention_entropy, _synthesize_features, run_method
+from poolkit.cli import _attention_entropy, _synthesize_features, run_method, tournament_epsilon
 from poolkit.cluster_poolers import kmeans_distortion
-from poolkit.tensor_io import config_from_dict
+from poolkit.tensor_io import METHODS, config_from_dict
 
 
 def main():
@@ -24,12 +24,9 @@ def main():
           f"4 planted clusters\n")
     print(f"{'method':<14} {'norm':>10} {'distortion':>12} {'entropy':>9}")
 
-    for method in METHOD_NAMES:
-        overrides = {"method": method, "seed": 0, "k": 4}
-        if method == "sinkhorn-otk":
-            # entropic scale matched to the squared-distance costs
-            overrides["epsilon"] = 0.05 * float(np.var(fm.x, axis=1).sum())
-        cfg = config_from_dict(overrides)
+    for method in METHODS:
+        # epsilon, read by sinkhorn-otk alone, is the one `poolkit tournament` uses
+        cfg = config_from_dict({"method": method, "seed": 0, "k": 4, "epsilon": tournament_epsilon(fm)})
         pooled = run_method(cfg, fm)
         norm = np.linalg.norm(pooled.u)
         dist = kmeans_distortion(fm.x, pooled.u)

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 # are imported where a command runs them (`attnmap` and `inspect` import none of them).
 from .errors import ConfigError, ContractError, FileFormatError, NumericError, PoolkitError, ShapeError
 from .tensor_io import (
-    METHOD_NAMES,
+    METHODS,
     TYPED_FIELDS,
     RunConfig,
     config_from_dict,
@@ -38,50 +38,9 @@ EXIT_NUMERIC = 3
 
 
 def run_method(cfg: RunConfig, fm: FeatureMap) -> PooledSet:
-    """Dispatch a configured method on a feature map."""
-    from .framework import run_pooling
-    method = cfg.method
-    gamma = cfg.resolved_gamma
-    d = fm.d
-    # RunConfig admits only the roles this method reads (tensor_io.WEIGHT_ROLES)
-    supplied = {role: read_npy(path)[0] for role, path in cfg.weights.items()}
-    if method in ("gap", "max", "gem", "lse", "how"):  # no other method runs simple_poolers
-        from .simple_poolers import HowConfig, gem_spec, how_spec, lse_spec, max_spec
-        if method == "gap":
-            return run_pooling(gem_spec(1.0), fm)
-        if method == "max":
-            return run_pooling(max_spec(), fm)
-        if method == "gem":
-            return run_pooling(gem_spec(gamma), fm)
-        if method == "lse":
-            return run_pooling(lse_spec(cfg.r), fm)
-        return run_pooling(how_spec(fm, HowConfig(**supplied)), fm)
-    if method == "sinkhorn-otk":
-        from .cluster_poolers import otk_pool
-        anchors = supplied.get("anchors")
-        if anchors is None:
-            anchors = fm.sample_columns(cfg.k, cfg.seed)
-        return otk_pool(fm, anchors, cfg.epsilon)
-    if method == "kmeans":
-        from .cluster_poolers import kmeans_pool
-        return kmeans_pool(fm, cfg.k, cfg.iters, seed=cfg.seed)
-    if method == "slot":
-        from .cluster_poolers import SlotWeights, slot_pool
-        weights = SlotWeights.seeded(d, seed=cfg.seed, simplified=True)  # no GRU or MLP
-        return slot_pool(fm, cfg.k, cfg.iters, weights, seed=cfg.seed, simplified=True)
-    if method == "se":
-        from .reweight_poolers import SeWeights, se_pool
-        return se_pool(fm, SeWeights.seeded(d, seed=cfg.seed))
-    if method == "cbam":
-        from .reweight_poolers import CbamWeights, cbam_pool
-        return cbam_pool(fm, CbamWeights.seeded(d, seed=cfg.seed))
-    if method in ("vit", "cait"):  # with the patch stream fixed, CaiT's class attention is ViT's
-        from .transformer_poolers import VitWeights, vit_cls_pool
-        return vit_cls_pool(fm, VitWeights.seeded(d, cfg.iters, seed=cfg.seed), cfg.heads, cfg.iters)
-    if method == "simpool":
-        from .simpool import SimPoolParams, simpool_spec
-        return run_pooling(simpool_spec(fm, SimPoolParams.seeded(d, gamma=gamma, seed=cfg.seed)), fm)
-    raise ConfigError(f"unknown method {method!r}")
+    """Pool a feature map with the configured method's record in ``tensor_io.METHODS``."""
+    supplied = {role: read_npy(path)[0] for role, path in cfg.weights.items()}  # RunConfig checked roles
+    return METHODS[cfg.method].pool(cfg, fm, supplied)
 
 
 def _config_from_args(args) -> RunConfig:
@@ -177,6 +136,14 @@ def _synthesize_features(d: int, p: int, k_clusters: int, seed: int) -> FeatureM
     return FeatureMap.from_array(x - x.min())
 
 
+def tournament_epsilon(fm: FeatureMap) -> float:
+    """The tournament's Sinkhorn epsilon: 0.05 x the total per-channel variance, at least 0.1,
+    scaled to the squared-distance costs so the plan stays solvable on any feature magnitude."""
+    import numpy as np
+
+    return max(0.1, 0.05 * float(np.var(fm.x, axis=1).sum()))
+
+
 def _attention_entropy(pooled: PooledSet) -> float:
     import numpy as np
 
@@ -186,7 +153,7 @@ def _attention_entropy(pooled: PooledSet) -> float:
         return float("nan")
     q = (a / mass).reshape(-1)
     q = q[q > 0]
-    return float(-(q * np.log(q)).sum())
+    return float(-(q * np.log(q)).sum()) + 0.0  # + 0.0: one location's -0.0 prints as 0
 
 
 def cmd_tournament(args) -> int:
@@ -194,24 +161,19 @@ def cmd_tournament(args) -> int:
 
     from .cluster_poolers import kmeans_distortion
     _check_at_least(args, seed=0, d=1, p=1, k_clusters=1, trials=1)
-    methods = args.methods.split(",") if args.methods else list(METHOD_NAMES)
+    methods = args.methods.split(",") if args.methods else list(METHODS)
     for m in methods:
-        if m not in METHOD_NAMES:
+        if m not in METHODS:
             raise ConfigError(f"unknown method {m!r} in --methods")
     rows, timings, failure = [], {}, None
     for trial in range(args.trials):
         fm = _synthesize_features(args.d, args.p, args.k_clusters, args.seed + trial)
+        overrides = {"seed": args.seed, "k": min(args.k_clusters, fm.p),
+                     "epsilon": tournament_epsilon(fm)}  # read by sinkhorn-otk alone
         for method in methods:
-            overrides = {"method": method, "seed": args.seed,
-                         "k": min(args.k_clusters, fm.p)}
-            if method == "sinkhorn-otk":
-                # scale the entropic regularizer to the squared-distance
-                # costs so the plan stays solvable on any feature magnitude
-                spread = float(np.var(fm.x, axis=1).sum())
-                overrides["epsilon"] = max(0.1, 0.05 * spread)
             start = time.perf_counter()
             try:
-                pooled = run_method(config_from_dict(overrides), fm)
+                pooled = run_method(config_from_dict({"method": method, **overrides}), fm)
             except PoolkitError as exc:  # raised once the rows that ran are out
                 failure = type(exc)(f"{method}: {exc}")
                 break
@@ -262,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ins = sub.add_parser("inspect", help="print an NPY header")
 
     p_pool.add_argument("--input", required=True)
-    p_pool.add_argument("--method", choices=METHOD_NAMES)
+    p_pool.add_argument("--method", choices=METHODS)
     for names, kind, _ in TYPED_FIELDS:  # one override flag per typed RunConfig field
         for name in names:
             p_pool.add_argument(f"--{name}", type=int if kind is numbers.Integral else float)

@@ -1,4 +1,4 @@
-"""Bit-exact NPY (v1.0 subset) I/O and the JSON run configuration."""
+"""Bit-exact NPY (v1.0 subset) I/O, the JSON run configuration and the table of methods."""
 
 from __future__ import annotations
 
@@ -9,35 +9,16 @@ import sys
 from array import array
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
+# the engine and pooler modules are bound here, and executed when a method's record is called
+from . import cluster_poolers, framework, reweight_poolers, simple_poolers, simpool, transformer_poolers
 from .errors import ConfigError, FileFormatError
 
 if TYPE_CHECKING:  # imported where they are read: `inspect` and `attnmap` import neither
     import numpy as np
 
-    from .framework import FeatureMap
-
-METHOD_NAMES = (
-    "gap",
-    "max",
-    "gem",
-    "lse",
-    "how",
-    "sinkhorn-otk",
-    "kmeans",
-    "slot",
-    "se",
-    "cbam",
-    "vit",
-    "cait",
-    "simpool",
-)
-
-WEIGHT_ROLES = {  # method -> the `weights` roles it reads; other methods read none
-    "how": ("centering", "projection"),  # HowConfig's fields
-    "sinkhorn-otk": ("anchors",),
-}
+    from .framework import FeatureMap, PooledSet
 
 
 @dataclass
@@ -176,6 +157,45 @@ def _check_field_types(cfg) -> None:
         raise ConfigError(f"weights must map role names to NPY paths, got {cfg.weights!r}")
 
 
+class Method(NamedTuple):
+    """A pooling method: the ``weights`` roles it reads, and ``pool(cfg, fm, w)``, which
+    pools ``fm`` as ``cfg`` asks, ``w`` holding the array of each role supplied."""
+    roles: tuple[str, ...]
+    pool: Callable[[RunConfig, FeatureMap, dict], PooledSet]
+
+
+def _vit_cls(cfg, fm, w):  # with the patch stream fixed, CaiT's class attention is ViT's
+    weights = transformer_poolers.VitWeights.seeded(fm.d, cfg.iters, seed=cfg.seed)
+    return transformer_poolers.vit_cls_pool(fm, weights, cfg.heads, cfg.iters)
+
+
+METHODS = {  # every method, in the order of `--method`'s choices and the tournament's rows
+    "gap": Method((), lambda cfg, fm, w: framework.run_pooling(simple_poolers.gem_spec(1.0), fm)),
+    "max": Method((), lambda cfg, fm, w: framework.run_pooling(simple_poolers.max_spec(), fm)),
+    "gem": Method((), lambda cfg, fm, w: framework.run_pooling(
+        simple_poolers.gem_spec(cfg.resolved_gamma), fm)),
+    "lse": Method((), lambda cfg, fm, w: framework.run_pooling(simple_poolers.lse_spec(cfg.r), fm)),
+    "how": Method(("centering", "projection"),  # HowConfig's fields
+                  lambda cfg, fm, w: framework.run_pooling(
+                      simple_poolers.how_spec(fm, simple_poolers.HowConfig(**w)), fm)),
+    "sinkhorn-otk": Method(("anchors",), lambda cfg, fm, w: cluster_poolers.otk_pool(
+        fm, w["anchors"] if "anchors" in w else fm.sample_columns(cfg.k, cfg.seed), cfg.epsilon)),
+    "kmeans": Method((), lambda cfg, fm, w: cluster_poolers.kmeans_pool(
+        fm, cfg.k, cfg.iters, seed=cfg.seed)),
+    "slot": Method((), lambda cfg, fm, w: cluster_poolers.slot_pool(  # simplified: no GRU or MLP
+        fm, cfg.k, cfg.iters, cluster_poolers.SlotWeights.seeded(fm.d, seed=cfg.seed, simplified=True),
+        seed=cfg.seed, simplified=True)),
+    "se": Method((), lambda cfg, fm, w: reweight_poolers.se_pool(
+        fm, reweight_poolers.SeWeights.seeded(fm.d, seed=cfg.seed))),
+    "cbam": Method((), lambda cfg, fm, w: reweight_poolers.cbam_pool(
+        fm, reweight_poolers.CbamWeights.seeded(fm.d, seed=cfg.seed))),
+    "vit": Method((), _vit_cls),
+    "cait": Method((), _vit_cls),
+    "simpool": Method((), lambda cfg, fm, w: framework.run_pooling(simpool.simpool_spec(
+        fm, simpool.SimPoolParams.seeded(fm.d, gamma=cfg.resolved_gamma, seed=cfg.seed)), fm)),
+}
+
+
 @dataclass
 class RunConfig:
     method: str = "simpool"
@@ -193,10 +213,9 @@ class RunConfig:
 
     def __post_init__(self):
         _check_field_types(self)
-        if self.method not in METHOD_NAMES:
-            raise ConfigError(f"unknown method {self.method!r}; "
-                              f"choose from {', '.join(METHOD_NAMES)}")
-        roles = WEIGHT_ROLES.get(self.method, ())
+        if not isinstance(self.method, str) or self.method not in METHODS:  # a list is unhashable
+            raise ConfigError(f"unknown method {self.method!r}; choose from {', '.join(METHODS)}")
+        roles = METHODS[self.method].roles
         unread = sorted(set(self.weights) - set(roles))
         if unread:
             raise ConfigError(f"method {self.method!r} does not read weights {unread} "

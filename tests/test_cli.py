@@ -16,7 +16,7 @@ from poolkit.cli import _attention_entropy, _config_from_args, build_parser, mai
 from poolkit.cluster_poolers import kmeans_distortion, otk_pool
 from poolkit.framework import AttentionMatrix, FeatureMap, PooledSet
 from poolkit.simple_poolers import HowConfig, gap, how
-from poolkit.tensor_io import METHOD_NAMES, read_npy, write_npy
+from poolkit.tensor_io import METHODS, read_npy, write_npy
 
 
 # exit code, stdout and stderr of help and usage errors at COLUMNS=80, frozen from the
@@ -86,7 +86,7 @@ class TestCmdPool:
         a, _ = read_npy(attn)
         np.testing.assert_allclose(a.sum(), 1.0, atol=1e-9)
 
-    @pytest.mark.parametrize("method", METHOD_NAMES)
+    @pytest.mark.parametrize("method", list(METHODS))
     def test_every_method_writes_a_p_by_k_attention(self, tmp_path, method):
         rng = np.random.default_rng(49)
         x = _write_features(tmp_path / "x.npy", rng.uniform(0.1, 3.0, size=(8, 12)))
@@ -307,11 +307,11 @@ def pool_files(tmp_path_factory):
 
 
 @settings(max_examples=150, deadline=None)
-@given(flags=st.fixed_dictionaries({}, optional={"method": st.sampled_from(METHOD_NAMES),
+@given(flags=st.fixed_dictionaries({}, optional={"method": st.sampled_from(list(METHODS)),
                                                 **INT_FIELDS, **FLOAT_FIELDS}),
        config=st.none() | st.fixed_dictionaries({}, optional={
            name: strategy | WRONG_TYPES for name, strategy in {
-               **INT_FIELDS, **FLOAT_FIELDS, "method": st.sampled_from(METHOD_NAMES),
+               **INT_FIELDS, **FLOAT_FIELDS, "method": st.sampled_from(list(METHODS)),
                "family": st.sampled_from(["conv", "transformer"]), "weights": st.just({}),
            }.items()}))
 @example(flags={"method": "sinkhorn-otk", "k": 2 * P}, config=None)
@@ -319,6 +319,7 @@ def pool_files(tmp_path_factory):
 @example(flags={"method": "slot", "seed": -1}, config=None)
 @example(flags={"method": "lse", "r": 1e308}, config=None)
 @example(flags={"method": "sinkhorn-otk", "k": 1, "epsilon": 1e-300}, config=None)
+@example(flags={}, config={"method": [1]})
 def test_pool_exits_cleanly_on_any_flags_and_config(pool_files, flags, config):
     """`poolkit pool` ends with exit 0-3: 0 with a finite output, otherwise
     with its ``error:`` message as the last stderr line, never a traceback."""
@@ -344,7 +345,7 @@ RUN_COMMANDS = st.one_of(
     st.tuples(st.just("tournament"), st.fixed_dictionaries(SIZE_FLAGS, optional={
         "seed": st.integers(-2, 3),
         "k-clusters": st.integers(-1, 10),
-        "methods": st.lists(st.sampled_from(METHOD_NAMES), min_size=1, max_size=4,
+        "methods": st.lists(st.sampled_from(list(METHODS)), min_size=1, max_size=4,
                             unique=True).map(",".join)})))
 
 
@@ -367,7 +368,7 @@ def test_tournament_and_gradcheck_exit_cleanly_on_any_flags(command):
         assert code == 1 and any(last.startswith(f"error: --{flag} must be >= ") for flag in low)
     elif code == 0:
         rows = out.splitlines()[1:]
-        per_trial = (len(flags.get("methods", ",".join(METHOD_NAMES)).split(","))
+        per_trial = (len(flags.get("methods", ",".join(METHODS)).split(","))
                      if name == "tournament" else 3)  # gradcheck: W_Q, W_K and X
         assert len(rows) == flags["trials"] * per_trial
 
@@ -538,6 +539,12 @@ class TestCmdTournament:
         assert lines[0] == "method\ttrial\tnorm\tdistortion\tentropy"
         assert len(lines) == 1 + 4
         assert all(len(line.split("\t")) == 5 for line in lines)
+
+    def test_one_location_entropy_prints_0(self, capsys):
+        # a one-location attention has entropy 0, printed without a minus sign
+        assert main(["tournament", "--d", "4", "--p", "1", "--k-clusters", "1"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split("\t")[4] for row in rows] == ["0"] * len(METHODS)
 
     def test_entropy_of_a_zero_mass_attention_is_nan(self):
         # no distribution to normalize: the entropy column reads nan, not a division by zero

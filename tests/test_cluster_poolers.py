@@ -345,6 +345,23 @@ class TestNewtonStepFallback:
         assert not grad.any()
         assert cluster_poolers._newton_step(plan_t, marg, grad, 1.0) is None
 
+    def test_sinkhorn_sweeps_where_every_step_exhausts_its_backtracks(self, monkeypatch):
+        # at an Armijo fraction of 1e300 no trial ascends enough, so every Newton
+        # step gives up after its last backtrack and sweeps alone meet the tolerance
+        steps = []
+        newton_step = cluster_poolers._newton_step
+        monkeypatch.setattr(cluster_poolers, "_newton_step",
+                            lambda *args: steps.append(newton_step(*args)) or steps[-1])
+        cost = np.random.default_rng(0).uniform(0.0, 1.0, size=(6, 3))
+        sinkhorn(cost, SinkhornParams(epsilon=1.0))
+        assert any(step is not None for step in steps)  # at the default fraction, steps are taken
+        steps.clear()
+        monkeypatch.setattr(cluster_poolers, "ARMIJO", 1e300)
+        plan = sinkhorn(cost, SinkhornParams(epsilon=1.0))
+        assert steps and all(step is None for step in steps)
+        assert np.max(np.abs(plan.sum(axis=1) - 1.0 / 6)) <= 1e-9
+        assert np.max(np.abs(plan.sum(axis=0) - 1.0 / 3)) <= 1e-9
+
 
 class TestTangent:
     H = 1e-4  # relative epsilon step of the central difference

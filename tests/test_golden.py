@@ -26,10 +26,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from poolkit.cli import run_method
+from poolkit.cli import run_method, tournament_epsilon
 from poolkit.cluster_poolers import NystromMap, SlotWeights, kmeans_pool, otk_pool, slot_pool
 from poolkit.framework import FeatureMap
-from poolkit.tensor_io import METHOD_NAMES, config_from_dict
+from poolkit.tensor_io import METHODS, config_from_dict
 
 GOLDEN = Path(__file__).with_name("golden_outputs.npz")
 SHAPES = ((8, 4, 3, 0), (16, 8, 8, 1))  # (d, width, height, seed)
@@ -46,12 +46,10 @@ def compute_outputs() -> dict:
     for d, width, height, seed in SHAPES:
         fm = _feature_map(d, width, height, seed)
         scale = float(np.var(fm.x, axis=1).sum())
-        eps = max(0.1, 0.05 * scale)  # the epsilon rule of `poolkit tournament`
+        eps = tournament_epsilon(fm)
         runs = {}
-        for method in METHOD_NAMES:
-            raw = {"method": method, "seed": seed, "k": K, "iters": ITERS}
-            if method == "sinkhorn-otk":
-                raw["epsilon"] = eps
+        for method in METHODS:
+            raw = {"method": method, "seed": seed, "k": K, "iters": ITERS, "epsilon": eps}
             runs[method] = run_method(config_from_dict(raw), fm)
         for method in ("vit", "cait"):
             for heads in (2, 4):

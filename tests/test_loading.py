@@ -20,7 +20,7 @@ from poolkit.framework import FeatureMap, PoolingSpec
 from poolkit.gradcheck import GradReport
 from poolkit.simple_poolers import HowConfig
 from poolkit.simpool import SimPoolParams
-from poolkit.tensor_io import WEIGHT_ROLES
+from poolkit.tensor_io import METHODS
 
 SUBMODULES = ["attnmap", "cluster_poolers", "errors", "framework", "gradcheck", "matcore",
               "meanfam", "nncells", "reweight_poolers", "simple_poolers", "simpool",
@@ -127,7 +127,7 @@ def test_records_are_plain_dataclasses_whose_replace_revalidates():
 
 
 def test_how_weight_roles_are_how_config_fields():
-    assert WEIGHT_ROLES["how"] == tuple(f.name for f in dataclasses.fields(HowConfig))
+    assert METHODS["how"].roles == tuple(f.name for f in dataclasses.fields(HowConfig))
 
 
 def test_public_names_resolve_on_their_module():

@@ -342,6 +342,10 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(method="meanpool")
 
+    def test_unhashable_method_rejected(self):
+        with pytest.raises(ConfigError, match=r"unknown method \[1\]"):
+            config_from_dict({"method": [1]})
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
