@@ -12,9 +12,10 @@ Run:  python3 demos/pooling_landscape.py
 import numpy as np
 
 from poolkit import FeatureMap
-from poolkit.cli import _attention_entropy, _synthesize_features, run_method, tournament_epsilon
+from poolkit.cli import run_method
 from poolkit.cluster_poolers import kmeans_distortion
 from poolkit.tensor_io import METHODS, config_from_dict
+from poolkit.tournament import _attention_entropy, _synthesize_features, tournament_epsilon
 
 
 def main():

@@ -8,11 +8,14 @@ patches them.  A module executes when one of its attributes is first read, or at
 binds it.  The public names below are looked up on their module at every access, so a
 patched module attribute is what ``poolkit.<name>`` returns.
 
-A ``poolkit pool`` request executes ``cli``, ``errors``, ``tensor_io``, ``framework``,
-``matcore``, ``meanfam`` and ``simple_poolers``, or for a method outside the simple five
-its one pooler module and ``nncells`` in place of ``simple_poolers``; ``attnmap`` executes
-``cli``, ``errors``, ``tensor_io`` and ``attnmap``, and ``inspect`` the first three.  Neither
-``attnmap`` nor ``inspect`` imports NumPy.
+A ``poolkit pool`` request executes ``cli``, ``errors``, ``npy``, ``tensor_io``, ``framework``,
+``matcore``, ``meanfam`` and ``simple_poolers``, or for a method outside the simple five its one
+pooler module and ``nncells`` in place of ``simple_poolers``.  ``cli`` holds the dispatcher and
+``pool``; every other command is defined in the module that runs it, and a request builds only
+its own command's arguments.  ``attnmap`` executes ``cli``, ``errors``, ``npy`` and ``attnmap``,
+and ``inspect`` the first three: neither imports NumPy, ``dataclasses`` or ``inspect``, so
+their records, ``attnmap.AttnGrid`` (a ``__slots__`` class), ``attnmap.BBox`` and
+``npy.NpyHeader`` (namedtuples), are not dataclasses.
 """
 
 import importlib.util
@@ -34,7 +37,7 @@ _EXPORTS = {
     "tensor_io": ("RunConfig", "load_config", "load_feature_map", "read_npy", "write_npy"),
 }
 # `cli` stays out: registered ahead of `python -m poolkit.cli`, runpy would warn
-_SUBMODULES = (*_EXPORTS, "errors", "matcore", "nncells")
+_SUBMODULES = (*_EXPORTS, "errors", "matcore", "nncells", "npy", "tournament")
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 

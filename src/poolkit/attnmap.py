@@ -5,11 +5,9 @@ Pure Python over row-major lists, so ``poolkit attnmap`` never imports
 NumPy.  Inputs may be NumPy arrays (read through ``.tolist()``) or nested
 sequences; grids and masks are lists of H rows of W entries."""
 
-from __future__ import annotations
-
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
 from pathlib import Path
 
@@ -26,40 +24,42 @@ def _rows(data, name: str) -> list[list]:
     return rows
 
 
-@dataclass(eq=False)
 class AttnGrid:
-    """Finite, nonnegative attention values on an H x W grid."""
+    """Finite, nonnegative attention values on an H x W grid, compared by identity."""
 
-    values: list  # H rows of W floats
-    width: int
-    height: int
+    __slots__ = ("values", "width", "height")  # values: H rows of W floats
 
-    def __post_init__(self):
-        self.values = v = [[float(c) for c in r] for r in _rows(self.values, "AttnGrid values")]
+    def __init__(self, values, width: int, height: int):
+        self.values = v = [[float(c) for c in r] for r in _rows(values, "AttnGrid values")]
+        self.width, self.height = width, height
         if not all(math.isfinite(c) for r in v for c in r):
             raise NumericError("AttnGrid values: contains non-finite entries")
-        if (len(v), len(v[0])) != (self.height, self.width):
-            raise ShapeError(f"AttnGrid: values ({len(v)}, {len(v[0])}) vs grid "
-                             f"{self.height}x{self.width}")
+        if (len(v), len(v[0])) != (height, width):
+            raise ShapeError(f"AttnGrid: values ({len(v)}, {len(v[0])}) vs grid {height}x{width}")
         if any(c < 0 for r in v for c in r):
             raise ContractError("AttnGrid: negative values")
+
+    def __repr__(self) -> str:
+        return f"AttnGrid(values={self.values!r}, width={self.width!r}, height={self.height!r})"
 
     def flatten(self) -> list[float]:
         return [c for r in self.values for c in r]
 
 
-@dataclass
-class BBox:
+class BBox(namedtuple("BBox", "x_min y_min x_max y_max")):
     """Inclusive pixel bounding box."""
 
-    x_min: int
-    y_min: int
-    x_max: int
-    y_max: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0 <= self.x_min <= self.x_max and 0 <= self.y_min <= self.y_max):
-            raise ContractError(f"BBox: inverted or negative box {self}")
+    def __new__(cls, x_min: int, y_min: int, x_max: int, y_max: int):
+        box = super().__new__(cls, x_min, y_min, x_max, y_max)
+        if not (0 <= x_min <= x_max and 0 <= y_min <= y_max):
+            raise ContractError(f"BBox: inverted or negative box {box}")
+        return box
+
+    @classmethod
+    def _make(cls, fields):  # so `_replace` checks the new box as the constructor does
+        return cls(*fields)
 
 
 def reshape_attention(a, width: int, height: int) -> AttnGrid:
@@ -147,3 +147,21 @@ def write_pgm(data, path) -> None:
         Path(path).write_bytes(header + bytes(pixels))
     except OSError as exc:
         raise OSError(f"write_pgm: cannot write {path}: {exc}") from exc
+
+
+def cmd_attnmap(args) -> None:
+    from .npy import read_values
+
+    a, _ = read_values(args.attn)
+    grid = reshape_attention(a, args.width, args.height)
+    mask = mass_threshold(grid, args.mass)
+    if args.pgm:
+        write_pgm(grid, args.pgm)
+    if args.mask_pgm:
+        write_pgm(mask, args.mask_pgm)
+    if args.bbox:
+        box = largest_component_bbox(mask)
+        print(f"{box.x_min} {box.y_min} {box.x_max} {box.y_max}")
+    else:
+        kept = sum(map(sum, mask))
+        print(f"grid {args.width}x{args.height}, mass {args.mass:g}: {kept} cells kept")

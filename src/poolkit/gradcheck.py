@@ -1,13 +1,13 @@
-"""Finite-difference oracle for verifying analytic gradients."""
+"""Finite-difference oracle for verifying analytic gradients, and ``poolkit gradcheck``."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .errors import ContractError, NumericError
+from .errors import ConfigError, ContractError, NumericError
 
 
 @dataclass
@@ -67,3 +67,29 @@ def compare(name: str, analytic: np.ndarray, numeric: np.ndarray, noise: np.ndar
         mean_rel_error=float(errs.mean()),
         worst_index=tuple(int(i) for i in worst),
     )
+
+
+def cmd_gradcheck(args) -> None:
+    from .framework import FeatureMap
+    from .simpool import SimPoolParams, simpool_gradcheck
+    if not (np.isfinite(args.tol) and args.tol > 0):  # nan or <= 0 fails every check, inf none
+        raise ConfigError(f"--tol must be finite and > 0, got {args.tol}")
+    d, p = args.d, args.p
+    reports = []
+    for trial in range(args.trials):
+        rng = np.random.default_rng(args.seed + trial)
+        fm = FeatureMap.from_array(rng.normal(size=(d, p)))
+        params = SimPoolParams.seeded(d, gamma=args.gamma, seed=args.seed + 1000 + trial)
+        du = rng.normal(size=d)
+        reports += [replace(rep, name=f"{rep.name}[{trial}]")
+                    for rep in simpool_gradcheck(fm, params, du, args.h)]
+
+    print(f"{'parameter':<12} {'max rel err':>12} {'mean rel err':>13} {'worst':>10}")
+    ok = True
+    for rep in reports:
+        status = "ok" if rep.passes(args.tol) else "FAIL"
+        ok &= rep.passes(args.tol)
+        print(f"{rep.name:<12} {rep.max_rel_error:>12.3e} {rep.mean_rel_error:>13.3e} "
+              f"{str(rep.worst_index):>10} {status}")
+    if not ok:
+        raise NumericError(f"gradient check failed at tol {args.tol:g}")

@@ -66,26 +66,33 @@ class SignMatrix:
 
     def _weigh_bytes(self, z: np.ndarray, heads: int, transpose: bool) -> np.ndarray:
         """``matcore.weigh``'s W z or W^T z.  Row i of W z sums T[g, rows[i, g]] over groups g, T[g, b]
-        byte b's signed sum of z[8g:8g+8]; W^T z bins z by (column, group, byte), times the byte signs."""
+        byte b's signed sum of z[8g:8g+8]; W^T z bins z by (column, group, byte), times the byte signs.
+        Heads run one at a time, so one head's tables and indices are all that is live."""
         (r, g), c = self.rows.shape, self.shape[1]
         n, rest = divmod(z.shape[1], 1 if transpose else heads)  # columns per head
         if rest or len(z) != (r if transpose else c):
             raise ValueError(f"{self.shape} sign matrix meets {z.shape} in {heads} heads")
+        size = n * (r // heads) * g  # one head's (column, row, group) entries
         buf = getattr(self.scratch, "buf", np.empty((2, 0)))
-        if buf.shape[1] < n * r * g:
-            buf = self.scratch.buf = np.empty((2, n * r * g))
-        idx = buf[0, :n * r * g].view(np.intp).reshape(heads, n, -1, g)
-        vals = buf[1, :n * r * g].reshape(idx.shape)
-        offsets = 256 * np.arange(heads * n * g).reshape(heads, n, 1, g)  # of each (column, group)
-        np.add(self.rows.reshape(heads, 1, -1, g), offsets, out=idx)
+        if buf.shape[1] < size:
+            buf = self.scratch.buf = np.empty((2, size))
+        idx = buf[0, :size].view(np.intp).reshape(n, -1, g)
+        vals = buf[1, :size].reshape(idx.shape)
+        offsets = 256 * np.arange(n * g).reshape(n, 1, g)  # of each (column, group)
         table = BYTE_SIGNS / np.sqrt(self.fan_in)
-        if transpose:
-            np.copyto(vals, z.reshape(heads, -1, n).transpose(0, 2, 1)[..., None])
-            bins = np.bincount(idx.ravel(), vals.ravel(), heads * n * g * 256).reshape(-1, g, 256)
-            return (bins @ table).reshape(heads * n, -1)[:, :c].T
-        padded = np.concatenate((z.T, np.zeros((z.shape[1], 8 * g - c))), axis=1)  # np.pad: 0.2 ms a call
-        np.take(padded.reshape(-1, g, 8) @ table.T, idx, out=vals, mode="clip")  # "raise" copies out
-        return vals.sum(axis=-1).transpose(0, 2, 1).reshape(r, n)
+        zs = z.reshape(heads, -1, n) if transpose else np.concatenate(  # np.pad: 0.2 ms a call
+            (z.T, np.zeros((z.shape[1], 8 * g - c))), axis=1).reshape(heads, n, g, 8)
+        out = np.empty((heads, n, 8 * g if transpose else len(idx[0])))
+        for h, rows in enumerate(self.rows.reshape(heads, 1, -1, g)):
+            np.add(rows, offsets, out=idx)
+            if transpose:
+                np.copyto(vals, zs[h].T[..., None])
+                bins = np.bincount(idx.ravel(), vals.ravel(), n * g * 256).reshape(-1, g, 256)
+                out[h] = (bins @ table).reshape(n, -1)
+            else:
+                np.take(zs[h] @ table.T, idx, out=vals, mode="clip")  # "raise" copies out
+                vals.sum(axis=-1, out=out[h])
+        return out.reshape(heads * n, -1)[:, :c].T if transpose else out.transpose(0, 2, 1).reshape(r, n)
 
 
 @dataclass(eq=False)

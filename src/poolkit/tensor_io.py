@@ -1,106 +1,27 @@
-"""Bit-exact NPY (v1.0 subset) I/O, the JSON run configuration and the table of methods."""
+"""NPY (v1.0 subset) arrays read through ``npy`` and written bit-exact, the JSON run
+configuration and the table of methods."""
 
 from __future__ import annotations
 
-import ast
 import math
 import numbers
-import sys
-from array import array
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 # the engine and pooler modules are bound here, and executed when a method's record is called
 from . import cluster_poolers, framework, reweight_poolers, simple_poolers, simpool, transformer_poolers
-from .errors import ConfigError, FileFormatError
+from .errors import ConfigError
+from .npy import NpyHeader, read_values
 
-if TYPE_CHECKING:  # imported where they are read: `inspect` and `attnmap` import neither
+if TYPE_CHECKING:  # imported where they are read: building `pool`'s parser needs neither
     import numpy as np
 
     from .framework import FeatureMap, PooledSet
 
 
-@dataclass
-class NpyHeader:
-    dtype: str
-    fortran_order: bool
-    shape: tuple[int, ...]
-
-
-def _read_exact(path, fh, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise FileFormatError(f"{path}: EOF reading {what} ({len(data)} of {n} bytes)")
-    return data
-
-
-def _read_header(path, fh) -> NpyHeader:
-    """Parse an NPY v1.0 header as ``numpy.lib.format`` does, then apply poolkit's policy."""
-    magic = _read_exact(path, fh, 8, "magic string")
-    if magic[:6] != b"\x93NUMPY":
-        raise FileFormatError(f"{path}: bad magic string {magic[:6]!r}")
-    if tuple(magic[6:]) != (1, 0):
-        raise FileFormatError(f"{path}: unsupported version {tuple(magic[6:])}")
-    size = int.from_bytes(_read_exact(path, fh, 2, "header length"), "little")
-    if size > 10000:  # numpy.lib.format's limit for untrusted headers
-        raise FileFormatError(f"{path}: header length {size} is over 10000 bytes")
-    text = _read_exact(path, fh, size, "header").decode("latin1")
-    try:
-        meta = ast.literal_eval(text)
-    except Exception as exc:  # SyntaxError, ValueError; deep nesting raises others
-        # the first line only; MemoryError has none
-        reason = str(exc).partition("\n")[0] or type(exc).__name__
-        raise FileFormatError(f"{path}: cannot parse header: {reason}") from exc
-    if not isinstance(meta, dict) or meta.keys() != {"descr", "fortran_order", "shape"}:
-        raise FileFormatError(f"{path}: header is not a dict of descr, fortran_order and shape")
-    dtype, fortran_order, shape = meta["descr"], meta["fortran_order"], meta["shape"]
-    if type(shape) is not tuple or not all(type(s) is int for s in shape):  # bool is not a size
-        raise FileFormatError(f"{path}: shape {shape!r} is not a tuple of integers")
-    if type(fortran_order) is not bool:
-        raise FileFormatError(f"{path}: fortran_order {fortran_order!r} is not a bool")
-    if fortran_order:
-        raise FileFormatError(f"{path}: fortran_order arrays are not supported")
-    if dtype not in ("<f8", "<f4"):
-        raise FileFormatError(f"{path}: unsupported dtype {dtype!r}")
-    if not (1 <= len(shape) <= 3):
-        raise FileFormatError(f"{path}: shape {shape} has unsupported rank")
-    if min(shape) < 0:
-        raise FileFormatError(f"{path}: shape {shape} has a negative dimension")
-    return NpyHeader(dtype=dtype, fortran_order=fortran_order, shape=shape)
-
-
-def read_values(path) -> tuple[array, NpyHeader]:
-    """The payload of a file ``read_npy`` accepts, row-major in a native 'd' or
-    'f' array, read without NumPy.
-
-    The payload is read 1 MiB at a time and at most one byte past the size
-    the header claims, so memory follows the input, not the claim, and pipes
-    work as well as files.
-    """
-    path = Path(path)
-    with path.open("rb") as fh:
-        header = _read_header(path, fh)
-        values = array("d" if header.dtype == "<f8" else "f")
-        nbytes = math.prod(header.shape) * values.itemsize
-        payload, want = bytearray(), nbytes + 1
-        while want > 0 and (chunk := fh.read(min(want, 1 << 20))):
-            payload += chunk
-            want -= len(chunk)
-    if len(payload) < nbytes:
-        raise FileFormatError(f"{path}: truncated payload ({len(payload)} of {nbytes} bytes)")
-    if len(payload) > nbytes:
-        raise FileFormatError(f"{path}: trailing bytes after payload")
-    if math.prod(filter(None, header.shape)) * values.itemsize > sys.maxsize:  # NumPy's limit
-        raise FileFormatError(f"{path}: shape {header.shape} is too big for an array")
-    values.frombytes(payload)
-    if sys.byteorder == "big":
-        values.byteswap()
-    return values, header
-
-
 def read_npy(path) -> tuple[np.ndarray, NpyHeader]:
-    """A file ``read_values`` accepts as a float64 array; '<f4' payloads are widened."""
+    """A file ``npy.read_values`` accepts as a float64 array; '<f4' payloads are widened."""
     import numpy as np
 
     values, header = read_values(path)
@@ -121,7 +42,6 @@ def write_npy(arr, path) -> None:
 
 def load_feature_map(path, width: Optional[int] = None, height: Optional[int] = None) -> FeatureMap:
     """Load features: 2-d (d, p) arrays directly, 3-d (d, H, W) flattened."""
-    from .framework import FeatureMap
     arr, _ = read_npy(path)
     if arr.ndim == 1:
         arr = arr[None, :]
@@ -130,8 +50,8 @@ def load_feature_map(path, width: Optional[int] = None, height: Optional[int] = 
         if width is not None and width != w or height is not None and height != h:
             asked = [f"{side} {n}" for side, n in (("width", width), ("height", height)) if n is not None]
             raise ConfigError(f"{path}: 3-d shape {arr.shape} conflicts with requested {', '.join(asked)}")
-        return FeatureMap(arr.reshape(d, h * w), width=w, height=h)
-    return FeatureMap.from_array(arr, width=width, height=height)
+        return framework.FeatureMap(arr.reshape(d, h * w), width=w, height=h)
+    return framework.FeatureMap.from_array(arr, width=width, height=height)
 
 
 # --- run configuration -----------------------------------------------------

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from poolkit.cli import _synthesize_features, run_method
+from poolkit.cli import run_method
 from poolkit.cluster_poolers import SinkhornParams, kmeans_distortion, kmeans_spec, sinkhorn
 from poolkit.framework import FeatureMap, run_pooling
 from poolkit.matcore import col_softmax
@@ -20,6 +20,7 @@ from poolkit.meanfam import weighted_generalized_mean
 from poolkit.simple_poolers import gap
 from poolkit.simpool import SimPoolParams, simpool_forward, simpool_gradcheck
 from poolkit.tensor_io import config_from_dict, read_npy, write_npy
+from poolkit.tournament import _synthesize_features
 from poolkit.transformer_poolers import VitWeights
 from poolkit.attnmap import AttnGrid, write_pgm
 

@@ -12,11 +12,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poolkit.cli import _attention_entropy, _config_from_args, build_parser, main
+from poolkit.cli import _config_from_args, build_parser, main
 from poolkit.cluster_poolers import kmeans_distortion, otk_pool
 from poolkit.framework import AttentionMatrix, FeatureMap, PooledSet
 from poolkit.simple_poolers import HowConfig, gap, how
 from poolkit.tensor_io import METHODS, read_npy, write_npy
+from poolkit.tournament import _attention_entropy
 
 
 # exit code, stdout and stderr of help and usage errors at COLUMNS=80, frozen from the
@@ -510,7 +511,7 @@ class TestCmdTournament:
                      "--methods", "gap", "--out", str(out)])
         assert code == 0
         row = out.read_text().strip().split("\n")[1].split("\t")
-        from poolkit.cli import _synthesize_features
+        from poolkit.tournament import _synthesize_features
         fm = _synthesize_features(8, 32, 4, 3)
         expected = kmeans_distortion(fm.x, gap(fm)[:, None])
         np.testing.assert_allclose(float(row[3]), expected, rtol=1e-10)

@@ -26,10 +26,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from poolkit.cli import run_method, tournament_epsilon
+from poolkit.cli import run_method
 from poolkit.cluster_poolers import NystromMap, SlotWeights, kmeans_pool, otk_pool, slot_pool
 from poolkit.framework import FeatureMap
 from poolkit.tensor_io import METHODS, config_from_dict
+from poolkit.tournament import tournament_epsilon
 
 GOLDEN = Path(__file__).with_name("golden_outputs.npz")
 SHAPES = ((8, 4, 3, 0), (16, 8, 8, 1))  # (d, width, height, seed)

@@ -28,4 +28,6 @@ def test_block_runs(source):
 @pytest.mark.parametrize("line", COMMAND_LINES, ids=lambda line: line.split()[1])
 def test_command_line_parses(line):
     argv = shlex.split(line)
-    assert cli.build_parser().parse_args(argv[1:]).fn is getattr(cli, f"cmd_{argv[1]}")
+    args = cli.build_parser().parse_args(argv[1:])
+    assert args.command == argv[1]
+    assert cli.build_parser(argv[1]).parse_args(argv[1:]) == args  # the parser main builds
