@@ -19,6 +19,18 @@ from .errors import (
 
 Mat = np.ndarray
 
+
+class LowRank:
+    """The rank-1 matrix left right^T held as its factors.  ``np.asarray`` forms it as
+    ``np.einsum("i,j->ij", left, right)``, one product per entry."""
+
+    def __init__(self, left: np.ndarray, right: np.ndarray):
+        self.left, self.right, self.shape = left, right, (len(left), len(right))
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.asarray(np.einsum("i,j->ij", self.left, self.right), dtype=dtype)
+
+
 # OpenBLAS's dgemm skips packing its operands into buffers when m * n * k <=
 # 100**3 (its small-matrix kernel).  On one thread of an AVX-512 Xeon, a
 # 2048 x 2048 weight times 4 columns took 3.6 ms in row blocks of 999k

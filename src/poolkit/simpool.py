@@ -6,7 +6,8 @@ keys; a scaled column softmax gives the attention, and the pooled vector
 is the attention-weighted generalized mean of the min-shifted values.
 Backward differentiates it exactly from the engine's tape (verified
 against central differences in gradcheck); like the engine, it never
-forms the d x p key matrix W_K xn.
+forms the d x p key matrix W_K xn.  The weight gradients have rank 1 and
+are returned as their factors (``matcore.LowRank``); dX is dense.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from . import gradcheck  # binds the lazily registered module; a pool request never executes it
 from .errors import ContractError, ShapeError
 from .framework import FeatureMap, MapRule, PoolingSpec, PoolRule, run_pooling
-from .matcore import Mat, weigh
+from .matcore import LowRank, Mat, weigh
 from .meanfam import CLAMP_FLOOR
 from .nncells import draw
 
@@ -74,9 +75,11 @@ def simpool_forward(fm: FeatureMap, params: SimPoolParams) -> tuple[np.ndarray, 
     return u, a, tape
 
 
-def simpool_backward(tape: dict, du: np.ndarray) -> tuple[Mat, Mat, Mat]:
+def simpool_backward(tape: dict, du: np.ndarray) -> tuple[LowRank, LowRank, Mat]:
     """Exact reverse-mode gradients of <du, u> w.r.t. (W_Q, W_K, X), from the
-    tape of ``simpool_forward``; W_K xd and W_Q^T d_q are ``matcore.weigh``'s, as the forward's."""
+    tape of ``simpool_forward``; W_K xd and W_Q^T d_q are ``matcore.weigh``'s, as the forward's.
+    dW_Q = d_q u0^T and dW_K = (s q) xd^T are rank-1 ``LowRank`` records, which ``np.asarray``
+    forms one product per entry; dX is a dense d x p array."""
     du = np.asarray(du, dtype=np.float64)
     xn, vc = tape["key_input"], tape["value_input"]
     d, p = xn.shape
@@ -113,15 +116,15 @@ def simpool_backward(tape: dict, du: np.ndarray) -> tuple[Mat, Mat, Mat]:
     # softmax over the single attention column
     d_logits = a_da - a * a_da.sum()
 
-    # logits = xn^T W_K^T q * s: each gradient is an outer product, by einsum in 0.9x np.outer's time
+    # logits = xn^T W_K^T q * s: each weight gradient is an outer product, kept as its factors
     scale = 1.0 / np.sqrt(d)
     xd = xn @ d_logits
-    d_wk = np.einsum("i,j->ij", q * scale, xd)
+    d_wk = LowRank(q * scale, xd)
     d_xn += np.multiply.outer(wkt_q * scale, d_logits, out=c)
     d_q = weigh(params.w_k, xd[:, None], "key")[:, 0] * scale
 
     # q = W_Q u0
-    d_wq = np.einsum("i,j->ij", d_q, u0)
+    d_wq = LowRank(d_q, u0)
     d_u0 = weigh(params.w_q, d_q[:, None], "query", transpose=True)[:, 0]
 
     # LayerNorm backward, per column (population variance)

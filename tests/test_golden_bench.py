@@ -61,7 +61,7 @@ def compute_outputs() -> dict:
         _, _, cache = simpool_forward(fm, SimPoolParams.seeded(d, seed=SEED))
         grads = simpool_backward(cache, rng.normal(size=d))
         for name, g in zip(("d_wq", "d_wk", "d_x"), grads):
-            rows, cols = _row_and_column_samples(g)
+            rows, cols = _row_and_column_samples(np.asarray(g))
             out[f"{tag}/simpool_backward/{name}/rows"] = rows
             out[f"{tag}/simpool_backward/{name}/cols"] = cols
     return out

@@ -127,7 +127,7 @@ class TestBackward:
         fm = _fm(rng.normal(size=(3, 5)))
         _, _, cache = simpool_forward(fm, SimPoolParams.seeded(3, seed=6))
         dwq, dwk, dx = simpool_backward(cache, np.zeros(3))
-        assert not dwq.any() and not dwk.any() and not dx.any()
+        assert not np.any(dwq) and not np.any(dwk) and not dx.any()
 
     @pytest.mark.parametrize("gamma", [1.25, 2.0])
     def test_matches_central_differences(self, gamma):
@@ -158,15 +158,18 @@ class TestBackward:
             fd = (loss(params.w_q + h * direction) - loss(params.w_q - h * direction)) / (2 * h)
             np.testing.assert_allclose(np.sum(dwq * direction), fd, atol=1e-6)
 
-    def test_updates_its_feature_sized_arrays_in_place(self):
-        """At ViT-S (384 x 196) the pass holds its outputs, 4.92 d x p arrays
-        (two d x d and one d x p), and about one more for scratch; formed
-        anew, its intermediates reached 11.06."""
-        d, p = 384, 196
+    @pytest.mark.parametrize("d, width", [(384, 14), (2048, 7)])
+    def test_updates_its_feature_sized_arrays_in_place(self, d, width):
+        """At ViT-S (384 x 196) and R50 (2048 x 49) the pass holds one d x p
+        output, dX, the factors of its two rank-1 weight gradients, and at most
+        two d x p arrays of scratch: 2.36 and 2.91 d x p in all.  Formed anew,
+        its intermediates reached 11.06 at ViT-S; dense d x d gradients, 86.5
+        at R50."""
+        p = width * width
         rng = np.random.default_rng(8)
-        fm = _fm(rng.normal(size=(d, p)), width=14, height=14)
+        fm = _fm(rng.normal(size=(d, p)), width=width, height=width)
         _, _, cache = simpool_forward(fm, SimPoolParams.seeded(d, seed=2))
-        assert traced_peak(simpool_backward, cache, rng.normal(size=d)) < 6.5 * d * p * 8
+        assert traced_peak(simpool_backward, cache, rng.normal(size=d)) < 4 * d * p * 8
 
 
 def _materialized_reference(x, params, du):
@@ -263,7 +266,7 @@ def test_backward_on_seeded_weights_is_backward_on_their_expansion(d):
     assert (seeded.w_q.dense is None, seeded.w_k.dense is None) == (d > 64, d > 64)
     _, majorants, _ = _materialized_reference(x, expanded, du)
     for g, w, majorant in zip(got, want, majorants[2:]):
-        assert_within_rounding(g, w, majorant, 1.0)
+        assert_within_rounding(np.asarray(g), np.asarray(w), majorant, 1.0)
 
 
 @pytest.mark.parametrize("m", [1, 2, 4, 8])

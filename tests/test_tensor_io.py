@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from poolkit.attnmap import write_pgm
 from poolkit.cli import main
 from poolkit.errors import ConfigError, FileFormatError
 from poolkit.tensor_io import (
@@ -357,3 +359,37 @@ class TestRunConfig:
         path.write_text(json.dumps({"method": "gem", "gamma": 3.0, "seed": 5}))
         cfg = load_config(path)
         assert (cfg.method, cfg.gamma, cfg.seed) == ("gem", 3.0, 5)
+
+
+# name: (a call given a scratch directory, the exact error class, its message, where {tmp} is that
+# directory and {enoent} the text of a missing file's error); one row per error raise that no other
+# in-process test reaches
+ERROR_PATHS = {
+    "write_pgm": (lambda tmp: write_pgm([[0.0, 1.0]], tmp / "absent" / "a.pgm"), OSError,
+                  "write_pgm: cannot write {tmp}/absent/a.pgm: {enoent}: '{tmp}/absent/a.pgm'"),
+    "write_npy": (lambda tmp: write_npy(np.ones(2), tmp / "absent" / "a.npy"), OSError,
+                  "write_npy: cannot write {tmp}/absent/a.npy: {enoent}: '{tmp}/absent/a.npy'"),
+    "load_config": (lambda tmp: load_config(tmp / "absent.json"), OSError,
+                    "load_config: cannot read {tmp}/absent.json: {enoent}: '{tmp}/absent.json'"),
+    "npy_header_eof": (  # the header claims 100 bytes and holds 8
+        lambda tmp: read_npy(_written(tmp / "cut.npy", b"\x93NUMPY\x01\x00\x64\x00{'descr'")),
+        FileFormatError, "{tmp}/cut.npy: EOF reading header (8 of 100 bytes)"),
+    "family": (lambda tmp: RunConfig(family="cnn"), ConfigError,
+               "family must be 'conv' or 'transformer', got 'cnn'"),
+    "top_level": (lambda tmp: config_from_dict([1]), ConfigError, "config: top level must be an object"),
+}
+
+
+def _written(path, data: bytes):
+    path.write_bytes(data)
+    return path
+
+
+@pytest.mark.parametrize("name", ERROR_PATHS)
+def test_error_paths_raise_their_class_and_one_line(tmp_path, name):
+    call, error, message = ERROR_PATHS[name]
+    with pytest.raises(Exception) as raised:
+        call(tmp_path)
+    assert type(raised.value) is error
+    enoent = f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}"
+    assert str(raised.value) == message.format(tmp=tmp_path, enoent=enoent)
