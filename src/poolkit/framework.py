@@ -132,24 +132,25 @@ class _Rule:
 @dataclass(eq=False)
 class MapRule(_Rule):
     """Column-wise mapping: a weight-free input (``kind``, see ``_map_input``), then an optional
-    ``weight``, dense or an ``nncells.SignMatrix``; ln_shifted and local_avg_fc are value inputs."""
+    ``weight``, dense or an ``nncells.SignMatrix``; local_avg_fc is a value input only."""
 
-    kind: str = "identity"  # identity | linear_ln | ln_shifted | local_avg_fc
+    kind: str = "identity"  # identity | linear_ln | local_avg_fc
     weight: Optional[Mat] = None
     centering: Optional[np.ndarray] = None
 
-    KINDS = ("identity", "linear_ln", "ln_shifted", "local_avg_fc")
-    VALUE_ONLY = ("ln_shifted", "local_avg_fc")
+    KINDS = ("identity", "linear_ln", "local_avg_fc")
 
 
 @dataclass
 class PoolRule(_Rule):
     """Pooling operation f: the power mean of exponent gamma (the paper's
-    f_alpha, gamma = (1 - alpha) / 2), LSE of scale r, or an exact extreme."""
+    f_alpha, gamma = (1 - alpha) / 2), LSE of scale r, or an exact extreme.  With
+    ``shift``, f reads the values less their global minimum, clamped at CLAMP_FLOOR."""
 
     kind: str = "f_alpha"  # f_alpha | lse | max
     gamma: float = 1.0  # the arithmetic mean
     r: float = 1.0
+    shift: bool = False  # SimPool's: its LayerNorm'd values have either sign
 
     KINDS = ("f_alpha", "lse", "max")
 
@@ -194,11 +195,10 @@ class PoolingSpec:
             raise ContractError(f"PoolingSpec: unknown similarity {self.similarity!r}")
         if self.attention not in ATTENTIONS:
             raise ContractError(f"PoolingSpec: unknown attention {self.attention!r}")
-        for rule in (self.query_map, self.key_map):
-            if rule.kind in MapRule.VALUE_ONLY:
-                raise ContractError(f"PoolingSpec: {rule.kind} is a value map only")
+        if "local_avg_fc" in (self.query_map.kind, self.key_map.kind):
+            raise ContractError("PoolingSpec: local_avg_fc is a value map only")
         # run_pooling moves every weight onto the k-column side of its product,
-        # which needs the weight to commute with the similarity or the pool.
+        # which needs the weight to commute with the similarity or the pool (and its shift).
         if self.key_map.weight is not None and self.similarity != "dot":
             raise ContractError(f"PoolingSpec: a weighted key map needs "
                                 f"dot similarity, got {self.similarity!r}")
@@ -206,7 +206,7 @@ class PoolingSpec:
             raise ContractError("PoolingSpec: heads > 1 need col_softmax and a weighted key map")
         value = "weighted" if self.value_map.weight is not None else self.value_map.kind
         if value in ("weighted", "local_avg_fc") and not (
-                self.pool.kind == "f_alpha" and self.pool.gamma == 1.0):
+                self.pool.kind == "f_alpha" and self.pool.gamma == 1.0 and not self.pool.shift):
             raise ContractError(f"PoolingSpec: a {value} value map needs the arithmetic-mean pool")
         if self.value_map.kind == "local_avg_fc" and self.pool_update.kind != "l2norm":
             raise ContractError("PoolingSpec: local_avg_fc needs the l2norm update")
@@ -237,15 +237,10 @@ def _once(shared: dict, f, x: Mat, *args) -> Mat:
 
 
 def _map_input(rule: MapRule, x: Mat, shared: dict) -> Mat:
-    """The weight-free input of a map: X, LayerNorm(X), LayerNorm(X) less its
-    minimum, clamped at CLAMP_FLOOR (SimPool's values), or (X - c) 2^-e, a
-    scale that local_avg_fc's l2norm update removes (``pow2_scaled``)."""
-    if rule.kind == "linear_ln":  # its divisor goes to shared["ln_std"]
+    """The weight-free input of a map: X, LayerNorm(X), or (X - c) 2^-e, a scale that
+    local_avg_fc's l2norm update removes (``pow2_scaled``).  The values' shift is the pool's."""
+    if rule.kind == "linear_ln":  # keys' and values' alike; its divisor goes to shared["ln_std"]
         return _once(shared, layernorm_cols, x, shared)
-    if rule.kind == "ln_shifted":  # the keys' LayerNorm, shared
-        xn = _once(shared, layernorm_cols, x, shared)
-        v = xn - xn.min()
-        return np.maximum(v, CLAMP_FLOOR, out=v)
     if rule.kind == "local_avg_fc" and rule.centering is None:
         return _once(shared, pow2_scaled, x)  # the feature_sqnorm attention's input too
     if rule.kind == "local_avg_fc":
@@ -328,11 +323,12 @@ def run_pooling(spec: PoolingSpec, fm: FeatureMap, tape: Optional[dict] = None) 
     """Run ``spec.iters`` loop iterations from U^0 = ``spec.init``, read only if a rule needs it.
 
     Each weight meets the k query or pooled columns, never the p feature columns.  Only the
-    weight-free inputs X~ (see ``_map_input``) are formed once, before the loop.  The key weight
-    is pulled back onto the queries, s = X~^T (W_K^T q); the value weight acts after the arithmetic
-    pool, z = W_V (X~ a); and local_avg_fc's 3x3 average moves onto the attention through its
-    adjoint, z = W ((X - c) avg3^T(a)).  Each weight, W_U too, meets its narrow side on one path
-    for every head count (``matcore.weigh``); m heads' attention is their column blocks' mean.
+    weight-free inputs X~ (see ``_map_input``) are formed once, before the loop, the values shifted
+    there if the pool shifts.  The key weight is pulled back onto the queries, s = X~^T (W_K^T q);
+    the value weight acts after the arithmetic pool, z = W_V (X~ a); and local_avg_fc's 3x3 average
+    moves onto the attention through its adjoint, z = W ((X - c) avg3^T(a)).  Each weight, W_U too,
+    meets its narrow side on one path for every head count (``matcore.weigh``); m heads' attention
+    is their column blocks' mean.
 
     A dict passed as ``tape`` receives, all formed anyway, ``key_input``, ``value_input``, ``ln_std``
     (LayerNorm's divisor, or None) and the last iteration's ``query_input``, ``q`` and ``wkt_q``.
@@ -346,6 +342,9 @@ def run_pooling(spec: PoolingSpec, fm: FeatureMap, tape: Optional[dict] = None) 
     shared = {}
     x_key = _map_input(spec.key_map, x, shared) if needs_sim else None
     x_val = _map_input(spec.value_map, x, shared)
+    if spec.pool.shift:  # on a fresh array: x_val may be X or the keys' input
+        x_val = x_val - x_val.min()
+        np.maximum(x_val, CLAMP_FLOOR, out=x_val)
 
     for t in range(spec.iters):
         s = dim = None

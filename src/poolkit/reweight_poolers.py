@@ -69,14 +69,15 @@ def cbam_pool(fm: FeatureMap, w: CbamWeights) -> PooledSet:
     then average pooling: z = V a / p."""
     x = fm.x
     p = fm.p
-    u0 = np.stack([x.mean(axis=1), x.max(axis=1)], axis=1)  # (d, 2)
-    q = sigmoid(mlp2(u0, w.channel_mlp).mean(axis=1))
-    v = q[:, None] * x
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the output PooledSet rejects
+        u0 = np.stack([x.mean(axis=1), x.max(axis=1)], axis=1)  # (d, 2)
+        q = sigmoid(mlp2(u0, w.channel_mlp).mean(axis=1))
+        v = q[:, None] * x
 
-    s = np.stack([v.mean(axis=0), v.max(axis=0)], axis=1)  # (p, 2)
-    maps = s.T.reshape(-1, fm.height, fm.width)  # one (height, width) map per statistic
-    acc = conv2d_same(maps, w.conv7).sum(axis=0)
-    a = sigmoid(acc).reshape(-1)
+        s = np.stack([v.mean(axis=0), v.max(axis=0)], axis=1)  # (p, 2)
+        maps = s.T.reshape(-1, fm.height, fm.width)  # one (height, width) map per statistic
+        acc = conv2d_same(maps, w.conv7).sum(axis=0)
+        a = sigmoid(acc).reshape(-1)
 
-    z = (v @ a) / p
+        z = (v @ a) / p
     return PooledSet(u=z[:, None], attention=AttentionMatrix(a[:, None], stochastic_cols=False))

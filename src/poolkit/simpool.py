@@ -1,9 +1,9 @@
 """SimPool: single-step attention pooling with analytic gradients.
 
-Forward is one pass of the engine (``simpool_spec``): the global average
-of the raw features is mapped to a query, the LayerNorm'd features to
-keys; a scaled column softmax gives the attention, and the pooled vector
-is the attention-weighted generalized mean of the min-shifted values.
+Forward is one pass of the engine (``simpool_spec``): the global average of the
+raw features is mapped to a query, the LayerNorm'd features to keys and values;
+a scaled column softmax gives the attention, and the pool, which shifts the values
+by their minimum (``PoolRule.shift``), is their attention-weighted generalized mean.
 Backward differentiates it exactly from the engine's tape (verified
 against central differences in gradcheck); like the engine, it never
 forms the d x p key matrix W_K xn.  The weight gradients have rank 1 and
@@ -19,7 +19,7 @@ import numpy as np
 from . import gradcheck  # binds the lazily registered module; a pool request never executes it
 from .errors import ContractError, ShapeError
 from .framework import FeatureMap, MapRule, PoolingSpec, PoolRule, run_pooling
-from .matcore import LowRank, Mat, weigh
+from .matcore import LowRank, Mat, pow2_exponent, weigh
 from .meanfam import CLAMP_FLOOR
 from .nncells import draw
 
@@ -50,18 +50,19 @@ class SimPoolParams:
 
 def simpool_spec(fm: FeatureMap, params: SimPoolParams) -> PoolingSpec:
     """SimPool as one pass of the loop: U^0 the GAP of the raw features,
-    q = W_Q U^0, keys W_K LayerNorm(X) at scale sqrt(d), and values
-    ``ln_shifted``, pooled by the power mean of exponent gamma.  Weights of
+    q = W_Q U^0, keys W_K LayerNorm(X) at scale sqrt(d), and values LayerNorm(X),
+    pooled by the power mean of exponent gamma after the pool's shift.  Weights of
     another d raise ShapeError in run_pooling."""
     if fm.d < 2:
         raise ContractError("simpool: d must be >= 2 (LayerNorm degenerates)")
+    e = max(pow2_exponent(fm.x) - 500, 0)  # past max|x| = 2^500, GAP(x 2^-e) 2^e: exact, in range
     return PoolingSpec(
-        init=fm.x.mean(axis=1, keepdims=True),
+        init=np.ldexp((np.ldexp(fm.x, -e) if e else fm.x).mean(axis=1, keepdims=True), e),
         query_map=MapRule(weight=params.w_q),
         key_map=MapRule(kind="linear_ln", weight=params.w_k),
-        value_map=MapRule(kind="ln_shifted"),
+        value_map=MapRule(kind="linear_ln"),
         attention="col_softmax",
-        pool=PoolRule(gamma=params.gamma),
+        pool=PoolRule(gamma=params.gamma, shift=True),
     )
 
 
@@ -88,7 +89,7 @@ def simpool_backward(tape: dict, du: np.ndarray) -> tuple[LowRank, LowRank, Mat]
     params, a, u = tape["params"], tape["a"], tape["u"]
     g = params.gamma
     q, wkt_q, u0 = tape["q"][:, 0], tape["wkt_q"][:, 0], tape["query_input"][:, 0]
-    # the values' shift (at its argmin) and clamp mask, recomputed
+    # the pool's shift (at the argmin of xn, its input) and clamp mask, recomputed
     argmin = np.unravel_index(np.argmin(xn), xn.shape)  # first occurrence, row-major
     clamp_mask = vc > CLAMP_FLOOR
 
@@ -109,7 +110,7 @@ def simpool_backward(tape: dict, du: np.ndarray) -> tuple[LowRank, LowRank, Mat]
     c /= r
     del r
 
-    # clamp + global-min shift: all mass of the min goes to its argmin element
+    # the pool's clamp and global-min shift: all mass of the min goes to its argmin element
     d_xn = np.where(clamp_mask, c, 0.0)
     d_xn[argmin] -= d_xn.sum()
 

@@ -223,6 +223,22 @@ class TestCmdPool:
             assert main(["pool", "--input", x, "--method", method, "--k", "2"]) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("method, code", [("simpool", 0), ("cbam", 3)])
+    def test_features_whose_sum_overflows_exit_cleanly(self, tmp_path, method, code):
+        # entries up to 1.5e307 have a GAP in range but a sum over 196 columns past it: SimPool's
+        # start is the GAP of x 2^-e scaled back, and CBAM's gated sums overflow, reported once
+        x = _write_features(tmp_path / "x.npy",
+                            np.random.default_rng(0).uniform(0.0, 1.5e307, size=(16, 196)))
+        out = tmp_path / "u.npy"
+        argv = ["pool", "--input", x, "--method", method, "--width", "14", "--out", str(out)]
+        if code:
+            assert "PooledSet: non-finite pooled output" in _cli_error(argv, code)
+            return
+        proc = subprocess.run([sys.executable, "-m", "poolkit.cli", *argv],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert np.all(np.isfinite(read_npy(out)[0]))
+
     @pytest.mark.parametrize("method, reason", [
         ("vit", "col_softmax: non-finite input"), ("cait", "col_softmax: non-finite input"),
         ("sinkhorn-otk", "squared distance overflows"),

@@ -179,8 +179,9 @@ class TestNarrowSideContract:
 
     @pytest.mark.parametrize("kind", ["identity", "linear_ln", "local_avg_fc"])
     @pytest.mark.parametrize("pool", [PoolRule(kind="f_alpha", gamma=2.0),
-                                      PoolRule(kind="lse", r=1.0), PoolRule(kind="max")],
-                             ids=["gem", "lse", "max"])
+                                      PoolRule(kind="lse", r=1.0), PoolRule(kind="max"),
+                                      PoolRule(gamma=1.0, shift=True)],
+                             ids=["gem", "lse", "max", "shifted_mean"])
     def test_weighted_value_map_needs_the_arithmetic_mean(self, kind, pool):
         with pytest.raises(ContractError, match="value map needs the arithmetic-mean pool"):
             PoolingSpec(value_map=MapRule(kind=kind, weight=self.W), pool=pool)
@@ -189,11 +190,6 @@ class TestNarrowSideContract:
     def test_local_avg_fc_is_a_value_map_only(self, role):
         with pytest.raises(ContractError, match="value map only"):
             PoolingSpec(**{role: MapRule(kind="local_avg_fc", weight=self.W)})
-
-    @pytest.mark.parametrize("role", ["query_map", "key_map"])
-    def test_ln_shifted_is_a_value_map_only(self, role):
-        with pytest.raises(ContractError, match="ln_shifted is a value map only"):
-            PoolingSpec(**{role: MapRule(kind="ln_shifted")})
 
     def test_local_avg_fc_needs_the_l2norm_update(self):
         # its value input is scaled by a power of two that only l2norm removes
@@ -238,9 +234,10 @@ class TestNarrowSideContract:
                                    rtol=1e-14)
 
     @pytest.mark.parametrize("kind, pool, wide_input", [
-        ("ln_shifted", PoolRule(gamma=2.0),
+        ("linear_ln", PoolRule(gamma=2.0, shift=True),
          lambda x: np.maximum(layernorm_cols(x) - layernorm_cols(x).min(), CLAMP_FLOOR)),
-        ("linear_ln", PoolRule(kind="lse", r=1.0), layernorm_cols)], ids=["ln_shifted", "linear_ln"])
+        ("linear_ln", PoolRule(kind="lse", r=1.0), layernorm_cols)],
+        ids=["linear_ln_gem_shift", "linear_ln"])
     def test_unweighted_value_map_takes_any_pool(self, kind, pool, wide_input):
         PoolingSpec(value_map=MapRule(kind=kind), pool=PoolRule(gamma=2.0))
         spec = PoolingSpec(attention="uniform", value_map=MapRule(kind=kind), pool=pool)
@@ -276,6 +273,7 @@ class TestNarrowSideContract:
         assert {spec.attention for spec in specs} == set(ATTENTIONS)
         assert {spec.similarity for spec in specs} == {"dot", "neg_sq_euclid"}
         assert any(spec.heads > 1 for spec in specs)  # the head-blocked weights
+        assert {spec.pool.shift for spec in specs} == {True, False}
 
 
 class TestHeads:

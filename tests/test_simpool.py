@@ -1,3 +1,4 @@
+import itertools
 import warnings
 from dataclasses import replace
 
@@ -33,6 +34,12 @@ class TestForward:
         u, a, _ = simpool_forward(fm, _identity_params(1.0))
         np.testing.assert_allclose(a, [0.5, 0.5], atol=1e-4)
         np.testing.assert_allclose(u, [1.0, 1.0], atol=1e-4)
+
+    def test_gap_start_is_exact_where_its_sum_overflows(self):
+        # y 2^1022 is finite, its sum over 12 columns is not; the start is its GAP, exactly
+        y = np.random.default_rng(3).uniform(0.5, 1.5, size=(4, 12))
+        init = simpool_spec(_fm(np.ldexp(y, 1022)), SimPoolParams.seeded(4)).init
+        assert init.tobytes() == np.ldexp(y.mean(axis=1, keepdims=True), 1022).tobytes()
 
     def test_identical_columns_uniform_attention(self):
         c = np.array([1.0, 3.0, -2.0])
@@ -317,3 +324,34 @@ def test_contract_raises(name):
     with pytest.raises(error) as raised:
         call()
     assert str(raised.value).startswith(message)
+
+
+def test_the_papers_layer_ablation_runs_every_row_without_a_value_weight():
+    """PAPER.md's layer ablation (``tab:ablationall``, right) as 64 ``replace`` rows of
+    ``simpool_spec``: none, a linear layer, LN or LN plus a linear layer on each of q, k and v,
+    LN being ``linear_ln``.  The pool keeps its shift, so the 16 rows with nothing on v run
+    beside the 16 with LN on v.  A linear layer on v cannot move past the power mean onto the
+    pooled column, so its 32 rows raise.  The paper's row is ``simpool_forward`` byte for byte."""
+    fm = _fm(np.random.default_rng(0).normal(size=(64, 196)), width=14, height=14)
+    params = SimPoolParams.seeded(64, gamma=2.0)
+    spec, w_v = simpool_spec(fm, params), np.random.default_rng(1).normal(size=(64, 64)) / 8
+
+    def layers(w):
+        return {"none": framework.MapRule(), "linear": framework.MapRule(weight=w),
+                "LN": framework.MapRule(kind="linear_ln"),
+                "LN+linear": framework.MapRule(kind="linear_ln", weight=w)}
+
+    ran, waiting = {}, []
+    for (q, q_map), (k, k_map), (v, v_map) in itertools.product(
+            layers(params.w_q).items(), layers(params.w_k).items(), layers(w_v).items()):
+        try:
+            row = replace(spec, query_map=q_map, key_map=k_map, value_map=v_map)
+        except ContractError as exc:
+            assert "a weighted value map needs the arithmetic-mean pool" in str(exc)
+            waiting.append(v)
+            continue
+        ran[q, k, v] = framework.run_pooling(row, fm).u[:, 0]
+    assert len(ran) == 32 and {v for _, _, v in ran} == {"none", "LN"}
+    assert len(waiting) == 32 and set(waiting) == {"linear", "LN+linear"}
+    assert all(np.all(np.isfinite(u)) for u in ran.values())
+    assert ran["linear", "LN+linear", "LN"].tobytes() == simpool_forward(fm, params)[0].tobytes()
