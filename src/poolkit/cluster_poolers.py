@@ -1,6 +1,6 @@
 """Poolers producing k > 1 vectors: entropic transport, Lloyd k-means in
-matrix form, and slot-style iterative cross-attention.  k-means and slot
-attention are engine specs, run by ``run_pooling``."""
+matrix form, and slot-style iterative cross-attention, each an engine spec
+run by ``run_pooling``; ``sinkhorn`` is the transport attention's solver."""
 
 from __future__ import annotations
 
@@ -11,9 +11,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ContractError, ConvergenceError, ShapeError
-from .framework import (AttentionMatrix, FeatureMap, MapRule, PooledSet, PoolingSpec,
-                        UpdateRule, run_pooling)
+from .errors import ContractError, ConvergenceError, NumericError, ShapeError
+from .framework import FeatureMap, MapRule, PooledSet, PoolingSpec, UpdateRule, run_pooling
 from .matcore import Mat, as_matrix, logsumexp, pow2_exponent, sq_distances
 from .nncells import GruWeights, MlpWeights, draw, gru_decl, mlp_decl
 
@@ -290,26 +289,32 @@ def sinkhorn(cost: Mat, params: SinkhornParams) -> Mat:
 @dataclass(eq=False)
 class NystromMap:
     """Gaussian-kernel feature map anchored at k reference columns:
-    psi(x) = M^{-1/2} kappa(anchors, x), M = kappa(anchors, anchors).
-    ``embed`` takes psi from the squared distances of x to ``anchors``, so
-    ``otk_pool`` forms them once, for its cost and for psi."""
+    psi(x) = M^{-1/2} kappa(anchors, x), M = kappa(anchors, anchors); 2 sigma^2 must be finite
+    and > 0.  As a value map's weight it is M^{-1/2} (``np.asarray``): see ``otk_spec``."""
 
     anchors: Mat
     sigma: float
     m_inv_sqrt: Mat = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise ContractError(f"NystromMap: sigma must be finite and > 0, got {self.sigma}")
+        if not (self.sigma > 0 and 0 < 2.0 * self.sigma * self.sigma < np.inf):  # float sigma**2 may raise
+            raise ContractError(f"NystromMap: sigma must be > 0, 2 sigma^2 finite and > 0; got {self.sigma}")
         self.anchors = as_matrix(self.anchors, "NystromMap anchors")
         sq = sq_distances(self.anchors, self.anchors).T
-        lam, vecs = np.linalg.eigh(np.exp(-sq / (2.0 * self.sigma**2)))
+        with np.errstate(over="ignore"):  # a distance / 2 sigma^2 past the float range: exp(-inf) = 0
+            lam, vecs = np.linalg.eigh(np.exp(-sq / (2.0 * self.sigma**2)))
         lam = np.maximum(lam, 1e-10)
         self.m_inv_sqrt = (vecs / np.sqrt(lam)) @ vecs.T
 
-    def embed(self, sq: Mat) -> Mat:
-        """psi of the n columns whose (n, k) squared distances to ``anchors`` are ``sq``."""
-        return self.m_inv_sqrt @ np.exp(-sq.T / (2.0 * self.sigma**2))
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.m_inv_sqrt, dtype=dtype, copy=copy)
+
+
+def otk_spec(anchors: Mat, params: SinkhornParams, psi: Optional[NystromMap] = None) -> PoolingSpec:
+    """Transport against the k ``anchors``: the plan of cost |x - u|^2 (columns summing to 1/k)
+    pools X, or with ``psi`` anchored there psi(X), the engine forming kappa from the scores."""
+    return PoolingSpec(init=anchors, similarity="neg_sq_euclid", attention="sinkhorn", transport=params,
+                       value_map=MapRule() if psi is None else MapRule(kind="nystrom", weight=psi))
 
 
 def otk_pool(
@@ -319,7 +324,7 @@ def otk_pool(
     psi: Optional[NystromMap] = None,
     params: Optional[SinkhornParams] = None,
 ) -> PooledSet:
-    """Transport-plan pooling against anchor columns, a (d, k >= 1) array.
+    """Transport-plan pooling against anchor columns, a finite (d, k >= 1) array.
 
     Cost is squared distance of features to anchors; the plan carries
     mass 1/k per column, so the output is rescaled by k to give each
@@ -328,30 +333,25 @@ def otk_pool(
     equal ``epsilon`` (ContractError otherwise).
     ``psi``, a map of the features before they are pooled, must be anchored
     at the transport anchors, as in the OTK embedding (ContractError
-    otherwise): one distance matrix, formed from ``psi.anchors``, is both the
-    cost and the input of ``psi.embed``.
+    otherwise): one distance matrix is both the cost and psi's input.
     """
     anchors = np.asarray(anchors, dtype=np.float64)
     if anchors.ndim != 2 or anchors.shape[0] != fm.d or anchors.shape[1] < 1:
         raise ShapeError(f"otk_pool: weights 'anchors' has shape {anchors.shape}; "
                          f"{fm.d}-channel features need ({fm.d}, k >= 1)")
+    if not np.isfinite(anchors).all():
+        raise NumericError("otk_pool: weights 'anchors' contain non-finite entries")
     if psi is not None and psi.anchors.shape[0] != fm.d:
         raise ShapeError(f"otk_pool: psi.anchors has shape {psi.anchors.shape}; "
                          f"{fm.d}-channel features need {fm.d} rows")
     if psi is not None and not np.array_equal(psi.anchors, anchors):
         raise ContractError("otk_pool: psi must be anchored at the transport anchors")
-    k = anchors.shape[1]
     if params is None:
         params = SinkhornParams(epsilon=epsilon)
     elif params.epsilon != epsilon:
         raise ContractError(f"otk_pool: epsilon={epsilon} but params.epsilon={params.epsilon}")
-    # with psi, the distances come from its C-contiguous copy of the anchors, so
-    # psi.embed(cost) is bit for bit psi.embed(sq_distances(fm.x, psi.anchors))
-    cost = sq_distances(fm.x, anchors if psi is None else psi.anchors)
-    plan = sinkhorn(cost, params)
-    feats = fm.x if psi is None else psi.embed(cost)
-    u = (feats @ plan) * k
-    return PooledSet(u=u, attention=AttentionMatrix(plan, stochastic_cols=False))
+    out = run_pooling(otk_spec(anchors, params, psi), fm)
+    return PooledSet(out.u * anchors.shape[1], out.attention)
 
 
 # --- k-means ---------------------------------------------------------------

@@ -7,13 +7,10 @@ and pools the value matrix through a generalized mean of exponent
 gamma.  The loop starts from U^0, a matrix of k columns, which the spec
 holds as its ``init``.  Concrete methods are just parameter choices, each
 builder forming its own U^0: the ``*_spec`` functions in the *_poolers
-modules and ``simpool``.  gap, max, gem, lse, how, SE, k-means, slot
-attention, SimPool and ViT/CaiT run only as specs; ViT/CaiT is one
-head-blocked spec per iteration (``vit_cls_pool``).  Two methods are
-still direct functions, each with its own check: transport (``sinkhorn``
-under ``otk_pool``) by acceptance criterion 3's marginal residuals, and
-CBAM by criterion 9's NumPy reference formula, beside the simple poolers
-and SE.
+modules and ``simpool``.  gap, max, gem, lse, how, SE, k-means, transport, slot
+attention, SimPool and ViT/CaiT run only as specs; ViT/CaiT is one head-blocked spec
+per iteration (``vit_cls_pool``).  CBAM is the one direct function, checked against
+criterion 9's NumPy reference formula.
 """
 
 from __future__ import annotations
@@ -118,7 +115,7 @@ class PooledSet:
 # --- configuration enumerations -------------------------------------------
 
 # how similarities become attention; the last two read none
-ATTENTIONS = ("col_softmax", "row_then_col_norm", "hard_argmax", "uniform", "feature_sqnorm")
+ATTENTIONS = ("col_softmax", "row_then_col_norm", "hard_argmax", "sinkhorn", "uniform", "feature_sqnorm")
 
 
 class _Rule:
@@ -132,13 +129,13 @@ class _Rule:
 @dataclass(eq=False)
 class MapRule(_Rule):
     """Column-wise mapping: a weight-free input (``kind``, see ``_map_input``), then an optional
-    ``weight``, dense or an ``nncells.SignMatrix``; local_avg_fc is a value input only."""
+    ``weight``, dense or an ``nncells.SignMatrix``; local_avg_fc and nystrom are value inputs only."""
 
-    kind: str = "identity"  # identity | linear_ln | local_avg_fc
+    kind: str = "identity"  # identity | linear_ln | local_avg_fc | nystrom (weight: a NystromMap)
     weight: Optional[Mat] = None
     centering: Optional[np.ndarray] = None
 
-    KINDS = ("identity", "linear_ln", "local_avg_fc")
+    KINDS = ("identity", "linear_ln", "local_avg_fc", "nystrom")
 
 
 @dataclass
@@ -184,6 +181,7 @@ class PoolingSpec:
     value_map: MapRule = field(default_factory=MapRule)
     similarity: str = "dot"  # dot | neg_sq_euclid
     attention: str = "col_softmax"  # one of ATTENTIONS
+    transport: object = None  # the cluster_poolers.SinkhornParams that only sinkhorn reads
     pool: PoolRule = field(default_factory=PoolRule)
     pool_update: UpdateRule = field(default_factory=UpdateRule)
 
@@ -195,8 +193,8 @@ class PoolingSpec:
             raise ContractError(f"PoolingSpec: unknown similarity {self.similarity!r}")
         if self.attention not in ATTENTIONS:
             raise ContractError(f"PoolingSpec: unknown attention {self.attention!r}")
-        if "local_avg_fc" in (self.query_map.kind, self.key_map.kind):
-            raise ContractError("PoolingSpec: local_avg_fc is a value map only")
+        if {self.query_map.kind, self.key_map.kind} & {"local_avg_fc", "nystrom"}:
+            raise ContractError("PoolingSpec: local_avg_fc or nystrom is a value map only")
         # run_pooling moves every weight onto the k-column side of its product,
         # which needs the weight to commute with the similarity or the pool (and its shift).
         if self.key_map.weight is not None and self.similarity != "dot":
@@ -204,6 +202,8 @@ class PoolingSpec:
                                 f"dot similarity, got {self.similarity!r}")
         if self.heads > 1 and (self.attention != "col_softmax" or self.key_map.weight is None):
             raise ContractError("PoolingSpec: heads > 1 need col_softmax and a weighted key map")
+        if self.attention == "sinkhorn" and self.transport is None:
+            raise ContractError("PoolingSpec: the sinkhorn attention needs transport params")
         value = "weighted" if self.value_map.weight is not None else self.value_map.kind
         if value in ("weighted", "local_avg_fc") and not (
                 self.pool.kind == "f_alpha" and self.pool.gamma == 1.0 and not self.pool.shift):
@@ -268,11 +268,11 @@ def _avg3(a: Mat, width: int, height: int) -> Mat:
     return conv2d_same(grids, kernel).reshape(a.T.shape).T
 
 
-def _attention(kind: str, s: Optional[Mat], dim: Optional[int], x: Mat, shared: dict) -> Mat:
-    """Attention A (p, k) of the scores s.  Both softmax kinds divide the scores by sqrt
-    of ``dim``, the dimension of the query head they are taken in; hard_argmax leaves a
-    column no row chose at zero; the two kinds that read no scores give one column."""
-    p = x.shape[1]
+def _attention(spec: PoolingSpec, s: Optional[Mat], dim: Optional[int], x: Mat, shared: dict) -> Mat:
+    """Attention A (p, k) of the scores s.  Both softmax kinds divide the scores by sqrt of ``dim``,
+    the dimension of the query head they are taken in; hard_argmax leaves a column no row chose at
+    zero; sinkhorn's plan of cost -s has columns summing to 1/k; kinds that read no s give one column."""
+    kind, p = spec.attention, x.shape[1]
     if kind == "uniform":
         return np.full((p, 1), 1.0 / p)
     if kind == "feature_sqnorm":  # of X 2^-e; einsum, as a 2nd d x p array costs page faults
@@ -282,6 +282,9 @@ def _attention(kind: str, s: Optional[Mat], dim: Optional[int], x: Mat, shared: 
         return col_softmax(s, np.sqrt(dim))
     if kind == "row_then_col_norm":
         return eta_norm(col_softmax(s, np.sqrt(dim)))
+    if kind == "sinkhorn":
+        from .cluster_poolers import sinkhorn  # here, so a run of another attention never executes it
+        return sinkhorn(-s, spec.transport)
     # hard_argmax: one-hot row-wise argmax (ties to the lowest index), then column normalization
     m = np.zeros(s.shape)
     m[np.arange(p), np.argmax(s, axis=1)] = 1.0
@@ -322,13 +325,13 @@ def _update(rule: UpdateRule, z: Mat, prev: Mat) -> Mat:
 def run_pooling(spec: PoolingSpec, fm: FeatureMap, tape: Optional[dict] = None) -> PooledSet:
     """Run ``spec.iters`` loop iterations from U^0 = ``spec.init``, read only if a rule needs it.
 
-    Each weight meets the k query or pooled columns, never the p feature columns.  Only the
-    weight-free inputs X~ (see ``_map_input``) are formed once, before the loop, the values shifted
-    there if the pool shifts.  The key weight is pulled back onto the queries, s = X~^T (W_K^T q);
-    the value weight acts after the arithmetic pool, z = W_V (X~ a); and local_avg_fc's 3x3 average
-    moves onto the attention through its adjoint, z = W ((X - c) avg3^T(a)).  Each weight, W_U too,
-    meets its narrow side on one path for every head count (``matcore.weigh``); m heads' attention
-    is their column blocks' mean.
+    Each weight meets the k query or pooled columns, never the p feature columns.  The weight-free
+    inputs X~ (see ``_map_input``) are formed once, before the loop, the values shifted there if the
+    pool shifts; nystrom's, psi's kernel of the scores, in each iteration.  The key weight is pulled
+    back onto the queries, s = X~^T (W_K^T q); the value weight acts after the arithmetic pool,
+    z = W_V (X~ a), as psi's M^{-1/2} does; and local_avg_fc's 3x3 average moves onto the attention
+    through its adjoint, z = W ((X - c) avg3^T(a)).  Each weight, W_U too, meets its narrow side on
+    one path for every head count (``matcore.weigh``); m heads' attention is their column blocks' mean.
 
     A dict passed as ``tape`` receives, all formed anyway, ``key_input``, ``value_input``, ``ln_std``
     (LayerNorm's divisor, or None) and the last iteration's ``query_input``, ``q`` and ``wkt_q``.
@@ -354,7 +357,10 @@ def run_pooling(spec: PoolingSpec, fm: FeatureMap, tape: Optional[dict] = None) 
             wkt_q = weigh(spec.key_map.weight, q, "key", spec.heads, transpose=True)
             s = pairwise_similarity(x_key, wkt_q, spec.similarity)
             dim = q.shape[0] // spec.heads
-        a = _attention(spec.attention, s, dim, x, shared)
+        a = _attention(spec, s, dim, x, shared)
+        if spec.value_map.kind == "nystrom":  # psi's Gaussian kernel of the scores s = -sq (p x k)
+            with np.errstate(over="ignore"):  # a distance / 2 sigma^2 past the float range: exp(-inf) = 0
+                x_val = np.exp(s.T / (2.0 * spec.value_map.weight.sigma**2))
         smoothed = _avg3(a, fm.width, fm.height) if spec.value_map.kind == "local_avg_fc" else a
         z = weigh(spec.value_map.weight, _pool(spec.pool, x_val, smoothed, t), "value", spec.heads)
         if spec.attention == "hard_argmax":

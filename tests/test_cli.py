@@ -183,6 +183,15 @@ class TestCmdPool:
         line = _cli_error(["pool", "--input", x, "--config", str(cfg)], 1)
         assert f"weights '{role}' has shape {shape}" in line
 
+    def test_non_finite_anchors_exit_3(self, tmp_path):
+        # named as the anchors' entries, not as an overflow of their distances
+        x = _write_features(tmp_path / "x.npy", np.ones((4, 6)))
+        w = _write_features(tmp_path / "w.npy", [[np.nan, 1.0]] * 4)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"method": "sinkhorn-otk", "epsilon": 0.5, "weights": {"anchors": w}}))
+        line = _cli_error(["pool", "--input", x, "--config", str(cfg)], 3)
+        assert line == "error: otk_pool: weights 'anchors' contain non-finite entries\n"
+
     @pytest.mark.parametrize("method", ["se", "cbam"])
     def test_indivisible_d_exit_1(self, tmp_path, method):
         x = _write_features(tmp_path / "x.npy", np.ones((6, 4)))

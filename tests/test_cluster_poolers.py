@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from poolkit import cluster_poolers
+from poolkit import cluster_poolers, framework
 from poolkit.cli import run_method
 from poolkit.cluster_poolers import (
     NystromMap,
@@ -18,6 +18,7 @@ from poolkit.cluster_poolers import (
     kmeans_pool,
     kmeans_spec,
     otk_pool,
+    otk_spec,
     sinkhorn,
     slot_pool,
     slot_spec,
@@ -49,8 +50,11 @@ def _zero_mlp(d):
 
 
 def _psi(psi, x):
-    """The Nystrom features of the columns of x."""
-    return psi.embed(sq_distances(x, psi.anchors))
+    """The Nystrom features of the columns of x: M^{-1/2} times the kernel that the
+    engine forms from the scores of an ``otk_spec`` run (its ``value_input``)."""
+    tape = {}
+    run_pooling(otk_spec(psi.anchors, SinkhornParams(epsilon=1.0), psi), _fm(x), tape)
+    return np.asarray(psi) @ tape["value_input"]
 
 
 def lloyd_step(x, u):
@@ -482,6 +486,36 @@ class TestOtkPool:
         with pytest.raises(ShapeError, match=rf"anchors' has shape {re.escape(str(shape))}"):
             otk_pool(_fm(np.ones((4, 6))), np.ones(shape), epsilon=0.5)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_non_finite_anchors_raise_numeric_error(self, entry):
+        anchors = np.ones((4, 2))
+        anchors[1, 1] = entry
+        with pytest.raises(NumericError, match="'anchors' contain non-finite entries"):
+            otk_pool(_fm(np.ones((4, 6))), anchors, epsilon=0.5)
+
+    @settings(max_examples=100, deadline=None)
+    @given(x=feature_matrices(), k=st.integers(1, 5), log_ratio=st.floats(-2.0, 0.0),
+           log_sigma=st.one_of(st.none(), st.floats(-1.0, 1.0)), data=st.data())
+    def test_engine_equals_the_direct_formula(self, x, k, log_ratio, log_sigma, data):
+        """Named cross-check of otk_pool's engine run against the transport formula,
+        written here only: u = (X P) k, P = sinkhorn(sq_distances(X, anchors)), byte for
+        byte, and with psi (M^{-1/2} exp(-sq^T / 2 sigma^2)) P k, to rounding."""
+        anchors = data.draw(arrays(np.float64, (x.shape[0], k), elements=st.floats(-4.0, 4.0)))
+        sq = sq_distances(x, anchors)
+        params = SinkhornParams(epsilon=10.0**log_ratio * max(float(np.ptp(sq)), 1e-6))
+        plan = sinkhorn(sq, params)
+        if log_sigma is None:
+            out = otk_pool(_fm(x), anchors, params.epsilon, params=params)
+            assert np.array_equal(out.attention.a, plan)
+            assert np.array_equal(out.u, (x @ plan) * k)
+            return
+        psi = NystromMap(anchors, sigma=10.0**log_sigma)
+        out = otk_pool(_fm(x), anchors, params.epsilon, psi=psi, params=params)
+        assert np.array_equal(out.attention.a, plan)
+        kernel = np.exp(-sq.T / (2.0 * psi.sigma**2))
+        assert_within_rounding(out.u, (np.asarray(psi) @ kernel) @ plan * k,
+                               (np.abs(np.asarray(psi)) @ kernel) @ plan * k, 1.0)
+
     def test_params_epsilon_must_match_epsilon(self):
         # a params epsilon that differs would be solved at silently
         fm = _fm(np.arange(12.0).reshape(2, 6))
@@ -514,11 +548,11 @@ class TestOtkPool:
 
     @pytest.mark.parametrize("contiguous", [True, False])
     def test_shared_anchors_form_one_distance_matrix(self, monkeypatch, contiguous):
-        """psi anchored at the transport anchors: one sq_distances per call, and
-        psi bit-identical to psi of x's distances to psi.anchors; anchored
-        elsewhere: ContractError, before any distance is formed.  Anchors
-        already C-contiguous leave u and the plan bit-identical to those
-        formed from the distances to the anchors passed."""
+        """psi anchored at the transport anchors: the engine forms one sq_distances
+        per call, bit-identical to x's distances to psi.anchors, for the cost and for
+        psi; anchored elsewhere: ContractError, before any distance is formed.
+        C-contiguous or not, the anchors leave the plan, and u without psi,
+        bit-identical to those formed from the distances to the anchors passed."""
         rng = np.random.default_rng(31)
         fm = _fm(rng.normal(size=(6, 20)))
         anchors = fm.x[:, [3, 7, 11, 15]]  # sampled columns are not C-contiguous
@@ -526,27 +560,22 @@ class TestOtkPool:
             anchors = np.ascontiguousarray(anchors)
         psi, elsewhere = NystromMap(anchors, sigma=2.0), NystromMap(fm.x[:, :4], sigma=2.0)
         params = SinkhornParams(epsilon=0.5)
-        calls, embedded = [], []
-        monkeypatch.setattr(cluster_poolers, "sq_distances",
-                            lambda x, u: calls.append(u) or sq_distances(x, u))
-        embed = NystromMap.embed
-        monkeypatch.setattr(NystromMap, "embed",
-                            lambda self, sq: embedded.append(embed(self, sq)) or embedded[-1])
+        formed = []
+        monkeypatch.setattr(framework, "sq_distances",
+                            lambda x, u: formed.append(sq_distances(x, u)) or formed[-1])
         out = otk_pool(fm, anchors, 0.5, psi=psi, params=params)
-        assert len(calls) == 1 and len(embedded) == 1
+        assert len(formed) == 1
         with pytest.raises(ContractError, match="psi must be anchored at the transport anchors"):
             otk_pool(fm, anchors, 0.5, psi=elsewhere, params=params)
-        assert len(calls) == 1
+        assert len(formed) == 1
         monkeypatch.undo()
+        assert np.array_equal(formed[0], sq_distances(fm.x, psi.anchors))
         feats = _psi(psi, fm.x)
-        assert np.array_equal(embedded[0], feats)
         plan = sinkhorn(sq_distances(fm.x, anchors), params)
-        if contiguous:
-            assert np.array_equal(out.attention.a, plan)
-            assert np.array_equal(out.u, (feats @ plan) * 4)
-        else:
-            np.testing.assert_allclose(out.attention.a, plan, rtol=0, atol=1e-14)
-            np.testing.assert_allclose(out.u, (feats @ plan) * 4, rtol=1e-12, atol=0)
+        bare = otk_pool(fm, anchors, 0.5, params=params)
+        assert np.array_equal(out.attention.a, plan)
+        assert np.array_equal(bare.u, (fm.x @ plan) * 4)
+        np.testing.assert_allclose(out.u, (feats @ plan) * 4, rtol=1e-12, atol=0)
 
     def test_psi_with_wrong_channel_count_raises_shape_error(self):
         fm = _fm(np.ones((4, 6)))
@@ -580,6 +609,20 @@ class TestNystromMap:
         for _ in range(3):
             _psi(psi, rng.normal(size=(3, 5)))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("sigma", [1e200, 1e-200, 1e-150])
+    def test_extreme_bandwidths(self, sigma):
+        """2 sigma^2 overflows at 1e200 and is 0 at 1e-200: ContractError, not an
+        OverflowError or a non-finite output.  At 1e-150 a distance over 2 sigma^2
+        leaves the float range, and its kernel entry is exp(-inf) = 0, with no warning."""
+        fm = _fm(1e5 * np.random.default_rng(40).normal(size=(4, 12)))
+        cols = [1, 5, 9]
+        if sigma != 1e-150:
+            with pytest.raises(ContractError, match=r"2 sigma\^2 finite and > 0"):
+                NystromMap(fm.x[:, cols], sigma=sigma)
+            return
+        out = otk_pool(fm, fm.x[:, cols], 1e9, psi=NystromMap(fm.x[:, cols], sigma=sigma))
+        assert np.isfinite(out.u).all()
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_bad_sigma(self, sigma):

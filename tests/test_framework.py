@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poolkit import framework
-from poolkit.cluster_poolers import SlotWeights, kmeans_spec, slot_spec
+from poolkit.cluster_poolers import NystromMap, SinkhornParams, SlotWeights, kmeans_spec, otk_spec, slot_spec
 from poolkit.errors import ContractError, DegenerateMassError, NumericError, ShapeError
 from poolkit.framework import (
     ATTENTIONS,
@@ -260,6 +260,9 @@ class TestNarrowSideContract:
         specs += [slot_spec(2, 2, weights, simplified=simplified) for simplified in (False, True)]
         vit = VitWeights.seeded(3, 1, seed=0)
         specs.append(vit_spec(vit.iters[0], vit.u0, heads=3))
+        anchors = fm.sample_columns(2, 0)
+        specs += [otk_spec(anchors, SinkhornParams(epsilon=1.0), psi)
+                  for psi in (None, NystromMap(anchors, sigma=2.0))]
         for spec in specs:
             k = 1 if spec.init is None else as_matrix(spec.init).shape[1]
             pooled = run_pooling(spec, fm)
@@ -404,6 +407,16 @@ CONTRACT_RAISES = {
         init=[[0.0, 10.0]], similarity="neg_sq_euclid", attention="hard_argmax",
         pool=PoolRule("max")), _fm([[0.0, 1.0]])),
         NumericError, "pooling at iteration 0: empty support in attention column 1"),
+    "sinkhorn_without_transport": (lambda: PoolingSpec(init=[[0.0]], similarity="neg_sq_euclid",
+                                                       attention="sinkhorn"),
+                                   ContractError, "PoolingSpec: the sinkhorn attention needs transport"),
+    "nystrom_as_query_map": (lambda: PoolingSpec(query_map=MapRule("nystrom")), ContractError,
+                             "PoolingSpec: local_avg_fc or nystrom is a value map only"),
+    "nystrom_as_key_map": (lambda: PoolingSpec(key_map=MapRule("nystrom")), ContractError,
+                           "PoolingSpec: local_avg_fc or nystrom is a value map only"),
+    "nystrom_under_gem": (lambda: PoolingSpec(
+        value_map=MapRule("nystrom", weight=NystromMap(np.eye(2), sigma=1.0)), pool=PoolRule(gamma=2.0)),
+        ContractError, "PoolingSpec: a weighted value map needs the arithmetic-mean pool"),
 }
 
 

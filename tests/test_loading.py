@@ -98,6 +98,15 @@ def test_kmeans_request_executes_its_pooler_and_no_simple_pooler(tmp_path):
         "tensor_io"], True)
 
 
+def test_sinkhorn_otk_request_executes_what_the_kmeans_request_does(tmp_path):
+    # its sinkhorn attention runs in the engine, which executes cluster_poolers only then
+    path = tmp_path / "x.npy"
+    np.save(path, np.random.default_rng(0).random((8, 3, 4)))
+    assert _command(["pool", "--input", str(path), "--method", "sinkhorn-otk", "--k", "2"]) == ([
+        "cli", "cluster_poolers", "errors", "framework", "matcore", "meanfam", "nncells", "npy",
+        "tensor_io"], True)
+
+
 def test_simpool_request_executes_no_gradcheck(tmp_path):
     path = tmp_path / "x.npy"
     np.save(path, np.random.default_rng(0).random((8, 3, 4)))
