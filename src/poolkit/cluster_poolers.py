@@ -250,8 +250,8 @@ def sinkhorn(cost: Mat, params: SinkhornParams) -> Mat:
     cost_t = (cost - cost.min()).T.copy()
     k, p = cost_t.shape
     g = np.zeros(k)
-    margins = np.r_[np.full(p, 1.0 / p), np.full(k, 1.0 / k)]
-    per_share = np.r_[np.full(p, float(p)), np.full(k, float(k))]  # 1 / margins
+    per_share = np.repeat((float(p), float(k)), (p, k))
+    margins = 1.0 / per_share  # the row sums 1/p, then the column sums 1/k
     marg = np.empty(p + k)  # the plan's row sums, then its column sums
     start = eps = max(params.epsilon, float(cost_t.max()))
     residual, steps = np.inf, 0
@@ -259,7 +259,7 @@ def sinkhorn(cost: Mat, params: SinkhornParams) -> Mat:
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             final = eps == params.epsilon
-            scale, target = (1.0, params.tol) if final else (per_share, LEVEL_TOL)
+            target = params.tol if final else LEVEL_TOL
             first = sweep = True  # each level opens with a sweep
             while first or not residual <= target:  # NaN runs into max_iter
                 if steps == params.max_iter:
@@ -277,7 +277,7 @@ def sinkhorn(cost: Mat, params: SinkhornParams) -> Mat:
                 plan_t.sum(axis=0, out=marg[:p])
                 plan_t.sum(axis=1, out=marg[p:])
                 grad = margins - marg
-                residual = np.abs(grad * scale).max()
+                residual = np.abs(grad if final else grad * per_share).max()
             if final:
                 return plan_t.T.copy()
             nxt = max(params.epsilon, eps / LEVEL_RATIO)
@@ -333,24 +333,27 @@ def otk_pool(
     equal ``epsilon`` (ContractError otherwise).
     ``psi``, a map of the features before they are pooled, must be anchored
     at the transport anchors, as in the OTK embedding (ContractError
-    otherwise): one distance matrix is both the cost and psi's input.
+    otherwise): one distance matrix is both the cost and psi's input.  The
+    engine then runs on ``psi.anchors`` itself, C-ordered and checked when
+    psi was built, so that neither U^0 nor that distance matrix copies them.
     """
     anchors = np.asarray(anchors, dtype=np.float64)
     if anchors.ndim != 2 or anchors.shape[0] != fm.d or anchors.shape[1] < 1:
         raise ShapeError(f"otk_pool: weights 'anchors' has shape {anchors.shape}; "
                          f"{fm.d}-channel features need ({fm.d}, k >= 1)")
-    if not np.isfinite(anchors).all():
+    shared = psi is not None and np.array_equal(psi.anchors, anchors)  # then finite, as psi's are
+    if not shared and not np.isfinite(anchors).all():
         raise NumericError("otk_pool: weights 'anchors' contain non-finite entries")
     if psi is not None and psi.anchors.shape[0] != fm.d:
         raise ShapeError(f"otk_pool: psi.anchors has shape {psi.anchors.shape}; "
                          f"{fm.d}-channel features need {fm.d} rows")
-    if psi is not None and not np.array_equal(psi.anchors, anchors):
+    if psi is not None and not shared:
         raise ContractError("otk_pool: psi must be anchored at the transport anchors")
     if params is None:
         params = SinkhornParams(epsilon=epsilon)
     elif params.epsilon != epsilon:
         raise ContractError(f"otk_pool: epsilon={epsilon} but params.epsilon={params.epsilon}")
-    out = run_pooling(otk_spec(anchors, params, psi), fm)
+    out = run_pooling(otk_spec(psi.anchors if shared else anchors, params, psi), fm)
     return PooledSet(out.u * anchors.shape[1], out.attention)
 
 

@@ -208,6 +208,9 @@ class PoolingSpec:
         if value in ("weighted", "local_avg_fc") and not (
                 self.pool.kind == "f_alpha" and self.pool.gamma == 1.0 and not self.pool.shift):
             raise ContractError(f"PoolingSpec: a {value} value map needs the arithmetic-mean pool")
+        if self.value_map.kind == "nystrom" and (self.value_map.weight is None or self.similarity == "dot"):
+            raise ContractError("PoolingSpec: a nystrom value map needs a NystromMap weight "
+                                "and neg_sq_euclid similarity, as psi's kernel reads -|x - u|^2")
         if self.value_map.kind == "local_avg_fc" and self.pool_update.kind != "l2norm":
             raise ContractError("PoolingSpec: local_avg_fc needs the l2norm update")
 
@@ -331,7 +334,8 @@ def run_pooling(spec: PoolingSpec, fm: FeatureMap, tape: Optional[dict] = None) 
     back onto the queries, s = X~^T (W_K^T q); the value weight acts after the arithmetic pool,
     z = W_V (X~ a), as psi's M^{-1/2} does; and local_avg_fc's 3x3 average moves onto the attention
     through its adjoint, z = W ((X - c) avg3^T(a)).  Each weight, W_U too, meets its narrow side on
-    one path for every head count (``matcore.weigh``); m heads' attention is their column blocks' mean.
+    one path for every head count (``matcore.weigh``).  m > 1 heads' attention comes back as their
+    column blocks' mean; one head's is the attention array itself, unaveraged and uncopied.
 
     A dict passed as ``tape`` receives, all formed anyway, ``key_input``, ``value_input``, ``ln_std``
     (LayerNorm's divisor, or None) and the last iteration's ``query_input``, ``q`` and ``wkt_q``.
@@ -372,5 +376,6 @@ def run_pooling(spec: PoolingSpec, fm: FeatureMap, tape: Optional[dict] = None) 
         tape.update(value_input=x_val, ln_std=shared.get("ln_std"))
         if needs_sim:
             tape.update(key_input=x_key, query_input=u_in, q=q, wkt_q=wkt_q)
-    a = a.reshape(len(a), spec.heads, -1).mean(axis=1)  # exactly a itself at one head
+    if spec.heads > 1:
+        a = a.reshape(len(a), spec.heads, -1).mean(axis=1)
     return PooledSet(u=u, attention=AttentionMatrix(a, stochastic_cols=spec.attention == "col_softmax"))

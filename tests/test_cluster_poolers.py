@@ -577,6 +577,18 @@ class TestOtkPool:
         assert np.array_equal(bare.u, (fm.x @ plan) * 4)
         np.testing.assert_allclose(out.u, (feats @ plan) * 4, rtol=1e-12, atol=0)
 
+    def test_engine_runs_on_psi_anchors(self, monkeypatch):
+        """With psi, the engine's U^0 is psi.anchors itself, already C-ordered and
+        checked, not a second copy of the (here not C-contiguous) anchors passed."""
+        fm = _fm(np.random.default_rng(32).normal(size=(6, 20)))
+        anchors = fm.x[:, [2, 9, 13]]
+        psi = NystromMap(anchors, sigma=2.0)
+        specs = []
+        monkeypatch.setattr(cluster_poolers, "run_pooling",
+                            lambda spec, fm: specs.append(spec) or run_pooling(spec, fm))
+        otk_pool(fm, anchors, 0.5, psi=psi)
+        assert specs[0].init is psi.anchors
+
     def test_psi_with_wrong_channel_count_raises_shape_error(self):
         fm = _fm(np.ones((4, 6)))
         psi = NystromMap(np.ones((3, 2)), sigma=1.0)

@@ -417,6 +417,14 @@ CONTRACT_RAISES = {
     "nystrom_under_gem": (lambda: PoolingSpec(
         value_map=MapRule("nystrom", weight=NystromMap(np.eye(2), sigma=1.0)), pool=PoolRule(gamma=2.0)),
         ContractError, "PoolingSpec: a weighted value map needs the arithmetic-mean pool"),
+    "nystrom_without_weight": (lambda: PoolingSpec(
+        init=[[0.0]], similarity="neg_sq_euclid", attention="sinkhorn",
+        transport=SinkhornParams(epsilon=1.0), value_map=MapRule("nystrom")),
+        ContractError, "PoolingSpec: a nystrom value map needs a NystromMap weight"),
+    "nystrom_under_dot": (lambda: PoolingSpec(
+        init=[[0.0, 1.0]], attention="sinkhorn", transport=SinkhornParams(epsilon=1.0),
+        value_map=MapRule("nystrom", weight=NystromMap(np.eye(2), sigma=1.0))),
+        ContractError, "PoolingSpec: a nystrom value map needs a NystromMap weight"),
 }
 
 

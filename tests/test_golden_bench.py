@@ -5,8 +5,10 @@ poolers whose d x d products dominate at these shapes: vit and cait (6 heads
 at ViT-S, 8 at R50), simpool and how (default and with a supplied centering
 and projection), slot attention (full and simplified, k = 4, the stream
 workload's k), plus the three ``simpool_backward`` gradients for one fixed
-cotangent.  A d x d gradient at d = 2048 is 32 MB, so each gradient is frozen
-as every (n // 8)-th row and column.  Regenerate the file (only when a change
+cotangent, and Nystrom-mapped transport (``otk_pool`` with psi) at k = 4 and
+32 on inputs drawn as the transport workload draws them.  A d x d gradient at
+d = 2048 is 32 MB, so each gradient is frozen as every (n // 8)-th row and
+column.  Regenerate the file (only when a change
 of output is intended) with ``PYTHONPATH=src python tests/test_golden_bench.py``,
 or just some arrays with ``--only KEY [KEY ...]`` (see ``test_golden.regenerate``).
 """
@@ -16,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from poolkit.cli import run_method
-from poolkit.cluster_poolers import SlotWeights, slot_pool
+from poolkit.cluster_poolers import NystromMap, SinkhornParams, SlotWeights, otk_pool, slot_pool
 from poolkit.framework import FeatureMap
 from poolkit.simple_poolers import HowConfig, how
 from poolkit.simpool import SimPoolParams, simpool_backward, simpool_forward
@@ -27,6 +29,7 @@ from test_golden import assert_unchanged, regenerate
 GOLDEN = Path(__file__).with_name("golden_bench_shapes.npz")
 SHAPES = ((384, 14, 14, 6), (2048, 7, 7, 8))  # (d, width, height, heads)
 SEED, ITERS, SLOTS = 0, 3, 4
+ANCHORS = (4, 32)  # otk_pool's k: the transport workload's least and most
 
 
 def _feature_map(d, width, height):
@@ -37,6 +40,20 @@ def _feature_map(d, width, height):
 def _row_and_column_samples(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows, cols = g.shape
     return g[:: max(1, rows // 8)], g[:, :: max(1, cols // 8)]
+
+
+def _otk_inputs(d: int, width: int, height: int, k: int):
+    """Clustered nonnegative features, k of their columns as anchors, epsilon = 0.05 spread and
+    sigma = sqrt(spread), drawn in the order the transport workload draws them."""
+    rng = np.random.default_rng([2002, d, k])
+    p = width * height
+    centers = rng.normal(scale=3.0, size=(d, 4))
+    assign = rng.integers(4, size=p)
+    x = centers[:, assign] + 0.3 * rng.standard_normal((d, p))
+    x = x - x.min()
+    anchors = x[:, rng.choice(p, size=k, replace=False)]
+    spread = float(np.var(x, axis=1).sum())
+    return FeatureMap(x, width, height), anchors, 0.05 * spread, float(np.sqrt(spread))
 
 
 def compute_outputs() -> dict:
@@ -64,6 +81,12 @@ def compute_outputs() -> dict:
             rows, cols = _row_and_column_samples(np.asarray(g))
             out[f"{tag}/simpool_backward/{name}/rows"] = rows
             out[f"{tag}/simpool_backward/{name}/cols"] = cols
+        for k in ANCHORS:
+            fm_k, anchors, eps, sigma = _otk_inputs(d, width, height, k)
+            pooled = otk_pool(fm_k, anchors, eps, psi=NystromMap(anchors, sigma),
+                              params=SinkhornParams(epsilon=eps, tol=1e-8))
+            out[f"{tag}/otk_nystrom_k{k}/u"] = pooled.u
+            out[f"{tag}/otk_nystrom_k{k}/a"] = pooled.attention.a
     return out
 
 
