@@ -66,12 +66,14 @@ def _sweep(cost_t: Mat, g: np.ndarray, eps: float) -> tuple[np.ndarray, Mat]:
     return -eps * (np.log(k) + (top + np.log(s))), e / (k * s)[:, None]
 
 
-def _schur(plan_t: Mat, marg: np.ndarray) -> Optional[tuple[Mat, Mat]]:
-    """P^T diag(1/P1), held k x p, and minus the Schur complement
-    S = diag(P^T 1) - P^T diag(1/P1) P of the dual's Hessian at the plan P,
-    held transposed as ``plan_t``, with S's diagonal shifted by
-    ``SCHUR_SHIFT`` of itself; ``marg`` stacks P's row and column sums.
-    None when a row's mass has underflowed to 0, where S is undefined."""
+def _schur_solve(plan_t: Mat, marg: np.ndarray, on_rows: np.ndarray, on_cols: np.ndarray,
+                 scale: float = 1.0) -> Optional[np.ndarray]:
+    """y (k) with -S y = scale (P^T diag(1/P1) on_rows - on_cols), its last
+    entry held at 0, for the Schur complement S = diag(P^T 1) - P^T diag(1/P1) P
+    of the dual's Hessian at the plan P, held transposed as ``plan_t``, with
+    S's diagonal shifted by ``SCHUR_SHIFT`` of itself; ``marg`` stacks P's
+    row and column sums.  None when a row's mass has underflowed to 0, where
+    S is undefined, or when S is singular."""
     k, p = plan_t.shape
     rows = marg[:p]
     if not rows.all():
@@ -79,7 +81,12 @@ def _schur(plan_t: Mat, marg: np.ndarray) -> Optional[tuple[Mat, Mat]]:
     scaled = plan_t / rows
     neg_schur = scaled @ plan_t.T
     neg_schur.flat[::k + 1] -= (1.0 + SCHUR_SHIFT) * marg[p:]
-    return scaled, neg_schur
+    y = np.zeros(k)
+    try:
+        y[:-1] = np.linalg.solve(neg_schur[:-1, :-1], (scale * (scaled @ on_rows - on_cols))[:-1])
+    except np.linalg.LinAlgError:
+        return None
+    return y
 
 
 def _newton_step(plan_t: Mat, marg: np.ndarray, grad: np.ndarray,
@@ -112,18 +119,10 @@ def _newton_step(plan_t: Mat, marg: np.ndarray, grad: np.ndarray,
     it ascends at once, t doubles, up to the full step, while the dual gain
     keeps rising.  A step makes at most ``BACKTRACKS`` + 1 trials."""
     k, p = plan_t.shape
-    schur = _schur(plan_t, marg)
-    if schur is None:
+    dg = _schur_solve(plan_t, marg, grad[:p], grad[p:], eps)
+    if dg is None:
         return None
-    scaled, neg_schur = schur
-    rhs = eps * (scaled @ grad[:p] - grad[p:])
-    step = np.zeros(p + k)  # (df, dg), the last dg held at 0
-    try:
-        step[p:-1] = np.linalg.solve(neg_schur[:-1, :-1], rhs[:-1])
-    except np.linalg.LinAlgError:
-        return None
-    dg = step[p:]
-    step[:p] = (eps * grad[:p] - dg @ plan_t) / marg[:p]
+    step = np.concatenate(((eps * grad[:p] - dg @ plan_t) / marg[:p], dg))  # (df, dg)
     slope = grad @ step
     if not 0.0 < slope < np.inf:
         return None
@@ -173,7 +172,7 @@ def _tangent(plan_t: Mat, marg: np.ndarray, cost_t: Mat, g: np.ndarray,
     Differentiating P's row and column sums in eps, with
     P = exp((f + g - C) / eps), cancels f's terms and leaves
     eps dg/deps = g - y, where S y = w with the last y held at 0, S is the
-    Schur complement formed by ``_schur`` and
+    Schur complement solved by ``_schur_solve`` and
     w = (P o C)^T 1 - P^T diag(1/P1) (P o C) 1,
     which a uniform shift of C leaves as it is.  The next level starts from
     g + (nxt - eps) / eps (g - g_k - y), the same step in the gauge that
@@ -184,18 +183,11 @@ def _tangent(plan_t: Mat, marg: np.ndarray, cost_t: Mat, g: np.ndarray,
     from a direction along which S is nearly singular, so a move that does
     not fit within B = 2 (eps - nxt) ln(e p k) either side of its centre is
     centred and clipped to +-B."""
-    schur = _schur(plan_t, marg)
-    if schur is None:
-        return g
-    scaled, neg_schur = schur
     weighted = plan_t * cost_t
-    try:  # -S y = -w
-        y = np.linalg.solve(neg_schur[:-1, :-1],
-                            (scaled @ weighted.sum(axis=0) - weighted.sum(axis=1))[:-1])
-    except np.linalg.LinAlgError:
+    y = _schur_solve(plan_t, marg, weighted.sum(axis=0), weighted.sum(axis=1))  # -S y = -w
+    if y is None:
         return g
-    move = g - g[-1]
-    move[:-1] -= y
+    move = g - g[-1] - y
     move *= (nxt - eps) / eps
     lo, hi = move.min(), move.max()
     bound = 2.0 * (eps - nxt) * (1.0 + math.log(plan_t.size))

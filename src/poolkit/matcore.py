@@ -158,19 +158,17 @@ def sq_distances(x: Mat, u: Mat) -> Mat:
     both operands are centered on u's first column and it is formed again;
     below that, the d x p centered copy would cost more than the digits it saves.
     A distance that overflows float64 raises NumericError."""
-    same = u is x
     # einsum's rounding depends on the operands' layout: C order keeps it fixed
     x = np.ascontiguousarray(x, dtype=np.float64)
-    u = x if same else np.ascontiguousarray(u, dtype=np.float64)
+    u = np.ascontiguousarray(u, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         for centered in (False, True):
             x2 = np.einsum("ij,ij->j", x, x)
-            u2 = x2 if same else np.einsum("ij,ij->j", u, u)
+            u2 = np.einsum("ij,ij->j", u, u)
             d = np.maximum(x2[:, None] + u2[None, :] - 2.0 * (x.T @ u), 0.0)
             if centered or x2.max() + u2.max() <= CANCEL_LIMIT * d.mean():  # False at inf or nan
                 break
-            x = x - u[:, :1]  # C order, as x is
-            u = x if same else u - u[:, :1]
+            x, u = x - u[:, :1], u - u[:, :1]  # C order, as x and u are
     if not np.isfinite(d).all():
         raise NumericError("sq_distances: a squared distance overflows float64")
     return d

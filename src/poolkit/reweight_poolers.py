@@ -66,18 +66,19 @@ class CbamWeights:
 def cbam_pool(fm: FeatureMap, w: CbamWeights) -> PooledSet:
     """Channel gating from each channel's [avg, max], then spatial gating by a
     7x7 convolution of each location's [avg, max] over the gated channels V,
-    then average pooling: z = V a / p."""
+    then average pooling: z = V (a / p).  Each average is a product with 1/p
+    (or 1/d) weights, as ``gap``'s is (the channel average is ``gap`` bit for
+    bit), so none overflows where the features are in range."""
     x = fm.x
-    p = fm.p
+    d, p = x.shape
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the output PooledSet rejects
-        u0 = np.stack([x.mean(axis=1), x.max(axis=1)], axis=1)  # (d, 2)
+        u0 = np.hstack([x @ np.full((p, 1), 1.0 / p), x.max(axis=1, keepdims=True)])  # (d, 2)
         q = sigmoid(mlp2(u0, w.channel_mlp).mean(axis=1))
         v = q[:, None] * x
 
-        s = np.stack([v.mean(axis=0), v.max(axis=0)], axis=1)  # (p, 2)
-        maps = s.T.reshape(-1, fm.height, fm.width)  # one (height, width) map per statistic
-        acc = conv2d_same(maps, w.conv7).sum(axis=0)
+        s = np.vstack([np.full((1, d), 1.0 / d) @ v, v.max(axis=0, keepdims=True)])  # (2, p)
+        acc = conv2d_same(s.reshape(-1, fm.height, fm.width), w.conv7).sum(axis=0)
         a = sigmoid(acc).reshape(-1)
 
-        z = (v @ a) / p
+        z = v @ (a / p)
     return PooledSet(u=z[:, None], attention=AttentionMatrix(a[:, None], stochastic_cols=False))

@@ -39,12 +39,25 @@ def _attention_entropy(pooled: PooledSet) -> float:
     return float(-(q * np.log(q)).sum()) + 0.0  # + 0.0: one location's -0.0 prints as 0
 
 
+def _report(path, lines: list, timings: dict) -> None:
+    """The TSV lines to ``path``, or to stdout without one, then each method's wall time to stderr,
+    so stdout (the TSV without --out) stays byte-deterministic."""
+    report = "\n".join(lines) + "\n"
+    if path:
+        with open(path, "w") as fh:
+            fh.write(report)
+    else:
+        sys.stdout.write(report)
+    for method, ms in timings.items():
+        print(f"# {method}: {ms:.1f} ms total", file=sys.stderr)
+
+
 def cmd_tournament(args) -> None:
     methods = args.methods.split(",") if args.methods else list(METHODS)
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r} in --methods")
-    rows, timings, failure = [], {}, None
+    lines, timings = ["method\ttrial\tnorm\tdistortion\tentropy"], {}
     for trial in range(args.trials):
         fm = _synthesize_features(args.d, args.p, args.k_clusters, args.seed + trial)
         overrides = {"seed": args.seed, "k": min(args.k_clusters, fm.p),
@@ -54,31 +67,9 @@ def cmd_tournament(args) -> None:
             try:  # no weight files: each method draws its seeded weights, as `cli.run_method` does
                 pooled = METHODS[method].pool(config_from_dict({"method": method, **overrides}), fm, {})
             except PoolkitError as exc:  # raised once the rows that ran are out
-                failure = type(exc)(f"{method}: {exc}")
-                break
-            elapsed = (time.perf_counter() - start) * 1e3
-            timings[method] = timings.get(method, 0.0) + elapsed
-            rows.append((
-                method,
-                trial,
-                float(np.linalg.norm(pooled.u)),
-                kmeans_distortion(fm.x, pooled.u),
-                _attention_entropy(pooled),
-            ))
-        if failure is not None:
-            break
-    header = "method\ttrial\tnorm\tdistortion\tentropy"
-    lines = [header]
-    for method, trial, norm, dist, ent in rows:
-        lines.append(f"{method}\t{trial}\t{norm:.12g}\t{dist:.12g}\t{ent:.12g}")
-    report = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(report)
-    else:
-        sys.stdout.write(report)
-    # wall times go to stderr, so stdout (the TSV without --out) stays byte-deterministic
-    for method, ms in timings.items():
-        print(f"# {method}: {ms:.1f} ms total", file=sys.stderr)
-    if failure is not None:
-        raise failure
+                _report(args.out, lines, timings)
+                raise type(exc)(f"{method}: {exc}") from None
+            timings[method] = timings.get(method, 0.0) + (time.perf_counter() - start) * 1e3
+            lines.append(f"{method}\t{trial}\t{np.linalg.norm(pooled.u):.12g}\t"
+                         f"{kmeans_distortion(fm.x, pooled.u):.12g}\t{_attention_entropy(pooled):.12g}")
+    _report(args.out, lines, timings)

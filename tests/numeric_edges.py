@@ -1,10 +1,14 @@
 """Hypothesis inputs on the numerical edges of the feature domain, and the
-rounding bound that outputs computed in two orders must meet on them."""
+rounding bound that outputs computed in two orders must meet on them, and
+40-digit ``decimal`` references of the two means."""
+
+from decimal import Decimal, localcontext
 
 import numpy as np
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+EPS = np.finfo(np.float64).eps
 SCALES = st.sampled_from([1.0, 1e6])
 COLUMN_EDGES = st.sampled_from(["drawn", "identical", "constant"])
 
@@ -45,3 +49,52 @@ def assert_within_rounding(got, want, majorant, kappa):
     relative, since subnormals carry fewer digits."""
     bound = 1e-12 * kappa * np.max(majorant) + np.finfo(np.float64).tiny
     assert np.max(np.abs(got - want)) <= bound, (np.max(np.abs(got - want)), bound)
+
+
+ORACLE_DIGITS = 40
+
+
+def _oracle_weights(a):
+    """Each column of a in ``decimal``, exactly, divided by its sum where that
+    sum is 1 to within the rounding of its p weights: such a column is a mean's
+    weights, whose float sum only misses 1 by that rounding."""
+    cols = []
+    for col in a.T:
+        w = [Decimal(x) for x in col]
+        s = sum(w)
+        cols.append([x / s for x in w] if abs(s - 1) <= len(w) * Decimal(EPS) else w)
+    return cols
+
+
+def oracle_power_mean(v, a, gamma):
+    """(d, k) ``(v**gamma @ a) ** (1/gamma)`` (``exp(ln v @ a)`` at gamma = 0)
+    in ``decimal`` at ``ORACLE_DIGITS`` digits, from the exact values of v > 0
+    and a (see ``_oracle_weights``), rounded once to float64."""
+    with localcontext() as ctx:
+        ctx.prec = ORACLE_DIGITS
+        g, cols = Decimal(gamma), _oracle_weights(a)
+        out = np.empty((v.shape[0], a.shape[1]))
+        for i, row in enumerate(v):
+            logs = [Decimal(x).ln() for x in row]
+            for j, col in enumerate(cols):
+                if gamma == 0:
+                    out[i, j] = float(sum(w * ln for w, ln in zip(col, logs)).exp())
+                else:
+                    inner = sum(w * (g * ln).exp() for w, ln in zip(col, logs))
+                    out[i, j] = float((inner.ln() / g).exp())
+    return out
+
+
+def oracle_lse(v, a, r):
+    """(d, k) ``ln(exp(r v) @ a) / r`` in ``decimal`` at ``ORACLE_DIGITS``
+    digits, from the exact values of v and a (see ``_oracle_weights``),
+    rounded once to float64."""
+    with localcontext() as ctx:
+        ctx.prec = ORACLE_DIGITS
+        rd, cols = Decimal(r), _oracle_weights(a)
+        out = np.empty((v.shape[0], a.shape[1]))
+        for i, row in enumerate(v):
+            terms = [(rd * Decimal(x)).exp() for x in row]
+            for j, col in enumerate(cols):
+                out[i, j] = float(sum(w * t for w, t in zip(col, terms)).ln() / rd)
+    return out

@@ -318,9 +318,42 @@ def _relative_g(plan, cost, eps):
     return (eps * (np.log(plan) - np.log(plan[:, -1:])) + cost - cost[:, -1:]).mean(axis=0)
 
 
+def _marginals(plan):
+    """A plan's transposed form and its row sums, then its column sums, as the solver holds them."""
+    return plan.T.copy(), np.r_[plan.sum(axis=1), plan.sum(axis=0)]
+
+
+def _neg_schur(plan_t, marg):
+    """Minus the Schur complement S = diag(P^T 1) - P^T diag(1/P1) P of a plan, with
+    S's diagonal shifted by ``SCHUR_SHIFT`` of itself: the matrix ``_schur_solve`` solves with."""
+    p = plan_t.shape[1]
+    neg_schur = (plan_t / marg[:p]) @ plan_t.T
+    neg_schur.flat[::len(neg_schur) + 1] -= (1.0 + cluster_poolers.SCHUR_SHIFT) * marg[p:]
+    return neg_schur
+
+
+class TestSchurSolve:
+    def test_solves_the_shifted_system_with_the_last_entry_held(self):
+        plan = sinkhorn(np.random.default_rng(5).uniform(0.0, 10.0, size=(7, 4)), SinkhornParams(1.0))
+        plan_t, marg = _marginals(plan)
+        on_rows, on_cols = np.linspace(-1.0, 1.0, 7), np.array([0.5, -2.0, 1.0, 3.0])
+        y = cluster_poolers._schur_solve(plan_t, marg, on_rows, on_cols, 0.25)
+        want = 0.25 * ((plan_t / marg[:7]) @ on_rows - on_cols)
+        assert y[-1] == 0.0
+        np.testing.assert_allclose((_neg_schur(plan_t, marg) @ y)[:-1], want[:-1], rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("plan", [
+        np.array([[0.25, 0.25, 0.0], [0.0, 0.0, 0.0], [0.0, 0.25, 0.25]]),  # S is undefined
+        np.array([[0.25, 0.0, 0.25], [0.25, 0.0, 0.25]]),  # its held block has a zero row
+    ], ids=["a-row-of-zero-mass", "singular"])
+    def test_none(self, plan):
+        p, k = plan.shape
+        assert cluster_poolers._schur_solve(*_marginals(plan), np.ones(p), np.ones(k)) is None
+
+
 def _handed_over(plan, cost):
     """``_tangent``'s plan, marginals and cost arguments at a plan of ``cost``."""
-    return plan.T.copy(), np.r_[plan.sum(axis=1), plan.sum(axis=0)], (cost - cost.min()).T.copy()
+    return (*_marginals(plan), (cost - cost.min()).T.copy())
 
 
 class TestNewtonStepFallback:
@@ -328,24 +361,23 @@ class TestNewtonStepFallback:
     sweeps instead; solves at the benchmark's shapes never reach them."""
 
     @staticmethod
-    def _marginals(plan):
+    def _newton_args(plan):
         """``_newton_step``'s plan, marginals and gradient arguments at ``plan``."""
         p, k = plan.shape
-        marg = np.r_[plan.sum(axis=1), plan.sum(axis=0)]
-        return plan.T.copy(), marg, np.r_[np.full(p, 1 / p), np.full(k, 1 / k)] - marg
+        plan_t, marg = _marginals(plan)
+        return plan_t, marg, np.r_[np.full(p, 1 / p), np.full(k, 1 / k)] - marg
 
     def test_none_where_a_column_other_than_the_last_is_empty(self):
         # every row holds mass, so the Schur complement is formed, but its
         # held block has a zero row: the solve is singular
-        plan_t, marg, grad = self._marginals(np.array([[0.25, 0.0, 0.25], [0.25, 0.0, 0.25]]))
-        _, neg_schur = cluster_poolers._schur(plan_t, marg)
+        plan_t, marg, grad = self._newton_args(np.array([[0.25, 0.0, 0.25], [0.25, 0.0, 0.25]]))
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.solve(neg_schur[:-1, :-1], np.ones(2))
+            np.linalg.solve(_neg_schur(plan_t, marg)[:-1, :-1], np.ones(2))
         assert cluster_poolers._newton_step(plan_t, marg, grad, 1.0) is None
 
     def test_none_at_a_zero_gradient(self):
         # the plan meets both marginals exactly: the step is 0, and so is its slope
-        plan_t, marg, grad = self._marginals(np.full((2, 2), 0.25))
+        plan_t, marg, grad = self._newton_args(np.full((2, 2), 0.25))
         assert not grad.any()
         assert cluster_poolers._newton_step(plan_t, marg, grad, 1.0) is None
 
@@ -382,8 +414,7 @@ class TestTangent:
         plan_t, marg, cost_t = _handed_over(plan, cost)
         g, nxt = _relative_g(plan, cost, eps), eps * (1 - self.H)
         pred = (cluster_poolers._tangent(plan_t, marg, cost_t, g, eps, nxt) - g) / (nxt - eps)
-        _, neg_schur = cluster_poolers._schur(plan_t, marg)
-        return np.abs(neg_schur @ (pred - fd)).max(), np.abs(pred - fd).max(), np.abs(fd).max()
+        return np.abs(_neg_schur(plan_t, marg) @ (pred - fd)).max(), np.abs(pred - fd).max(), np.abs(fd).max()
 
     def test_matches_central_difference_on_criterion_grid(self):
         # where a plan entry is far below tol, the marginals hardly pin g along

@@ -1,11 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from poolkit.errors import ContractError
 from poolkit.matcore import col_softmax
-from poolkit.meanfam import SMALL_GAMMA, lse_pool, weighted_generalized_mean
+from poolkit.meanfam import EPS, SMALL_GAMMA, lse_pool, weighted_generalized_mean
+
+from numeric_edges import oracle_lse, oracle_power_mean
 
 
 def _uniform(p):
@@ -128,6 +131,30 @@ class TestWeightedGeneralizedMean:
         np.testing.assert_allclose(below, at, rtol=1e-12)
         assert np.all(at > 2.0 ** 19 * v.min(axis=1, keepdims=True))
 
+    @pytest.mark.parametrize("gamma", [1e-9, -1e-9, 1e-6, -1e-6, 0.04, -0.04])
+    def test_small_gamma_within_a_few_ulps_of_the_oracle(self, gamma):
+        # the expm1/log1p form keeps the digits that 1/gamma would magnify
+        rng = np.random.default_rng(8)
+        v = rng.uniform(0.5, 5.0, size=(4, 12))
+        a = np.hstack([col_softmax(rng.normal(size=(12, 2))), _uniform(12)])
+        want = oracle_power_mean(v, a, gamma)
+        assert np.all(np.abs(weighted_generalized_mean(v, a, gamma) - want) <= 4 * np.spacing(want))
+
+    @pytest.mark.parametrize("gamma", [0.04, -0.04, 0.02])
+    def test_small_gamma_near_the_oracle_where_little_weight_is_near_the_extreme(self, gamma):
+        # v spans 1e-12 to 1e300, so one-hot and sparse columns may weigh only ratios whose
+        # powers are as little as e^-28 of the weights' sum, where expm1/log1p cancels; what is left is
+        # the rounding of ln(v / m), an ulp of ln of the row's range in relative terms
+        rng = np.random.default_rng(9)
+        v = np.exp(rng.uniform(np.log(1e-12), np.log(1e300), size=(4, 12)))
+        one_hot, sparse = np.zeros((12, 1)), np.zeros((12, 1))
+        one_hot[3], sparse[[1, 7]] = 1.0, 0.5
+        a = np.hstack([col_softmax(rng.normal(size=(12, 2))), one_hot, sparse, _uniform(12)])
+        want = oracle_power_mean(v, a, gamma)
+        ln_range = np.log(v.max(axis=1, keepdims=True) / v.min(axis=1, keepdims=True))
+        got = weighted_generalized_mean(v, a, gamma)
+        assert np.all(np.abs(got - want) <= 4 * EPS * ln_range * want)
+
 
 class TestFAlphaRoundTrip:
     def test_inverse(self):
@@ -184,6 +211,43 @@ class TestLsePool:
     def test_rejects_tiny_r(self):
         with pytest.raises(ContractError):
             lse_pool(np.ones((1, 2)), _uniform(2), 1e-10)
+
+    @pytest.mark.parametrize("r", [1e-9, -1e-9, 1e-6, -1e-6, 0.04, -0.04, 0.06, 1.0, 30.0])
+    def test_within_a_few_ulps_of_the_oracle(self, r):
+        # in ulps of the output's scale: the largest |v|, or |u| where the weights' sum moves u
+        # past it; at |r| >= SMALL_GAMMA the plain log rounds by an ulp of 1, which 1/|r| makes an
+        # ulp of 1/|r|, and below it the expm1/log1p form keeps those digits
+        rng = np.random.default_rng(7)
+        v = rng.uniform(-3.0, 3.0, size=(4, 12))
+        a = np.hstack([col_softmax(rng.normal(size=(12, 2))), _uniform(12), np.full((12, 1), 2.0 / 12)])
+        want = oracle_lse(v, a, r)
+        scale = np.maximum(np.abs(want), max(np.abs(v).max(), 1.0 / abs(r) if abs(r) >= SMALL_GAMMA else 0.0))
+        assert np.all(np.abs(lse_pool(v, a, r) - want) <= 4 * np.spacing(scale))
+
+    @pytest.mark.parametrize("r", [1e-9, -1e-9, 1e-6, -1e-6, 0.04, -0.04])
+    def test_small_r_within_a_few_ulps_of_the_oracle_where_little_weight_is_near_the_max(self, r):
+        # r v spans 40, and one-hot and sparse columns may weigh only entries far from the
+        # row's max: the inner sum falls to e^-40 of the weights' sum, where expm1/log1p cancels
+        rng = np.random.default_rng(9)
+        v = rng.uniform(-20.0, 20.0, size=(4, 12)) / abs(r)
+        one_hot, sparse = np.zeros((12, 1)), np.zeros((12, 1))
+        one_hot[3], sparse[[1, 7]] = 1.0, 0.5
+        a = np.hstack([col_softmax(rng.normal(size=(12, 2))), one_hot, sparse, _uniform(12)])
+        want = oracle_lse(v, a, r)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = lse_pool(v, a, r)
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(np.maximum(np.abs(want), np.abs(v).max())))
+
+    def test_small_r_keeps_the_sum_of_other_columns(self):
+        # a column that does not sum to 1 keeps its sum's ln s / r across SMALL_GAMMA,
+        # where the two forms of the log meet
+        v = np.random.default_rng(4).uniform(0.5, 5.0, size=(4, 6))
+        a = np.full((6, 1), 2.0 / 6)
+        below = lse_pool(v, a, np.nextafter(SMALL_GAMMA, 0.0))
+        at = lse_pool(v, a, SMALL_GAMMA)
+        np.testing.assert_allclose(below, at, rtol=1e-12)
+        assert np.all(at > np.log(2.0) / SMALL_GAMMA + v.min(axis=1, keepdims=True))
 
 
 # name: (a call, the error class it raises, the start of its message), one row per

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poolkit import reweight_poolers
 from poolkit.errors import ShapeError
 from poolkit.framework import FeatureMap
 from poolkit.reweight_poolers import CbamWeights, SeWeights, cbam_pool, se_pool
@@ -115,6 +116,15 @@ class TestCbamPool:
         logit = w.conv7[0, 3, 3] * s_avg + w.conv7[1, 3, 3] * s_max
         a = 1.0 / (1.0 + np.exp(-logit))
         np.testing.assert_allclose(out.u[:, 0], v[:, 0] * a, atol=1e-12)
+
+    def test_channel_average_is_gap(self, monkeypatch):
+        # the gate's [avg, max] input: its average is the gap pool's product with 1/p, bit for bit
+        fm = FeatureMap(np.random.default_rng(29).uniform(0.0, 3.0, size=(8, 35)), width=7, height=5)
+        seen = []
+        mlp2 = reweight_poolers.mlp2
+        monkeypatch.setattr(reweight_poolers, "mlp2", lambda u0, w: seen.append(u0) or mlp2(u0, w))
+        cbam_pool(fm, CbamWeights.seeded(8))
+        assert seen[0][:, 0].tobytes() == gap(fm).tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(case=_gated_cases())
